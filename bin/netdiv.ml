@@ -568,8 +568,8 @@ let lint_cmd =
          & info [ "refs" ] ~docv:"DIR"
              ~doc:"Extra reference roots whose uses count for \
                    unused-export but are not themselves linted \
-                   (default: test bench examples tools siblings of the \
-                   first path).")
+                   (default: test bench examples tools perfbench \
+                   siblings of the first path).")
   in
   (* exit codes are part of the contract (cram-tested): 0 clean, 1 new
      findings, 2 usage or parse error — so errors print to stderr and

@@ -44,45 +44,36 @@ let edge_rate ?(base_rate = default_base_rate)
   match model with
   | Fixed r -> r
   | Uniform_choice | Best_choice -> (
-      let net = Assignment.network a in
-      let sims =
-        List.map
-          (fun s ->
-            max sim_floor
-              (Network.similarity net ~service:s
-                 (Assignment.get a ~host:u ~service:s)
-                 (Assignment.get a ~host:v ~service:s)))
-          (shared_services net u v)
-      in
-      match sims with
+      (* the similarities themselves: base rate 1 scales nothing *)
+      match service_rates ~base_rate:1.0 ~sim_floor a u v with
       | [] -> 0.0
-      | _ ->
+      | sims ->
           let sim =
-            match model with
-            | Best_choice -> List.fold_left max 0.0 sims
-            | Uniform_choice ->
-                List.fold_left ( +. ) 0.0 sims
-                /. float_of_int (List.length sims)
-            | Fixed _ -> assert false
+            if model = Best_choice then List.fold_left max 0.0 sims
+            else
+              List.fold_left ( +. ) 0.0 sims /. float_of_int (List.length sims)
           in
           base_rate *. sim)
 
-let build ?base_rate ?sim_floor a ~entry ?(prior = 1.0) ~model () =
-  let net = Assignment.network a in
-  let g = Network.graph net in
-  let dag = Traversal.bfs_dag g entry in
-  (* incoming attack edges per host *)
+(* The BFS attack DAG from [entry]: the incoming attack edges per host,
+   and the reachable hosts by (distance, id), a topological order *)
+let attack_dag a ~entry =
+  let g = Network.graph (Assignment.network a) in
   let incoming = Array.make (Graph.n_nodes g) [] in
-  List.iter (fun (u, v) -> incoming.(v) <- u :: incoming.(v)) dag;
+  List.iter
+    (fun (u, v) -> incoming.(v) <- u :: incoming.(v))
+    (Traversal.bfs_dag g entry);
   let dist = Traversal.bfs g entry in
-  let order =
+  ( incoming,
     List.init (Graph.n_nodes g) Fun.id
     |> List.filter (fun h -> dist.(h) >= 0)
-    |> List.sort (fun x y ->
-           compare (dist.(x), x) (dist.(y), y))
-  in
+    |> List.sort (fun x y -> compare (dist.(x), x) (dist.(y), y)) )
+
+let build ?base_rate ?sim_floor a ~entry ?(prior = 1.0) ~model () =
+  let net = Assignment.network a in
+  let incoming, order = attack_dag a ~entry in
   let bn = Bn.create () in
-  let node_of = Array.make (Graph.n_nodes g) (-1) in
+  let node_of = Array.make (Array.length incoming) (-1) in
   List.iter
     (fun h ->
       let id =
@@ -120,18 +111,9 @@ let build ?base_rate ?sim_floor a ~entry ?(prior = 1.0) ~model () =
 let build_explicit ?(base_rate = default_base_rate)
     ?(sim_floor = default_sim_floor) a ~entry ?(prior = 1.0) ~model () =
   let net = Assignment.network a in
-  let g = Network.graph net in
-  let dag = Traversal.bfs_dag g entry in
-  let incoming = Array.make (Graph.n_nodes g) [] in
-  List.iter (fun (u, v) -> incoming.(v) <- u :: incoming.(v)) dag;
-  let dist = Traversal.bfs g entry in
-  let order =
-    List.init (Graph.n_nodes g) Fun.id
-    |> List.filter (fun h -> dist.(h) >= 0)
-    |> List.sort (fun x y -> compare (dist.(x), x) (dist.(y), y))
-  in
+  let incoming, order = attack_dag a ~entry in
   let bn = Dbn.create () in
-  let node_of = Array.make (Graph.n_nodes g) (-1) in
+  let node_of = Array.make (Array.length incoming) (-1) in
   List.iter
     (fun h ->
       if h = entry then

@@ -76,24 +76,14 @@ let prob_true t i parent_values =
 
 let node_factor t i =
   let node = t.nodes.(i) in
-  let vars = Array.append [| i |] node.parents in
-  (* [of_fun] sorts vars; map sorted positions back to (self, parents) *)
-  let sorted = Array.copy vars in
+  let sorted = Array.append [| i |] node.parents in
   Array.sort compare sorted;
-  let self_pos = ref 0 in
-  Array.iteri (fun k v -> if v = i then self_pos := k) sorted;
-  let parent_pos =
-    Array.map
-      (fun p ->
-        let pos = ref 0 in
-        Array.iteri (fun k v -> if v = p then pos := k) sorted;
-        !pos)
-      node.parents
-  in
+  (* [of_fun] hands values in sorted order; find self and parents there *)
+  let pos v = Option.get (Array.find_index (( = ) v) sorted) in
+  let self = pos i and parent_pos = Array.map pos node.parents in
   Factor.of_fun ~vars:sorted (fun values ->
-      let pv = Array.map (fun pos -> values.(pos)) parent_pos in
-      let p = prob_true t i pv in
-      if values.(!self_pos) then p else 1.0 -. p)
+      let p = prob_true t i (Array.map (Array.get values) parent_pos) in
+      if values.(self) then p else 1.0 -. p)
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>";

@@ -90,87 +90,20 @@ let prob t i parent_values k =
   node.cpt.((config_of t node parent_values * node.card) + k)
 
 let node_factor t i =
-  let node = t.nodes.(i) in
-  let vars =
-    Array.append
-      [| (i, node.card) |]
-      (Array.map (fun p -> (p, t.nodes.(p).card)) node.parents)
-  in
-  (* Mfactor sorts; recover positions *)
-  let sorted = Array.copy vars in
-  Array.sort (fun (a, _) (b, _) -> compare a b) sorted;
-  let pos id =
-    let p = ref 0 in
-    Array.iteri (fun k (v, _) -> if v = id then p := k) sorted;
-    !p
-  in
-  let self = pos i in
-  let parent_pos = Array.map pos node.parents in
+  let ids = Array.append [| i |] (parents t i) in
+  let sorted = Array.map (fun v -> (v, card t v)) ids in
+  Array.sort compare sorted;
+  (* [of_fun] hands values in sorted order; find self and parents there *)
+  let pos v = Option.get (Array.find_index (fun (u, _) -> u = v) sorted) in
+  let self = pos i and parent_pos = Array.map pos (parents t i) in
   Mfactor.of_fun ~vars:sorted (fun values ->
-      let pv = Array.map (fun p -> values.(p)) parent_pos in
-      prob t i pv values.(self))
+      prob t i (Array.map (Array.get values) parent_pos) values.(self))
+
+module Elim_multi = Elim.Make (Mfactor)
 
 let marginal ?(evidence = []) t query =
-  let factors = ref [] in
-  for i = 0 to t.count - 1 do
-    let f = ref (node_factor t i) in
-    List.iter (fun (v, value) -> f := Mfactor.restrict !f v value) evidence;
-    factors := !f :: !factors
-  done;
-  let keep = query :: List.map fst evidence in
-  let remaining = ref [] in
-  for i = t.count - 1 downto 0 do
-    if not (List.mem i keep) then remaining := i :: !remaining
-  done;
-  let induced_size v =
-    let vars =
-      List.fold_left
-        (fun acc f ->
-          if Array.exists (fun (x, _) -> x = v) (Mfactor.vars f) then
-            Array.fold_left (fun a (x, c) -> (x, c) :: a) acc (Mfactor.vars f)
-          else acc)
-        [] !factors
-    in
-    List.fold_left
-      (fun acc (_, c) -> acc * c)
-      1
-      (List.sort_uniq compare vars)
-  in
-  let eliminate v =
-    let touching, rest =
-      List.partition
-        (fun f -> Array.exists (fun (x, _) -> x = v) (Mfactor.vars f))
-        !factors
-    in
-    match touching with
-    | [] -> ()
-    | f :: fs ->
-        let joined = List.fold_left Mfactor.product f fs in
-        factors := Mfactor.sum_out joined v :: rest
-  in
-  while !remaining <> [] do
-    let v, _ =
-      List.fold_left
-        (fun (bv, bs) v ->
-          let s = induced_size v in
-          if s < bs then (v, s) else (bv, bs))
-        (-1, max_int) !remaining
-    in
-    eliminate v;
-    remaining := List.filter (fun x -> x <> v) !remaining
-  done;
-  let joined =
-    match !factors with
-    | [] -> Mfactor.constant 1.0
-    | f :: fs -> List.fold_left Mfactor.product f fs
-  in
-  let k = card t query in
-  let dist =
-    Array.init k (fun v -> Mfactor.value joined [ (query, v) ])
-  in
-  let z = Array.fold_left ( +. ) 0.0 dist in
-  if z <= 0.0 then invalid_arg "Dbn.marginal: evidence has probability zero";
-  Array.map (fun x -> x /. z) dist
+  Elim_multi.marginal ~n:t.count ~parents:(parents t) ~card:(card t)
+    ~factor:(node_factor t) evidence query
 
 let brute_marginal ?(evidence = []) t query =
   let joint_size =

@@ -31,14 +31,13 @@ val find : t -> string -> int option
 val prob : t -> int -> int array -> int -> float
 (** [prob t node parent_values k] = P(node = k | parents). *)
 
-val node_factor : t -> int -> Mfactor.t
-(** CPT as a factor over the node and its parents. *)
-
 val marginal : ?evidence:(int * int) list -> t -> int -> float array
-(** Exact marginal distribution of a node by variable elimination with a
-    min-size ordering.
-    @raise Invalid_argument if the evidence has probability zero or an
-    intermediate factor overflows. *)
+(** Exact marginal distribution of a node by variable elimination over
+    its ancestors and those of the evidence only ({!Elim}).  Evidence on
+    the node itself yields the point mass on the observed state.
+    @raise Invalid_argument if the evidence has probability zero, or if
+    the planned elimination needs a table above 2^24 entries: checked
+    before any table is allocated. *)
 
 val brute_marginal : ?evidence:(int * int) list -> t -> int -> float array
 (** The same by full joint enumeration (testing only).

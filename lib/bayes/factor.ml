@@ -1,7 +1,6 @@
 type t = { vars : int array; data : float array }
 
 let vars t = t.vars
-let data t = t.data
 
 let check_vars vars =
   let n = Array.length vars in
@@ -26,8 +25,6 @@ let of_fun ~vars f =
         f values)
   in
   { vars; data }
-
-let constant c = { vars = [||]; data = [| c |] }
 
 (* position of [v] in the sorted variable array, or -1 *)
 let position t v =

@@ -9,17 +9,11 @@ type t
 val vars : t -> int array
 (** Sorted variable ids (do not mutate). *)
 
-val data : t -> float array
-(** The table (do not mutate). *)
-
 val of_fun : vars:int array -> (bool array -> float) -> t
 (** [of_fun ~vars f] tabulates [f], which receives values aligned with the
     sorted [vars].
     @raise Invalid_argument on duplicate variables or more than 25 of
     them. *)
-
-val constant : float -> t
-(** Variable-free factor. *)
 
 val product : t -> t -> t
 (** Pointwise product over the union of the variable sets. *)

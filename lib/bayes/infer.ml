@@ -1,65 +1,15 @@
-(* Variable elimination with a greedy min-degree ordering. *)
+module Elim_bool = Elim.Make (struct
+  include Factor
+
+  let max_entries = 1 lsl 25 (* Factor's 25-variable limit *)
+  let restrict f v k = Factor.restrict f v (k = 1)
+end)
+
 let exact_marginal ?(evidence = []) bn query =
-  let n = Bn.n_nodes bn in
-  let factors = ref [] in
-  for i = 0 to n - 1 do
-    let f = ref (Bn.node_factor bn i) in
-    List.iter (fun (v, value) -> f := Factor.restrict !f v value) evidence;
-    factors := !f :: !factors
-  done;
-  let keep = query :: List.map fst evidence in
-  (* eliminate every non-query, non-evidence variable, smallest induced
-     factor first *)
-  let remaining = ref [] in
-  for i = n - 1 downto 0 do
-    if not (List.mem i keep) then remaining := i :: !remaining
-  done;
-  let eliminate v =
-    let touching, rest =
-      List.partition
-        (fun f -> Array.exists (fun x -> x = v) (Factor.vars f))
-        !factors
-    in
-    match touching with
-    | [] -> ()
-    | f :: fs ->
-        let joined = List.fold_left Factor.product f fs in
-        factors := Factor.sum_out joined v :: rest
-  in
-  let induced_size v =
-    let vars =
-      List.fold_left
-        (fun acc f ->
-          if Array.exists (fun x -> x = v) (Factor.vars f) then
-            Array.fold_left (fun a x -> x :: a) acc (Factor.vars f)
-          else acc)
-        [] !factors
-    in
-    List.length (List.sort_uniq compare vars)
-  in
-  while !remaining <> [] do
-    let best =
-      List.fold_left
-        (fun (bv, bs) v ->
-          let s = induced_size v in
-          if s < bs then (v, s) else (bv, bs))
-        (-1, max_int) !remaining
-    in
-    let v = fst best in
-    eliminate v;
-    remaining := List.filter (fun x -> x <> v) !remaining
-  done;
-  let joined =
-    match !factors with
-    | [] -> Factor.constant 1.0
-    | f :: fs -> List.fold_left Factor.product f fs
-  in
-  let p_true = Factor.value joined [ (query, true) ] in
-  let p_false = Factor.value joined [ (query, false) ] in
-  let z = p_true +. p_false in
-  if z <= 0.0 then
-    invalid_arg "Infer.exact_marginal: evidence has probability zero";
-  p_true /. z
+  (Elim_bool.marginal ~n:(Bn.n_nodes bn) ~parents:(Bn.parents bn)
+     ~card:(fun _ -> 2) ~factor:(Bn.node_factor bn)
+     (List.map (fun (v, b) -> (v, Bool.to_int b)) evidence)
+     query).(1)
 
 let joint_brute_force ?(evidence = []) bn query =
   let n = Bn.n_nodes bn in

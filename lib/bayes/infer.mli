@@ -1,14 +1,16 @@
 (** Inference over boolean Bayesian networks.
 
-    Exact marginals via variable elimination with a min-degree ordering,
-    plus Monte-Carlo estimators (forward sampling, likelihood weighting)
-    for networks whose treewidth defeats exact elimination. *)
+    Exact marginals via variable elimination ({!Elim}), plus Monte-Carlo
+    estimators (forward sampling, likelihood weighting) for networks
+    whose treewidth defeats exact elimination. *)
 
 val exact_marginal : ?evidence:(int * bool) list -> Bn.t -> int -> float
 (** [exact_marginal bn node] = P(node = true | evidence) by variable
-    elimination.
-    @raise Invalid_argument if the evidence has probability zero or an
-    intermediate factor would exceed 25 variables. *)
+    elimination over the ancestors of [node] and of the evidence only
+    ({!Elim}).  Evidence on [node] itself yields 1 or 0.
+    @raise Invalid_argument if the evidence has probability zero, or if
+    the planned elimination needs a factor above 25 variables: checked
+    before any factor is allocated. *)
 
 val joint_brute_force : ?evidence:(int * bool) list -> Bn.t -> int -> float
 (** Same query by full joint enumeration — O(2^n), for testing only.

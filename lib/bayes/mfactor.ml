@@ -6,7 +6,6 @@ type t = {
 let max_entries = 1 lsl 24
 
 let vars t = t.vars
-let data t = t.data
 
 let table_size vars =
   Array.fold_left
@@ -166,11 +165,6 @@ let value t assignment =
   t.data.(!idx)
 
 let total t = Array.fold_left ( +. ) 0.0 t.data
-
-let normalize t =
-  let z = total t in
-  if z <= 0.0 then invalid_arg "Mfactor.normalize: zero total";
-  { t with data = Array.map (fun x -> x /. z) t.data }
 
 let equal ?(eps = 1e-12) a b =
   a.vars = b.vars

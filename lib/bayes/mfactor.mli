@@ -11,8 +11,9 @@ type t
 val vars : t -> (int * int) array
 (** (variable id, cardinality) pairs, sorted by id; do not mutate. *)
 
-val data : t -> float array
-(** The dense table; do not mutate. *)
+(* netdiv-lint: allow unused-export — read via Elim.Make (Mfactor) *)
+val max_entries : int
+(** The table-size guard, 2^24 entries. *)
 
 val of_fun : vars:(int * int) array -> (int array -> float) -> t
 (** [of_fun ~vars f] tabulates [f], which receives one value per sorted
@@ -38,7 +39,5 @@ val value : t -> (int * int) list -> float
 (** Entry for a full assignment of the factor's variables. *)
 
 val total : t -> float
-val normalize : t -> t
-(** Scales entries to sum to 1. @raise Invalid_argument on zero total. *)
 
 val equal : ?eps:float -> t -> t -> bool

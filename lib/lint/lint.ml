@@ -1138,7 +1138,7 @@ let default_ref_paths paths =
         (fun p -> Sys.file_exists p && Sys.is_directory p)
         (List.map
            (Filename.concat parent)
-           [ "test"; "bench"; "examples"; "tools" ])
+           [ "test"; "bench"; "examples"; "tools"; "perfbench" ])
 
 let analyze_paths ?(ref_paths = []) paths =
   let files =

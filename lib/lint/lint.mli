@@ -56,7 +56,7 @@
       inline closure body doing so directly.
     - [unused-export]: an [.mli]-declared value never referenced from
       outside its module, counting reference roots ([test/], [bench/],
-      [examples/], [tools/]) as consumers.
+      [examples/], [tools/], [perfbench/]) as consumers.
 
     Suppressions double as effect {e barriers}: a reasoned suppression
     at a source line certifies it, so the sanctioned clock shim in
@@ -140,7 +140,7 @@ val analyze_paths : ?ref_paths:string list -> string list -> report
 
 val default_ref_paths : string list -> string list
 (** The conventional reference roots for a repository checkout: the
-    [test]/[bench]/[examples]/[tools] siblings of the first path's
+    [test]/[bench]/[examples]/[tools]/[perfbench] siblings of the first path's
     parent directory, filtered to those that exist. *)
 
 val explain : report -> string -> finding list

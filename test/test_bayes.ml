@@ -5,6 +5,7 @@ open Netdiv_bayes
 module Gen = Netdiv_graph.Gen
 module Network = Netdiv_core.Network
 module Assignment = Netdiv_core.Assignment
+module Scaled = Netdiv_casestudy.Scaled
 
 let check_float = Alcotest.(check (float 1e-9))
 let rng seed = Random.State.make [| seed |]
@@ -130,7 +131,14 @@ let test_exact_with_evidence () =
   (* and diagnostic reasoning: P(a|c) via Bayes *)
   let p_a_given_c = Infer.exact_marginal ~evidence:[ (c, true) ] bn a in
   let expected = 0.6 *. ((0.7 *. 0.5) +. (0.3 *. 0.1)) /. 0.3 in
-  check_float "P(a|c)" expected p_a_given_c
+  check_float "P(a|c)" expected p_a_given_c;
+  (* evidence on the query is a point mass on the observed value *)
+  check_float "P(a|a)" 1.0 (Infer.exact_marginal ~evidence:[ (a, true) ] bn a);
+  check_float "P(c|not c)" 0.0
+    (Infer.exact_marginal ~evidence:[ (c, false) ] bn c);
+  match Infer.exact_marginal ~evidence:[ (a, true); (a, false) ] bn a with
+  | _ -> Alcotest.fail "accepted contradictory evidence"
+  | exception Invalid_argument _ -> ()
 
 let random_dag_bn rng n =
   let bn = Bn.create () in
@@ -164,15 +172,61 @@ let test_exact_vs_brute () =
       (Infer.exact_marginal bn q)
   done
 
+(* [Some] answer, or [None] when the query raises [Invalid_argument] *)
+let outcome f =
+  match f () with x -> Some x | exception Invalid_argument _ -> None
+
+(* evidence on the first nodes, on the last node (below every other
+   query), on the query itself, and on the query and the last node at once
+   (contradictory when the query is the last node) *)
+let evidence_sets ~n q =
+  let last = n - 1 in
+  [ [ (0, true); (last / 2, false) ]; [ (last, true) ]; [ (q, true) ];
+    [ (q, false) ]; [ (q, true); (last, false) ] ]
+
 let test_exact_vs_brute_evidence () =
   for seed = 1 to 10 do
     let bn = random_dag_bn (rng (50 + seed)) 6 in
-    let evidence = [ (0, true); (2, false) ] in
-    Alcotest.(check (float 1e-9))
-      (Printf.sprintf "seed %d" seed)
-      (Infer.joint_brute_force ~evidence bn 5)
-      (Infer.exact_marginal ~evidence bn 5)
+    for q = 0 to 5 do
+      List.iter
+        (fun evidence ->
+          Alcotest.(check (option (float 1e-9)))
+            (Printf.sprintf "seed %d query %d" seed q)
+            (outcome (fun () -> Infer.joint_brute_force ~evidence bn q))
+            (outcome (fun () -> Infer.exact_marginal ~evidence bn q)))
+        (evidence_sets ~n:6 q)
+    done
   done
+
+(* a k x k grid DAG, each cell a noisy-OR of its upper and left
+   neighbours: treewidth k *)
+let grid_bn k =
+  let bn = Bn.create () in
+  for i = 0 to k - 1 do
+    for j = 0 to k - 1 do
+      let parents =
+        Array.of_list
+          ((if i > 0 then [ ((i - 1) * k) + j ] else [])
+          @ if j > 0 then [ (i * k) + j - 1 ] else [])
+      in
+      ignore
+        (Bn.add bn ~name:(Printf.sprintf "%d,%d" i j) ~parents
+           (Bn.Noisy_or
+              { rates = Array.map (fun _ -> 0.5) parents; leak = 0.1 }))
+    done
+  done;
+  bn
+
+let test_width_check () =
+  (* the plan needs a table far above 25 variables: the query must raise
+     before any such table is allocated *)
+  let bn = grid_bn 30 in
+  let before = Gc.allocated_bytes () in
+  (match Infer.exact_marginal bn (Bn.n_nodes bn - 1) with
+  | _ -> Alcotest.fail "answered a treewidth-30 query exactly"
+  | exception Invalid_argument _ -> ());
+  let mb = (Gc.allocated_bytes () -. before) /. 1048576.0 in
+  if mb >= 8.0 then Alcotest.failf "allocated %.1f MB before raising" mb
 
 let test_sampling_converges () =
   let bn, _, _, c = chain_bn () in
@@ -323,7 +377,14 @@ let test_dbn_basic () =
     (Dbn.marginal bn flag);
   (* diagnostic direction *)
   let d_given_flag = Dbn.marginal ~evidence:[ (flag, 1) ] bn die in
-  check_float "P(die=2|flag)" (0.2 *. 0.5 /. 0.175) d_given_flag.(2)
+  check_float "P(die=2|flag)" (0.2 *. 0.5 /. 0.175) d_given_flag.(2);
+  (* evidence on the query is a point mass on the observed state *)
+  Alcotest.(check (array (float 1e-12))) "P(die|die=2)" [| 0.0; 0.0; 1.0 |]
+    (Dbn.marginal ~evidence:[ (die, 2) ] bn die);
+  (* P(die=0, flag=1) = 0 *)
+  match Dbn.marginal ~evidence:[ (die, 0); (flag, 1) ] bn flag with
+  | _ -> Alcotest.fail "accepted zero-probability evidence"
+  | exception Invalid_argument _ -> ()
 
 let test_dbn_validation () =
   let bn = Dbn.create () in
@@ -377,11 +438,16 @@ let test_dbn_ve_vs_brute () =
 let test_dbn_ve_vs_brute_evidence () =
   for seed = 1 to 10 do
     let bn = random_dbn (rng (500 + seed)) 6 in
-    let evidence = [ (0, 1); (2, 0) ] in
-    Alcotest.(check (array (float 1e-9)))
-      (Printf.sprintf "seed %d" seed)
-      (Dbn.brute_marginal ~evidence bn 5)
-      (Dbn.marginal ~evidence bn 5)
+    for q = 0 to 5 do
+      List.iter
+        (fun evidence ->
+          let evidence = List.map (fun (v, b) -> (v, Bool.to_int b)) evidence in
+          Alcotest.(check (option (array (float 1e-9))))
+            (Printf.sprintf "seed %d query %d" seed q)
+            (outcome (fun () -> Dbn.brute_marginal ~evidence bn q))
+            (outcome (fun () -> Dbn.marginal ~evidence bn q)))
+        (evidence_sets ~n:6 q)
+    done
   done
 
 let test_dbn_sampling () =
@@ -534,6 +600,30 @@ let test_explicit_case_study () =
     (Attack_bn.p_compromise_explicit assignment ~entry ~target
        ~model:Attack_bn.Uniform_choice)
 
+let test_scaled_exact () =
+  (* the 256-host scaled ICS: every entry->target query is exact under
+     both exploit models of d_bn, so d_bn never falls back to sampling *)
+  let s = Scaled.generate ~seed:1 ~scale:8 () in
+  let a = (Netdiv_core.Optimize.run s.Scaled.network []).assignment in
+  let target = s.Scaled.target and entries = s.Scaled.entries in
+  Alcotest.(check int) "four entries" 4 (List.length entries);
+  List.iter
+    (fun entry ->
+      List.iter
+        (fun model ->
+          let bn, node_of = Attack_bn.build a ~entry ~model () in
+          match Infer.exact_marginal bn node_of.(target) with
+          | p ->
+              Alcotest.(check bool) "a probability" true (p >= 0.0 && p <= 1.0)
+          | exception Invalid_argument msg ->
+              Alcotest.failf "entry %d: exact inference raised %s" entry msg)
+        [ Attack_bn.Fixed Attack_bn.default_p_avg; Attack_bn.Uniform_choice ];
+      Alcotest.(check bool)
+        (Printf.sprintf "entry %d d_bn finite" entry)
+        true
+        (Float.is_finite (Attack_bn.diversity a ~entry ~target)))
+    entries
+
 let test_host_marginals () =
   let net = line_net () in
   let a = Assignment.make net (fun ~host ~service:_ -> host mod 2) in
@@ -593,9 +683,20 @@ let bn_gen =
 let prop_exact_matches_brute =
   QCheck2.Test.make ~count:50 ~name:"variable elimination = joint sum"
     bn_gen (fun bn ->
-      let q = Bn.n_nodes bn - 1 in
-      abs_float (Infer.exact_marginal bn q -. Infer.joint_brute_force bn q)
-      < 1e-9)
+      let n = Bn.n_nodes bn in
+      List.for_all
+        (fun q ->
+          List.for_all
+            (fun evidence ->
+              match
+                ( outcome (fun () -> Infer.exact_marginal ~evidence bn q),
+                  outcome (fun () -> Infer.joint_brute_force ~evidence bn q) )
+              with
+              | Some p, Some p' -> abs_float (p -. p') < 1e-9
+              | None, None -> true
+              | _ -> false)
+            ([] :: evidence_sets ~n q))
+        (List.init n Fun.id))
 
 let prop_marginals_are_probabilities =
   QCheck2.Test.make ~count:50 ~name:"marginals lie in [0,1]" bn_gen
@@ -633,6 +734,8 @@ let () =
             test_exact_vs_brute;
           Alcotest.test_case "exact vs brute with evidence" `Quick
             test_exact_vs_brute_evidence;
+          Alcotest.test_case "width check before allocation" `Quick
+            test_width_check;
           Alcotest.test_case "sampling converges" `Quick
             test_sampling_converges;
           Alcotest.test_case "forward sample" `Quick
@@ -671,6 +774,8 @@ let () =
             test_explicit_matches_marginalized;
           Alcotest.test_case "explicit BN on the case study" `Quick
             test_explicit_case_study;
+          Alcotest.test_case "exact d_bn on the 256-host scaled ICS" `Quick
+            test_scaled_exact;
           Alcotest.test_case "host marginals" `Quick test_host_marginals;
           Alcotest.test_case "host marginals unreachable" `Quick
             test_host_marginals_unreachable;

@@ -3,6 +3,7 @@
 # (surface + interprocedural effect analysis, diffed against the
 # checked-in lint_baseline.json),
 # run the full test suite (alcotest, qcheck and the CLI cram test),
+# run the scored-deployment benchmark's smoke test (perfbench/),
 # re-run the pool suite with the NETDIV_SANITIZE race sanitizer enabled,
 # run the fast benchmark smoke (parallel determinism, interning,
 # message-kernel and observability-overhead sections, writes
@@ -27,13 +28,19 @@ dune build
 echo "== netdiv lint (effect analysis gate, baseline-diffed)"
 # the @lint alias runs
 #   netdiv lint --format json --baseline lint_baseline.json lib bin
-# with test/bench/examples/tools as reference roots; any finding that is
+# with test/bench/examples/tools/perfbench as reference roots; any finding that is
 # neither suppressed inline nor accepted (with a reason) in the
 # checked-in baseline fails the gate
 dune build @lint
 
 echo "== dune runtest"
 dune runtest
+
+echo "== scored-deployment benchmark smoke (perfbench)"
+# every benchmark workload, in miniature, through the scored-deployment
+# correctness gate: energy recomputed from the labeling, bound <= energy,
+# finite d_bn and MTTC (about 8 s)
+dune build @perfbench/smoke
 
 echo "== pool + mrf tests under NETDIV_SANITIZE=1"
 # dune does not track env vars, so run the test binaries directly: the
