@@ -268,9 +268,19 @@ let optimize_cmd =
 
 (* ------------------------------------------------------------- casestudy *)
 
+(* Simulation run counts: zero runs have no mean, so a count below 1 is
+   rejected instead of printing NaN. *)
+let runs_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected an integer >= 1, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let casestudy_cmd =
   let runs =
-    Arg.(value & opt int 1000
+    Arg.(value & opt runs_conv 1000
          & info [ "runs" ] ~docv:"N" ~doc:"Simulation runs per MTTC cell.")
   in
   let seed = Arg.(value & opt int 2020 & info [ "seed" ] ~doc:"Random seed.") in
@@ -334,7 +344,9 @@ let simulate_cmd =
     Arg.(value & opt string "t5"
          & info [ "target" ] ~docv:"HOST" ~doc:"Attack target host.")
   in
-  let runs = Arg.(value & opt int 1000 & info [ "runs" ] ~doc:"Runs.") in
+  let runs =
+    Arg.(value & opt runs_conv 1000 & info [ "runs" ] ~docv:"N" ~doc:"Runs.")
+  in
   let seed = Arg.(value & opt int 7 & info [ "seed" ] ~doc:"Random seed.") in
   let assignment =
     Arg.(value & opt string "optimal"

@@ -22,217 +22,304 @@ type mttc_stats = {
   max_ticks : int;
 }
 
-let shared_similarities a u v =
-  let net = Assignment.network a in
+(* ------------------------------------------------------- attack table *)
+
+(* Every directed edge that can ever draw, in CSR form, built once per
+   batch and only read afterwards, so parallel runs share it.  Host
+   [u]'s edges are [off.(u) .. off.(u + 1) - 1] in adjacency order,
+   [dst.(e)] is the victim and [rate.(e)] the attempt rate.  Under
+   [Uniform_exploit] [rate.(e)] is instead the edge's best-case rate,
+   which only decides worm liveness, and every attempt picks one of
+   [pool.(pool_off.(e) .. pool_off.(e + 1) - 1)] uniformly.  Edges that
+   never draw are dropped: those without a positive rate under the
+   fixed-rate strategies, without a shared service under
+   [Uniform_exploit]. *)
+type table = {
+  off : int array;
+  dst : int array;
+  rate : float array;
+  uniform : bool;
+  pool_off : int array;
+  pool : float array;
+}
+
+(* [f s] for every service [s] hosts [u] and [v] share, in descending
+   service id.  [Uniform_exploit] indexes its pool in this order. *)
+let iter_shared net u v f =
   let su = Network.host_services net u in
   let sv = Network.host_services net v in
-  let acc = ref [] in
-  let i = ref 0 and j = ref 0 in
-  while !i < Array.length su && !j < Array.length sv do
+  let i = ref (Array.length su - 1) and j = ref (Array.length sv - 1) in
+  while !i >= 0 && !j >= 0 do
     if su.(!i) = sv.(!j) then begin
-      let s = su.(!i) in
-      acc :=
-        Network.similarity net ~service:s
-          (Assignment.get a ~host:u ~service:s)
-          (Assignment.get a ~host:v ~service:s)
-        :: !acc;
-      incr i;
-      incr j
+      f su.(!i);
+      decr i;
+      decr j
     end
-    else if su.(!i) < sv.(!j) then incr i
-    else incr j
-  done;
-  !acc
-
-let shared_service_ids a u v =
-  let net = Assignment.network a in
-  let su = Network.host_services net u in
-  let sv = Network.host_services net v in
-  let acc = ref [] in
-  let i = ref 0 and j = ref 0 in
-  while !i < Array.length su && !j < Array.length sv do
-    if su.(!i) = sv.(!j) then begin
-      acc := su.(!i) :: !acc;
-      incr i;
-      incr j
-    end
-    else if su.(!i) < sv.(!j) then incr i
-    else incr j
-  done;
-  !acc
-
-(* Attack rates per directed edge, precomputed once per simulation
-   batch.  [Fixed] covers the strategies whose per-attempt rate is
-   rng-independent.  [Pooled] covers [Uniform_exploit], where every
-   attempt samples one of the edge's shared-service rates uniformly:
-   the scaled rates are tabulated per edge so the pick inside the
-   attack loop is a single O(1) array index instead of an
-   O(shared services) similarity walk and [List.nth]. *)
-type rates =
-  | Fixed of (int * float) array array
-      (* per host: (nbr, rate) *)
-  | Pooled of (int * float * float array) array array
-      (* per host: (nbr, best-case rate, scaled per-service rates) *)
+    else if su.(!i) > sv.(!j) then decr i
+    else decr j
+  done
 
 let prepare ~attempt_scale ~sim_floor ~entry a strategy =
   let net = Assignment.network a in
   let g = Network.graph net in
-  let tabulate rate_of =
-    Fixed
-      (Array.init (Graph.n_nodes g) (fun u ->
-           Array.map (fun v -> (v, rate_of u v)) (Graph.neighbors g u)))
-  in
-  match strategy with
-  | Uniform_exploit ->
-      Pooled
-        (Array.init (Graph.n_nodes g) (fun u ->
-             Array.map
-               (fun v ->
-                 let sims = shared_similarities a u v in
-                 let potential =
-                   match sims with
-                   | [] -> 0.0
-                   | sims ->
-                       attempt_scale
-                       *. List.fold_left
-                            (fun acc s -> max acc (max sim_floor s))
-                            0.0 sims
-                 in
-                 let pool =
-                   Array.of_list
-                     (List.map
-                        (fun s -> attempt_scale *. max sim_floor s)
-                        sims)
-                 in
-                 (v, potential, pool))
-               (Graph.neighbors g u)))
-  | Best_exploit ->
-      tabulate (fun u v ->
-          match shared_similarities a u v with
-          | [] -> 0.0
-          | sims ->
-              attempt_scale
-              *. List.fold_left
-                   (fun acc s -> max acc (max sim_floor s))
-                   0.0 sims)
-  | Arsenal_exploit ->
-      (* the worm carries one zero-day per service, forged for the entry
-         host's products (the paper's "three unique zero-day exploits"),
-         and cannot adapt: a hop succeeds with the similarity between the
-         arsenal's product and the victim's *)
-      let arsenal_services = Network.host_services net entry in
-      let arsenal s = Assignment.get a ~host:entry ~service:s in
-      tabulate (fun u v ->
-          let rate = ref 0.0 in
-          List.iter
-            (fun s ->
-              if Array.exists (fun x -> x = s) arsenal_services then begin
-                let victim = Assignment.get a ~host:v ~service:s in
-                let sim =
-                  max sim_floor
-                    (Network.similarity net ~service:s (arsenal s) victim)
-                in
-                if attempt_scale *. sim > !rate then
-                  rate := attempt_scale *. sim
-              end)
-            (shared_service_ids a u v);
-          !rate)
-
-let simulate ~rng ~max_ticks ~rates a ~entry ~on_tick ~stop =
-  let net = Assignment.network a in
-  let g = Network.graph net in
   let n = Graph.n_nodes g in
-  if entry < 0 || entry >= n then invalid_arg "Engine: entry out of range";
-  let infected = Array.make n false in
-  infected.(entry) <- true;
-  if stop entry then Some 0
-  else begin
-    let infected_list = ref [ entry ] in
-    let result = ref None in
-    let alive = ref true in
-    let tick = ref 0 in
-    let attempts = ref 0 in
-    let infections = ref 0 in
-    while !result = None && !alive && !tick < max_ticks do
-      incr tick;
-      let newly = ref [] in
-      let progress_possible = ref false in
-      (* [potential] is the edge's best-case rate: it decides worm
-         liveness.  [rate] is this tick's sampled attempt. *)
-      let attack v ~potential rate =
-        if not infected.(v) then begin
-          if potential > 0.0 then progress_possible := true;
-          if rate > 0.0 then begin
-            incr attempts;
-            if Random.State.float rng 1.0 < rate then newly := v :: !newly
+  let uniform = strategy = Uniform_exploit in
+  let slots = 2 * Graph.n_edges g in
+  let n_services h = Array.length (Network.host_services net h) in
+  let pool_cap = ref 0 in
+  if uniform then
+    for u = 0 to n - 1 do
+      Array.iter
+        (fun v -> pool_cap := !pool_cap + min (n_services u) (n_services v))
+        (Graph.neighbors g u)
+    done;
+  let off = Array.make (n + 1) 0 in
+  let dst = Array.make slots 0 and rate = Array.make slots 0.0 in
+  let pool_off = Array.make (if uniform then slots + 1 else 0) 0 in
+  let pool = Array.make !pool_cap 0.0 in
+  let product h s = Assignment.get a ~host:h ~service:s in
+  (* the worm carries one zero-day per service, forged for the entry
+     host's products (the paper's "three unique zero-day exploits"), and
+     cannot adapt: a hop succeeds with the similarity between the
+     arsenal's product and the victim's *)
+  let arsenal = Network.host_services net entry in
+  let e = ref 0 and p = ref 0 in
+  let rate_of u v =
+    match strategy with
+    | Best_exploit | Uniform_exploit ->
+        let shared = ref false and best = ref 0.0 in
+        iter_shared net u v (fun s ->
+            let sim =
+              Network.similarity net ~service:s (product u s) (product v s)
+            in
+            shared := true;
+            best := max !best (max sim_floor sim);
+            if uniform then begin
+              pool.(!p) <- attempt_scale *. max sim_floor sim;
+              incr p
+            end);
+        if !shared then attempt_scale *. !best else 0.0
+    | Arsenal_exploit ->
+        let best = ref 0.0 in
+        iter_shared net u v (fun s ->
+            if Array.mem s arsenal then begin
+              let r =
+                attempt_scale
+                *. max sim_floor
+                     (Network.similarity net ~service:s (product entry s)
+                        (product v s))
+              in
+              if r > !best then best := r
+            end);
+        !best
+  in
+  for u = 0 to n - 1 do
+    off.(u) <- !e;
+    Array.iter
+      (fun v ->
+        let r = rate_of u v in
+        let draws = if uniform then !p > pool_off.(!e) else r > 0.0 in
+        if draws then begin
+          dst.(!e) <- v;
+          rate.(!e) <- r;
+          incr e;
+          if uniform then pool_off.(!e) <- !p
+        end)
+      (Graph.neighbors g u)
+  done;
+  off.(n) <- !e;
+  {
+    off;
+    dst = Array.sub dst 0 !e;
+    rate = Array.sub rate 0 !e;
+    uniform;
+    pool_off = Array.sub pool_off 0 (if uniform then !e + 1 else 0);
+    pool = Array.sub pool 0 !p;
+  }
+
+(* One [Uniform_exploit] attempt's rate: a uniform pick from [e]'s
+   pool, one int draw. *)
+let[@inline] pool_pick t rng e =
+  let lo = t.pool_off.(e) in
+  t.pool.(lo + Random.State.int rng (t.pool_off.(e + 1) - lo))
+
+(* ------------------------------------------------------------ scratch *)
+
+let susceptible = '\000'
+let infected = '\001'
+let immune = '\002'
+
+(* Per-run state, allocated once per batch and reset by [start].  An
+   infected host [u]'s live segment [live.(off.(u) .. off.(u) +
+   live_len.(u) - 1)] holds its table edges, in adjacency order, whose
+   victims were still susceptible when [u] last attacked.  [scan] holds,
+   in [base .. top - 1], the infected hosts whose segment is not yet
+   empty, newest at [top - 1]; every host enters it once, so [top <= n].
+   [hits] collects one tick's successful attempts in attack order. *)
+type scratch = {
+  table : table;
+  status : Bytes.t;
+  live : int array;
+  live_len : int array;
+  scan : int array;
+  hits : int array;
+  mutable base : int;
+  mutable top : int;
+  mutable n_infected : int;
+  mutable attempts : int;
+  mutable alive : bool;
+}
+
+let scratch t =
+  let n = Array.length t.off - 1 and m = Array.length t.dst in
+  {
+    table = t;
+    status = Bytes.make n susceptible;
+    live = Array.make m 0;
+    live_len = Array.make n 0;
+    scan = Array.make n 0;
+    hits = Array.make m 0;
+    base = 0;
+    top = 0;
+    n_infected = 0;
+    attempts = 0;
+    alive = true;
+  }
+
+let infect s v =
+  Bytes.set s.status v infected;
+  s.n_infected <- s.n_infected + 1;
+  let lo = s.table.off.(v) and hi = s.table.off.(v + 1) in
+  for e = lo to hi - 1 do
+    s.live.(e) <- e
+  done;
+  s.live_len.(v) <- hi - lo;
+  s.scan.(s.top) <- v;
+  s.top <- s.top + 1
+
+let start s ~entry =
+  Bytes.fill s.status 0 (Bytes.length s.status) susceptible;
+  s.base <- 0;
+  s.top <- 0;
+  s.n_infected <- 0;
+  s.attempts <- 0;
+  s.alive <- true;
+  infect s entry
+
+let flush ~ticks ~attempts ~infections =
+  Obs.Counter.add c_ticks ticks;
+  Obs.Counter.add c_attempts attempts;
+  Obs.Counter.add c_infections infections
+
+(* ---------------------------------------------------- undefended runs *)
+
+(* One tick: every infected host with a live edge attacks, newest
+   first, along its live segment, which it compacts to the victims still
+   susceptible; the hosts hit join the scan list afterwards.  Returns
+   whether [target] fell. *)
+let tick s ~rng ~target =
+  let { off; dst; rate; uniform; _ } = s.table in
+  let status = s.status and live = s.live and live_len = s.live_len in
+  let scan = s.scan and hits = s.hits in
+  let progress = ref false and n_hits = ref 0 and attempts = ref 0 in
+  let w = ref s.top in
+  for i = s.top - 1 downto s.base do
+    let u = scan.(i) in
+    let lo = off.(u) in
+    let k = ref lo in
+    for j = lo to lo + live_len.(u) - 1 do
+      let e = live.(j) in
+      let v = dst.(e) in
+      if Bytes.get status v = susceptible then begin
+        live.(!k) <- e;
+        incr k;
+        let best = rate.(e) in
+        let r = if uniform then pool_pick s.table rng e else best in
+        if best > 0.0 then progress := true;
+        if r > 0.0 then begin
+          incr attempts;
+          if Random.State.float rng 1.0 < r then begin
+            hits.(!n_hits) <- v;
+            incr n_hits
           end
         end
-      in
-      List.iter
-        (fun u ->
-          match rates with
-          | Fixed nr ->
-              Array.iter
-                (fun (v, rate) -> attack v ~potential:rate rate)
-                nr.(u)
-          | Pooled nr ->
-              Array.iter
-                (fun (v, potential, pool) ->
-                  if not infected.(v) then begin
-                    let rate =
-                      if Array.length pool = 0 then 0.0
-                      else pool.(Random.State.int rng (Array.length pool))
-                    in
-                    attack v ~potential rate
-                  end)
-                nr.(u))
-        !infected_list;
-      List.iter
-        (fun v ->
-          if not infected.(v) then begin
-            infected.(v) <- true;
-            incr infections;
-            infected_list := v :: !infected_list;
-            if !result = None && stop v then result := Some !tick
-          end)
-        !newly;
-      on_tick !tick infected;
-      (* the worm is dead when every remaining attack edge has rate zero *)
-      if not !progress_possible then alive := false
+      end
     done;
-    Obs.Counter.add c_ticks !tick;
-    Obs.Counter.add c_attempts !attempts;
-    Obs.Counter.add c_infections !infections;
-    !result
+    live_len.(u) <- !k - lo;
+    if !k > lo then begin
+      decr w;
+      scan.(!w) <- u
+    end
+  done;
+  s.base <- !w;
+  s.attempts <- s.attempts + !attempts;
+  (* a host hit twice keeps its latest hit's place: new hosts join in
+     reverse, so the one hit first is scanned first next tick *)
+  let fallen = ref false in
+  for j = !n_hits - 1 downto 0 do
+    let v = hits.(j) in
+    if Bytes.get status v = susceptible then begin
+      infect s v;
+      if v = target then fallen := true
+    end
+  done;
+  (* the worm is dead when no live edge has a positive rate left *)
+  s.alive <- !progress;
+  !fallen
+
+let simulate s ~rng ~max_ticks ~entry ~target =
+  start s ~entry;
+  if entry = target then Some 0
+  else begin
+    let ticks = ref 0 and fallen = ref false in
+    while (not !fallen) && s.alive && !ticks < max_ticks do
+      incr ticks;
+      fallen := tick s ~rng ~target
+    done;
+    flush ~ticks:!ticks ~attempts:s.attempts ~infections:(s.n_infected - 1);
+    if !fallen then Some !ticks else None
   end
+
+(* [prepare] reads the entry host's services (Arsenal), so validate the
+   endpoints first to keep the historical error messages. *)
+let check_entry a ~entry =
+  if entry < 0 || entry >= Network.n_hosts (Assignment.network a) then
+    invalid_arg "Engine: entry out of range"
+
+let check_endpoints a ~entry ~target =
+  check_entry a ~entry;
+  if target < 0 || target >= Network.n_hosts (Assignment.network a) then
+    invalid_arg "Engine: target out of range"
+
+let check_runs runs = if runs < 1 then invalid_arg "Engine: runs < 1"
+
+(* The compromise times of [runs] calls of [one], in run order. *)
+let collect runs one =
+  let samples = Array.make runs 0 and k = ref 0 in
+  for _ = 1 to runs do
+    match one () with
+    | Some t ->
+        samples.(!k) <- t;
+        incr k
+    | None -> ()
+  done;
+  Array.sub samples 0 !k
 
 let run ~rng ?(strategy = Best_exploit)
     ?(attempt_scale = default_attempt_scale)
     ?(sim_floor = default_sim_floor) ?(max_ticks = 10_000) a ~entry ~target =
-  let net = Assignment.network a in
-  if target < 0 || target >= Network.n_hosts net then
-    invalid_arg "Engine.run: target out of range";
-  let rates = prepare ~attempt_scale ~sim_floor ~entry a strategy in
-  simulate ~rng ~max_ticks ~rates a ~entry
-    ~on_tick:(fun _ _ -> ())
-    ~stop:(fun h -> h = target)
+  check_endpoints a ~entry ~target;
+  let t = prepare ~attempt_scale ~sim_floor ~entry a strategy in
+  simulate (scratch t) ~rng ~max_ticks ~entry ~target
 
 let mttc_samples ~rng ?(strategy = Best_exploit)
     ?(attempt_scale = default_attempt_scale)
     ?(sim_floor = default_sim_floor) ?(max_ticks = 10_000) ~runs a ~entry
     ~target =
-  let rates = prepare ~attempt_scale ~sim_floor ~entry a strategy in
-  let samples = ref [] in
-  for _ = 1 to runs do
-    match
-      simulate ~rng ~max_ticks ~rates a ~entry
-        ~on_tick:(fun _ _ -> ())
-        ~stop:(fun h -> h = target)
-    with
-    | Some t -> samples := t :: !samples
-    | None -> ()
-  done;
-  Array.of_list (List.rev !samples)
+  check_runs runs;
+  check_endpoints a ~entry ~target;
+  let s = scratch (prepare ~attempt_scale ~sim_floor ~entry a strategy) in
+  collect runs (fun () -> simulate s ~rng ~max_ticks ~entry ~target)
 
 let stats_of_samples ~runs ~max_ticks samples =
   let successes = Array.length samples in
@@ -269,24 +356,24 @@ let mttc_summary ~rng ?strategy ?attempt_scale ?sim_floor
   (stats, summary)
 
 (* Parallel MTTC: run indices are split over domains; every run draws its
-   own rng from (seed, index), so results are identical for any domain
-   count. *)
+   own rng from (seed, index) and owns its scratch, while the table is
+   shared read-only, so results are identical for any domain count. *)
 let mttc_parallel ?(domains = 4) ~seed ?(strategy = Best_exploit)
     ?(attempt_scale = default_attempt_scale)
     ?(sim_floor = default_sim_floor) ?(max_ticks = 10_000) ~runs a ~entry
     ~target () =
   if domains < 1 then invalid_arg "Engine.mttc_parallel: domains < 1";
-  let rates = prepare ~attempt_scale ~sim_floor ~entry a strategy in
+  check_runs runs;
+  check_endpoints a ~entry ~target;
+  let t = prepare ~attempt_scale ~sim_floor ~entry a strategy in
   let one_run idx =
     let rng = Random.State.make [| seed; idx |] in
-    simulate ~rng ~max_ticks ~rates a ~entry
-      ~on_tick:(fun _ _ -> ())
-      ~stop:(fun h -> h = target)
+    simulate (scratch t) ~rng ~max_ticks ~entry ~target
   in
   (* every run owns an rng keyed by its index and the pool returns
      results in index order, so the stats are domain-count-invariant.
-     500/host per run, not 200: a run's epidemic phase revisits each
-     infected host's incident edges every tick, so 200 underestimated
+     500/host per run, not 200: a run's epidemic phase revisits every
+     infected host's live edges each tick, so 200 underestimated
      the work enough that borderline batches were split into chunks too
      fine to amortize dispatch.  The raised hint keeps smoke-sized
      batches (hundreds of hosts, tens of runs) under the pool's
@@ -305,17 +392,16 @@ let mttc_parallel ?(domains = 4) ~seed ?(strategy = Best_exploit)
 let epidemic_curve ~rng ?(strategy = Best_exploit)
     ?(attempt_scale = default_attempt_scale)
     ?(sim_floor = default_sim_floor) ?(max_ticks = 10_000) a ~entry =
-  let counts = ref [] in
-  let rates = prepare ~attempt_scale ~sim_floor ~entry a strategy in
-  ignore
-    (simulate ~rng ~max_ticks ~rates a ~entry
-       ~on_tick:(fun _ infected ->
-         let c =
-           Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0
-             infected
-         in
-         counts := c :: !counts)
-       ~stop:(fun _ -> false));
+  check_entry a ~entry;
+  let s = scratch (prepare ~attempt_scale ~sim_floor ~entry a strategy) in
+  start s ~entry;
+  let counts = ref [] and ticks = ref 0 in
+  while s.alive && !ticks < max_ticks do
+    incr ticks;
+    ignore (tick s ~rng ~target:(-1));
+    counts := s.n_infected :: !counts
+  done;
+  flush ~ticks:!ticks ~attempts:s.attempts ~infections:(s.n_infected - 1);
   (* trim the trailing plateau the cap produced *)
   let arr = Array.of_list (List.rev !counts) in
   let n = Array.length arr in
@@ -329,110 +415,89 @@ let epidemic_curve ~rng ?(strategy = Best_exploit)
 
 type defense = { detect_rate : float; immunize : bool }
 
-type host_status = Susceptible | Infected | Immune
-
-(* Like [simulate], but a defender detects and reimages infected hosts;
-   the worm loses when no infected host remains. *)
-let simulate_defended ~rng ~max_ticks ~defense ~rates a ~entry ~target =
-  if not (defense.detect_rate >= 0.0 && defense.detect_rate <= 1.0) then
-    invalid_arg "Engine: detect_rate outside [0,1]";
-  let net = Assignment.network a in
-  let g = Network.graph net in
-  let n = Graph.n_nodes g in
-  if entry < 0 || entry >= n then invalid_arg "Engine: entry out of range";
-  if target < 0 || target >= n then invalid_arg "Engine: target out of range";
-  let status = Array.make n Susceptible in
-  status.(entry) <- Infected;
+(* Like [simulate], but a defender detects and reimages infected hosts,
+   and the worm loses when no infected host remains.  A reimaged host
+   may become susceptible again, so each tick scans every host's full
+   table segment instead of the compacted frontier. *)
+let simulate_defended s ~rng ~max_ticks ~defense ~entry ~target =
+  let { off; dst; rate; uniform; _ } = s.table in
+  let status = s.status and hits = s.hits in
+  let n = Bytes.length status in
+  Bytes.fill status 0 n susceptible;
+  Bytes.set status entry infected;
   if entry = target then Some 0
   else begin
-    let result = ref None in
-    let extinct = ref false in
-    let tick = ref 0 in
-    let attempts = ref 0 in
-    let infections = ref 0 in
-    while !result = None && (not !extinct) && !tick < max_ticks do
-      incr tick;
-      let newly = ref [] in
-      let any_infected = ref false in
+    let fallen = ref false and extinct = ref false in
+    let ticks = ref 0 and attempts = ref 0 and infections = ref 0 in
+    while (not !fallen) && (not !extinct) && !ticks < max_ticks do
+      incr ticks;
+      let n_hits = ref 0 and any_infected = ref false in
       for u = 0 to n - 1 do
-        if status.(u) = Infected then begin
+        if Bytes.get status u = infected then begin
           any_infected := true;
-          let attack v rate =
-            if status.(v) = Susceptible && rate > 0.0 then begin
-              incr attempts;
-              if Random.State.float rng 1.0 < rate then newly := v :: !newly
+          for e = off.(u) to off.(u + 1) - 1 do
+            let v = dst.(e) in
+            if Bytes.get status v = susceptible then begin
+              let r = if uniform then pool_pick s.table rng e else rate.(e) in
+              if r > 0.0 then begin
+                incr attempts;
+                if Random.State.float rng 1.0 < r then begin
+                  hits.(!n_hits) <- v;
+                  incr n_hits
+                end
+              end
             end
-          in
-          match rates with
-          | Fixed nr ->
-              Array.iter (fun (v, rate) -> attack v rate) nr.(u)
-          | Pooled nr ->
-              Array.iter
-                (fun (v, _potential, pool) ->
-                  if status.(v) = Susceptible then begin
-                    let rate =
-                      if Array.length pool = 0 then 0.0
-                      else pool.(Random.State.int rng (Array.length pool))
-                    in
-                    attack v rate
-                  end)
-                nr.(u)
+          done
         end
       done;
       if not !any_infected then extinct := true;
-      List.iter
-        (fun v ->
-          if status.(v) = Susceptible then begin
-            status.(v) <- Infected;
-            incr infections;
-            if !result = None && v = target then result := Some !tick
-          end)
-        !newly;
+      for j = 0 to !n_hits - 1 do
+        let v = hits.(j) in
+        if Bytes.get status v = susceptible then begin
+          Bytes.set status v infected;
+          incr infections;
+          if v = target then fallen := true
+        end
+      done;
       (* detection & response *)
-      if !result = None && defense.detect_rate > 0.0 then
+      if (not !fallen) && defense.detect_rate > 0.0 then
         for h = 0 to n - 1 do
           if
-            status.(h) = Infected
+            Bytes.get status h = infected
             && Random.State.float rng 1.0 < defense.detect_rate
-          then status.(h) <- (if defense.immunize then Immune else Susceptible)
+          then
+            Bytes.set status h
+              (if defense.immunize then immune else susceptible)
         done
     done;
-    Obs.Counter.add c_ticks !tick;
-    Obs.Counter.add c_attempts !attempts;
-    Obs.Counter.add c_infections !infections;
-    !result
+    flush ~ticks:!ticks ~attempts:!attempts ~infections:!infections;
+    if !fallen then Some !ticks else None
   end
 
-(* [prepare] reads the entry host's services (Arsenal), so validate the
-   endpoints first to keep the historical error messages. *)
-let check_endpoints a ~entry ~target =
-  let n = Network.n_hosts (Assignment.network a) in
-  if entry < 0 || entry >= n then invalid_arg "Engine: entry out of range";
-  if target < 0 || target >= n then invalid_arg "Engine: target out of range"
+let check_defense defense =
+  if not (defense.detect_rate >= 0.0 && defense.detect_rate <= 1.0) then
+    invalid_arg "Engine: detect_rate outside [0,1]"
 
 let run_defended ~rng ?(strategy = Best_exploit)
     ?(attempt_scale = default_attempt_scale)
     ?(sim_floor = default_sim_floor) ?(max_ticks = 10_000) ~defense a ~entry
     ~target =
+  check_defense defense;
   check_endpoints a ~entry ~target;
-  let rates = prepare ~attempt_scale ~sim_floor ~entry a strategy in
-  simulate_defended ~rng ~max_ticks ~defense ~rates a ~entry ~target
+  let t = prepare ~attempt_scale ~sim_floor ~entry a strategy in
+  simulate_defended (scratch t) ~rng ~max_ticks ~defense ~entry ~target
 
 let mttc_defended ~rng ?(strategy = Best_exploit)
     ?(attempt_scale = default_attempt_scale)
     ?(sim_floor = default_sim_floor) ?(max_ticks = 10_000) ~defense ~runs a
     ~entry ~target =
+  check_defense defense;
+  check_runs runs;
   check_endpoints a ~entry ~target;
-  let rates = prepare ~attempt_scale ~sim_floor ~entry a strategy in
-  let samples = ref [] in
-  for _ = 1 to runs do
-    match
-      simulate_defended ~rng ~max_ticks ~defense ~rates a ~entry ~target
-    with
-    | Some t -> samples := t :: !samples
-    | None -> ()
-  done;
-  stats_of_samples ~runs ~max_ticks (Array.of_list (List.rev !samples))
+  let s = scratch (prepare ~attempt_scale ~sim_floor ~entry a strategy) in
+  stats_of_samples ~runs ~max_ticks
+    (collect runs (fun () ->
+         simulate_defended s ~rng ~max_ticks ~defense ~entry ~target))
 
 let pp_mttc ppf s =
   Format.fprintf ppf "MTTC %.3f ticks (%d/%d runs reached the target)"

@@ -10,7 +10,22 @@
     products (1.0 for identical products).
 
     All randomness comes from the caller's [Random.State.t], so runs are
-    reproducible. *)
+    reproducible, and the order of the draws is part of the contract (the
+    golden stream pins in [test/test_sim.ml] hold it bit for bit):
+    - each tick, the newest infected host attacks first; hosts infected
+      in the same tick attack in the order of their last hit;
+    - a host attacks its neighbours still susceptible at the start of
+      the tick, in adjacency order;
+    - each attempt costs one [Random.State.float], preceded under
+      [Uniform_exploit] by one [Random.State.int] that picks the exploit;
+    - an edge with a zero rate (no shared service under
+      [Uniform_exploit]) never draws.
+
+    The defended runs attack in host-id order instead, then draw one
+    float per infected host for detection.
+
+    Every entry point raises [Invalid_argument] on an [entry] or
+    [target] outside the network, and the MTTC batches on [runs < 1]. *)
 
 type strategy =
   | Best_exploit     (** reconnaissance attacker: max-similarity service *)

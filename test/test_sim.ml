@@ -131,9 +131,46 @@ let test_epidemic_curve_monotone () =
 
 let test_invalid_entry () =
   let net = line_net () in
-  match Engine.run ~rng:(rng 11) (mono net) ~entry:99 ~target:0 with
+  (match Engine.run ~rng:(rng 11) (mono net) ~entry:99 ~target:0 with
   | _ -> Alcotest.fail "accepted bad entry"
-  | exception Invalid_argument _ -> ()
+  | exception Invalid_argument _ -> ());
+  (* every entry point validates before simulating: the messages pin
+     that neither a bare index error nor a NaN mean gets through *)
+  let a = mono net in
+  let rejects name msg f =
+    Alcotest.check_raises name (Invalid_argument msg) (fun () -> ignore (f ()))
+  in
+  let bad_target = "Engine: target out of range" in
+  List.iter
+    (fun target ->
+      rejects "mttc target" bad_target (fun () ->
+          Engine.mttc ~rng:(rng 12) ~runs:5 a ~entry:0 ~target);
+      rejects "mttc_samples target" bad_target (fun () ->
+          Engine.mttc_samples ~rng:(rng 12) ~runs:5 a ~entry:0 ~target);
+      rejects "mttc_summary target" bad_target (fun () ->
+          Engine.mttc_summary ~rng:(rng 12) ~runs:5 a ~entry:0 ~target);
+      rejects "mttc_parallel target" bad_target (fun () ->
+          Engine.mttc_parallel ~seed:12 ~runs:5 a ~entry:0 ~target ()))
+    [ 99; -1 ];
+  let bad_entry = "Engine: entry out of range" in
+  let strategy = Engine.Arsenal_exploit in
+  rejects "arsenal mttc entry" bad_entry (fun () ->
+      Engine.mttc ~rng:(rng 13) ~strategy ~runs:5 a ~entry:99 ~target:0);
+  rejects "arsenal epidemic_curve entry" bad_entry (fun () ->
+      Engine.epidemic_curve ~rng:(rng 13) ~strategy a ~entry:99);
+  let no_runs = "Engine: runs < 1" in
+  rejects "mttc runs" no_runs (fun () ->
+      Engine.mttc ~rng:(rng 14) ~runs:0 a ~entry:0 ~target:4);
+  rejects "mttc_samples runs" no_runs (fun () ->
+      Engine.mttc_samples ~rng:(rng 14) ~runs:(-5) a ~entry:0 ~target:4);
+  rejects "mttc_summary runs" no_runs (fun () ->
+      Engine.mttc_summary ~rng:(rng 14) ~runs:0 a ~entry:0 ~target:4);
+  rejects "mttc_parallel runs" no_runs (fun () ->
+      Engine.mttc_parallel ~seed:14 ~runs:0 a ~entry:0 ~target:4 ());
+  rejects "mttc_defended runs" no_runs (fun () ->
+      Engine.mttc_defended ~rng:(rng 14)
+        ~defense:{ Engine.detect_rate = 0.1; immunize = false }
+        ~runs:0 a ~entry:0 ~target:4)
 
 (* ---------------------------------------------------------------- stat *)
 
@@ -232,6 +269,41 @@ let test_mttc_samples_and_summary () =
   | Some s -> Alcotest.(check (float 1e-9)) "median" 3.0 s.Netdiv_sim.Stat.median
   | None -> Alcotest.fail "expected summary"
 
+(* The case-study optimal deployment, entry c4, target t5. *)
+let case_study () =
+  let module Cs = Netdiv_casestudy in
+  let net = Cs.Products.network () in
+  ( (Cs.Experiments.compute_assignments net).Cs.Experiments.optimal,
+    Cs.Topology.host "c4",
+    Cs.Topology.host Cs.Topology.target )
+
+let with_hardware_jobs n f =
+  Netdiv_par.Pool.set_hardware_jobs (Some n);
+  Fun.protect ~finally:(fun () -> Netdiv_par.Pool.set_hardware_jobs None) f
+
+(* The line-network batches cost 500 * 6 * 120 units, far below
+   [Pool.sequential_cutoff], so they always run inline.  The case study
+   at 2000 runs (32M units) is above it: with four hardware jobs pinned,
+   its runs really execute on several domains at once, which is what
+   catches per-run state shared between them. *)
+let check_case_study_domains strategy =
+  let a, entry, target = case_study () in
+  with_hardware_jobs 4 @@ fun () ->
+  let with_domains d =
+    let s =
+      Engine.mttc_parallel ~domains:d ~seed:9 ~strategy ~runs:2000 a ~entry
+        ~target ()
+    in
+    (s.Engine.successes, Printf.sprintf "%h" s.Engine.mean_ticks)
+  in
+  let one = with_domains 1 in
+  List.iter
+    (fun d ->
+      Alcotest.(check (pair int string))
+        (Printf.sprintf "case study, %d domains" d)
+        one (with_domains d))
+    [ 2; 4 ]
+
 let test_mttc_parallel_matches_domains () =
   let net = line_net ~n:6 ~sim:0.3 () in
   let a = alternating net in
@@ -243,7 +315,8 @@ let test_mttc_parallel_matches_domains () =
   Alcotest.(check int) "same successes" one.Engine.successes
     four.Engine.successes;
   Alcotest.(check (float 1e-9)) "same mean" one.Engine.mean_ticks
-    four.Engine.mean_ticks
+    four.Engine.mean_ticks;
+  check_case_study_domains Engine.Best_exploit
 
 let test_mttc_parallel_uniform_exploit () =
   (* the pooled uniform-exploit path must also be domain-count-invariant *)
@@ -263,7 +336,111 @@ let test_mttc_parallel_uniform_exploit () =
   Alcotest.(check int) "same successes (oversubscribed)" one.Engine.successes
     eight.Engine.successes;
   Alcotest.(check (float 1e-9)) "same mean (oversubscribed)"
-    one.Engine.mean_ticks eight.Engine.mean_ticks
+    one.Engine.mean_ticks eight.Engine.mean_ticks;
+  check_case_study_domains Engine.Uniform_exploit
+
+(* ---------------------------------------------------------- stream pins *)
+
+(* Golden pins of the random stream on the case-study optimal deployment,
+   c4 -> t5, one case per strategy.  No behavioural test notices a draw
+   added, dropped or reordered inside the engine; these do, because every
+   field below is a function of the exact sequence of draws. *)
+type golden = {
+  strategy : Engine.strategy;
+  samples : int array;  (* mttc_samples, 50 runs, rng [| 14; k |] *)
+  bits_after : int;  (* Random.State.bits of that rng afterwards *)
+  curve : string;  (* epidemic_curve, rng [| 15; k |], "count x ticks" *)
+  defended : int * string;  (* mttc_defended successes and mean (%h) *)
+  parallel_mean : string;  (* mttc_parallel mean (%h), seed 17 + k *)
+}
+
+let goldens =
+  [
+    {
+      strategy = Engine.Best_exploit;
+      samples =
+        [| 100; 195; 55; 60; 89; 54; 65; 13; 90; 9; 49; 52; 58; 65; 67; 48;
+           38; 80; 41; 57; 46; 31; 81; 21; 115; 144; 67; 156; 19; 116; 50;
+           71; 15; 49; 225; 145; 12; 160; 48; 96; 60; 57; 16; 42; 112; 27;
+           31; 19; 71; 144 |];
+      bits_after = 571496450;
+      curve =
+        "1x8 2x2 3x2 4x2 5x4 6x2 8x1 9x1 11x1 12x1 13x1 15x1 16x1 17x1 \
+         19x1 20x8 21x12 22x3 23x6 24x1 25x12 26x8 27x110 28x19 29x2";
+      defended = (18, "0x1.78e38e38e38e4p+5");
+      parallel_mean = "0x1.619999999999ap+6";
+    };
+    {
+      strategy = Engine.Uniform_exploit;
+      samples =
+        [| 33; 58; 26; 49; 82; 32; 79; 26; 168; 22; 66; 36; 32; 113; 77; 129;
+           322; 42; 19; 70; 34; 105; 181; 55; 93; 174; 45; 88; 94; 28; 62;
+           81; 80; 133; 53; 145; 129; 92; 72; 74; 104; 153; 87; 78; 67; 33;
+           65; 72; 89; 59 |];
+      bits_after = 787097991;
+      curve =
+        "1x10 2x7 3x3 4x41 5x2 6x1 7x2 8x1 9x1 11x1 12x1 14x1 16x2 17x2 \
+         20x4 21x5 22x15 23x1 24x1 25x4 26x2 27x65 28x124 29x2";
+      defended = (14, "0x1.65b6db6db6db7p+5");
+      parallel_mean = "0x1.6e7ae147ae148p+6";
+    };
+    {
+      strategy = Engine.Arsenal_exploit;
+      samples =
+        [| 215; 429; 337; 89; 124; 232; 123; 212; 115; 349; 232; 427; 74; 252;
+           86; 203; 168; 53; 129; 158; 66; 348; 165; 111; 156; 58; 109; 202;
+           60; 124; 140; 312; 243; 125; 169; 205; 126; 83; 293; 268; 96; 88;
+           180; 414; 196; 192; 248; 98; 218; 268 |];
+      bits_after = 891476842;
+      curve =
+        "1x3 2x4 3x54 4x79 5x4 6x3 7x25 8x2 9x10 10x3 11x12 12x1 14x1 16x4 \
+         17x3 18x3 19x33 20x17 21x1 23x1 24x4 25x3 26x62 27x9 28x8 29x2";
+      defended = (2, "0x1.218p+8");
+      parallel_mean = "0x1.8bccccccccccdp+7";
+    };
+  ]
+
+(* "1x3 2x4" is three ticks at one infected host, then four at two *)
+let run_length curve =
+  let n = Array.length curve in
+  let runs = ref [] and i = ref 0 in
+  while !i < n do
+    let j = ref !i in
+    while !j < n && curve.(!j) = curve.(!i) do incr j done;
+    runs := Printf.sprintf "%dx%d" curve.(!i) (!j - !i) :: !runs;
+    i := !j
+  done;
+  String.concat " " (List.rev !runs)
+
+let test_stream_pins () =
+  let a, entry, target = case_study () in
+  let hex = Printf.sprintf "%h" in
+  List.iteri
+    (fun k g ->
+      let strategy = g.strategy in
+      let r = Random.State.make [| 14; k |] in
+      Alcotest.(check (array int)) "mttc_samples" g.samples
+        (Engine.mttc_samples ~rng:r ~strategy ~runs:50 a ~entry ~target);
+      Alcotest.(check int) "rng state after the samples" g.bits_after
+        (Random.State.bits r);
+      Alcotest.(check string) "epidemic_curve" g.curve
+        (run_length
+           (Engine.epidemic_curve ~rng:(Random.State.make [| 15; k |])
+              ~strategy a ~entry));
+      let d =
+        Engine.mttc_defended ~rng:(Random.State.make [| 16; k |]) ~strategy
+          ~defense:{ Engine.detect_rate = 0.05; immunize = false }
+          ~runs:50 a ~entry ~target
+      in
+      Alcotest.(check (pair int string)) "mttc_defended" g.defended
+        (d.Engine.successes, hex d.Engine.mean_ticks);
+      let p =
+        Engine.mttc_parallel ~domains:2 ~seed:(17 + k) ~strategy ~runs:50 a
+          ~entry ~target ()
+      in
+      Alcotest.(check string) "mttc_parallel mean" g.parallel_mean
+        (hex p.Engine.mean_ticks))
+    goldens
 
 (* -------------------------------------------------------------- defense *)
 
@@ -365,6 +542,7 @@ let () =
             test_mttc_parallel_matches_domains;
           Alcotest.test_case "mttc parallel uniform exploit" `Quick
             test_mttc_parallel_uniform_exploit;
+          Alcotest.test_case "random stream pins" `Quick test_stream_pins;
         ] );
       ( "defense",
         [
