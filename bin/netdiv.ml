@@ -844,7 +844,8 @@ let scalability_cmd =
                "Solve one zoned instance of $(docv) hosts instead of \
                 sweeping: the instance is streamed zone-by-zone into the \
                 compact MRF encoder and solved by block-coordinate zone \
-                decomposition.  This is the 100k-host entry point.")
+                decomposition.  This is the 100k-host entry point; it \
+                rejects $(b,--time-budget).")
   in
   let zones_arg =
     Arg.(value & opt (some int) None
@@ -890,6 +891,11 @@ let scalability_cmd =
     in
     let hosts_mode n =
       if n < 1 then `Error (false, "netdiv scalability: --hosts must be >= 1")
+      else if Option.is_some time_budget then
+        `Error
+          ( false,
+            "netdiv scalability: --time-budget is not supported with \
+             --hosts; the zoned solve runs unbudgeted" )
       else begin
         let z = match zones with Some z -> z | None -> max 1 (n / 1000) in
         if z < 1 then

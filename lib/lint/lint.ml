@@ -47,11 +47,12 @@ let rules =
       "List.nth inside a for/while loop: O(n) per access turns the loop \
        quadratic (the exact class fixed in lib/sim/engine.ml)" );
     ( "alloc-in-loop",
-      "Array.make/Array.init/Array.copy or Float.Array.create/make \
-       inside a for/while body in hot solver and simulator code \
-       (lib/mrf, lib/bayes, lib/sim), or a tuple/record built from \
+      "Array.make/Array.init/Array.copy, Float.Array.create/make or \
+       Mrf.incident inside a for/while body in hot solver and simulator \
+       code (lib/mrf, lib/bayes, lib/sim), or a tuple/record built from \
        Mrf.Compact accessor results there; allocate scratch (including \
-       message slabs) once outside the loop, and keep accessor reads in \
+       message slabs) once outside the loop, walk the Mrf.Compact CSR \
+       slice instead of incidence lists, and keep accessor reads in \
        scalar lets instead of re-boxing them" );
     ( "missing-mli",
       "library module without an interface file; every lib/ module must \
@@ -391,6 +392,12 @@ let scan_tokens ctx (toks : Lexer.token array) =
            "Float.Array.%s inside a loop body allocates an unboxed slab \
             per iteration; hoist it out of the sweep and reuse it"
            (tok toks (i + 4)));
+    if hot_path ctx && !loop_depth > 0 && seq3 toks i "Mrf" "." "incident"
+    then
+      add t "alloc-in-loop"
+        "Mrf.incident inside a loop body builds a fresh array of (edge, \
+         i_is_u) tuples per call; walk the node's Mrf.Compact CSR slice \
+         (i_inc_off, i_inc, i_col) instead";
     if ctx.in_lib then begin
       if seq3 toks i "Printf" "." "printf" || seq3 toks i "Format" "." "printf"
       then

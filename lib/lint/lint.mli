@@ -29,8 +29,11 @@
       loop.
     - [alloc-in-loop]: [Array.make]/[Array.init]/[Array.copy] inside a
       [for]/[while] body in the measured hot directories ([lib/mrf],
-      [lib/bayes]); per-iteration allocation there is GC pressure the
-      bench pays for directly — hoist a scratch buffer.  Also flags a
+      [lib/bayes], [lib/sim]); per-iteration allocation there is GC
+      pressure the bench pays for directly — hoist a scratch buffer.
+      [Mrf.incident] in such a body is flagged too: every call builds a
+      fresh array of boxed [(edge, i_is_u)] pairs, where the node's
+      [Mrf.Compact] slice is already flat.  Also flags a
       tuple or record literal built around [Mrf.Compact] accessor calls
       inside such a loop: packing [Compact.neighbor]/[Compact.edge]
       reads into a boxed value re-creates, per iteration, exactly the

@@ -1,7 +1,5 @@
 type config = { node_limit : int }
 
-let default_config = { node_limit = 2_000_000 }
-
 (* variable order: greedy max-connectivity into the already-ordered set,
    seeded by the highest-degree node *)
 let connectivity_order mrf =
@@ -9,7 +7,7 @@ let connectivity_order mrf =
   let order = Array.make n 0 in
   let placed = Array.make n false in
   let links_to_placed = Array.make n 0 in
-  let degree i = Array.length (Mrf.incident mrf i) in
+  let degree = Mrf.Compact.degree mrf in
   let pick k =
     let best = ref (-1) in
     for i = 0 to n - 1 do
@@ -17,24 +15,44 @@ let connectivity_order mrf =
         match !best with
         | -1 -> best := i
         | b ->
-            let key i = (links_to_placed.(i), degree i) in
-            if key i > key b then best := i
+            (* lexicographic on (links into the ordered set, degree) *)
+            let li = links_to_placed.(i) and lb = links_to_placed.(b) in
+            if li > lb || (li = lb && degree i > degree b) then best := i
     done;
     let i = !best in
     placed.(i) <- true;
     order.(k) <- i;
-    Array.iter
-      (fun (e, _) ->
-        let j = Mrf.opposite mrf ~edge:e i in
-        links_to_placed.(j) <- links_to_placed.(j) + 1)
-      (Mrf.incident mrf i)
+    for slot = Mrf.Compact.row_start mrf i to Mrf.Compact.row_stop mrf i - 1 do
+      let j = Mrf.Compact.neighbor mrf slot in
+      links_to_placed.(j) <- links_to_placed.(j) + 1
+    done
   in
   for k = 0 to n - 1 do
     pick k
   done;
   order
 
-let solve ?(config = default_config) ?(interrupt = fun () -> false)
+(* cost of node i at label l against its assigned neighbours: the unary,
+   then each assigned incidence's pairwise term in slice order *)
+let assigned_cost (a : Mrf.Compact.arrays) ~assigned x i l =
+  let k = a.i_labels.(i) in
+  let c = ref a.i_unary.(a.i_unary_off.(i) + l) in
+  for slot = a.i_inc_off.(i) to a.i_inc_off.(i + 1) - 1 do
+    let j = a.i_col.(slot) in
+    if assigned.(j) then begin
+      let code = a.i_inc.(slot) in
+      let base = a.i_pot_off.(a.i_etab.(code lsr 1)) in
+      (* as the row endpoint i reads column x_j (stride k_j), as the
+         column endpoint it reads row x_j (stride 1) *)
+      let i_is_u = code land 1 = 1 in
+      let off = if i_is_u then base + x.(j) else base + (x.(j) * k) in
+      let stride = if i_is_u then a.i_labels.(j) else 1 in
+      c := !c +. a.i_pot.(off + (l * stride))
+    end
+  done;
+  !c
+
+let solve ?(config = { node_limit = 2_000_000 }) ?(interrupt = fun () -> false)
     ?(on_progress = fun ~iter:_ ~energy:_ ~bound:_ -> ()) mrf =
   let run () =
     let n = Mrf.n_nodes mrf in
@@ -52,6 +70,7 @@ let solve ?(config = default_config) ?(interrupt = fun () -> false)
       Array.init (Mrf.n_edges mrf) (fun e ->
           Array.fold_left min infinity (Mrf.edge_cost mrf e))
     in
+    let arrays = Mrf.Compact.arrays mrf in
     let x = Array.make n 0 in
     let assigned = Array.make n false in
     let nodes = ref 0 in
@@ -62,31 +81,17 @@ let solve ?(config = default_config) ?(interrupt = fun () -> false)
       for i = 0 to n - 1 do
         if not assigned.(i) then begin
           (* best label of i against assigned neighbours *)
-          let k = Mrf.label_count mrf i in
           let best_label = ref infinity in
-          for l = 0 to k - 1 do
-            let c = ref (Mrf.unary mrf ~node:i ~label:l) in
-            Array.iter
-              (fun (e, i_is_u) ->
-                let j = Mrf.opposite mrf ~edge:e i in
-                if assigned.(j) then begin
-                  let pot = Mrf.edge_cost mrf e in
-                  let kj = Mrf.label_count mrf j in
-                  let pair =
-                    if i_is_u then pot.((l * kj) + x.(j))
-                    else pot.((x.(j) * k) + l)
-                  in
-                  c := !c +. pair
-                end)
-              (Mrf.incident mrf i);
-            if !c < !best_label then best_label := !c
+          for l = 0 to Mrf.label_count mrf i - 1 do
+            let c = assigned_cost arrays ~assigned x i l in
+            if c < !best_label then best_label := c
           done;
           acc := !acc +. !best_label
         end
       done;
       (* fully-unassigned edges, counted once via their u endpoint *)
       for e = 0 to Mrf.n_edges mrf - 1 do
-        let u, v = Mrf.edge_endpoints mrf e in
+        let u = arrays.i_eu.(e) and v = arrays.i_ev.(e) in
         if (not assigned.(u)) && not assigned.(v) then
           acc := !acc +. edge_min.(e)
       done;
@@ -112,24 +117,9 @@ let solve ?(config = default_config) ?(interrupt = fun () -> false)
           let i = order.(depth) in
           let k = Mrf.label_count mrf i in
           (* try labels in increasing local-cost order *)
-          let local l =
-            let c = ref (Mrf.unary mrf ~node:i ~label:l) in
-            Array.iter
-              (fun (e, i_is_u) ->
-                let j = Mrf.opposite mrf ~edge:e i in
-                if assigned.(j) then begin
-                  let pot = Mrf.edge_cost mrf e in
-                  let kj = Mrf.label_count mrf j in
-                  let pair =
-                    if i_is_u then pot.((l * kj) + x.(j))
-                    else pot.((x.(j) * k) + l)
-                  in
-                  c := !c +. pair
-                end)
-              (Mrf.incident mrf i);
-            !c
+          let costs =
+            Array.init k (fun l -> (assigned_cost arrays ~assigned x i l, l))
           in
-          let costs = Array.init k (fun l -> (local l, l)) in
           Array.sort compare costs;
           Array.iter
             (fun (cost, l) ->

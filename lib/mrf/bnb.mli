@@ -16,20 +16,18 @@ type config = {
   node_limit : int;   (** search nodes explored before giving up *)
 }
 
-val default_config : config
-(** 2,000,000 nodes. *)
-
 val solve :
   ?config:config ->
   ?interrupt:(unit -> bool) ->
   ?on_progress:(iter:int -> energy:float -> bound:float -> unit) ->
   Mrf.t ->
   Solver.result
-(** [solve mrf] returns the best labeling found; [converged] is [true]
-    iff the search completed, in which case the labeling is a proven
-    global optimum and [lower_bound = energy].  On hitting the node
-    limit, the incumbent (at least as good as TRW-S + ICM) is returned
-    with the warm-start's dual bound.
+(** [config] defaults to 2,000,000 nodes.  [solve mrf] returns the best
+    labeling found; [converged] is [true] iff the search completed, in
+    which case the labeling is a proven global optimum and
+    [lower_bound = energy].  On hitting the node limit, the incumbent (at
+    least as good as TRW-S + ICM) is returned with the warm-start's dual
+    bound.
 
     [interrupt] is threaded through the TRW-S/ICM warm start and then
     polled at every node expansion; on [true] the incumbent is returned

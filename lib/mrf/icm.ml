@@ -1,6 +1,6 @@
-type config = { max_sweeps : int }
+open Kernel
 
-let default_config = { max_sweeps = 100 }
+type config = { max_sweeps : int }
 
 let greedy_unary_init mrf =
   Array.init (Mrf.n_nodes mrf) (fun i ->
@@ -14,23 +14,7 @@ let greedy_unary_init mrf =
       done;
       !best)
 
-(* Cost of node i taking label xi given the rest of the labeling. *)
-let local_cost mrf x i xi =
-  let acc = ref (Mrf.unary mrf ~node:i ~label:xi) in
-  Array.iter
-    (fun (e, i_is_u) ->
-      let j = Mrf.opposite mrf ~edge:e i in
-      let pot = Mrf.edge_cost mrf e in
-      let kj = Mrf.label_count mrf j in
-      let ki = Mrf.label_count mrf i in
-      let c =
-        if i_is_u then pot.((xi * kj) + x.(j)) else pot.((x.(j) * ki) + xi)
-      in
-      acc := !acc +. c)
-    (Mrf.incident mrf i);
-  !acc
-
-let solve ?(config = default_config) ?(interrupt = fun () -> false)
+let solve ?(config = { max_sweeps = 100 }) ?(interrupt = fun () -> false)
     ?(on_progress = fun ~iter:_ ~energy:_ ~bound:_ -> ()) ?init mrf =
   let run () =
     let n = Mrf.n_nodes mrf in
@@ -41,6 +25,25 @@ let solve ?(config = default_config) ?(interrupt = fun () -> false)
           Array.copy x0
       | None -> greedy_unary_init mrf
     in
+    let {
+      Mrf.Compact.i_labels = labels;
+      i_unary_off = unary_off;
+      i_unary = unary;
+      i_etab = etab;
+      i_pot_off = pot_off;
+      i_pot = pot;
+      i_inc_off = inc_off;
+      i_inc = inc;
+      i_col = col;
+      _;
+    } =
+      Mrf.Compact.arrays mrf
+    in
+    (* [cost.%(l)] is node i's local energy at label l given its
+       neighbours' labels: the unary first, then each incidence's
+       pairwise term in slice order, so every label's sum adds the same
+       terms in the same order whichever label is current. *)
+    let cost = Float.Array.make (Mrf.max_label_count mrf) 0.0 in
     let sweeps = ref 0 in
     let converged = ref false in
     (try
@@ -49,19 +52,31 @@ let solve ?(config = default_config) ?(interrupt = fun () -> false)
          sweeps := s;
          let changed = ref false in
          for i = 0 to n - 1 do
-           let k = Mrf.label_count mrf i in
-           let best = ref x.(i) in
-           let best_cost = ref (local_cost mrf x i x.(i)) in
-           for xi = 0 to k - 1 do
-             if xi <> x.(i) then begin
-               let c = local_cost mrf x i xi in
-               if c < !best_cost then begin
-                 best_cost := c;
-                 best := xi
-               end
-             end
+           let k = labels.(i) in
+           let u0 = unary_off.(i) in
+           for l = 0 to k - 1 do
+             cost.%(l) <- unary.(u0 + l)
            done;
-           if !best <> x.(i) then begin
+           for slot = inc_off.(i) to inc_off.(i + 1) - 1 do
+             let code = inc.(slot) in
+             let j = col.(slot) in
+             let base = pot_off.(etab.(code lsr 1)) in
+             (* as the row endpoint i reads column x_j (stride k_j), as
+                the column endpoint it reads row x_j (stride 1) *)
+             let i_is_u = code land 1 = 1 in
+             let off = if i_is_u then base + x.(j) else base + (x.(j) * k) in
+             let stride = if i_is_u then labels.(j) else 1 in
+             for l = 0 to k - 1 do
+               cost.%(l) <- cost.%(l) +. pot.(off + (l * stride))
+             done
+           done;
+           (* ascending scan; only a strictly cheaper label moves i *)
+           let cur = x.(i) in
+           let best = ref cur in
+           for l = 0 to k - 1 do
+             if l <> cur && cost.%(l) < cost.%(!best) then best := l
+           done;
+           if !best <> cur then begin
              x.(i) <- !best;
              changed := true
            end

@@ -7,9 +7,6 @@
 
 type config = { max_sweeps : int }
 
-val default_config : config
-(** 100 sweeps. *)
-
 val solve :
   ?config:config ->
   ?interrupt:(unit -> bool) ->
@@ -17,6 +14,13 @@ val solve :
   ?init:int array ->
   Mrf.t ->
   Solver.result
-(** [interrupt] is polled once per sweep; on [true] the current labeling
+(** [config] defaults to 100 sweeps.  Each sweep visits the nodes in
+    order.  A node's local energy at every label is its unary plus the
+    pairwise terms of its [Mrf.Compact] incidence slice, added in slice
+    order.  The node keeps its label unless another is strictly cheaper;
+    among the cheapest others it takes the lowest.  The node loop
+    allocates nothing.
+
+    [interrupt] is polled once per sweep; on [true] the current labeling
     (greedy moves never increase energy) is returned.  [on_progress]
     fires after each sweep with [bound = neg_infinity]. *)

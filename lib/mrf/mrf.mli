@@ -123,8 +123,10 @@ val energy : t -> int array -> float
 
 val incident : t -> int -> (int * bool) array
 (** [incident t i] lists the edges touching node [i] as [(edge, i_is_u)]
-    pairs, sorted by the id of the opposite endpoint.  Owned by the model;
-    do not mutate. *)
+    pairs, sorted by the id of the opposite endpoint.  Every call
+    allocates a fresh array of boxed pairs, so solver loops read the
+    same slice from [Compact] instead; this view is for tests and
+    one-off inspection. *)
 
 val opposite : t -> edge:int -> int -> int
 (** [opposite t ~edge i] is the other endpoint of [edge]. *)

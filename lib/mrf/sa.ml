@@ -29,26 +29,28 @@ let default_config =
     domains = 1;
   }
 
-(* energy delta of moving node i to label [fresh], given labeling x *)
-let move_delta mrf x i fresh =
+(* energy delta of moving node i to label [fresh], given labeling x:
+   the unary difference, then each incidence's (fresh - current)
+   pairwise difference in slice order *)
+let move_delta (a : Mrf.Compact.arrays) x i fresh =
   let current = x.(i) in
   if fresh = current then 0.0
   else begin
-    let delta =
-      ref
-        (Mrf.unary mrf ~node:i ~label:fresh
-        -. Mrf.unary mrf ~node:i ~label:current)
-    in
-    Array.iter
-      (fun (e, i_is_u) ->
-        let j = Mrf.opposite mrf ~edge:e i in
-        let pot = Mrf.edge_cost mrf e in
-        let ki = Mrf.label_count mrf i and kj = Mrf.label_count mrf j in
-        let cost xi =
-          if i_is_u then pot.((xi * kj) + x.(j)) else pot.((x.(j) * ki) + xi)
-        in
-        delta := !delta +. cost fresh -. cost current)
-      (Mrf.incident mrf i);
+    let k = a.i_labels.(i) and u0 = a.i_unary_off.(i) in
+    let delta = ref (a.i_unary.(u0 + fresh) -. a.i_unary.(u0 + current)) in
+    for slot = a.i_inc_off.(i) to a.i_inc_off.(i + 1) - 1 do
+      let code = a.i_inc.(slot) in
+      let j = a.i_col.(slot) in
+      let base = a.i_pot_off.(a.i_etab.(code lsr 1)) in
+      (* as the row endpoint i reads column x_j (stride k_j), as the
+         column endpoint it reads row x_j (stride 1) *)
+      let i_is_u = code land 1 = 1 in
+      let off = if i_is_u then base + x.(j) else base + (x.(j) * k) in
+      let stride = if i_is_u then a.i_labels.(j) else 1 in
+      delta :=
+        !delta +. a.i_pot.(off + (fresh * stride))
+        -. a.i_pot.(off + (current * stride))
+    done;
     !delta
   end
 
@@ -72,6 +74,7 @@ let solve ?(config = default_config) ?(interrupt = fun () -> false)
   let sequential = config.domains <= 1 || config.restarts <= 1 in
   let run () =
     let n = Mrf.n_nodes mrf in
+    let arrays = Mrf.Compact.arrays mrf in
     let start =
       match init with
       | Some x0 ->
@@ -103,7 +106,7 @@ let solve ?(config = default_config) ?(interrupt = fun () -> false)
                let k = Mrf.label_count mrf i in
                if k > 1 then begin
                  let fresh = Random.State.int rng k in
-                 let delta = move_delta mrf x i fresh in
+                 let delta = move_delta arrays x i fresh in
                  incr proposals;
                  if
                    delta <= 0.0

@@ -218,6 +218,16 @@ let test_alloc_in_loop () =
        \  for _ = 0 to n - 1 do\n\
        \    ignore (Array.length xs)\n\
        \  done\n");
+  check_rules "positive: Mrf.incident inside for"
+    [ "alloc-in-loop" ]
+    (lint "lib/mrf/bnb.ml"
+       "let f t n =\n\
+       \  for i = 0 to n - 1 do\n\
+       \    Array.iter visit (Mrf.incident t i)\n\
+       \  done\n");
+  check_rules "near-miss: Mrf.incident outside any loop" []
+    (lint "lib/mrf/bnb.ml"
+       "let degree t i = Array.length (Mrf.incident t i)\n");
   check_rules "suppressed" []
     (lint "lib/mrf/bp.ml"
        "let f n =\n\

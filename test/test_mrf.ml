@@ -803,6 +803,209 @@ let test_solve_zoned_bound_valid () =
       (r.Solver.energy >= exact.Solver.energy -. 1e-9)
   done
 
+(* ---------------------------------------------------------- golden pins *)
+
+(* Bit-exact trajectories of the local-search solvers.  Each pin is the
+   labeling's digest, the energy in hex (%h), the iteration count and
+   the convergence flag: a change to the order in which a sum adds its
+   terms, or to how a tie between labels is broken, moves at least one
+   of them even when every behavioural test still passes. *)
+let fingerprint (r : Solver.result) =
+  let labels =
+    String.concat "," (Array.to_list (Array.map string_of_int r.labeling))
+  in
+  Printf.sprintf "%s %h %d %b"
+    (Digest.to_hex (Digest.string labels))
+    r.energy r.iterations r.converged
+
+let workload_mrf p =
+  Netdiv_core.Encode.mrf
+    (Netdiv_core.Encode.encode (Netdiv_workload.Workload.instance p) [])
+
+let pin_model =
+  lazy
+    (workload_mrf
+       { Netdiv_workload.Workload.default with
+         hosts = 60; degree = 6; services = 4 })
+
+let pins =
+  let bnb ?node_limit seed n k p () =
+    let config = Option.map (fun l -> { Bnb.node_limit = l }) node_limit in
+    Bnb.solve ?config (random_mrf (rng seed) n k p)
+  in
+  [
+    ( "icm from the greedy start",
+      (fun () -> Icm.solve (Lazy.force pin_model)),
+      "060b5e57ee1bac2e2f6697e9c1050aba 0x1.f67c99cbe36dap+5 5 true" );
+    ( "icm from a trws warm start",
+      (fun () ->
+        let m = Lazy.force pin_model in
+        Icm.solve ~init:(Trws.solve m).Solver.labeling m),
+      "8be51e288ba195a1c50bb5b8769b81d9 0x1.f1c192f63c1e2p+5 4 true" );
+    ( "sa, default seed",
+      (fun () -> Sa.solve (Lazy.force pin_model)),
+      "f1a486d530a1e4a3d3b09ca258a5a550 0x1.8adbe1890576ap+5 584 true" );
+    ( "bnb, 9 variables",
+      bnb 41 9 4 0.8,
+      "1a213a00fe72808cdf0b4f0dbdaaed7b 0x1.621175328a983p+3 218 true" );
+    ( "bnb, 9 variables, 20 nodes",
+      bnb ~node_limit:20 41 9 4 0.8,
+      "d8b6a9e936a92a09689b2c65c49cf386 0x1.7318a67c84f43p+3 20 false" );
+    ( "bnb, 10 variables",
+      bnb 58 10 4 0.6,
+      "56039c08ded39752496133642738d437 0x1.7479710a53afdp+3 303 true" );
+    ( "bnb, 10 variables, 20 nodes",
+      bnb ~node_limit:20 58 10 4 0.6,
+      "2264b7134b40419da5afda0106bc4b26 0x1.861f98f9f8d22p+3 20 false" );
+  ]
+
+let test_golden_pins () =
+  List.iter
+    (fun (name, run, expected) ->
+      Alcotest.(check string) name expected (fingerprint (run ())))
+    pins
+
+(* ------------------------------------------------------- icm reference *)
+
+(* The per-label ICM that walked [Mrf.incident] tuples, kept as the
+   reference the CSR implementation must reproduce bit for bit: same
+   labeling, same energy bits, same sweep count, same [converged].  Only
+   the interrupt and progress hooks are left out; neither touches the
+   trajectory. *)
+module Reference_icm = struct
+  let greedy_unary_init mrf =
+    Array.init (Mrf.n_nodes mrf) (fun i ->
+        let k = Mrf.label_count mrf i in
+        let best = ref 0 in
+        for l = 1 to k - 1 do
+          if
+            Mrf.unary mrf ~node:i ~label:l
+            < Mrf.unary mrf ~node:i ~label:!best
+          then best := l
+        done;
+        !best)
+
+  (* Cost of node i taking label xi given the rest of the labeling. *)
+  let local_cost mrf x i xi =
+    let acc = ref (Mrf.unary mrf ~node:i ~label:xi) in
+    Array.iter
+      (fun (e, i_is_u) ->
+        let j = Mrf.opposite mrf ~edge:e i in
+        let pot = Mrf.edge_cost mrf e in
+        let kj = Mrf.label_count mrf j in
+        let ki = Mrf.label_count mrf i in
+        let c =
+          if i_is_u then pot.((xi * kj) + x.(j)) else pot.((x.(j) * ki) + xi)
+        in
+        acc := !acc +. c)
+      (Mrf.incident mrf i);
+    !acc
+
+  let solve ~max_sweeps ?init mrf =
+    let n = Mrf.n_nodes mrf in
+    let x =
+      match init with
+      | Some x0 ->
+          Mrf.validate_labeling mrf x0;
+          Array.copy x0
+      | None -> greedy_unary_init mrf
+    in
+    let sweeps = ref 0 in
+    let converged = ref false in
+    (try
+       for s = 1 to max_sweeps do
+         sweeps := s;
+         let changed = ref false in
+         for i = 0 to n - 1 do
+           let k = Mrf.label_count mrf i in
+           let best = ref x.(i) in
+           let best_cost = ref (local_cost mrf x i x.(i)) in
+           for xi = 0 to k - 1 do
+             if xi <> x.(i) then begin
+               let c = local_cost mrf x i xi in
+               if c < !best_cost then begin
+                 best_cost := c;
+                 best := xi
+               end
+             end
+           done;
+           if !best <> x.(i) then begin
+             x.(i) <- !best;
+             changed := true
+           end
+         done;
+         if not !changed then begin
+           converged := true;
+           raise Exit
+         end
+       done
+     with Exit -> ());
+    (x, Mrf.energy mrf x, !sweeps, !converged)
+end
+
+(* Small models built to tie: label counts 1..5 (so tables are rarely
+   square), random orientation and repeated endpoint pairs (parallel
+   edges), and integer costs in {0, 1, 2}, so that many labels share a
+   local cost and the keep-the-current-label rule decides. *)
+let tie_mrf rng =
+  let n = 1 + Random.State.int rng 9 in
+  let labels = Array.init n (fun _ -> 1 + Random.State.int rng 5) in
+  let cost () = float_of_int (Random.State.int rng 3) in
+  let b = Mrf.Builder.create ~label_counts:labels in
+  for i = 0 to n - 1 do
+    Mrf.Builder.set_unary b ~node:i (Array.init labels.(i) (fun _ -> cost ()))
+  done;
+  if n >= 2 then
+    for _ = 1 to Random.State.int rng (3 * n) do
+      let u = Random.State.int rng n in
+      let v = (u + 1 + Random.State.int rng (n - 1)) mod n in
+      Mrf.Builder.add_edge b u v
+        (Array.init (labels.(u) * labels.(v)) (fun _ -> cost ()))
+    done;
+  let init = Array.init n (fun i -> Random.State.int rng labels.(i)) in
+  (Mrf.Builder.build b, init)
+
+let tie_mrf_gen =
+  QCheck2.Gen.(map (fun seed -> tie_mrf (Random.State.make [| seed |])) int)
+
+let prop_icm_matches_reference =
+  QCheck2.Test.make ~count:300
+    ~name:"ICM = the incident-walk reference, bit for bit" tie_mrf_gen
+    (fun (m, x0) ->
+      List.for_all
+        (fun (max_sweeps, init) ->
+          let r = Icm.solve ~config:{ Icm.max_sweeps } ?init m in
+          let x, energy, sweeps, converged =
+            Reference_icm.solve ~max_sweeps ?init m
+          in
+          r.Solver.labeling = x
+          && Int64.equal
+               (Int64.bits_of_float r.Solver.energy)
+               (Int64.bits_of_float energy)
+          && r.Solver.iterations = sweeps
+          && r.Solver.converged = converged)
+        [
+          (1, None); (2, None); (100, None);
+          (1, Some x0); (2, Some x0); (100, Some x0);
+        ])
+
+(* The polish runs after TRW-S on every direct-path solve; its sweeps
+   must not feed the minor heap.  The incident walk allocated about 20M
+   words here. *)
+let test_icm_allocation_free () =
+  let m =
+    workload_mrf { Netdiv_workload.Workload.default with hosts = 200 }
+  in
+  let n = Mrf.n_nodes m in
+  let init = (Trws.solve m).Solver.labeling in
+  let before = Gc.minor_words () in
+  let r = Icm.solve ~init m in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "icm ran" true (r.Solver.iterations > 0);
+  if words >= float_of_int n then
+    Alcotest.failf "Icm.solve allocated %.0f minor words on %d variables"
+      words n
+
 (* ------------------------------------------------------------- property *)
 
 let mrf_gen =
@@ -888,6 +1091,10 @@ let () =
           Alcotest.test_case "bnb node limit" `Quick test_bnb_node_limit;
           Alcotest.test_case "bnb certifies trees" `Quick test_bnb_tree_fast;
           Alcotest.test_case "parallel edges" `Quick test_parallel_edges;
+          Alcotest.test_case "golden local-search pins" `Quick
+            test_golden_pins;
+          Alcotest.test_case "icm allocates fewer minor words than nodes"
+            `Quick test_icm_allocation_free;
         ] );
       ( "intra-component",
         [
@@ -920,5 +1127,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_trws_sandwich;
           QCheck_alcotest.to_alcotest prop_decode_valid;
+          QCheck_alcotest.to_alcotest prop_icm_matches_reference;
         ] );
     ]
