@@ -1476,7 +1476,7 @@ let interning_memory () =
    instance); multi-zone results must not depend on the job count; and
    the pre-allocation estimate must not under-predict the real model. *)
 let hierarchical_scale () =
-  section "[Hierarchical] zoned instance at scale (CSR model + solve_zoned)";
+  section "[Hierarchical] zoned instance at scale (CSR model + zoned TRW-S)";
   let module Mrf = Netdiv_mrf.Mrf in
   let module Trws = Netdiv_mrf.Trws in
   let module Solver = Netdiv_mrf.Solver in
@@ -1502,7 +1502,7 @@ let hierarchical_scale () =
     /. float_of_int tenth.Workload.z_hosts
   in
   let t1 = Unix.gettimeofday () in
-  let result = Trws.solve_zoned ~zone_of ~jobs:4 model in
+  let result = Trws.solve ~zone_of ~jobs:4 model in
   let solve_s = Unix.gettimeofday () -. t1 in
   let gap =
     (result.Solver.energy -. result.Solver.lower_bound)
@@ -1518,14 +1518,14 @@ let hierarchical_scale () =
   let sp = { Workload.default_zoned with z_hosts = 1000; z_zones = 4 } in
   let sm, szone = Workload.stream_zoned sp in
   let flat = Trws.solve sm in
-  let zoned1 = Trws.solve_zoned ~zone_of:szone ~jobs:1 sm in
-  let zoned4 = Trws.solve_zoned ~zone_of:szone ~jobs:4 sm in
+  let zoned1 = Trws.solve ~zone_of:szone ~jobs:1 sm in
+  let zoned4 = Trws.solve ~zone_of:szone ~jobs:4 sm in
   if
     not
       (zoned1.Solver.energy = zoned4.Solver.energy
       && zoned1.Solver.lower_bound = zoned4.Solver.lower_bound
       && zoned1.Solver.labeling = zoned4.Solver.labeling)
-  then Report.fail "solve_zoned result depends on the job count";
+  then Report.fail "zoned result depends on the job count";
   if zoned1.Solver.lower_bound > flat.Solver.energy +. 1e-9 then
     Report.fail "zoned dual bound exceeds the flat solver's energy";
   if words_per_host > 0.5 *. flat_per_host_tenth then
@@ -1701,7 +1701,8 @@ let micro_benchmarks () =
          Staged.stage (fun () ->
              Engine.run ~rng a.Experiments.optimal ~entry ~target));
       Test.make ~name:"table7.trws-100-hosts"
-        (Staged.stage (fun () -> Optimize.solve_encoded small_encoded));
+        (Staged.stage (fun () ->
+             Optimize.solve_encoded_outcome small_encoded));
     ]
   in
   let grouped = Test.make_grouped ~name:"netdiv" ~fmt:"%s/%s" tests in

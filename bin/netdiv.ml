@@ -926,7 +926,7 @@ let scalability_cmd =
               let gen_s = Obs.Clock.now () -. t0 in
               let fp = Mrf.footprint model in
               Format.printf "%a@." Mrf.pp_footprint fp;
-              let result = Trws.solve_zoned ~zone_of ?jobs model in
+              let result = Trws.solve ~zone_of ?jobs model in
               let gap =
                 (result.Solver.energy -. result.Solver.lower_bound)
                 /. Float.max 1.0 (Float.abs result.Solver.energy)

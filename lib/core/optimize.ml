@@ -89,7 +89,7 @@ let solver_name = function
 (* Fallback cascade per solver choice: the primary stage first; stalled
    primaries degrade to perturbed restarts (local searches) or to the
    approximate pipeline (Exact).  [jobs] parallelizes the stages that
-   have a job-count-invariant parallel form: per-component TRW-S,
+   have a job-count-invariant parallel form: TRW-S and BP schedules,
    multi-restart ICM, SA restarts. *)
 let cascade ?jobs solver ~trws_config ~bp_config =
   match solver with
@@ -119,7 +119,7 @@ let cascade ?jobs solver ~trws_config ~bp_config =
   | Exact -> [ Runner.bnb (); Runner.trws_icm ~config:trws_config ?jobs () ]
 
 let solve_encoded_outcome ?(solver = Trws_icm) ?max_iters ?budget ?patience
-    ?jobs ?zone_of ?checkpoint ?resume encoded =
+    ?jobs ?checkpoint ?resume encoded =
   let model = Encode.mrf encoded in
   let trws_config =
     match max_iters with
@@ -132,32 +132,15 @@ let solve_encoded_outcome ?(solver = Trws_icm) ?max_iters ?budget ?patience
     | Some m -> { Bp_solver.default_config with max_iters = m }
   in
   match (budget, patience, checkpoint, resume) with
-  | None, None, None, None -> (
+  | None, None, None, None ->
       (* direct path: with [jobs] absent these are the legacy serial
-         trajectories, bit-for-bit; with [jobs] present the TRW-S
-         variants decompose into components and SA fans its restarts
-         over the pool — both job-count-invariant *)
-      let trws_solve model =
-        match zone_of with
-        | Some z ->
-            (* hierarchical path: block-coordinate zone decomposition;
-               deterministic in the zone map, invariant in [jobs] *)
-            Trws_solver.solve_zoned ~config:trws_config ~zone_of:z ?jobs
-              model
-        | None -> (
-            match jobs with
-            | None -> Trws_solver.solve ~config:trws_config model
-            | Some _ ->
-                Trws_solver.solve_components ~config:trws_config ?jobs model)
-      in
+         trajectories, bit-for-bit; with [jobs] present TRW-S and BP run
+         their parallel schedules and SA fans its restarts over the
+         pool — all job-count-invariant *)
       let result =
         match solver with
-        | Trws -> trws_solve model
-        | Bp -> (
-            match jobs with
-            | None -> Bp_solver.solve ~config:bp_config model
-            | Some _ ->
-                Bp_solver.solve_chromatic ~config:bp_config ?jobs model)
+        | Trws -> Trws_solver.solve ~config:trws_config ?jobs model
+        | Bp -> Bp_solver.solve ~config:bp_config ?jobs model
         | Icm -> Icm_solver.solve model
         | Sa -> (
             match jobs with
@@ -168,7 +151,7 @@ let solve_encoded_outcome ?(solver = Trws_icm) ?max_iters ?budget ?patience
                   model)
         | Exact -> Bnb_solver.solve model
         | Trws_icm ->
-            let r = trws_solve model in
+            let r = Trws_solver.solve ~config:trws_config ?jobs model in
             let p = Icm_solver.solve ~init:r.S.labeling model in
             if p.S.energy < r.S.energy then
               {
@@ -182,7 +165,7 @@ let solve_encoded_outcome ?(solver = Trws_icm) ?max_iters ?budget ?patience
       ( result,
         (if result.S.converged then Runner.Converged else Runner.Stalled),
         [ (solver_name solver, result.S.runtime_s) ],
-        0 ))
+        0 )
   | _ ->
       let init = Option.bind resume (fun path -> load_resume path model) in
       let on_best = Option.map save_checkpoint checkpoint in
@@ -196,16 +179,8 @@ let solve_encoded_outcome ?(solver = Trws_icm) ?max_iters ?budget ?patience
         report.Runner.stage_timings,
         report.Runner.retries )
 
-let solve_encoded ?solver ?max_iters ?budget ?patience ?jobs ?zone_of
-    encoded =
-  let result, _, _, _ =
-    solve_encoded_outcome ?solver ?max_iters ?budget ?patience ?jobs ?zone_of
-      encoded
-  in
-  result
-
 let run ?solver ?prconst ?big_m ?preference ?edge_weight ?max_iters ?budget
-    ?patience ?jobs ?zone_of ?checkpoint ?resume net constraints =
+    ?patience ?jobs ?checkpoint ?resume net constraints =
   let (encoded, result, outcome, stage_timings, retries), runtime_s =
     S.timed (fun () ->
         let encoded =
@@ -216,7 +191,7 @@ let run ?solver ?prconst ?big_m ?preference ?edge_weight ?max_iters ?budget
         let result, outcome, stage_timings, retries =
           Obs.span ~name:"optimize.solve" (fun () ->
               solve_encoded_outcome ?solver ?max_iters ?budget ?patience
-                ?jobs ?zone_of ?checkpoint ?resume encoded)
+                ?jobs ?checkpoint ?resume encoded)
         in
         (encoded, result, outcome, stage_timings, retries))
   in

@@ -45,7 +45,6 @@ val run :
   ?budget:Netdiv_mrf.Runner.Budget.t ->
   ?patience:float ->
   ?jobs:int ->
-  ?zone_of:int array ->
   ?checkpoint:string ->
   ?resume:string ->
   Network.t ->
@@ -65,18 +64,11 @@ val run :
 
     [jobs] parallelizes the stages that have a job-count-invariant
     parallel form over the {!Netdiv_par.Pool} domain pool: TRW-S solves
-    connected components on separate domains, [Icm] becomes
-    multi-restart ICM, [Sa] fans its restarts out.  The assignment is
-    identical for every [jobs] value; omitting [jobs] keeps the
-    historical serial trajectories.
-
-    [zone_of] (one zone id per MRF variable, e.g. the second component
-    of {!Netdiv_workload.Workload.stream_zoned}) routes the TRW-S stage
-    of the direct path ([Trws]/[Trws_icm] without [budget]/[patience]/
-    [checkpoint]/[resume]) through block-coordinate zone decomposition
-    ({!Netdiv_mrf.Trws.solve_zoned}) — the 100k-host configuration.  The
-    result is a function of the zone map only, never of [jobs]; other
-    solvers and the anytime harness ignore it.
+    connected components on separate domains, or partitions one large
+    component ({!Netdiv_mrf.Trws.solve}); BP runs its chromatic
+    schedule; [Icm] becomes multi-restart ICM; [Sa] fans its restarts
+    out.  The assignment is identical for every [jobs] value; omitting
+    [jobs] keeps the historical serial trajectories.
 
     [checkpoint] names a file that receives an atomic best-labeling
     snapshot ({!Serial.checkpoint_to_string}) every time the harness's
@@ -105,26 +97,12 @@ val refine :
     longer selectable fall back before polishing.  Much faster than
     {!run} for small perturbations, with no dual bound. *)
 
-val solve_encoded :
-  ?solver:solver ->
-  ?max_iters:int ->
-  ?budget:Netdiv_mrf.Runner.Budget.t ->
-  ?patience:float ->
-  ?jobs:int ->
-  ?zone_of:int array ->
-  Encode.encoded ->
-  Netdiv_mrf.Solver.result
-(** Lower-level entry point on a pre-built encoding (used by the
-    scalability benches, which time encode and solve separately).
-    [zone_of] as in {!run}. *)
-
 val solve_encoded_outcome :
   ?solver:solver ->
   ?max_iters:int ->
   ?budget:Netdiv_mrf.Runner.Budget.t ->
   ?patience:float ->
   ?jobs:int ->
-  ?zone_of:int array ->
   ?checkpoint:string ->
   ?resume:string ->
   Encode.encoded ->
@@ -132,9 +110,11 @@ val solve_encoded_outcome :
   * Netdiv_mrf.Runner.outcome
   * (string * float) list
   * int
-(** Like {!solve_encoded} but also reports the outcome, per-stage
-    timings and retry count (the anytime-quality data the benches
-    record).  [checkpoint]/[resume] as in {!run}. *)
+(** The solve step of {!run} on a pre-built encoding (used by the
+    scalability benches, which time encode and solve separately): the
+    result, the outcome, per-stage timings and the retry count (the
+    anytime-quality data the benches record).  The options are as in
+    {!run}. *)
 
 val solver_name : solver -> string
 

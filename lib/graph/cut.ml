@@ -86,55 +86,6 @@ let min_edge_cut g ~source ~sink =
     g;
   List.rev !cut
 
-(* Deterministic balanced partition by BFS growth: parts are grown one
-   at a time from the lowest-id unassigned node, absorbing the frontier
-   in sorted-neighbor order until the part reaches its quota.  Quotas
-   split n as evenly as possible (the first n mod parts quotas get one
-   extra node), so the result depends only on the graph — never on job
-   counts — and disconnected graphs pack components into parts in node
-   order.  This is the zone fallback for instances whose workload
-   carries no zone structure: parts are connected whenever the graph
-   permits, so zone-interior subproblems keep most edges interior. *)
-let greedy_partition g ~parts =
-  let n = Graph.n_nodes g in
-  if parts < 1 then invalid_arg "Cut.greedy_partition: parts < 1";
-  let part = Array.make n (-1) in
-  if parts = 1 then Array.fill part 0 n 0
-  else begin
-    let parts = min parts (max 1 n) in
-    let base = n / parts and extra = n mod parts in
-    let quota p = base + if p < extra then 1 else 0 in
-    let queue = Queue.create () in
-    let scan = ref 0 in
-    for p = 0 to parts - 1 do
-      let remaining = ref (quota p) in
-      Queue.clear queue;
-      while !remaining > 0 do
-        (if Queue.is_empty queue then begin
-           (* next seed: lowest unassigned node (new component or a
-              node stranded by a filled part) *)
-           while part.(!scan) >= 0 do
-             incr scan
-           done;
-           part.(!scan) <- p;
-           decr remaining;
-           Queue.add !scan queue
-         end
-         else
-           let u = Queue.pop queue in
-           Graph.fold_neighbors
-             (fun v () ->
-               if !remaining > 0 && part.(v) < 0 then begin
-                 part.(v) <- p;
-                 decr remaining;
-                 Queue.add v queue
-               end)
-             g u ())
-      done
-    done
-  end;
-  part
-
 let is_cut g ~source ~sink edges =
   check g source sink;
   let removed = Hashtbl.create (List.length edges) in

@@ -18,15 +18,3 @@ val min_edge_cut : Graph.t -> source:int -> sink:int -> (int * int) list
 
 val is_cut : Graph.t -> source:int -> sink:int -> (int * int) list -> bool
 (** Checks that removing the given edges actually separates the pair. *)
-
-val greedy_partition : Graph.t -> parts:int -> int array
-(** [greedy_partition g ~parts] assigns every node a part id in
-    [0 .. min parts (n_nodes g) - 1] by deterministic BFS growth: parts
-    are grown one at a time from the lowest-id unassigned node,
-    absorbing neighbors in sorted order until the part reaches its
-    quota, so sizes differ by at most one and parts are connected
-    whenever the graph permits.  Depends only on the graph — never on
-    job counts.  This is the zone fallback for hierarchical solving
-    ({!Netdiv_mrf.Trws.solve_zoned}) when a workload carries no zone
-    structure.
-    @raise Invalid_argument when [parts < 1]. *)

@@ -276,95 +276,82 @@ let run_loop ~config ~interrupt ~on_progress mrf st n ~sweep_once ~decode_all
   end;
   (best_x, !best_energy, !iters, !converged)
 
-let solve ?(config = default_config) ?(interrupt = fun () -> false)
-    ?(on_progress = fun ~iter:_ ~energy:_ ~bound:_ -> ()) mrf =
-  let run () =
-    let st = make_state mrf in
-    init_messages st config;
-    let ws = make_workspace st in
-    let n = Mrf.n_nodes mrf in
-    run_loop ~config ~interrupt ~on_progress mrf st n
-      ~sweep_once:(fun () -> sweep st ws n config.damping)
-      ~decode_all:(fun x -> decode st ws n x)
-  in
-  let (labeling, energy, iterations, converged), runtime_s =
-    Solver.timed (fun () -> Obs.span ~name:"bp.solve" run)
-  in
-  {
-    Solver.labeling;
-    energy;
-    lower_bound = neg_infinity;
-    iterations;
-    converged;
-    runtime_s;
-  }
+let sequential ~config ~interrupt ~on_progress mrf st n =
+  let ws = make_workspace st in
+  run_loop ~config ~interrupt ~on_progress mrf st n
+    ~sweep_once:(fun () -> sweep st ws n config.damping)
+    ~decode_all:(fun x -> decode st ws n x)
 
-let solve_chromatic ?(config = default_config)
-    ?(interrupt = fun () -> false)
+let chromatic ~config ~interrupt ~on_progress ?jobs mrf st n =
+  (* color classes as a CSR over nodes sorted by (color, id): one
+     parallel region per class and sweep.  Nodes of one class are
+     pairwise non-adjacent, so within a class every node's update reads
+     only messages no class member writes — the sweep result is
+     independent even of chunk boundaries, and therefore of jobs. *)
+  let color, ncolors = Mrf.greedy_coloring mrf in
+  let class_off = Array.make (ncolors + 1) 0 in
+  for i = 0 to n - 1 do
+    class_off.(color.(i) + 1) <- class_off.(color.(i) + 1) + 1
+  done;
+  for c = 0 to ncolors - 1 do
+    class_off.(c + 1) <- class_off.(c + 1) + class_off.(c)
+  done;
+  let class_nodes = Array.make (max 1 n) 0 in
+  let cursor = Array.copy class_off in
+  for i = 0 to n - 1 do
+    class_nodes.(cursor.(color.(i))) <- i;
+    cursor.(color.(i)) <- cursor.(color.(i)) + 1
+  done;
+  let team = Pool.Team.create ?jobs () in
+  Fun.protect
+    ~finally:(fun () -> Pool.Team.stop team)
+    (fun () ->
+      let sz = Pool.Team.size team in
+      let cap = max 1 (4 * sz) in
+      let wss = Array.init cap (fun _ -> make_workspace st) in
+      (* coarse chunks: claiming costs a CAS, so aim for a few chunks
+         per worker and run small classes inline *)
+      let chunks_for csize =
+        if sz = 1 then 1 else min (4 * sz) (max 1 (csize / 32))
+      in
+      let sweep_once () =
+        for c = 0 to ncolors - 1 do
+          let lo = class_off.(c) and hi = class_off.(c + 1) in
+          Pool.Team.run team
+            ~chunks:(chunks_for (hi - lo))
+            ~lo ~hi
+            (fun ch clo chi ->
+              let ws = wss.(ch) in
+              for p = clo to chi - 1 do
+                update_node st ws config.damping class_nodes.(p)
+              done)
+        done;
+        let d = ref 0.0 in
+        for i = 0 to n - 1 do
+          if st.delta.%(i) > !d then d := st.delta.%(i)
+        done;
+        !d
+      in
+      let decode_all x =
+        Pool.Team.run team ~chunks:(chunks_for n) ~lo:0 ~hi:n
+          (fun ch clo chi ->
+            let ws = wss.(ch) in
+            for i = clo to chi - 1 do
+              decode_node st ws x i
+            done)
+      in
+      run_loop ~config ~interrupt ~on_progress mrf st n ~sweep_once
+        ~decode_all)
+
+let solve ?(config = default_config) ?(interrupt = fun () -> false)
     ?(on_progress = fun ~iter:_ ~energy:_ ~bound:_ -> ()) ?jobs mrf =
   let run () =
     let st = make_state mrf in
     init_messages st config;
     let n = Mrf.n_nodes mrf in
-    (* color classes as a CSR over nodes sorted by (color, id): one
-       parallel region per class and sweep.  Nodes of one class are
-       pairwise non-adjacent, so within a class every node's update
-       reads only messages no class member writes — the sweep result is
-       independent even of chunk boundaries, and therefore of jobs. *)
-    let color, ncolors = Mrf.greedy_coloring mrf in
-    let class_off = Array.make (ncolors + 1) 0 in
-    for i = 0 to n - 1 do
-      class_off.(color.(i) + 1) <- class_off.(color.(i) + 1) + 1
-    done;
-    for c = 0 to ncolors - 1 do
-      class_off.(c + 1) <- class_off.(c + 1) + class_off.(c)
-    done;
-    let class_nodes = Array.make (max 1 n) 0 in
-    let cursor = Array.copy class_off in
-    for i = 0 to n - 1 do
-      class_nodes.(cursor.(color.(i))) <- i;
-      cursor.(color.(i)) <- cursor.(color.(i)) + 1
-    done;
-    let team = Pool.Team.create ?jobs () in
-    Fun.protect
-      ~finally:(fun () -> Pool.Team.stop team)
-      (fun () ->
-        let sz = Pool.Team.size team in
-        let cap = max 1 (4 * sz) in
-        let wss = Array.init cap (fun _ -> make_workspace st) in
-        (* coarse chunks: claiming costs a CAS, so aim for a few chunks
-           per worker and run small classes inline *)
-        let chunks_for csize =
-          if sz = 1 then 1 else min (4 * sz) (max 1 (csize / 32))
-        in
-        let sweep_once () =
-          for c = 0 to ncolors - 1 do
-            let lo = class_off.(c) and hi = class_off.(c + 1) in
-            Pool.Team.run team
-              ~chunks:(chunks_for (hi - lo))
-              ~lo ~hi
-              (fun ch clo chi ->
-                let ws = wss.(ch) in
-                for p = clo to chi - 1 do
-                  update_node st ws config.damping class_nodes.(p)
-                done)
-          done;
-          let d = ref 0.0 in
-          for i = 0 to n - 1 do
-            if st.delta.%(i) > !d then d := st.delta.%(i)
-          done;
-          !d
-        in
-        let decode_all x =
-          Pool.Team.run team ~chunks:(chunks_for n) ~lo:0 ~hi:n
-            (fun ch clo chi ->
-              let ws = wss.(ch) in
-              for i = clo to chi - 1 do
-                decode_node st ws x i
-              done)
-        in
-        run_loop ~config ~interrupt ~on_progress mrf st n ~sweep_once
-          ~decode_all)
+    match jobs with
+    | None -> sequential ~config ~interrupt ~on_progress mrf st n
+    | Some _ -> chromatic ~config ~interrupt ~on_progress ?jobs mrf st n
   in
   let (labeling, energy, iterations, converged), runtime_s =
     Solver.timed (fun () -> Obs.span ~name:"bp.solve" run)

@@ -22,27 +22,22 @@ val solve :
   ?config:config ->
   ?interrupt:(unit -> bool) ->
   ?on_progress:(iter:int -> energy:float -> bound:float -> unit) ->
-  Mrf.t ->
-  Solver.result
-(** [interrupt] is polled once per sweep; on [true] the best decoded
-    labeling so far is returned.  [on_progress] fires after each sweep
-    with [bound = neg_infinity] (BP provides no dual bound). *)
-
-val solve_chromatic :
-  ?config:config ->
-  ?interrupt:(unit -> bool) ->
-  ?on_progress:(iter:int -> energy:float -> bound:float -> unit) ->
   ?jobs:int ->
   Mrf.t ->
   Solver.result
-(** Chromatic-schedule BP: the node graph is greedy-colored once
-    ({!Mrf.greedy_coloring}) and every sweep runs one parallel region
-    per color class on a persistent {!Netdiv_par.Pool.Team}.  Nodes of
-    one class are pairwise non-adjacent, so a class member's update
-    reads only messages no other member writes — within a class the
-    result is independent even of chunk boundaries, which makes the
-    whole solve bitwise identical across job counts (it is a different,
-    Jacobi-within-class schedule from {!solve}'s Gauss-Seidel sweep, so
-    the two solvers' trajectories differ; both remain deterministic).
+(** Without [jobs], one sequential (Gauss-Seidel) sweep in node order per
+    iteration.  With [jobs], the chromatic schedule: the node graph is
+    greedy-colored once ({!Mrf.greedy_coloring}) and every sweep runs
+    one parallel region per color class on a persistent
+    {!Netdiv_par.Pool.Team}.  Nodes of one class are pairwise
+    non-adjacent, so a class member's update reads only messages no
+    other member writes — within a class the result is independent even
+    of chunk boundaries, which makes the solve bitwise identical across
+    job counts (a Jacobi-within-class schedule, so its trajectory
+    differs from the sequential sweep's; both are deterministic).
     Decoding parallelizes the same way.  [jobs] resolves via
-    {!Netdiv_par.Pool.resolve_jobs}. *)
+    {!Netdiv_par.Pool.resolve_jobs}.
+
+    [interrupt] is polled once per sweep; on [true] the best decoded
+    labeling so far is returned.  [on_progress] fires after each sweep
+    with [bound = neg_infinity] (BP provides no dual bound). *)

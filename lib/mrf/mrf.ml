@@ -530,15 +530,3 @@ let estimate_words ~nodes ~edges ~max_labels ~tables =
     + (4 * n) (* chain bookkeeping, labeling, coloring scratch *)
   in
   model + solve
-
-let pp_stats ppf t =
-  let k = kernel_counts t in
-  Format.fprintf ppf
-    "mrf: %d nodes, %d edges, labels max %d, unary entries %d, \
-     pairwise tables %d (%d words interned, %d unshared), kernels \
-     %d potts / %d sparse / %d generic tables (%d/%d/%d edges)"
-    t.n t.m (max_label_count t)
-    t.unary_off.(t.n)
-    (n_tables t) (pot_words t) (pot_words_unshared t)
-    k.potts_tables k.sparse_tables k.generic_tables k.potts_edges
-    k.sparse_edges k.generic_edges

@@ -141,7 +141,7 @@ val greedy_coloring : t -> int array * int
     deterministic greedy first-fit in node order — O(n + m), at most
     (max degree + 1) colors.  Nodes sharing a color are pairwise
     non-adjacent, so their message updates touch disjoint slab slots;
-    chromatic BP ({!Bp.solve_chromatic}) runs each color class as one
+    chromatic BP ({!Bp.solve} with [jobs]) runs each color class as one
     parallel region.  The result depends only on the frozen model,
     never on job counts. *)
 
@@ -151,8 +151,6 @@ val with_unaries : t -> float array -> t
     shared, and [u] is used directly, not copied — O(1) words.  This is
     the reparameterization hook the zoned solver uses to push per-round
     Lagrangian penalties into a zone submodel without rebuilding it. *)
-
-val pp_stats : Format.formatter -> t -> unit
 
 (** {2 Memory accounting} *)
 

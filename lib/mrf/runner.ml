@@ -14,22 +14,7 @@ module Budget = struct
 
   let unlimited = { seconds = None; sweeps = None }
   let seconds s = { seconds = Some s; sweeps = None }
-  let sweeps n = { seconds = None; sweeps = Some n }
   let make ?seconds ?sweeps () = { seconds; sweeps }
-
-  let pp ppf = function
-    | { seconds = None; sweeps = None } ->
-        Format.pp_print_string ppf "unlimited"
-    | { seconds; sweeps } ->
-        (match seconds with
-        | Some s -> Format.fprintf ppf "%gs" s
-        | None -> ());
-        (match (seconds, sweeps) with
-        | Some _, Some _ -> Format.pp_print_string ppf ", "
-        | _ -> ());
-        (match sweeps with
-        | Some k -> Format.fprintf ppf "%d sweeps" k
-        | None -> ())
 end
 
 type outcome =
@@ -65,20 +50,12 @@ type stage = {
 
 let stage_name s = s.name
 
-(* [jobs = None] keeps the historical single-threaded solve; [Some j]
-   routes through the per-component decomposition, whose result is
-   job-count-invariant. *)
-let trws_solve ?config ?jobs ~interrupt ~on_progress mrf =
-  match jobs with
-  | None -> Trws.solve ?config ~interrupt ~on_progress mrf
-  | Some _ -> Trws.solve_components ?config ~interrupt ~on_progress ?jobs mrf
-
 let trws ?config ?jobs () =
   {
     name = "trws";
     solve =
       (fun ~interrupt ~on_progress ~init:_ mrf ->
-        trws_solve ?config ?jobs ~interrupt ~on_progress mrf);
+        Trws.solve ?config ~interrupt ~on_progress ?jobs mrf);
   }
 
 let trws_icm ?config ?icm_config ?jobs () =
@@ -86,7 +63,7 @@ let trws_icm ?config ?icm_config ?jobs () =
     name = "trws+icm";
     solve =
       (fun ~interrupt ~on_progress ~init:_ mrf ->
-        let r = trws_solve ?config ?jobs ~interrupt ~on_progress mrf in
+        let r = Trws.solve ?config ~interrupt ~on_progress ?jobs mrf in
         let p =
           Icm.solve ?config:icm_config ~interrupt
             ~on_progress:(fun ~iter ~energy ~bound:_ ->
@@ -106,17 +83,12 @@ let trws_icm ?config ?icm_config ?jobs () =
         });
   }
 
-(* As with TRW-S: [jobs = None] keeps the historical sequential sweep;
-   [Some j] selects the chromatic schedule, whose result is job-count
-   invariant (same coloring whatever [j]). *)
 let bp ?config ?jobs () =
   {
     name = "bp";
     solve =
       (fun ~interrupt ~on_progress ~init:_ mrf ->
-        match jobs with
-        | None -> Bp.solve ?config ~interrupt ~on_progress mrf
-        | Some _ -> Bp.solve_chromatic ?config ~interrupt ~on_progress ?jobs mrf);
+        Bp.solve ?config ~interrupt ~on_progress ?jobs mrf);
   }
 
 let icm ?config () =

@@ -21,11 +21,8 @@ module Budget : sig
     sweeps : int option;     (** cap on sweeps/iterations per run *)
   }
 
-  val unlimited : t
   val seconds : float -> t
-  val sweeps : int -> t
   val make : ?seconds:float -> ?sweeps:int -> unit -> t
-  val pp : Format.formatter -> t -> unit
 end
 
 type outcome =
@@ -59,10 +56,9 @@ type stage
 val stage_name : stage -> string
 
 val trws : ?config:Trws.config -> ?jobs:int -> unit -> stage
-(** With [jobs] the model is decomposed into connected components solved
-    on separate domains ({!Trws.solve_components}); the result is
-    job-count-invariant.  Without it, the historical single-threaded
-    {!Trws.solve}. *)
+(** {!Trws.solve} with [jobs]: without it the sequential sweep; with it
+    the component split, or the partitioned schedule on one large
+    component.  The result is job-count-invariant. *)
 
 val trws_icm :
   ?config:Trws.config -> ?icm_config:Icm.config -> ?jobs:int -> unit -> stage
@@ -71,9 +67,8 @@ val trws_icm :
     [jobs] parallelizes the TRW-S part as in {!trws}. *)
 
 val bp : ?config:Bp.config -> ?jobs:int -> unit -> stage
-(** With [jobs] the sweeps run the chromatic parallel schedule
-    ({!Bp.solve_chromatic}); the result is job-count-invariant.  Without
-    it, the historical sequential {!Bp.solve}. *)
+(** {!Bp.solve} with [jobs]: the sequential sweep without it, the
+    chromatic schedule with it.  The result is job-count-invariant. *)
 
 val icm : ?config:Icm.config -> unit -> stage
 

@@ -158,7 +158,7 @@ let make_state mrf =
     (* per-iteration bound scratch lives in the state: allocating it in
        [lower_bound] made every iteration churn the minor heap, and
        minor collections are stop-the-world across ALL domains — the
-       per-component solves then serialized on the GC barrier *)
+       per-zone solves then serialized on the GC barrier *)
     lb_agg = Float.Array.make unary_off.(n) 0.0;
     chain_best = Float.Array.make (Array.length chains) 0.0;
     gamma;
@@ -299,7 +299,7 @@ let chain_dp st ws ci =
      a [float ref] minimum (boxed store per assignment) here made every
      bound evaluation allocate ~10^5 minor words, and under multicore
      the resulting minor collections are stop-the-world barriers that
-     serialize otherwise independent per-component solves.  The
+     serialize otherwise independent per-zone solves.  The
      reparameterized cost, oriented low node -> high node, is
        pot[xu,xv] - fw[xv] - bw[xu]
      with (xu, xv) = (x, y) when u < v and (y, x) otherwise. *)
@@ -518,181 +518,171 @@ let run_loop ~config ~interrupt ~on_progress mrf st ws n m ~sweep_pair ~bound
   end;
   (best_x, !best_energy, !best_bound, !iters, !converged)
 
-let solve ?(config = default_config) ?(interrupt = fun () -> false)
-    ?(on_progress = fun ~iter:_ ~energy:_ ~bound:_ -> ()) mrf =
-  let run () =
-    let st = make_state mrf in
-    let ws = make_workspace st in
-    let n = Mrf.n_nodes mrf and m = Mrf.n_edges mrf in
-    run_loop ~config ~interrupt ~on_progress mrf st ws n m
-      ~sweep_pair:(fun () ->
-        sweep st ws n true;
-        sweep st ws n false)
-      ~bound:(fun () -> lower_bound st ws n)
-  in
-  let (labeling, energy, lb, iterations, converged), runtime_s =
-    Solver.timed (fun () -> Obs.span ~name:"trws.solve" run)
-  in
-  {
-    Solver.labeling;
-    energy;
-    lower_bound = lb;
-    iterations;
-    converged;
-    runtime_s;
-  }
 
-(* Partition count for the partitioned schedule: a function of the model
-   size ONLY — never of the job count — so results are job-count
+let no_progress ~iter:_ ~energy:_ ~bound:_ = ()
+
+(* Each schedule returns (labeling, energy, bound, iterations,
+   converged); [timed] wraps one in its span and the wall clock. *)
+let timed ~span run =
+  let (labeling, energy, lower_bound, iterations, converged), runtime_s =
+    Solver.timed (fun () -> Obs.span ~name:span run)
+  in
+  { Solver.labeling; energy; lower_bound; iterations; converged; runtime_s }
+
+let sequential ~config ~interrupt ~on_progress mrf () =
+  let st = make_state mrf in
+  let ws = make_workspace st in
+  let n = Mrf.n_nodes mrf and m = Mrf.n_edges mrf in
+  run_loop ~config ~interrupt ~on_progress mrf st ws n m
+    ~sweep_pair:(fun () ->
+      sweep st ws n true;
+      sweep st ws n false)
+    ~bound:(fun () -> lower_bound st ws n)
+
+(* The partitioned schedule runs on models of at least [partition_min]
+   nodes, split into [parts] contiguous partitions: a function of the
+   model size only — never of the job count — so results are job-count
    invariant by construction (partition boundaries play the role the
-   pool's chunk boundaries play elsewhere).  Small components are not
-   worth partitioning: the boundary pass is pure overhead there. *)
-let default_parts n = if n < 4096 then 1 else 16
+   pool's chunk boundaries play elsewhere).  Below the threshold the
+   boundary pass is pure overhead. *)
+let partition_min = 4096
+let parts = 16
 
-let solve_partitioned ?(config = default_config)
-    ?(interrupt = fun () -> false)
-    ?(on_progress = fun ~iter:_ ~energy:_ ~bound:_ -> ()) ?parts ?jobs mrf =
+let partitioned ~config ~interrupt ~on_progress ?jobs mrf () =
   let n = Mrf.n_nodes mrf in
-  let parts =
-    match parts with
-    | Some p -> max 1 (min p (max 1 n))
-    | None -> default_parts n
-  in
-  if parts <= 1 then solve ~config ~interrupt ~on_progress mrf
-  else begin
-    let run () =
-      let st = make_state mrf in
-      let m = Mrf.n_edges mrf in
-      let team = Pool.Team.create ?jobs () in
-      Fun.protect
-        ~finally:(fun () -> Pool.Team.stop team)
-        (fun () ->
-          let wss = Array.init parts (fun _ -> make_workspace st) in
-          let ws0 = wss.(0) in
-          (* partition bounds: mirror of the pool's chunk_span (even
-             split, remainder over the first partitions), so the bounds
-             Team.run hands each chunk are exactly these *)
-          let part_off = Array.make (parts + 1) 0 in
-          let q = n / parts and r = n mod parts in
-          for p = 0 to parts - 1 do
-            part_off.(p + 1) <- part_off.(p) + q + (if p < r then 1 else 0)
-          done;
-          let part_of = Array.make n 0 in
-          for p = 0 to parts - 1 do
-            for i = part_off.(p) to part_off.(p + 1) - 1 do
-              part_of.(i) <- p
-            done
-          done;
-          (* nodes with at least one cross-partition edge, ascending:
-             the boundary-merge pass walks exactly these *)
-          let is_cross i =
-            let plo = part_off.(part_of.(i))
-            and phi = part_off.(part_of.(i) + 1) in
-            let c = ref false in
-            for k = st.inc_off.(i) to st.inc_off.(i + 1) - 1 do
-              let code = st.inc.(k) in
-              let e = code / 2 in
-              let j = if code land 1 = 1 then st.ev.(e) else st.eu.(e) in
-              if j < plo || j >= phi then c := true
-            done;
-            !c
-          in
-          let ncross = ref 0 in
-          for i = 0 to n - 1 do
-            if is_cross i then incr ncross
-          done;
-          let cross = Array.make (max 1 !ncross) 0 in
-          let cur = ref 0 in
-          for i = 0 to n - 1 do
-            if is_cross i then begin
-              cross.(!cur) <- i;
-              incr cur
-            end
-          done;
-          let ncross = !ncross in
-          (* One half-sweep: all partitions run their intra-partition
-             node updates in parallel (each chunk's writes stay inside
-             its own slab stripe), then the sequential boundary pass
-             recomputes every cross-partition message in global node
-             order.  Both phases depend only on [parts], never on the
-             job count. *)
-          let half forward =
-            Pool.Team.run team ~chunks:parts ~lo:0 ~hi:n (fun c clo chi ->
-                let ws = wss.(c) in
-                if forward then
-                  for i = clo to chi - 1 do
-                    process_node st ws ~forward:true ~inside:true ~plo:clo
-                      ~phi:chi i
-                  done
-                else
-                  for i = chi - 1 downto clo do
-                    process_node st ws ~forward:false ~inside:true ~plo:clo
-                      ~phi:chi i
-                  done);
-            Obs.begin_span "trws.boundary";
+  let st = make_state mrf in
+  let m = Mrf.n_edges mrf in
+  let team = Pool.Team.create ?jobs () in
+  Fun.protect
+    ~finally:(fun () -> Pool.Team.stop team)
+    (fun () ->
+      let wss = Array.init parts (fun _ -> make_workspace st) in
+      let ws0 = wss.(0) in
+      (* partition bounds: mirror of the pool's chunk_span (even split,
+         remainder over the first partitions), so the bounds Team.run
+         hands each chunk are exactly these *)
+      let part_off = Array.make (parts + 1) 0 in
+      let q = n / parts and r = n mod parts in
+      for p = 0 to parts - 1 do
+        part_off.(p + 1) <- part_off.(p) + q + (if p < r then 1 else 0)
+      done;
+      let part_of = Array.make n 0 in
+      for p = 0 to parts - 1 do
+        for i = part_off.(p) to part_off.(p + 1) - 1 do
+          part_of.(i) <- p
+        done
+      done;
+      (* nodes with at least one cross-partition edge, ascending: the
+         boundary-merge pass walks exactly these *)
+      let is_cross i =
+        let plo = part_off.(part_of.(i))
+        and phi = part_off.(part_of.(i) + 1) in
+        let c = ref false in
+        for k = st.inc_off.(i) to st.inc_off.(i + 1) - 1 do
+          let code = st.inc.(k) in
+          let e = code / 2 in
+          let j = if code land 1 = 1 then st.ev.(e) else st.eu.(e) in
+          if j < plo || j >= phi then c := true
+        done;
+        !c
+      in
+      let ncross = ref 0 in
+      for i = 0 to n - 1 do
+        if is_cross i then incr ncross
+      done;
+      let cross = Array.make (max 1 !ncross) 0 in
+      let cur = ref 0 in
+      for i = 0 to n - 1 do
+        if is_cross i then begin
+          cross.(!cur) <- i;
+          incr cur
+        end
+      done;
+      let ncross = !ncross in
+      (* One half-sweep: all partitions run their intra-partition node
+         updates in parallel (each chunk's writes stay inside its own
+         slab stripe), then the sequential boundary pass recomputes every
+         cross-partition message in global node order.  Both phases
+         depend only on [parts], never on the job count. *)
+      let half forward =
+        Pool.Team.run team ~chunks:parts ~lo:0 ~hi:n (fun c clo chi ->
+            let ws = wss.(c) in
             if forward then
-              for k = 0 to ncross - 1 do
-                let i = cross.(k) in
-                let p = part_of.(i) in
-                process_node st ws0 ~forward:true ~inside:false
-                  ~plo:part_off.(p)
-                  ~phi:part_off.(p + 1)
+              for i = clo to chi - 1 do
+                process_node st ws ~forward:true ~inside:true ~plo:clo ~phi:chi
                   i
               done
             else
-              for k = ncross - 1 downto 0 do
-                let i = cross.(k) in
-                let p = part_of.(i) in
-                process_node st ws0 ~forward:false ~inside:false
-                  ~plo:part_off.(p)
-                  ~phi:part_off.(p + 1)
-                  i
-              done;
-            Obs.end_span "trws.boundary"
-          in
-          let bound () =
-            Pool.Team.run team ~chunks:parts ~lo:0 ~hi:n (fun c clo chi ->
-                let ws = wss.(c) in
-                for i = clo to chi - 1 do
-                  fill_agg st ws i
-                done);
-            let nch = Array.length st.chains in
-            Pool.Team.run team ~chunks:parts ~lo:0 ~hi:nch
-              (fun c clo chi ->
-                let ws = wss.(c) in
-                for ci = clo to chi - 1 do
-                  chain_dp st ws ci
-                done);
-            lb_sum st
-          in
-          run_loop ~config ~interrupt ~on_progress mrf st ws0 n m
-            ~sweep_pair:(fun () ->
-              half true;
-              half false)
-            ~bound)
-    in
-    let (labeling, energy, lb, iterations, converged), runtime_s =
-      Solver.timed (fun () -> Obs.span ~name:"trws.solve" run)
-    in
-    {
-      Solver.labeling;
-      energy;
-      lower_bound = lb;
-      iterations;
-      converged;
-      runtime_s;
-    }
-  end
+              for i = chi - 1 downto clo do
+                process_node st ws ~forward:false ~inside:true ~plo:clo
+                  ~phi:chi i
+              done);
+        Obs.begin_span "trws.boundary";
+        if forward then
+          for k = 0 to ncross - 1 do
+            let i = cross.(k) in
+            let p = part_of.(i) in
+            process_node st ws0 ~forward:true ~inside:false ~plo:part_off.(p)
+              ~phi:part_off.(p + 1)
+              i
+          done
+        else
+          for k = ncross - 1 downto 0 do
+            let i = cross.(k) in
+            let p = part_of.(i) in
+            process_node st ws0 ~forward:false ~inside:false ~plo:part_off.(p)
+              ~phi:part_off.(p + 1)
+              i
+          done;
+        Obs.end_span "trws.boundary"
+      in
+      let bound () =
+        Pool.Team.run team ~chunks:parts ~lo:0 ~hi:n (fun c clo chi ->
+            let ws = wss.(c) in
+            for i = clo to chi - 1 do
+              fill_agg st ws i
+            done);
+        let nch = Array.length st.chains in
+        Pool.Team.run team ~chunks:parts ~lo:0 ~hi:nch (fun c clo chi ->
+            let ws = wss.(c) in
+            for ci = clo to chi - 1 do
+              chain_dp st ws ci
+            done);
+        lb_sum st
+      in
+      run_loop ~config ~interrupt ~on_progress mrf st ws0 n m
+        ~sweep_pair:(fun () ->
+          half true;
+          half false)
+        ~bound)
 
-(* Connected components of the MRF graph (union-find with path
-   compression; the smaller root id wins so component ids follow node
-   order).  Components of a diversification MRF are independent
-   subproblems: no message ever crosses between them, so each can be
-   solved on its own domain and the results merged in component order. *)
-let solve_components ?(config = default_config)
-    ?(interrupt = fun () -> false)
-    ?(on_progress = fun ~iter:_ ~energy:_ ~bound:_ -> ()) ?jobs mrf =
-  let n = Mrf.n_nodes mrf and m = Mrf.n_edges mrf in
+(* ---- block-coordinate zone decomposition ------------------------------- *)
+
+let zone_rounds = 8
+let zone_step = 0.25
+
+(* Dense ids in order of first appearance, and their count. *)
+let densify ids n =
+  let dense = Array.make (max 1 n) 0 in
+  let id_of = Hashtbl.create 16 in
+  let next = ref 0 in
+  for i = 0 to n - 1 do
+    dense.(i) <-
+      (match Hashtbl.find_opt id_of ids.(i) with
+      | Some id -> id
+      | None ->
+          let id = !next in
+          incr next;
+          Hashtbl.add id_of ids.(i) id;
+          id)
+  done;
+  (dense, max 1 !next)
+
+(* Root of every node's connected component (union-find with path
+   compression; the smaller root wins).  No message ever crosses between
+   components, so as a zone map they have no boundary edges. *)
+let component_roots mrf =
+  let n = Mrf.n_nodes mrf in
   let parent = Array.init n Fun.id in
   let rec find i =
     if parent.(i) = i then i
@@ -702,199 +692,26 @@ let solve_components ?(config = default_config)
       r
     end
   in
-  for e = 0 to m - 1 do
+  for e = 0 to Mrf.n_edges mrf - 1 do
     let u, v = Mrf.edge_endpoints mrf e in
     let ru = find u and rv = find v in
-    if ru <> rv then
-      if ru < rv then parent.(rv) <- ru else parent.(ru) <- rv
+    if ru <> rv then if ru < rv then parent.(rv) <- ru else parent.(ru) <- rv
   done;
-  (* component ids in order of first appearance by node id *)
-  let comp_of = Array.make (max 1 n) 0 in
-  let n_comps = ref 0 in
-  let id_of_root = Hashtbl.create 16 in
-  for i = 0 to n - 1 do
-    let r = find i in
-    comp_of.(i) <-
-      (match Hashtbl.find_opt id_of_root r with
-      | Some id -> id
-      | None ->
-          let id = !n_comps in
-          incr n_comps;
-          Hashtbl.add id_of_root r id;
-          id)
-  done;
-  if !n_comps <= 1 then begin
-    (* A single large component is exactly where across-component
-       parallelism does nothing: go intra-component when the caller
-       asked for parallel solving at all. *)
-    match jobs with
-    | None -> solve ~config ~interrupt ~on_progress mrf
-    | Some _ ->
-        solve_partitioned ~config ~interrupt ~on_progress ?jobs mrf
-  end
-  else begin
-    let run () =
-      let n_comps = !n_comps in
-      (* local index of every node inside its component *)
-      let sizes = Array.make n_comps 0 in
-      let local = Array.make n 0 in
-      for i = 0 to n - 1 do
-        let c = comp_of.(i) in
-        local.(i) <- sizes.(c);
-        sizes.(c) <- sizes.(c) + 1
-      done;
-      let nodes = Array.init n_comps (fun c -> Array.make sizes.(c) 0) in
-      for i = 0 to n - 1 do
-        nodes.(comp_of.(i)).(local.(i)) <- i
-      done;
-      let builders =
-        Array.map
-          (fun ns ->
-            Mrf.Builder.create
-              ~label_counts:(Array.map (Mrf.label_count mrf) ns))
-          nodes
-      in
-      Array.iteri
-        (fun c ns ->
-          Array.iteri
-            (fun li gi ->
-              let k = Mrf.label_count mrf gi in
-              Mrf.Builder.set_unary builders.(c) ~node:li
-                (Array.init k (fun label -> Mrf.unary mrf ~node:gi ~label)))
-            ns)
-        nodes;
-      (* edges keep their global order within each component, and the
-         interned tables are passed through unchanged (shared, not
-         copied), so sub-model interning is cheap. *)
-      for e = 0 to m - 1 do
-        let u, v = Mrf.edge_endpoints mrf e in
-        Mrf.Builder.add_edge
-          builders.(comp_of.(u))
-          local.(u) local.(v) (Mrf.edge_cost mrf e)
-      done;
-      let subs = Array.map Mrf.Builder.build builders in
-      (* Granularity hint for the pool: estimated kernel work of one
-         component solve, averaged over components.  Each TRW-S
-         iteration updates every directed edge message once, and the
-         per-message cost depends on the table's kernel class — so the
-         total tracks Kernel.message_cost, not a blanket O(L²).  Smoke
-         problems land below the pool's sequential cutoff and run
-         inline instead of paying domain spawns. *)
-      let sweep_cost = ref 0 in
-      for e = 0 to m - 1 do
-        let u, v = Mrf.edge_endpoints mrf e in
-        let ku = Mrf.label_count mrf u and kv = Mrf.label_count mrf v in
-        let cls = Mrf.table_class mrf (Mrf.edge_table_id mrf e) in
-        sweep_cost :=
-          !sweep_cost
-          + Kernel.message_cost cls ~k_src:ku ~k_out:kv
-          + Kernel.message_cost cls ~k_src:kv ~k_out:ku
-      done;
-      let est_iters = min config.max_iters 24 in
-      let cost = max 1 (est_iters * 2 * !sweep_cost / n_comps) in
-      (* Per-component results come back in component order whatever the
-         job count, so the merged labeling, the energy sum and the bound
-         sum are job-count-invariant. *)
-      let results =
-        (* pool workers AND the participating caller domain would record
-           component sweep frames in chunk-claim order — suspend the
-           flight recorder so its contents stay schedule-independent *)
-        Recorder.suspended (fun () ->
-            Netdiv_par.Pool.map_range ?jobs ~cost ~lo:0 ~hi:n_comps (fun c ->
-                solve ~config ~interrupt subs.(c)))
-      in
-      let x = Array.make n 0 in
-      Array.iteri
-        (fun c r ->
-          Array.iteri
-            (fun li lab -> x.(nodes.(c).(li)) <- lab)
-            r.Solver.labeling)
-        results;
-      let energy =
-        Array.fold_left (fun acc r -> acc +. r.Solver.energy) 0.0 results
-      in
-      let bound =
-        Array.fold_left
-          (fun acc r -> acc +. r.Solver.lower_bound)
-          0.0 results
-      in
-      let iterations =
-        Array.fold_left (fun acc r -> max acc r.Solver.iterations) 0 results
-      in
-      let converged = Array.for_all (fun r -> r.Solver.converged) results in
-      if Recorder.installed () then begin
-        (* the per-component results are in component order whatever the
-           job count, so recording them here — not inside the solves the
-           suspension above muted — keeps the black box deterministic *)
-        Array.iteri
-          (fun c (r : Solver.result) ->
-            Recorder.zone ~round:0 ~zone:c ~energy:r.Solver.energy
-              ~bound:r.Solver.lower_bound ~iterations:r.Solver.iterations
-              ~converged:r.Solver.converged)
-          results;
-        Recorder.sweep ~iter:iterations ~energy ~bound ~residual:0.0
-          ~msg_potts:0 ~msg_sparse:0 ~msg_generic:0
-      end;
-      (x, energy, bound, iterations, converged)
-    in
-    let (labeling, energy, bound, iterations, converged), runtime_s =
-      Solver.timed (fun () -> Obs.span ~name:"trws.components" run)
-    in
-    on_progress ~iter:iterations ~energy ~bound;
-    {
-      Solver.labeling;
-      energy;
-      lower_bound = bound;
-      iterations;
-      converged;
-      runtime_s;
-    }
-  end
+  Array.init n find
 
-(* ---- block-coordinate zone decomposition ------------------------------- *)
-
-(* Fallback zone assignment when the caller has none: deterministic BFS
-   growth over the model's CSR adjacency, the MRF-side mirror of
-   Graph.Cut.greedy_partition.  Zones are grown one at a time from the
-   lowest unassigned node, absorbing neighbors in incidence order until
-   the zone reaches its quota — a function of the frozen model only. *)
-let greedy_zone_partition mrf ~zones =
+(* The caller's zone map, else the components when [jobs] asks for
+   parallel work, else none (one zone). *)
+let zone_map ?jobs ?zone_of mrf =
   let n = Mrf.n_nodes mrf in
-  let zones = max 1 (min zones (max 1 n)) in
-  let zone = Array.make (max 1 n) (-1) in
-  let base = n / zones and extra = n mod zones in
-  let queue = Queue.create () in
-  let scan = ref 0 in
-  for z = 0 to zones - 1 do
-    let remaining = ref (base + if z < extra then 1 else 0) in
-    Queue.clear queue;
-    while !remaining > 0 do
-      if Queue.is_empty queue then begin
-        while zone.(!scan) >= 0 do
-          incr scan
-        done;
-        zone.(!scan) <- z;
-        decr remaining;
-        Queue.add !scan queue
-      end
-      else begin
-        let u = Queue.pop queue in
-        for k = Mrf.Compact.row_start mrf u to Mrf.Compact.row_stop mrf u - 1
-        do
-          let v = Mrf.Compact.neighbor mrf k in
-          if !remaining > 0 && zone.(v) < 0 then begin
-            zone.(v) <- z;
-            decr remaining;
-            Queue.add v queue
-          end
-        done
-      end
-    done
-  done;
-  zone
-
-let default_zone_rounds = 8
-let default_zone_step = 0.25
+  match (zone_of, jobs) with
+  | Some z, _ ->
+      if Array.length z <> n then
+        invalid_arg "Trws.solve: zone_of has wrong length";
+      if Array.exists (fun id -> id < 0) z then
+        invalid_arg "Trws.solve: negative zone id";
+      Some (densify z n)
+  | None, Some _ -> Some (densify (component_roots mrf) n)
+  | None, None -> None
 
 (* Lagrangian (dual) decomposition over zones.  Zone slaves own their
    interior edges and unaries plus the running boundary penalties; each
@@ -910,323 +727,302 @@ let default_zone_step = 0.25
    zone argmin and the edge-slave argmin, in global boundary-edge order
    with a deterministic diminishing step — so the trajectory is a
    function of the zone map only, never of the job count, and rounds
-   stop early when every boundary edge agrees. *)
-let solve_zoned ?(config = default_config) ?(interrupt = fun () -> false)
-    ?(on_progress = fun ~iter:_ ~energy:_ ~bound:_ -> ()) ?zones ?zone_of
-    ?(rounds = default_zone_rounds) ?(step = default_zone_step) ?jobs mrf =
+   stop early when every boundary edge agrees.  A map without boundary
+   edges (the component split) is done after one round: nothing couples
+   its zones. *)
+let zoned ~config ~interrupt ~on_progress ?jobs ~zone_of ~nz mrf () =
   let n = Mrf.n_nodes mrf and m = Mrf.n_edges mrf in
-  (* normalize the zone map: dense ids in order of first appearance *)
-  let zone_of, nz =
-    match zone_of with
-    | Some z ->
-        if Array.length z <> n then
-          invalid_arg "Trws.solve_zoned: zone_of has wrong length";
-        let dense = Array.make (max 1 n) 0 in
-        let id_of = Hashtbl.create 16 in
-        let next = ref 0 in
-        for i = 0 to n - 1 do
-          if z.(i) < 0 then
-            invalid_arg "Trws.solve_zoned: negative zone id";
-          dense.(i) <-
-            (match Hashtbl.find_opt id_of z.(i) with
-            | Some id -> id
-            | None ->
-                let id = !next in
-                incr next;
-                Hashtbl.add id_of z.(i) id;
-                id)
-        done;
-        (dense, max 1 !next)
-    | None ->
-        let zones =
-          match zones with
-          | Some z -> max 1 (min z (max 1 n))
-          | None -> default_parts n
-        in
-        if zones <= 1 then (Array.make (max 1 n) 0, 1)
-        else (greedy_zone_partition mrf ~zones, zones)
+  let {
+    Mrf.Compact.i_labels = g_labels;
+    i_eu = g_eu;
+    i_ev = g_ev;
+    i_etab = g_etab;
+    i_pot_off = g_pot_off;
+    i_pot = g_pot;
+    i_classes = g_classes;
+    _;
+  } =
+    Mrf.Compact.arrays mrf
   in
-  if nz <= 1 then solve ~config ~interrupt ~on_progress mrf
-  else begin
-    let run () =
-      let {
-        Mrf.Compact.i_labels = g_labels;
-        i_eu = g_eu;
-        i_ev = g_ev;
-        i_etab = g_etab;
-        i_pot_off = g_pot_off;
-        i_pot = g_pot;
-        _;
-      } =
-        Mrf.Compact.arrays mrf
-      in
-      (* zone membership, local indices, per-zone node lists in global
-         node order *)
-      let sizes = Array.make nz 0 in
-      let local = Array.make n 0 in
-      for i = 0 to n - 1 do
-        let z = zone_of.(i) in
-        local.(i) <- sizes.(z);
-        sizes.(z) <- sizes.(z) + 1
-      done;
-      let nodes = Array.init nz (fun z -> Array.make (max 1 sizes.(z)) 0) in
-      for i = 0 to n - 1 do
-        nodes.(zone_of.(i)).(local.(i)) <- i
-      done;
-      let builders =
-        Array.init nz (fun z ->
-            Mrf.Builder.create
-              ~label_counts:
-                (Array.init sizes.(z) (fun li ->
-                     g_labels.(nodes.(z).(li)))))
-      in
-      Array.iteri
-        (fun z ns ->
-          if sizes.(z) > 0 then
-            Array.iteri
-              (fun li gi ->
-                let k = g_labels.(gi) in
-                Mrf.Builder.set_unary builders.(z) ~node:li
-                  (Array.init k (fun label -> Mrf.unary mrf ~node:gi ~label)))
-              ns)
-        nodes;
-      (* first pass: count interior edges per zone and boundary edges *)
-      let interior = Array.make nz 0 in
-      let nb = ref 0 in
-      for e = 0 to m - 1 do
-        let zu = zone_of.(g_eu.(e)) and zv = zone_of.(g_ev.(e)) in
-        if zu = zv then interior.(zu) <- interior.(zu) + 1 else incr nb
-      done;
-      let nb = !nb in
-      Array.iteri (fun z c -> Mrf.Builder.reserve_edges builders.(z) c)
-        interior;
-      (* second pass: interior edges stream into their zone builder in
-         global edge order (interned tables pass through shared, so
-         sub-model interning is cheap); boundary edges are recorded in
-         global edge order — the order every multiplier update uses *)
-      let be = Array.make (max 1 nb) 0 in
-      let cur = ref 0 in
-      for e = 0 to m - 1 do
-        let u = g_eu.(e) and v = g_ev.(e) in
-        if zone_of.(u) = zone_of.(v) then
-          Mrf.Builder.add_edge builders.(zone_of.(u)) local.(u) local.(v)
-            (Mrf.edge_cost mrf e)
-        else begin
-          be.(!cur) <- e;
-          incr cur
-        end
-      done;
-      let subs = Array.map Mrf.Builder.build builders in
-      (* per-zone effective unary slabs: base copy + running penalties;
-         each zone model is wrapped once and re-reads the slab every
-         round *)
-      let base =
-        Array.map (fun s -> (Mrf.Compact.arrays s).Mrf.Compact.i_unary) subs
-      in
-      let eff = Array.map Array.copy base in
-      let wrapped =
-        Array.init nz (fun z -> Mrf.with_unaries subs.(z) eff.(z))
-      in
-      let sub_uoff =
-        Array.map
-          (fun s -> (Mrf.Compact.arrays s).Mrf.Compact.i_unary_off)
-          subs
-      in
-      (* boundary-edge metadata, flat in boundary order *)
-      let b_u = Array.make (max 1 nb) 0 and b_v = Array.make (max 1 nb) 0 in
-      let b_ku = Array.make (max 1 nb) 0 and b_kv = Array.make (max 1 nb) 0 in
-      let b_uoff = Array.make (max 1 nb) 0 in
-      let b_voff = Array.make (max 1 nb) 0 in
-      let b_p0 = Array.make (max 1 nb) 0 in
-      let lam_off = Array.make (nb + 1) 0 in
-      for bi = 0 to nb - 1 do
-        let e = be.(bi) in
-        let u = g_eu.(e) and v = g_ev.(e) in
-        b_u.(bi) <- u;
-        b_v.(bi) <- v;
-        b_ku.(bi) <- g_labels.(u);
-        b_kv.(bi) <- g_labels.(v);
-        b_uoff.(bi) <- sub_uoff.(zone_of.(u)).(local.(u));
-        b_voff.(bi) <- sub_uoff.(zone_of.(v)).(local.(v));
-        b_p0.(bi) <- g_pot_off.(g_etab.(e));
-        lam_off.(bi + 1) <- lam_off.(bi) + g_labels.(u) + g_labels.(v)
-      done;
-      let lam = Array.make (max 1 lam_off.(nb)) 0.0 in
-      let team = Pool.Team.create ?jobs () in
-      Fun.protect
-        ~finally:(fun () -> Pool.Team.stop team)
-        (fun () ->
-          let dummy =
-            {
-              Solver.labeling = [||];
-              energy = infinity;
-              lower_bound = neg_infinity;
-              iterations = 0;
-              converged = false;
-              runtime_s = 0.0;
-            }
-          in
-          let results = Array.make nz dummy in
-          let solve_zone z =
-            Pool.write results z (solve ~config ~interrupt wrapped.(z))
-          in
-          let xhat = Array.make n 0 in
-          let best_x = Array.make n 0 in
-          let best_energy = ref infinity in
-          let best_bound = ref neg_infinity in
-          let iters = ref 0 in
-          let converged = ref false in
-          let rec_on = Recorder.installed () in
-          (* scalar scratch for the edge-slave argmin, hoisted out of
-             the round loop *)
-          let sl_best = ref 0.0 in
-          let sl_bu = ref 0 and sl_bv = ref 0 in
-          (try
-             for r = 0 to rounds - 1 do
-               if interrupt () then raise Exit;
-               iters := r + 1;
-               (* refresh effective unaries: base + current penalties *)
-               Array.iteri
-                 (fun z b -> Array.blit b 0 eff.(z) 0 (Array.length b))
-                 base;
-               for bi = 0 to nb - 1 do
-                 let lo = lam_off.(bi) in
-                 let ku = b_ku.(bi) and kv = b_kv.(bi) in
-                 let zu = zone_of.(b_u.(bi)) and zv = zone_of.(b_v.(bi)) in
-                 let uo = b_uoff.(bi) and vo = b_voff.(bi) in
-                 for l = 0 to ku - 1 do
-                   eff.(zu).(uo + l) <- eff.(zu).(uo + l) +. lam.(lo + l)
-                 done;
-                 for l = 0 to kv - 1 do
-                   eff.(zv).(vo + l) <- eff.(zv).(vo + l) +. lam.(lo + ku + l)
-                 done
-               done;
-               (* zone-interior solves in parallel; each chunk writes
-                  only its own result slots *)
-               Obs.begin_span "trws.zones";
-               (* zone sub-solves claim chunks dynamically (and the
-                  caller participates): suspend the flight recorder so
-                  the orchestrator-level frames below stay the only —
-                  and deterministic — record of this round *)
-               Recorder.suspended (fun () ->
-                   Pool.Team.run team ~chunks:nz ~lo:0 ~hi:nz
-                     (fun _c clo chi ->
-                       for z = clo to chi - 1 do
-                         solve_zone z
-                       done));
-               Obs.end_span "trws.zones";
-               for z = 0 to nz - 1 do
-                 let ns = nodes.(z) and r = results.(z) in
-                 for li = 0 to sizes.(z) - 1 do
-                   xhat.(ns.(li)) <- r.Solver.labeling.(li)
-                 done
-               done;
-               (* boundary reconciliation: edge-slave minima complete
-                  the dual bound; disagreeing multipliers take one
-                  diminishing subgradient step, in global order *)
-               Obs.begin_span "trws.boundary";
-               let zb = ref 0.0 in
-               for z = 0 to nz - 1 do
-                 zb := !zb +. results.(z).Solver.lower_bound
-               done;
-               let eb = ref 0.0 in
-               let disagree = ref 0 in
-               let step_r = step /. float_of_int (r + 1) in
-               for bi = 0 to nb - 1 do
-                 let lo = lam_off.(bi) in
-                 let ku = b_ku.(bi) and kv = b_kv.(bi) in
-                 let p0 = b_p0.(bi) in
-                 sl_best := infinity;
-                 sl_bu := 0;
-                 sl_bv := 0;
-                 for xu = 0 to ku - 1 do
-                   for xv = 0 to kv - 1 do
-                     let c =
-                       g_pot.(p0 + (xu * kv) + xv)
-                       -. lam.(lo + xu)
-                       -. lam.(lo + ku + xv)
-                     in
-                     if c < !sl_best then begin
-                       sl_best := c;
-                       sl_bu := xu;
-                       sl_bv := xv
-                     end
-                   done
-                 done;
-                 eb := !eb +. !sl_best;
-                 let xu = xhat.(b_u.(bi)) and xv = xhat.(b_v.(bi)) in
-                 if xu <> !sl_bu then begin
-                   incr disagree;
-                   lam.(lo + xu) <- lam.(lo + xu) +. step_r;
-                   lam.(lo + !sl_bu) <- lam.(lo + !sl_bu) -. step_r
-                 end;
-                 if xv <> !sl_bv then begin
-                   incr disagree;
-                   lam.(lo + ku + xv) <- lam.(lo + ku + xv) +. step_r;
-                   lam.(lo + ku + !sl_bv) <- lam.(lo + ku + !sl_bv) -. step_r
-                 end
-               done;
-               Obs.end_span "trws.boundary";
-               let lb = !zb +. !eb in
-               let prev_bound = !best_bound and prev_energy = !best_energy in
-               if lb > !best_bound then best_bound := lb;
-               (* the concatenated zone labelings are always a feasible
-                  primal point of the full model *)
-               let e = Mrf.energy mrf xhat in
-               if e < !best_energy then begin
-                 best_energy := e;
-                 Array.blit xhat 0 best_x 0 n
-               end;
-               Obs.sample ~name:"trws.energy" !best_energy;
-               Obs.sample ~name:"trws.lower_bound" !best_bound;
-               if rec_on then begin
-                 (* per-round black box: one frame per zone, the
-                    boundary reconciliation, and a round-level sweep
-                    frame — all orchestrator-side, so the recording is a
-                    function of the zone map only *)
-                 for z = 0 to nz - 1 do
-                   let res = results.(z) in
-                   Recorder.zone ~round:(r + 1) ~zone:z
-                     ~energy:res.Solver.energy ~bound:res.Solver.lower_bound
-                     ~iterations:res.Solver.iterations
-                     ~converged:res.Solver.converged
-                 done;
-                 Recorder.boundary ~round:(r + 1) ~disagree:!disagree
-                   ~edge_bound:!eb ~zone_bound:!zb ~step:step_r;
-                 Recorder.sweep ~iter:(r + 1) ~energy:!best_energy
-                   ~bound:!best_bound
-                   ~residual:
-                     (Float.max
-                        (prev_energy -. !best_energy)
-                        (!best_bound -. prev_bound))
-                   ~msg_potts:0 ~msg_sparse:0 ~msg_generic:0
-               end;
-               on_progress ~iter:(r + 1) ~energy:!best_energy
-                 ~bound:!best_bound;
-               if
-                 !disagree = 0
-                 && Array.for_all (fun r -> r.Solver.converged) results
-               then begin
-                 converged := true;
-                 raise Exit
-               end;
-               if !best_energy -. !best_bound < config.tolerance then begin
-                 converged := true;
-                 raise Exit
-               end
-             done
-           with Exit -> ());
-          (best_x, !best_energy, !best_bound, !iters, !converged))
-    in
-    let (labeling, energy, lb, iterations, converged), runtime_s =
-      Solver.timed (fun () -> Obs.span ~name:"trws.zoned" run)
-    in
+  (* zone membership, local indices, per-zone node lists in global node
+     order *)
+  let sizes = Array.make nz 0 in
+  let local = Array.make n 0 in
+  for i = 0 to n - 1 do
+    let z = zone_of.(i) in
+    local.(i) <- sizes.(z);
+    sizes.(z) <- sizes.(z) + 1
+  done;
+  let nodes = Array.init nz (fun z -> Array.make (max 1 sizes.(z)) 0) in
+  for i = 0 to n - 1 do
+    nodes.(zone_of.(i)).(local.(i)) <- i
+  done;
+  let builders =
+    Array.init nz (fun z ->
+        Mrf.Builder.create
+          ~label_counts:
+            (Array.init sizes.(z) (fun li -> g_labels.(nodes.(z).(li)))))
+  in
+  Array.iteri
+    (fun z ns ->
+      if sizes.(z) > 0 then
+        Array.iteri
+          (fun li gi ->
+            let k = g_labels.(gi) in
+            Mrf.Builder.set_unary builders.(z) ~node:li
+              (Array.init k (fun label -> Mrf.unary mrf ~node:gi ~label)))
+          ns)
+    nodes;
+  (* first pass: count interior edges per zone and boundary edges *)
+  let interior = Array.make nz 0 in
+  let nb = ref 0 in
+  for e = 0 to m - 1 do
+    let zu = zone_of.(g_eu.(e)) and zv = zone_of.(g_ev.(e)) in
+    if zu = zv then interior.(zu) <- interior.(zu) + 1 else incr nb
+  done;
+  let nb = !nb in
+  Array.iteri (fun z c -> Mrf.Builder.reserve_edges builders.(z) c) interior;
+  (* second pass: interior edges stream into their zone builder in global
+     edge order (interned tables pass through shared, so sub-model
+     interning is cheap); boundary edges are recorded in global edge
+     order — the order every multiplier update uses *)
+  let be = Array.make (max 1 nb) 0 in
+  let cur = ref 0 in
+  for e = 0 to m - 1 do
+    let u = g_eu.(e) and v = g_ev.(e) in
+    if zone_of.(u) = zone_of.(v) then
+      Mrf.Builder.add_edge builders.(zone_of.(u)) local.(u) local.(v)
+        (Mrf.edge_cost mrf e)
+    else begin
+      be.(!cur) <- e;
+      incr cur
+    end
+  done;
+  let subs = Array.map Mrf.Builder.build builders in
+  (* per-zone effective unary slabs: base copy + running penalties; each
+     zone model is wrapped once and re-reads the slab every round *)
+  let base =
+    Array.map (fun s -> (Mrf.Compact.arrays s).Mrf.Compact.i_unary) subs
+  in
+  let eff = Array.map Array.copy base in
+  let wrapped = Array.init nz (fun z -> Mrf.with_unaries subs.(z) eff.(z)) in
+  let sub_uoff =
+    Array.map (fun s -> (Mrf.Compact.arrays s).Mrf.Compact.i_unary_off) subs
+  in
+  (* boundary-edge metadata, flat in boundary order *)
+  let b_u = Array.make (max 1 nb) 0 and b_v = Array.make (max 1 nb) 0 in
+  let b_ku = Array.make (max 1 nb) 0 and b_kv = Array.make (max 1 nb) 0 in
+  let b_uoff = Array.make (max 1 nb) 0 in
+  let b_voff = Array.make (max 1 nb) 0 in
+  let b_p0 = Array.make (max 1 nb) 0 in
+  let lam_off = Array.make (nb + 1) 0 in
+  for bi = 0 to nb - 1 do
+    let e = be.(bi) in
+    let u = g_eu.(e) and v = g_ev.(e) in
+    b_u.(bi) <- u;
+    b_v.(bi) <- v;
+    b_ku.(bi) <- g_labels.(u);
+    b_kv.(bi) <- g_labels.(v);
+    b_uoff.(bi) <- sub_uoff.(zone_of.(u)).(local.(u));
+    b_voff.(bi) <- sub_uoff.(zone_of.(v)).(local.(v));
+    b_p0.(bi) <- g_pot_off.(g_etab.(e));
+    lam_off.(bi + 1) <- lam_off.(bi) + g_labels.(u) + g_labels.(v)
+  done;
+  let lam = Array.make (max 1 lam_off.(nb)) 0.0 in
+  (* Granularity hint for the pool: estimated kernel work of one zone
+     solve, averaged over zones.  Each TRW-S iteration updates every
+     directed edge message once, and the per-message cost depends on the
+     table's kernel class — so the total tracks Kernel.message_cost, not
+     a blanket O(L²).  Small splits land below the pool's sequential
+     cutoff and run inline instead of paying domain spawns. *)
+  let sweep_cost = ref 0 in
+  for e = 0 to m - 1 do
+    let ku = g_labels.(g_eu.(e)) and kv = g_labels.(g_ev.(e)) in
+    let cls = g_classes.(g_etab.(e)) in
+    sweep_cost :=
+      !sweep_cost
+      + Kernel.message_cost cls ~k_src:ku ~k_out:kv
+      + Kernel.message_cost cls ~k_src:kv ~k_out:ku
+  done;
+  let cost = max 1 (min config.max_iters 24 * 2 * !sweep_cost / nz) in
+  let dummy =
     {
-      Solver.labeling;
-      energy;
-      lower_bound = lb;
-      iterations;
-      converged;
-      runtime_s;
+      Solver.labeling = [||];
+      energy = infinity;
+      lower_bound = neg_infinity;
+      iterations = 0;
+      converged = false;
+      runtime_s = 0.0;
     }
-  end
+  in
+  let results = Array.make nz dummy in
+  let solve_zone z =
+    Pool.write results z
+      (timed ~span:"trws.solve"
+         (sequential ~config ~interrupt ~on_progress:no_progress wrapped.(z)))
+  in
+  let xhat = Array.make n 0 in
+  let best_x = Array.make n 0 in
+  let best_energy = ref infinity in
+  let best_bound = ref neg_infinity in
+  let iters = ref 0 in
+  let converged = ref false in
+  let rec_on = Recorder.installed () in
+  (* scalar scratch for the edge-slave argmin, hoisted out of the round
+     loop *)
+  let sl_best = ref 0.0 in
+  let sl_bu = ref 0 and sl_bv = ref 0 in
+  (try
+     for r = 0 to zone_rounds - 1 do
+       (* round 1 always runs: the zone solves are anytime and poll
+          [interrupt] themselves, so it yields a scored labeling *)
+       if r > 0 && interrupt () then raise Exit;
+       (* refresh effective unaries: base + current penalties *)
+       Array.iteri (fun z b -> Array.blit b 0 eff.(z) 0 (Array.length b)) base;
+       for bi = 0 to nb - 1 do
+         let lo = lam_off.(bi) in
+         let ku = b_ku.(bi) and kv = b_kv.(bi) in
+         let zu = zone_of.(b_u.(bi)) and zv = zone_of.(b_v.(bi)) in
+         let uo = b_uoff.(bi) and vo = b_voff.(bi) in
+         for l = 0 to ku - 1 do
+           eff.(zu).(uo + l) <- eff.(zu).(uo + l) +. lam.(lo + l)
+         done;
+         for l = 0 to kv - 1 do
+           eff.(zv).(vo + l) <- eff.(zv).(vo + l) +. lam.(lo + ku + l)
+         done
+       done;
+       (* zone-interior solves in parallel; each chunk is one zone and
+          writes only its own result slot.  Zone solves claim chunks
+          dynamically (and the caller participates): suspend the flight
+          recorder so the orchestrator-level frames below stay the only —
+          and deterministic — record of this round *)
+       Obs.begin_span "trws.zones";
+       Recorder.suspended (fun () ->
+           Pool.parallel_for ?jobs ~chunks:nz ~cost ~lo:0 ~hi:nz solve_zone);
+       Obs.end_span "trws.zones";
+       for z = 0 to nz - 1 do
+         let ns = nodes.(z) and res = results.(z) in
+         for li = 0 to sizes.(z) - 1 do
+           xhat.(ns.(li)) <- res.Solver.labeling.(li)
+         done
+       done;
+       (* boundary reconciliation: edge-slave minima complete the dual
+          bound; disagreeing multipliers take one diminishing subgradient
+          step, in global order *)
+       Obs.begin_span "trws.boundary";
+       let zb = ref 0.0 in
+       for z = 0 to nz - 1 do
+         zb := !zb +. results.(z).Solver.lower_bound
+       done;
+       let eb = ref 0.0 in
+       let disagree = ref 0 in
+       let step_r = zone_step /. float_of_int (r + 1) in
+       for bi = 0 to nb - 1 do
+         let lo = lam_off.(bi) in
+         let ku = b_ku.(bi) and kv = b_kv.(bi) in
+         let p0 = b_p0.(bi) in
+         sl_best := infinity;
+         sl_bu := 0;
+         sl_bv := 0;
+         for xu = 0 to ku - 1 do
+           for xv = 0 to kv - 1 do
+             let c =
+               g_pot.(p0 + (xu * kv) + xv)
+               -. lam.(lo + xu)
+               -. lam.(lo + ku + xv)
+             in
+             if c < !sl_best then begin
+               sl_best := c;
+               sl_bu := xu;
+               sl_bv := xv
+             end
+           done
+         done;
+         eb := !eb +. !sl_best;
+         let xu = xhat.(b_u.(bi)) and xv = xhat.(b_v.(bi)) in
+         if xu <> !sl_bu then begin
+           incr disagree;
+           lam.(lo + xu) <- lam.(lo + xu) +. step_r;
+           lam.(lo + !sl_bu) <- lam.(lo + !sl_bu) -. step_r
+         end;
+         if xv <> !sl_bv then begin
+           incr disagree;
+           lam.(lo + ku + xv) <- lam.(lo + ku + xv) +. step_r;
+           lam.(lo + ku + !sl_bv) <- lam.(lo + ku + !sl_bv) -. step_r
+         end
+       done;
+       Obs.end_span "trws.boundary";
+       let lb = !zb +. !eb in
+       let prev_bound = !best_bound and prev_energy = !best_energy in
+       if lb > !best_bound then best_bound := lb;
+       (* the concatenated zone labelings are always a feasible primal
+          point of the full model *)
+       let e = Mrf.energy mrf xhat in
+       if e < !best_energy then begin
+         best_energy := e;
+         Array.blit xhat 0 best_x 0 n
+       end;
+       let zones_converged =
+         Array.for_all (fun r -> r.Solver.converged) results
+       in
+       (* without boundary edges the round count means nothing: report
+          the zone solves' largest sweep count *)
+       let iter =
+         if nb = 0 then
+           Array.fold_left (fun acc r -> max acc r.Solver.iterations) 0 results
+         else r + 1
+       in
+       iters := iter;
+       Obs.sample ~name:"trws.energy" !best_energy;
+       Obs.sample ~name:"trws.lower_bound" !best_bound;
+       if rec_on then begin
+         (* per-round black box: one frame per zone, the boundary
+            reconciliation, and a round-level sweep frame — all
+            orchestrator-side, so the recording is a function of the zone
+            map only *)
+         for z = 0 to nz - 1 do
+           let res = results.(z) in
+           Recorder.zone ~round:(r + 1) ~zone:z ~energy:res.Solver.energy
+             ~bound:res.Solver.lower_bound ~iterations:res.Solver.iterations
+             ~converged:res.Solver.converged
+         done;
+         Recorder.boundary ~round:(r + 1) ~disagree:!disagree ~edge_bound:!eb
+           ~zone_bound:!zb ~step:step_r;
+         Recorder.sweep ~iter ~energy:!best_energy ~bound:!best_bound
+           ~residual:
+             (Float.max
+                (prev_energy -. !best_energy)
+                (!best_bound -. prev_bound))
+           ~msg_potts:0 ~msg_sparse:0 ~msg_generic:0
+       end;
+       on_progress ~iter ~energy:!best_energy ~bound:!best_bound;
+       if nb = 0 then begin
+         (* nothing couples the zones: another round would re-solve
+            identical zone models *)
+         converged := zones_converged;
+         raise Exit
+       end;
+       if
+         (!disagree = 0 && zones_converged)
+         || !best_energy -. !best_bound < config.tolerance
+       then begin
+         converged := true;
+         raise Exit
+       end
+     done
+   with Exit -> ());
+  (best_x, !best_energy, !best_bound, !iters, !converged)
+
+let solve ?(config = default_config) ?(interrupt = fun () -> false)
+    ?(on_progress = no_progress) ?jobs ?zone_of mrf =
+  match zone_map ?jobs ?zone_of mrf with
+  | Some (zone_of, nz) when nz > 1 ->
+      timed ~span:"trws.zoned"
+        (zoned ~config ~interrupt ~on_progress ?jobs ~zone_of ~nz mrf)
+  | _ when Option.is_some jobs && Mrf.n_nodes mrf >= partition_min ->
+      timed ~span:"trws.solve"
+        (partitioned ~config ~interrupt ~on_progress ?jobs mrf)
+  | _ ->
+      timed ~span:"trws.solve" (sequential ~config ~interrupt ~on_progress mrf)
+
+let solve_zoned = solve

@@ -26,101 +26,73 @@ val solve :
   ?config:config ->
   ?interrupt:(unit -> bool) ->
   ?on_progress:(iter:int -> energy:float -> bound:float -> unit) ->
+  ?jobs:int ->
+  ?zone_of:int array ->
   Mrf.t ->
   Solver.result
 (** Runs TRW-S and returns the best decoded labeling encountered, its
-    energy, and the final lower bound.
+    energy ([Mrf.energy] of that labeling), and the best dual bound.
 
-    [interrupt] is polled once per forward/backward sweep pair; when it
-    returns [true] the solver stops and returns the best labeling, energy
-    and bound found so far (the anytime property — an initial decode
-    happens before the first sweep, so the labeling is always feasible).
-    [on_progress] fires after every bound computation with the running
-    best energy and dual bound. *)
+    {b Schedule.}  The inputs choose it.
+    - The zone map is [zone_of] when given (any non-negative per-node
+      ids, renumbered densely in order of first appearance); otherwise,
+      with [jobs], the connected components, numbered the same way;
+      otherwise a single zone.  Without [jobs] and [zone_of] no
+      component scan runs and nothing extra is allocated.
+    - {e One zone, with [jobs], at least 4096 nodes}: partitioned
+      sweeps.  The node order splits into 16 contiguous partitions;
+      each half-sweep runs the intra-partition updates in parallel on a
+      {!Netdiv_par.Pool.Team} (a message between two nodes of one
+      partition is written by that partition only), then recomputes
+      every cross-partition message sequentially in global node order.
+      The bound parallelizes the same way (per-node aggregation, then
+      per-chain DP) and is summed in chain order.
+    - {e One zone otherwise}: the sequential sweep described above.
+    - {e Several zones}: Lagrangian dual decomposition.  Each zone slave
+      owns its interior edges, unaries and the running boundary
+      penalties; every boundary edge (u, v) is a two-variable slave
+      [min pot(xu, xv) - lam_u(xu) - lam_v(xv)].  A round runs every
+      zone slave's sequential sweep as one chunk of
+      {!Netdiv_par.Pool.parallel_for} (small splits run inline; an
+      injected [pool.chunk] crash is recovered), then reconciles every
+      boundary edge in global edge order: the multipliers of a
+      disagreeing endpoint move one diminishing subgradient step
+      ([0.25 / round]).  The bound is [sum of zone bounds + sum of
+      edge-slave minima], a valid lower bound on the optimum; the
+      labeling is the best concatenation of zone labelings seen.  At
+      most 8 rounds run, fewer when every boundary edge agrees and all
+      zones converged, or when the primal-dual gap falls under
+      [config.tolerance]; [iterations] counts rounds.  A map without
+      boundary edges (the component split) stops after round 1: the
+      result is the zones' merged solve, [iterations] is their largest
+      sweep count and [converged] requires every zone to converge.
 
-val solve_partitioned :
-  ?config:config ->
-  ?interrupt:(unit -> bool) ->
-  ?on_progress:(iter:int -> energy:float -> bound:float -> unit) ->
-  ?parts:int ->
-  ?jobs:int ->
-  Mrf.t ->
-  Solver.result
-(** Intra-component parallel TRW-S: the node ordering is split into
-    [parts] contiguous partitions (default: 1 below 4096 nodes, 16
-    above — a function of the model size {e only}).  Each half-sweep
-    runs the partitions' intra-partition message updates in parallel on
-    a persistent {!Netdiv_par.Pool.Team} — a message between two nodes
-    of the same partition is written by exactly one partition, so chunk
-    writes are disjoint by construction — then recomputes every
-    cross-partition message sequentially in global node order (the
-    deterministic boundary-merge pass).  The dual bound parallelizes the
-    same way (per-node aggregation, then per-chain DP) and is summed in
-    chain order, so bound, messages, decode and therefore energy depend
-    only on [parts], never on the job count.  With [parts = 1] this is
-    {e bitwise identical} to {!solve}.  Worker domains are created once
-    per solve and parked between regions, so a 10µs partition phase
-    costs a broadcast, not a domain spawn. *)
+    {b Determinism.}  The result is a function of the model and the zone
+    map only, never of [jobs]: partition and zone boundaries depend on
+    the model alone, parallel writes land in disjoint slots, and every
+    reduction runs in a fixed order.  A single-zone map runs the
+    one-zone schedule: bit for bit the sequential sweep when [jobs] is
+    absent or the model has fewer than 4096 nodes.
 
-val solve_components :
-  ?config:config ->
-  ?interrupt:(unit -> bool) ->
-  ?on_progress:(iter:int -> energy:float -> bound:float -> unit) ->
-  ?jobs:int ->
-  Mrf.t ->
-  Solver.result
-(** Like {!solve}, but decomposes the model into connected components
-    and solves them on separate domains ([jobs] resolved by
-    {!Netdiv_par.Pool.resolve_jobs}).  Since no message crosses between
-    components, the merged result — labeling, energy sum, bound sum,
-    max iteration count, conjunction of convergence flags — is
-    independent of the job count.  With a single component this
-    delegates to {!solve} when [jobs] is omitted, and to
-    {!solve_partitioned} when the caller asked for parallelism — intra-
-    component partitioning is exactly the schedule for the
-    one-big-component case.  [interrupt] must be safe to call
-    from multiple domains (wall-clock reads are; mutable counters are
-    not); [on_progress] fires once, after the merge, when the model has
-    more than one component. *)
+    [interrupt] is polled once per sweep pair (by every zone solve) and
+    between zone rounds from round 2 on, so a zoned solve always
+    returns a scored labeling; when it returns [true] the solver stops
+    and returns the best labeling, energy and bound found so far (the
+    anytime property — an initial decode happens before the first
+    sweep, so the labeling is always feasible).  It must be safe to
+    call from several domains.  [on_progress] fires after every bound
+    computation — per sweep pair, per zone round, once for a map
+    without boundary edges — with the running best energy and bound.
+
+    @raise Invalid_argument when [zone_of]'s length is not the node
+    count or it holds a negative id. *)
 
 val solve_zoned :
   ?config:config ->
   ?interrupt:(unit -> bool) ->
   ?on_progress:(iter:int -> energy:float -> bound:float -> unit) ->
-  ?zones:int ->
-  ?zone_of:int array ->
-  ?rounds:int ->
-  ?step:float ->
   ?jobs:int ->
+  ?zone_of:int array ->
   Mrf.t ->
   Solver.result
-(** Block-coordinate zone decomposition (Lagrangian dual decomposition)
-    for instances whose topology is nearly block-structured — the zoned
-    ICS networks of the paper at 100k-host scale.
-
-    The node set is split by [zone_of] (any per-node zone ids; renumbered
-    densely in order of first appearance) or, when absent, into [zones]
-    balanced connected blocks by deterministic BFS growth over the model
-    adjacency (the MRF-side mirror of {!Netdiv_graph.Cut.greedy_partition};
-    default zone count as {!solve_partitioned}'s parts).  Each zone slave
-    owns its interior edges, unaries and the running boundary penalties;
-    every boundary edge (u, v) is a two-variable slave
-    [min pot(xu, xv) - lam_u(xu) - lam_v(xv)].  Per round, zone slaves
-    are solved with {!solve} in parallel on a {!Netdiv_par.Pool.Team},
-    then every boundary edge is reconciled {e sequentially in global
-    edge order}: the multipliers of a disagreeing endpoint move one
-    diminishing subgradient step ([step / round]).  The reported bound
-    is [sum of zone bounds + sum of edge-slave minima] — a valid lower
-    bound on the full model's optimum — and the reported labeling is the
-    best concatenation of zone labelings seen (always feasible);
-    [iterations] counts reconciliation rounds (at most [rounds], fewer
-    when every boundary edge agrees and all zones converged, or when the
-    primal-dual gap falls under [config.tolerance]).
-
-    Determinism contract, as {!solve_partitioned}: the trajectory is a
-    function of the zone map only — zone solves are independent, results
-    land in per-zone slots, and multiplier updates run in global order —
-    so results are invariant across job counts, and with a single zone
-    this delegates to (and is bitwise identical to) {!solve}.  Memory
-    peaks at one zone submodel plus message slabs per in-flight zone
-    rather than the whole-model slabs of {!solve}. *)
+(** The same function as {!solve}. *)

@@ -47,7 +47,8 @@ type sweep_frame = {
   s_msg_generic : int;
 }
 
-(** One zone's sub-solve result in a [Trws.solve_zoned] round. *)
+(** One zone's sub-solve result in a round of [Trws.solve]'s zone
+    schedule. *)
 type zone_frame = {
   z_t : float;
   z_round : int;
@@ -58,7 +59,7 @@ type zone_frame = {
   z_converged : bool;
 }
 
-(** The reconciliation pass of a [solve_zoned] round: [b_disagree]
+(** The reconciliation pass of a zone round: [b_disagree]
     boundary edges whose endpoints disagree, the edge-slave and
     zone-bound components of the dual, and the subgradient step used. *)
 type boundary_frame = {

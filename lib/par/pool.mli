@@ -2,7 +2,7 @@
 
     This is the only module in the code base that is allowed to call
     [Domain.spawn].  Every parallel consumer (simulated annealing restarts,
-    Monte-Carlo MTTC sweeps, per-component TRW-S, the bench harness) goes
+    Monte-Carlo MTTC sweeps, zoned TRW-S rounds, the bench harness) goes
     through the combinators below, which guarantee:
 
     - deterministic results: chunk outputs are combined in chunk-index
@@ -175,13 +175,14 @@ val map_reduce :
 (** {2 Persistent worker team}
 
     The combinators above spawn domains per region — fine for regions
-    carrying tens of milliseconds of work, hopeless for intra-component
-    solver schedules where one region (a TRW-S partition phase, one
-    chromatic-BP color class) is 10µs–1ms of work repeated thousands of
-    times per solve.  A {!Team.t} amortizes the spawn: its worker
-    domains are created once (per solve) and parked on a condition
-    variable; each {!Team.run} costs one broadcast plus a chunk-claim
-    loop plus a counter join.
+    carrying tens of milliseconds of work (a round of zone solves in
+    {!Netdiv_mrf.Trws.solve}, one chunk per zone), hopeless for
+    intra-component solver schedules where one region (a TRW-S
+    partition phase, one chromatic-BP color class) is 10µs–1ms of work
+    repeated thousands of times per solve.  A {!Team.t} amortizes the
+    spawn: its worker domains are created once (per solve) and parked
+    on a condition variable; each {!Team.run} costs one broadcast plus
+    a chunk-claim loop plus a counter join.
 
     The determinism contract matches the combinators: chunk boundaries
     are a function of [chunks], [lo], [hi] alone; chunks are claimed

@@ -66,9 +66,9 @@ val stream_zoned : ?prconst:float -> zoned_params -> Netdiv_mrf.Mrf.t * int arra
     [host * z_services + service], every unary the constant preference
     cost [prconst] (default 0.01), one pairwise similarity edge per
     (link, service) — and returns it with the per-variable zone map
-    (ready for {!Netdiv_mrf.Trws.solve_zoned}).  Each service shares one
-    similarity matrix across all its edges, so the model interns exactly
-    [z_services] tables.  Deterministic in [z_seed].
+    (ready for {!Netdiv_mrf.Trws.solve}'s [zone_of]).  Each service
+    shares one similarity matrix across all its edges, so the model
+    interns exactly [z_services] tables.  Deterministic in [z_seed].
     @raise Invalid_argument for non-positive sizes or
     [z_zones > z_hosts]. *)
 

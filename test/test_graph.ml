@@ -274,57 +274,6 @@ let test_min_cut_random () =
     | _ -> ()
   done
 
-let test_greedy_partition () =
-  (* a single part covers everything with id 0 *)
-  let g = Gen.line 7 in
-  Alcotest.(check bool) "single part" true
-    (Array.for_all (fun p -> p = 0) (Cut.greedy_partition g ~parts:1));
-  (* asking for more parts than nodes clamps: every id stays in range
-     and every node of the 3-node line still gets a part *)
-  let tiny = Cut.greedy_partition (Gen.line 3) ~parts:10 in
-  Array.iter
-    (fun p ->
-      Alcotest.(check bool) "clamped id in range" true (p >= 0 && p < 3))
-    tiny;
-  (* balance: on 10 nodes / 3 parts, sizes differ by at most one and no
-     part is empty *)
-  let part = Cut.greedy_partition (Gen.line 10) ~parts:3 in
-  let sizes = Array.make 3 0 in
-  Array.iter
-    (fun p ->
-      Alcotest.(check bool) "id in range" true (p >= 0 && p < 3);
-      sizes.(p) <- sizes.(p) + 1)
-    part;
-  let lo = Array.fold_left min max_int sizes
-  and hi = Array.fold_left max 0 sizes in
-  Alcotest.(check bool) "no empty part" true (lo > 0);
-  Alcotest.(check bool) "sizes within one" true (hi - lo <= 1);
-  (* BFS growth keeps line parts contiguous: exactly parts-1 boundaries *)
-  let boundaries = ref 0 in
-  for i = 0 to 8 do
-    if part.(i) <> part.(i + 1) then incr boundaries
-  done;
-  Alcotest.(check int) "line parts contiguous" 2 !boundaries;
-  (* disconnected graph: every node still gets a valid id and the
-     partition stays balanced even though no part can span components *)
-  let disc = Graph.of_edges ~n:6 [ (0, 1); (2, 3); (4, 5) ] in
-  let dp = Cut.greedy_partition disc ~parts:3 in
-  let dsizes = Array.make 3 0 in
-  Array.iter
-    (fun p ->
-      Alcotest.(check bool) "disconnected id in range" true (p >= 0 && p < 3);
-      dsizes.(p) <- dsizes.(p) + 1)
-    dp;
-  Array.iter (Alcotest.(check int) "disconnected balance" 2) dsizes;
-  (* deterministic: same graph, same partition on every call *)
-  let g2 = Gen.connected_avg_degree ~rng:(rng ()) ~n:50 ~degree:4 in
-  let a = Cut.greedy_partition g2 ~parts:5 in
-  let b = Cut.greedy_partition g2 ~parts:5 in
-  Alcotest.(check bool) "deterministic" true (a = b);
-  match Cut.greedy_partition (Gen.line 4) ~parts:0 with
-  | _ -> Alcotest.fail "accepted parts = 0"
-  | exception Invalid_argument _ -> ()
-
 (* ------------------------------------------------------------------ dot *)
 
 let test_dot_output () =
@@ -483,7 +432,6 @@ let () =
           Alcotest.test_case "max flow" `Quick test_max_flow_basics;
           Alcotest.test_case "min cut = max flow" `Quick test_min_cut_menger;
           Alcotest.test_case "random graphs" `Quick test_min_cut_random;
-          Alcotest.test_case "greedy partition" `Quick test_greedy_partition;
         ] );
       ( "properties",
         [

@@ -37,6 +37,28 @@ let random_tree_mrf rng n k =
   done;
   Mrf.Builder.build b
 
+(* Edges of a chain through every node plus [chords] random chords, so
+   one component; [add u v] adds one. *)
+let chain_with_chords rng n ~chords add =
+  for i = 1 to n - 1 do
+    add (i - 1) i
+  done;
+  for _ = 1 to chords do
+    let u = Random.State.int rng n in
+    add u ((u + 2 + Random.State.int rng (n - 3)) mod n)
+  done
+
+let connected_mrf rng n k ~chords =
+  let b = Mrf.Builder.create ~label_counts:(Array.make n k) in
+  for i = 0 to n - 1 do
+    Mrf.Builder.set_unary b ~node:i
+      (Array.init k (fun _ -> Random.State.float rng 1.0))
+  done;
+  chain_with_chords rng n ~chords (fun u v ->
+      Mrf.Builder.add_edge b u v
+        (Array.init (k * k) (fun _ -> Random.State.float rng 1.0)));
+  Mrf.Builder.build b
+
 (* ---------------------------------------------------------------- model *)
 
 let test_builder_basic () =
@@ -284,8 +306,8 @@ let disconnected_mrf () =
 let test_solve_components () =
   let m = disconnected_mrf () in
   let exact = Brute.solve m in
-  let serial = Trws.solve_components ~jobs:1 m in
-  let par = Trws.solve_components ~jobs:4 m in
+  let serial = Trws.solve ~jobs:1 m in
+  let par = Trws.solve ~jobs:4 m in
   (* every component is a tree, so the merged solve must be exact *)
   Alcotest.(check (float 1e-6)) "exact on forest" exact.Solver.energy
     serial.Solver.energy;
@@ -421,13 +443,39 @@ let test_kernel_stats_exposed () =
   Alcotest.(check int) "specialize:false all generic" 1
     (Mrf.kernel_counts mg).Mrf.generic_tables
 
-(* Random MRF over a mix of structured tables: Potts, constant-plus-
-   sparse, almost-qualifying (classifier rejection path) and dense
-   generic, over mixed label counts so non-square tables exercise both
-   message orientations.  Deterministic in [seed]. *)
-let random_structured_mrf ~specialize seed =
+(* Random table over a mix of structures: Potts, constant-plus-sparse,
+   almost-qualifying (classifier rejection path) and dense generic. *)
+let structured_table rng ku kv =
+  match Random.State.int rng 4 with
+  | 0 when ku = kv ->
+      (* Potts: uniform off-diagonal, random diagonal *)
+      let off = 0.25 +. Random.State.float rng 0.75 in
+      Array.init (ku * kv) (fun idx ->
+          if idx / kv = idx mod kv then Random.State.float rng 0.2 else off)
+  | 1 ->
+      (* constant-plus-sparse: uniform base, two deviations *)
+      let t = Array.make (ku * kv) (0.2 +. Random.State.float rng 0.5) in
+      t.(Random.State.int rng (ku * kv)) <- Random.State.float rng 2.0;
+      t.(Random.State.int rng (ku * kv)) <- Random.State.float rng 2.0;
+      t
+  | 2 when ku = kv ->
+      (* almost-Potts: one off-diagonal outlier *)
+      let off = 0.25 +. Random.State.float rng 0.75 in
+      let t =
+        Array.init (ku * kv) (fun idx ->
+            if idx / kv = idx mod kv then Random.State.float rng 0.2 else off)
+      in
+      let i = Random.State.int rng ku in
+      let j = (i + 1) mod kv in
+      t.((i * kv) + j) <- off +. 0.01;
+      t
+  | _ -> Array.init (ku * kv) (fun _ -> Random.State.float rng 1.0)
+
+(* Random MRF over structured tables with mixed label counts, so
+   non-square tables exercise both message orientations; [add_edges]
+   chooses the edges.  Deterministic in [seed]. *)
+let structured_mrf ~n ~add_edges ~specialize seed =
   let rng = Random.State.make [| 0xface; seed |] in
-  let n = 10 in
   let labels =
     Array.init n (fun i ->
         if i mod 5 = 4 then 1 else if i mod 2 = 0 then 9 else 12)
@@ -437,43 +485,24 @@ let random_structured_mrf ~specialize seed =
     Mrf.Builder.set_unary b ~node:i
       (Array.init labels.(i) (fun _ -> Random.State.float rng 1.0))
   done;
-  let mk_table ku kv =
-    match Random.State.int rng 4 with
-    | 0 when ku = kv ->
-        (* Potts: uniform off-diagonal, random diagonal *)
-        let off = 0.25 +. Random.State.float rng 0.75 in
-        Array.init (ku * kv) (fun idx ->
-            if idx / kv = idx mod kv then Random.State.float rng 0.2
-            else off)
-    | 1 ->
-        (* constant-plus-sparse: uniform base, two deviations *)
-        let t =
-          Array.make (ku * kv) (0.2 +. Random.State.float rng 0.5)
-        in
-        t.(Random.State.int rng (ku * kv)) <- Random.State.float rng 2.0;
-        t.(Random.State.int rng (ku * kv)) <- Random.State.float rng 2.0;
-        t
-    | 2 when ku = kv ->
-        (* almost-Potts: one off-diagonal outlier *)
-        let off = 0.25 +. Random.State.float rng 0.75 in
-        let t =
-          Array.init (ku * kv) (fun idx ->
-              if idx / kv = idx mod kv then Random.State.float rng 0.2
-              else off)
-        in
-        let i = Random.State.int rng ku in
-        let j = (i + 1) mod kv in
-        t.((i * kv) + j) <- off +. 0.01;
-        t
-    | _ -> Array.init (ku * kv) (fun _ -> Random.State.float rng 1.0)
-  in
-  for u = 0 to n - 1 do
-    for v = u + 1 to n - 1 do
-      if Random.State.float rng 1.0 < 0.35 then
-        Mrf.Builder.add_edge b u v (mk_table labels.(u) labels.(v))
-    done
-  done;
+  add_edges rng (fun u v ->
+      Mrf.Builder.add_edge b u v (structured_table rng labels.(u) labels.(v)));
   Mrf.Builder.build ~specialize b
+
+(* 10 nodes, each pair joined with probability 0.35 *)
+let random_structured_mrf =
+  structured_mrf ~n:10 ~add_edges:(fun rng add ->
+      for u = 0 to 9 do
+        for v = u + 1 to 9 do
+          if Random.State.float rng 1.0 < 0.35 then add u v
+        done
+      done)
+
+(* one component of 4200 nodes, large enough for the partitioned
+   schedule *)
+let big_structured_mrf =
+  structured_mrf ~n:4200 ~add_edges:(fun rng ->
+      chain_with_chords rng 4200 ~chords:2100)
 
 let test_kernel_equivalence () =
   let specialized_seen = ref 0 in
@@ -555,32 +584,36 @@ let test_greedy_coloring_proper () =
     [ (31, 12, 0.4); (32, 30, 0.15); (33, 1, 0.0); (34, 25, 0.9) ]
 
 let test_trws_partitioned_matches_solve () =
-  (* one partition must be the sequential solver, bit for bit; and for a
-     fixed partition count the job count must not matter *)
+  (* below 4096 nodes one component is one partition: the sequential
+     solver, bit for bit, whatever the job count *)
   for seed = 40 to 44 do
-    let m = random_mrf (rng seed) 30 3 0.15 in
+    let m = connected_mrf (rng seed) 30 3 ~chords:20 in
     let base = Trws.solve m in
-    let p1 = Trws.solve_partitioned ~parts:1 ~jobs:1 m in
-    Alcotest.(check bool)
-      (Printf.sprintf "parts=1 energy bitwise seed=%d" seed)
-      true
-      (base.Solver.energy = p1.Solver.energy);
-    Alcotest.(check bool) "parts=1 bound bitwise" true
-      (base.Solver.lower_bound = p1.Solver.lower_bound);
-    Alcotest.(check (array int)) "parts=1 labeling" base.Solver.labeling
-      p1.Solver.labeling;
-    Alcotest.(check int) "parts=1 iterations" base.Solver.iterations
-      p1.Solver.iterations
+    List.iter
+      (fun jobs ->
+        let p1 = Trws.solve ~jobs m in
+        Alcotest.(check bool)
+          (Printf.sprintf "parts=1 energy bitwise seed=%d jobs=%d" seed jobs)
+          true
+          (base.Solver.energy = p1.Solver.energy);
+        Alcotest.(check bool) "parts=1 bound bitwise" true
+          (base.Solver.lower_bound = p1.Solver.lower_bound);
+        Alcotest.(check (array int)) "parts=1 labeling" base.Solver.labeling
+          p1.Solver.labeling;
+        Alcotest.(check int) "parts=1 iterations" base.Solver.iterations
+          p1.Solver.iterations)
+      [ 1; 4 ]
   done
 
 let test_trws_partitioned_jobs_invariant () =
   with_hardware_jobs 4 (fun () ->
-      for seed = 45 to 49 do
-        let m = random_mrf (rng seed) 40 3 0.12 in
-        let r1 = Trws.solve_partitioned ~parts:4 ~jobs:1 m in
+      let config = { Trws.default_config with max_iters = 20 } in
+      for seed = 45 to 46 do
+        let m = connected_mrf (rng seed) 4500 3 ~chords:2000 in
+        let r1 = Trws.solve ~config ~jobs:1 m in
         List.iter
           (fun jobs ->
-            let r = Trws.solve_partitioned ~parts:4 ~jobs m in
+            let r = Trws.solve ~config ~jobs m in
             Alcotest.(check bool)
               (Printf.sprintf "energy bitwise seed=%d jobs=%d" seed jobs)
               true
@@ -597,22 +630,20 @@ let test_trws_partitioned_jobs_invariant () =
               r1.Solver.iterations r.Solver.iterations)
           [ 2; 4 ];
         (* the boundary merge must keep the anytime contract *)
-        let r4 = Trws.solve_partitioned ~parts:4 ~jobs:4 m in
-        Alcotest.(check (float 1e-9)) "labeling consistent with energy"
-          r4.Solver.energy
-          (Mrf.energy m r4.Solver.labeling);
+        Alcotest.(check bool) "labeling consistent with energy" true
+          (r1.Solver.energy = Mrf.energy m r1.Solver.labeling);
         Alcotest.(check bool) "bound below energy" true
-          (r4.Solver.lower_bound <= r4.Solver.energy +. 1e-9)
+          (r1.Solver.lower_bound <= r1.Solver.energy +. 1e-9)
       done)
 
 let test_bp_chromatic_jobs_invariant () =
   with_hardware_jobs 4 (fun () ->
       for seed = 50 to 54 do
         let m = random_mrf (rng seed) 40 3 0.12 in
-        let r1 = Bp.solve_chromatic ~jobs:1 m in
+        let r1 = Bp.solve ~jobs:1 m in
         List.iter
           (fun jobs ->
-            let r = Bp.solve_chromatic ~jobs m in
+            let r = Bp.solve ~jobs m in
             Alcotest.(check bool)
               (Printf.sprintf "energy bitwise seed=%d jobs=%d" seed jobs)
               true
@@ -635,20 +666,20 @@ let test_parallel_schedules_on_structured_kernels () =
      across all three kernel classes (Potts, constant-plus-sparse,
      generic) *)
   with_hardware_jobs 4 (fun () ->
+      let config = { Trws.default_config with max_iters = 10 } in
+      let solve specialize =
+        Trws.solve ~config ~jobs:4 (big_structured_mrf ~specialize 0)
+      in
+      let ts = solve true and tg = solve false in
+      Alcotest.(check bool) "partitioned trws energy bitwise" true
+        (ts.Solver.energy = tg.Solver.energy);
+      Alcotest.(check (array int)) "partitioned trws labeling"
+        tg.Solver.labeling ts.Solver.labeling;
       for seed = 0 to 4 do
         let ms = random_structured_mrf ~specialize:true seed in
         let mg = random_structured_mrf ~specialize:false seed in
-        let ts = Trws.solve_partitioned ~parts:3 ~jobs:4 ms in
-        let tg = Trws.solve_partitioned ~parts:3 ~jobs:4 mg in
-        Alcotest.(check bool)
-          (Printf.sprintf "partitioned trws energy bitwise seed=%d" seed)
-          true
-          (ts.Solver.energy = tg.Solver.energy);
-        Alcotest.(check (array int))
-          (Printf.sprintf "partitioned trws labeling seed=%d" seed)
-          tg.Solver.labeling ts.Solver.labeling;
-        let bs = Bp.solve_chromatic ~jobs:4 ms in
-        let bg = Bp.solve_chromatic ~jobs:4 mg in
+        let bs = Bp.solve ~jobs:4 ms in
+        let bg = Bp.solve ~jobs:4 mg in
         Alcotest.(check bool)
           (Printf.sprintf "chromatic bp energy bitwise seed=%d" seed)
           true
@@ -725,9 +756,8 @@ let test_with_unaries () =
   | exception Invalid_argument _ -> ()
 
 let test_solve_zoned_single_zone_matches_solve () =
-  (* one zone must be the sequential solver, bit for bit — whether the
-     zone count is given explicitly, via a constant zone map, or falls
-     out of the size default *)
+  (* one zone must be the sequential solver, bit for bit, with or
+     without a job count *)
   for seed = 70 to 74 do
     let m = random_mrf (rng seed) 30 3 0.15 in
     let base = Trws.solve m in
@@ -748,9 +778,9 @@ let test_solve_zoned_single_zone_matches_solve () =
           (Printf.sprintf "%s iterations seed=%d" label seed)
           base.Solver.iterations r.Solver.iterations)
       [
-        ("zones=1", Trws.solve_zoned ~zones:1 ~jobs:1 m);
-        ("constant zone map", Trws.solve_zoned ~zone_of:(Array.make 30 7) m);
-        ("size default", Trws.solve_zoned m);
+        ("constant zone map", Trws.solve ~zone_of:(Array.make 30 7) m);
+        ( "constant zone map, jobs 2",
+          Trws.solve ~zone_of:(Array.make 30 7) ~jobs:2 m );
       ]
   done
 
@@ -759,10 +789,10 @@ let test_solve_zoned_jobs_invariant () =
       for seed = 75 to 78 do
         let m = random_mrf (rng seed) 40 3 0.12 in
         let zone_of = Array.init 40 (fun i -> i / 10) in
-        let r1 = Trws.solve_zoned ~zone_of ~jobs:1 m in
+        let r1 = Trws.solve ~zone_of ~jobs:1 m in
         List.iter
           (fun jobs ->
-            let r = Trws.solve_zoned ~zone_of ~jobs m in
+            let r = Trws.solve ~zone_of ~jobs m in
             Alcotest.(check bool)
               (Printf.sprintf "energy bitwise seed=%d jobs=%d" seed jobs)
               true
@@ -786,13 +816,34 @@ let test_solve_zoned_jobs_invariant () =
           (r1.Solver.lower_bound <= r1.Solver.energy +. 1e-9)
       done)
 
+(* An interrupt that fires at once must still leave a labeling scored
+   by its true energy: the zone solves are anytime, so round 1 always
+   runs. *)
+let test_solve_zoned_interrupted () =
+  let p =
+    { Netdiv_workload.Workload.default with hosts = 200; degree = 6;
+      services = 3 }
+  in
+  let enc =
+    Netdiv_core.Encode.encode (Netdiv_workload.Workload.instance p) []
+  in
+  let m = Netdiv_core.Encode.mrf enc in
+  let zone_of =
+    Array.init (Mrf.n_nodes m) (fun v ->
+        fst (Netdiv_core.Encode.slot_of enc v) * 4 / p.hosts)
+  in
+  let r = Trws.solve ~zone_of ~interrupt:(fun () -> true) m in
+  Alcotest.(check bool) "finite energy" true (Float.is_finite r.Solver.energy);
+  Alcotest.(check bool) "energy of the labeling" true
+    (r.Solver.energy = Mrf.energy m r.Solver.labeling)
+
 let test_solve_zoned_bound_valid () =
   (* zone bound + edge-slave minima must stay below the true optimum on
      instances small enough to enumerate *)
   for seed = 80 to 84 do
     let m = random_mrf (rng seed) 7 3 0.5 in
     let exact = Brute.solve m in
-    let r = Trws.solve_zoned ~zones:3 ~rounds:6 m in
+    let r = Trws.solve ~zone_of:(Array.init 7 (fun i -> i * 3 / 7)) m in
     Alcotest.(check bool)
       (Printf.sprintf "bound below optimum seed=%d" seed)
       true
@@ -864,6 +915,89 @@ let test_golden_pins () =
     (fun (name, run, expected) ->
       Alcotest.(check string) name expected (fingerprint (run ())))
     pins
+
+(* Bit-exact results of every TRW-S schedule and of both BP schedules:
+   the local-search fingerprint with the bound in hex after the
+   energy. *)
+let schedule_fingerprint (r : Solver.result) =
+  let labels =
+    String.concat "," (Array.to_list (Array.map string_of_int r.labeling))
+  in
+  Printf.sprintf "%s %h %h %d %b"
+    (Digest.to_hex (Digest.string labels))
+    r.energy r.lower_bound r.iterations r.converged
+
+(* the case study's unconstrained (C0) model: several components *)
+let casestudy_c0 =
+  lazy
+    (Netdiv_core.Encode.mrf
+       (Netdiv_core.Encode.encode (Netdiv_casestudy.Products.network ()) []))
+
+(* 5000 variables, one component: the partitioned schedule's size *)
+let big_connected = lazy (connected_mrf (rng 90) 5000 3 ~chords:2500)
+
+let small_zoned =
+  lazy
+    (Netdiv_workload.Workload.stream_zoned
+       {
+         Netdiv_workload.Workload.z_hosts = 300;
+         z_zones = 3;
+         z_degree = 4;
+         z_gateway_links = 2;
+         z_services = 2;
+         z_products = 3;
+         z_seed = 5;
+       })
+
+let schedule_pins =
+  let c0 jobs () = Trws.solve ~jobs (Lazy.force casestudy_c0) in
+  let big jobs () = Trws.solve ~jobs (Lazy.force big_connected) in
+  let zoned jobs () =
+    let m, zone_of = Lazy.force small_zoned in
+    Trws.solve ~zone_of ~jobs m
+  in
+  (* the energy is Mrf.energy of the merged labeling; the sum of the
+     per-component energies would read 0x1.4745c9cfe808cp+5 *)
+  let c0_pin =
+    "60f58d3965e99d29b2ba47ec3bf83f2c 0x1.4745c9cfe808fp+5 \
+     0x1.323dc2e43775fp+5 59 true"
+  in
+  let big_pin =
+    "8660075b3496a4b0335a76635a9732ed 0x1.ea900cd4175f5p+11 \
+     0x1.ea900cd4175fap+11 50 true"
+  in
+  let zoned_pin =
+    "0bfe1b2234c21ff6887fdb9216640d70 0x1.72c4f7430b7dcp+6 \
+     0x1.7fffffffffffcp+2 8 false"
+  in
+  [
+    ( "trws, sequential",
+      (fun () -> Trws.solve (Lazy.force pin_model)),
+      "ae60ad39042037da745fe604c44fa637 0x1.45758578b5c6ap+6 \
+       0x1.333333333332cp+1 4 true" );
+    ("trws, case study C0, jobs 1", c0 1, c0_pin);
+    ("trws, case study C0, jobs 2", c0 2, c0_pin);
+    ("trws, case study C0, jobs 4", c0 4, c0_pin);
+    ("trws, 5000 connected variables, jobs 1", big 1, big_pin);
+    ("trws, 5000 connected variables, jobs 2", big 2, big_pin);
+    ("trws, 5000 connected variables, jobs 4", big 4, big_pin);
+    ("trws, stream_zoned zone map, jobs 1", zoned 1, zoned_pin);
+    ("trws, stream_zoned zone map, jobs 2", zoned 2, zoned_pin);
+    ( "bp, sequential",
+      (fun () -> Bp.solve (Lazy.force pin_model)),
+      "15b78ffe2a2c523b849825f1a9ab3935 0x1.5056dcd40f722p+6 -infinity 100 \
+       false" );
+    ( "bp, chromatic, jobs 2",
+      (fun () -> Bp.solve ~jobs:2 (Lazy.force pin_model)),
+      "fe27af5a098ea0e7597e28249ed58939 0x1.5c7815b006919p+6 -infinity 100 \
+       false" );
+  ]
+
+let test_schedule_pins () =
+  List.iter
+    (fun (name, run, expected) ->
+      Alcotest.(check string) name expected (schedule_fingerprint (run ())))
+    schedule_pins
 
 (* ------------------------------------------------------- icm reference *)
 
@@ -1033,6 +1167,72 @@ let prop_decode_valid =
           | exception Invalid_argument _ -> false)
         [ Trws.solve m; Bp.solve m; Icm.solve m ])
 
+(* Component id per node: the lowest node id of its component. *)
+let component_map m =
+  let n = Mrf.n_nodes m in
+  let adj = Array.make n [] in
+  for e = 0 to Mrf.n_edges m - 1 do
+    let u, v = Mrf.edge_endpoints m e in
+    adj.(u) <- v :: adj.(u);
+    adj.(v) <- u :: adj.(v)
+  done;
+  let comp = Array.make n (-1) in
+  let rec visit c i =
+    if comp.(i) < 0 then begin
+      comp.(i) <- c;
+      List.iter (visit c) adj.(i)
+    end
+  in
+  for i = 0 to n - 1 do
+    visit i i
+  done;
+  comp
+
+(* Nodes scattered over 2-4 blocks with edges only inside a block, so
+   components interleave in node order. *)
+let disconnected_gen =
+  QCheck2.Gen.(
+    let* seed = 0 -- 100_000 in
+    let* n = 3 -- 12 in
+    let* k = 2 -- 4 in
+    let* blocks = 2 -- 4 in
+    return
+      (let rng = Random.State.make [| seed |] in
+       let block = Array.init n (fun _ -> Random.State.int rng blocks) in
+       let b = Mrf.Builder.create ~label_counts:(Array.make n k) in
+       for i = 0 to n - 1 do
+         Mrf.Builder.set_unary b ~node:i
+           (Array.init k (fun _ -> Random.State.float rng 1.0))
+       done;
+       for u = 0 to n - 1 do
+         for v = u + 1 to n - 1 do
+           if block.(u) = block.(v) && Random.State.float rng 1.0 < 0.6 then
+             Mrf.Builder.add_edge b u v
+               (Array.init (k * k) (fun _ -> Random.State.float rng 1.0))
+         done
+       done;
+       Mrf.Builder.build b))
+
+let prop_component_split_is_zone_map =
+  QCheck2.Test.make ~count:100
+    ~name:"TRW-S: component split = component zone map, bit for bit"
+    disconnected_gen (fun m ->
+      let comp = component_map m in
+      QCheck2.assume (Array.exists (fun c -> c > 0) comp);
+      let zoned = Trws.solve ~zone_of:comp m in
+      let split = Trws.solve ~jobs:2 m in
+      let bits = Int64.bits_of_float in
+      zoned.Solver.labeling = split.Solver.labeling
+      && Int64.equal (bits zoned.Solver.energy) (bits split.Solver.energy)
+      && Int64.equal
+           (bits zoned.Solver.lower_bound)
+           (bits split.Solver.lower_bound)
+      && zoned.Solver.iterations = split.Solver.iterations
+      && Int64.equal (bits zoned.Solver.energy)
+           (bits (Mrf.energy m zoned.Solver.labeling))
+      && Int64.equal (bits split.Solver.energy)
+           (bits (Mrf.energy m split.Solver.labeling)))
+
 let () =
   Alcotest.run "mrf"
     [
@@ -1093,6 +1293,8 @@ let () =
           Alcotest.test_case "parallel edges" `Quick test_parallel_edges;
           Alcotest.test_case "golden local-search pins" `Quick
             test_golden_pins;
+          Alcotest.test_case "golden schedule pins" `Quick
+            test_schedule_pins;
           Alcotest.test_case "icm allocates fewer minor words than nodes"
             `Quick test_icm_allocation_free;
         ] );
@@ -1122,9 +1324,12 @@ let () =
             test_solve_zoned_jobs_invariant;
           Alcotest.test_case "zoned bound stays valid" `Quick
             test_solve_zoned_bound_valid;
+          Alcotest.test_case "interrupted zoned solve keeps its energy"
+            `Quick test_solve_zoned_interrupted;
         ] );
       ( "properties",
         [
+          QCheck_alcotest.to_alcotest prop_component_split_is_zone_map;
           QCheck_alcotest.to_alcotest prop_trws_sandwich;
           QCheck_alcotest.to_alcotest prop_decode_valid;
           QCheck_alcotest.to_alcotest prop_icm_matches_reference;

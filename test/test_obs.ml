@@ -512,8 +512,8 @@ let test_recorder_dump_on_degradation () =
        labels)
 
 (* two 4-node chains and an isolated node: three components, so
-   [Trws.solve_components] exercises the suspended parallel region and
-   the deterministic per-component zone frames *)
+   [Trws.solve ~jobs] exercises the suspended parallel region and the
+   deterministic per-component zone frames *)
 let components_mrf () =
   let b = Mrf.Builder.create ~label_counts:(Array.make 9 3) in
   let rng = Random.State.make [| 77 |] in
@@ -532,10 +532,10 @@ let test_recorder_parallel_sanitized () =
   Pool.set_sanitize (Some true);
   Fun.protect ~finally:(fun () -> Pool.set_sanitize None) @@ fun () ->
   let m = components_mrf () in
-  let plain = Trws.solve_components ~jobs:2 m in
+  let plain = Trws.solve ~jobs:2 m in
   let r = Recorder.create "par" in
   let recorded =
-    Recorder.with_recorder r (fun () -> Trws.solve_components ~jobs:2 m)
+    Recorder.with_recorder r (fun () -> Trws.solve ~jobs:2 m)
   in
   (* the recorder must not perturb the solve: bitwise-identical result *)
   Alcotest.(check bool) "energy bitwise with recorder" true
@@ -544,8 +544,9 @@ let test_recorder_parallel_sanitized () =
     (plain.Solver.lower_bound = recorded.Solver.lower_bound);
   Alcotest.(check (array int))
     "labeling with recorder" plain.Solver.labeling recorded.Solver.labeling;
-  (* orchestrator frames: one zone frame per component plus the summary
-     sweep, recorded after the suspended parallel region *)
+  (* orchestrator frames: one zone frame per component, a boundary frame
+     and the summary sweep, recorded after the suspended parallel
+     region *)
   let frames = Recorder.frames r in
   let zones =
     List.filter_map
@@ -554,6 +555,11 @@ let test_recorder_parallel_sanitized () =
   in
   Alcotest.(check (list int)) "one frame per component, in order"
     [ 0; 1; 2 ] zones;
+  Alcotest.(check (list int)) "one boundary frame, nothing to reconcile"
+    [ 0 ]
+    (List.filter_map
+       (function Recorder.Boundary b -> Some b.Recorder.b_disagree | _ -> None)
+       frames);
   Alcotest.(check int) "one summary sweep frame" 1
     (List.length
        (List.filter
