@@ -32,6 +32,7 @@ module Obs = Netdiv_obs.Obs
 module Topology = Netdiv_casestudy.Topology
 module Products = Netdiv_casestudy.Products
 module Experiments = Netdiv_casestudy.Experiments
+module Metrics = Netdiv_metrics.Metrics
 
 (* tier selection: the env vars are the historical CI interface, the
    --full / --smoke flags the human one (dune exec bench/main.exe --
@@ -473,20 +474,19 @@ let metrics_table () =
   section "[Metrics] d1 / least-effort / d2 / d3 per assignment (entry c4, target t5)";
   let net, a = Lazy.force case_assignments in
   let entry = Topology.host "c4" and target = Topology.host "t5" in
-  let module M = Netdiv_metrics.Metrics in
   Format.printf "%-16s %8s %6s %8s %10s@." "assignment" "d1" "k" "d2" "d3";
   List.iter
     (fun (label, assignment) ->
       let k =
-        match M.least_effort ~limit:5 assignment ~entry ~target with
+        match Metrics.least_effort ~limit:5 assignment ~entry ~target with
         | Ok e -> string_of_int (List.length e)
         | Error `Above_limit -> ">5"
         | Error `Unreachable -> "inf"
       in
-      Format.printf "%-16s %8.4f %6s %8.4f %10.5f@." label (M.d1 assignment)
-        k
-        (M.d2 assignment ~entry ~target)
-        (M.d3 assignment ~entry ~target))
+      Format.printf "%-16s %8.4f %6s %8.4f %10.5f@." label
+        (Metrics.d1 assignment) k
+        (Metrics.d2 assignment ~entry ~target)
+        (Metrics.d3 assignment ~entry ~target))
     (Experiments.labelled a);
   ignore net
 
@@ -895,9 +895,8 @@ let extension_anytime () =
     "energy" "bound" "gap" "time (s)";
   List.iter
     (fun seconds ->
-      let budget = Option.map Runner.Budget.seconds seconds in
       let result, outcome, _, _ =
-        Optimize.solve_encoded_outcome ?budget encoded
+        Optimize.solve_encoded_outcome ?budget:seconds encoded
       in
       let gap =
         let g = Netdiv_mrf.Solver.optimality_gap result in

@@ -18,6 +18,7 @@ module Engine = Netdiv_sim.Engine
 module Topology = Netdiv_casestudy.Topology
 module Products = Netdiv_casestudy.Products
 module Experiments = Netdiv_casestudy.Experiments
+module Metrics = Netdiv_metrics.Metrics
 module Runner = Netdiv_mrf.Runner
 module Mrf = Netdiv_mrf.Mrf
 module Trws = Netdiv_mrf.Trws
@@ -84,11 +85,8 @@ let time_budget_arg =
     & opt (some float) None
     & info [ "time-budget" ] ~docv:"SECONDS"
         ~doc:
-          "Wall-clock budget per solve.  The solver runs through the \
-           anytime harness and returns the best assignment found when \
-           the budget expires.")
-
-let budget_of = Option.map Runner.Budget.seconds
+          "Wall-clock budget per solve.  The solve returns the best \
+           assignment found when the budget expires.")
 
 let jobs_arg =
   Arg.(
@@ -219,8 +217,7 @@ let optimize_cmd =
     Arg.(value & opt (some string) None
          & info [ "checkpoint" ] ~docv:"FILE"
              ~doc:"Write an atomic best-assignment snapshot to $(docv) \
-                   every time the solve improves (routes through the \
-                   anytime harness).")
+                   every time the solve improves.")
   in
   let resume =
     Arg.(value & opt (some string) None
@@ -238,7 +235,7 @@ let optimize_cmd =
     in
     Format.printf "%a@." Network.pp net;
     let report =
-      Optimize.run ~solver ?budget:(budget_of time_budget)
+      Optimize.run ~solver ?budget:time_budget
         ?jobs:(jobs_of jobs) ?checkpoint ?resume net []
     in
     let encoded = Encode.encode net [] in
@@ -294,7 +291,7 @@ let casestudy_cmd =
     let net = Products.network () in
     let a =
       Experiments.compute_assignments ~seed
-        ?budget:(budget_of time_budget) ?jobs:(jobs_of jobs) net
+        ?budget:time_budget ?jobs:(jobs_of jobs) net
     in
     if show_assignments then begin
       Format.printf "=== optimal assignment (Fig. 4a) ===@.%a@." Assignment.pp
@@ -403,7 +400,6 @@ let metrics_cmd =
     match (Network.find_host net entry, Network.find_host net target) with
     | Some entry_h, Some target_h ->
         let a = Experiments.compute_assignments ~seed net in
-        let module M = Netdiv_metrics.Metrics in
         Format.printf "diversity metrics, entry %s, target %s:@.@." entry
           target;
         Format.printf "%-16s %10s %24s %8s %10s@." "assignment" "d1"
@@ -412,22 +408,22 @@ let metrics_cmd =
           (fun (label, assignment) ->
             let effort =
               match
-                M.least_effort ~limit:5 assignment ~entry:entry_h
+                Metrics.least_effort ~limit:5 assignment ~entry:entry_h
                   ~target:target_h
               with
               | Ok exploits ->
                   Printf.sprintf "%d: %s" (List.length exploits)
                     (String.concat ","
                        (List.map
-                          (Format.asprintf "%a" (M.pp_exploit net))
+                          (Format.asprintf "%a" (Metrics.pp_exploit net))
                           exploits))
               | Error `Above_limit -> ">5"
               | Error `Unreachable -> "unreachable"
             in
             Format.printf "%-16s %10.4f %24s %8.4f %10.5f@." label
-              (M.d1 assignment) effort
-              (M.d2 assignment ~entry:entry_h ~target:target_h)
-              (M.d3 assignment ~entry:entry_h ~target:target_h))
+              (Metrics.d1 assignment) effort
+              (Metrics.d2 assignment ~entry:entry_h ~target:target_h)
+              (Metrics.d3 assignment ~entry:entry_h ~target:target_h))
           (Experiments.labelled a);
         `Ok ()
     | _ -> `Error (false, "unknown entry or target host")
@@ -866,16 +862,17 @@ let scalability_cmd =
       metrics =
     with_obs ~trace ~metrics @@ fun () ->
     with_flight_record ~flight @@ fun () ->
-    let budget = budget_of time_budget in
     let jobs = jobs_of jobs in
     let time_one hosts degree services =
       let net =
         Workload.instance
           { hosts; degree; services; products_per_service = 4; seed = 1 }
       in
-      let (_ : Optimize.report) = Optimize.run ?budget ?jobs net [] in
+      let (_ : Optimize.report) =
+        Optimize.run ?budget:time_budget ?jobs net []
+      in
       let t0 = Obs.Clock.now () in
-      let report = Optimize.run ?budget ?jobs net [] in
+      let report = Optimize.run ?budget:time_budget ?jobs net [] in
       let elapsed = Obs.Clock.now () -. t0 in
       let marker =
         if Runner.outcome_converged report.Optimize.outcome then ""

@@ -19,15 +19,6 @@ type exploit_model =
   | Best_choice     (** max similarity over the shared services *)
   | Fixed of float  (** flat per-edge rate [P_avg], ignoring products *)
 
-val default_base_rate : float
-(** One-shot success probability of a zero-day exploit against the very
-    product it targets (0.30; calibration in EXPERIMENTS.md). *)
-
-val default_sim_floor : float
-(** Residual similarity assumed when the measured Jaccard similarity is
-    (near) zero — an unknown zero-day may still affect both products
-    (0.05). *)
-
 val edge_rate :
   ?base_rate:float ->
   ?sim_floor:float ->
@@ -53,22 +44,6 @@ val build :
     id map (hosts unreachable from [entry] map to [-1]).  [prior] is the
     entry host's compromise probability (default 1.0). *)
 
-val build_explicit :
-  ?base_rate:float ->
-  ?sim_floor:float ->
-  Netdiv_core.Assignment.t ->
-  entry:int ->
-  ?prior:float ->
-  model:exploit_model ->
-  unit ->
-  Dbn.t * int array
-(** The explicit Section-VI construction: per directed attack edge a
-    multi-valued attacker-choice node (one state per exploitable shared
-    service, plus "silent"), per host a boolean compromise node whose CPT
-    combines the chosen exploits' success rates.  Marginally equivalent
-    to {!build} (verified in the test suite); exponentially bigger, so
-    use it as the executable specification, not the production path. *)
-
 val p_compromise_explicit :
   ?base_rate:float ->
   ?sim_floor:float ->
@@ -77,8 +52,14 @@ val p_compromise_explicit :
   target:int ->
   model:exploit_model ->
   float
-(** Target compromise probability through {!build_explicit} and exact
-    multi-valued variable elimination. *)
+(** Target compromise probability through the explicit Section-VI
+    construction and exact multi-valued variable elimination.  Per
+    directed attack edge the construction has a multi-valued
+    attacker-choice node (one state per exploitable shared service, plus
+    "silent"), per host a boolean compromise node whose CPT combines the
+    chosen exploits' success rates.  Marginally equivalent to {!build}
+    (verified in the test suite); exponentially bigger, so use it as the
+    executable specification, not the production path. *)
 
 val p_compromise :
   ?base_rate:float ->

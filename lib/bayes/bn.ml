@@ -45,7 +45,6 @@ let add t ~name ~parents cpd =
   id
 
 let n_nodes t = t.count
-let name t i = t.nodes.(i).name
 let parents t i = t.nodes.(i).parents
 
 let find t n =
@@ -84,13 +83,3 @@ let node_factor t i =
   Factor.of_fun ~vars:sorted (fun values ->
       let p = prob_true t i (Array.map (Array.get values) parent_pos) in
       if values.(self) then p else 1.0 -. p)
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  for i = 0 to t.count - 1 do
-    Format.fprintf ppf "%d: %s <- [%s]@," i t.nodes.(i).name
-      (String.concat ", "
-         (Array.to_list
-            (Array.map (fun p -> t.nodes.(p).name) t.nodes.(i).parents)))
-  done;
-  Format.fprintf ppf "@]"

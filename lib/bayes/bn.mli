@@ -27,7 +27,6 @@ val add : t -> name:string -> parents:int array -> cpd -> int
     @raise Invalid_argument otherwise. *)
 
 val n_nodes : t -> int
-val name : t -> int -> string
 val parents : t -> int -> int array
 val find : t -> string -> int option
 
@@ -37,5 +36,3 @@ val prob_true : t -> int -> bool array -> float
 
 val node_factor : t -> int -> Factor.t
 (** The CPT of a node as a factor over the node and its parents. *)
-
-val pp : Format.formatter -> t -> unit

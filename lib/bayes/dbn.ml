@@ -12,17 +12,8 @@ type t = { mutable nodes : node array; mutable count : int }
 let create () = { nodes = [||]; count = 0 }
 
 let n_nodes t = t.count
-let name t i = t.nodes.(i).name
 let card t i = t.nodes.(i).card
 let parents t i = t.nodes.(i).parents
-
-let find t n =
-  let rec loop i =
-    if i >= t.count then None
-    else if String.equal t.nodes.(i).name n then Some i
-    else loop (i + 1)
-  in
-  loop 0
 
 let add t ~name ~card:k ~parents cpd =
   let id = t.count in

@@ -23,10 +23,7 @@ val add :
     @raise Invalid_argument on violations, bad parents, or [card < 1]. *)
 
 val n_nodes : t -> int
-val name : t -> int -> string
 val card : t -> int -> int
-val parents : t -> int -> int array
-val find : t -> string -> int option
 
 val prob : t -> int -> int array -> int -> float
 (** [prob t node parent_values k] = P(node = k | parents). *)

@@ -22,19 +22,18 @@ type assignments = {
 
 val compute_assignments :
   ?seed:int ->
-  ?budget:Netdiv_mrf.Runner.Budget.t ->
+  ?budget:float ->
   ?jobs:int ->
   Netdiv_core.Network.t ->
   assignments
 (** Runs the optimizer for the three optimal variants and builds the two
     baselines.  αr and αm respect the C1 [Fix] policies (the paper applies
     baselines to "non-constrained hosts" only).  Deterministic in
-    [seed].  [budget] (a {e per-run} allowance, applied to each of the
-    three optimizer calls) routes the solves through the anytime
-    harness; each still fails if the budgeted answer violates its
-    constraint set.  [jobs] parallelizes the solver as in
-    {!Netdiv_core.Optimize.run}; the assignments do not depend on its
-    value. *)
+    [seed].  [budget] is a {e per-run} allowance in wall-clock seconds,
+    applied to each of the three optimizer calls; each still fails if
+    the budgeted answer violates its constraint set.  [jobs]
+    parallelizes the solver as in {!Netdiv_core.Optimize.run}; the
+    assignments do not depend on its value. *)
 
 val labelled : assignments -> (string * Netdiv_core.Assignment.t) list
 (** [("optimal", α̂); ("host-constr", α̂C1); ("product-constr", α̂C2);

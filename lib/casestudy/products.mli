@@ -19,11 +19,6 @@
     run fixed outdated software — Windows XP and MS SQL 2008.  Flexible IT
     hosts may take any product. *)
 
-val os : string
-val browser : string
-val database : string
-(** Service names ("os", "browser", "database"); their ids are 0, 1, 2. *)
-
 val service_tables : (string * Netdiv_vuln.Similarity.table) array
 (** Similarity tables restricted to the Table IV product ranges, in
     service-id order. *)
@@ -38,15 +33,12 @@ val network : unit -> Netdiv_core.Network.t
 (** The full case-study network: Fig. 3 topology plus Table IV candidate
     lists. *)
 
-val service_tables_weighted : unit -> (string * Netdiv_vuln.Similarity.table) array
-(** Severity-weighted variants of {!service_tables}: the synthetic NVD
-    corpora are re-scored with {!Netdiv_vuln.Weighted.of_nvd} so shared
-    critical CVEs count more than shared low-severity ones (the paper's
-    future-work direction; used by the weighted-similarity ablation
-    bench). *)
-
 val network_weighted : unit -> Netdiv_core.Network.t
-(** The case-study network under the weighted similarity tables. *)
+(** The case-study network under severity-weighted variants of
+    {!service_tables}: the synthetic NVD corpora are re-scored with
+    {!Netdiv_vuln.Weighted.of_nvd} so shared critical CVEs count more
+    than shared low-severity ones (the paper's future-work direction;
+    used by the weighted-similarity ablation bench). *)
 
 val host_constraints : Netdiv_core.Network.t -> Netdiv_core.Constr.t list
 (** The C1 policy of Section VII-B: hosts z4, e1, r1 and v1 are required

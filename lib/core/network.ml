@@ -1,4 +1,5 @@
 module Graph = Netdiv_graph.Graph
+module Sim = Netdiv_vuln.Similarity
 
 type service_spec = {
   sv_name : string;
@@ -117,7 +118,6 @@ let create ~graph ~services ~hosts =
   }
 
 let of_similarity_tables ~graph ~services ~hosts =
-  let module Sim = Netdiv_vuln.Similarity in
   let specs =
     Array.map
       (fun (name, table) ->

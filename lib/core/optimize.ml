@@ -1,11 +1,6 @@
 module S = Netdiv_mrf.Solver
 module Obs = Netdiv_obs.Obs
 module Runner = Netdiv_mrf.Runner
-module Trws_solver = Netdiv_mrf.Trws
-module Bp_solver = Netdiv_mrf.Bp
-module Icm_solver = Netdiv_mrf.Icm
-module Sa_solver = Netdiv_mrf.Sa
-module Bnb_solver = Netdiv_mrf.Bnb
 
 type solver = Trws | Trws_icm | Bp | Icm | Sa | Exact
 
@@ -91,11 +86,10 @@ let solver_name = function
    approximate pipeline (Exact).  [jobs] parallelizes the stages that
    have a job-count-invariant parallel form: TRW-S and BP schedules,
    multi-restart ICM, SA restarts. *)
-let cascade ?jobs solver ~trws_config ~bp_config =
-  match solver with
-  | Trws -> [ Runner.trws ~config:trws_config ?jobs () ]
-  | Trws_icm -> [ Runner.trws_icm ~config:trws_config ?jobs () ]
-  | Bp -> [ Runner.bp ~config:bp_config ?jobs () ]
+let cascade ?jobs = function
+  | Trws -> [ Runner.trws ?jobs () ]
+  | Trws_icm -> [ Runner.trws_icm ?jobs () ]
+  | Bp -> [ Runner.bp ?jobs () ]
   | Icm -> (
       match jobs with
       | None ->
@@ -113,88 +107,49 @@ let cascade ?jobs solver ~trws_config ~bp_config =
         Runner.sa ?jobs ();
         Runner.perturbed ~seed:91
           (Runner.sa
-             ~config:{ Sa_solver.default_config with seed = 0x7e57 }
+             ~config:{ Netdiv_mrf.Sa.default_config with seed = 0x7e57 }
              ?jobs ());
       ]
-  | Exact -> [ Runner.bnb (); Runner.trws_icm ~config:trws_config ?jobs () ]
+  | Exact -> [ Runner.bnb (); Runner.trws_icm ?jobs () ]
 
-let solve_encoded_outcome ?(solver = Trws_icm) ?max_iters ?budget ?patience
-    ?jobs ?checkpoint ?resume encoded =
-  let model = Encode.mrf encoded in
-  let trws_config =
-    match max_iters with
-    | None -> Trws_solver.default_config
-    | Some m -> { Trws_solver.default_config with max_iters = m }
-  in
-  let bp_config =
-    match max_iters with
-    | None -> Bp_solver.default_config
-    | Some m -> { Bp_solver.default_config with max_iters = m }
-  in
-  match (budget, patience, checkpoint, resume) with
-  | None, None, None, None ->
-      (* direct path: with [jobs] absent these are the legacy serial
-         trajectories, bit-for-bit; with [jobs] present TRW-S and BP run
-         their parallel schedules and SA fans its restarts over the
-         pool — all job-count-invariant *)
-      let result =
-        match solver with
-        | Trws -> Trws_solver.solve ~config:trws_config ?jobs model
-        | Bp -> Bp_solver.solve ~config:bp_config ?jobs model
-        | Icm -> Icm_solver.solve model
-        | Sa -> (
-            match jobs with
-            | None -> Sa_solver.solve model
-            | Some j ->
-                Sa_solver.solve
-                  ~config:{ Sa_solver.default_config with domains = j }
-                  model)
-        | Exact -> Bnb_solver.solve model
-        | Trws_icm ->
-            let r = Trws_solver.solve ~config:trws_config ?jobs model in
-            let p = Icm_solver.solve ~init:r.S.labeling model in
-            if p.S.energy < r.S.energy then
-              {
-                p with
-                S.lower_bound = r.S.lower_bound;
-                runtime_s = r.S.runtime_s +. p.S.runtime_s;
-                iterations = r.S.iterations + p.S.iterations;
-              }
-            else { r with S.runtime_s = r.S.runtime_s +. p.S.runtime_s }
-      in
-      ( result,
-        (if result.S.converged then Runner.Converged else Runner.Stalled),
-        [ (solver_name solver, result.S.runtime_s) ],
-        0 )
-  | _ ->
-      let init = Option.bind resume (fun path -> load_resume path model) in
-      let on_best = Option.map save_checkpoint checkpoint in
-      let report =
-        Runner.run ?budget ?patience ?init ?on_best
-          ~stages:(cascade ?jobs solver ~trws_config ~bp_config)
-          model
-      in
-      ( report.Runner.result,
-        report.Runner.outcome,
-        report.Runner.stage_timings,
-        report.Runner.retries )
+(* The one solve path: every solve is the solver's cascade under the
+   anytime harness, warm-started from [init] when given. *)
+let solve ?(solver = Trws_icm) ?budget ?patience ?jobs ?checkpoint ?init
+    encoded =
+  Runner.run ?budget ?patience ?init
+    ?on_best:(Option.map save_checkpoint checkpoint)
+    ~stages:(cascade ?jobs solver) (Encode.mrf encoded)
 
-let run ?solver ?prconst ?big_m ?preference ?edge_weight ?max_iters ?budget
-    ?patience ?jobs ?checkpoint ?resume net constraints =
-  let (encoded, result, outcome, stage_timings, retries), runtime_s =
+let resume_init resume encoded =
+  Option.bind resume (fun path -> load_resume path (Encode.mrf encoded))
+
+let solve_encoded_outcome ?solver ?budget ?patience ?jobs ?checkpoint ?resume
+    encoded =
+  let r =
+    solve ?solver ?budget ?patience ?jobs ?checkpoint
+      ?init:(resume_init resume encoded) encoded
+  in
+  (r.Runner.result, r.Runner.outcome, r.Runner.stage_timings, r.Runner.retries)
+
+(* Encode, solve, decode and check: the report builder behind [run] and
+   [refine].  [init] picks the warm start once the encoding exists. *)
+let optimize ?solver ?prconst ?big_m ?preference ?edge_weight ?budget
+    ?patience ?jobs ?checkpoint ~init net constraints =
+  let (encoded, r), runtime_s =
     S.timed (fun () ->
         let encoded =
           Obs.span ~name:"optimize.encode" (fun () ->
               Encode.encode ?prconst ?big_m ?preference ?edge_weight net
                 constraints)
         in
-        let result, outcome, stage_timings, retries =
+        let r =
           Obs.span ~name:"optimize.solve" (fun () ->
-              solve_encoded_outcome ?solver ?max_iters ?budget ?patience
-                ?jobs ?checkpoint ?resume encoded)
+              solve ?solver ?budget ?patience ?jobs ?checkpoint
+                ?init:(init encoded) encoded)
         in
-        (encoded, result, outcome, stage_timings, retries))
+        (encoded, r))
   in
+  let result = r.Runner.result in
   let assignment, violated =
     Obs.span ~name:"optimize.decode" (fun () ->
         let assignment = Encode.decode encoded result.S.labeling in
@@ -208,52 +163,37 @@ let run ?solver ?prconst ?big_m ?preference ?edge_weight ?max_iters ?budget
     constraints_ok = violated = [];
     violated;
     runtime_s;
-    outcome;
-    stage_timings;
-    retries;
+    outcome = r.Runner.outcome;
+    stage_timings = r.Runner.stage_timings;
+    retries = r.Runner.retries;
   }
 
-let refine ?prconst ?big_m ?preference ?edge_weight ~previous net
-    constraints =
-  let (encoded, result), runtime_s =
-    S.timed (fun () ->
-        let encoded =
-          Encode.encode ?prconst ?big_m ?preference ?edge_weight net
-            constraints
-        in
-        (* project the previous assignment into the new encoding: slots
-           whose old product is no longer selectable (a fresh Fix, a
-           shrunk candidate list) fall back to their first label *)
-        let model = Encode.mrf encoded in
-        let init =
-          Array.init (Encode.n_vars encoded) (fun v ->
-              let h, s = Encode.slot_of encoded v in
-              let p = Assignment.get previous ~host:h ~service:s in
-              let cands = Encode.labels_of encoded v in
-              let rec find i =
-                if i >= Array.length cands then 0
-                else if cands.(i) = p then i
-                else find (i + 1)
-              in
-              find 0)
-        in
-        (encoded, Icm_solver.solve ~init model))
-  in
-  let assignment = Encode.decode encoded result.S.labeling in
-  let violated = Constr.violations net assignment constraints in
-  {
-    assignment;
-    energy = result.S.energy;
-    lower_bound = neg_infinity;
-    solver_result = result;
-    constraints_ok = violated = [];
-    violated;
-    runtime_s;
-    outcome =
-      (if result.S.converged then Runner.Converged else Runner.Stalled);
-    stage_timings = [ ("icm", result.S.runtime_s) ];
-    retries = 0;
-  }
+let run ?solver ?prconst ?big_m ?preference ?edge_weight ?budget ?patience
+    ?jobs ?checkpoint ?resume net constraints =
+  optimize ?solver ?prconst ?big_m ?preference ?edge_weight ?budget ?patience
+    ?jobs ?checkpoint
+    ~init:(resume_init resume) net constraints
+
+(* Project the previous assignment into the new encoding: slots whose old
+   product is no longer selectable (a fresh Fix, a shrunk candidate list)
+   fall back to their first label. *)
+let project previous encoded =
+  Array.init (Encode.n_vars encoded) (fun v ->
+      let h, s = Encode.slot_of encoded v in
+      let p = Assignment.get previous ~host:h ~service:s in
+      let cands = Encode.labels_of encoded v in
+      let rec find i =
+        if i >= Array.length cands then 0
+        else if cands.(i) = p then i
+        else find (i + 1)
+      in
+      find 0)
+
+let refine ?prconst ?big_m ?preference ?edge_weight ~previous net constraints
+    =
+  optimize ~solver:Icm ?prconst ?big_m ?preference ?edge_weight
+    ~init:(fun encoded -> Some (project previous encoded))
+    net constraints
 
 let pp_report ppf r =
   Format.fprintf ppf "@[<v>energy %a (bound %a), constraints %s, %.3fs@]"

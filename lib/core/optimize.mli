@@ -13,8 +13,10 @@ type solver =
   | Icm            (** greedy local search baseline *)
   | Sa             (** simulated annealing baseline *)
   | Exact
-      (** branch-and-bound ({!Netdiv_mrf.Bnb}): proves global optimality
-          when it converges; practical for small or loosely-coupled
+      (** branch-and-bound ({!Netdiv_mrf.Bnb}), falling back to TRW-S +
+          ICM when it stops without a proof.  The result is a certified
+          optimum only when the outcome is [Converged] with no
+          [Fell_back]; practical for small or loosely-coupled
           instances *)
 
 type report = {
@@ -26,13 +28,12 @@ type report = {
   violated : Constr.t list;
   runtime_s : float;           (** encode + solve wall clock *)
   outcome : Netdiv_mrf.Runner.outcome;
-      (** how the solve ended; [Converged] on the unbudgeted path iff the
-          solver met its own stopping criterion *)
+      (** how the solver cascade ended ({!Netdiv_mrf.Runner.run}) *)
   stage_timings : (string * float) list;
       (** wall-clock seconds per solver stage, in execution order *)
   retries : int;
       (** stage attempts retried after recoverable failures (see
-          {!Netdiv_mrf.Runner.run}); 0 on a clean or direct-path run *)
+          {!Netdiv_mrf.Runner.run}); 0 on a clean run *)
 }
 
 val run :
@@ -41,8 +42,7 @@ val run :
   ?big_m:float ->
   ?preference:(host:int -> service:int -> product:int -> float) ->
   ?edge_weight:(int -> int -> float) ->
-  ?max_iters:int ->
-  ?budget:Netdiv_mrf.Runner.Budget.t ->
+  ?budget:float ->
   ?patience:float ->
   ?jobs:int ->
   ?checkpoint:string ->
@@ -53,14 +53,16 @@ val run :
 (** Computes an (approximately) optimal constrained assignment; the
     optional arguments are forwarded to {!Encode.encode}.
 
-    Passing [budget] and/or [patience] routes the solve through the
-    anytime harness ({!Netdiv_mrf.Runner}): the solver runs under the
-    wall-clock/sweep budget, stalls degrade through a fallback cascade
-    (e.g. [Exact] → TRW-S + ICM with the remaining budget, [Sa]/[Icm]
-    retried from perturbed restarts), and the returned assignment is the
-    best found when the budget expires — always feasible with respect to
-    the encoding.  Without either option the solver is invoked directly,
-    with trajectories identical to earlier releases.
+    Every solve runs the solver's cascade under the anytime harness
+    ({!Netdiv_mrf.Runner.run}); no option selects another code path.
+    [budget] is a wall-clock allowance in seconds (default: none).  A
+    stage that stalls for [patience] seconds, or stops at its iteration
+    cap without converging, hands over to the next stage of the cascade
+    ([Exact] → TRW-S + ICM with the remaining budget, [Sa]/[Icm] retried
+    from perturbed restarts), and failed stage attempts are retried and
+    degraded.  The returned assignment is the best found, when the
+    budget expires the best so far, and always feasible with respect to
+    the encoding.
 
     [jobs] parallelizes the stages that have a job-count-invariant
     parallel form over the {!Netdiv_par.Pool} domain pool: TRW-S solves
@@ -68,7 +70,7 @@ val run :
     component ({!Netdiv_mrf.Trws.solve}); BP runs its chromatic
     schedule; [Icm] becomes multi-restart ICM; [Sa] fans its restarts
     out.  The assignment is identical for every [jobs] value; omitting
-    [jobs] keeps the historical serial trajectories.
+    [jobs] runs the serial schedules.
 
     [checkpoint] names a file that receives an atomic best-labeling
     snapshot ({!Serial.checkpoint_to_string}) every time the harness's
@@ -76,11 +78,10 @@ val run :
     ([optimize.checkpoint_failures]) but never aborts the solve.
     [resume] reads such a file and warm-starts the cascade from it — an
     unreadable, corrupt or wrong-encoding checkpoint warns and starts
-    fresh.  Either option routes the solve through the anytime harness
-    (like [budget]/[patience]).  Resuming an interrupted run with the
-    same parameters yields the same assignment as the uninterrupted
-    run: stages warm-start from the checkpointed labeling, and the
-    best-so-far merge prefers the newest equal-energy labeling. *)
+    fresh.  Resuming an interrupted run with the same parameters yields
+    the same assignment as the uninterrupted run: stages warm-start from
+    the checkpointed labeling, and the best-so-far merge prefers the
+    newest equal-energy labeling. *)
 
 val refine :
   ?prconst:float ->
@@ -92,15 +93,15 @@ val refine :
   Constr.t list ->
   report
 (** Incremental re-optimization after a small change (a new constraint, a
-    changed candidate list): warm-starts local search from [previous]
-    instead of solving from scratch.  Slots whose previous product is no
-    longer selectable fall back before polishing.  Much faster than
-    {!run} for small perturbations, with no dual bound. *)
+    changed candidate list): the [Icm] solve of {!run}, warm-started from
+    [previous] instead of solving from scratch.  Slots whose previous
+    product is no longer selectable fall back to their first candidate
+    before polishing.  Much faster than {!run} for small perturbations,
+    with no dual bound. *)
 
 val solve_encoded_outcome :
   ?solver:solver ->
-  ?max_iters:int ->
-  ?budget:Netdiv_mrf.Runner.Budget.t ->
+  ?budget:float ->
   ?patience:float ->
   ?jobs:int ->
   ?checkpoint:string ->

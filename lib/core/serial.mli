@@ -19,17 +19,13 @@
     Candidate lists may be omitted ("all products"); hosts and products
     are referenced by name, so files survive reordering. *)
 
-val network_to_json : Network.t -> Netdiv_vuln.Json.t
 val network_to_string : ?pretty:bool -> Network.t -> string
 
 val network_of_json : Netdiv_vuln.Json.t -> (Network.t, string) result
 val network_of_string : string -> (Network.t, string) result
 
-val assignment_to_json : Assignment.t -> Netdiv_vuln.Json.t
 val assignment_to_string : ?pretty:bool -> Assignment.t -> string
 
-val assignment_of_json :
-  Network.t -> Netdiv_vuln.Json.t -> (Assignment.t, string) result
 val assignment_of_string :
   Network.t -> string -> (Assignment.t, string) result
 

@@ -43,15 +43,6 @@ let gnm ~rng ~n ~m =
     Graph.of_edges ~n !edges
   end
 
-let erdos_renyi ~rng ~n ~p =
-  let edges = ref [] in
-  for u = 0 to n - 1 do
-    for v = u + 1 to n - 1 do
-      if Random.State.float rng 1.0 < p then edges := (u, v) :: !edges
-    done
-  done;
-  Graph.of_edges ~n !edges
-
 let avg_degree ~rng ~n ~degree = gnm ~rng ~n ~m:(n * degree / 2)
 
 (* Streaming form of [connected_avg_degree]: each accepted edge is

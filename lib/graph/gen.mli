@@ -9,9 +9,6 @@ val gnm : rng:Random.State.t -> n:int -> m:int -> Graph.t
     exactly [m] distinct edges.
     @raise Invalid_argument if [m] exceeds [n*(n-1)/2]. *)
 
-val erdos_renyi : rng:Random.State.t -> n:int -> p:float -> Graph.t
-(** Each of the [n*(n-1)/2] candidate edges is kept with probability [p]. *)
-
 val avg_degree : rng:Random.State.t -> n:int -> degree:int -> Graph.t
 (** [avg_degree ~rng ~n ~degree] is the paper's random-network model: a
     uniform graph whose average degree is [degree], i.e. {!gnm} with

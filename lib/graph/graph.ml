@@ -90,7 +90,3 @@ let max_degree t =
 let avg_degree t =
   if t.n = 0 then 0.0
   else 2.0 *. float_of_int (n_edges t) /. float_of_int t.n
-
-let pp ppf t =
-  Format.fprintf ppf "graph: %d nodes, %d edges, avg degree %.2f" t.n
-    (n_edges t) (avg_degree t)

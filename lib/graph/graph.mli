@@ -33,5 +33,3 @@ val fold_neighbors : (int -> 'a -> 'a) -> t -> int -> 'a -> 'a
 
 val max_degree : t -> int
 val avg_degree : t -> float
-
-val pp : Format.formatter -> t -> unit

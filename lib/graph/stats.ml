@@ -72,10 +72,3 @@ let average_path_length ?sample ?rng g =
         dist)
     (sources ?sample ?rng g);
   if !pairs = 0 then 0.0 else !total /. float_of_int !pairs
-
-let pp_summary ppf g =
-  Format.fprintf ppf
-    "%d nodes, %d edges, avg degree %.2f, max degree %d, density %.4f, \
-     clustering %.3f"
-    (Graph.n_nodes g) (Graph.n_edges g) (Graph.avg_degree g)
-    (Graph.max_degree g) (density g) (average_clustering g)

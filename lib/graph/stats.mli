@@ -27,6 +27,3 @@ val diameter : ?sample:int -> ?rng:Random.State.t -> Graph.t -> int
 val average_path_length : ?sample:int -> ?rng:Random.State.t -> Graph.t -> float
 (** Mean hop distance over reachable pairs, sampled like {!diameter};
     0 when no pair is connected. *)
-
-val pp_summary : Format.formatter -> Graph.t -> unit
-(** One-line structural summary. *)

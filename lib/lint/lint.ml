@@ -744,13 +744,6 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let lint_file path =
-  let has_mli =
-    if Filename.check_suffix path ".ml" then Some (Sys.file_exists (path ^ "i"))
-    else None
-  in
-  lint_source ~path ?has_mli (read_file path)
-
 let rec collect_ml path acc =
   if Sys.is_directory path then
     Array.fold_left
@@ -763,10 +756,6 @@ let rec collect_ml path acc =
        entries)
   else if Filename.check_suffix path ".ml" then path :: acc
   else acc
-
-let lint_paths paths =
-  let files = List.rev (List.fold_left (fun acc p -> collect_ml p acc) [] paths) in
-  List.concat_map lint_file files
 
 (* ----------------------------------- interprocedural analysis (ISSUE 8) *)
 

@@ -106,16 +106,6 @@ val lint_source : path:string -> ?has_mli:bool -> string -> finding list
     [missing-mli] rule only runs when [has_mli] is supplied, since the
     text alone cannot know its siblings.  Findings are sorted by line. *)
 
-val lint_file : string -> finding list
-(** Reads [path] and lints it; for a [.ml] file the sibling [.mli]'s
-    existence feeds the [missing-mli] rule. *)
-
-val lint_paths : string list -> finding list
-(** Recursively lints every [.ml] file under the given files/directories,
-    in sorted filename order, skipping dot- and underscore-prefixed
-    directory entries ([_build], [.git]).  Surface rules only; the CLI
-    uses {!analyze_paths}. *)
-
 (** {2 Whole-repo analysis} *)
 
 type report = {

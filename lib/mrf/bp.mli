@@ -15,9 +15,6 @@ type config = {
           symmetric all-zero fixed point on label-symmetric models *)
 }
 
-val default_config : config
-(** 100 iterations, tolerance 1e-7, damping 0.3, noise 1e-4. *)
-
 val solve :
   ?config:config ->
   ?interrupt:(unit -> bool) ->
@@ -25,11 +22,12 @@ val solve :
   ?jobs:int ->
   Mrf.t ->
   Solver.result
-(** Without [jobs], one sequential (Gauss-Seidel) sweep in node order per
-    iteration.  With [jobs], the chromatic schedule: the node graph is
-    greedy-colored once ({!Mrf.greedy_coloring}) and every sweep runs
-    one parallel region per color class on a persistent
-    {!Netdiv_par.Pool.Team}.  Nodes of one class are pairwise
+(** [config] defaults to 100 iterations, tolerance 1e-7, damping 0.3
+    and noise 1e-4.  Without [jobs], one sequential (Gauss-Seidel) sweep
+    in node order per iteration.  With [jobs], the chromatic schedule:
+    the node graph is greedy-colored once ({!Mrf.greedy_coloring}) and
+    every sweep runs one parallel region per color class on a
+    persistent {!Netdiv_par.Pool.Team}.  Nodes of one class are pairwise
     non-adjacent, so a class member's update reads only messages no
     other member writes — within a class the result is independent even
     of chunk boundaries, which makes the solve bitwise identical across

@@ -9,14 +9,6 @@ module Obs = Netdiv_obs.Obs
 module Recorder = Netdiv_obs.Recorder
 module Fault = Netdiv_fault.Fault
 
-module Budget = struct
-  type t = { seconds : float option; sweeps : int option }
-
-  let unlimited = { seconds = None; sweeps = None }
-  let seconds s = { seconds = Some s; sweeps = None }
-  let make ?seconds ?sweeps () = { seconds; sweeps }
-end
-
 type outcome =
   | Converged
   | Budget_exhausted
@@ -50,22 +42,22 @@ type stage = {
 
 let stage_name s = s.name
 
-let trws ?config ?jobs () =
+let trws ?jobs () =
   {
     name = "trws";
     solve =
       (fun ~interrupt ~on_progress ~init:_ mrf ->
-        Trws.solve ?config ~interrupt ~on_progress ?jobs mrf);
+        Trws.solve ~interrupt ~on_progress ?jobs mrf);
   }
 
-let trws_icm ?config ?icm_config ?jobs () =
+let trws_icm ?jobs () =
   {
     name = "trws+icm";
     solve =
       (fun ~interrupt ~on_progress ~init:_ mrf ->
-        let r = Trws.solve ?config ~interrupt ~on_progress ?jobs mrf in
+        let r = Trws.solve ~interrupt ~on_progress ?jobs mrf in
         let p =
-          Icm.solve ?config:icm_config ~interrupt
+          Icm.solve ~interrupt
             ~on_progress:(fun ~iter ~energy ~bound:_ ->
               on_progress ~iter ~energy ~bound:r.Solver.lower_bound)
             ~init:r.Solver.labeling mrf
@@ -83,92 +75,88 @@ let trws_icm ?config ?icm_config ?jobs () =
         });
   }
 
-let bp ?config ?jobs () =
+let bp ?jobs () =
   {
     name = "bp";
     solve =
       (fun ~interrupt ~on_progress ~init:_ mrf ->
-        Bp.solve ?config ~interrupt ~on_progress ?jobs mrf);
+        Bp.solve ~interrupt ~on_progress ?jobs mrf);
   }
 
-let icm ?config () =
+let icm () =
   {
     name = "icm";
     solve =
       (fun ~interrupt ~on_progress ~init mrf ->
-        Icm.solve ?config ~interrupt ~on_progress ?init mrf);
+        Icm.solve ~interrupt ~on_progress ?init mrf);
   }
 
-let icm_restarts ?config ?(restarts = 4) ?(seed = 0x1c3)
-    ?(strength = 0.25) ?jobs () =
+let icm_restarts ?jobs () =
+  let restarts = 4 and seed = 0x1c3 and strength = 0.25 in
   {
     name = "icm-restarts";
     solve =
       (fun ~interrupt ~on_progress ~init mrf ->
-        if restarts <= 1 then
-          Icm.solve ?config ~interrupt ~on_progress ?init mrf
-        else begin
-          let run () =
-            (* restart 0 keeps the warm start untouched; later restarts
-               perturb it (or draw a fresh random labeling) with an rng
-               derived from the restart index alone, so the set of runs
-               is identical for any job count *)
-            let one r =
-              let init_r =
-                if r = 0 then init
-                else begin
-                  let rng =
-                    Random.State.make
-                      [| Netdiv_par.Pool.split_seed seed r |]
-                  in
-                  match init with
-                  | Some x ->
-                      let x = Array.copy x in
-                      for i = 0 to Array.length x - 1 do
-                        if Random.State.float rng 1.0 < strength then
-                          x.(i) <-
-                            Random.State.int rng (Mrf.label_count mrf i)
-                      done;
-                      Some x
-                  | None ->
-                      Some
-                        (Array.init (Mrf.n_nodes mrf) (fun i ->
-                             Random.State.int rng (Mrf.label_count mrf i)))
-                end
-              in
-              (* no per-sweep on_progress: the harness progress closure
-                 mutates caller state and is not safe off-domain *)
-              Icm.solve ?config ~interrupt ?init:init_r mrf
+        let run () =
+          (* restart 0 keeps the warm start untouched; later restarts
+             perturb it (or draw a fresh random labeling) with an rng
+             derived from the restart index alone, so the set of runs
+             is identical for any job count *)
+          let one r =
+            let init_r =
+              if r = 0 then init
+              else begin
+                let rng =
+                  Random.State.make
+                    [| Netdiv_par.Pool.split_seed seed r |]
+                in
+                match init with
+                | Some x ->
+                    let x = Array.copy x in
+                    for i = 0 to Array.length x - 1 do
+                      if Random.State.float rng 1.0 < strength then
+                        x.(i) <-
+                          Random.State.int rng (Mrf.label_count mrf i)
+                    done;
+                    Some x
+                | None ->
+                    Some
+                      (Array.init (Mrf.n_nodes mrf) (fun i ->
+                           Random.State.int rng (Mrf.label_count mrf i)))
+              end
             in
-            (* ≈ a dozen ICM sweeps, each touching every (label, edge)
-               slot once; lets the pool run smoke-sized restart batches
-               inline instead of spawning domains *)
-            let cost =
-              12 * (Mrf.pot_words_unshared mrf + Mrf.n_nodes mrf)
-            in
-            let results =
-              Netdiv_par.Pool.map_range ?jobs ~cost ~lo:0 ~hi:restarts one
-            in
-            let best = ref results.(0) in
-            Array.iter
-              (fun r ->
-                if r.Solver.energy < !best.Solver.energy then best := r)
-              results;
-            let iterations =
-              Array.fold_left
-                (fun acc r -> acc + r.Solver.iterations)
-                0 results
-            in
-            let converged =
-              Array.for_all (fun r -> r.Solver.converged) results
-            in
-            { !best with Solver.iterations = iterations; converged }
+            (* no per-sweep on_progress: the harness progress closure
+               mutates caller state and is not safe off-domain *)
+            Icm.solve ~interrupt ?init:init_r mrf
           in
-          let r, runtime_s = Solver.timed run in
-          on_progress ~iter:r.Solver.iterations ~energy:r.Solver.energy
-            ~bound:neg_infinity;
-          { r with Solver.runtime_s = runtime_s }
-        end);
+          (* ≈ a dozen ICM sweeps, each touching every (label, edge)
+             slot once; lets the pool run smoke-sized restart batches
+             inline instead of spawning domains *)
+          let cost =
+            12 * (Mrf.pot_words_unshared mrf + Mrf.n_nodes mrf)
+          in
+          let results =
+            Netdiv_par.Pool.map_range ?jobs ~cost ~lo:0 ~hi:restarts one
+          in
+          let best = ref results.(0) in
+          Array.iter
+            (fun r ->
+              if r.Solver.energy < !best.Solver.energy then best := r)
+            results;
+          let iterations =
+            Array.fold_left
+              (fun acc r -> acc + r.Solver.iterations)
+              0 results
+          in
+          let converged =
+            Array.for_all (fun r -> r.Solver.converged) results
+          in
+          { !best with Solver.iterations = iterations; converged }
+        in
+        let r, runtime_s = Solver.timed run in
+        on_progress ~iter:r.Solver.iterations ~energy:r.Solver.energy
+          ~bound:neg_infinity;
+        { r with Solver.runtime_s = runtime_s });
   }
 
 let sa ?config ?jobs () =
@@ -186,23 +174,23 @@ let sa ?config ?jobs () =
         Sa.solve ?config ~interrupt ~on_progress ?init mrf);
   }
 
-let bnb ?config () =
+let bnb () =
   {
     name = "bnb";
     solve =
       (fun ~interrupt ~on_progress ~init:_ mrf ->
-        Bnb.solve ?config ~interrupt ~on_progress mrf);
+        Bnb.solve ~interrupt ~on_progress mrf);
   }
 
-let brute ?limit () =
+let brute () =
   {
     name = "brute";
     solve =
       (fun ~interrupt ~on_progress ~init:_ mrf ->
-        Brute.solve ?limit ~interrupt ~on_progress mrf);
+        Brute.solve ~interrupt ~on_progress mrf);
   }
 
-let perturbed ?(seed = 0x6b1c) ?(strength = 0.15) stage =
+let perturbed ~seed stage =
   {
     name = stage.name ^ "*";
     solve =
@@ -214,15 +202,13 @@ let perturbed ?(seed = 0x6b1c) ?(strength = 0.15) stage =
               let rng = Random.State.make [| seed |] in
               let x = Array.copy x in
               for i = 0 to Array.length x - 1 do
-                if Random.State.float rng 1.0 < strength then
+                if Random.State.float rng 1.0 < 0.15 then
                   x.(i) <- Random.State.int rng (Mrf.label_count mrf i)
               done;
               Some x
         in
         stage.solve ~interrupt ~on_progress ~init mrf);
   }
-
-type progress = { stage : string; iter : int; energy : float; bound : float }
 
 type run_report = {
   result : Solver.result;
@@ -270,12 +256,13 @@ let rung_name = function
   | 2 -> "icm-fallback"
   | r -> "rung-" ^ string_of_int r
 
-let run ?(budget = Budget.unlimited) ?patience ?(retries = 2)
-    ?(backoff_s = 0.0) ?init ?on_best
-    ?(on_progress = fun (_ : progress) -> ()) ~stages mrf =
+(* failed attempts retried on each rung before the ladder escalates *)
+let retries_per_rung = 2
+
+let run ?budget ?patience ?init ?on_best ~stages mrf =
   if stages = [] then invalid_arg "Runner.run: empty cascade";
   let t0 = Obs.Clock.now () in
-  let deadline = Option.map (fun s -> t0 +. s) budget.Budget.seconds in
+  let deadline = Option.map (fun s -> t0 +. s) budget in
   let done_sweeps = ref 0 in
   let best : Solver.result option ref = ref None in
   (match init with
@@ -321,7 +308,6 @@ let run ?(budget = Budget.unlimited) ?patience ?(retries = 2)
         let stage_start = Obs.Clock.now () in
         (* stall detection: wall clock since the last global improvement *)
         let last_gain = ref stage_start in
-        let stage_sweeps = ref 0 in
         let best_energy =
           ref (match !best with Some r -> r.Solver.energy | None -> infinity)
         and best_bound =
@@ -337,12 +323,7 @@ let run ?(budget = Budget.unlimited) ?patience ?(retries = 2)
           let over_deadline =
             match deadline with Some d -> now >= d | None -> false
           in
-          let over_sweeps =
-            match budget.Budget.sweeps with
-            | Some cap -> !done_sweeps + !stage_sweeps >= cap
-            | None -> false
-          in
-          if over_deadline || over_sweeps then begin
+          if over_deadline then begin
             exhausted := true;
             true
           end
@@ -351,8 +332,7 @@ let run ?(budget = Budget.unlimited) ?patience ?(retries = 2)
             | Some p when now -. !last_gain > p -> true
             | _ -> false
         in
-        let progress ~iter ~energy ~bound =
-          stage_sweeps := iter;
+        let progress ~iter:_ ~energy ~bound =
           let improved =
             energy < !best_energy -. 1e-12 || bound > !best_bound +. 1e-12
           in
@@ -360,8 +340,7 @@ let run ?(budget = Budget.unlimited) ?patience ?(retries = 2)
             if energy < !best_energy then best_energy := energy;
             if bound > !best_bound then best_bound := bound;
             last_gain := Obs.Clock.now ()
-          end;
-          on_progress { stage = stage.name; iter; energy; bound }
+          end
         in
         let warm = Option.map (fun r -> r.Solver.labeling) !best in
         (* One attempt on the current degradation rung.  The injected
@@ -376,9 +355,8 @@ let run ?(budget = Budget.unlimited) ?patience ?(retries = 2)
             ~name:("runner.stage:" ^ s.name)
             (fun () -> s.solve ~interrupt ~on_progress:progress ~init:warm model)
         in
-        (* Retry-with-backoff, escalating the ladder when a rung's
-           retries are spent.  Backoff waits run against the same
-           deadline as solve time — a retrying run is still anytime. *)
+        (* Retry at once, escalating the ladder when a rung's retries
+           are spent. *)
         let rec attempt tries_left =
           match solve_once () with
           | r -> Some r
@@ -387,15 +365,10 @@ let run ?(budget = Budget.unlimited) ?patience ?(retries = 2)
               Obs.Counter.incr c_retries;
               incr retries_used;
               Recorder.mark ("retry:" ^ stage.name);
-              if tries_left > 0 then begin
-                if backoff_s > 0.0 then
-                  Unix.sleepf
-                    (backoff_s *. float_of_int (1 lsl (retries - tries_left)));
-                attempt (tries_left - 1)
-              end
+              if tries_left > 0 then attempt (tries_left - 1)
               else if !rung < 2 then begin
                 escalate ();
-                attempt retries
+                attempt retries_per_rung
               end
               else if Option.is_some !best then begin
                 (* watchdog: the whole ladder failed, but an anytime
@@ -447,7 +420,7 @@ let run ?(budget = Budget.unlimited) ?patience ?(retries = 2)
               else Stalled
         in
         let g0 = Gc.quick_stat () in
-        let r = attempt retries in
+        let r = attempt retries_per_rung in
         let g1 = Gc.quick_stat () in
         (* one measurement feeds both sinks: the report's stage_timings
            list (public API) and the metrics registry — previously two

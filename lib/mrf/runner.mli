@@ -4,9 +4,9 @@
     10,000-host networks in bounded time — and online re-diversification
     needs solvers that can be stopped at a deadline and still return the
     best feasible assignment found so far.  The runner wraps the six
-    solvers behind a uniform [stage] interface, enforces a wall-clock /
-    sweep {!Budget}, detects stalls (no energy or bound improvement for a
-    patience window) and degrades through a fallback cascade, merging the
+    solvers behind a uniform [stage] interface, enforces a wall-clock
+    budget, detects stalls (no energy or bound improvement for a patience
+    window) and degrades through a fallback cascade, merging the
     best-so-far labeling across stages.
 
     Interrupt granularity: once per sweep for TRW-S, BP, ICM and SA
@@ -15,20 +15,12 @@
     preserve the anytime property: they return a feasible labeling and
     its energy no matter when they are stopped. *)
 
-module Budget : sig
-  type t = {
-    seconds : float option;  (** wall-clock allowance, from run start *)
-    sweeps : int option;     (** cap on sweeps/iterations per run *)
-  }
-
-  val seconds : float -> t
-  val make : ?seconds:float -> ?sweeps:int -> unit -> t
-end
-
 type outcome =
   | Converged  (** a stage met its own stopping criterion *)
-  | Budget_exhausted  (** deadline or sweep cap hit *)
-  | Stalled  (** no improvement for [patience] and no stage left *)
+  | Budget_exhausted  (** deadline hit *)
+  | Stalled
+      (** the last stage stalled for [patience] or stopped at its own
+          iteration cap without converging *)
   | Fell_back of string * outcome
       (** a stage stalled; the cascade degraded to the next one.  The
           string names the abandoned stage; the payload is the eventual
@@ -55,59 +47,43 @@ type stage
 
 val stage_name : stage -> string
 
-val trws : ?config:Trws.config -> ?jobs:int -> unit -> stage
+val trws : ?jobs:int -> unit -> stage
 (** {!Trws.solve} with [jobs]: without it the sequential sweep; with it
     the component split, or the partitioned schedule on one large
     component.  The result is job-count-invariant. *)
 
-val trws_icm :
-  ?config:Trws.config -> ?icm_config:Icm.config -> ?jobs:int -> unit -> stage
+val trws_icm : ?jobs:int -> unit -> stage
 (** TRW-S followed by an ICM polish warm-started from its labeling; keeps
     the TRW-S dual bound.  [converged] requires both to converge.
     [jobs] parallelizes the TRW-S part as in {!trws}. *)
 
-val bp : ?config:Bp.config -> ?jobs:int -> unit -> stage
+val bp : ?jobs:int -> unit -> stage
 (** {!Bp.solve} with [jobs]: the sequential sweep without it, the
     chromatic schedule with it.  The result is job-count-invariant. *)
 
-val icm : ?config:Icm.config -> unit -> stage
+val icm : unit -> stage
 
-val icm_restarts :
-  ?config:Icm.config ->
-  ?restarts:int ->
-  ?seed:int ->
-  ?strength:float ->
-  ?jobs:int ->
-  unit ->
-  stage
-(** Multi-restart ICM over the domain pool (default 4 restarts).
-    Restart 0 runs from the cascade's warm start unchanged; each later
-    restart perturbs it — relabeling a [strength] (default 0.25)
-    fraction of nodes — or, with no warm start, draws a fresh uniform
-    labeling, using an rng derived from [seed] and the restart index
-    only.  The best energy wins (lowest restart index on ties),
-    [iterations] sums all restarts, [converged] requires all restarts to
-    converge; the outcome is identical for every job count.  Progress
-    fires once, after the restarts join. *)
+val icm_restarts : ?jobs:int -> unit -> stage
+(** Multi-restart ICM over the domain pool: 4 restarts.  Restart 0 runs
+    from the cascade's warm start unchanged; each later restart perturbs
+    it — relabeling a quarter of the nodes — or, with no warm start,
+    draws a fresh uniform labeling, using an rng derived from a fixed
+    seed and the restart index only.  The best energy wins (lowest
+    restart index on ties), [iterations] sums all restarts, [converged]
+    requires all restarts to converge; the outcome is identical for
+    every job count.  Progress fires once, after the restarts join. *)
 
 val sa : ?config:Sa.config -> ?jobs:int -> unit -> stage
 (** [jobs] overrides [config.domains], parallelizing the restarts over
     the domain pool (results are job-count-invariant). *)
 
-val bnb : ?config:Bnb.config -> unit -> stage
-val brute : ?limit:int -> unit -> stage
+val bnb : unit -> stage
+val brute : unit -> stage
 
-val perturbed : ?seed:int -> ?strength:float -> stage -> stage
-(** [perturbed stage] relabels a random [strength] fraction (default
-    0.15) of the warm-start labeling before running [stage] — a restart
-    kick for SA/ICM retries after a stall.  Deterministic in [seed]. *)
-
-type progress = {
-  stage : string;   (** name of the stage reporting *)
-  iter : int;       (** its sweep / node count *)
-  energy : float;   (** best energy so far within the stage *)
-  bound : float;    (** best dual bound so far; [neg_infinity] if none *)
-}
+val perturbed : seed:int -> stage -> stage
+(** [perturbed ~seed stage] relabels a random 15% of the warm-start
+    labeling before running [stage] — a restart kick for SA/ICM retries
+    after a stall.  Deterministic in [seed]. *)
 
 type run_report = {
   result : Solver.result;
@@ -122,20 +98,18 @@ type run_report = {
 }
 
 val run :
-  ?budget:Budget.t ->
+  ?budget:float ->
   ?patience:float ->
-  ?retries:int ->
-  ?backoff_s:float ->
   ?init:int array ->
   ?on_best:(Solver.result -> unit) ->
-  ?on_progress:(progress -> unit) ->
   stages:stage list ->
   Mrf.t ->
   run_report
 (** Runs the cascade: each stage starts from the best labeling found so
-    far and inherits the remaining budget.  A stage that converges ends
-    the run with [Converged]; hitting the deadline or sweep cap ends it
-    with [Budget_exhausted].  A stage that stalls — no energy or bound
+    far and inherits the remaining budget, [budget] wall-clock seconds
+    from the start of the run (default: none).  A stage that converges
+    ends the run with [Converged]; hitting the deadline ends it with
+    [Budget_exhausted].  A stage that stalls — no energy or bound
     improvement for [patience] wall-clock seconds (default: never) — or
     exhausts its own iteration cap falls through to the next stage,
     wrapping the eventual outcome in [Fell_back]; when no stage remains
@@ -143,9 +117,7 @@ val run :
 
     {b Recovery.}  A stage attempt that dies on a {e recoverable}
     failure — an injected fault ({!Netdiv_fault.Fault.Injected}),
-    [Out_of_memory], [Sys_error] — is retried up to [retries] times
-    (default 2) with exponential backoff starting at [backoff_s]
-    seconds (default 0; waits count against the deadline).  When a
+    [Out_of_memory], [Sys_error] — is retried twice at once.  When a
     rung's retries are spent the harness climbs its degradation ladder:
     the model forced onto generic kernels ({!Mrf.despecialize}; skipped
     when nothing is specialized), then plain ICM warm-started from the
@@ -163,7 +135,7 @@ val run :
     merged best strictly improves — the checkpoint hook.
 
     The returned labeling is always feasible (every stage is anytime),
-    and with [Budget.seconds 0.0] each stage returns within its first
-    interrupt poll.
+    and with [~budget:0.0] each stage returns within its first interrupt
+    poll.
 
     @raise Invalid_argument on an empty [stages] list. *)

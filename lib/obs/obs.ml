@@ -146,7 +146,6 @@ module Counter = struct
   let add c n = if Atomic.get on then ignore (Atomic.fetch_and_add c.v n)
   let incr c = add c 1
   let value c = Atomic.get c.v
-  let name c = c.cname
 
   let reset_all () =
     Mutex.protect lock (fun () ->
@@ -173,7 +172,6 @@ module Gauge = struct
 
   let set g v = if Atomic.get on then g.cell.(0) <- v
   let value g = g.cell.(0)
-  let name g = g.gname
 
   let reset_all () =
     Mutex.protect lock (fun () ->
@@ -241,7 +239,6 @@ module Histogram = struct
 
   let count h = h.hcount
   let sum h = h.hstats.(0)
-  let name h = h.hname
   let buckets h = Array.copy h.hbuckets
 
   let clear h =

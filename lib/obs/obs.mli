@@ -112,7 +112,6 @@ module Counter : sig
 
   val incr : t -> unit
   val value : t -> int
-  val name : t -> string
 end
 
 module Gauge : sig
@@ -126,8 +125,6 @@ module Gauge : sig
 
   val value : t -> float
   (** [nan] until first set. *)
-
-  val name : t -> string
 end
 
 module Histogram : sig
@@ -157,7 +154,6 @@ module Histogram : sig
 
   val count : t -> int
   val sum : t -> float
-  val name : t -> string
 
   val buckets : t -> int array
   (** Copy of the bucket counts. *)
@@ -174,8 +170,6 @@ type metric =
       max : float;  (** [neg_infinity] when empty *)
       buckets : int array;
     }
-
-val metric_name : metric -> string
 
 val metrics : unit -> metric list
 (** Snapshot of every registered metric, sorted by name.  Metrics that

@@ -129,9 +129,6 @@ val sequential_cutoff : int
 (** Total estimated work (units) below which a hinted region runs
     inline. *)
 
-val target_chunk_cost : int
-(** Estimated work one adaptive chunk aims to carry. *)
-
 val parallel_for :
   ?jobs:int ->
   ?chunks:int ->

@@ -37,15 +37,6 @@ type strategy =
           succeeds with the similarity between the arsenal's product and
           the victim's.  The weakest of the attacker-capability levels. *)
 
-val default_attempt_scale : float
-(** Per-tick success probability of an exploit against the very product it
-    targets (0.15) — the NetLogo infection-rate calibration, see
-    EXPERIMENTS.md. *)
-
-val default_sim_floor : float
-(** Residual similarity for measured-zero product pairs (0.05), as in
-    {!Netdiv_bayes.Attack_bn}. *)
-
 type mttc_stats = {
   runs : int;            (** simulations performed *)
   successes : int;       (** runs in which the target was compromised *)

@@ -58,15 +58,9 @@ let to_string { part; vendor; product; version } =
   let base = Printf.sprintf "cpe:/%c:%s:%s" (part_to_char part) vendor product in
   match version with None -> base | Some v -> base ^ ":" ^ v
 
-let equal a b =
-  a.part = b.part && a.vendor = b.vendor && a.product = b.product
-  && a.version = b.version
-
 let compare a b = Stdlib.compare (to_string a) (to_string b)
 
 let matches ~pattern c =
   pattern.part = c.part && pattern.vendor = c.vendor
   && pattern.product = c.product
   && match pattern.version with None -> true | Some v -> Some v = c.version
-
-let pp ppf c = Format.pp_print_string ppf (to_string c)

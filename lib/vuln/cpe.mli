@@ -34,7 +34,6 @@ val of_string_exn : string -> t
 val to_string : t -> string
 (** [to_string c] renders the URI binding, e.g. ["cpe:/o:microsoft:windows_7"]. *)
 
-val equal : t -> t -> bool
 val compare : t -> t -> int
 
 val matches : pattern:t -> t -> bool
@@ -43,6 +42,3 @@ val matches : pattern:t -> t -> bool
     must equal [c]'s version (a version-less pattern matches any version).
     This mirrors how CPE queries of different granularities select NVD
     entries. *)
-
-val part_to_char : part -> char
-val pp : Format.formatter -> t -> unit

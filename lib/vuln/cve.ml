@@ -33,11 +33,4 @@ let make_exn ?cvss ?summary ~id affected =
 
 let affects t ~pattern = List.exists (fun c -> Cpe.matches ~pattern c) t.affected
 
-let equal a b = a.id = b.id
 let compare a b = Stdlib.compare a.id b.id
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>CVE-ID %s@,Vulnerable software & versions:@,%a@]"
-    t.id
-    (Format.pp_print_list ~pp_sep:Format.pp_print_cut Cpe.pp)
-    t.affected

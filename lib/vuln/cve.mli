@@ -26,8 +26,4 @@ val affects : t -> pattern:Cpe.t -> bool
 (** [affects cve ~pattern] is true when some affected CPE of [cve] falls
     under [pattern] (see {!Cpe.matches}). *)
 
-val equal : t -> t -> bool
 val compare : t -> t -> int
-
-val pp : Format.formatter -> t -> unit
-(** Renders a simplified NVD summary in the style of the paper's Table I. *)

@@ -296,12 +296,3 @@ let score vector =
   in
   if is_v3 then Result.map V3.base_score (V3.of_vector vector)
   else Result.map V2.base_score (V2.of_vector vector)
-
-let pp_severity ppf s =
-  Format.pp_print_string ppf
-    (match s with
-    | None_ -> "none"
-    | Low -> "low"
-    | Medium -> "medium"
-    | High -> "high"
-    | Critical -> "critical")

@@ -76,4 +76,3 @@ val score : string -> (float, string) result
 (** [score vector] parses either a v2 or a v3.1 vector (v3.1 is detected
     by a [CVSS:3] prefix or a [PR:] metric) and returns its base score. *)
 
-val pp_severity : Format.formatter -> severity -> unit

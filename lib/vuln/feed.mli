@@ -16,24 +16,20 @@ val cpe23_of_string : string -> (Cpe.t, string) result
 (** Parses a CPE 2.3 formatted string, mapping [*]/[-] version fields to
     "no version". *)
 
-val decode : Json.t -> (Cve.t list * string list, string) result
-(** [decode json] extracts the CVE items of a feed document.  Returns the
-    decoded entries and a list of warnings for items that were skipped
-    (malformed id, no usable CPE, a NaN or out-of-range [0,10] CVSS base
-    score — the warning names the CVE id and the JSON path); only a
-    structurally alien document yields [Error]. *)
-
 val of_string : string -> (Cve.t list * string list, string) result
-(** Parse + {!decode}. *)
+(** [of_string s] parses a feed document and extracts its CVE items.
+    Returns the decoded entries and a list of warnings for items that
+    were skipped (malformed id, no usable CPE, a NaN or out-of-range
+    [0,10] CVSS base score — the warning names the CVE id and the JSON
+    path); only a malformed or structurally alien document yields
+    [Error]. *)
 
 val load_into : Nvd.t -> string -> (int * string list, string) result
 (** [load_into db contents] decodes a feed and adds every entry to [db];
     returns the number added and the warnings. *)
 
-val encode : Nvd.t -> Json.t
+val to_string : ?pretty:bool -> Nvd.t -> string
 (** Writes a database as a feed document ([CVE_Items] with
     [CVE_data_meta], description, configurations with CPE 2.2 URIs,
-    [baseMetricV2.cvssV2.baseScore] and [publishedDate]). *)
-
-val to_string : ?pretty:bool -> Nvd.t -> string
-(** {!encode} composed with {!Json.to_string}. *)
+    [baseMetricV2.cvssV2.baseScore] and [publishedDate]), serialized
+    with {!Json.to_string}. *)

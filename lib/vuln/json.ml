@@ -245,9 +245,6 @@ let parse ?(depth_limit = default_depth_limit) s =
   | exception Parse_error (pos, msg) ->
       Error (Printf.sprintf "JSON error at offset %d: %s" pos msg)
 
-let parse_exn ?depth_limit s =
-  match parse ?depth_limit s with Ok v -> v | Error msg -> invalid_arg msg
-
 let escape_string buf s =
   Buffer.add_char buf '"';
   String.iter

@@ -22,9 +22,6 @@ val parse : ?depth_limit:int -> string -> (t, string) result
     or degenerate feeds fail with an error instead of overflowing the
     stack of the recursive-descent parser. *)
 
-val parse_exn : ?depth_limit:int -> string -> t
-(** @raise Invalid_argument on parse errors. *)
-
 val to_string : ?pretty:bool -> t -> string
 (** Serializes; [pretty] adds two-space indentation.  Strings are escaped
     minimally (quotes, backslashes, control characters). *)

@@ -13,9 +13,6 @@
     vulnerabilities are considered far more alike than two sharing only
     low-severity ones. *)
 
-val default_weight : Cve.t -> float
-(** CVSS base score / 10, or 0.5 when the entry carries no score. *)
-
 val weighted_jaccard :
   weight:(string -> float) -> Nvd.String_set.t -> Nvd.String_set.t -> float
 (** Weighted Jaccard of two id sets; [weight] maps a CVE id to its

@@ -60,11 +60,6 @@ let instance p =
   in
   Network.create ~graph ~services ~hosts
 
-let pp_params ppf p =
-  Format.fprintf ppf
-    "%d hosts, degree %d, %d services x %d products (seed %d)" p.hosts
-    p.degree p.services p.products_per_service p.seed
-
 type zoned_params = {
   z_hosts : int;
   z_zones : int;

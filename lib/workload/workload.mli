@@ -32,8 +32,6 @@ val synthetic_similarity :
     families; cross-family similarity is 0, within-family pairs get a
     Jaccard-like draw in (0, 0.7]. *)
 
-val pp_params : Format.formatter -> params -> unit
-
 (** {1 Zoned streaming instances}
 
     100k-host instances never exist as one resident object graph:

@@ -1123,7 +1123,7 @@ let prop_icm_matches_reference =
           (1, Some x0); (2, Some x0); (100, Some x0);
         ])
 
-(* The polish runs after TRW-S on every direct-path solve; its sweeps
+(* The polish runs after TRW-S on every default solve; its sweeps
    must not feed the minor heap.  The incident walk allocated about 20M
    words here. *)
 let test_icm_allocation_free () =

@@ -332,7 +332,7 @@ let test_runner_stage_metrics () =
   let mrf = tiny_mrf () in
   let report =
     Runner.run
-      ~budget:(Runner.Budget.seconds 30.0)
+      ~budget:30.0
       ~stages:[ Runner.trws () ]
       mrf
   in
@@ -470,7 +470,7 @@ let test_recorder_dump_on_degradation () =
       (fun () ->
         Recorder.with_recorder r (fun () ->
             Runner.run
-              ~budget:(Runner.Budget.seconds 30.0)
+              ~budget:30.0
               ~stages:[ Runner.trws () ]
               (tiny_mrf ())))
   in

@@ -1,8 +1,10 @@
-(* Tests for the anytime harness (Runner): a ~0-second budget makes every
-   solver return within its next interrupt poll with a feasible labeling
-   and [Budget_exhausted]; a generous budget reproduces the legacy solver
-   trajectories exactly; stalls degrade through the fallback cascade and
-   still yield constraint-satisfying assignments. *)
+(* Tests for the anytime harness (Runner), which every Optimize solve
+   runs through: a ~0-second budget makes every solver return within its
+   next interrupt poll with a feasible labeling and [Budget_exhausted];
+   pinned solves hold the results bit for bit, and a generous budget or a
+   checkpoint file leaves them unchanged at every job count; stalls
+   degrade through the fallback cascade and still yield
+   constraint-satisfying assignments. *)
 
 open Netdiv_mrf
 module Optimize = Netdiv_core.Optimize
@@ -58,11 +60,7 @@ let test_zero_budget_stages () =
   List.iter
     (fun stage ->
       let name = Runner.stage_name stage in
-      let report =
-        Runner.run
-          ~budget:(Runner.Budget.seconds 0.0)
-          ~stages:[ stage ] mrf
-      in
+      let report = Runner.run ~budget:0.0 ~stages:[ stage ] mrf in
       Alcotest.check outcome
         (name ^ ": outcome")
         Runner.Budget_exhausted report.Runner.outcome;
@@ -80,12 +78,7 @@ let test_zero_budget_brute () =
   (* brute polls every 1024 labelings, so give it a space it can cover
      between polls: 3^12 = 531,441 *)
   let mrf = random_mrf (rng 7) 12 3 0.4 in
-  let report =
-    Runner.run
-      ~budget:(Runner.Budget.seconds 0.0)
-      ~stages:[ Runner.brute () ]
-      mrf
-  in
+  let report = Runner.run ~budget:0.0 ~stages:[ Runner.brute () ] mrf in
   Alcotest.check outcome "brute: outcome" Runner.Budget_exhausted
     report.Runner.outcome;
   check_feasible "brute" mrf report.Runner.result;
@@ -98,11 +91,7 @@ let test_optimize_zero_budget () =
   List.iter
     (fun solver ->
       let name = Optimize.solver_name solver in
-      let report =
-        Optimize.run ~solver
-          ~budget:(Runner.Budget.seconds 0.0)
-          net []
-      in
+      let report = Optimize.run ~solver ~budget:0.0 net [] in
       Alcotest.check outcome
         (name ^ ": outcome")
         Runner.Budget_exhausted report.Optimize.outcome;
@@ -116,34 +105,105 @@ let test_optimize_zero_budget () =
       Optimize.Sa; Optimize.Exact;
     ]
 
-(* ------------------------------------------------- generous budgets *)
+(* ------------------------------------------------- pinned solves *)
 
-let test_generous_budget_matches_legacy () =
+let digest (r : Solver.result) =
+  Digest.to_hex
+    (Digest.string
+       (String.concat ","
+          (Array.to_list (Array.map string_of_int r.Solver.labeling))))
+
+(* energy and bound bits, labeling digest and outcome of a report *)
+let fingerprint (r : Optimize.report) =
+  Format.asprintf "%h %h %s %a" r.Optimize.energy r.Optimize.lower_bound
+    (digest r.Optimize.solver_result)
+    Runner.pp_outcome r.Optimize.outcome
+
+let test_pinned_solves () =
   let net = instance ~hosts:60 () in
   List.iter
+    (fun (solver, expected) ->
+      Alcotest.(check string)
+        (Optimize.solver_name solver)
+        expected
+        (fingerprint (Optimize.run ~solver net [])))
+    [
+      ( Optimize.Trws,
+        "0x1.02b6f46dd7527p+8 0x1.8000000000003p+1 \
+         51d6b6223333e190b193932214f56e8c converged" );
+      ( Optimize.Trws_icm,
+        "0x1.b08e59826e872p+7 0x1.8000000000003p+1 \
+         0ade1c7231f3a6b80f86208435b28376 converged" );
+      ( Optimize.Bp,
+        "0x1.e11013fb6061fp+7 -infinity 8671a834c35a0af504899e152a4fee2d \
+         stalled" );
+      ( Optimize.Icm,
+        "0x1.c250665b829b5p+7 -infinity 60c35aa6f84f2b1520f5d60dd1ef04aa \
+         converged" );
+      ( Optimize.Sa,
+        "0x1.883fd0a343465p+7 -infinity 82f4ece4b2db3ffa5bd1ee3edf92d107 \
+         converged" );
+    ];
+  (* refine warm-starts ICM from the previous assignment, projected into
+     an encoding where host 0's first service is pinned *)
+  let base = Optimize.run net [] in
+  let service = (Network.host_services net 0).(0) in
+  let fix =
+    Constr.Fix
+      {
+        host = 0;
+        service;
+        product = (Network.candidates net ~host:0 ~service).(0);
+      }
+  in
+  Alcotest.(check string)
+    "refine"
+    "0x1.b3ffbd3b70983p+7 -infinity b8ae84a149b0048fd4344e0eb0a4d914 \
+     converged"
+    (fingerprint
+       (Optimize.refine ~previous:base.Optimize.assignment net [ fix ]))
+
+(* ------------------------------------------------- option composition *)
+
+(* A generous budget or a checkpoint file changes nothing in the result
+   of a solve, whatever [jobs] is: all of them take the one solve path. *)
+let test_options_compose () =
+  let net = instance ~hosts:60 () in
+  let ck = Filename.temp_file "netdiv_runner" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove ck) @@ fun () ->
+  List.iter
     (fun solver ->
-      let name = Optimize.solver_name solver in
-      let legacy = Optimize.run ~solver net [] in
-      let budgeted =
-        Optimize.run ~solver
-          ~budget:(Runner.Budget.seconds 300.0)
-          net []
-      in
-      Alcotest.(check (float 1e-9))
-        (name ^ ": energy matches legacy")
-        legacy.Optimize.energy budgeted.Optimize.energy;
-      Alcotest.check outcome
-        (name ^ ": outcome matches legacy")
-        legacy.Optimize.outcome budgeted.Optimize.outcome)
-    [ Optimize.Trws; Optimize.Trws_icm; Optimize.Bp; Optimize.Icm;
-      Optimize.Sa ]
+      List.iter
+        (fun jobs ->
+          let name =
+            Printf.sprintf "%s, jobs %s"
+              (Optimize.solver_name solver)
+              (match jobs with None -> "none" | Some j -> string_of_int j)
+          in
+          let plain = fingerprint (Optimize.run ~solver ?jobs net []) in
+          List.iter
+            (fun (how, r) ->
+              Alcotest.(check string)
+                (name ^ ", " ^ how)
+                plain (fingerprint r))
+            [
+              ("budget", Optimize.run ~solver ?jobs ~budget:300.0 net []);
+              ("checkpoint", Optimize.run ~solver ?jobs ~checkpoint:ck net []);
+            ])
+        [ None; Some 1; Some 2 ])
+    [
+      Optimize.Trws; Optimize.Trws_icm; Optimize.Bp; Optimize.Icm;
+      Optimize.Sa;
+    ]
+
+(* ------------------------------------------------- generous budgets *)
 
 let test_generous_budget_bnb () =
   let mrf = random_mrf (rng 5) 12 3 0.3 in
   let exact = Brute.solve mrf in
   let report =
     Runner.run
-      ~budget:(Runner.Budget.seconds 300.0)
+      ~budget:300.0
       ~stages:[ Runner.bnb () ]
       mrf
   in
@@ -189,7 +249,7 @@ let test_exact_cascade_constraints () =
   in
   let report =
     Optimize.run ~solver:Optimize.Exact
-      ~budget:(Runner.Budget.seconds 30.0)
+      ~budget:30.0
       ~patience:0.0 net constraints
   in
   (match report.Optimize.outcome with
@@ -219,39 +279,15 @@ let test_icm_restarts_jobs_invariant () =
   Alcotest.(check bool) "no worse than single icm" true
     (one.Solver.energy <= single.Solver.energy +. 1e-9)
 
-let test_sweep_cap () =
-  let mrf = random_mrf (rng 21) 200 4 0.1 in
-  let report =
-    Runner.run
-      ~budget:(Runner.Budget.make ~sweeps:3 ())
-      ~stages:[ Runner.trws () ]
-      mrf
-  in
-  Alcotest.check outcome "sweep cap: outcome" Runner.Budget_exhausted
-    report.Runner.outcome;
-  if report.Runner.result.Solver.iterations > 5 then
-    Alcotest.failf "sweep cap of 3 ran %d sweeps"
-      report.Runner.result.Solver.iterations;
-  check_feasible "sweep cap" mrf report.Runner.result
-
 let test_empty_stages () =
   let mrf = random_mrf (rng 2) 4 2 0.5 in
   match Runner.run ~stages:[] mrf with
   | _ -> Alcotest.fail "accepted an empty cascade"
   | exception Invalid_argument _ -> ()
 
-let test_progress_reported () =
+let test_unbudgeted_converges () =
   let mrf = random_mrf (rng 31) 40 3 0.2 in
-  let seen = ref [] in
-  let report =
-    Runner.run
-      ~on_progress:(fun p -> seen := p.Runner.stage :: !seen)
-      ~stages:[ Runner.icm () ]
-      mrf
-  in
-  Alcotest.(check bool)
-    "progress callbacks fired" true
-    (List.length !seen > 0 && List.for_all (String.equal "icm") !seen);
+  let report = Runner.run ~stages:[ Runner.icm () ] mrf in
   Alcotest.check outcome "converges unbudgeted" Runner.Converged
     report.Runner.outcome
 
@@ -316,8 +352,8 @@ let () =
             test_zero_budget_brute;
           Alcotest.test_case "zero budget through Optimize.run" `Quick
             test_optimize_zero_budget;
-          Alcotest.test_case "generous budget matches legacy" `Quick
-            test_generous_budget_matches_legacy;
+          Alcotest.test_case "pinned solves" `Quick test_pinned_solves;
+          Alcotest.test_case "options compose" `Quick test_options_compose;
           Alcotest.test_case "generous budget certifies (bnb)" `Quick
             test_generous_budget_bnb;
         ] );
@@ -335,11 +371,10 @@ let () =
         ] );
       ( "budget",
         [
-          Alcotest.test_case "sweep cap" `Quick test_sweep_cap;
           Alcotest.test_case "empty cascade rejected" `Quick
             test_empty_stages;
-          Alcotest.test_case "progress callbacks" `Quick
-            test_progress_reported;
+          Alcotest.test_case "unbudgeted run converges" `Quick
+            test_unbudgeted_converges;
         ] );
       ( "rendering",
         [

@@ -132,6 +132,20 @@ chaos_run "$schedule" >"$chaosdir/replay1.out"
 chaos_run "$schedule" >"$chaosdir/replay2.out"
 cmp "$chaosdir/replay1.out" "$chaosdir/replay2.out" || {
   echo "fault replay is not deterministic"; exit 1; }
+# An unbudgeted solve takes the same runner path: a killed first stage
+# attempt is retried and lands on the fault-free assignment.
+plain_run() {
+  NETDIV_FAULT="$1" dune exec bin/netdiv.exe -- optimize --hosts 200 \
+    | sed 's/, [0-9.]*s$//'
+}
+plain_run "" >"$chaosdir/plain_clean.out"
+plain_run "runner.stage@0" >"$chaosdir/plain_chaos.out"
+grep -q '^retries 1$' "$chaosdir/plain_chaos.out" || {
+  echo "unbudgeted chaos run did not retry its stage"; exit 1; }
+grep '^optimal' "$chaosdir/plain_clean.out" >"$chaosdir/plain_clean.energy"
+grep '^optimal' "$chaosdir/plain_chaos.out" >"$chaosdir/plain_chaos.energy"
+cmp -s "$chaosdir/plain_clean.energy" "$chaosdir/plain_chaos.energy" || {
+  echo "unbudgeted chaos run diverged from the fault-free solve"; exit 1; }
 rm -rf "$chaosdir"
 
 echo "== flight recorder gate (black box under degradation + report)"
