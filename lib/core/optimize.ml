@@ -13,7 +13,6 @@ type report = {
   violated : Constr.t list;
   runtime_s : float;
   outcome : Runner.outcome;
-  stage_timings : (string * float) list;
   retries : int;
 }
 
@@ -114,41 +113,35 @@ let cascade ?jobs = function
 
 (* The one solve path: every solve is the solver's cascade under the
    anytime harness, warm-started from [init] when given. *)
-let solve ?(solver = Trws_icm) ?budget ?patience ?jobs ?checkpoint ?init
-    encoded =
-  Runner.run ?budget ?patience ?init
+let solve ?(solver = Trws_icm) ?budget ?jobs ?checkpoint ?init encoded =
+  Runner.run ?budget ?init
     ?on_best:(Option.map save_checkpoint checkpoint)
     ~stages:(cascade ?jobs solver) (Encode.mrf encoded)
 
 let resume_init resume encoded =
   Option.bind resume (fun path -> load_resume path (Encode.mrf encoded))
 
-let solve_encoded_outcome ?solver ?budget ?patience ?jobs ?checkpoint ?resume
-    encoded =
+let solve_encoded_outcome ?solver ?budget ?jobs ?checkpoint ?resume encoded =
   let r =
-    solve ?solver ?budget ?patience ?jobs ?checkpoint
-      ?init:(resume_init resume encoded) encoded
+    solve ?solver ?budget ?jobs ?checkpoint ?init:(resume_init resume encoded)
+      encoded
   in
   (r.Runner.result, r.Runner.outcome, r.Runner.stage_timings, r.Runner.retries)
 
 (* Encode, solve, decode and check: the report builder behind [run] and
    [refine].  [init] picks the warm start once the encoding exists. *)
-let optimize ?solver ?prconst ?big_m ?preference ?edge_weight ?budget
-    ?patience ?jobs ?checkpoint ~init net constraints =
-  let (encoded, r), runtime_s =
-    S.timed (fun () ->
-        let encoded =
-          Obs.span ~name:"optimize.encode" (fun () ->
-              Encode.encode ?prconst ?big_m ?preference ?edge_weight net
-                constraints)
-        in
-        let r =
-          Obs.span ~name:"optimize.solve" (fun () ->
-              solve ?solver ?budget ?patience ?jobs ?checkpoint
-                ?init:(init encoded) encoded)
-        in
-        (encoded, r))
+let optimize ?solver ?prconst ?big_m ?preference ?edge_weight ?budget ?jobs
+    ?checkpoint ~init net constraints =
+  let t0 = Obs.Clock.now () in
+  let encoded =
+    Obs.span ~name:"optimize.encode" (fun () ->
+        Encode.encode ?prconst ?big_m ?preference ?edge_weight net constraints)
   in
+  let r =
+    Obs.span ~name:"optimize.solve" (fun () ->
+        solve ?solver ?budget ?jobs ?checkpoint ?init:(init encoded) encoded)
+  in
+  let runtime_s = Obs.Clock.now () -. t0 in
   let result = r.Runner.result in
   let assignment, violated =
     Obs.span ~name:"optimize.decode" (fun () ->
@@ -164,15 +157,13 @@ let optimize ?solver ?prconst ?big_m ?preference ?edge_weight ?budget
     violated;
     runtime_s;
     outcome = r.Runner.outcome;
-    stage_timings = r.Runner.stage_timings;
     retries = r.Runner.retries;
   }
 
-let run ?solver ?prconst ?big_m ?preference ?edge_weight ?budget ?patience
-    ?jobs ?checkpoint ?resume net constraints =
-  optimize ?solver ?prconst ?big_m ?preference ?edge_weight ?budget ?patience
-    ?jobs ?checkpoint
-    ~init:(resume_init resume) net constraints
+let run ?solver ?prconst ?big_m ?preference ?edge_weight ?budget ?jobs
+    ?checkpoint ?resume net constraints =
+  optimize ?solver ?prconst ?big_m ?preference ?edge_weight ?budget ?jobs
+    ?checkpoint ~init:(resume_init resume) net constraints
 
 (* Project the previous assignment into the new encoding: slots whose old
    product is no longer selectable (a fresh Fix, a shrunk candidate list)

@@ -16,8 +16,9 @@ type solver =
       (** branch-and-bound ({!Netdiv_mrf.Bnb}), falling back to TRW-S +
           ICM when it stops without a proof.  The result is a certified
           optimum only when the outcome is [Converged] with no
-          [Fell_back]; practical for small or loosely-coupled
-          instances *)
+          [Fell_back]; measured, that happens only up to about 24
+          variables.  The case-study encodings (63 variables) exhaust
+          the 2,000,000-node limit in 5-9 s and fall back *)
 
 type report = {
   assignment : Assignment.t;
@@ -29,8 +30,6 @@ type report = {
   runtime_s : float;           (** encode + solve wall clock *)
   outcome : Netdiv_mrf.Runner.outcome;
       (** how the solver cascade ended ({!Netdiv_mrf.Runner.run}) *)
-  stage_timings : (string * float) list;
-      (** wall-clock seconds per solver stage, in execution order *)
   retries : int;
       (** stage attempts retried after recoverable failures (see
           {!Netdiv_mrf.Runner.run}); 0 on a clean run *)
@@ -43,7 +42,6 @@ val run :
   ?preference:(host:int -> service:int -> product:int -> float) ->
   ?edge_weight:(int -> int -> float) ->
   ?budget:float ->
-  ?patience:float ->
   ?jobs:int ->
   ?checkpoint:string ->
   ?resume:string ->
@@ -55,14 +53,14 @@ val run :
 
     Every solve runs the solver's cascade under the anytime harness
     ({!Netdiv_mrf.Runner.run}); no option selects another code path.
-    [budget] is a wall-clock allowance in seconds (default: none).  A
-    stage that stalls for [patience] seconds, or stops at its iteration
-    cap without converging, hands over to the next stage of the cascade
-    ([Exact] → TRW-S + ICM with the remaining budget, [Sa]/[Icm] retried
-    from perturbed restarts), and failed stage attempts are retried and
-    degraded.  The returned assignment is the best found, when the
-    budget expires the best so far, and always feasible with respect to
-    the encoding.
+    [budget] is a wall-clock allowance in seconds (default: none), the
+    only way wall-clock time can change the result.  A stage that stops
+    at its iteration cap without converging hands over to the next stage
+    of the cascade ([Exact] → TRW-S + ICM with the remaining budget,
+    [Sa]/[Icm] retried from perturbed restarts), and failed stage
+    attempts are retried and degraded.  The returned assignment is the
+    best found, when the budget expires the best so far, and always
+    feasible with respect to the encoding.
 
     [jobs] parallelizes the stages that have a job-count-invariant
     parallel form over the {!Netdiv_par.Pool} domain pool: TRW-S solves
@@ -102,7 +100,6 @@ val refine :
 val solve_encoded_outcome :
   ?solver:solver ->
   ?budget:float ->
-  ?patience:float ->
   ?jobs:int ->
   ?checkpoint:string ->
   ?resume:string ->

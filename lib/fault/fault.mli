@@ -39,7 +39,7 @@
     [NETDIV_FAULT] reproduces exactly the same failures.  The
     [clock.stall] point keys on the clock-read count, which is
     scheduling-dependent across domains; its replays are best-effort,
-    like every wall-clock-coupled behavior (budgets, patience).
+    like every wall-clock-coupled behavior (budgets).
 
     {2 Registered points}
 

@@ -53,100 +53,88 @@ let assigned_cost (a : Mrf.Compact.arrays) ~assigned x i l =
   !c
 
 let solve ?(config = { node_limit = 2_000_000 }) ?(interrupt = fun () -> false)
-    ?(on_progress = fun ~iter:_ ~energy:_ ~bound:_ -> ()) mrf =
-  let run () =
-    let n = Mrf.n_nodes mrf in
-    let order = connectivity_order mrf in
-    let rank = Array.make n 0 in
-    Array.iteri (fun k i -> rank.(i) <- k) order;
-    (* incumbent from the approximate pipeline *)
-    let warm = Trws.solve ~interrupt mrf in
-    let polished = Icm.solve ~interrupt ~init:warm.Solver.labeling mrf in
-    let best_x = Array.copy polished.Solver.labeling in
-    let best = ref polished.Solver.energy in
-    let warm_bound = warm.Solver.lower_bound in
-    (* per-edge minimum over all label pairs (for fully-unassigned edges) *)
-    let edge_min =
-      Array.init (Mrf.n_edges mrf) (fun e ->
-          Array.fold_left min infinity (Mrf.edge_cost mrf e))
-    in
-    let arrays = Mrf.Compact.arrays mrf in
-    let x = Array.make n 0 in
-    let assigned = Array.make n false in
-    let nodes = ref 0 in
-    let complete = ref true in
-    (* admissible completion bound given the current partial assignment *)
-    let remainder_bound () =
-      let acc = ref 0.0 in
-      for i = 0 to n - 1 do
-        if not assigned.(i) then begin
-          (* best label of i against assigned neighbours *)
-          let best_label = ref infinity in
-          for l = 0 to Mrf.label_count mrf i - 1 do
-            let c = assigned_cost arrays ~assigned x i l in
-            if c < !best_label then best_label := c
-          done;
-          acc := !acc +. !best_label
-        end
-      done;
-      (* fully-unassigned edges, counted once via their u endpoint *)
-      for e = 0 to Mrf.n_edges mrf - 1 do
-        let u = arrays.i_eu.(e) and v = arrays.i_ev.(e) in
-        if (not assigned.(u)) && not assigned.(v) then
-          acc := !acc +. edge_min.(e)
-      done;
-      !acc
-    in
-    let rec branch depth g =
-      if !nodes >= config.node_limit then complete := false
-      else begin
-        incr nodes;
-        if interrupt () then begin
-          complete := false;
-          raise Exit
-        end;
-        if !nodes land 4095 = 0 then
-          on_progress ~iter:!nodes ~energy:!best ~bound:warm_bound;
-        if depth = n then begin
-          if g < !best then begin
-            best := g;
-            Array.blit x 0 best_x 0 n
-          end
-        end
-        else begin
-          let i = order.(depth) in
-          let k = Mrf.label_count mrf i in
-          (* try labels in increasing local-cost order *)
-          let costs =
-            Array.init k (fun l -> (assigned_cost arrays ~assigned x i l, l))
-          in
-          Array.sort compare costs;
-          Array.iter
-            (fun (cost, l) ->
-              let g' = g +. cost in
-              if g' < !best -. 1e-12 then begin
-                x.(i) <- l;
-                assigned.(i) <- true;
-                let bound = g' +. remainder_bound () in
-                if bound < !best -. 1e-12 then branch (depth + 1) g';
-                assigned.(i) <- false
-              end)
-            costs
+    mrf =
+  let n = Mrf.n_nodes mrf in
+  let order = connectivity_order mrf in
+  (* incumbent from the approximate pipeline *)
+  let warm = Trws.solve ~interrupt mrf in
+  let polished = Icm.solve ~interrupt ~init:warm.Solver.labeling mrf in
+  let best_x = Array.copy polished.Solver.labeling in
+  let best = ref polished.Solver.energy in
+  let warm_bound = warm.Solver.lower_bound in
+  (* per-edge minimum over all label pairs (for fully-unassigned edges) *)
+  let edge_min =
+    Array.init (Mrf.n_edges mrf) (fun e ->
+        Array.fold_left min infinity (Mrf.edge_cost mrf e))
+  in
+  let arrays = Mrf.Compact.arrays mrf in
+  let x = Array.make n 0 in
+  let assigned = Array.make n false in
+  let nodes = ref 0 in
+  let complete = ref true in
+  (* admissible completion bound given the current partial assignment *)
+  let remainder_bound () =
+    let acc = ref 0.0 in
+    for i = 0 to n - 1 do
+      if not assigned.(i) then begin
+        (* best label of i against assigned neighbours *)
+        let best_label = ref infinity in
+        for l = 0 to Mrf.label_count mrf i - 1 do
+          let c = assigned_cost arrays ~assigned x i l in
+          if c < !best_label then best_label := c
+        done;
+        acc := !acc +. !best_label
+      end
+    done;
+    (* fully-unassigned edges, counted once via their u endpoint *)
+    for e = 0 to Mrf.n_edges mrf - 1 do
+      let u = arrays.i_eu.(e) and v = arrays.i_ev.(e) in
+      if (not assigned.(u)) && not assigned.(v) then
+        acc := !acc +. edge_min.(e)
+    done;
+    !acc
+  in
+  let rec branch depth g =
+    if !nodes >= config.node_limit then complete := false
+    else begin
+      incr nodes;
+      if interrupt () then begin
+        complete := false;
+        raise Exit
+      end;
+      if depth = n then begin
+        if g < !best then begin
+          best := g;
+          Array.blit x 0 best_x 0 n
         end
       end
-    in
-    (try branch 0 0.0 with Exit -> ());
-    on_progress ~iter:!nodes ~energy:!best ~bound:warm_bound;
-    (best_x, !best, !nodes, !complete, warm_bound)
+      else begin
+        let i = order.(depth) in
+        let k = Mrf.label_count mrf i in
+        (* try labels in increasing local-cost order *)
+        let costs =
+          Array.init k (fun l -> (assigned_cost arrays ~assigned x i l, l))
+        in
+        Array.sort compare costs;
+        Array.iter
+          (fun (cost, l) ->
+            let g' = g +. cost in
+            if g' < !best -. 1e-12 then begin
+              x.(i) <- l;
+              assigned.(i) <- true;
+              let bound = g' +. remainder_bound () in
+              if bound < !best -. 1e-12 then branch (depth + 1) g';
+              assigned.(i) <- false
+            end)
+          costs
+      end
+    end
   in
-  let (labeling, energy, iterations, complete, warm_bound), runtime_s =
-    Solver.timed run
-  in
+  (try branch 0 0.0 with Exit -> ());
   {
-    Solver.labeling;
-    energy;
-    lower_bound = (if complete then energy else warm_bound);
-    iterations;
-    converged = complete;
-    runtime_s;
+    Solver.labeling = best_x;
+    energy = !best;
+    lower_bound = (if !complete then !best else warm_bound);
+    iterations = !nodes;
+    converged = !complete;
   }

@@ -220,8 +220,7 @@ let decode st ws n x =
 
 (* Shared iteration loop; the sequential and chromatic schedules differ
    only in how one sweep and one decode pass execute. *)
-let run_loop ~config ~interrupt ~on_progress mrf st n ~sweep_once ~decode_all
-    =
+let run_loop ~config ~interrupt mrf st n ~sweep_once ~decode_all =
   let obs_on = Obs.enabled () in
   let rec_on = Recorder.installed () in
   let msg_potts, msg_sparse, msg_generic =
@@ -257,7 +256,6 @@ let run_loop ~config ~interrupt ~on_progress mrf st n ~sweep_once ~decode_all
        if rec_on then
          Recorder.sweep ~iter:it ~energy:!best_energy ~bound:neg_infinity
            ~residual:delta ~msg_potts ~msg_sparse ~msg_generic;
-       on_progress ~iter:it ~energy:!best_energy ~bound:neg_infinity;
        if delta < config.tolerance then begin
          converged := true;
          raise Exit
@@ -274,15 +272,21 @@ let run_loop ~config ~interrupt ~on_progress mrf st n ~sweep_once ~decode_all
     Obs.sample ~name:"mrf.messages.generic"
       (float_of_int (msg_generic * !iters))
   end;
-  (best_x, !best_energy, !iters, !converged)
+  {
+    Solver.labeling = best_x;
+    energy = !best_energy;
+    lower_bound = neg_infinity;
+    iterations = !iters;
+    converged = !converged;
+  }
 
-let sequential ~config ~interrupt ~on_progress mrf st n =
+let sequential ~config ~interrupt mrf st n =
   let ws = make_workspace st in
-  run_loop ~config ~interrupt ~on_progress mrf st n
+  run_loop ~config ~interrupt mrf st n
     ~sweep_once:(fun () -> sweep st ws n config.damping)
     ~decode_all:(fun x -> decode st ws n x)
 
-let chromatic ~config ~interrupt ~on_progress ?jobs mrf st n =
+let chromatic ~config ~interrupt ?jobs mrf st n =
   (* color classes as a CSR over nodes sorted by (color, id): one
      parallel region per class and sweep.  Nodes of one class are
      pairwise non-adjacent, so within a class every node's update reads
@@ -340,27 +344,15 @@ let chromatic ~config ~interrupt ~on_progress ?jobs mrf st n =
               decode_node st ws x i
             done)
       in
-      run_loop ~config ~interrupt ~on_progress mrf st n ~sweep_once
-        ~decode_all)
+      run_loop ~config ~interrupt mrf st n ~sweep_once ~decode_all)
 
-let solve ?(config = default_config) ?(interrupt = fun () -> false)
-    ?(on_progress = fun ~iter:_ ~energy:_ ~bound:_ -> ()) ?jobs mrf =
+let solve ?(config = default_config) ?(interrupt = fun () -> false) ?jobs mrf =
   let run () =
     let st = make_state mrf in
     init_messages st config;
     let n = Mrf.n_nodes mrf in
     match jobs with
-    | None -> sequential ~config ~interrupt ~on_progress mrf st n
-    | Some _ -> chromatic ~config ~interrupt ~on_progress ?jobs mrf st n
+    | None -> sequential ~config ~interrupt mrf st n
+    | Some _ -> chromatic ~config ~interrupt ?jobs mrf st n
   in
-  let (labeling, energy, iterations, converged), runtime_s =
-    Solver.timed (fun () -> Obs.span ~name:"bp.solve" run)
-  in
-  {
-    Solver.labeling;
-    energy;
-    lower_bound = neg_infinity;
-    iterations;
-    converged;
-    runtime_s;
-  }
+  Obs.span ~name:"bp.solve" run

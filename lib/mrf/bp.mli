@@ -18,7 +18,6 @@ type config = {
 val solve :
   ?config:config ->
   ?interrupt:(unit -> bool) ->
-  ?on_progress:(iter:int -> energy:float -> bound:float -> unit) ->
   ?jobs:int ->
   Mrf.t ->
   Solver.result
@@ -37,5 +36,4 @@ val solve :
     {!Netdiv_par.Pool.resolve_jobs}.
 
     [interrupt] is polled once per sweep; on [true] the best decoded
-    labeling so far is returned.  [on_progress] fires after each sweep
-    with [bound = neg_infinity] (BP provides no dual bound). *)
+    labeling so far is returned. *)

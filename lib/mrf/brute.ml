@@ -5,57 +5,45 @@ let search_space mrf =
   done;
   !acc
 
-let solve ?(limit = 2_000_000) ?(interrupt = fun () -> false)
-    ?(on_progress = fun ~iter:_ ~energy:_ ~bound:_ -> ()) mrf =
+let solve ?(limit = 2_000_000) ?(interrupt = fun () -> false) mrf =
   if search_space mrf > float_of_int limit then
     invalid_arg "Brute.solve: search space too large";
-  let run () =
-    let n = Mrf.n_nodes mrf in
-    let x = Array.make n 0 in
-    let best = Array.make n 0 in
-    let best_energy = ref (Mrf.energy mrf x) in
-    let count = ref 1 in
-    let complete = ref true in
-    (* odometer enumeration *)
-    let rec next i =
-      if i < 0 then false
-      else if x.(i) + 1 < Mrf.label_count mrf i then begin
-        x.(i) <- x.(i) + 1;
-        true
-      end
-      else begin
-        x.(i) <- 0;
-        next (i - 1)
-      end
-    in
-    (try
-       while next (n - 1) do
-         if !count land 1023 = 0 then begin
-           if interrupt () then begin
-             complete := false;
-             raise Exit
-           end;
-           on_progress ~iter:!count ~energy:!best_energy
-             ~bound:neg_infinity
-         end;
-         incr count;
-         let e = Mrf.energy mrf x in
-         if e < !best_energy then begin
-           best_energy := e;
-           Array.blit x 0 best 0 n
-         end
-       done
-     with Exit -> ());
-    (best, !best_energy, !count, !complete)
+  let n = Mrf.n_nodes mrf in
+  let x = Array.make n 0 in
+  let best = Array.make n 0 in
+  let best_energy = ref (Mrf.energy mrf x) in
+  let count = ref 1 in
+  let complete = ref true in
+  (* odometer enumeration *)
+  let rec next i =
+    if i < 0 then false
+    else if x.(i) + 1 < Mrf.label_count mrf i then begin
+      x.(i) <- x.(i) + 1;
+      true
+    end
+    else begin
+      x.(i) <- 0;
+      next (i - 1)
+    end
   in
-  let (labeling, energy, iterations, complete), runtime_s =
-    Solver.timed run
-  in
+  (try
+     while next (n - 1) do
+       if !count land 1023 = 0 && interrupt () then begin
+         complete := false;
+         raise Exit
+       end;
+       incr count;
+       let e = Mrf.energy mrf x in
+       if e < !best_energy then begin
+         best_energy := e;
+         Array.blit x 0 best 0 n
+       end
+     done
+   with Exit -> ());
   {
-    Solver.labeling;
-    energy;
-    lower_bound = (if complete then energy else neg_infinity);
-    iterations;
-    converged = complete;
-    runtime_s;
+    Solver.labeling = best;
+    energy = !best_energy;
+    lower_bound = (if !complete then !best_energy else neg_infinity);
+    iterations = !count;
+    converged = !complete;
   }

@@ -6,7 +6,6 @@
 val solve :
   ?limit:int ->
   ?interrupt:(unit -> bool) ->
-  ?on_progress:(iter:int -> energy:float -> bound:float -> unit) ->
   Mrf.t ->
   Solver.result
 (** [solve ?limit mrf] enumerates all labelings.
@@ -14,7 +13,7 @@ val solve :
     [interrupt] is polled every 1024 labelings; on [true] the best
     labeling so far is returned with [converged = false] and
     [lower_bound = neg_infinity] (an incomplete enumeration certifies
-    nothing).  [on_progress] fires on the same cadence.
+    nothing).
     @raise Invalid_argument when the search space exceeds [limit]
     (default [2_000_000]). *)
 

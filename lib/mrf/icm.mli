@@ -10,7 +10,6 @@ type config = { max_sweeps : int }
 val solve :
   ?config:config ->
   ?interrupt:(unit -> bool) ->
-  ?on_progress:(iter:int -> energy:float -> bound:float -> unit) ->
   ?init:int array ->
   Mrf.t ->
   Solver.result
@@ -22,5 +21,4 @@ val solve :
     allocates nothing.
 
     [interrupt] is polled once per sweep; on [true] the current labeling
-    (greedy moves never increase energy) is returned.  [on_progress]
-    fires after each sweep with [bound = neg_infinity]. *)
+    (greedy moves never increase energy) is returned. *)

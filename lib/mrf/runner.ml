@@ -1,9 +1,9 @@
-(* The anytime harness is the sanctioned wall-clock boundary: clock
-   reads feed budgets, stall detection and reported timings only, and
-   all of them go through the Netdiv_obs clock shim so harness timings
-   and trace spans share one time base.  Which assignment is returned
+(* The anytime harness is the sanctioned wall-clock boundary: solvers
+   do not time themselves, and the harness reads the clock for the
+   budget and the stage timings only, through the Netdiv_obs clock shim
+   so harness timings and trace spans share one time base.  Which assignment is returned
    can depend on the clock solely when the caller explicitly passes a
-   time budget; unbudgeted runs are clock-independent. *)
+   time budget; an unbudgeted run's interrupt never reads the clock. *)
 
 module Obs = Netdiv_obs.Obs
 module Recorder = Netdiv_obs.Recorder
@@ -34,7 +34,6 @@ type stage = {
   name : string;
   solve :
     interrupt:(unit -> bool) ->
-    on_progress:(iter:int -> energy:float -> bound:float -> unit) ->
     init:int array option ->
     Mrf.t ->
     Solver.result;
@@ -46,22 +45,16 @@ let trws ?jobs () =
   {
     name = "trws";
     solve =
-      (fun ~interrupt ~on_progress ~init:_ mrf ->
-        Trws.solve ~interrupt ~on_progress ?jobs mrf);
+      (fun ~interrupt ~init:_ mrf -> Trws.solve ~interrupt ?jobs mrf);
   }
 
 let trws_icm ?jobs () =
   {
     name = "trws+icm";
     solve =
-      (fun ~interrupt ~on_progress ~init:_ mrf ->
-        let r = Trws.solve ~interrupt ~on_progress ?jobs mrf in
-        let p =
-          Icm.solve ~interrupt
-            ~on_progress:(fun ~iter ~energy ~bound:_ ->
-              on_progress ~iter ~energy ~bound:r.Solver.lower_bound)
-            ~init:r.Solver.labeling mrf
-        in
+      (fun ~interrupt ~init:_ mrf ->
+        let r = Trws.solve ~interrupt ?jobs mrf in
+        let p = Icm.solve ~interrupt ~init:r.Solver.labeling mrf in
         let merged =
           if p.Solver.energy < r.Solver.energy then
             { p with Solver.lower_bound = r.Solver.lower_bound }
@@ -69,8 +62,7 @@ let trws_icm ?jobs () =
         in
         {
           merged with
-          Solver.runtime_s = r.Solver.runtime_s +. p.Solver.runtime_s;
-          iterations = r.Solver.iterations + p.Solver.iterations;
+          Solver.iterations = r.Solver.iterations + p.Solver.iterations;
           converged = r.Solver.converged && p.Solver.converged;
         });
   }
@@ -79,16 +71,14 @@ let bp ?jobs () =
   {
     name = "bp";
     solve =
-      (fun ~interrupt ~on_progress ~init:_ mrf ->
-        Bp.solve ~interrupt ~on_progress ?jobs mrf);
+      (fun ~interrupt ~init:_ mrf -> Bp.solve ~interrupt ?jobs mrf);
   }
 
 let icm () =
   {
     name = "icm";
     solve =
-      (fun ~interrupt ~on_progress ~init mrf ->
-        Icm.solve ~interrupt ~on_progress ?init mrf);
+      (fun ~interrupt ~init mrf -> Icm.solve ~interrupt ?init mrf);
   }
 
 let icm_restarts ?jobs () =
@@ -96,67 +86,52 @@ let icm_restarts ?jobs () =
   {
     name = "icm-restarts";
     solve =
-      (fun ~interrupt ~on_progress ~init mrf ->
-        let run () =
-          (* restart 0 keeps the warm start untouched; later restarts
-             perturb it (or draw a fresh random labeling) with an rng
-             derived from the restart index alone, so the set of runs
-             is identical for any job count *)
-          let one r =
-            let init_r =
-              if r = 0 then init
-              else begin
-                let rng =
-                  Random.State.make
-                    [| Netdiv_par.Pool.split_seed seed r |]
-                in
-                match init with
-                | Some x ->
-                    let x = Array.copy x in
-                    for i = 0 to Array.length x - 1 do
-                      if Random.State.float rng 1.0 < strength then
-                        x.(i) <-
-                          Random.State.int rng (Mrf.label_count mrf i)
-                    done;
-                    Some x
-                | None ->
-                    Some
-                      (Array.init (Mrf.n_nodes mrf) (fun i ->
-                           Random.State.int rng (Mrf.label_count mrf i)))
-              end
-            in
-            (* no per-sweep on_progress: the harness progress closure
-               mutates caller state and is not safe off-domain *)
-            Icm.solve ~interrupt ?init:init_r mrf
+      (fun ~interrupt ~init mrf ->
+        (* restart 0 keeps the warm start untouched; later restarts
+           perturb it (or draw a fresh random labeling) with an rng
+           derived from the restart index alone, so the set of runs
+           is identical for any job count *)
+        let one r =
+          let init_r =
+            if r = 0 then init
+            else begin
+              let rng =
+                Random.State.make
+                  [| Netdiv_par.Pool.split_seed seed r |]
+              in
+              match init with
+              | Some x ->
+                  let x = Array.copy x in
+                  for i = 0 to Array.length x - 1 do
+                    if Random.State.float rng 1.0 < strength then
+                      x.(i) <- Random.State.int rng (Mrf.label_count mrf i)
+                  done;
+                  Some x
+              | None ->
+                  Some
+                    (Array.init (Mrf.n_nodes mrf) (fun i ->
+                         Random.State.int rng (Mrf.label_count mrf i)))
+            end
           in
-          (* ≈ a dozen ICM sweeps, each touching every (label, edge)
-             slot once; lets the pool run smoke-sized restart batches
-             inline instead of spawning domains *)
-          let cost =
-            12 * (Mrf.pot_words_unshared mrf + Mrf.n_nodes mrf)
-          in
-          let results =
-            Netdiv_par.Pool.map_range ?jobs ~cost ~lo:0 ~hi:restarts one
-          in
-          let best = ref results.(0) in
-          Array.iter
-            (fun r ->
-              if r.Solver.energy < !best.Solver.energy then best := r)
-            results;
-          let iterations =
-            Array.fold_left
-              (fun acc r -> acc + r.Solver.iterations)
-              0 results
-          in
-          let converged =
-            Array.for_all (fun r -> r.Solver.converged) results
-          in
-          { !best with Solver.iterations = iterations; converged }
+          Icm.solve ~interrupt ?init:init_r mrf
         in
-        let r, runtime_s = Solver.timed run in
-        on_progress ~iter:r.Solver.iterations ~energy:r.Solver.energy
-          ~bound:neg_infinity;
-        { r with Solver.runtime_s = runtime_s });
+        (* ≈ a dozen ICM sweeps, each touching every (label, edge)
+           slot once; lets the pool run smoke-sized restart batches
+           inline instead of spawning domains *)
+        let cost = 12 * (Mrf.pot_words_unshared mrf + Mrf.n_nodes mrf) in
+        let results =
+          Netdiv_par.Pool.map_range ?jobs ~cost ~lo:0 ~hi:restarts one
+        in
+        let best = ref results.(0) in
+        Array.iter
+          (fun r ->
+            if r.Solver.energy < !best.Solver.energy then best := r)
+          results;
+        let iterations =
+          Array.fold_left (fun acc r -> acc + r.Solver.iterations) 0 results
+        in
+        let converged = Array.for_all (fun r -> r.Solver.converged) results in
+        { !best with Solver.iterations = iterations; converged });
   }
 
 let sa ?config ?jobs () =
@@ -170,31 +145,28 @@ let sa ?config ?jobs () =
   {
     name = "sa";
     solve =
-      (fun ~interrupt ~on_progress ~init mrf ->
-        Sa.solve ?config ~interrupt ~on_progress ?init mrf);
+      (fun ~interrupt ~init mrf -> Sa.solve ?config ~interrupt ?init mrf);
   }
 
 let bnb () =
   {
     name = "bnb";
     solve =
-      (fun ~interrupt ~on_progress ~init:_ mrf ->
-        Bnb.solve ~interrupt ~on_progress mrf);
+      (fun ~interrupt ~init:_ mrf -> Bnb.solve ~interrupt mrf);
   }
 
 let brute () =
   {
     name = "brute";
     solve =
-      (fun ~interrupt ~on_progress ~init:_ mrf ->
-        Brute.solve ~interrupt ~on_progress mrf);
+      (fun ~interrupt ~init:_ mrf -> Brute.solve ~interrupt mrf);
   }
 
 let perturbed ~seed stage =
   {
     name = stage.name ^ "*";
     solve =
-      (fun ~interrupt ~on_progress ~init mrf ->
+      (fun ~interrupt ~init mrf ->
         let init =
           match init with
           | None -> None
@@ -207,7 +179,7 @@ let perturbed ~seed stage =
               done;
               Some x
         in
-        stage.solve ~interrupt ~on_progress ~init mrf);
+        stage.solve ~interrupt ~init mrf);
   }
 
 type run_report = {
@@ -259,10 +231,23 @@ let rung_name = function
 (* failed attempts retried on each rung before the ladder escalates *)
 let retries_per_rung = 2
 
-let run ?budget ?patience ?init ?on_best ~stages mrf =
+let run ?budget ?init ?on_best ~stages mrf =
   if stages = [] then invalid_arg "Runner.run: empty cascade";
-  let t0 = Obs.Clock.now () in
-  let deadline = Option.map (fun s -> t0 +. s) budget in
+  let exhausted = ref false in
+  (* polled from solver inner loops, possibly from spawned domains:
+     only reads wall clock and sets a monotone flag *)
+  let interrupt =
+    match budget with
+    | None -> fun () -> false
+    | Some s ->
+        let deadline = Obs.Clock.now () +. s in
+        fun () ->
+          if Obs.Clock.now () >= deadline then begin
+            exhausted := true;
+            true
+          end
+          else false
+  in
   let done_sweeps = ref 0 in
   let best : Solver.result option ref = ref None in
   (match init with
@@ -279,10 +264,8 @@ let run ?budget ?patience ?init ?on_best ~stages mrf =
             lower_bound = neg_infinity;
             iterations = 0;
             converged = false;
-            runtime_s = 0.0;
           });
   let timings = ref [] in
-  let exhausted = ref false in
   let fell = ref [] in
   let retries_used = ref 0 in
   let rung = ref 0 in
@@ -306,42 +289,6 @@ let run ?budget ?patience ?init ?on_best ~stages mrf =
     | stage :: rest ->
         Recorder.mark ("stage:" ^ stage.name);
         let stage_start = Obs.Clock.now () in
-        (* stall detection: wall clock since the last global improvement *)
-        let last_gain = ref stage_start in
-        let best_energy =
-          ref (match !best with Some r -> r.Solver.energy | None -> infinity)
-        and best_bound =
-          ref
-            (match !best with
-            | Some r -> r.Solver.lower_bound
-            | None -> neg_infinity)
-        in
-        (* polled from solver inner loops, possibly from spawned domains:
-           only reads wall clock and sets monotone flags *)
-        let interrupt () =
-          let now = Obs.Clock.now () in
-          let over_deadline =
-            match deadline with Some d -> now >= d | None -> false
-          in
-          if over_deadline then begin
-            exhausted := true;
-            true
-          end
-          else
-            match patience with
-            | Some p when now -. !last_gain > p -> true
-            | _ -> false
-        in
-        let progress ~iter:_ ~energy ~bound =
-          let improved =
-            energy < !best_energy -. 1e-12 || bound > !best_bound +. 1e-12
-          in
-          if improved then begin
-            if energy < !best_energy then best_energy := energy;
-            if bound > !best_bound then best_bound := bound;
-            last_gain := Obs.Clock.now ()
-          end
-        in
         let warm = Option.map (fun r -> r.Solver.labeling) !best in
         (* One attempt on the current degradation rung.  The injected
            [runner.stage] check sits before the solve so a scheduled
@@ -353,7 +300,7 @@ let run ?budget ?patience ?init ?on_best ~stages mrf =
           let s = if !rung >= 2 then icm_fallback else stage in
           Obs.span
             ~name:("runner.stage:" ^ s.name)
-            (fun () -> s.solve ~interrupt ~on_progress:progress ~init:warm model)
+            (fun () -> s.solve ~interrupt ~init:warm model)
         in
         (* Retry at once, escalating the ladder when a rung's retries
            are spent. *)
@@ -454,7 +401,6 @@ let run ?budget ?patience ?init ?on_best ~stages mrf =
     {
       result with
       Solver.iterations = !done_sweeps;
-      runtime_s = Obs.Clock.now () -. t0;
       converged = outcome_converged outcome;
     }
   in

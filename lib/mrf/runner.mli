@@ -4,10 +4,12 @@
     10,000-host networks in bounded time — and online re-diversification
     needs solvers that can be stopped at a deadline and still return the
     best feasible assignment found so far.  The runner wraps the six
-    solvers behind a uniform [stage] interface, enforces a wall-clock
-    budget, detects stalls (no energy or bound improvement for a patience
-    window) and degrades through a fallback cascade, merging the
-    best-so-far labeling across stages.
+    solvers behind a uniform [stage] interface — an interrupt goes in, a
+    {!Solver.result} comes out — enforces a wall-clock budget and
+    degrades through a fallback cascade, merging the best-so-far
+    labeling across stages.  Solvers do not time themselves: the
+    runner's stage clock is the one source of solve time, and only the
+    budget can make a result depend on the clock.
 
     Interrupt granularity: once per sweep for TRW-S, BP, ICM and SA
     (every restart, including spawned domains), per node expansion for
@@ -19,12 +21,12 @@ type outcome =
   | Converged  (** a stage met its own stopping criterion *)
   | Budget_exhausted  (** deadline hit *)
   | Stalled
-      (** the last stage stalled for [patience] or stopped at its own
-          iteration cap without converging *)
+      (** the last stage stopped at its own iteration cap without
+          converging, or the watchdog abandoned it (see {!run}) *)
   | Fell_back of string * outcome
-      (** a stage stalled; the cascade degraded to the next one.  The
-          string names the abandoned stage; the payload is the eventual
-          outcome of the rest of the cascade. *)
+      (** a stage ended without converging and the cascade moved on to
+          the next one.  The string names the abandoned stage; the
+          payload is the eventual outcome of the rest of the cascade. *)
   | Degraded of string * outcome
       (** stage failures forced the harness down its degradation ladder;
           the string names the rung entered (["generic-kernel"]: same
@@ -42,8 +44,7 @@ val outcome_converged : outcome -> bool
 
 type stage
 (** One solver in a cascade: a name plus a solve function taking the
-    harness interrupt/progress hooks and an optional warm-start
-    labeling. *)
+    harness interrupt and an optional warm-start labeling. *)
 
 val stage_name : stage -> string
 
@@ -71,7 +72,7 @@ val icm_restarts : ?jobs:int -> unit -> stage
     seed and the restart index only.  The best energy wins (lowest
     restart index on ties), [iterations] sums all restarts, [converged]
     requires all restarts to converge; the outcome is identical for
-    every job count.  Progress fires once, after the restarts join. *)
+    every job count. *)
 
 val sa : ?config:Sa.config -> ?jobs:int -> unit -> stage
 (** [jobs] overrides [config.domains], parallelizing the restarts over
@@ -83,15 +84,17 @@ val brute : unit -> stage
 val perturbed : seed:int -> stage -> stage
 (** [perturbed ~seed stage] relabels a random 15% of the warm-start
     labeling before running [stage] — a restart kick for SA/ICM retries
-    after a stall.  Deterministic in [seed]. *)
+    after a stage stops at its iteration cap without converging.
+    Deterministic in [seed]. *)
 
 type run_report = {
   result : Solver.result;
       (** best labeling across all stages run; [lower_bound] is the max
-          bound any stage proved, [iterations] and [runtime_s] are summed *)
+          bound any stage proved, [iterations] is summed *)
   outcome : outcome;
   stage_timings : (string * float) list;
-      (** wall-clock seconds per stage, in execution order *)
+      (** wall-clock seconds per stage, in execution order: the one
+          source of solve time *)
   retries : int;
       (** stage attempts that died on a recoverable failure and were
           retried (or escalated down the ladder); 0 on a clean run *)
@@ -99,7 +102,6 @@ type run_report = {
 
 val run :
   ?budget:float ->
-  ?patience:float ->
   ?init:int array ->
   ?on_best:(Solver.result -> unit) ->
   stages:stage list ->
@@ -109,11 +111,11 @@ val run :
     far and inherits the remaining budget, [budget] wall-clock seconds
     from the start of the run (default: none).  A stage that converges
     ends the run with [Converged]; hitting the deadline ends it with
-    [Budget_exhausted].  A stage that stalls — no energy or bound
-    improvement for [patience] wall-clock seconds (default: never) — or
-    exhausts its own iteration cap falls through to the next stage,
-    wrapping the eventual outcome in [Fell_back]; when no stage remains
-    the run ends [Stalled].
+    [Budget_exhausted].  A stage that stops at its own iteration cap
+    without converging falls through to the next stage, wrapping the
+    eventual outcome in [Fell_back]; when no stage remains the run ends
+    [Stalled].  Without [budget] the interrupt never fires and never
+    reads the clock, so no clock reading can change the result.
 
     {b Recovery.}  A stage attempt that dies on a {e recoverable}
     failure — an injected fault ({!Netdiv_fault.Fault.Injected}),

@@ -65,12 +65,10 @@ let greedy_unary_init mrf =
       done;
       !best)
 
-let solve ?(config = default_config) ?(interrupt = fun () -> false)
-    ?(on_progress = fun ~iter:_ ~energy:_ ~bound:_ -> ()) ?init mrf =
+let solve ?(config = default_config) ?(interrupt = fun () -> false) ?init mrf
+    =
   if not (config.cooling > 0.0 && config.cooling < 1.0) then
     invalid_arg "Sa.solve: cooling must lie in (0,1)";
-  (* progress callbacks touch caller state, so only fire them when the
-     restarts run on this domain *)
   let sequential = config.domains <= 1 || config.restarts <= 1 in
   let run () =
     let n = Mrf.n_nodes mrf in
@@ -123,16 +121,12 @@ let solve ?(config = default_config) ?(interrupt = fun () -> false)
                end
              done
            done;
-           if sequential then begin
-             (* the flight recorder shares the progress callback's
-                gating: parallel restarts run on pool workers, whose
-                completion order must not reach caller state *)
+           (* parallel restarts run on pool workers, whose completion
+              order must not reach the flight recorder *)
+           if sequential then
              Recorder.sweep ~iter:!sweeps ~energy:!local_best_energy
                ~bound:neg_infinity ~residual:!temp ~msg_potts:0 ~msg_sparse:0
                ~msg_generic:0;
-             on_progress ~iter:!sweeps ~energy:!local_best_energy
-               ~bound:neg_infinity
-           end;
            temp := !temp *. config.cooling
          done
        with Exit -> ());
@@ -175,18 +169,13 @@ let solve ?(config = default_config) ?(interrupt = fun () -> false)
           Array.blit x 0 best 0 n
         end)
       results;
-    (* guard against float drift in the incremental energy *)
-    let true_best = Mrf.energy mrf best in
-    (best, true_best, !sweeps, not !stopped)
+    {
+      Solver.labeling = best;
+      (* guard against float drift in the incremental energy *)
+      energy = Mrf.energy mrf best;
+      lower_bound = neg_infinity;
+      iterations = !sweeps;
+      converged = not !stopped;
+    }
   in
-  let (labeling, energy, iterations, converged), runtime_s =
-    Solver.timed (fun () -> Obs.span ~name:"sa.solve" run)
-  in
-  {
-    Solver.labeling;
-    energy;
-    lower_bound = neg_infinity;
-    iterations;
-    converged;
-    runtime_s;
-  }
+  Obs.span ~name:"sa.solve" run

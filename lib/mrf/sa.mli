@@ -27,7 +27,6 @@ val default_config : config
 val solve :
   ?config:config ->
   ?interrupt:(unit -> bool) ->
-  ?on_progress:(iter:int -> energy:float -> bound:float -> unit) ->
   ?init:int array ->
   Mrf.t ->
   Solver.result
@@ -38,6 +37,4 @@ val solve :
     [interrupt] is polled once per sweep in every restart and must be
     safe to call from spawned domains (wall-clock reads are); on [true]
     each restart stops and the best labeling across restarts is still
-    returned, with [converged = false].  [on_progress] fires per cooling
-    stage, and only when the restarts run sequentially ([domains <= 1]
-    or [restarts <= 1]) — progress handlers need not be thread-safe. *)
+    returned, with [converged = false]. *)

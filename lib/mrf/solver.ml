@@ -4,16 +4,7 @@ type result = {
   lower_bound : float;
   iterations : int;
   converged : bool;
-  runtime_s : float;
 }
-
-(* Timing goes through the observability clock shim so reported
-   runtimes share a time base with trace spans; the wrapped computation
-   never observes the clock. *)
-let timed f =
-  let t0 = Netdiv_obs.Obs.Clock.now () in
-  let x = f () in
-  (x, Netdiv_obs.Obs.Clock.now () -. t0)
 
 let optimality_gap r =
   if Float.is_nan r.energy || Float.is_nan r.lower_bound then infinity
@@ -29,7 +20,6 @@ let pp_float ppf v =
   else Format.fprintf ppf "%.6f" v
 
 let pp_result ppf r =
-  Format.fprintf ppf "energy %a, bound %a, %d iters, %s, %.3fs" pp_float
-    r.energy pp_float r.lower_bound r.iterations
+  Format.fprintf ppf "energy %a, bound %a, %d iters, %s" pp_float r.energy
+    pp_float r.lower_bound r.iterations
     (if r.converged then "converged" else "iteration cap")
-    r.runtime_s

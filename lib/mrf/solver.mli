@@ -6,11 +6,7 @@ type result = {
   lower_bound : float;     (** best dual bound; [neg_infinity] if none *)
   iterations : int;        (** sweeps performed *)
   converged : bool;        (** stopping criterion met before the cap *)
-  runtime_s : float;       (** wall-clock seconds *)
 }
-
-val timed : (unit -> 'a) -> 'a * float
-(** Runs a thunk and measures wall-clock time. *)
 
 val optimality_gap : result -> float
 (** [energy - lower_bound]; [infinity] when no bound is available or

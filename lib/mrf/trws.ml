@@ -435,8 +435,7 @@ let decode st ws n x =
    partitioned schedules differ only in these two callbacks, so the
    stopping logic — and therefore the iteration count for identical
    message trajectories — is shared by construction. *)
-let run_loop ~config ~interrupt ~on_progress mrf st ws n m ~sweep_pair ~bound
-    =
+let run_loop ~config ~interrupt mrf st ws n m ~sweep_pair ~bound =
   (* enablement is sampled once per solve; per-iteration work below is
      a handful of counter adds and begin/end span records, all
      allocation-free, and zero when disabled *)
@@ -489,7 +488,6 @@ let run_loop ~config ~interrupt ~on_progress mrf st ws n m ~sweep_pair ~bound
            Recorder.sweep ~iter:it ~energy:!best_energy ~bound:!best_bound
              ~residual:(Float.max bound_progress energy_progress)
              ~msg_potts ~msg_sparse ~msg_generic;
-         on_progress ~iter:it ~energy:!best_energy ~bound:!best_bound;
          if
            bound_progress < config.tolerance
            && energy_progress < config.tolerance
@@ -516,24 +514,19 @@ let run_loop ~config ~interrupt ~on_progress mrf st ws n m ~sweep_pair ~bound
     Obs.sample ~name:"mrf.messages.generic"
       (float_of_int (msg_generic * !iters))
   end;
-  (best_x, !best_energy, !best_bound, !iters, !converged)
+  {
+    Solver.labeling = best_x;
+    energy = !best_energy;
+    lower_bound = !best_bound;
+    iterations = !iters;
+    converged = !converged;
+  }
 
-
-let no_progress ~iter:_ ~energy:_ ~bound:_ = ()
-
-(* Each schedule returns (labeling, energy, bound, iterations,
-   converged); [timed] wraps one in its span and the wall clock. *)
-let timed ~span run =
-  let (labeling, energy, lower_bound, iterations, converged), runtime_s =
-    Solver.timed (fun () -> Obs.span ~name:span run)
-  in
-  { Solver.labeling; energy; lower_bound; iterations; converged; runtime_s }
-
-let sequential ~config ~interrupt ~on_progress mrf () =
+let sequential ~config ~interrupt mrf () =
   let st = make_state mrf in
   let ws = make_workspace st in
   let n = Mrf.n_nodes mrf and m = Mrf.n_edges mrf in
-  run_loop ~config ~interrupt ~on_progress mrf st ws n m
+  run_loop ~config ~interrupt mrf st ws n m
     ~sweep_pair:(fun () ->
       sweep st ws n true;
       sweep st ws n false)
@@ -548,7 +541,7 @@ let sequential ~config ~interrupt ~on_progress mrf () =
 let partition_min = 4096
 let parts = 16
 
-let partitioned ~config ~interrupt ~on_progress ?jobs mrf () =
+let partitioned ~config ~interrupt ?jobs mrf () =
   let n = Mrf.n_nodes mrf in
   let st = make_state mrf in
   let m = Mrf.n_edges mrf in
@@ -650,7 +643,7 @@ let partitioned ~config ~interrupt ~on_progress ?jobs mrf () =
             done);
         lb_sum st
       in
-      run_loop ~config ~interrupt ~on_progress mrf st ws0 n m
+      run_loop ~config ~interrupt mrf st ws0 n m
         ~sweep_pair:(fun () ->
           half true;
           half false)
@@ -730,7 +723,7 @@ let zone_map ?jobs ?zone_of mrf =
    stop early when every boundary edge agrees.  A map without boundary
    edges (the component split) is done after one round: nothing couples
    its zones. *)
-let zoned ~config ~interrupt ~on_progress ?jobs ~zone_of ~nz mrf () =
+let zoned ~config ~interrupt ?jobs ~zone_of ~nz mrf () =
   let n = Mrf.n_nodes mrf and m = Mrf.n_edges mrf in
   let {
     Mrf.Compact.i_labels = g_labels;
@@ -852,14 +845,12 @@ let zoned ~config ~interrupt ~on_progress ?jobs ~zone_of ~nz mrf () =
       lower_bound = neg_infinity;
       iterations = 0;
       converged = false;
-      runtime_s = 0.0;
     }
   in
   let results = Array.make nz dummy in
   let solve_zone z =
     Pool.write results z
-      (timed ~span:"trws.solve"
-         (sequential ~config ~interrupt ~on_progress:no_progress wrapped.(z)))
+      (Obs.span ~name:"trws.solve" (sequential ~config ~interrupt wrapped.(z)))
   in
   let xhat = Array.make n 0 in
   let best_x = Array.make n 0 in
@@ -995,7 +986,6 @@ let zoned ~config ~interrupt ~on_progress ?jobs ~zone_of ~nz mrf () =
                 (!best_bound -. prev_bound))
            ~msg_potts:0 ~msg_sparse:0 ~msg_generic:0
        end;
-       on_progress ~iter ~energy:!best_energy ~bound:!best_bound;
        if nb = 0 then begin
          (* nothing couples the zones: another round would re-solve
             identical zone models *)
@@ -1011,18 +1001,22 @@ let zoned ~config ~interrupt ~on_progress ?jobs ~zone_of ~nz mrf () =
        end
      done
    with Exit -> ());
-  (best_x, !best_energy, !best_bound, !iters, !converged)
+  {
+    Solver.labeling = best_x;
+    energy = !best_energy;
+    lower_bound = !best_bound;
+    iterations = !iters;
+    converged = !converged;
+  }
 
-let solve ?(config = default_config) ?(interrupt = fun () -> false)
-    ?(on_progress = no_progress) ?jobs ?zone_of mrf =
+let solve ?(config = default_config) ?(interrupt = fun () -> false) ?jobs
+    ?zone_of mrf =
   match zone_map ?jobs ?zone_of mrf with
   | Some (zone_of, nz) when nz > 1 ->
-      timed ~span:"trws.zoned"
-        (zoned ~config ~interrupt ~on_progress ?jobs ~zone_of ~nz mrf)
+      Obs.span ~name:"trws.zoned"
+        (zoned ~config ~interrupt ?jobs ~zone_of ~nz mrf)
   | _ when Option.is_some jobs && Mrf.n_nodes mrf >= partition_min ->
-      timed ~span:"trws.solve"
-        (partitioned ~config ~interrupt ~on_progress ?jobs mrf)
-  | _ ->
-      timed ~span:"trws.solve" (sequential ~config ~interrupt ~on_progress mrf)
+      Obs.span ~name:"trws.solve" (partitioned ~config ~interrupt ?jobs mrf)
+  | _ -> Obs.span ~name:"trws.solve" (sequential ~config ~interrupt mrf)
 
 let solve_zoned = solve

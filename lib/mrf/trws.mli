@@ -25,7 +25,6 @@ val default_config : config
 val solve :
   ?config:config ->
   ?interrupt:(unit -> bool) ->
-  ?on_progress:(iter:int -> energy:float -> bound:float -> unit) ->
   ?jobs:int ->
   ?zone_of:int array ->
   Mrf.t ->
@@ -80,9 +79,7 @@ val solve :
     and returns the best labeling, energy and bound found so far (the
     anytime property — an initial decode happens before the first
     sweep, so the labeling is always feasible).  It must be safe to
-    call from several domains.  [on_progress] fires after every bound
-    computation — per sweep pair, per zone round, once for a map
-    without boundary edges — with the running best energy and bound.
+    call from several domains.
 
     @raise Invalid_argument when [zone_of]'s length is not the node
     count or it holds a negative id. *)
@@ -90,7 +87,6 @@ val solve :
 val solve_zoned :
   ?config:config ->
   ?interrupt:(unit -> bool) ->
-  ?on_progress:(iter:int -> energy:float -> bound:float -> unit) ->
   ?jobs:int ->
   ?zone_of:int array ->
   Mrf.t ->

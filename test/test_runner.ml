@@ -1,12 +1,14 @@
 (* Tests for the anytime harness (Runner), which every Optimize solve
    runs through: a ~0-second budget makes every solver return within its
    next interrupt poll with a feasible labeling and [Budget_exhausted];
-   pinned solves hold the results bit for bit, and a generous budget or a
-   checkpoint file leaves them unchanged at every job count; stalls
-   degrade through the fallback cascade and still yield
-   constraint-satisfying assignments. *)
+   pinned solves hold the results bit for bit, and a generous budget, a
+   checkpoint file or a skewed clock leaves them unchanged at every job
+   count; a stage that stops at its iteration cap without converging
+   hands over to the next stage of the cascade, and the cascade still
+   yields constraint-satisfying assignments. *)
 
 open Netdiv_mrf
+module Fault = Netdiv_fault.Fault
 module Optimize = Netdiv_core.Optimize
 module Constr = Netdiv_core.Constr
 module Network = Netdiv_core.Network
@@ -196,6 +198,44 @@ let test_options_compose () =
       Optimize.Sa;
     ]
 
+(* Under this spec every clock read jumps 60 s.  Only a budget may make
+   a result depend on the clock, so unbudgeted solves must not notice. *)
+let test_unbudgeted_ignores_clock () =
+  let net = instance ~hosts:60 () in
+  let solves =
+    List.concat_map
+      (fun solver -> [ (solver, None); (solver, Some 2) ])
+      [
+        Optimize.Trws; Optimize.Trws_icm; Optimize.Bp; Optimize.Icm;
+        Optimize.Sa;
+      ]
+  in
+  let under spec =
+    Fault.set_spec (Some spec);
+    Fault.reset ();
+    Fun.protect
+      ~finally:(fun () ->
+        Fault.set_spec None;
+        Fault.reset ())
+      (fun () ->
+        let prints =
+          List.map
+            (fun (solver, jobs) ->
+              ( Printf.sprintf "%s, jobs %s"
+                  (Optimize.solver_name solver)
+                  (match jobs with None -> "none" | Some j -> string_of_int j),
+                fingerprint (Optimize.run ~solver ?jobs net []) ))
+            solves
+        in
+        (prints, Fault.fired_count ()))
+  in
+  let clean, _ = under "" in
+  let skewed, fired = under "rate=1.0,only=clock." in
+  if fired = 0 then Alcotest.fail "the clock was never skewed";
+  List.iter2
+    (fun (name, c) (_, s) -> Alcotest.(check string) name c s)
+    clean skewed
+
 (* ------------------------------------------------- generous budgets *)
 
 let test_generous_budget_bnb () =
@@ -215,27 +255,27 @@ let test_generous_budget_bnb () =
 
 (* ------------------------------------------------- fallback cascade *)
 
+(* BP stops at its 100-iteration cap without converging on this model,
+   so the cascade hands over to ICM *)
 let test_cascade_falls_back_on_stall () =
-  let mrf = random_mrf (rng 9) 50 3 0.1 in
-  let report =
-    Runner.run ~patience:0.0
-      ~stages:[ Runner.sa (); Runner.icm () ]
-      mrf
-  in
+  let mrf = random_mrf (rng 3) 50 3 0.1 in
+  let report = Runner.run ~stages:[ Runner.bp (); Runner.icm () ] mrf in
   (match report.Runner.outcome with
-  | Runner.Fell_back ("sa", _) -> ()
+  | Runner.Fell_back ("bp", _) -> ()
   | o ->
-      Alcotest.failf "expected a fallback from sa, got %a" Runner.pp_outcome
+      Alcotest.failf "expected a fallback from bp, got %a" Runner.pp_outcome
         o);
   check_feasible "cascade" mrf report.Runner.result;
   match report.Runner.stage_timings with
-  | [ ("sa", _); ("icm", _) ] -> ()
+  | [ ("bp", _); ("icm", _) ] -> ()
   | l ->
-      Alcotest.failf "expected sa and icm stage timings, got [%s]"
+      Alcotest.failf "expected bp and icm stage timings, got [%s]"
         (String.concat "; " (List.map fst l))
 
+(* The smallest instance on which branch-and-bound reaches its node
+   limit: the cascade falls back to TRW-S + ICM. *)
 let test_exact_cascade_constraints () =
-  let net = instance ~hosts:30 ~degree:6 ~services:3 () in
+  let net = instance ~hosts:9 ~degree:4 ~services:3 () in
   let service = (Network.host_services net 0).(0) in
   let constraints =
     [
@@ -247,11 +287,7 @@ let test_exact_cascade_constraints () =
         };
     ]
   in
-  let report =
-    Optimize.run ~solver:Optimize.Exact
-      ~budget:30.0
-      ~patience:0.0 net constraints
-  in
+  let report = Optimize.run ~solver:Optimize.Exact net constraints in
   (match report.Optimize.outcome with
   | Runner.Fell_back ("bnb", _) -> ()
   | o ->
@@ -300,7 +336,6 @@ let dummy energy lower_bound =
     lower_bound;
     iterations = 1;
     converged = false;
-    runtime_s = 0.0;
   }
 
 let test_gap_nonfinite () =
@@ -354,6 +389,8 @@ let () =
             test_optimize_zero_budget;
           Alcotest.test_case "pinned solves" `Quick test_pinned_solves;
           Alcotest.test_case "options compose" `Quick test_options_compose;
+          Alcotest.test_case "unbudgeted solves ignore the clock" `Quick
+            test_unbudgeted_ignores_clock;
           Alcotest.test_case "generous budget certifies (bnb)" `Quick
             test_generous_budget_bnb;
         ] );

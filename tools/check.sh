@@ -12,7 +12,8 @@
 # snapshots land in bench_history/), validate that a traced optimize
 # run emits a Chrome trace and a JSONL log that netdiv obs-summary
 # accepts, run the chaos gate (a fixed NETDIV_FAULT schedule must
-# recover to the fault-free assignment and replay bitwise), run the
+# recover to the fault-free assignment and replay bitwise, and a skewed
+# clock must not change an unbudgeted solve), run the
 # flight-recorder gate (a degraded run must dump a black box that
 # netdiv report renders, and a zoned solve must attribute its dual gap
 # per zone), and — when
@@ -146,6 +147,13 @@ grep '^optimal' "$chaosdir/plain_clean.out" >"$chaosdir/plain_clean.energy"
 grep '^optimal' "$chaosdir/plain_chaos.out" >"$chaosdir/plain_chaos.energy"
 cmp -s "$chaosdir/plain_clean.energy" "$chaosdir/plain_chaos.energy" || {
   echo "unbudgeted chaos run diverged from the fault-free solve"; exit 1; }
+# Only a budget may make a result depend on the clock: with every clock
+# read jumping 60 s, an unbudgeted solve lands on the same assignment.
+plain_run "rate=1.0,only=clock." >"$chaosdir/plain_clock.out"
+grep '^optimal' "$chaosdir/plain_clock.out" >"$chaosdir/plain_clock.energy"
+cmp -s "$chaosdir/plain_clean.energy" "$chaosdir/plain_clock.energy" || {
+  echo "unbudgeted run under a skewed clock diverged from the clean solve"
+  exit 1; }
 rm -rf "$chaosdir"
 
 echo "== flight recorder gate (black box under degradation + report)"
