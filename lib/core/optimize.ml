@@ -80,35 +80,18 @@ let solver_name = function
   | Sa -> "sa"
   | Exact -> "bnb"
 
-(* Fallback cascade per solver choice: the primary stage first; stalled
-   primaries degrade to perturbed restarts (local searches) or to the
-   approximate pipeline (Exact).  [jobs] parallelizes the stages that
-   have a job-count-invariant parallel form: TRW-S and BP schedules,
+(* Fallback cascade per solver choice: one stage, except that [Exact]
+   falls back to the approximate pipeline when branch-and-bound stops
+   at its node limit.  [jobs] parallelizes the stages that have a
+   job-count-invariant parallel form: TRW-S and BP schedules,
    multi-restart ICM, SA restarts. *)
 let cascade ?jobs = function
   | Trws -> [ Runner.trws ?jobs () ]
   | Trws_icm -> [ Runner.trws_icm ?jobs () ]
   | Bp -> [ Runner.bp ?jobs () ]
-  | Icm -> (
-      match jobs with
-      | None ->
-          [
-            Runner.icm ();
-            Runner.perturbed ~seed:17 (Runner.icm ());
-            Runner.perturbed ~seed:43 (Runner.icm ());
-          ]
-      | Some _ ->
-          (* the parallel restarts subsume the perturbed retries: each
-             restart past the first already perturbs the warm start *)
-          [ Runner.icm_restarts ?jobs () ])
-  | Sa ->
-      [
-        Runner.sa ?jobs ();
-        Runner.perturbed ~seed:91
-          (Runner.sa
-             ~config:{ Netdiv_mrf.Sa.default_config with seed = 0x7e57 }
-             ?jobs ());
-      ]
+  | Icm when jobs = None -> [ Runner.icm () ]
+  | Icm -> [ Runner.icm_restarts ?jobs () ]
+  | Sa -> [ Runner.sa ?jobs () ]
   | Exact -> [ Runner.bnb (); Runner.trws_icm ?jobs () ]
 
 (* The one solve path: every solve is the solver's cascade under the

@@ -16,9 +16,10 @@ type solver =
       (** branch-and-bound ({!Netdiv_mrf.Bnb}), falling back to TRW-S +
           ICM when it stops without a proof.  The result is a certified
           optimum only when the outcome is [Converged] with no
-          [Fell_back]; measured, that happens only up to about 24
-          variables.  The case-study encodings (63 variables) exhaust
-          the 2,000,000-node limit in 5-9 s and fall back *)
+          [Fell_back].  Measured: degree-4, 3-service
+          [Workload.instance]s certify at 8 hosts and hit the
+          2,000,000-node limit at 9 to 12 hosts; the three case-study
+          encodings hit it in 5-9 s and fall back *)
 
 type report = {
   assignment : Assignment.t;
@@ -54,13 +55,12 @@ val run :
     Every solve runs the solver's cascade under the anytime harness
     ({!Netdiv_mrf.Runner.run}); no option selects another code path.
     [budget] is a wall-clock allowance in seconds (default: none), the
-    only way wall-clock time can change the result.  A stage that stops
-    at its iteration cap without converging hands over to the next stage
-    of the cascade ([Exact] → TRW-S + ICM with the remaining budget,
-    [Sa]/[Icm] retried from perturbed restarts), and failed stage
-    attempts are retried and degraded.  The returned assignment is the
-    best found, when the budget expires the best so far, and always
-    feasible with respect to the encoding.
+    only way wall-clock time can change the result.  Every solver but
+    [Exact] is one stage; [Exact] hands over to TRW-S + ICM, with the
+    remaining budget, when branch-and-bound stops at its node limit.
+    Failed stage attempts are retried and degraded.  The returned
+    assignment is the best found, when the budget expires the best so
+    far, and always feasible with respect to the encoding.
 
     [jobs] parallelizes the stages that have a job-count-invariant
     parallel form over the {!Netdiv_par.Pool} domain pool: TRW-S solves

@@ -1,9 +1,10 @@
 (* The anytime harness is the sanctioned wall-clock boundary: solvers
    do not time themselves, and the harness reads the clock for the
    budget and the stage timings only, through the Netdiv_obs clock shim
-   so harness timings and trace spans share one time base.  Which assignment is returned
-   can depend on the clock solely when the caller explicitly passes a
-   time budget; an unbudgeted run's interrupt never reads the clock. *)
+   so harness timings and trace spans share one time base.  Which
+   assignment is returned can depend on the clock solely when the
+   caller explicitly passes a time budget; an unbudgeted run's
+   interrupt never reads the clock. *)
 
 module Obs = Netdiv_obs.Obs
 module Recorder = Netdiv_obs.Recorder
@@ -134,13 +135,9 @@ let icm_restarts ?jobs () =
         { !best with Solver.iterations = iterations; converged });
   }
 
-let sa ?config ?jobs () =
+let sa ?jobs () =
   let config =
-    match jobs with
-    | None -> config
-    | Some j ->
-        let base = Option.value config ~default:Sa.default_config in
-        Some { base with Sa.domains = j }
+    Option.map (fun j -> { Sa.default_config with Sa.domains = j }) jobs
   in
   {
     name = "sa";
@@ -160,26 +157,6 @@ let brute () =
     name = "brute";
     solve =
       (fun ~interrupt ~init:_ mrf -> Brute.solve ~interrupt mrf);
-  }
-
-let perturbed ~seed stage =
-  {
-    name = stage.name ^ "*";
-    solve =
-      (fun ~interrupt ~init mrf ->
-        let init =
-          match init with
-          | None -> None
-          | Some x ->
-              let rng = Random.State.make [| seed |] in
-              let x = Array.copy x in
-              for i = 0 to Array.length x - 1 do
-                if Random.State.float rng 1.0 < 0.15 then
-                  x.(i) <- Random.State.int rng (Mrf.label_count mrf i)
-              done;
-              Some x
-        in
-        stage.solve ~interrupt ~init mrf);
   }
 
 type run_report = {

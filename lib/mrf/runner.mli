@@ -74,18 +74,13 @@ val icm_restarts : ?jobs:int -> unit -> stage
     requires all restarts to converge; the outcome is identical for
     every job count. *)
 
-val sa : ?config:Sa.config -> ?jobs:int -> unit -> stage
-(** [jobs] overrides [config.domains], parallelizing the restarts over
-    the domain pool (results are job-count-invariant). *)
+val sa : ?jobs:int -> unit -> stage
+(** {!Sa.solve} with its default config; [jobs] sets [domains],
+    parallelizing the restarts over the domain pool (results are
+    job-count-invariant). *)
 
 val bnb : unit -> stage
 val brute : unit -> stage
-
-val perturbed : seed:int -> stage -> stage
-(** [perturbed ~seed stage] relabels a random 15% of the warm-start
-    labeling before running [stage] — a restart kick for SA/ICM retries
-    after a stage stops at its iteration cap without converging.
-    Deterministic in [seed]. *)
 
 type run_report = {
   result : Solver.result;
@@ -128,8 +123,10 @@ val run :
     [runner.degraded] metrics.  If every rung fails and a best-so-far
     (or [init]) labeling exists, the stage is abandoned and the run
     keeps its anytime result; with nothing to fall back on the failure
-    propagates.  Non-recoverable exceptions ([Pool.Race], programmer
-    errors) always propagate unchanged.
+    propagates.  The ladder never climbs back down: stages after the
+    one that degraded run on the rung it reached.  Non-recoverable
+    exceptions ([Pool.Race], programmer errors) always propagate
+    unchanged.
 
     [init] seeds the best-so-far labeling before any stage runs (the
     resume path: stages warm-start from it and it is the watchdog's
