@@ -1171,9 +1171,10 @@ let intra_component_speedup () =
 
 let observability_overhead () =
   section "[Obs] tracing overhead on the 4-zone segmented instance";
-  (* disabled-path microbenchmark: a span is one atomic load and a
-     branch on each side; two million pairs give a stable per-pair
-     figure even under timer jitter *)
+  (* disabled-path microbenchmark: with tracing off and no recorder
+     installed, a span is two atomic loads and a branch on each side;
+     two million pairs give a stable per-pair figure even under timer
+     jitter *)
   let pairs = 2_000_000 in
   let t0 = Unix.gettimeofday () in
   for _ = 1 to pairs do
@@ -1262,18 +1263,16 @@ let observability_overhead () =
 
 (* The black-box counterpart of observability_overhead: the recorder is
    meant to stay installed on production solves, so both its paths are
-   gated — the uninstalled record (one domain-local read and a branch)
-   against the 200 ns microbench budget, and the installed whole-solve
-   overhead against the same 3% envelope as tracing.  The solver result
-   must be bitwise identical with the recorder on and off. *)
+   gated — a sample with tracing off and no recorder installed (atomic
+   loads and a branch) against the 200 ns microbench budget, and the
+   installed whole-solve overhead against the same 3% envelope as
+   tracing.  The solver result must be bitwise identical with the
+   recorder on and off. *)
 let recorder_overhead () =
   section "[Obs] flight-recorder overhead on the 4-zone segmented instance";
   let module Recorder = Netdiv_obs.Recorder in
   let records = 2_000_000 in
-  let record () =
-    Recorder.sweep ~iter:0 ~energy:0.0 ~bound:0.0 ~residual:0.0 ~msg_potts:0
-      ~msg_sparse:0 ~msg_generic:0
-  in
+  let record () = Obs.sample ~name:"bench.record" 0.0 in
   let t0 = Unix.gettimeofday () in
   for _ = 1 to records do
     record ()
@@ -1295,7 +1294,7 @@ let recorder_overhead () =
   Report.metric "record_installed_ns" on_ns;
   if off_ns > 200.0 then
     Report.fail
-      (Printf.sprintf "uninstalled frame record costs %.0f ns (> 200 ns \
+      (Printf.sprintf "uninstalled record costs %.0f ns (> 200 ns \
                        budget)" off_ns);
   let net, _ = segmented_instance () in
   (* untimed warmups capture the deterministic result under each mode;
@@ -1320,13 +1319,14 @@ let recorder_overhead () =
   and best_on = Array.fold_left Float.min infinity ons in
   let overhead_pct = ((best_on /. best_off) -. 1.0) *. 100.0 in
   Format.printf
-    "solve recorder off: %.3fs, recorder on: %.3fs (+%.1f%%), %d frames@."
+    "solve recorder off: %.3fs, recorder on: %.3fs (+%.1f%%), %d events@."
     best_off best_on overhead_pct (Recorder.recorded r);
   Report.metric "solve_off_s" best_off;
   spread "solve_off" offs;
   Report.metric "solve_on_s" best_on;
   spread "solve_on" ons;
   Report.metric "overhead_on_pct" overhead_pct;
+  (* the key predates the event ring; it now counts events *)
   Report.metric "recorder_frames" (float_of_int (Recorder.recorded r));
   Report.metric "solver_energy" ref_off.Optimize.energy;
   if

@@ -123,7 +123,7 @@ let metrics_arg =
     & info [ "metrics" ]
         ~doc:
           "Print the span rollup and metrics registry (counters, \
-           gauges, histograms) after the command finishes.")
+           histograms) after the command finishes.")
 
 (* Enables tracing around [f] when either output was requested; the
    trace/summary is still written when [f] raises so a failing run can
@@ -158,12 +158,13 @@ let flight_record_arg =
     & opt (some string) None
     & info [ "flight-record" ] ~docv:"FILE"
         ~doc:
-          "Keep a fixed-size convergence flight recorder installed for \
-           the solve and dump its frames to $(docv) as JSON.  O(capacity) \
-           memory whatever the instance size — cheap enough to leave on \
-           at 100k hosts where $(b,--trace) is too heavy.  The dump also \
-           happens on degradation, watchdog abandonment and escaping \
-           exceptions; read it back with $(b,netdiv report).")
+          "Keep a fixed-size flight recorder installed for the solve: a \
+           ring holding the last events of the same stream $(b,--trace) \
+           writes, dumped to $(docv) as a header line plus JSONL events.  \
+           O(capacity) memory whatever the instance size — cheap enough \
+           to leave on at 100k hosts where $(b,--trace) is too heavy.  \
+           The dump also happens on degradation, watchdog abandonment \
+           and escaping exceptions; read it back with $(b,netdiv report).")
 
 (* Installs a flight recorder around [f] when requested.  The anytime
    runner dumps with its outcome as the reason; paths that bypass the
@@ -978,7 +979,7 @@ let scalability_cmd =
        $ time_budget_arg $ jobs_arg $ flight_record_arg $ trace_arg
        $ metrics_arg))
 
-(* ---------------------------------------------------- trace/dump readers *)
+(* ---------------------------------------------------------------- report *)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -986,27 +987,38 @@ let read_file path =
   close_in ic;
   s
 
-(* A Chrome trace is one JSON document carrying a traceEvents list;
-   anything else is treated as JSONL, one event object per line.
-   Validation is strict — this doubles as the CI round-trip check for
-   the exporters. *)
-let load_trace contents =
+(* A Chrome trace is one JSON document carrying a traceEvents list; a
+   flight-recorder dump is a header line followed by JSONL events;
+   anything else is a JSONL trace.  Each event object is paired with its
+   position, for error messages. *)
+let load_events contents =
   match Json.parse contents with
-  | Ok json -> (
+  | Ok json when Json.member "traceEvents" json <> None -> (
       match Option.bind (Json.member "traceEvents" json) Json.to_list with
-      | Some events -> Ok ("chrome", events)
-      | None -> Error "single JSON document without a traceEvents list")
-  | Error _ ->
-      let rec go lineno acc = function
-        | [] -> Ok ("jsonl", List.rev acc)
-        | line :: rest ->
-            if String.trim line = "" then go (lineno + 1) acc rest
-            else (
-              match Json.parse line with
-              | Ok ev -> go (lineno + 1) (ev :: acc) rest
-              | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg))
+      | Some evs ->
+          let at i e = (Printf.sprintf "event %d" i, e) in
+          Ok ("chrome", None, List.mapi at evs)
+      | None -> Error "traceEvents is not a list")
+  | _ -> (
+      let rec lines lineno acc = function
+        | [] -> Ok (List.rev acc)
+        | line :: rest when String.trim line = "" ->
+            lines (lineno + 1) acc rest
+        | line :: rest -> (
+            let at = Printf.sprintf "line %d" lineno in
+            match Json.parse line with
+            | Ok j -> lines (lineno + 1) ((at, j) :: acc) rest
+            | Error msg -> Error (Printf.sprintf "%s: %s" at msg))
       in
-      go 1 [] (String.split_on_char '\n' contents)
+      match lines 1 [] (String.split_on_char '\n' contents) with
+      | Ok ((_, header) :: events)
+        when Json.member "netdiv_recorder" header <> None ->
+          let version = Json.member "netdiv_recorder" header in
+          if Option.bind version Json.to_float = Some 2.0 then
+            Ok ("dump", Some header, events)
+          else Error "unsupported flight-recorder dump version (expected 2)"
+      | Ok events -> Ok ("jsonl", None, events)
+      | Error _ as e -> e)
 
 (* JSON numbers cannot carry non-finite floats, so the exporters write
    them as strings ("inf", "-inf", "nan"); accept both shapes here. *)
@@ -1015,109 +1027,36 @@ let json_num j =
   | Some v -> Some v
   | None -> Option.bind (Json.to_str j) float_of_string_opt
 
-(* Decode one Chrome/JSONL trace-event object back into an {!Obs.event}
-   so `netdiv report` and `netdiv obs-summary` can reuse the in-process
-   analyses ({!Obs_report.hot_spans}, {!Obs_report.kernel_throughput})
-   on data read from disk.  [ts] is microseconds in the trace format. *)
+(* Decode one trace-event object (the shape Obs_export writes for traces
+   and dumps alike) back into an {!Obs.event}; [ts] is microseconds in
+   the format.  [None] on a missing or mistyped field. *)
 let event_of_json ev =
   let str k = Option.bind (Json.member k ev) Json.to_str in
   let num k = Option.bind (Json.member k ev) json_num in
-  match (str "name", str "ph") with
-  | Some name, Some ph ->
-      (match ph with
-      | "B" -> Some Obs.Begin
-      | "E" -> Some Obs.End
-      | "i" -> Some Obs.Instant
-      | "C" -> Some Obs.Sample
-      | _ -> None)
-      |> Option.map (fun kind ->
-             {
-               Obs.kind;
-               name;
-               ts = (match num "ts" with Some us -> us /. 1e6 | None -> 0.0);
-               tid = (match num "tid" with Some t -> int_of_float t | None -> 0);
-               value =
-                 (match
-                    Option.bind (Json.path [ "args"; "value" ] ev) json_num
-                  with
-                 | Some v -> v
-                 | None -> 0.0);
-             })
+  let kind =
+    match str "ph" with
+    | Some "B" -> Some Obs.Begin
+    | Some "E" -> Some Obs.End
+    | Some "i" -> Some Obs.Instant
+    | Some "C" -> Some Obs.Sample
+    | _ -> None
+  in
+  let value =
+    if kind = Some Obs.Sample then
+      Option.bind (Json.path [ "args"; "value" ] ev) json_num
+    else Some 0.0
+  in
+  match (str "name", kind, num "ts", value) with
+  | Some name, Some kind, Some us, Some value ->
+      Some
+        {
+          Obs.kind;
+          name;
+          ts = us /. 1e6;
+          value;
+          tid = (match num "tid" with Some t -> int_of_float t | None -> 0);
+        }
   | _ -> None
-
-(* Decode one flight-recorder frame object (see {!Recorder.dump_string}
-   for the writer side).  [None] on any missing or mistyped field — the
-   caller treats that as a malformed dump, not a skippable frame. *)
-let frame_of_json j =
-  let f k = Option.bind (Json.member k j) json_num in
-  let i k = Option.map int_of_float (f k) in
-  let b k = Option.bind (Json.member k j) Json.to_bool in
-  let s k = Option.bind (Json.member k j) Json.to_str in
-  match s "k" with
-  | Some "sweep" -> (
-      match
-        ( f "t", i "iter", f "energy", f "bound", f "residual",
-          i "msg_potts", i "msg_sparse", i "msg_generic" )
-      with
-      | ( Some t, Some iter, Some energy, Some bound, Some residual,
-          Some mp, Some ms, Some mg ) ->
-          Some
-            (Recorder.Sweep
-               {
-                 Recorder.s_t = t;
-                 s_iter = iter;
-                 s_energy = energy;
-                 s_bound = bound;
-                 s_residual = residual;
-                 s_msg_potts = mp;
-                 s_msg_sparse = ms;
-                 s_msg_generic = mg;
-               })
-      | _ -> None)
-  | Some "zone" -> (
-      match
-        (f "t", i "round", i "zone", f "energy", f "bound", i "iters",
-         b "converged")
-      with
-      | Some t, Some round, Some zone, Some energy, Some bound, Some iters,
-        Some converged ->
-          Some
-            (Recorder.Zone
-               {
-                 Recorder.z_t = t;
-                 z_round = round;
-                 z_zone = zone;
-                 z_energy = energy;
-                 z_bound = bound;
-                 z_iterations = iters;
-                 z_converged = converged;
-               })
-      | _ -> None)
-  | Some "boundary" -> (
-      match
-        (f "t", i "round", i "disagree", f "edge_bound", f "zone_bound",
-         f "step")
-      with
-      | Some t, Some round, Some disagree, Some eb, Some zb, Some step ->
-          Some
-            (Recorder.Boundary
-               {
-                 Recorder.b_t = t;
-                 b_round = round;
-                 b_disagree = disagree;
-                 b_edge_bound = eb;
-                 b_zone_bound = zb;
-                 b_step = step;
-               })
-      | _ -> None)
-  | Some "mark" -> (
-      match (f "t", s "label") with
-      | Some t, Some label ->
-          Some (Recorder.Mark { Recorder.mk_t = t; mk_label = label })
-      | _ -> None)
-  | _ -> None
-
-(* ---------------------------------------------------------------- report *)
 
 let report_cmd =
   let file =
@@ -1131,138 +1070,48 @@ let report_cmd =
   in
   let top =
     Arg.(value & opt int 10
-         & info [ "top" ] ~docv:"K"
-             ~doc:"Rows in the hot-span table (trace input only).")
+         & info [ "top" ] ~docv:"K" ~doc:"Rows in the hot-span table.")
   in
   let run file top =
-    let contents = read_file file in
-    match Json.parse contents with
-    | Ok json when Json.member "netdiv_recorder" json <> None -> (
-        match Option.bind (Json.member "frames" json) Json.to_list with
-        | None ->
-            `Error
-              (false, Printf.sprintf "%s: recorder dump lacks a frames list" file)
-        | Some frames_json ->
-            let frames = List.filter_map frame_of_json frames_json in
-            if List.length frames <> List.length frames_json then
-              `Error
-                ( false,
-                  Printf.sprintf "%s: malformed frame in flight-recorder dump"
-                    file )
-            else begin
-              let str k = Option.bind (Json.member k json) Json.to_str in
-              let int_of k =
-                Option.map int_of_float
-                  (Option.bind (Json.member k json) Json.to_float)
-              in
-              Format.printf "recorder %s@."
-                (Option.value ~default:"?" (str "name"));
-              Format.printf "reason   %s@."
-                (Option.value ~default:"?" (str "reason"));
-              (match (int_of "recorded", int_of "capacity", int_of "dropped")
-               with
-              | Some r, Some c, Some d ->
-                  Format.printf "frames   %d recorded, capacity %d, %d dropped@."
-                    r c d
-              | _ -> ());
-              Format.printf "%a@." Obs_report.pp_convergence frames;
-              `Ok ()
-            end)
-    | _ -> (
-        (* not a recorder dump: fall back to the trace formats and report
-           profiling attribution instead of convergence *)
-        match load_trace contents with
-        | Error msg -> `Error (false, Printf.sprintf "%s: %s" file msg)
-        | Ok (format, events_json) ->
-            let events = List.filter_map event_of_json events_json in
-            Format.printf "format  %s (%d events)@." format
-              (List.length events);
-            Format.printf "%a@." (Obs_report.pp_hot_spans ~k:top) events;
-            if Obs_report.kernel_throughput events <> [] then
-              Format.printf "%a@." Obs_report.pp_throughput events;
+    let fail msg = `Error (false, Printf.sprintf "%s: %s" file msg) in
+    match load_events (read_file file) with
+    | Error msg -> fail msg
+    | Ok (format, header, objs) -> (
+        let rec decode acc = function
+          | [] -> Ok (List.rev acc)
+          | (pos, j) :: rest -> (
+              match event_of_json j with
+              | Some e -> decode (e :: acc) rest
+              | None -> Error pos)
+        in
+        match decode [] objs with
+        | Error pos ->
+            fail
+              (pos
+             ^ " is not a trace event (needs a name, a ph of B/E/i/C, a \
+                numeric ts, and args.value on C)")
+        | Ok events ->
+            Option.iter
+              (fun h ->
+                let field conv pp k =
+                  Option.fold ~none:"?" ~some:pp
+                    (Option.bind (Json.member k h) conv)
+                in
+                let str = field Json.to_str Fun.id in
+                let int = field Json.to_float (Printf.sprintf "%.0f") in
+                Format.printf "recorder %s@.reason   %s@." (str "name")
+                  (str "reason");
+                Format.printf "events   %s recorded, capacity %s, %s dropped@."
+                  (int "recorded") (int "capacity") (int "dropped"))
+              header;
+            Format.printf "%a@." (Obs_report.pp ~top ~format) events;
             `Ok ())
   in
   let doc =
-    "render convergence and profiling reports from a flight-recorder dump \
-     or trace"
+    "validate a trace or flight-recorder dump and render its convergence \
+     and profiling report"
   in
   Cmd.v (Cmd.info "report" ~doc) Term.(ret (const run $ file $ top))
-
-(* ----------------------------------------------------------- obs-summary *)
-
-let obs_summary_cmd =
-  let file =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"TRACE"
-          ~doc:"Trace file written by $(b,--trace) (Chrome JSON or .jsonl).")
-  in
-  let run file =
-    match load_trace (read_file file) with
-    | Error msg -> `Error (false, Printf.sprintf "%s: %s" file msg)
-    | Ok (format, events) -> (
-        let malformed = ref None in
-        let spans = Hashtbl.create 16 in
-        let begins = ref 0
-        and ends = ref 0
-        and instants = ref 0
-        and samples = ref 0 in
-        List.iteri
-          (fun i ev ->
-            match
-              ( Option.bind (Json.member "name" ev) Json.to_str,
-                Option.bind (Json.member "ph" ev) Json.to_str )
-            with
-            | Some name, Some ph -> (
-                match ph with
-                | "B" ->
-                    incr begins;
-                    Hashtbl.replace spans name
-                      (1
-                      + Option.value ~default:0 (Hashtbl.find_opt spans name))
-                | "E" -> incr ends
-                | "i" -> incr instants
-                | "C" -> incr samples
-                | _ -> if !malformed = None then malformed := Some i)
-            | _ -> if !malformed = None then malformed := Some i)
-          events;
-        match !malformed with
-        | Some i ->
-            `Error
-              ( false,
-                Printf.sprintf "%s: event %d lacks a name/ph or uses an \
-                                unknown phase" file i )
-        | None ->
-            Format.printf "format  %s@." format;
-            Format.printf "events  %d@." (List.length events);
-            Format.printf "spans   %d begun, %d ended@." !begins !ends;
-            Format.printf "marks   %d instants, %d counter samples@."
-              !instants !samples;
-            let names =
-              List.sort
-                (fun (na, ca) (nb, cb) ->
-                  let c = compare (cb : int) ca in
-                  if c <> 0 then c else compare (na : string) nb)
-                (Hashtbl.fold (fun k v acc -> (k, v) :: acc) spans [])
-            in
-            if names <> [] then begin
-              Format.printf "span names:@.";
-              List.iter
-                (fun (n, c) -> Format.printf "  %-34s %8d@." n c)
-                names
-            end;
-            (* profiling attribution shares the `netdiv report` code
-               path: decode the validated events and roll them up *)
-            let decoded = List.filter_map event_of_json events in
-            if Obs_report.hot_spans decoded <> [] then
-              Format.printf "%a@." (Obs_report.pp_hot_spans ~k:10) decoded;
-            if Obs_report.kernel_throughput decoded <> [] then
-              Format.printf "%a@." Obs_report.pp_throughput decoded;
-            `Ok ())
-  in
-  let doc = "validate and digest a trace file written by --trace" in
-  Cmd.v (Cmd.info "obs-summary" ~doc) Term.(ret (const run $ file))
 
 let main =
   let doc =
@@ -1273,6 +1122,6 @@ let main =
     (Cmd.info "netdiv" ~version:"1.0.0" ~doc)
     [ similarity_cmd; optimize_cmd; casestudy_cmd; simulate_cmd;
       scalability_cmd; metrics_cmd; feed_cmd; export_cmd; rank_cmd;
-      verify_cmd; lint_cmd; obs_summary_cmd; report_cmd ]
+      verify_cmd; lint_cmd; report_cmd ]
 
 let () = exit (Cmd.eval main)

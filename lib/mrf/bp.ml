@@ -1,5 +1,4 @@
 module Obs = Netdiv_obs.Obs
-module Recorder = Netdiv_obs.Recorder
 module Pool = Netdiv_par.Pool
 open Kernel
 
@@ -222,10 +221,8 @@ let decode st ws n x =
    only in how one sweep and one decode pass execute. *)
 let run_loop ~config ~interrupt mrf st n ~sweep_once ~decode_all =
   let obs_on = Obs.enabled () in
-  let rec_on = Recorder.installed () in
   let msg_potts, msg_sparse, msg_generic =
-    if obs_on || rec_on then count_messages st (Mrf.n_edges mrf)
-    else (0, 0, 0)
+    if obs_on then count_messages st (Mrf.n_edges mrf) else (0, 0, 0)
   in
   let x = Array.make n 0 in
   let best_x = Array.make n 0 in
@@ -251,11 +248,9 @@ let run_loop ~config ~interrupt mrf st n ~sweep_once ~decode_all =
          best_energy := e;
          Array.blit x 0 best_x 0 n
        end;
+       Obs.sample ~name:"bp.iter" (float_of_int it);
        Obs.sample ~name:"bp.energy" !best_energy;
        Obs.sample ~name:"bp.delta" delta;
-       if rec_on then
-         Recorder.sweep ~iter:it ~energy:!best_energy ~bound:neg_infinity
-           ~residual:delta ~msg_potts ~msg_sparse ~msg_generic;
        if delta < config.tolerance then begin
          converged := true;
          raise Exit

@@ -256,7 +256,7 @@ let run ?budget ?init ?on_best ~stages mrf =
     rung := next;
     rungs_entered := rung_name next :: !rungs_entered;
     Obs.Counter.incr c_degraded;
-    Recorder.mark ("degrade:" ^ rung_name next);
+    Obs.instant ("degrade:" ^ rung_name next);
     (* flush immediately: if the degraded rung dies too, the black box
        already tells the story up to this point *)
     dump_black_box "degraded"
@@ -264,7 +264,7 @@ let run ?budget ?init ?on_best ~stages mrf =
   let rec go = function
     | [] -> assert false
     | stage :: rest ->
-        Recorder.mark ("stage:" ^ stage.name);
+        Obs.instant ("stage:" ^ stage.name);
         let stage_start = Obs.Clock.now () in
         let warm = Option.map (fun r -> r.Solver.labeling) !best in
         (* One attempt on the current degradation rung.  The injected
@@ -288,7 +288,7 @@ let run ?budget ?init ?on_best ~stages mrf =
               let bt = Printexc.get_raw_backtrace () in
               Obs.Counter.incr c_retries;
               incr retries_used;
-              Recorder.mark ("retry:" ^ stage.name);
+              Obs.instant ("retry:" ^ stage.name);
               if tries_left > 0 then attempt (tries_left - 1)
               else if !rung < 2 then begin
                 escalate ();
@@ -297,7 +297,7 @@ let run ?budget ?init ?on_best ~stages mrf =
               else if Option.is_some !best then begin
                 (* watchdog: the whole ladder failed, but an anytime
                    labeling exists — abandon the stage, keep the result *)
-                Recorder.mark ("watchdog:" ^ stage.name);
+                Obs.instant ("watchdog:" ^ stage.name);
                 dump_black_box "watchdog";
                 None
               end

@@ -1,5 +1,4 @@
 module Obs = Netdiv_obs.Obs
-module Recorder = Netdiv_obs.Recorder
 
 (* Acceptance telemetry: proposals and accepted moves are tallied in
    plain local ints inside each restart (restarts may run on pool
@@ -121,12 +120,8 @@ let solve ?(config = default_config) ?(interrupt = fun () -> false) ?init mrf
                end
              done
            done;
-           (* parallel restarts run on pool workers, whose completion
-              order must not reach the flight recorder *)
-           if sequential then
-             Recorder.sweep ~iter:!sweeps ~energy:!local_best_energy
-               ~bound:neg_infinity ~residual:!temp ~msg_potts:0 ~msg_sparse:0
-               ~msg_generic:0;
+           Obs.sample ~name:"sa.iter" (float_of_int !sweeps);
+           Obs.sample ~name:"sa.energy" !local_best_energy;
            temp := !temp *. config.cooling
          done
        with Exit -> ());

@@ -1,11 +1,9 @@
 module Obs = Netdiv_obs.Obs
-module Recorder = Netdiv_obs.Recorder
 module Pool = Netdiv_par.Pool
 open Kernel
 
 (* Telemetry handles (shared with Bp via the names, all no-ops until
-   Obs.set_enabled true): message updates by kernel class, per-sweep
-   energy/bound samples. *)
+   Obs.set_enabled true): message updates by kernel class. *)
 let c_msg_potts = Obs.Counter.make "mrf.messages.potts"
 let c_msg_sparse = Obs.Counter.make "mrf.messages.const_sparse"
 let c_msg_generic = Obs.Counter.make "mrf.messages.generic"
@@ -436,16 +434,12 @@ let decode st ws n x =
    stopping logic — and therefore the iteration count for identical
    message trajectories — is shared by construction. *)
 let run_loop ~config ~interrupt mrf st ws n m ~sweep_pair ~bound =
-  (* enablement is sampled once per solve; per-iteration work below is
-     a handful of counter adds and begin/end span records, all
-     allocation-free, and zero when disabled *)
+  (* tracing is sampled once per solve; per-iteration work below is a
+     handful of counter adds, span records and samples, all
+     allocation-free, and zero when nothing records *)
   let obs_on = Obs.enabled () in
-  (* the flight recorder is sampled once per solve too: installation
-     never changes inside a solve (only [Recorder.suspended] around
-     whole parallel regions does, and those wrap whole solves) *)
-  let rec_on = Recorder.installed () in
   let msg_potts, msg_sparse, msg_generic =
-    if obs_on || rec_on then count_messages st m else (0, 0, 0)
+    if obs_on then count_messages st m else (0, 0, 0)
   in
   let x = Array.make n 0 in
   let best_x = Array.make n 0 in
@@ -482,12 +476,9 @@ let run_loop ~config ~interrupt mrf st ws n m ~sweep_pair ~bound =
          if lb > !best_bound then best_bound := lb;
          let energy_progress = !prev_energy -. !best_energy in
          prev_energy := !best_energy;
+         Obs.sample ~name:"trws.iter" (float_of_int it);
          Obs.sample ~name:"trws.energy" !best_energy;
          Obs.sample ~name:"trws.lower_bound" !best_bound;
-         if rec_on then
-           Recorder.sweep ~iter:it ~energy:!best_energy ~bound:!best_bound
-             ~residual:(Float.max bound_progress energy_progress)
-             ~msg_potts ~msg_sparse ~msg_generic;
          if
            bound_progress < config.tolerance
            && energy_progress < config.tolerance
@@ -858,7 +849,14 @@ let zoned ~config ~interrupt ?jobs ~zone_of ~nz mrf () =
   let best_bound = ref neg_infinity in
   let iters = ref 0 in
   let converged = ref false in
-  let rec_on = Recorder.installed () in
+  (* per-zone sample names, built once per solve and only when an
+     event would be recorded *)
+  let zone_names =
+    lazy
+      (Array.init nz (fun z ->
+           let name field = Printf.sprintf "trws.zone.%d.%s" z field in
+           (name "energy", name "bound", name "converged")))
+  in
   (* scalar scratch for the edge-slave argmin, hoisted out of the round
      loop *)
   let sl_best = ref 0.0 in
@@ -884,12 +882,10 @@ let zoned ~config ~interrupt ?jobs ~zone_of ~nz mrf () =
        done;
        (* zone-interior solves in parallel; each chunk is one zone and
           writes only its own result slot.  Zone solves claim chunks
-          dynamically (and the caller participates): suspend the flight
-          recorder so the orchestrator-level frames below stay the only —
-          and deterministic — record of this round *)
+          dynamically, so the pool keeps them out of the flight recorder:
+          the round samples below are its deterministic record *)
        Obs.begin_span "trws.zones";
-       Recorder.suspended (fun () ->
-           Pool.parallel_for ?jobs ~chunks:nz ~cost ~lo:0 ~hi:nz solve_zone);
+       Pool.parallel_for ?jobs ~chunks:nz ~cost ~lo:0 ~hi:nz solve_zone;
        Obs.end_span "trws.zones";
        for z = 0 to nz - 1 do
          let ns = nodes.(z) and res = results.(z) in
@@ -944,7 +940,6 @@ let zoned ~config ~interrupt ?jobs ~zone_of ~nz mrf () =
        done;
        Obs.end_span "trws.boundary";
        let lb = !zb +. !eb in
-       let prev_bound = !best_bound and prev_energy = !best_energy in
        if lb > !best_bound then best_bound := lb;
        (* the concatenated zone labelings are always a feasible primal
           point of the full model *)
@@ -964,28 +959,24 @@ let zoned ~config ~interrupt ?jobs ~zone_of ~nz mrf () =
          else r + 1
        in
        iters := iter;
-       Obs.sample ~name:"trws.energy" !best_energy;
-       Obs.sample ~name:"trws.lower_bound" !best_bound;
-       if rec_on then begin
-         (* per-round black box: one frame per zone, the boundary
-            reconciliation, and a round-level sweep frame — all
-            orchestrator-side, so the recording is a function of the zone
-            map only *)
-         for z = 0 to nz - 1 do
-           let res = results.(z) in
-           Recorder.zone ~round:(r + 1) ~zone:z ~energy:res.Solver.energy
-             ~bound:res.Solver.lower_bound ~iterations:res.Solver.iterations
-             ~converged:res.Solver.converged
-         done;
-         Recorder.boundary ~round:(r + 1) ~disagree:!disagree ~edge_bound:!eb
-           ~zone_bound:!zb ~step:step_r;
-         Recorder.sweep ~iter ~energy:!best_energy ~bound:!best_bound
-           ~residual:
-             (Float.max
-                (prev_energy -. !best_energy)
-                (!best_bound -. prev_bound))
-           ~msg_potts:0 ~msg_sparse:0 ~msg_generic:0
-       end;
+       (* per-round record, orchestrator-side and after the parallel
+          region, so it is a function of the zone map only *)
+       Obs.sample ~name:"trws.zoned.round" (float_of_int (r + 1));
+       if Obs.recording () then
+         Array.iteri
+           (fun z (energy, bound, converged) ->
+             let res = results.(z) in
+             Obs.sample ~name:energy res.Solver.energy;
+             Obs.sample ~name:bound res.Solver.lower_bound;
+             Obs.sample ~name:converged
+               (if res.Solver.converged then 1.0 else 0.0))
+           (Lazy.force zone_names);
+       Obs.sample ~name:"trws.boundary.disagree" (float_of_int !disagree);
+       Obs.sample ~name:"trws.boundary.zone_bound" !zb;
+       Obs.sample ~name:"trws.boundary.edge_bound" !eb;
+       Obs.sample ~name:"trws.boundary.step" step_r;
+       Obs.sample ~name:"trws.zoned.energy" !best_energy;
+       Obs.sample ~name:"trws.zoned.lower_bound" !best_bound;
        if nb = 0 then begin
          (* nothing couples the zones: another round would re-solve
             identical zone models *)

@@ -64,15 +64,17 @@ let chrome_string () =
   Buffer.add_string buf "\n],\"displayTimeUnit\":\"ms\"}\n";
   Buffer.contents buf
 
-let jsonl_string () =
-  let events = Obs.events () in
-  let t0 = epoch events in
-  let buf = Buffer.create 4096 in
+let add_jsonl buf ~t0 events =
   List.iter
     (fun e ->
       add_event buf t0 e;
       Buffer.add_char buf '\n')
-    events;
+    events
+
+let jsonl_string () =
+  let events = Obs.events () in
+  let buf = Buffer.create 4096 in
+  add_jsonl buf ~t0:(epoch events) events;
   Buffer.contents buf
 
 let write_trace ~path =
@@ -148,8 +150,6 @@ let span_rollup events =
 let pp_metric ppf = function
   | Obs.Counter_v { name; count } ->
       Format.fprintf ppf "counter    %-32s %d" name count
-  | Obs.Gauge_v { name; value } ->
-      Format.fprintf ppf "gauge      %-32s %g" name value
   | Obs.Histogram_v { name; count; sum; min; max; _ } ->
       if count = 0 then
         Format.fprintf ppf "histogram  %-32s (empty)" name

@@ -1,27 +1,23 @@
 (** Exporters for {!Obs} data: Chrome [trace_event] JSON, JSONL, and a
     plain-text summary.
 
-    Both JSON forms use the same per-event object shape (the Chrome
-    trace format's):
+    Both JSON forms, and the events of a {!Recorder} dump, use the same
+    per-event object shape (the Chrome trace format's):
 
     {v {"name":N,"ph":P,"ts":T,"pid":1,"tid":I[,"args":{"value":V}]} v}
 
     with [ph] one of ["B"]/["E"] (span begin/end), ["i"] (instant) or
     ["C"] (counter sample) and [ts] in microseconds relative to the
-    first recorded event.  The Chrome form wraps the objects in
-    [{"traceEvents":[...]}] — load it directly in [chrome://tracing] or
-    Perfetto; the JSONL form emits one object per line for streaming
-    consumers.  Non-finite sample values are emitted as JSON strings
-    (["inf"], ["nan"]) so the output always parses. *)
+    first recorded event (to the recorder's creation in a dump).  The
+    Chrome form wraps the objects in [{"traceEvents":[...]}] — load it
+    directly in [chrome://tracing] or Perfetto; the JSONL form emits one
+    object per line for streaming consumers.  Non-finite sample values
+    are emitted as JSON strings (["inf"], ["nan"]) so the output always
+    parses. *)
 
 val escape : string -> string
 (** JSON string-body escaping (quotes, backslashes, control chars) —
     shared by every hand-rolled writer in the library. *)
-
-val json_float : float -> string
-(** A float as a JSON value: [%.17g] round-trippable text, with
-    non-finite values emitted as strings (["inf"], ["nan"]) so the
-    output always parses. *)
 
 val chrome_string : unit -> string
 (** The current event buffers as one Chrome [trace_event] document. *)
@@ -29,6 +25,10 @@ val chrome_string : unit -> string
 val jsonl_string : unit -> string
 (** The current event buffers as newline-delimited JSON, one event per
     line (same object shape as {!chrome_string}). *)
+
+val add_jsonl : Buffer.t -> t0:float -> Obs.event list -> unit
+(** Append [events] as JSONL, timestamps relative to [t0] — the writer
+    behind {!jsonl_string} and flight-recorder dumps. *)
 
 val write_trace : path:string -> (unit, string) result
 (** Write the current event buffers to [path]: JSONL when the file name

@@ -1,11 +1,16 @@
 (* Tracing + metrics substrate.  See obs.mli for the contract.
 
    Design constraints, in order:
-   - the disabled path must be one atomic load and a branch, with no
-     allocation, so instrumentation can live inside solver hot loops;
-   - recording must be race-free under the pool sanitizer: spans go to
-     per-domain buffers, counters are atomics, histograms/gauges take a
-     per-instance mutex;
+   - with tracing off and no flight recorder installed on any domain,
+     every record operation is two atomic loads and a branch, with no
+     domain-local read and no allocation, so instrumentation can live
+     inside solver hot loops;
+   - one emit path: each event is recorded once and goes to the
+     domain's trace buffer while tracing is on and to the domain's
+     installed recorder ring while one is installed;
+   - recording must be race-free under the pool sanitizer: trace events
+     go to per-domain buffers, ring writes take the ring's mutex,
+     counters are atomics, histograms take a per-instance mutex;
    - the data must survive pool workers, which are joined after every
      region: each domain-local buffer is registered in a global list
      the moment it is created, so [events] can read it after the domain
@@ -88,17 +93,125 @@ let push b ev =
   b.evs.(b.len) <- ev;
   b.len <- b.len + 1
 
-let record kind name value =
-  let b = Domain.DLS.get buffer_key in
-  push b { kind; name; ts = Clock.now (); value; tid = b.tid }
+(* ----------------------------------------------------- recorder rings *)
 
-let begin_span name = if Atomic.get on then record Begin name 0.0
-let end_span name = if Atomic.get on then record End name 0.0
-let instant name = if Atomic.get on then record Instant name 0.0
-let sample ~name v = if Atomic.get on then record Sample name v
+(* A ring keeps the last [capacity] events in struct-of-arrays storage
+   (stores into the floatarrays are unboxed); a write is a
+   mutex-guarded bounded store, with no allocation and no growth. *)
+type ring = {
+  capacity : int;
+  lock : Mutex.t;
+  kinds : kind array;
+  names : string array;
+  stamps : floatarray;
+  values : floatarray;
+  mutable total : int;
+}
+
+type recorder = {
+  rname : string;
+  dump_path : string option;
+  t0 : float;
+  ring : ring;
+  mutable last_reason : string option;
+}
+
+let new_ring capacity =
+  let capacity = max 1 capacity in
+  {
+    capacity;
+    lock = Mutex.create ();
+    kinds = Array.make capacity Instant;
+    names = Array.make capacity "";
+    stamps = Float.Array.make capacity 0.0;
+    values = Float.Array.make capacity 0.0;
+    total = 0;
+  }
+
+let ring_capacity g = g.capacity
+let ring_recorded g = g.total
+
+(* manual lock/unlock: [Mutex.protect] would allocate a closure per
+   event *)
+let ring_write g kind name ts value =
+  Mutex.lock g.lock;
+  let slot = g.total mod g.capacity in
+  g.kinds.(slot) <- kind;
+  g.names.(slot) <- name;
+  Float.Array.set g.stamps slot ts;
+  Float.Array.set g.values slot value;
+  g.total <- g.total + 1;
+  Mutex.unlock g.lock
+
+let ring_events g =
+  Mutex.lock g.lock;
+  (* oldest retained event first: once the ring has wrapped, the slot
+     under the write cursor is the oldest *)
+  let start = if g.total <= g.capacity then 0 else g.total mod g.capacity in
+  let out =
+    List.init (min g.total g.capacity) (fun i ->
+        let s = (start + i) mod g.capacity in
+        {
+          kind = g.kinds.(s);
+          name = g.names.(s);
+          ts = Float.Array.get g.stamps s;
+          value = Float.Array.get g.values s;
+          tid = 0;
+        })
+  in
+  Mutex.unlock g.lock;
+  out
+
+(* The installed recorder is per-domain state, so solver code records
+   through the plain event API without threading a recorder argument.
+   [installed_count] counts the domains that hold one right now: while
+   it is zero the record path never reads domain-local state. *)
+let installed_count = Atomic.make 0
+
+let recorder_key : recorder option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+let installed () =
+  if Atomic.get installed_count = 0 then None
+  else !(Domain.DLS.get recorder_key)
+
+let with_installed v f =
+  match v with
+  | None when Atomic.get installed_count = 0 -> f ()
+  | _ ->
+      let cell = Domain.DLS.get recorder_key in
+      let saved = !cell in
+      let swap a b =
+        cell := b;
+        let held = function None -> 0 | Some _ -> 1 in
+        ignore (Atomic.fetch_and_add installed_count (held b - held a))
+      in
+      swap saved v;
+      Fun.protect ~finally:(fun () -> swap v saved) f
+
+(* ------------------------------------------------------------ emitting *)
+
+let recording () = Atomic.get on || Atomic.get installed_count > 0
+
+let record kind name value =
+  let traced = Atomic.get on in
+  let r = installed () in
+  if traced || Option.is_some r then begin
+    let ts = Clock.now () in
+    if traced then begin
+      let b = Domain.DLS.get buffer_key in
+      push b { kind; name; ts; value; tid = b.tid }
+    end;
+    match r with Some r -> ring_write r.ring kind name ts value | None -> ()
+  end
+
+let begin_span name = if recording () then record Begin name 0.0
+let end_span name = if recording () then record End name 0.0
+let instant name = if recording () then record Instant name 0.0
+let sample ~name v = if recording () then record Sample name v
 
 let span ~name f =
-  if not (Atomic.get on) then f ()
+  if not (recording ()) then f ()
   else begin
     record Begin name 0.0;
     match f () with
@@ -150,32 +263,6 @@ module Counter = struct
   let reset_all () =
     Mutex.protect lock (fun () ->
         Hashtbl.iter (fun _ c -> Atomic.set c.v 0) table)
-end
-
-module Gauge = struct
-  (* the value lives in a one-slot float array: stores into a float
-     array are unboxed, where a [float ref] or mutable float field in a
-     mixed record would box on every set *)
-  type t = { gname : string; cell : float array }
-
-  let lock = Mutex.create ()
-  let table : (string, t) Hashtbl.t = Hashtbl.create 32
-
-  let make name =
-    Mutex.protect lock (fun () ->
-        match Hashtbl.find_opt table name with
-        | Some g -> g
-        | None ->
-            let g = { gname = name; cell = Array.make 1 nan } in
-            Hashtbl.add table name g;
-            g)
-
-  let set g v = if Atomic.get on then g.cell.(0) <- v
-  let value g = g.cell.(0)
-
-  let reset_all () =
-    Mutex.protect lock (fun () ->
-        Hashtbl.iter (fun _ g -> g.cell.(0) <- nan) table)
 end
 
 module Histogram = struct
@@ -269,7 +356,6 @@ let set_enabled b =
 
 type metric =
   | Counter_v of { name : string; count : int }
-  | Gauge_v of { name : string; value : float }
   | Histogram_v of {
       name : string;
       count : int;
@@ -280,8 +366,7 @@ type metric =
     }
 
 let metric_name = function
-  | Counter_v { name; _ } | Gauge_v { name; _ } | Histogram_v { name; _ } ->
-      name
+  | Counter_v { name; _ } | Histogram_v { name; _ } -> name
 
 let metrics () =
   let cs =
@@ -290,12 +375,6 @@ let metrics () =
           (fun name c acc ->
             Counter_v { name; count = Atomic.get c.Counter.v } :: acc)
           Counter.table [])
-  in
-  let gs =
-    Mutex.protect Gauge.lock (fun () ->
-        Hashtbl.fold
-          (fun name g acc -> Gauge_v { name; value = g.Gauge.cell.(0) } :: acc)
-          Gauge.table [])
   in
   let hs =
     Mutex.protect Histogram.lock (fun () ->
@@ -315,11 +394,10 @@ let metrics () =
   in
   List.sort
     (fun a b -> compare (metric_name a) (metric_name b))
-    (cs @ gs @ hs)
+    (cs @ hs)
 
 let reset () =
   Mutex.protect registry_lock (fun () ->
       List.iter (fun b -> b.len <- 0) !buffers);
   Counter.reset_all ();
-  Gauge.reset_all ();
   Histogram.reset_all ()

@@ -1,293 +1,51 @@
-(* Convergence flight recorder.  See recorder.mli for the contract.
+(* Convergence flight recorder: a bounded sink of the Obs event stream.
+   See recorder.mli for the contract.  The ring and its per-domain
+   installation live in Obs, whose record path writes into them; this
+   module names a ring and writes its dump. *)
 
-   Storage is a struct-of-arrays ring: one int array of frame tags, one
-   flat [floatarray] of WIDTH slots per frame (stores into a floatarray
-   are unboxed), and one string array for mark labels.  A record is a
-   mutex-guarded bounded write — no allocation, no growth — so the
-   recorder can stay installed for a 100k-host solve where the full
-   event-buffer trace would be too heavy.  The frame variant below is
-   only materialized at read-out time ([frames] / [dump]). *)
+type t = Obs.recorder
 
-let width = 8
-let default_capacity = 1024
-
-(* frame tags in the ring *)
-let tag_sweep = 0
-let tag_zone = 1
-let tag_boundary = 2
-let tag_mark = 3
-
-type t = {
-  rname : string;
-  capacity : int;
-  t0 : float;
-  dump_path : string option;
-  lock : Mutex.t;
-  tags : int array;
-  data : floatarray;
-  labels : string array;
-  mutable total : int;
-  mutable last_reason : string option;
-}
-
-type sweep_frame = {
-  s_t : float;
-  s_iter : int;
-  s_energy : float;
-  s_bound : float;
-  s_residual : float;
-  s_msg_potts : int;
-  s_msg_sparse : int;
-  s_msg_generic : int;
-}
-
-type zone_frame = {
-  z_t : float;
-  z_round : int;
-  z_zone : int;
-  z_energy : float;
-  z_bound : float;
-  z_iterations : int;
-  z_converged : bool;
-}
-
-type boundary_frame = {
-  b_t : float;
-  b_round : int;
-  b_disagree : int;
-  b_edge_bound : float;
-  b_zone_bound : float;
-  b_step : float;
-}
-
-type mark_frame = { mk_t : float; mk_label : string }
-
-type frame =
-  | Sweep of sweep_frame
-  | Zone of zone_frame
-  | Boundary of boundary_frame
-  | Mark of mark_frame
+(* sized so a 100-zone solve (8 rounds of ~310 events) drops nothing *)
+let default_capacity = 4096
 
 let create ?dump_path ?(capacity = default_capacity) name =
-  let capacity = max 1 capacity in
   {
-    rname = name;
-    capacity;
-    t0 = Obs.Clock.now ();
+    Obs.rname = name;
     dump_path;
-    lock = Mutex.create ();
-    tags = Array.make capacity 0;
-    data = Float.Array.make (capacity * width) 0.0;
-    labels = Array.make capacity "";
-    total = 0;
+    t0 = Obs.Clock.now ();
+    ring = Obs.new_ring capacity;
     last_reason = None;
   }
 
-let name r = r.rname
-let capacity r = r.capacity
-let recorded r = r.total
-let dropped r = max 0 (r.total - r.capacity)
-
-(* One bounded slot write.  Manual lock/unlock: [Mutex.protect] would
-   allocate a closure on every frame. *)
-let write r tag label f0 f1 f2 f3 f4 f5 f6 f7 =
-  Mutex.lock r.lock;
-  let slot = r.total mod r.capacity in
-  let base = slot * width in
-  r.tags.(slot) <- tag;
-  r.labels.(slot) <- label;
-  Float.Array.set r.data base f0;
-  Float.Array.set r.data (base + 1) f1;
-  Float.Array.set r.data (base + 2) f2;
-  Float.Array.set r.data (base + 3) f3;
-  Float.Array.set r.data (base + 4) f4;
-  Float.Array.set r.data (base + 5) f5;
-  Float.Array.set r.data (base + 6) f6;
-  Float.Array.set r.data (base + 7) f7;
-  r.total <- r.total + 1;
-  Mutex.unlock r.lock
-
-(* ------------------------------------------- ambient current recorder *)
-
-(* The installed recorder is per-domain state: solver hot loops record
-   through [current] without threading a recorder argument through
-   every signature, and [suspended] can blank it around parallel
-   regions so pool workers (and the participating caller domain) never
-   record frames in a schedule-dependent order. *)
-let current_key : t option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let current () = !(Domain.DLS.get current_key)
-let installed () = current () <> None
-
-let with_current v f =
-  let cell = Domain.DLS.get current_key in
-  let saved = !cell in
-  cell := v;
-  match f () with
-  | x ->
-      cell := saved;
-      x
-  | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      cell := saved;
-      Printexc.raise_with_backtrace e bt
-
-let with_recorder r f = with_current (Some r) f
-let suspended f = with_current None f
-
-let elapsed r = Obs.Clock.now () -. r.t0
-
-let sweep ~iter ~energy ~bound ~residual ~msg_potts ~msg_sparse ~msg_generic =
-  match current () with
-  | None -> ()
-  | Some r ->
-      write r tag_sweep "" (elapsed r) (float_of_int iter) energy bound
-        residual
-        (float_of_int msg_potts)
-        (float_of_int msg_sparse)
-        (float_of_int msg_generic)
-
-let zone ~round ~zone ~energy ~bound ~iterations ~converged =
-  match current () with
-  | None -> ()
-  | Some r ->
-      write r tag_zone "" (elapsed r) (float_of_int round) (float_of_int zone)
-        energy bound
-        (float_of_int iterations)
-        (if converged then 1.0 else 0.0)
-        0.0
-
-let boundary ~round ~disagree ~edge_bound ~zone_bound ~step =
-  match current () with
-  | None -> ()
-  | Some r ->
-      write r tag_boundary "" (elapsed r) (float_of_int round)
-        (float_of_int disagree) edge_bound zone_bound step 0.0 0.0
-
-let mark label =
-  match current () with
-  | None -> ()
-  | Some r -> write r tag_mark label (elapsed r) 0.0 0.0 0.0 0.0 0.0 0.0 0.0
-
-(* ------------------------------------------------------------ read-out *)
-
-let frame_of r slot =
-  let base = slot * width in
-  let g i = Float.Array.get r.data (base + i) in
-  let t = g 0 in
-  let tag = r.tags.(slot) in
-  if tag = tag_sweep then
-    Sweep
-      {
-        s_t = t;
-        s_iter = int_of_float (g 1);
-        s_energy = g 2;
-        s_bound = g 3;
-        s_residual = g 4;
-        s_msg_potts = int_of_float (g 5);
-        s_msg_sparse = int_of_float (g 6);
-        s_msg_generic = int_of_float (g 7);
-      }
-  else if tag = tag_zone then
-    Zone
-      {
-        z_t = t;
-        z_round = int_of_float (g 1);
-        z_zone = int_of_float (g 2);
-        z_energy = g 3;
-        z_bound = g 4;
-        z_iterations = int_of_float (g 5);
-        z_converged = g 6 <> 0.0;
-      }
-  else if tag = tag_boundary then
-    Boundary
-      {
-        b_t = t;
-        b_round = int_of_float (g 1);
-        b_disagree = int_of_float (g 2);
-        b_edge_bound = g 3;
-        b_zone_bound = g 4;
-        b_step = g 5;
-      }
-  else Mark { mk_t = t; mk_label = r.labels.(slot) }
-
-let frames r =
-  Mutex.lock r.lock;
-  let total = r.total in
-  let n = min total r.capacity in
-  (* oldest retained frame first: when the ring has wrapped the slot
-     after the write cursor is the oldest *)
-  let start = if total <= r.capacity then 0 else total mod r.capacity in
-  let out =
-    List.init n (fun i -> frame_of r ((start + i) mod r.capacity))
-  in
-  Mutex.unlock r.lock;
-  out
-
-(* --------------------------------------------------------------- dump *)
-
-let add_frame buf = function
-  | Sweep s ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"k\":\"sweep\",\"t\":%s,\"iter\":%d,\"energy\":%s,\"bound\":%s,\
-            \"residual\":%s,\"msg_potts\":%d,\"msg_sparse\":%d,\
-            \"msg_generic\":%d}"
-           (Export.json_float s.s_t) s.s_iter
-           (Export.json_float s.s_energy)
-           (Export.json_float s.s_bound)
-           (Export.json_float s.s_residual)
-           s.s_msg_potts s.s_msg_sparse s.s_msg_generic)
-  | Zone z ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"k\":\"zone\",\"t\":%s,\"round\":%d,\"zone\":%d,\"energy\":%s,\
-            \"bound\":%s,\"iters\":%d,\"converged\":%b}"
-           (Export.json_float z.z_t) z.z_round z.z_zone
-           (Export.json_float z.z_energy)
-           (Export.json_float z.z_bound)
-           z.z_iterations z.z_converged)
-  | Boundary b ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"k\":\"boundary\",\"t\":%s,\"round\":%d,\"disagree\":%d,\
-            \"edge_bound\":%s,\"zone_bound\":%s,\"step\":%s}"
-           (Export.json_float b.b_t) b.b_round b.b_disagree
-           (Export.json_float b.b_edge_bound)
-           (Export.json_float b.b_zone_bound)
-           (Export.json_float b.b_step))
-  | Mark m ->
-      Buffer.add_string buf
-        (Printf.sprintf "{\"k\":\"mark\",\"t\":%s,\"label\":\"%s\"}"
-           (Export.json_float m.mk_t) (Export.escape m.mk_label))
+let name r = r.Obs.rname
+let capacity r = Obs.ring_capacity r.Obs.ring
+let recorded r = Obs.ring_recorded r.Obs.ring
+let dropped r = max 0 (recorded r - capacity r)
+let events r = Obs.ring_events r.Obs.ring
+let with_recorder r f = Obs.with_installed (Some r) f
+let suspended f = Obs.with_installed None f
+let current = Obs.installed
 
 let dump_string ~reason r =
+  let events = events r in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
     (Printf.sprintf
-       "{\"netdiv_recorder\":1,\"name\":\"%s\",\"reason\":\"%s\",\
-        \"capacity\":%d,\"recorded\":%d,\"dropped\":%d,\"frames\":["
-       (Export.escape r.rname) (Export.escape reason) r.capacity r.total
-       (dropped r));
-  List.iteri
-    (fun i f ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_char buf '\n';
-      add_frame buf f)
-    (frames r);
-  Buffer.add_string buf "\n]}\n";
+       "{\"netdiv_recorder\":2,\"name\":\"%s\",\"reason\":\"%s\",\
+        \"capacity\":%d,\"recorded\":%d,\"dropped\":%d}\n"
+       (Export.escape r.Obs.rname) (Export.escape reason) (capacity r)
+       (recorded r) (dropped r));
+  Export.add_jsonl buf ~t0:r.Obs.t0 events;
   Buffer.contents buf
 
-let last_dump r = r.last_reason
+let last_dump r = r.Obs.last_reason
 
 let dump ?path ~reason r =
-  let path = match path with Some _ -> path | None -> r.dump_path in
-  match path with
+  match if Option.is_some path then path else r.Obs.dump_path with
   | None -> Ok ()
   | Some path -> (
       match Netdiv_fault.Io.write_atomic ~path (dump_string ~reason r) with
       | Ok () ->
-          r.last_reason <- Some reason;
+          r.Obs.last_reason <- Some reason;
           Ok ()
       | Error _ as e -> e)

@@ -1,64 +1,51 @@
 (* Convergence/profiling report logic.  See report.mli.
 
-   Everything here is pure analysis over already-captured data
-   ([Obs.event list] from a trace, [Recorder.frame list] from a flight
-   recorder dump) so the CLI `netdiv report` and `netdiv obs-summary`
-   subcommands share one code path; parsing JSON back into events and
-   frames stays in bin/ with the repo's JSON reader. *)
+   Everything here is pure analysis over an already-captured
+   [Obs.event list] — a trace or a flight-recorder dump, which carry
+   the same events — so `netdiv report` renders both through one code
+   path; parsing JSON back into events stays in bin/ with the repo's
+   JSON reader. *)
+
+let samples (events : Obs.event list) =
+  List.filter_map
+    (fun (e : Obs.event) ->
+      if e.Obs.kind = Obs.Sample then Some (e.Obs.name, e) else None)
+    events
 
 (* ---------------------------------------------------------- hot spans *)
 
-let hot_spans ?(k = 10) events =
-  let rollup = Export.span_rollup events in
-  List.filteri (fun i _ -> i < k) rollup
-
-let pp_hot_spans ?k ppf events =
-  match hot_spans ?k events with
-  | [] -> Format.fprintf ppf "hot spans: none"
+let pp_hot_spans ~k ppf events =
+  match List.filteri (fun i _ -> i < k) (Export.span_rollup events) with
+  | [] -> Format.fprintf ppf "@,hot spans: none"
   | rows ->
-      Format.fprintf ppf "@[<v>hot spans (by total time):@,";
-      Format.fprintf ppf "  %-34s %8s %12s %12s@," "name" "count" "total_s"
-        "max_s";
+      Format.fprintf ppf "@,hot spans (by total time):@,  %-34s %8s %12s %12s"
+        "name" "count" "total_s" "max_s";
       List.iter
         (fun (name, count, total, mx) ->
-          Format.fprintf ppf "  %-34s %8d %12.6f %12.6f@," name count total
-            mx)
-        rows;
-      Format.fprintf ppf "@]"
+          Format.fprintf ppf "@,  %-34s %8d %12.6f %12.6f" name count total mx)
+        rows
 
 (* --------------------------------------------- kernel-class throughput *)
 
-type throughput = {
-  k_class : string;
-  k_messages : float;
-  k_sweep_s : float;
-  k_per_s : float;
-}
-
 let msg_prefix = "mrf.messages."
 
-let kernel_throughput events =
+let pp_throughput ppf events =
   (* message totals: solvers sample the per-solve per-class totals at
-     the end of every run_loop, so summing the Sample events recovers
-     the global count even across several solves in one trace *)
+     the end of every run_loop, so summing the samples recovers the
+     global count even across several solves in one stream *)
   let totals : (string, float ref) Hashtbl.t = Hashtbl.create 4 in
   List.iter
-    (fun (e : Obs.event) ->
-      if
-        e.Obs.kind = Obs.Sample
-        && String.length e.Obs.name > String.length msg_prefix
-        && String.sub e.Obs.name 0 (String.length msg_prefix) = msg_prefix
-      then begin
+    (fun (name, (e : Obs.event)) ->
+      if String.starts_with ~prefix:msg_prefix name then begin
         let cls =
-          String.sub e.Obs.name
-            (String.length msg_prefix)
-            (String.length e.Obs.name - String.length msg_prefix)
+          String.sub name (String.length msg_prefix)
+            (String.length name - String.length msg_prefix)
         in
         match Hashtbl.find_opt totals cls with
         | Some r -> r := !r +. e.Obs.value
         | None -> Hashtbl.add totals cls (ref e.Obs.value)
       end)
-    events;
+    (samples events);
   (* messages are produced inside sweep spans; their total wall time is
      the denominator *)
   let sweep_s =
@@ -67,33 +54,88 @@ let kernel_throughput events =
         if name = "trws.sweep" || name = "bp.sweep" then acc +. total else acc)
       0.0 (Export.span_rollup events)
   in
-  Hashtbl.fold
-    (fun cls r acc ->
-      {
-        k_class = cls;
-        k_messages = !r;
-        k_sweep_s = sweep_s;
-        k_per_s = (if sweep_s > 0.0 then !r /. sweep_s else 0.0);
-      }
-      :: acc)
-    totals []
-  |> List.sort (fun a b ->
-         let c = Float.compare b.k_messages a.k_messages in
-         if c <> 0 then c else compare a.k_class b.k_class)
+  let rows =
+    Hashtbl.fold (fun cls r acc -> (cls, !r) :: acc) totals []
+    |> List.sort (fun (ca, ma) (cb, mb) ->
+           let c = Float.compare mb ma in
+           if c <> 0 then c else compare ca cb)
+  in
+  if rows <> [] then begin
+    Format.fprintf ppf
+      "@,kernel-class message throughput:@,  %-16s %16s %12s %16s" "class"
+      "messages" "sweep_s" "msgs/s";
+    List.iter
+      (fun (cls, msgs) ->
+        Format.fprintf ppf "@,  %-16s %16.0f %12.6f %16.3e" cls msgs sweep_s
+          (if sweep_s > 0.0 then msgs /. sweep_s else 0.0))
+      rows
+  end
 
-let pp_throughput ppf events =
-  match kernel_throughput events with
-  | [] -> ()
-  | rows ->
-      Format.fprintf ppf "@[<v>kernel-class message throughput:@,";
-      Format.fprintf ppf "  %-16s %16s %12s %16s@," "class" "messages"
-        "sweep_s" "msgs/s";
-      List.iter
-        (fun t ->
-          Format.fprintf ppf "  %-16s %16.0f %12.6f %16.3e@," t.k_class
-            t.k_messages t.k_sweep_s t.k_per_s)
-        rows;
-      Format.fprintf ppf "@]"
+(* ------------------------------------------------------ the last solve *)
+
+(* Convergence sections describe the last solve in the stream: the
+   events after the last [trws.zoned] begin when the stream holds zoned
+   samples, otherwise after the last monolithic solve begin.  A wrapped
+   ring may have lost that begin; then the whole stream is the solve. *)
+let last_solve events =
+  let zoned =
+    List.exists
+      (fun (name, _) -> String.starts_with ~prefix:"trws.zoned." name)
+      (samples events)
+  in
+  let starts (e : Obs.event) =
+    e.Obs.kind = Obs.Begin
+    &&
+    if zoned then e.Obs.name = "trws.zoned"
+    else List.mem e.Obs.name [ "trws.solve"; "bp.solve"; "sa.solve" ]
+  in
+  let rec after tail = function
+    | [] -> tail
+    | e :: rest -> after (if starts e then rest else tail) rest
+  in
+  after events events
+
+(* Per solver: the sample carrying the round or iteration number, the
+   best energy and the dual bound (if the solver has one).  Each
+   evaluation emits the counter first, so every point carries the
+   number the solver gave it — never its position in a wrapped ring. *)
+let trajectories =
+  [
+    ("trws.zoned.round", "trws.zoned.energy", Some "trws.zoned.lower_bound");
+    ("trws.iter", "trws.energy", Some "trws.lower_bound");
+    ("bp.iter", "bp.energy", None);
+    ("sa.iter", "sa.energy", None);
+  ]
+
+type point = { t : float; iter : int; energy : float; bound : float }
+
+let trajectory solve =
+  let ss = samples solve in
+  match
+    List.find_opt
+      (fun (_, energy, _) -> List.mem_assoc energy ss)
+      trajectories
+  with
+  | None -> []
+  | Some (counter, energy, bound) ->
+      let iter = ref None in
+      List.fold_left
+        (fun points (name, (e : Obs.event)) ->
+          if name = counter then begin
+            iter := Some (int_of_float e.Obs.value);
+            points
+          end
+          else
+            match (points, !iter) with
+            | _, Some i when name = energy ->
+                { t = e.Obs.ts; iter = i; energy = e.Obs.value;
+                  bound = neg_infinity }
+                :: points
+            | p :: rest, _ when Some name = bound ->
+                { p with bound = e.Obs.value } :: rest
+            | _ -> points)
+        [] ss
+      |> List.rev
 
 (* ------------------------------------------------------ time-to-gap *)
 
@@ -101,43 +143,23 @@ type milestone = { m_gap_pct : float; m_t : float; m_iter : int }
 
 (* the repo-wide relative-gap convention (see bench hierarchical_scale
    and Solver.optimality_gap): gap normalized by max(1, |energy|) *)
-let rel_gap ~energy ~bound =
-  if Float.is_finite bound then
-    (energy -. bound) /. Float.max 1.0 (Float.abs energy)
+let rel_gap p =
+  if Float.is_finite p.bound then
+    (p.energy -. p.bound) /. Float.max 1.0 (Float.abs p.energy)
   else infinity
 
 let milestone_thresholds = [ 50.0; 20.0; 10.0; 5.0; 2.0; 1.0; 0.5; 0.1 ]
 
-let sweeps frames =
-  List.filter_map
-    (function Recorder.Sweep s -> Some s | _ -> None)
-    frames
-
-let boundaries frames =
-  List.filter_map
-    (function Recorder.Boundary b -> Some b | _ -> None)
-    frames
-
-let marks frames =
-  List.filter_map (function Recorder.Mark m -> Some m | _ -> None) frames
-
-let sweep_gap (s : Recorder.sweep_frame) =
-  rel_gap ~energy:s.Recorder.s_energy ~bound:s.Recorder.s_bound
-
-let gap_milestones frames =
-  let ss = sweeps frames in
+let milestones points =
   List.filter_map
     (fun pct ->
-      List.find_opt (fun s -> sweep_gap s *. 100.0 <= pct) ss
-      |> Option.map (fun (s : Recorder.sweep_frame) ->
-             {
-               m_gap_pct = pct;
-               m_t = s.Recorder.s_t;
-               m_iter = s.Recorder.s_iter;
-             }))
+      List.find_opt (fun p -> rel_gap p *. 100.0 <= pct) points
+      |> Option.map (fun p -> { m_gap_pct = pct; m_t = p.t; m_iter = p.iter }))
     milestone_thresholds
 
-(* ------------------------------------------------- zone attribution *)
+let gap_milestones events = milestones (trajectory (last_solve events))
+
+(* ------------------------------------- zone and boundary samples *)
 
 type zone_gap = {
   z_zone : int;
@@ -147,28 +169,71 @@ type zone_gap = {
   z_converged : bool;
 }
 
-let zone_attribution frames =
-  let zs =
-    List.filter_map
-      (function Recorder.Zone z -> Some z | _ -> None)
-      frames
-  in
-  let last_round =
-    List.fold_left (fun acc z -> max acc z.Recorder.z_round) (-1) zs
-  in
-  List.filter_map
-    (fun (z : Recorder.zone_frame) ->
-      if z.Recorder.z_round <> last_round then None
-      else
-        Some
-          {
-            z_zone = z.Recorder.z_zone;
-            z_energy = z.Recorder.z_energy;
-            z_bound = z.Recorder.z_bound;
-            z_gap = z.Recorder.z_energy -. z.Recorder.z_bound;
-            z_converged = z.Recorder.z_converged;
-          })
-    zs
+type boundary = {
+  b_round : int;
+  b_disagree : int;
+  b_zone_bound : float;
+  b_edge_bound : float;
+  b_step : float;
+}
+
+(* The zoned schedule's per-round samples, attributed to the round
+   sample that precedes them; samples before any round sample (cut off
+   by a wrapped ring) are dropped.  Returns the last round's zones and
+   the boundary rows in recording order. *)
+let rounds solve =
+  let round = ref None in
+  let zones : (int, int * zone_gap) Hashtbl.t = Hashtbl.create 16 in
+  let rows = ref [] in
+  List.iter
+    (fun (name, (e : Obs.event)) ->
+      let v = e.Obs.value in
+      match (!round, String.split_on_char '.' name) with
+      | _, [ "trws"; "zoned"; "round" ] -> round := Some (int_of_float v)
+      | Some r, [ "trws"; "zone"; z; field ] -> (
+          match int_of_string_opt z with
+          | None -> ()
+          | Some z ->
+              let zg =
+                match Hashtbl.find_opt zones z with
+                | Some (r', zg) when r' = r -> zg
+                | _ ->
+                    { z_zone = z; z_energy = nan; z_bound = nan; z_gap = nan;
+                      z_converged = false }
+              in
+              let zg =
+                match field with
+                | "energy" -> { zg with z_energy = v }
+                | "bound" -> { zg with z_bound = v }
+                | "converged" -> { zg with z_converged = v <> 0.0 }
+                | _ -> zg
+              in
+              Hashtbl.replace zones z
+                (r, { zg with z_gap = zg.z_energy -. zg.z_bound }))
+      | Some r, [ "trws"; "boundary"; "disagree" ] ->
+          rows :=
+            { b_round = r; b_disagree = int_of_float v; b_zone_bound = nan;
+              b_edge_bound = nan; b_step = nan }
+            :: !rows
+      | _, [ "trws"; "boundary"; field ] -> (
+          match !rows with
+          | b :: rest -> (
+              match field with
+              | "zone_bound" -> rows := { b with b_zone_bound = v } :: rest
+              | "edge_bound" -> rows := { b with b_edge_bound = v } :: rest
+              | "step" -> rows := { b with b_step = v } :: rest
+              | _ -> ())
+          | [] -> ())
+      | _ -> ())
+    (samples solve);
+  let last = Hashtbl.fold (fun _ (r, _) acc -> max acc r) zones min_int in
+  ( Hashtbl.fold
+      (fun _ (r, zg) acc -> if r = last then zg :: acc else acc)
+      zones [],
+    List.rev !rows )
+
+let zone_attribution events =
+  fst (rounds (last_solve events))
   |> List.sort (fun a b ->
          let c = Float.compare b.z_gap a.z_gap in
          if c <> 0 then c else compare a.z_zone b.z_zone)
@@ -179,40 +244,37 @@ let last_n n l =
   let len = List.length l in
   if len <= n then l else List.filteri (fun i _ -> i >= len - n) l
 
-let diagnose frames =
-  let ss = sweeps frames in
-  let bs = boundaries frames in
-  match (bs, ss) with
-  | [], [] -> "no convergence frames recorded"
+let last l = List.nth l (List.length l - 1)
+
+let diagnosis points boundaries =
+  match (boundaries, points) with
+  | [], [] -> "no convergence samples recorded"
   | _ :: _, _ ->
-      (* zoned solve: the boundary frames carry the round-level story *)
-      let tail = last_n 3 bs in
-      let last = List.nth tail (List.length tail - 1) in
-      if last.Recorder.b_disagree = 0 then
+      (* zoned solve: the boundary rows carry the round-level story *)
+      let tail = last_n 3 boundaries in
+      let d = (last tail).b_disagree in
+      if d = 0 then
         "zones agree on every boundary edge (primal/dual reconciled)"
+      else if
+        List.length tail >= 3 && List.for_all (fun b -> b.b_disagree = d) tail
+      then
+        Printf.sprintf
+          "boundary disagreement plateaued at %d edge(s) — re-solve the \
+           top-gap zones or shrink the subgradient step"
+          d
       else
-        let plateaued =
-          List.length tail >= 3
-          && List.for_all
-               (fun (b : Recorder.boundary_frame) ->
-                 b.Recorder.b_disagree = last.Recorder.b_disagree)
-               tail
-        in
-        if plateaued then
-          Printf.sprintf
-            "boundary disagreement plateaued at %d edge(s) — re-solve the \
-             top-gap zones or shrink the subgradient step"
-            last.Recorder.b_disagree
-        else
-          Printf.sprintf
-            "boundary disagreement still shrinking (%d edge(s) at dump)"
-            last.Recorder.b_disagree
+        Printf.sprintf
+          "boundary disagreement still shrinking (%d edge(s) at dump)" d
+  | [], _ :: _ when not (Float.is_finite (last points).bound) ->
+      (* BP and SA carry no dual bound: judge the energy alone *)
+      Printf.sprintf "no dual bound: best energy %.6f after %d evaluations"
+        (List.fold_left (fun acc p -> Float.min acc p.energy) infinity points)
+        (List.length points)
   | [], _ :: _ ->
-      let last = List.nth ss (List.length ss - 1) in
-      let gap = sweep_gap last in
+      let gap = rel_gap (last points) in
       if gap <= 0.0 then "converged: dual gap closed"
       else
-        let recent = last_n 3 ss in
+        let recent = last_n 3 points in
         let stalled =
           (* flat best energy AND best bound across the recent bound
              evaluations — the same condition that drives the solver's
@@ -220,9 +282,7 @@ let diagnose frames =
           match recent with
           | a :: rest when List.length recent >= 3 ->
               List.for_all
-                (fun (s : Recorder.sweep_frame) ->
-                  s.Recorder.s_energy = a.Recorder.s_energy
-                  && s.Recorder.s_bound = a.Recorder.s_bound)
+                (fun p -> p.energy = a.energy && p.bound = a.bound)
                 rest
           | _ -> false
         in
@@ -233,60 +293,72 @@ let diagnose frames =
             (List.length recent) (gap *. 100.0)
         else Printf.sprintf "still progressing (gap %.3g%%)" (gap *. 100.0)
 
+let diagnose events =
+  let solve = last_solve events in
+  diagnosis (trajectory solve) (snd (rounds solve))
+
 (* ----------------------------------------------------- full renderer *)
 
-let pp_convergence ppf frames =
-  Format.fprintf ppf "@[<v>";
-  Format.fprintf ppf "diagnosis: %s@," (diagnose frames);
-  (match marks frames with
+let pp_convergence ppf events =
+  let solve = last_solve events in
+  let points = trajectory solve in
+  let _, boundaries = rounds solve in
+  Format.fprintf ppf "@[<v>diagnosis: %s" (diagnosis points boundaries);
+  (match List.filter (fun (e : Obs.event) -> e.Obs.kind = Obs.Instant) events
+   with
   | [] -> ()
   | ms ->
-      Format.fprintf ppf "marks:@,";
+      Format.fprintf ppf "@,marks:";
       List.iter
-        (fun (m : Recorder.mark_frame) ->
-          Format.fprintf ppf "  %10.6fs  %s@," m.Recorder.mk_t
-            m.Recorder.mk_label)
+        (fun (m : Obs.event) ->
+          Format.fprintf ppf "@,  %10.6fs  %s" m.Obs.ts m.Obs.name)
         ms);
-  (match gap_milestones frames with
+  (match milestones points with
   | [] -> ()
   | ms ->
-      Format.fprintf ppf "time to gap:@,";
-      Format.fprintf ppf "  %8s %12s %8s@," "gap<=" "t_s" "iter";
+      Format.fprintf ppf "@,time to gap:@,  %8s %12s %8s" "gap<=" "t_s" "iter";
       List.iter
         (fun m ->
-          Format.fprintf ppf "  %7g%% %12.6f %8d@," m.m_gap_pct m.m_t
-            m.m_iter)
+          Format.fprintf ppf "@,  %7g%% %12.6f %8d" m.m_gap_pct m.m_t m.m_iter)
         ms);
-  (match zone_attribution frames with
+  (match zone_attribution solve with
   | [] -> ()
   | zs ->
       Format.fprintf ppf
-        "zone gap attribution (re-solve the top zones first):@,";
-      Format.fprintf ppf "  %6s %16s %16s %12s %s@," "zone" "energy" "bound"
-        "gap" "converged";
+        "@,zone gap attribution (re-solve the top zones first):@,\
+         \  %6s %16s %16s %12s %s"
+        "zone" "energy" "bound" "gap" "converged";
       List.iter
         (fun z ->
-          Format.fprintf ppf "  %6d %16.6f %16.6f %12.6f %b@," z.z_zone
+          Format.fprintf ppf "@,  %6d %16.6f %16.6f %12.6f %b" z.z_zone
             z.z_energy z.z_bound z.z_gap z.z_converged)
         zs);
-  (match boundaries frames with
+  (match boundaries with
   | [] -> ()
   | bs ->
-      Format.fprintf ppf "boundary reconciliation:@,";
-      Format.fprintf ppf "  %6s %10s %16s %16s %12s@," "round" "disagree"
-        "zone_bound" "edge_bound" "step";
+      Format.fprintf ppf "@,boundary reconciliation:@,  %6s %10s %16s %16s %12s"
+        "round" "disagree" "zone_bound" "edge_bound" "step";
       List.iter
-        (fun (b : Recorder.boundary_frame) ->
-          Format.fprintf ppf "  %6d %10d %16.6f %16.6f %12.6g@,"
-            b.Recorder.b_round b.Recorder.b_disagree b.Recorder.b_zone_bound
-            b.Recorder.b_edge_bound b.Recorder.b_step)
+        (fun b ->
+          Format.fprintf ppf "@,  %6d %10d %16.6f %16.6f %12.6g" b.b_round
+            b.b_disagree b.b_zone_bound b.b_edge_bound b.b_step)
         bs);
-  (match sweeps frames with
+  (match points with
   | [] -> ()
-  | ss ->
-      let n = List.length ss in
-      let last = List.nth ss (n - 1) in
+  | _ ->
+      let p = last points in
       Format.fprintf ppf
-        "sweep frames: %d (last: iter %d, energy %.6f, bound %.6f)@," n
-        last.Recorder.s_iter last.Recorder.s_energy last.Recorder.s_bound);
+        "@,trajectory: %d points (last: iter %d, energy %.6f, bound %.6f)"
+        (List.length points) p.iter p.energy p.bound);
   Format.fprintf ppf "@]"
+
+let pp ?(top = 10) ~format ppf events =
+  let count k =
+    List.length (List.filter (fun (e : Obs.event) -> e.Obs.kind = k) events)
+  in
+  Format.fprintf ppf
+    "@[<v>format  %s@,events  %d@,spans   %d begun, %d ended@,\
+     marks   %d instants, %d counter samples@,%a%a%a@]"
+    format (List.length events) (count Obs.Begin) (count Obs.End)
+    (count Obs.Instant) (count Obs.Sample) pp_convergence events
+    (pp_hot_spans ~k:top) events pp_throughput events

@@ -1,45 +1,24 @@
-(** Convergence and profiling report analysis, shared by the
-    [netdiv report] and [netdiv obs-summary] subcommands.
+(** Convergence and profiling report analysis behind [netdiv report].
 
-    Everything operates on already-captured data — {!Obs.event} lists
-    decoded from a trace and {!Recorder.frame} lists decoded from a
-    flight-recorder dump — so the two CLI entry points render through
-    one code path.  JSON parsing stays in [bin/] (with the repo's
-    dependency-free reader); this library never reads files. *)
+    Everything operates on an already-captured {!Obs.event} list — a
+    trace or a flight-recorder dump decoded from disk, which carry the
+    same events — so both inputs render through one code path.  JSON
+    parsing stays in [bin/] (with the repo's dependency-free reader);
+    this library never reads files.
 
-(** {1 Trace-event analyses} *)
-
-val hot_spans :
-  ?k:int -> Obs.event list -> (string * int * float * float) list
-(** Top-[k] (default 10) spans by total time:
-    [(name, count, total_s, max_s)], descending. *)
-
-val pp_hot_spans : ?k:int -> Format.formatter -> Obs.event list -> unit
-
-type throughput = {
-  k_class : string;  (** kernel class: potts / const_sparse / generic *)
-  k_messages : float;  (** messages of this class across the trace *)
-  k_sweep_s : float;  (** total sweep-span wall time (the denominator) *)
-  k_per_s : float;  (** messages per sweep second ([0.] if no sweeps) *)
-}
-
-val kernel_throughput : Obs.event list -> throughput list
-(** Per-kernel-class message throughput: solvers sample their per-solve
-    message totals under [mrf.messages.<class>], and sweeps run under
-    [trws.sweep]/[bp.sweep] spans; the ratio is messages per sweep
-    second.  Sorted by descending message count. *)
-
-val pp_throughput : Format.formatter -> Obs.event list -> unit
-(** Renders {!kernel_throughput}; prints nothing when the trace carries
-    no message samples. *)
-
-(** {1 Flight-recorder analyses} *)
+    The convergence analyses describe the {e last solve} in the stream:
+    the events after the last [trws.zoned] begin when the stream holds
+    [trws.zoned.*] samples, otherwise after the last
+    [trws.solve]/[bp.solve]/[sa.solve] begin (the whole stream when a
+    wrapped ring lost that begin).  Round and iteration numbers come
+    from the solvers' own counter samples ([trws.zoned.round],
+    [trws.iter], [bp.iter], [sa.iter]), never from positions. *)
 
 type milestone = { m_gap_pct : float; m_t : float; m_iter : int }
 
-val gap_milestones : Recorder.frame list -> milestone list
+val gap_milestones : Obs.event list -> milestone list
 (** Time-to-gap curve: for each threshold (50/20/10/5/2/1/0.5/0.1%),
-    the first sweep frame whose relative gap
+    the first bound evaluation of the last solve whose relative gap
     [(energy - bound) / max 1 |energy|] is at or below it.  Thresholds
     never reached are omitted. *)
 
@@ -51,16 +30,25 @@ type zone_gap = {
   z_converged : bool;
 }
 
-val zone_attribution : Recorder.frame list -> zone_gap list
-(** Per-zone gap attribution from the last recorded round of a zoned
-    solve, ranked by descending gap — the order in which zones are
-    worth re-solving.  Empty for non-zoned solves. *)
+val zone_attribution : Obs.event list -> zone_gap list
+(** Per-zone gap attribution from the last recorded round of the last
+    zoned solve ([trws.zone.<z>.energy|bound|converged] samples), ranked
+    by descending gap — the order in which zones are worth re-solving.
+    Empty for non-zoned solves. *)
 
-val diagnose : Recorder.frame list -> string
-(** One-line stall/convergence diagnosis: boundary-disagreement trend
-    for zoned solves, best-energy/bound flatness for monolithic ones. *)
+val diagnose : Obs.event list -> string
+(** One-line diagnosis of the last solve: the boundary-disagreement
+    trend for zoned solves, best-energy/bound flatness for monolithic
+    ones, and the best energy alone when the solver has no dual bound
+    (BP, SA). *)
 
-val pp_convergence : Format.formatter -> Recorder.frame list -> unit
-(** The full convergence report: diagnosis, marks, time-to-gap table,
-    zone gap attribution, boundary-reconciliation trajectory and a
-    sweep-frame digest. *)
+val pp_convergence : Format.formatter -> Obs.event list -> unit
+(** The convergence sections: diagnosis, the marks timeline (every
+    instant in the stream), time-to-gap table, zone gap attribution,
+    boundary-reconciliation rounds and a trajectory digest. *)
+
+val pp : ?top:int -> format:string -> Format.formatter -> Obs.event list -> unit
+(** The whole report body: the [format] line and event/span/mark
+    counts, {!pp_convergence}, the top-[top] (default 10) spans by total
+    time, and per-kernel-class message throughput when the stream
+    carries [mrf.messages.*] samples. *)

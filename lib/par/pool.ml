@@ -11,6 +11,7 @@
 exception Race of string
 
 module Obs = Netdiv_obs.Obs
+module Recorder = Netdiv_obs.Recorder
 module Fault = Netdiv_fault.Fault
 
 (* Pool telemetry (all no-ops until Obs.set_enabled true): regions and
@@ -44,8 +45,12 @@ let region_seq = Atomic.make 0
    domain plus GC minor/major collection deltas (as observed by the
    caller).  Covers every execution strategy — inline fast path,
    granularity-planned sequential run and dispatched chunks — so a
-   trace shows each parallel region exactly once. *)
+   trace shows each parallel region exactly once.  The whole region
+   runs with the flight recorder suspended: chunks are claimed in a
+   schedule-dependent order, by workers and the caller alike, so
+   nothing inside a region may reach the ring. *)
 let observe_region f =
+  Recorder.suspended @@ fun () ->
   if not (Obs.enabled ()) then f ()
   else begin
     Obs.Counter.incr c_regions;

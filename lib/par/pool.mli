@@ -10,7 +10,12 @@
     - exception propagation: a worker failure is re-raised in the caller
       (lowest failing chunk index wins) after all domains are joined;
     - a bit-for-bit serial fallback when the resolved job count is 1 —
-      no domain is spawned and the body runs inline in the caller.
+      no domain is spawned and the body runs inline in the caller;
+    - no event from inside a region reaches a flight recorder: every
+      region ([parallel_for], [map_range], [map_reduce], [Team.run]),
+      inline or dispatched, runs with {!Netdiv_obs.Recorder.suspended},
+      because the caller domain claims chunks too, in a
+      schedule-dependent order.  Tracing still sees the region.
 
     {2 Race sanitizer}
 

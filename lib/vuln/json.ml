@@ -322,7 +322,6 @@ let path keys t =
 let to_list = function List items -> Some items | _ -> None
 let to_float = function Number f -> Some f | _ -> None
 let to_str = function String s -> Some s | _ -> None
-let to_bool = function Bool b -> Some b | _ -> None
 
 let rec equal a b =
   match (a, b) with

@@ -37,7 +37,6 @@ val path : string list -> t -> t option
 val to_list : t -> t list option
 val to_float : t -> float option
 val to_str : t -> string option
-val to_bool : t -> bool option
 
 val equal : t -> t -> bool
 (** Structural equality with unordered object fields. *)

@@ -1,7 +1,8 @@
 (* Tests for Netdiv_obs: span nesting/ordering, the disabled fast path,
    histogram bucket edges, Chrome-trace/JSONL validity via the in-repo
-   JSON parser, per-domain buffer merging under the pool sanitizer, and
-   the runner's stage-timing histograms. *)
+   JSON parser, per-domain buffer merging under the pool sanitizer, the
+   runner's stage-timing histograms, and the flight recorder as a
+   bounded sink of the same event stream, with the report over it. *)
 
 module Obs = Netdiv_obs.Obs
 module Export = Netdiv_obs.Export
@@ -82,7 +83,7 @@ let test_disabled_is_silent () =
 
 (* ------------------------------------------------------------ metrics *)
 
-let test_counter_gauge () =
+let test_counters () =
   Obs.set_enabled true;
   let c = Obs.Counter.make "test.counter" in
   Alcotest.(check bool)
@@ -91,17 +92,8 @@ let test_counter_gauge () =
   Obs.Counter.add c 3;
   Obs.Counter.incr c;
   Alcotest.(check int) "counter accumulates" 4 (Obs.Counter.value c);
-  let g = Obs.Gauge.make "test.gauge" in
-  Alcotest.(check bool)
-    "gauge starts nan" true
-    (Float.is_nan (Obs.Gauge.value g));
-  Obs.Gauge.set g 2.5;
-  Alcotest.(check (float 0.0)) "gauge stores" 2.5 (Obs.Gauge.value g);
   Obs.reset ();
-  Alcotest.(check int) "reset zeroes counters" 0 (Obs.Counter.value c);
-  Alcotest.(check bool)
-    "reset clears gauges" true
-    (Float.is_nan (Obs.Gauge.value g))
+  Alcotest.(check int) "reset zeroes counters" 0 (Obs.Counter.value c)
 
 let test_histogram_buckets () =
   let base = Obs.Histogram.base in
@@ -363,92 +355,92 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+let names events = List.map (fun (e : Obs.event) -> e.Obs.name) events
+
+let non_empty_lines s =
+  List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' s)
+
 let test_recorder_ring_wraparound () =
   let r = Recorder.create ~capacity:4 "ring" in
   Recorder.with_recorder r (fun () ->
       for i = 0 to 9 do
-        Recorder.sweep ~iter:i ~energy:(float_of_int i) ~bound:0.0
-          ~residual:0.0 ~msg_potts:i ~msg_sparse:0 ~msg_generic:0
+        Obs.sample ~name:"it" (float_of_int i)
       done);
   Alcotest.(check string) "name round-trips" "ring" (Recorder.name r);
   Alcotest.(check int) "capacity round-trips" 4 (Recorder.capacity r);
-  Alcotest.(check int) "recorded counts every frame" 10 (Recorder.recorded r);
+  Alcotest.(check int) "recorded counts every event" 10 (Recorder.recorded r);
   Alcotest.(check int) "dropped = recorded - capacity" 6 (Recorder.dropped r);
-  let iters =
-    List.filter_map
-      (function Recorder.Sweep s -> Some s.Recorder.s_iter | _ -> None)
-      (Recorder.frames r)
-  in
-  Alcotest.(check (list int))
-    "last capacity frames survive, oldest first" [ 6; 7; 8; 9 ] iters;
+  Alcotest.(check (list (float 0.0)))
+    "last capacity events survive, oldest first" [ 6.0; 7.0; 8.0; 9.0 ]
+    (List.map (fun (e : Obs.event) -> e.Obs.value) (Recorder.events r));
   (* capacity is clamped, never zero *)
   let tiny = Recorder.create ~capacity:0 "tiny" in
   Recorder.with_recorder tiny (fun () ->
-      Recorder.mark "a";
-      Recorder.mark "b");
-  Alcotest.(check int) "clamped capacity retains one frame" 1
-    (List.length (Recorder.frames tiny))
+      Obs.instant "a";
+      Obs.instant "b");
+  Alcotest.(check (list string)) "clamped capacity retains one event" [ "b" ]
+    (names (Recorder.events tiny))
+
+let installed_is r =
+  match Recorder.current () with Some c -> c == r | None -> false
 
 let test_recorder_install_and_suspend () =
   let r = Recorder.create "inst" in
-  Recorder.mark "outside";
+  Obs.instant "outside";
   Alcotest.(check int) "record is a no-op without installation" 0
     (Recorder.recorded r);
   Recorder.with_recorder r (fun () ->
-      Alcotest.(check bool) "installed inside" true (Recorder.installed ());
-      Recorder.mark "inside";
+      Alcotest.(check bool) "installed inside" true (installed_is r);
+      Obs.instant "inside";
       Recorder.suspended (fun () ->
-          Alcotest.(check bool) "blank under suspended" false
-            (Recorder.installed ());
-          Recorder.mark "suppressed"));
-  Alcotest.(check bool) "uninstalled after" false (Recorder.installed ());
+          Alcotest.(check bool) "blank under suspended" true
+            (Recorder.current () = None);
+          Obs.instant "suppressed"));
+  Alcotest.(check bool) "uninstalled after" true (Recorder.current () = None);
   (try Recorder.with_recorder r (fun () -> failwith "expected") with
   | Failure _ -> ());
-  Alcotest.(check bool) "uninstalled after a raise" false
-    (Recorder.installed ());
-  Alcotest.(check int) "only the installed mark was recorded" 1
-    (Recorder.recorded r)
+  Alcotest.(check bool) "uninstalled after a raise" true
+    (Recorder.current () = None);
+  Alcotest.(check (list string)) "only the installed event was recorded"
+    [ "inside" ] (names (Recorder.events r));
+  (* tracing stayed off: the ring is the only sink that saw the event *)
+  Alcotest.(check (list string)) "trace buffers untouched" []
+    (shape (Obs.events ()))
 
 let test_recorder_dump_parses () =
   let r = Recorder.create ~capacity:8 "dump" in
   Recorder.with_recorder r (fun () ->
-      Recorder.mark "stage:trws";
-      Recorder.sweep ~iter:1 ~energy:3.5 ~bound:neg_infinity ~residual:0.25
-        ~msg_potts:10 ~msg_sparse:4 ~msg_generic:0;
-      Recorder.zone ~round:1 ~zone:0 ~energy:2.0 ~bound:1.0 ~iterations:7
-        ~converged:true;
-      Recorder.boundary ~round:1 ~disagree:3 ~edge_bound:(-0.5)
-        ~zone_bound:1.5 ~step:0.25);
-  let json =
-    match Json.parse (Recorder.dump_string ~reason:"unit" r) with
+      Obs.instant "stage:trws";
+      Obs.span ~name:"trws.solve" (fun () ->
+          Obs.sample ~name:"trws.lower_bound" neg_infinity));
+  let parse line =
+    match Json.parse line with
     | Ok j -> j
-    | Error msg -> Alcotest.failf "dump does not parse: %s" msg
+    | Error msg -> Alcotest.failf "dump line does not parse: %s" msg
+  in
+  let header, events =
+    let dump = Recorder.dump_string ~reason:"unit" r in
+    match List.map parse (non_empty_lines dump) with
+    | h :: evs -> (h, evs)
+    | [] -> Alcotest.fail "empty dump"
   in
   Alcotest.(check (option string))
     "reason field" (Some "unit")
-    (Option.bind (Json.member "reason" json) Json.to_str);
+    (Option.bind (Json.member "reason" header) Json.to_str);
   Alcotest.(check (option (float 0.0)))
-    "version marker" (Some 1.0)
-    (Option.bind (Json.member "netdiv_recorder" json) Json.to_float);
-  let frames =
-    match Option.bind (Json.member "frames" json) Json.to_list with
-    | Some l -> l
-    | None -> Alcotest.fail "no frames list"
-  in
-  Alcotest.(check int) "one object per frame" 4 (List.length frames);
-  let kinds =
-    List.filter_map (fun f -> Option.bind (Json.member "k" f) Json.to_str)
-      frames
-  in
+    "version marker" (Some 2.0)
+    (Option.bind (Json.member "netdiv_recorder" header) Json.to_float);
+  Alcotest.(check (option (float 0.0)))
+    "recorded count" (Some 4.0)
+    (Option.bind (Json.member "recorded" header) Json.to_float);
   Alcotest.(check (list string))
-    "frame kinds in record order"
-    [ "mark"; "sweep"; "zone"; "boundary" ]
-    kinds;
+    "events in record order, in the trace shape" [ "i"; "B"; "C"; "E" ]
+    (List.filter_map (fun e -> Option.bind (Json.member "ph" e) Json.to_str)
+       events);
   (* the non-finite bound crossed the JSON boundary as a string *)
-  let sweep = List.nth frames 1 in
-  (match Json.member "bound" sweep with
+  (match Json.path [ "args"; "value" ] (List.nth events 2) with
   | Some (Json.String _) -> ()
-  | _ -> Alcotest.fail "non-finite bound not serialized as a string");
+  | _ -> Alcotest.fail "non-finite sample not serialized as a string");
   (* a dump with neither path nor dump_path is Ok and writes nothing *)
   (match Recorder.dump ~reason:"nowhere" r with
   | Ok () -> ()
@@ -484,36 +476,28 @@ let test_recorder_dump_on_degradation () =
   | Some reason ->
       Alcotest.(check bool)
         "last dump carries the degraded outcome" true
-        (String.length reason >= 8 && String.sub reason 0 8 = "degraded")
+        (String.starts_with ~prefix:"degraded" reason)
   | None -> Alcotest.fail "no dump was written");
-  let json =
-    match Json.parse (read_file path) with
-    | Ok j -> j
-    | Error msg -> Alcotest.failf "on-disk dump does not parse: %s" msg
-  in
-  let labels =
-    match Option.bind (Json.member "frames" json) Json.to_list with
-    | Some frames ->
-        List.filter_map
-          (fun f -> Option.bind (Json.member "label" f) Json.to_str)
-          frames
-    | None -> Alcotest.fail "on-disk dump has no frames"
+  let marks =
+    List.filter_map
+      (fun line ->
+        match Json.parse line with
+        | Ok j when Option.bind (Json.member "ph" j) Json.to_str = Some "i" ->
+            Option.bind (Json.member "name" j) Json.to_str
+        | Ok _ -> None
+        | Error msg -> Alcotest.failf "on-disk dump does not parse: %s" msg)
+      (List.tl (non_empty_lines (read_file path)))
   in
   Alcotest.(check bool)
     "degradation mark present" true
-    (List.exists
-       (fun l ->
-         String.length l >= 8 && String.sub l 0 8 = "degrade:")
-       labels);
+    (List.exists (String.starts_with ~prefix:"degrade:") marks);
   Alcotest.(check bool)
     "retry marks present" true
-    (List.exists
-       (fun l -> String.length l >= 6 && String.sub l 0 6 = "retry:")
-       labels)
+    (List.exists (String.starts_with ~prefix:"retry:") marks)
 
 (* two 4-node chains and an isolated node: three components, so
-   [Trws.solve ~jobs] exercises the suspended parallel region and the
-   deterministic per-component zone frames *)
+   [Trws.solve ~jobs] exercises the pool region and the deterministic
+   per-component zone samples *)
 let components_mrf () =
   let b = Mrf.Builder.create ~label_counts:(Array.make 9 3) in
   let rng = Random.State.make [| 77 |] in
@@ -527,6 +511,13 @@ let components_mrf () =
         (Array.init 9 (fun _ -> Random.State.float rng 1.0)))
     [ (0, 1); (1, 2); (2, 3); (4, 5); (5, 6); (6, 7) ];
   Mrf.Builder.build b
+
+let sample_values name events =
+  List.filter_map
+    (fun (e : Obs.event) ->
+      if e.Obs.kind = Obs.Sample && e.Obs.name = name then Some e.Obs.value
+      else None)
+    events
 
 let test_recorder_parallel_sanitized () =
   Pool.set_sanitize (Some true);
@@ -544,50 +535,103 @@ let test_recorder_parallel_sanitized () =
     (plain.Solver.lower_bound = recorded.Solver.lower_bound);
   Alcotest.(check (array int))
     "labeling with recorder" plain.Solver.labeling recorded.Solver.labeling;
-  (* orchestrator frames: one zone frame per component, a boundary frame
-     and the summary sweep, recorded after the suspended parallel
-     region *)
-  let frames = Recorder.frames r in
-  let zones =
-    List.filter_map
-      (function Recorder.Zone z -> Some z.Recorder.z_zone | _ -> None)
-      frames
-  in
-  Alcotest.(check (list int)) "one frame per component, in order"
-    [ 0; 1; 2 ] zones;
-  Alcotest.(check (list int)) "one boundary frame, nothing to reconcile"
-    [ 0 ]
-    (List.filter_map
-       (function Recorder.Boundary b -> Some b.Recorder.b_disagree | _ -> None)
-       frames);
-  Alcotest.(check int) "one summary sweep frame" 1
-    (List.length
-       (List.filter
-          (function Recorder.Sweep _ -> true | _ -> false)
-          frames))
+  (* orchestrator samples only: one zone triple per component, one
+     boundary round and the round summary, recorded after the pool
+     region; the zone solves inside it never reach the ring *)
+  let events = Recorder.events r in
+  Alcotest.(check (list string)) "one energy sample per component, in order"
+    [ "trws.zone.0.energy"; "trws.zone.1.energy"; "trws.zone.2.energy" ]
+    (List.filter
+       (fun n ->
+         String.starts_with ~prefix:"trws.zone." n
+         && String.ends_with ~suffix:".energy" n)
+       (names events));
+  Alcotest.(check (list (float 0.0))) "one boundary round, nothing to reconcile"
+    [ 0.0 ]
+    (sample_values "trws.boundary.disagree" events);
+  Alcotest.(check int) "one round summary" 1
+    (List.length (sample_values "trws.zoned.energy" events));
+  Alcotest.(check (list (float 0.0))) "no zone-solve sweep reached the ring" []
+    (sample_values "trws.iter" events)
+
+(* pool regions never reach the ring, inline (jobs 1) or dispatched *)
+let test_recorder_pool_regions () =
+  List.iter
+    (fun jobs ->
+      let r = Recorder.create "pool" in
+      Recorder.with_recorder r (fun () ->
+          Obs.instant "before";
+          let body i = Obs.sample ~name:"body" (float_of_int i) in
+          Pool.parallel_for ~jobs ~lo:0 ~hi:16 body;
+          ignore (Pool.map_range ~jobs ~lo:0 ~hi:4 (fun i -> body i; i));
+          ignore
+            (Pool.map_reduce ~jobs ?chunks:None ?cost:None ~lo:0 ~hi:4
+               ~map:(fun i -> body i; i)
+               ~reduce:( + ) ~init:0);
+          let team = Pool.Team.create ~jobs () in
+          Fun.protect
+            ~finally:(fun () -> Pool.Team.stop team)
+            (fun () ->
+              Pool.Team.run team ~chunks:4 ~lo:0 ~hi:8 (fun _ lo _ -> body lo));
+          Obs.instant "after");
+      Alcotest.(check (list string))
+        (Printf.sprintf "only the caller's events at %d jobs" jobs)
+        [ "before"; "after" ]
+        (names (Recorder.events r)))
+    [ 1; 2 ]
+
+(* One zoned round as the zoned schedule emits it. *)
+let zoned_round ~round ~zones ~disagree ~zone_bound ~edge_bound ~step ~energy
+    ~bound =
+  Obs.sample ~name:"trws.zoned.round" (float_of_int round);
+  List.iter
+    (fun (z, e, b, c) ->
+      let name field = Printf.sprintf "trws.zone.%d.%s" z field in
+      Obs.sample ~name:(name "energy") e;
+      Obs.sample ~name:(name "bound") b;
+      Obs.sample ~name:(name "converged") (if c then 1.0 else 0.0))
+    zones;
+  Obs.sample ~name:"trws.boundary.disagree" (float_of_int disagree);
+  Obs.sample ~name:"trws.boundary.zone_bound" zone_bound;
+  Obs.sample ~name:"trws.boundary.edge_bound" edge_bound;
+  Obs.sample ~name:"trws.boundary.step" step;
+  Obs.sample ~name:"trws.zoned.energy" energy;
+  Obs.sample ~name:"trws.zoned.lower_bound" bound
+
+(* (round, disagree) of the rendered boundary-reconciliation rows: the
+   only rendered rows whose first two fields are integers *)
+let boundary_rows events =
+  List.filter_map
+    (fun l ->
+      match List.filter (( <> ) "") (String.split_on_char ' ' l) with
+      | [ round; disagree; _; _; _ ] -> (
+          match (int_of_string_opt round, int_of_string_opt disagree) with
+          | Some round, Some disagree -> Some (round, disagree)
+          | _ -> None)
+      | _ -> None)
+    (String.split_on_char '\n'
+       (Format.asprintf "%a" Obs_report.pp_convergence events))
+
+let recorded_events f =
+  let r = Recorder.create "an" in
+  Recorder.with_recorder r f;
+  Recorder.events r
 
 let test_recorder_report_analysis () =
-  let r = Recorder.create "an" in
-  Recorder.with_recorder r (fun () ->
-      Recorder.zone ~round:1 ~zone:0 ~energy:10.0 ~bound:9.0 ~iterations:5
-        ~converged:true;
-      Recorder.zone ~round:1 ~zone:1 ~energy:20.0 ~bound:12.0 ~iterations:5
-        ~converged:false;
-      Recorder.boundary ~round:1 ~disagree:4 ~edge_bound:(-1.0)
-        ~zone_bound:21.0 ~step:0.5;
-      Recorder.sweep ~iter:1 ~energy:30.0 ~bound:20.0 ~residual:1.0
-        ~msg_potts:0 ~msg_sparse:0 ~msg_generic:0;
-      Recorder.zone ~round:2 ~zone:0 ~energy:10.0 ~bound:9.5 ~iterations:3
-        ~converged:true;
-      Recorder.zone ~round:2 ~zone:1 ~energy:18.0 ~bound:13.0 ~iterations:4
-        ~converged:true;
-      Recorder.boundary ~round:2 ~disagree:0 ~edge_bound:(-0.5)
-        ~zone_bound:23.0 ~step:0.25;
-      Recorder.sweep ~iter:2 ~energy:28.0 ~bound:22.5 ~residual:0.5
-        ~msg_potts:0 ~msg_sparse:0 ~msg_generic:0);
-  let frames = Recorder.frames r in
+  let events =
+    recorded_events (fun () ->
+        Obs.span ~name:"trws.zoned" (fun () ->
+            zoned_round ~round:1
+              ~zones:[ (0, 10.0, 9.0, true); (1, 20.0, 12.0, false) ]
+              ~disagree:4 ~zone_bound:21.0 ~edge_bound:(-1.0) ~step:0.5
+              ~energy:30.0 ~bound:20.0;
+            zoned_round ~round:2
+              ~zones:[ (0, 10.0, 9.5, true); (1, 18.0, 13.0, true) ]
+              ~disagree:0 ~zone_bound:23.0 ~edge_bound:(-0.5) ~step:0.25
+              ~energy:28.0 ~bound:22.5))
+  in
   (* zone attribution keeps only the last round, sorted by gap *)
-  let attr = Obs_report.zone_attribution frames in
+  let attr = Obs_report.zone_attribution events in
   Alcotest.(check (list int))
     "last-round zones, widest gap first" [ 1; 0 ]
     (List.map (fun (z : Obs_report.zone_gap) -> z.Obs_report.z_zone) attr);
@@ -597,16 +641,88 @@ let test_recorder_report_analysis () =
   Alcotest.(check string)
     "reconciled diagnosis"
     "zones agree on every boundary edge (primal/dual reconciled)"
-    (Obs_report.diagnose frames);
-  (* the renderer is a pure function of the frames *)
-  let render () = Format.asprintf "%a" Obs_report.pp_convergence frames in
+    (Obs_report.diagnose events);
+  (* the renderer is a pure function of the events *)
+  let render () = Format.asprintf "%a" Obs_report.pp_convergence events in
   Alcotest.(check string) "rendering is deterministic" (render ()) (render ());
-  (* milestone table finds the first sweep at or under each threshold *)
-  let ms = Obs_report.gap_milestones frames in
+  (* milestone table finds the first evaluation at or under each
+     threshold *)
+  let ms = Obs_report.gap_milestones events in
   Alcotest.(check bool) "50% milestone reached" true
     (List.exists (fun m -> m.Obs_report.m_gap_pct = 50.0) ms);
   Alcotest.(check bool) "0.1% milestone not reached" true
-    (not (List.exists (fun m -> m.Obs_report.m_gap_pct = 0.1) ms))
+    (not (List.exists (fun m -> m.Obs_report.m_gap_pct = 0.1) ms));
+  (* a solver without a dual bound is judged by its energy alone *)
+  let bp =
+    recorded_events (fun () ->
+        Obs.span ~name:"bp.solve" (fun () ->
+            List.iteri
+              (fun i e ->
+                Obs.sample ~name:"bp.iter" (float_of_int (i + 1));
+                Obs.sample ~name:"bp.energy" e;
+                Obs.sample ~name:"bp.delta" 0.0)
+              [ 3.0; 2.5; 2.5 ]))
+  in
+  Alcotest.(check string) "bound-free diagnosis"
+    "no dual bound: best energy 2.500000 after 3 evaluations"
+    (Obs_report.diagnose bp)
+
+(* the report describes the last solve only, never a mix of several *)
+let test_recorder_report_last_solve () =
+  let events =
+    recorded_events (fun () ->
+        Obs.span ~name:"trws.zoned" (fun () ->
+            zoned_round ~round:1
+              ~zones:
+                [ (0, 5.0, 1.0, true); (1, 5.0, 1.0, true); (2, 9.0, 1.0, true) ]
+              ~disagree:3 ~zone_bound:3.0 ~edge_bound:0.0 ~step:0.25
+              ~energy:19.0 ~bound:3.0);
+        Obs.span ~name:"trws.zoned" (fun () ->
+            zoned_round ~round:1
+              ~zones:[ (0, 4.0, 3.0, true); (1, 6.0, 4.0, false) ]
+              ~disagree:0 ~zone_bound:7.0 ~edge_bound:0.0 ~step:0.25
+              ~energy:10.0 ~bound:7.0))
+  in
+  Alcotest.(check (list int))
+    "only the second solve's zones" [ 1; 0 ]
+    (List.map
+       (fun (z : Obs_report.zone_gap) -> z.Obs_report.z_zone)
+       (Obs_report.zone_attribution events));
+  Alcotest.(check string)
+    "diagnosis from the second solve's boundary"
+    "zones agree on every boundary edge (primal/dual reconciled)"
+    (Obs_report.diagnose events);
+  Alcotest.(check (list (pair int int)))
+    "one boundary row" [ (1, 0) ] (boundary_rows events)
+
+(* a wrapped ring keeps the solver's own round and iteration numbers *)
+let test_recorder_wrap_keeps_numbers () =
+  let r = Recorder.create ~capacity:12 "flat" in
+  Recorder.with_recorder r (fun () ->
+      for it = 1 to 10 do
+        Obs.sample ~name:"trws.iter" (float_of_int it);
+        Obs.sample ~name:"trws.energy" 100.0;
+        Obs.sample ~name:"trws.lower_bound"
+          (100.0 -. (100.0 /. float_of_int it))
+      done);
+  Alcotest.(check int) "the ring wrapped" 18 (Recorder.dropped r);
+  Alcotest.(check (list int))
+    "milestone iterations are the solver's" [ 7; 7; 10 ]
+    (List.map
+       (fun m -> m.Obs_report.m_iter)
+       (Obs_report.gap_milestones (Recorder.events r)));
+  (* 8 rounds of 13 events; 50 slots cut into round 5 *)
+  let r = Recorder.create ~capacity:50 "zoned" in
+  Recorder.with_recorder r (fun () ->
+      for round = 1 to 8 do
+        zoned_round ~round
+          ~zones:[ (0, 2.0, 1.0, true); (1, 3.0, 1.0, false) ]
+          ~disagree:(9 - round) ~zone_bound:2.0 ~edge_bound:0.0 ~step:0.25
+          ~energy:5.0 ~bound:2.0
+      done);
+  Alcotest.(check (list (pair int int)))
+    "boundary rows keep their round numbers" [ (6, 3); (7, 2); (8, 1) ]
+    (boundary_rows (Recorder.events r))
 
 let () =
   Alcotest.run "netdiv_obs"
@@ -622,8 +738,7 @@ let () =
         ] );
       ( "metrics",
         [
-          Alcotest.test_case "counters and gauges" `Quick
-            (scoped test_counter_gauge);
+          Alcotest.test_case "counters" `Quick (scoped test_counters);
           Alcotest.test_case "histogram bucket edges" `Quick
             (scoped test_histogram_buckets);
         ] );
@@ -659,7 +774,13 @@ let () =
             (scoped test_recorder_dump_on_degradation);
           Alcotest.test_case "parallel recording under sanitizer" `Quick
             (scoped test_recorder_parallel_sanitized);
+          Alcotest.test_case "pool regions never reach the ring" `Quick
+            (scoped test_recorder_pool_regions);
           Alcotest.test_case "report analyses" `Quick
             (scoped test_recorder_report_analysis);
+          Alcotest.test_case "report describes the last solve" `Quick
+            (scoped test_recorder_report_last_solve);
+          Alcotest.test_case "wrapped ring keeps round numbers" `Quick
+            (scoped test_recorder_wrap_keeps_numbers);
         ] );
     ]

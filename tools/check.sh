@@ -10,15 +10,15 @@
 # BENCH.json), diff the fresh report against the committed baseline
 # with tools/bench_diff (>25% regression on watched metrics fails,
 # snapshots land in bench_history/), validate that a traced optimize
-# run emits a Chrome trace and a JSONL log that netdiv obs-summary
-# accepts, run the chaos gate (a fixed NETDIV_FAULT schedule must
-# recover to the fault-free assignment and replay bitwise, and a skewed
-# clock must not change an unbudgeted solve), run the
-# flight-recorder gate (a degraded run must dump a black box that
-# netdiv report renders, and a zoned solve must attribute its dual gap
-# per zone), and — when
-# a .ocamlformat file is present — verify formatting. Exits non-zero
-# on the first failure.
+# run emits a Chrome trace and a JSONL log that netdiv report accepts,
+# run the chaos gate (a fixed NETDIV_FAULT schedule must recover to the
+# fault-free assignment and replay bitwise, and a skewed clock must not
+# change an unbudgeted solve), run the flight-recorder gate (a degraded
+# run must dump a black box that netdiv report renders, a zoned solve
+# must attribute its dual gap per zone, and the report of its dump and
+# of its --trace JSONL must show the same zone and boundary rows), and —
+# when a .ocamlformat file is present — verify formatting. Exits
+# non-zero on the first failure.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -85,14 +85,14 @@ echo "== traced optimize (Chrome trace + JSONL must round-trip)"
 tracedir=$(mktemp -d)
 dune exec bin/netdiv.exe -- optimize --hosts 40 --degree 4 --services 3 \
   --trace "$tracedir/trace.json" >/dev/null
-summary=$(dune exec bin/netdiv.exe -- obs-summary "$tracedir/trace.json")
+summary=$(dune exec bin/netdiv.exe -- report "$tracedir/trace.json")
 echo "$summary" | grep -q '^format  chrome' || {
   echo "traced optimize did not produce a valid Chrome trace"; exit 1; }
 echo "$summary" | grep -q 'trws\.sweep' || {
   echo "Chrome trace is missing trws.sweep spans"; exit 1; }
 dune exec bin/netdiv.exe -- optimize --hosts 40 --degree 4 --services 3 \
   --solver sa --jobs 2 --trace "$tracedir/trace.jsonl" >/dev/null
-summary=$(dune exec bin/netdiv.exe -- obs-summary "$tracedir/trace.jsonl")
+summary=$(dune exec bin/netdiv.exe -- report "$tracedir/trace.jsonl")
 echo "$summary" | grep -q '^format  jsonl' || {
   echo "traced optimize did not produce a valid JSONL trace"; exit 1; }
 echo "$summary" | grep -q 'pool\.region' || {
@@ -161,7 +161,9 @@ echo "== flight recorder gate (black box under degradation + report)"
 # the runner down its degradation ladder; the runner must dump the
 # flight recorder as it degrades, and netdiv report must parse the dump
 # and show the degradation mark.  A zoned scalability solve must yield
-# per-zone gap attribution through the same pipeline.
+# per-zone gap attribution through the same pipeline, and its dump and
+# its --trace JSONL carry one event stream: their reports must print
+# identical zone-attribution and boundary-reconciliation sections.
 flightdir=$(mktemp -d)
 NETDIV_FAULT="runner.stage@0,runner.stage@1,runner.stage@2" \
   dune exec bin/netdiv.exe -- optimize --hosts 40 --degree 4 --services 3 \
@@ -176,12 +178,21 @@ echo "$report" | grep -q '^reason   degraded' || {
 echo "$report" | grep -q 'degrade:' || {
   echo "flight record is missing the degradation mark"; exit 1; }
 dune exec bin/netdiv.exe -- scalability --hosts 2000 --zones 4 \
-  --flight-record "$flightdir/zoned.json" >/dev/null
+  --flight-record "$flightdir/zoned.json" \
+  --trace "$flightdir/zoned.jsonl" >/dev/null
 report=$(dune exec bin/netdiv.exe -- report "$flightdir/zoned.json")
 echo "$report" | grep -q 'zone gap attribution' || {
   echo "zoned flight record lacks per-zone gap attribution"; exit 1; }
 echo "$report" | grep -q 'boundary reconciliation' || {
   echo "zoned flight record lacks boundary reconciliation rounds"; exit 1; }
+zone_sections() {
+  dune exec bin/netdiv.exe -- report "$1" |
+    awk '/^zone gap attribution/ { p = 1 } /^trajectory/ { p = 0 } p'
+}
+zone_sections "$flightdir/zoned.json" >"$flightdir/dump.rows"
+zone_sections "$flightdir/zoned.jsonl" >"$flightdir/trace.rows"
+diff "$flightdir/dump.rows" "$flightdir/trace.rows" || {
+  echo "zoned dump and trace report different zone/boundary rows"; exit 1; }
 rm -rf "$flightdir"
 
 if [ -f .ocamlformat ]; then
