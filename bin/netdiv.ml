@@ -106,28 +106,124 @@ let jobs_of = function
 
 (* --------------------------------------------------------- observability *)
 
+(* A Chrome trace is one JSON document carrying a traceEvents list; a
+   flight-recorder dump is a header line followed by JSONL events;
+   anything else is a JSONL trace.  Each event object is paired with its
+   position, for error messages. *)
+let load_events contents =
+  match Json.parse contents with
+  | Ok json when Json.member "traceEvents" json <> None -> (
+      match Option.bind (Json.member "traceEvents" json) Json.to_list with
+      | Some evs ->
+          let at i e = (Printf.sprintf "event %d" i, e) in
+          Ok ("chrome", None, List.mapi at evs)
+      | None -> Error "traceEvents is not a list")
+  | _ -> (
+      let rec lines lineno acc = function
+        | [] -> Ok (List.rev acc)
+        | line :: rest when String.trim line = "" ->
+            lines (lineno + 1) acc rest
+        | line :: rest -> (
+            let at = Printf.sprintf "line %d" lineno in
+            match Json.parse line with
+            | Ok j -> lines (lineno + 1) ((at, j) :: acc) rest
+            | Error msg -> Error (Printf.sprintf "%s: %s" at msg))
+      in
+      match lines 1 [] (String.split_on_char '\n' contents) with
+      | Ok ((_, header) :: events)
+        when Json.member "netdiv_recorder" header <> None ->
+          let version = Json.member "netdiv_recorder" header in
+          if Option.bind version Json.to_float = Some 2.0 then
+            Ok ("dump", Some header, events)
+          else Error "unsupported flight-recorder dump version (expected 2)"
+      | Ok events -> Ok ("jsonl", None, events)
+      | Error _ as e -> e)
+
+(* JSON numbers cannot carry non-finite floats, so the exporters write
+   them as strings ("inf", "-inf", "nan"); accept both shapes here. *)
+let json_num j =
+  match Json.to_float j with
+  | Some v -> Some v
+  | None -> Option.bind (Json.to_str j) float_of_string_opt
+
+(* Decode one trace-event object (the shape Obs_export writes for traces
+   and dumps alike) back into an {!Obs.event}; [ts] is microseconds in
+   the format.  [None] on a missing or mistyped field. *)
+let event_of_json ev =
+  let str k = Option.bind (Json.member k ev) Json.to_str in
+  let num k = Option.bind (Json.member k ev) json_num in
+  let kind =
+    match str "ph" with
+    | Some "B" -> Some Obs.Begin
+    | Some "E" -> Some Obs.End
+    | Some "i" -> Some Obs.Instant
+    | Some "C" -> Some Obs.Sample
+    | _ -> None
+  in
+  let value =
+    if kind = Some Obs.Sample then
+      Option.bind (Json.path [ "args"; "value" ] ev) json_num
+    else Some 0.0
+  in
+  match (str "name", kind, num "ts", value) with
+  | Some name, Some kind, Some us, Some value ->
+      Some
+        {
+          Obs.kind;
+          name;
+          ts = us /. 1e6;
+          value;
+          tid = (match num "tid" with Some t -> int_of_float t | None -> 0);
+        }
+  | _ -> None
+
+(* Every event of a trace or dump, with its format and a dump's header
+   line; [Error] names the first event that does not decode. *)
+let decode_events contents =
+  match load_events contents with
+  | Error _ as e -> e
+  | Ok (format, header, objs) ->
+      let rec decode acc = function
+        | [] -> Ok (format, header, List.rev acc)
+        | (pos, j) :: rest -> (
+            match event_of_json j with
+            | Some e -> decode (e :: acc) rest
+            | None ->
+                Error
+                  (pos
+                 ^ " is not a trace event (needs a name, a ph of B/E/i/C, a \
+                    numeric ts, and args.value on C)"))
+      in
+      decode [] objs
+
 let trace_arg =
   Arg.(
     value
     & opt (some string) None
     & info [ "trace" ] ~docv:"FILE"
         ~doc:
-          "Record trace spans and metrics while the command runs and \
-           write them to $(docv).  A $(b,.jsonl) suffix selects the \
-           line-delimited event log; any other name gets Chrome \
-           trace_event JSON, loadable in chrome://tracing or Perfetto.")
+          "Record the event stream (spans, instants and samples) while \
+           the command runs and write it to $(docv).  A $(b,.jsonl) \
+           suffix selects the line-delimited event log; any other name \
+           gets Chrome trace_event JSON, loadable in chrome://tracing or \
+           Perfetto.  $(b,netdiv report) renders either.")
 
 let metrics_arg =
   Arg.(
     value & flag
     & info [ "metrics" ]
         ~doc:
-          "Print the span rollup and metrics registry (counters, \
-           histograms) after the command finishes.")
+          "Record the event stream while the command runs and print its \
+           $(b,netdiv report) after the command finishes: the same \
+           report, timestamps relative to the first event, that \
+           $(b,netdiv report) renders from a $(b,--trace) file of the \
+           run.")
 
 (* Enables tracing around [f] when either output was requested; the
-   trace/summary is still written when [f] raises so a failing run can
-   be diagnosed from its partial trace. *)
+   trace and report are still written when [f] raises so a failing run
+   can be diagnosed from its partial trace.  The report reads back the
+   JSONL a [--trace] file holds, so it is the [netdiv report] of that
+   file by construction. *)
 let with_obs ~trace ~metrics f =
   if trace = None && not metrics then f ()
   else begin
@@ -141,7 +237,11 @@ let with_obs ~trace ~metrics f =
           | Error msg ->
               Format.eprintf "netdiv: could not write trace %s: %s@." path msg)
         trace;
-      if metrics then Format.printf "%a@." Obs_export.pp_summary ()
+      if metrics then
+        match decode_events (Obs_export.jsonl_string ()) with
+        | Ok (_, _, events) ->
+            Format.printf "%a@." (Obs_report.pp ?top:None ~format:"live") events
+        | Error msg -> Format.eprintf "netdiv: unreadable trace: %s@." msg
     in
     match f () with
     | v ->
@@ -368,7 +468,7 @@ let simulate_cmd =
               Engine.pp_mttc stats;
             (match summary with
             | Some s ->
-                Format.printf "distribution: %a@." Netdiv_sim.Stat.pp_summary s
+                Format.printf "distribution: %a@." Netdiv_sim.Stat.pp s
             | None -> ());
             let curve =
               Engine.epidemic_curve ~rng ~max_ticks:200 chosen ~entry:entry_h
@@ -451,15 +551,13 @@ let feed_cmd =
              ~doc:"Weight the similarity by CVSS base scores.")
   in
   let run file cpes weighted =
-    let contents =
-      let ic = open_in_bin file in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      s
-    in
     let db = Netdiv_vuln.Nvd.create () in
-    match Netdiv_vuln.Feed.load_into db contents with
+    match
+      Result.bind
+        (Result.map_error (Printf.sprintf "%s: %s" file)
+           (Netdiv_fault.Io.read_file file))
+        (Netdiv_vuln.Feed.load_into db)
+    with
     | Error msg -> `Error (false, msg)
     | Ok (count, warnings) ->
         Format.printf "loaded %d CVE entries (%d skipped)@." count
@@ -505,21 +603,20 @@ let verify_cmd =
     Arg.(required & opt (some file) None
          & info [ "assignment" ] ~docv:"FILE" ~doc:"Assignment JSON.")
   in
-  let read_file path =
-    let ic = open_in_bin path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
+  let load what path parse =
+    match Netdiv_fault.Io.read_file path with
+    | Error msg -> Error (Printf.sprintf "%s: %s: %s" what path msg)
+    | Ok s -> Result.map_error (Printf.sprintf "%s: %s" what) (parse s)
   in
   let run network_file assignment_file =
-    match Netdiv_core.Serial.network_of_string (read_file network_file) with
-    | Error msg -> `Error (false, "network: " ^ msg)
+    match load "network" network_file Netdiv_core.Serial.network_of_string with
+    | Error msg -> `Error (false, msg)
     | Ok net -> (
         match
-          Netdiv_core.Serial.assignment_of_string net
-            (read_file assignment_file)
+          load "assignment" assignment_file
+            (Netdiv_core.Serial.assignment_of_string net)
         with
-        | Error msg -> `Error (false, "assignment: " ^ msg)
+        | Error msg -> `Error (false, msg)
         | Ok a ->
             let encoded = Encode.encode net [] in
             Format.printf "network:    %a@." Network.pp net;
@@ -642,12 +739,12 @@ let lint_cmd =
                 | Some file ->
                     if not (Sys.file_exists file) then
                       usage_error "baseline file not found: %s" file;
-                    let ic = open_in_bin file in
-                    let text = really_input_string ic (in_channel_length ic) in
-                    close_in ic;
-                    (match Lint.baseline_of_string text with
+                    match
+                      Result.bind (Netdiv_fault.Io.read_file file)
+                        Lint.baseline_of_string
+                    with
                     | Ok e -> e
-                    | Error msg -> usage_error "%s: %s" file msg)
+                    | Error msg -> usage_error "%s: %s" file msg
               in
               let fresh, baselined, stale =
                 Lint.apply_baseline entries report.Lint.r_findings
@@ -981,83 +1078,6 @@ let scalability_cmd =
 
 (* ---------------------------------------------------------------- report *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
-(* A Chrome trace is one JSON document carrying a traceEvents list; a
-   flight-recorder dump is a header line followed by JSONL events;
-   anything else is a JSONL trace.  Each event object is paired with its
-   position, for error messages. *)
-let load_events contents =
-  match Json.parse contents with
-  | Ok json when Json.member "traceEvents" json <> None -> (
-      match Option.bind (Json.member "traceEvents" json) Json.to_list with
-      | Some evs ->
-          let at i e = (Printf.sprintf "event %d" i, e) in
-          Ok ("chrome", None, List.mapi at evs)
-      | None -> Error "traceEvents is not a list")
-  | _ -> (
-      let rec lines lineno acc = function
-        | [] -> Ok (List.rev acc)
-        | line :: rest when String.trim line = "" ->
-            lines (lineno + 1) acc rest
-        | line :: rest -> (
-            let at = Printf.sprintf "line %d" lineno in
-            match Json.parse line with
-            | Ok j -> lines (lineno + 1) ((at, j) :: acc) rest
-            | Error msg -> Error (Printf.sprintf "%s: %s" at msg))
-      in
-      match lines 1 [] (String.split_on_char '\n' contents) with
-      | Ok ((_, header) :: events)
-        when Json.member "netdiv_recorder" header <> None ->
-          let version = Json.member "netdiv_recorder" header in
-          if Option.bind version Json.to_float = Some 2.0 then
-            Ok ("dump", Some header, events)
-          else Error "unsupported flight-recorder dump version (expected 2)"
-      | Ok events -> Ok ("jsonl", None, events)
-      | Error _ as e -> e)
-
-(* JSON numbers cannot carry non-finite floats, so the exporters write
-   them as strings ("inf", "-inf", "nan"); accept both shapes here. *)
-let json_num j =
-  match Json.to_float j with
-  | Some v -> Some v
-  | None -> Option.bind (Json.to_str j) float_of_string_opt
-
-(* Decode one trace-event object (the shape Obs_export writes for traces
-   and dumps alike) back into an {!Obs.event}; [ts] is microseconds in
-   the format.  [None] on a missing or mistyped field. *)
-let event_of_json ev =
-  let str k = Option.bind (Json.member k ev) Json.to_str in
-  let num k = Option.bind (Json.member k ev) json_num in
-  let kind =
-    match str "ph" with
-    | Some "B" -> Some Obs.Begin
-    | Some "E" -> Some Obs.End
-    | Some "i" -> Some Obs.Instant
-    | Some "C" -> Some Obs.Sample
-    | _ -> None
-  in
-  let value =
-    if kind = Some Obs.Sample then
-      Option.bind (Json.path [ "args"; "value" ] ev) json_num
-    else Some 0.0
-  in
-  match (str "name", kind, num "ts", value) with
-  | Some name, Some kind, Some us, Some value ->
-      Some
-        {
-          Obs.kind;
-          name;
-          ts = us /. 1e6;
-          value;
-          tid = (match num "tid" with Some t -> int_of_float t | None -> 0);
-        }
-  | _ -> None
-
 let report_cmd =
   let file =
     Arg.(
@@ -1073,39 +1093,24 @@ let report_cmd =
          & info [ "top" ] ~docv:"K" ~doc:"Rows in the hot-span table.")
   in
   let run file top =
-    let fail msg = `Error (false, Printf.sprintf "%s: %s" file msg) in
-    match load_events (read_file file) with
-    | Error msg -> fail msg
-    | Ok (format, header, objs) -> (
-        let rec decode acc = function
-          | [] -> Ok (List.rev acc)
-          | (pos, j) :: rest -> (
-              match event_of_json j with
-              | Some e -> decode (e :: acc) rest
-              | None -> Error pos)
-        in
-        match decode [] objs with
-        | Error pos ->
-            fail
-              (pos
-             ^ " is not a trace event (needs a name, a ph of B/E/i/C, a \
-                numeric ts, and args.value on C)")
-        | Ok events ->
-            Option.iter
-              (fun h ->
-                let field conv pp k =
-                  Option.fold ~none:"?" ~some:pp
-                    (Option.bind (Json.member k h) conv)
-                in
-                let str = field Json.to_str Fun.id in
-                let int = field Json.to_float (Printf.sprintf "%.0f") in
-                Format.printf "recorder %s@.reason   %s@." (str "name")
-                  (str "reason");
-                Format.printf "events   %s recorded, capacity %s, %s dropped@."
-                  (int "recorded") (int "capacity") (int "dropped"))
-              header;
-            Format.printf "%a@." (Obs_report.pp ~top ~format) events;
-            `Ok ())
+    match Result.bind (Netdiv_fault.Io.read_file file) decode_events with
+    | Error msg -> `Error (false, Printf.sprintf "%s: %s" file msg)
+    | Ok (format, header, events) ->
+        Option.iter
+          (fun h ->
+            let field conv pp k =
+              Option.fold ~none:"?" ~some:pp
+                (Option.bind (Json.member k h) conv)
+            in
+            let str = field Json.to_str Fun.id in
+            let int = field Json.to_float (Printf.sprintf "%.0f") in
+            Format.printf "recorder %s@.reason   %s@." (str "name")
+              (str "reason");
+            Format.printf "events   %s recorded, capacity %s, %s dropped@."
+              (int "recorded") (int "capacity") (int "dropped"))
+          header;
+        Format.printf "%a@." (Obs_report.pp ~top ~format) events;
+        `Ok ()
   in
   let doc =
     "validate a trace or flight-recorder dump and render its convergence \

@@ -16,10 +16,6 @@ type report = {
   retries : int;
 }
 
-(* Checkpoint snapshots that could not be written (the solve continues;
-   only durability of intermediate state is lost). *)
-let c_ckpt_failed = Obs.Counter.make "optimize.checkpoint_failures"
-
 (* Resume is graceful by design: an unreadable, corrupt or mismatched
    checkpoint must never kill a solve that could simply start fresh —
    a warning on stderr is the whole failure mode. *)
@@ -69,7 +65,9 @@ let save_checkpoint path (r : S.result) =
   match Netdiv_fault.Io.write_atomic ~path (Serial.checkpoint_to_string ck) with
   | Ok () -> ()
   | Error msg ->
-      Obs.Counter.incr c_ckpt_failed;
+      (* the solve continues; only durability of intermediate state is
+         lost *)
+      Obs.instant "checkpoint-failed";
       Printf.eprintf "netdiv: checkpoint write to %s failed: %s\n%!" path msg
 
 let solver_name = function

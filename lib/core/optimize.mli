@@ -72,8 +72,9 @@ val run :
 
     [checkpoint] names a file that receives an atomic best-labeling
     snapshot ({!Serial.checkpoint_to_string}) every time the harness's
-    best strictly improves; a failed snapshot write warns and counts
-    ([optimize.checkpoint_failures]) but never aborts the solve.
+    best strictly improves; a failed snapshot write warns on stderr and
+    marks the event stream with a [checkpoint-failed] instant, but never
+    aborts the solve.
     [resume] reads such a file and warm-starts the cascade from it — an
     unreadable, corrupt or wrong-encoding checkpoint warns and starts
     fresh.  Resuming an interrupted run with the same parameters yields

@@ -56,8 +56,7 @@ exception Injected of string * int
     re-executes the chunk, the runner retries the stage. *)
 
 type point
-(** A named injection site (get-or-create, like observability
-    metrics). *)
+(** A named injection site, get-or-create by name. *)
 
 val point : string -> point
 (** Get or create the point registered under this name. *)

@@ -291,7 +291,7 @@ let analyze ~barrier repo =
   Array.iteri (fun id l -> edges.(id) <- List.rev l) edges;
   (* iterate to fixpoint.  An edge to a non-function binding (a value
      evaluated once at module init) transmits only the nondeterminism
-     bits: referencing [let c = Counter.make "x"] does not re-run the
+     bits: referencing [let p = Fault.point "x"] does not re-run the
      registration, so Mutate/Spawn/Alloc/Print stop there, but a value
      initialized from the clock or global Random state still poisons
      every consumer's reproducibility. *)

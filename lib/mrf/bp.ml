@@ -2,12 +2,6 @@ module Obs = Netdiv_obs.Obs
 module Pool = Netdiv_par.Pool
 open Kernel
 
-(* Same registry names as Trws: the counters classify message updates
-   by kernel class whatever solver issued them. *)
-let c_msg_potts = Obs.Counter.make "mrf.messages.potts"
-let c_msg_sparse = Obs.Counter.make "mrf.messages.const_sparse"
-let c_msg_generic = Obs.Counter.make "mrf.messages.generic"
-
 type config = {
   max_iters : int;
   tolerance : float;
@@ -187,19 +181,6 @@ let sweep st ws n damping =
   done;
   !d
 
-(* Directed messages one BP sweep updates, by kernel class: every node
-   sends along each incident edge, so each edge counts twice.  Flushed
-   as one counter add per class per sweep. *)
-let count_messages st m =
-  let potts = ref 0 and sparse = ref 0 and generic = ref 0 in
-  for e = 0 to m - 1 do
-    match st.classes.(st.etab.(e)) with
-    | Kernel.Potts _ -> potts := !potts + 2
-    | Kernel.Const_sparse _ -> sparse := !sparse + 2
-    | Kernel.Generic -> generic := !generic + 2
-  done;
-  (!potts, !sparse, !generic)
-
 (* plain store, not {!Pool.write}: node indices are not the loop-index
    space when a solve nests inside a sanitized per-component region, and
    the slot is tied to the loop index structurally anyway *)
@@ -219,11 +200,7 @@ let decode st ws n x =
 
 (* Shared iteration loop; the sequential and chromatic schedules differ
    only in how one sweep and one decode pass execute. *)
-let run_loop ~config ~interrupt mrf st n ~sweep_once ~decode_all =
-  let obs_on = Obs.enabled () in
-  let msg_potts, msg_sparse, msg_generic =
-    if obs_on then count_messages st (Mrf.n_edges mrf) else (0, 0, 0)
-  in
+let run_loop ~config ~interrupt mrf n ~sweep_once ~decode_all =
   let x = Array.make n 0 in
   let best_x = Array.make n 0 in
   decode_all best_x;
@@ -238,11 +215,6 @@ let run_loop ~config ~interrupt mrf st n ~sweep_once ~decode_all =
        let delta = sweep_once () in
        decode_all x;
        Obs.end_span "bp.sweep";
-       if obs_on then begin
-         Obs.Counter.add c_msg_potts msg_potts;
-         Obs.Counter.add c_msg_sparse msg_sparse;
-         Obs.Counter.add c_msg_generic msg_generic
-       end;
        let e = Mrf.energy mrf x in
        if e < !best_energy then begin
          best_energy := e;
@@ -257,16 +229,8 @@ let run_loop ~config ~interrupt mrf st n ~sweep_once ~decode_all =
        end
      done
    with Exit -> ());
-  if obs_on then begin
-    (* per-solve message totals as samples — the exported trace carries
-       the kernel-class mix for the report's throughput table *)
-    Obs.sample ~name:"mrf.messages.potts"
-      (float_of_int (msg_potts * !iters));
-    Obs.sample ~name:"mrf.messages.const_sparse"
-      (float_of_int (msg_sparse * !iters));
-    Obs.sample ~name:"mrf.messages.generic"
-      (float_of_int (msg_generic * !iters))
-  end;
+  (* every node sends along each incident edge once per sweep *)
+  if Obs.enabled () then Solver.sample_messages mrf ~sweeps:!iters;
   {
     Solver.labeling = best_x;
     energy = !best_energy;
@@ -277,7 +241,7 @@ let run_loop ~config ~interrupt mrf st n ~sweep_once ~decode_all =
 
 let sequential ~config ~interrupt mrf st n =
   let ws = make_workspace st in
-  run_loop ~config ~interrupt mrf st n
+  run_loop ~config ~interrupt mrf n
     ~sweep_once:(fun () -> sweep st ws n config.damping)
     ~decode_all:(fun x -> decode st ws n x)
 
@@ -339,7 +303,7 @@ let chromatic ~config ~interrupt ?jobs mrf st n =
               decode_node st ws x i
             done)
       in
-      run_loop ~config ~interrupt mrf st n ~sweep_once ~decode_all)
+      run_loop ~config ~interrupt mrf n ~sweep_once ~decode_all)
 
 let solve ?(config = default_config) ?(interrupt = fun () -> false) ?jobs mrf =
   let run () =

@@ -166,25 +166,21 @@ type run_report = {
   retries : int;
 }
 
-(* Retry / degradation telemetry and the [runner.stage] injection
-   point.  Attempt keys come from a process-wide counter: the harness
-   runs stages single-threaded, so the sequence is deterministic and a
-   recorded schedule replays exactly. *)
-let c_retries = Obs.Counter.make "runner.retries"
-let c_degraded = Obs.Counter.make "runner.degraded"
-let c_dump_errors = Obs.Counter.make "runner.dump_errors"
-
 (* Flush the installed flight recorder (if any) to its dump path (if
    any): every degradation, watchdog abandonment, escaping exception
    and completed run ships its black box.  A failed dump must never
-   mask the solve outcome, so the error is only counted. *)
+   mask the solve outcome, so the error is only marked in the stream. *)
 let dump_black_box reason =
   match Recorder.current () with
   | None -> ()
   | Some r -> (
       match Recorder.dump ~reason r with
       | Ok () -> ()
-      | Error _ -> Obs.Counter.incr c_dump_errors)
+      | Error _ -> Obs.instant ("dump-error:" ^ reason))
+
+(* The [runner.stage] injection point.  Attempt keys come from a
+   process-wide counter: the harness runs stages single-threaded, so the
+   sequence is deterministic and a recorded schedule replays exactly. *)
 let p_stage = Fault.point "runner.stage"
 let attempt_seq = Atomic.make 0
 
@@ -255,7 +251,6 @@ let run ?budget ?init ?on_best ~stages mrf =
     let next = if !rung = 0 && not (Mrf.specialized mrf) then 2 else !rung + 1 in
     rung := next;
     rungs_entered := rung_name next :: !rungs_entered;
-    Obs.Counter.incr c_degraded;
     Obs.instant ("degrade:" ^ rung_name next);
     (* flush immediately: if the degraded rung dies too, the black box
        already tells the story up to this point *)
@@ -286,7 +281,6 @@ let run ?budget ?init ?on_best ~stages mrf =
           | r -> Some r
           | exception exn when recoverable exn ->
               let bt = Printexc.get_raw_backtrace () in
-              Obs.Counter.incr c_retries;
               incr retries_used;
               Obs.instant ("retry:" ^ stage.name);
               if tries_left > 0 then attempt (tries_left - 1)
@@ -343,25 +337,8 @@ let run ?budget ?init ?on_best ~stages mrf =
               end
               else Stalled
         in
-        let g0 = Gc.quick_stat () in
         let r = attempt retries_per_rung in
-        let g1 = Gc.quick_stat () in
-        (* one measurement feeds both sinks: the report's stage_timings
-           list (public API) and the metrics registry — previously two
-           separate gettimeofday code paths *)
-        let stage_elapsed = Obs.Clock.now () -. stage_start in
-        timings := (stage.name, stage_elapsed) :: !timings;
-        Obs.Histogram.record
-          (Obs.Histogram.make ("runner.stage." ^ stage.name))
-          stage_elapsed;
-        (* allocation attribution per stage, as seen by this domain:
-           which rung of the cascade actually churns the heap *)
-        Obs.Histogram.record
-          (Obs.Histogram.make ("runner.stage_minor_words." ^ stage.name))
-          (g1.Gc.minor_words -. g0.Gc.minor_words);
-        Obs.Histogram.record
-          (Obs.Histogram.make ("runner.stage_major_words." ^ stage.name))
-          (g1.Gc.major_words -. g0.Gc.major_words);
+        timings := (stage.name, Obs.Clock.now () -. stage_start) :: !timings;
         outcome_of r
   in
   let base = go stages in

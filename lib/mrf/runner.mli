@@ -119,8 +119,9 @@ val run :
     the model forced onto generic kernels ({!Mrf.despecialize}; skipped
     when nothing is specialized), then plain ICM warm-started from the
     best labeling so far.  Rungs entered are recorded as [Degraded]
-    wrappers on the outcome and counted in the [runner.retries] /
-    [runner.degraded] metrics.  If every rung fails and a best-so-far
+    wrappers on the outcome; the event stream marks each retry with a
+    [retry:<stage>] instant and each rung with a [degrade:<rung>]
+    instant.  If every rung fails and a best-so-far
     (or [init]) labeling exists, the stage is abandoned and the run
     keeps its anytime result; with nothing to fall back on the failure
     propagates.  The ladder never climbs back down: stages after the

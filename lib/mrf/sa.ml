@@ -1,12 +1,5 @@
 module Obs = Netdiv_obs.Obs
 
-(* Acceptance telemetry: proposals and accepted moves are tallied in
-   plain local ints inside each restart (restarts may run on pool
-   domains) and flushed with one atomic add per restart, so the flip
-   loop itself carries no shared-state traffic. *)
-let c_proposals = Obs.Counter.make "sa.proposals"
-let c_accepts = Obs.Counter.make "sa.accepts"
-
 type config = {
   initial_temp : float;
   cooling : float;
@@ -125,8 +118,10 @@ let solve ?(config = default_config) ?(interrupt = fun () -> false) ?init mrf
            temp := !temp *. config.cooling
          done
        with Exit -> ());
-      Obs.Counter.add c_proposals !proposals;
-      Obs.Counter.add c_accepts !accepts;
+      (* acceptance telemetry: tallied in plain local ints, so the flip
+         loop carries no instrumentation, and sampled once per restart *)
+      Obs.sample ~name:"sa.proposals" (float_of_int !proposals);
+      Obs.sample ~name:"sa.accepts" (float_of_int !accepts);
       (local_best, !local_best_energy, !sweeps, !stopped)
     in
     let results =

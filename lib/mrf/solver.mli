@@ -18,3 +18,9 @@ val pp_float : Format.formatter -> float -> unit
 
 val pp_result : Format.formatter -> result -> unit
 (** Renders non-finite energies and bounds via {!pp_float}. *)
+
+val sample_messages : Mrf.t -> sweeps:int -> unit
+(** Sample the directed message updates [sweeps] TRW-S iterations or
+    BP sweeps perform, per kernel class ([mrf.messages.potts],
+    [mrf.messages.const_sparse], [mrf.messages.generic]): 2 × the
+    class's edge count ({!Mrf.kernel_counts}) × [sweeps]. *)

@@ -2,12 +2,6 @@ module Obs = Netdiv_obs.Obs
 module Pool = Netdiv_par.Pool
 open Kernel
 
-(* Telemetry handles (shared with Bp via the names, all no-ops until
-   Obs.set_enabled true): message updates by kernel class. *)
-let c_msg_potts = Obs.Counter.make "mrf.messages.potts"
-let c_msg_sparse = Obs.Counter.make "mrf.messages.const_sparse"
-let c_msg_generic = Obs.Counter.make "mrf.messages.generic"
-
 type config = {
   max_iters : int;
   tolerance : float;
@@ -371,21 +365,6 @@ let lower_bound st ws n =
   done;
   lb_sum st
 
-(* Message updates one full iteration (forward + backward sweep)
-   performs, split by kernel class: each edge's two directed messages
-   are recomputed exactly once per iteration.  Computed once per solve
-   and flushed as one counter add per class per iteration, so the
-   per-message hot path carries no instrumentation at all. *)
-let count_messages st m =
-  let potts = ref 0 and sparse = ref 0 and generic = ref 0 in
-  for e = 0 to m - 1 do
-    match st.classes.(st.etab.(e)) with
-    | Kernel.Potts _ -> potts := !potts + 2
-    | Kernel.Const_sparse _ -> sparse := !sparse + 2
-    | Kernel.Generic -> generic := !generic + 2
-  done;
-  (!potts, !sparse, !generic)
-
 (* Greedy decoding in node order: condition on already decoded lower
    neighbours, use incoming messages from undecoded higher ones. *)
 let decode st ws n x =
@@ -433,14 +412,7 @@ let decode st ws n x =
    partitioned schedules differ only in these two callbacks, so the
    stopping logic — and therefore the iteration count for identical
    message trajectories — is shared by construction. *)
-let run_loop ~config ~interrupt mrf st ws n m ~sweep_pair ~bound =
-  (* tracing is sampled once per solve; per-iteration work below is a
-     handful of counter adds, span records and samples, all
-     allocation-free, and zero when nothing records *)
-  let obs_on = Obs.enabled () in
-  let msg_potts, msg_sparse, msg_generic =
-    if obs_on then count_messages st m else (0, 0, 0)
-  in
+let run_loop ~config ~interrupt mrf st ws n ~sweep_pair ~bound =
   let x = Array.make n 0 in
   let best_x = Array.make n 0 in
   decode st ws n best_x;
@@ -457,11 +429,6 @@ let run_loop ~config ~interrupt mrf st ws n m ~sweep_pair ~bound =
        Obs.begin_span "trws.sweep";
        sweep_pair ();
        Obs.end_span "trws.sweep";
-       if obs_on then begin
-         Obs.Counter.add c_msg_potts msg_potts;
-         Obs.Counter.add c_msg_sparse msg_sparse;
-         Obs.Counter.add c_msg_generic msg_generic
-       end;
        if it mod config.bound_every = 0 || it = config.max_iters then begin
          Obs.begin_span "trws.bound";
          let lb = bound () in
@@ -494,17 +461,9 @@ let run_loop ~config ~interrupt mrf st ws n m ~sweep_pair ~bound =
        end
      done
    with Exit -> ());
-  if obs_on then begin
-    (* per-solve message totals as samples, so an exported trace (not
-       just the live registry) carries the kernel-class mix — the
-       report's throughput table sums these *)
-    Obs.sample ~name:"mrf.messages.potts"
-      (float_of_int (msg_potts * !iters));
-    Obs.sample ~name:"mrf.messages.const_sparse"
-      (float_of_int (msg_sparse * !iters));
-    Obs.sample ~name:"mrf.messages.generic"
-      (float_of_int (msg_generic * !iters))
-  end;
+  (* each iteration (forward + backward sweep) recomputes both directed
+     messages of every edge once *)
+  if Obs.enabled () then Solver.sample_messages mrf ~sweeps:!iters;
   {
     Solver.labeling = best_x;
     energy = !best_energy;
@@ -516,8 +475,8 @@ let run_loop ~config ~interrupt mrf st ws n m ~sweep_pair ~bound =
 let sequential ~config ~interrupt mrf () =
   let st = make_state mrf in
   let ws = make_workspace st in
-  let n = Mrf.n_nodes mrf and m = Mrf.n_edges mrf in
-  run_loop ~config ~interrupt mrf st ws n m
+  let n = Mrf.n_nodes mrf in
+  run_loop ~config ~interrupt mrf st ws n
     ~sweep_pair:(fun () ->
       sweep st ws n true;
       sweep st ws n false)
@@ -535,7 +494,6 @@ let parts = 16
 let partitioned ~config ~interrupt ?jobs mrf () =
   let n = Mrf.n_nodes mrf in
   let st = make_state mrf in
-  let m = Mrf.n_edges mrf in
   let team = Pool.Team.create ?jobs () in
   Fun.protect
     ~finally:(fun () -> Pool.Team.stop team)
@@ -634,7 +592,7 @@ let partitioned ~config ~interrupt ?jobs mrf () =
             done);
         lb_sum st
       in
-      run_loop ~config ~interrupt mrf st ws0 n m
+      run_loop ~config ~interrupt mrf st ws0 n
         ~sweep_pair:(fun () ->
           half true;
           half false)

@@ -84,7 +84,7 @@ let write_trace ~path =
   in
   Netdiv_fault.Io.write_atomic ~path contents
 
-(* ------------------------------------------------------------ summary *)
+(* -------------------------------------------------------- span rollup *)
 
 let span_rollup events =
   (* per-tid stack of open (name, ts) frames; an End pops the nearest
@@ -146,37 +146,3 @@ let span_rollup events =
       let c = Float.compare tb ta in
       if c <> 0 then c else compare na nb)
     rows
-
-let pp_metric ppf = function
-  | Obs.Counter_v { name; count } ->
-      Format.fprintf ppf "counter    %-32s %d" name count
-  | Obs.Histogram_v { name; count; sum; min; max; _ } ->
-      if count = 0 then
-        Format.fprintf ppf "histogram  %-32s (empty)" name
-      else
-        Format.fprintf ppf
-          "histogram  %-32s count %d, sum %g, min %g, mean %g, max %g" name
-          count sum min
-          (sum /. float_of_int count)
-          max
-
-let pp_summary ppf () =
-  let events = Obs.events () in
-  let rollup = span_rollup events in
-  Format.fprintf ppf "@[<v>";
-  Format.fprintf ppf "events: %d@," (List.length events);
-  if rollup <> [] then begin
-    Format.fprintf ppf "spans:@,";
-    Format.fprintf ppf "  %-34s %8s %12s %12s@," "name" "count" "total_s"
-      "max_s";
-    List.iter
-      (fun (name, count, total, mx) ->
-        Format.fprintf ppf "  %-34s %8d %12.6f %12.6f@," name count total mx)
-      rollup
-  end;
-  let ms = Obs.metrics () in
-  if ms <> [] then begin
-    Format.fprintf ppf "metrics:@,";
-    List.iter (fun m -> Format.fprintf ppf "  %a@," pp_metric m) ms
-  end;
-  Format.fprintf ppf "@]"

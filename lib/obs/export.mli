@@ -1,5 +1,4 @@
-(** Exporters for {!Obs} data: Chrome [trace_event] JSON, JSONL, and a
-    plain-text summary.
+(** Exporters for {!Obs} data: Chrome [trace_event] JSON and JSONL.
 
     Both JSON forms, and the events of a {!Recorder} dump, use the same
     per-event object shape (the Chrome trace format's):
@@ -40,7 +39,3 @@ val span_rollup : Obs.event list -> (string * int * float * float) list
 (** Aggregate well-nested [Begin]/[End] pairs per name:
     [(name, count, total_s, max_s)], sorted by descending total.
     Pairing is per [tid]; unbalanced opens are dropped. *)
-
-val pp_summary : Format.formatter -> unit -> unit
-(** Human-readable digest of the current state: span totals (from
-    {!span_rollup}) followed by every registered metric. *)

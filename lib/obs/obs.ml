@@ -1,4 +1,4 @@
-(* Tracing + metrics substrate.  See obs.mli for the contract.
+(* Tracing substrate.  See obs.mli for the contract.
 
    Design constraints, in order:
    - with tracing off and no flight recorder installed on any domain,
@@ -9,8 +9,7 @@
      domain's trace buffer while tracing is on and to the domain's
      installed recorder ring while one is installed;
    - recording must be race-free under the pool sanitizer: trace events
-     go to per-domain buffers, ring writes take the ring's mutex,
-     counters are atomics, histograms take a per-instance mutex;
+     go to per-domain buffers, ring writes take the ring's mutex;
    - the data must survive pool workers, which are joined after every
      region: each domain-local buffer is registered in a global list
      the moment it is created, so [events] can read it after the domain
@@ -46,9 +45,7 @@ end
    under the OCaml 5 memory model. *)
 let on = Atomic.make false
 let enabled () = Atomic.get on
-
-(* [set_enabled] lives below the metrics registry: the first enable
-   lazily installs a GC alarm feeding the [gc.major_cycles] counter. *)
+let set_enabled b = Atomic.set on b
 
 (* ------------------------------------------------------------- events *)
 
@@ -239,165 +236,6 @@ let events () =
       if c <> 0 then c else compare a.tid b.tid)
     all
 
-(* ------------------------------------------------------------ metrics *)
-
-module Counter = struct
-  type t = { cname : string; v : int Atomic.t }
-
-  let lock = Mutex.create ()
-  let table : (string, t) Hashtbl.t = Hashtbl.create 32
-
-  let make name =
-    Mutex.protect lock (fun () ->
-        match Hashtbl.find_opt table name with
-        | Some c -> c
-        | None ->
-            let c = { cname = name; v = Atomic.make 0 } in
-            Hashtbl.add table name c;
-            c)
-
-  let add c n = if Atomic.get on then ignore (Atomic.fetch_and_add c.v n)
-  let incr c = add c 1
-  let value c = Atomic.get c.v
-
-  let reset_all () =
-    Mutex.protect lock (fun () ->
-        Hashtbl.iter (fun _ c -> Atomic.set c.v 0) table)
-end
-
-module Histogram = struct
-  let n_buckets = 64
-  let base = 1e-6
-
-  type t = {
-    hname : string;
-    hlock : Mutex.t;
-    hbuckets : int array;
-    mutable hcount : int;
-    hstats : float array; (* [| sum; min; max |] *)
-  }
-
-  (* Bucket 0: everything below [base] (zero, negatives, nan).  Bucket
-     [i >= 1] covers [base*2^(i-1), base*2^i).  Multiplying/dividing by
-     a power of two is exact in IEEE double, so the edges are exact:
-     [base *. 2.0 ** k] always lands in bucket [k + 1]. *)
-  let bucket_of v =
-    if not (v >= base) then 0
-    else begin
-      let b = 1 + int_of_float (Float.log2 (v /. base)) in
-      if b >= n_buckets then n_buckets - 1 else b
-    end
-
-  let bucket_lower i = if i <= 0 then 0.0 else base *. (2.0 ** float_of_int (i - 1))
-
-  let lock = Mutex.create ()
-  let table : (string, t) Hashtbl.t = Hashtbl.create 32
-
-  let make name =
-    Mutex.protect lock (fun () ->
-        match Hashtbl.find_opt table name with
-        | Some h -> h
-        | None ->
-            let h =
-              {
-                hname = name;
-                hlock = Mutex.create ();
-                hbuckets = Array.make n_buckets 0;
-                hcount = 0;
-                hstats = [| 0.0; infinity; neg_infinity |];
-              }
-            in
-            Hashtbl.add table name h;
-            h)
-
-  (* manual lock/unlock: [Mutex.protect] would allocate a closure on
-     every record *)
-  let record h v =
-    if Atomic.get on then begin
-      let b = bucket_of v in
-      Mutex.lock h.hlock;
-      h.hbuckets.(b) <- h.hbuckets.(b) + 1;
-      h.hcount <- h.hcount + 1;
-      h.hstats.(0) <- h.hstats.(0) +. v;
-      if v < h.hstats.(1) then h.hstats.(1) <- v;
-      if v > h.hstats.(2) then h.hstats.(2) <- v;
-      Mutex.unlock h.hlock
-    end
-
-  let count h = h.hcount
-  let sum h = h.hstats.(0)
-  let buckets h = Array.copy h.hbuckets
-
-  let clear h =
-    Mutex.lock h.hlock;
-    Array.fill h.hbuckets 0 n_buckets 0;
-    h.hcount <- 0;
-    h.hstats.(0) <- 0.0;
-    h.hstats.(1) <- infinity;
-    h.hstats.(2) <- neg_infinity;
-    Mutex.unlock h.hlock
-
-  let reset_all () =
-    Mutex.protect lock (fun () -> Hashtbl.iter (fun _ h -> clear h) table)
-end
-
-(* GC attribution: a Gc alarm ticks a counter at the end of every major
-   cycle on the installing domain, so a metrics dump shows how many
-   full collections a run paid for.  Installed once, on the first
-   enable — an alarm on a never-enabled process would be pure noise —
-   and never removed: the counter add itself is gated on [on]. *)
-let c_gc_major_cycles = Counter.make "gc.major_cycles"
-let gc_alarm_installed = Atomic.make false
-
-let set_enabled b =
-  if b && not (Atomic.exchange gc_alarm_installed true) then
-    ignore (Gc.create_alarm (fun () -> Counter.incr c_gc_major_cycles));
-  Atomic.set on b
-
-type metric =
-  | Counter_v of { name : string; count : int }
-  | Histogram_v of {
-      name : string;
-      count : int;
-      sum : float;
-      min : float;
-      max : float;
-      buckets : int array;
-    }
-
-let metric_name = function
-  | Counter_v { name; _ } | Histogram_v { name; _ } -> name
-
-let metrics () =
-  let cs =
-    Mutex.protect Counter.lock (fun () ->
-        Hashtbl.fold
-          (fun name c acc ->
-            Counter_v { name; count = Atomic.get c.Counter.v } :: acc)
-          Counter.table [])
-  in
-  let hs =
-    Mutex.protect Histogram.lock (fun () ->
-        Hashtbl.fold
-          (fun name h acc ->
-            Histogram_v
-              {
-                name;
-                count = h.Histogram.hcount;
-                sum = h.Histogram.hstats.(0);
-                min = h.Histogram.hstats.(1);
-                max = h.Histogram.hstats.(2);
-                buckets = Array.copy h.Histogram.hbuckets;
-              }
-            :: acc)
-          Histogram.table [])
-  in
-  List.sort
-    (fun a b -> compare (metric_name a) (metric_name b))
-    (cs @ hs)
-
 let reset () =
   Mutex.protect registry_lock (fun () ->
-      List.iter (fun b -> b.len <- 0) !buffers);
-  Counter.reset_all ();
-  Histogram.reset_all ()
+      List.iter (fun b -> b.len <- 0) !buffers)

@@ -1,10 +1,9 @@
-(** Structured tracing and metrics for the solver/simulation hot paths.
+(** Structured tracing for the solver/simulation hot paths.
 
     This module is the single observability substrate of the repository:
-    one event stream (timestamped span begin/end, instant and numeric
-    sample events) plus a registry of named counters and log-bucketed
-    histograms.  Every fact is emitted once, and each event goes to two
-    sinks:
+    one event stream of timestamped span begin/end, instant and numeric
+    sample events.  Every fact is emitted once, as one event, and each
+    event goes to two sinks:
     - the domain's trace buffer, while tracing is on ({!set_enabled});
       {!events} and the {!Export} writers read these;
     - the domain's installed flight-recorder ring, while one is
@@ -15,7 +14,7 @@
     record operation reduces to two atomic loads and a branch, with no
     domain-local read and no allocation, so instrumented hot loops cost
     nothing measurable (the bench [observability_overhead] section pins
-    this).  Counters and histograms record only while tracing is on.
+    this).
 
     {2 Concurrency model}
 
@@ -25,11 +24,9 @@
     are joined after every parallel region).  No trace path writes
     shared mutable state, so instrumented code remains race-free under
     the pool sanitizer ([NETDIV_SANITIZE=1]).  A recorder ring takes its
-    own mutex per write; counters are atomics; histograms take a
-    per-instance mutex on the record path only.  {!events}, {!metrics}
-    and {!reset} walk the global registries and must only be called
-    between parallel regions (from the orchestrating domain), never
-    concurrently with recording.
+    own mutex per write.  {!events} and {!reset} walk the global buffer
+    list and must only be called between parallel regions (from the
+    orchestrating domain), never concurrently with recording.
 
     {2 Timestamps}
 
@@ -50,15 +47,13 @@ end
 val set_enabled : bool -> unit
 (** Turn tracing on or off globally.  Call it before spawning any
     parallel region; the flag is an atomic, so domains spawned after the
-    write observe it.  The first enable installs a GC alarm that ticks
-    the [gc.major_cycles] counter at the end of every major collection
-    cycle, attributing full-GC pressure to the run.  Disabling does not
-    clear recorded data — see {!reset}. *)
+    write observe it.  Disabling does not clear recorded data — see
+    {!reset}. *)
 
 val enabled : unit -> bool
 (** Whether tracing is currently on (one atomic load — callers may poll
-    this per iteration to skip trace-only bookkeeping such as counter
-    arguments). *)
+    this to skip trace-only bookkeeping, such as the per-region GC
+    readings of the pool). *)
 
 (** {1 Spans and events} *)
 
@@ -146,74 +141,6 @@ val with_installed : recorder option -> (unit -> 'a) -> 'a
 val installed : unit -> recorder option
 (** The current domain's installed recorder. *)
 
-(** {1 Metrics registry}
-
-    Metrics are named, created on first use ([make] is get-or-create,
-    so module-toplevel [make] calls in instrumented libraries share one
-    instance per name) and preallocated: the record paths below touch
-    only existing atomics and arrays, never the allocator. *)
-
-module Counter : sig
-  type t
-
-  val make : string -> t
-  (** Get or create the counter registered under this name. *)
-
-  val add : t -> int -> unit
-  (** Atomic add; a no-op while tracing is off. *)
-
-  val incr : t -> unit
-  val value : t -> int
-end
-
-module Histogram : sig
-  type t
-
-  val n_buckets : int
-  (** Number of log-scale buckets (fixed, preallocated). *)
-
-  val base : float
-  (** Lower edge of bucket 1.  Bucket 0 catches everything below
-      [base] (including zero, negatives and [nan]); bucket [i >= 1]
-      covers [[base * 2^(i-1), base * 2^i)]; the last bucket absorbs
-      the overflow tail. *)
-
-  val bucket_of : float -> int
-  (** Bucket index a value lands in; exposed so tests can pin the
-      edges. *)
-
-  val bucket_lower : int -> float
-  (** Inclusive lower edge of a bucket ([0.] for bucket 0). *)
-
-  val make : string -> t
-
-  val record : t -> float -> unit
-  (** Mutex-guarded bucket/stat update, allocation-free; a no-op while
-      tracing is off. *)
-
-  val count : t -> int
-  val sum : t -> float
-
-  val buckets : t -> int array
-  (** Copy of the bucket counts. *)
-end
-
-type metric =
-  | Counter_v of { name : string; count : int }
-  | Histogram_v of {
-      name : string;
-      count : int;
-      sum : float;
-      min : float;  (** [infinity] when empty *)
-      max : float;  (** [neg_infinity] when empty *)
-      buckets : int array;
-    }
-
-val metrics : unit -> metric list
-(** Snapshot of every registered metric, sorted by name.  Metrics that
-    never recorded anything are included (count 0). *)
-
 val reset : unit -> unit
-(** Clear all trace buffers and zero every metric (registrations are
-    kept; recorder rings are untouched).  Call between parallel regions
-    only. *)
+(** Clear all trace buffers (recorder rings are untouched).  Call
+    between parallel regions only. *)

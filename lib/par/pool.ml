@@ -14,24 +14,6 @@ module Obs = Netdiv_obs.Obs
 module Recorder = Netdiv_obs.Recorder
 module Fault = Netdiv_fault.Fault
 
-(* Pool telemetry (all no-ops until Obs.set_enabled true): regions and
-   chunks dispatched, per-chunk and per-domain busy time, and GC
-   pressure around parallel regions — the "is a domain idle / is the
-   GC the bottleneck" questions every perf investigation starts with. *)
-let c_regions = Obs.Counter.make "pool.regions"
-let c_chunks = Obs.Counter.make "pool.chunks"
-let c_gc_minor = Obs.Counter.make "pool.gc_minor"
-let c_gc_major = Obs.Counter.make "pool.gc_major"
-let c_gc_minor_words = Obs.Counter.make "pool.gc_minor_words"
-let c_gc_major_words = Obs.Counter.make "pool.gc_major_words"
-let h_chunk_busy = Obs.Histogram.make "pool.chunk_busy_s"
-let h_domain_busy = Obs.Histogram.make "pool.domain_busy_s"
-
-(* Fault-recovery telemetry: injected chunk crashes seen and chunks
-   re-executed sequentially to completion. *)
-let c_chunk_faults = Obs.Counter.make "pool.chunk_faults"
-let c_chunk_recovered = Obs.Counter.make "pool.chunk_recovered"
-
 (* Injection points (armed only under NETDIV_FAULT; see Netdiv_fault).
    [pool.chunk] crashes a chunk body; [pool.alloc] fails the output
    allocation of a mapping combinator.  Chunk keys combine a region
@@ -42,31 +24,33 @@ let p_alloc = Fault.point "pool.alloc"
 let region_seq = Atomic.make 0
 
 (* Wrap one combinator invocation: a "pool.region" span in the calling
-   domain plus GC minor/major collection deltas (as observed by the
-   caller).  Covers every execution strategy — inline fast path,
-   granularity-planned sequential run and dispatched chunks — so a
-   trace shows each parallel region exactly once.  The whole region
-   runs with the flight recorder suspended: chunks are claimed in a
-   schedule-dependent order, by workers and the caller alike, so
-   nothing inside a region may reach the ring. *)
+   domain, then the region's GC minor/major collection and allocated-word
+   deltas (as observed by the caller) as [pool.gc_*] samples.  Covers
+   every execution strategy — inline fast path, granularity-planned
+   sequential run and dispatched chunks — so a trace shows each parallel
+   region exactly once.  The whole region runs with the flight recorder
+   suspended: chunks are claimed in a schedule-dependent order, by
+   workers and the caller alike, so nothing inside a region may reach
+   the ring — the GC samples included, whose values depend on when other
+   domains force collections. *)
 let observe_region f =
   Recorder.suspended @@ fun () ->
   if not (Obs.enabled ()) then f ()
   else begin
-    Obs.Counter.incr c_regions;
     let g0 = Gc.quick_stat () in
     let r = Obs.span ~name:"pool.region" f in
     let g1 = Gc.quick_stat () in
-    Obs.Counter.add c_gc_minor
-      (g1.Gc.minor_collections - g0.Gc.minor_collections);
-    Obs.Counter.add c_gc_major
-      (g1.Gc.major_collections - g0.Gc.major_collections);
+    let collections n0 n1 = float_of_int (n1 - n0) in
+    Obs.sample ~name:"pool.gc_minor"
+      (collections g0.Gc.minor_collections g1.Gc.minor_collections);
+    Obs.sample ~name:"pool.gc_major"
+      (collections g0.Gc.major_collections g1.Gc.major_collections);
     (* allocation attribution, words not collections: a region can
        allocate heavily yet get lucky on collection timing *)
-    Obs.Counter.add c_gc_minor_words
-      (int_of_float (g1.Gc.minor_words -. g0.Gc.minor_words));
-    Obs.Counter.add c_gc_major_words
-      (int_of_float (g1.Gc.major_words -. g0.Gc.major_words));
+    Obs.sample ~name:"pool.gc_minor_words"
+      (g1.Gc.minor_words -. g0.Gc.minor_words);
+    Obs.sample ~name:"pool.gc_major_words"
+      (g1.Gc.major_words -. g0.Gc.major_words);
     r
   end
 
@@ -326,25 +310,13 @@ let chunk_span ~lo ~n ~chunks c =
   let chi = clo + q + (if c < r then 1 else 0) in
   (clo, chi)
 
-(* Per-chunk span + busy-time sample; the span lands in the executing
-   domain's buffer, so Perfetto shows which worker ran which chunk.  On
-   failure the span is still closed before the exception propagates to
-   [record_failure]. *)
+(* Per-chunk span; it lands in the executing domain's buffer, so
+   Perfetto shows which worker ran which chunk.  On failure the span is
+   still closed before the exception propagates to [record_failure]. *)
 let instrument_chunk body =
   if not (Obs.enabled ()) then body
   else fun c clo chi ->
-    Obs.Counter.incr c_chunks;
-    Obs.begin_span "pool.chunk";
-    let t0 = Obs.Clock.now () in
-    (match body c clo chi with
-    | () ->
-        Obs.Histogram.record h_chunk_busy (Obs.Clock.now () -. t0);
-        Obs.end_span "pool.chunk"
-    | exception exn ->
-        let bt = Printexc.get_raw_backtrace () in
-        Obs.Histogram.record h_chunk_busy (Obs.Clock.now () -. t0);
-        Obs.end_span "pool.chunk";
-        Printexc.raise_with_backtrace exn bt)
+    Obs.span ~name:"pool.chunk" (fun () -> body c clo chi)
 
 (* Run [body c clo chi] for every chunk [c] covering [lo, hi).  [body]
    receives the chunk index and its sub-range; chunk boundaries depend
@@ -353,7 +325,6 @@ let run_chunks ~jobs ~chunks ~lo ~hi body =
   let n = hi - lo in
   if n <= 0 then ()
   else
-    let obs_on = Obs.enabled () in
     let body = instrument_chunk body in
     let chunks = max 1 (min chunks n) in
     let jobs = max 1 (min jobs chunks) in
@@ -379,7 +350,7 @@ let run_chunks ~jobs ~chunks ~lo ~hi body =
         with
         | () -> ()
         | exception exn when Fault.is_injected exn ->
-            Obs.Counter.incr c_chunk_faults;
+            Obs.instant "pool.chunk_fault";
             Mutex.protect crash_mu (fun () -> crashed := c :: !crashed)
     in
     let recover () =
@@ -390,22 +361,20 @@ let run_chunks ~jobs ~chunks ~lo ~hi body =
         (fun c ->
           let clo, chi = chunk_bounds c in
           body c clo chi;
-          Obs.Counter.incr c_chunk_recovered)
+          Obs.instant "pool.chunk_recovered")
         (List.sort compare !crashed)
     in
     if jobs = 1 then begin
-      let t0 = if obs_on then Obs.Clock.now () else 0.0 in
       for c = 0 to chunks - 1 do
         let clo, chi = chunk_bounds c in
         guarded c clo chi
       done;
-      if fault_on then recover ();
-      if obs_on then Obs.Histogram.record h_domain_busy (Obs.Clock.now () -. t0)
+      if fault_on then recover ()
     end
     else begin
       let next = Atomic.make 0 in
       let failed : failure option Atomic.t = Atomic.make None in
-      let worker_loop () =
+      let worker () =
         let continue = ref true in
         while !continue do
           let c = Atomic.fetch_and_add next 1 in
@@ -418,17 +387,6 @@ let run_chunks ~jobs ~chunks ~lo ~hi body =
               record_failure failed c exn bt
           end
         done
-      in
-      let worker () =
-        (* per-domain busy time: this worker's whole participation in
-           the region (chunk claiming included); comparing the recorded
-           values exposes idle domains and load imbalance *)
-        if obs_on then begin
-          let t0 = Obs.Clock.now () in
-          worker_loop ();
-          Obs.Histogram.record h_domain_busy (Obs.Clock.now () -. t0)
-        end
-        else worker_loop ()
       in
       let domains = Array.init (jobs - 1) (fun _ -> Domain.spawn worker) in
       worker ();

@@ -15,7 +15,11 @@
       region ([parallel_for], [map_range], [map_reduce], [Team.run]),
       inline or dispatched, runs with {!Netdiv_obs.Recorder.suspended},
       because the caller domain claims chunks too, in a
-      schedule-dependent order.  Tracing still sees the region.
+      schedule-dependent order.  Tracing still sees the region: a
+      [pool.region] span, a [pool.chunk] span per chunk in the executing
+      domain, and at its end one sample each of the caller's GC deltas
+      ([pool.gc_minor], [pool.gc_major], [pool.gc_minor_words],
+      [pool.gc_major_words]).
 
     {2 Race sanitizer}
 
@@ -43,8 +47,9 @@
     the crashed chunks sequentially in ascending chunk order after the
     parallel phase.  Chunk boundaries alone determine results, so a
     recovered region returns exactly what a fault-free region would;
-    the recovery is visible only through the [pool.chunk_faults] /
-    [pool.chunk_recovered] counters in {!Netdiv_obs}.  Exceptions that
+    the recovery is visible only through the [pool.chunk_fault] /
+    [pool.chunk_recovered] instants of the {!Netdiv_obs} trace (recorded
+    inside the region, so never in a flight-recorder ring).  Exceptions that
     are not injected faults — {!Race}, programmer errors, real OS
     failures — keep their historical behavior: the region aborts and
     the lowest failing chunk's exception is re-raised in the caller. *)

@@ -1,14 +1,6 @@
 module Graph = Netdiv_graph.Graph
 module Network = Netdiv_core.Network
 module Assignment = Netdiv_core.Assignment
-module Obs = Netdiv_obs.Obs
-
-(* Worm telemetry: per-simulation tallies are local ints flushed with
-   one atomic add each when the run ends, so batched/parallel MTTC runs
-   never contend inside the tick loop. *)
-let c_ticks = Obs.Counter.make "engine.ticks"
-let c_attempts = Obs.Counter.make "engine.exploit_attempts"
-let c_infections = Obs.Counter.make "engine.infections"
 
 type strategy = Best_exploit | Uniform_exploit | Arsenal_exploit
 
@@ -166,7 +158,6 @@ type scratch = {
   mutable base : int;
   mutable top : int;
   mutable n_infected : int;
-  mutable attempts : int;
   mutable alive : bool;
 }
 
@@ -182,7 +173,6 @@ let scratch t =
     base = 0;
     top = 0;
     n_infected = 0;
-    attempts = 0;
     alive = true;
   }
 
@@ -202,14 +192,8 @@ let start s ~entry =
   s.base <- 0;
   s.top <- 0;
   s.n_infected <- 0;
-  s.attempts <- 0;
   s.alive <- true;
   infect s entry
-
-let flush ~ticks ~attempts ~infections =
-  Obs.Counter.add c_ticks ticks;
-  Obs.Counter.add c_attempts attempts;
-  Obs.Counter.add c_infections infections
 
 (* ---------------------------------------------------- undefended runs *)
 
@@ -221,7 +205,7 @@ let tick s ~rng ~target =
   let { off; dst; rate; uniform; _ } = s.table in
   let status = s.status and live = s.live and live_len = s.live_len in
   let scan = s.scan and hits = s.hits in
-  let progress = ref false and n_hits = ref 0 and attempts = ref 0 in
+  let progress = ref false and n_hits = ref 0 in
   let w = ref s.top in
   for i = s.top - 1 downto s.base do
     let u = scan.(i) in
@@ -236,12 +220,9 @@ let tick s ~rng ~target =
         let best = rate.(e) in
         let r = if uniform then pool_pick s.table rng e else best in
         if best > 0.0 then progress := true;
-        if r > 0.0 then begin
-          incr attempts;
-          if Random.State.float rng 1.0 < r then begin
-            hits.(!n_hits) <- v;
-            incr n_hits
-          end
+        if r > 0.0 && Random.State.float rng 1.0 < r then begin
+          hits.(!n_hits) <- v;
+          incr n_hits
         end
       end
     done;
@@ -252,7 +233,6 @@ let tick s ~rng ~target =
     end
   done;
   s.base <- !w;
-  s.attempts <- s.attempts + !attempts;
   (* a host hit twice keeps its latest hit's place: new hosts join in
      reverse, so the one hit first is scanned first next tick *)
   let fallen = ref false in
@@ -276,7 +256,6 @@ let simulate s ~rng ~max_ticks ~entry ~target =
       incr ticks;
       fallen := tick s ~rng ~target
     done;
-    flush ~ticks:!ticks ~attempts:s.attempts ~infections:(s.n_infected - 1);
     if !fallen then Some !ticks else None
   end
 
@@ -401,7 +380,6 @@ let epidemic_curve ~rng ?(strategy = Best_exploit)
     ignore (tick s ~rng ~target:(-1));
     counts := s.n_infected :: !counts
   done;
-  flush ~ticks:!ticks ~attempts:s.attempts ~infections:(s.n_infected - 1);
   (* trim the trailing plateau the cap produced *)
   let arr = Array.of_list (List.rev !counts) in
   let n = Array.length arr in
@@ -428,7 +406,7 @@ let simulate_defended s ~rng ~max_ticks ~defense ~entry ~target =
   if entry = target then Some 0
   else begin
     let fallen = ref false and extinct = ref false in
-    let ticks = ref 0 and attempts = ref 0 and infections = ref 0 in
+    let ticks = ref 0 in
     while (not !fallen) && (not !extinct) && !ticks < max_ticks do
       incr ticks;
       let n_hits = ref 0 and any_infected = ref false in
@@ -439,12 +417,9 @@ let simulate_defended s ~rng ~max_ticks ~defense ~entry ~target =
             let v = dst.(e) in
             if Bytes.get status v = susceptible then begin
               let r = if uniform then pool_pick s.table rng e else rate.(e) in
-              if r > 0.0 then begin
-                incr attempts;
-                if Random.State.float rng 1.0 < r then begin
-                  hits.(!n_hits) <- v;
-                  incr n_hits
-                end
+              if r > 0.0 && Random.State.float rng 1.0 < r then begin
+                hits.(!n_hits) <- v;
+                incr n_hits
               end
             end
           done
@@ -455,7 +430,6 @@ let simulate_defended s ~rng ~max_ticks ~defense ~entry ~target =
         let v = hits.(j) in
         if Bytes.get status v = susceptible then begin
           Bytes.set status v infected;
-          incr infections;
           if v = target then fallen := true
         end
       done;
@@ -470,7 +444,6 @@ let simulate_defended s ~rng ~max_ticks ~defense ~entry ~target =
               (if defense.immunize then immune else susceptible)
         done
     done;
-    flush ~ticks:!ticks ~attempts:!attempts ~infections:!infections;
     if !fallen then Some !ticks else None
   end
 

@@ -64,7 +64,7 @@ let summarize xs =
 
 let of_ints = Array.map float_of_int
 
-let pp_summary ppf s =
+let pp ppf s =
   let lo, hi = s.ci95 in
   Format.fprintf ppf
     "n=%d mean=%.2f (95%% CI %.2f-%.2f) sd=%.2f median=%.2f p90=%.2f \

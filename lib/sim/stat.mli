@@ -30,4 +30,4 @@ val summarize : float array -> summary
 
 val of_ints : int array -> float array
 
-val pp_summary : Format.formatter -> summary -> unit
+val pp : Format.formatter -> summary -> unit

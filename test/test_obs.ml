@@ -1,8 +1,8 @@
 (* Tests for Netdiv_obs: span nesting/ordering, the disabled fast path,
-   histogram bucket edges, Chrome-trace/JSONL validity via the in-repo
-   JSON parser, per-domain buffer merging under the pool sanitizer, the
-   runner's stage-timing histograms, and the flight recorder as a
-   bounded sink of the same event stream, with the report over it. *)
+   Chrome-trace/JSONL validity via the in-repo JSON parser, per-domain
+   buffer merging under the pool sanitizer, the events the pool, the
+   runner and SA emit, and the flight recorder as a bounded sink of the
+   same event stream, with the report over it. *)
 
 module Obs = Netdiv_obs.Obs
 module Export = Netdiv_obs.Export
@@ -73,65 +73,7 @@ let test_disabled_is_silent () =
   Obs.end_span "quiet";
   Obs.instant "quiet";
   Obs.sample ~name:"quiet" 1.0;
-  let c = Obs.Counter.make "test.off_counter" in
-  Obs.Counter.add c 5;
-  let h = Obs.Histogram.make "test.off_hist" in
-  Obs.Histogram.record h 1.0;
-  Alcotest.(check (list string)) "no events recorded" [] (shape (Obs.events ()));
-  Alcotest.(check int) "counter unchanged" 0 (Obs.Counter.value c);
-  Alcotest.(check int) "histogram unchanged" 0 (Obs.Histogram.count h)
-
-(* ------------------------------------------------------------ metrics *)
-
-let test_counters () =
-  Obs.set_enabled true;
-  let c = Obs.Counter.make "test.counter" in
-  Alcotest.(check bool)
-    "make is get-or-create" true
-    (c == Obs.Counter.make "test.counter");
-  Obs.Counter.add c 3;
-  Obs.Counter.incr c;
-  Alcotest.(check int) "counter accumulates" 4 (Obs.Counter.value c);
-  Obs.reset ();
-  Alcotest.(check int) "reset zeroes counters" 0 (Obs.Counter.value c)
-
-let test_histogram_buckets () =
-  let base = Obs.Histogram.base in
-  let checks =
-    [
-      ("zero", 0.0, 0);
-      ("negative", -1.0, 0);
-      ("nan", Float.nan, 0);
-      ("below base", base /. 2.0, 0);
-      ("base lands in bucket 1", base, 1);
-      ("inside bucket 1", base *. 1.5, 1);
-      ("next power of two opens bucket 2", base *. 2.0, 2);
-      ("bucket 3", base *. 4.0, 3);
-      ("overflow clamps to the last bucket", 1e30, Obs.Histogram.n_buckets - 1);
-    ]
-  in
-  List.iter
-    (fun (msg, v, expect) ->
-      Alcotest.(check int) msg expect (Obs.Histogram.bucket_of v))
-    checks;
-  (* lower edges are exact powers of two over the base *)
-  Alcotest.(check (float 0.0)) "bucket 0 lower" 0.0 (Obs.Histogram.bucket_lower 0);
-  Alcotest.(check (float 0.0)) "bucket 1 lower" base (Obs.Histogram.bucket_lower 1);
-  Alcotest.(check (float 0.0))
-    "bucket 4 lower" (base *. 8.0)
-    (Obs.Histogram.bucket_lower 4);
-  (* every recorded value lands in the bucket whose edges contain it *)
-  Obs.set_enabled true;
-  let h = Obs.Histogram.make "test.hist" in
-  List.iter (fun (_, v, _) -> Obs.Histogram.record h v) checks;
-  Alcotest.(check int) "count tracks records" (List.length checks)
-    (Obs.Histogram.count h);
-  let buckets = Obs.Histogram.buckets h in
-  List.iter
-    (fun (msg, _, expect) ->
-      Alcotest.(check bool) (msg ^ ": bucket populated") true
-        (buckets.(expect) > 0))
-    checks
+  Alcotest.(check (list string)) "no events recorded" [] (shape (Obs.events ()))
 
 (* -------------------------------------------------- export round-trip *)
 
@@ -270,13 +212,21 @@ let test_parallel_merge () =
         (Printf.sprintf "tid %d: balanced spans" tid)
         0 !depth)
     tids;
-  (* pool telemetry fired: chunks dispatched and busy time recorded *)
-  Alcotest.(check bool)
-    "pool.chunks counter counts dispatches" true
-    (Obs.Counter.value (Obs.Counter.make "pool.chunks") >= 1);
-  Alcotest.(check bool)
-    "chunk busy-time histogram populated" true
-    (Obs.Histogram.count (Obs.Histogram.make "pool.chunk_busy_s") >= 1)
+  (* every dispatched chunk is one closed span, whose duration is the
+     chunk's busy time *)
+  let chunks = count Obs.Begin "pool.chunk" in
+  Alcotest.(check int) "every chunk span closed" chunks
+    (count Obs.End "pool.chunk");
+  match
+    List.find_opt
+      (fun (name, _, _, _) -> name = "pool.chunk")
+      (Export.span_rollup events)
+  with
+  | Some (_, n, total, _) ->
+      Alcotest.(check int) "chunk busy times pair up" chunks n;
+      Alcotest.(check bool) "chunk busy time is non-negative" true
+        (total >= 0.0)
+  | None -> Alcotest.fail "no chunk busy time recorded"
 
 (* the merged name multiset is independent of the job count *)
 let test_merge_deterministic_across_jobs () =
@@ -319,7 +269,7 @@ let tiny_mrf () =
   done;
   Mrf.Builder.build b
 
-let test_runner_stage_metrics () =
+let test_runner_stage_spans () =
   Obs.set_enabled true;
   let mrf = tiny_mrf () in
   let report =
@@ -328,26 +278,154 @@ let test_runner_stage_metrics () =
       ~stages:[ Runner.trws () ]
       mrf
   in
-  (* the stage timing list and the histogram come from one measurement *)
   Alcotest.(check int)
     "stage_timings still populated" 1
     (List.length report.Runner.stage_timings);
-  let h = Obs.Histogram.make "runner.stage.trws" in
-  Alcotest.(check int) "stage histogram recorded once" 1 (Obs.Histogram.count h);
+  (* the stage solve is one span, inside the interval the reported
+     stage timing measures *)
   let _, elapsed = List.hd report.Runner.stage_timings in
-  Alcotest.(check bool)
-    "histogram sum matches the reported timing" true
-    (abs_float (Obs.Histogram.sum h -. elapsed) < 1e-9);
-  (* the stage solve appears as a span *)
-  Alcotest.(check bool)
-    "runner stage span present" true
-    (List.mem "B:runner.stage:trws" (shape (Obs.events ())))
+  match
+    List.filter
+      (fun (name, _, _, _) -> name = "runner.stage:trws")
+      (Export.span_rollup (Obs.events ()))
+  with
+  | [ (_, n, total, _) ] ->
+      Alcotest.(check int) "stage span recorded once" 1 n;
+      Alcotest.(check bool)
+        "stage span lies within the reported timing" true
+        (total <= elapsed +. 1e-9)
+  | _ -> Alcotest.fail "no runner.stage:trws span"
+
+(* ------------------------------------------------- emitted events *)
+
+module Recorder = Netdiv_obs.Recorder
+module Fault = Netdiv_fault.Fault
+
+let sample_values name events =
+  List.filter_map
+    (fun (e : Obs.event) ->
+      if e.Obs.kind = Obs.Sample && e.Obs.name = name then Some e.Obs.value
+      else None)
+    events
+
+(* Injected chunk crashes and the region's GC deltas are events inside
+   the region: a trace sees them, an installed recorder never does. *)
+let test_pool_region_events () =
+  Obs.set_enabled true;
+  Fault.set_spec (Some "rate=1.0,only=pool.chunk");
+  Fault.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Fault.set_spec None;
+      Fault.reset ())
+  @@ fun () ->
+  let r = Recorder.create "pool" in
+  let out =
+    Recorder.with_recorder r (fun () ->
+        Pool.map_range ~jobs:2 ~lo:0 ~hi:64 (fun i -> i * i))
+  in
+  Alcotest.(check (array int))
+    "recovered region returns the fault-free result"
+    (Array.init 64 (fun i -> i * i))
+    out;
+  let events = Obs.events () in
+  let instants name =
+    List.length
+      (List.filter
+         (fun (e : Obs.event) -> e.Obs.kind = Obs.Instant && e.Obs.name = name)
+         events)
+  in
+  let faults = instants "pool.chunk_fault" in
+  Alcotest.(check bool) "chunk faults recorded" true (faults >= 1);
+  Alcotest.(check int) "every faulted chunk recovered" faults
+    (instants "pool.chunk_recovered");
+  List.iter
+    (fun name ->
+      Alcotest.(check int)
+        (name ^ ": one sample for the region")
+        1
+        (List.length (sample_values name events)))
+    [ "pool.gc_minor"; "pool.gc_major"; "pool.gc_minor_words";
+      "pool.gc_major_words" ];
+  Alcotest.(check (list string))
+    "none of the region's events reach the ring" []
+    (List.map (fun (e : Obs.event) -> e.Obs.name) (Recorder.events r))
+
+(* Potts, constant-plus-sparse and generic tables on one connected
+   model, so the message census covers every kernel class. *)
+let mixed_kernel_mrf () =
+  let k = 8 in
+  let rng = Random.State.make [| 5 |] in
+  let b = Mrf.Builder.create ~label_counts:(Array.make 4 k) in
+  for i = 0 to 3 do
+    Mrf.Builder.set_unary b ~node:i
+      (Array.init k (fun _ -> Random.State.float rng 1.0))
+  done;
+  let potts =
+    Array.init (k * k) (fun idx -> if idx / k = idx mod k then 0.0 else 0.7)
+  in
+  let sparse = Array.make (k * k) 0.3 in
+  sparse.(3) <- 0.9;
+  sparse.(20) <- 0.05;
+  let generic = Array.init (k * k) (fun _ -> Random.State.float rng 1.0) in
+  List.iter
+    (fun (u, v, table) -> Mrf.Builder.add_edge b u v table)
+    [ (0, 1, potts); (1, 2, potts); (2, 3, sparse); (0, 2, sparse);
+      (0, 3, generic) ];
+  Mrf.Builder.build b
+
+(* TRW-S and BP sample their per-class message totals once per solve:
+   both directed messages of every edge, every sweep. *)
+let test_message_census () =
+  Obs.set_enabled true;
+  let mrf = mixed_kernel_mrf () in
+  let kc = Mrf.kernel_counts mrf in
+  let classes =
+    [ ("potts", kc.Mrf.potts_edges); ("const_sparse", kc.Mrf.sparse_edges);
+      ("generic", kc.Mrf.generic_edges) ]
+  in
+  Alcotest.(check bool) "every kernel class present" true
+    (List.for_all (fun (_, edges) -> edges > 0) classes);
+  List.iter
+    (fun (solver, solve) ->
+      Obs.reset ();
+      let r = solve mrf in
+      Alcotest.(check bool) (solver ^ " swept") true (r.Solver.iterations > 0);
+      let events = Obs.events () in
+      List.iter
+        (fun (cls, edges) ->
+          let name = "mrf.messages." ^ cls in
+          Alcotest.(check (list (float 0.0)))
+            (Printf.sprintf "%s %s = 2 x edges x iterations" solver name)
+            [ float_of_int (2 * edges * r.Solver.iterations) ]
+            (sample_values name events))
+        classes)
+    [ ("trws", fun m -> Trws.solve m); ("bp", fun m -> Bp.solve m) ]
+
+(* SA samples its acceptance tallies once per restart. *)
+let test_sa_restart_samples () =
+  Obs.set_enabled true;
+  let restarts = 3 in
+  ignore
+    (Sa.solve
+       ~config:{ Sa.default_config with restarts; domains = 1 }
+       (tiny_mrf ()));
+  let events = Obs.events () in
+  let proposals = sample_values "sa.proposals" events
+  and accepts = sample_values "sa.accepts" events in
+  Alcotest.(check int) "one proposals sample per restart" restarts
+    (List.length proposals);
+  Alcotest.(check int) "one accepts sample per restart" restarts
+    (List.length accepts);
+  List.iter2
+    (fun p a ->
+      Alcotest.(check bool) "0 <= accepts <= proposals" true
+        (0.0 <= a && a <= p))
+    proposals accepts
 
 (* --------------------------------------------------- flight recorder *)
 
-module Recorder = Netdiv_obs.Recorder
 module Obs_report = Netdiv_obs.Report
-module Fault = Netdiv_fault.Fault
 
 let read_file path =
   let ic = open_in_bin path in
@@ -511,13 +589,6 @@ let components_mrf () =
         (Array.init 9 (fun _ -> Random.State.float rng 1.0)))
     [ (0, 1); (1, 2); (2, 3); (4, 5); (5, 6); (6, 7) ];
   Mrf.Builder.build b
-
-let sample_values name events =
-  List.filter_map
-    (fun (e : Obs.event) ->
-      if e.Obs.kind = Obs.Sample && e.Obs.name = name then Some e.Obs.value
-      else None)
-    events
 
 let test_recorder_parallel_sanitized () =
   Pool.set_sanitize (Some true);
@@ -736,12 +807,6 @@ let () =
           Alcotest.test_case "disabled path records nothing" `Quick
             (scoped test_disabled_is_silent);
         ] );
-      ( "metrics",
-        [
-          Alcotest.test_case "counters" `Quick (scoped test_counters);
-          Alcotest.test_case "histogram bucket edges" `Quick
-            (scoped test_histogram_buckets);
-        ] );
       ( "export",
         [
           Alcotest.test_case "chrome trace round-trip" `Quick
@@ -759,8 +824,17 @@ let () =
         ] );
       ( "runner",
         [
-          Alcotest.test_case "stage timings via registry" `Quick
-            (scoped test_runner_stage_metrics);
+          Alcotest.test_case "stage timings via spans" `Quick
+            (scoped test_runner_stage_spans);
+        ] );
+      ( "events",
+        [
+          Alcotest.test_case "pool region faults and gc samples" `Quick
+            (scoped test_pool_region_events);
+          Alcotest.test_case "sa samples per restart" `Quick
+            (scoped test_sa_restart_samples);
+          Alcotest.test_case "message census samples" `Quick
+            (scoped test_message_census);
         ] );
       ( "recorder",
         [

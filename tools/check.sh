@@ -11,7 +11,8 @@
 # with tools/bench_diff (>25% regression on watched metrics fails,
 # snapshots land in bench_history/), validate that a traced optimize
 # run emits a Chrome trace and a JSONL log that netdiv report accepts,
-# run the chaos gate (a fixed NETDIV_FAULT schedule must recover to the
+# and that the --metrics report of the JSONL run equals netdiv report of
+# its trace apart from the format line, run the chaos gate (a fixed NETDIV_FAULT schedule must recover to the
 # fault-free assignment and replay bitwise, and a skewed clock must not
 # change an unbudgeted solve), run the flight-recorder gate (a degraded
 # run must dump a black box that netdiv report renders, a zoned solve
@@ -82,6 +83,9 @@ echo "== traced optimize (Chrome trace + JSONL must round-trip)"
 # the emitted traces must parse with the in-repo JSON reader and carry
 # the spans the observability layer promises: solver sweeps on the
 # default (TRW-S) path, pool parallel regions on the multi-job SA path.
+# --metrics prints the report of the run's own events, so on the SA run
+# it must equal netdiv report of the trace once the format line
+# (live vs jsonl) is dropped.
 tracedir=$(mktemp -d)
 dune exec bin/netdiv.exe -- optimize --hosts 40 --degree 4 --services 3 \
   --trace "$tracedir/trace.json" >/dev/null
@@ -91,12 +95,20 @@ echo "$summary" | grep -q '^format  chrome' || {
 echo "$summary" | grep -q 'trws\.sweep' || {
   echo "Chrome trace is missing trws.sweep spans"; exit 1; }
 dune exec bin/netdiv.exe -- optimize --hosts 40 --degree 4 --services 3 \
-  --solver sa --jobs 2 --trace "$tracedir/trace.jsonl" >/dev/null
+  --solver sa --jobs 2 --trace "$tracedir/trace.jsonl" --metrics \
+  >"$tracedir/metrics.out"
 summary=$(dune exec bin/netdiv.exe -- report "$tracedir/trace.jsonl")
 echo "$summary" | grep -q '^format  jsonl' || {
   echo "traced optimize did not produce a valid JSONL trace"; exit 1; }
 echo "$summary" | grep -q 'pool\.region' || {
   echo "JSONL trace is missing pool.region spans"; exit 1; }
+grep -q '^format  live$' "$tracedir/metrics.out" || {
+  echo "--metrics did not print a report"; exit 1; }
+sed -n '/^format  live$/,$p' "$tracedir/metrics.out" | grep -v '^format ' \
+  >"$tracedir/live.report"
+echo "$summary" | grep -v '^format ' >"$tracedir/file.report"
+diff "$tracedir/live.report" "$tracedir/file.report" || {
+  echo "--metrics report differs from netdiv report of the trace"; exit 1; }
 rm -rf "$tracedir"
 
 echo "== chaos gate (fault injection, recovery, replay determinism)"
