@@ -474,7 +474,7 @@ let structured_table rng ku kv =
 (* Random MRF over structured tables with mixed label counts, so
    non-square tables exercise both message orientations; [add_edges]
    chooses the edges.  Deterministic in [seed]. *)
-let structured_mrf ~n ~add_edges ~specialize seed =
+let structured_mrf ~n ~add_edges ?specialize seed =
   let rng = Random.State.make [| 0xface; seed |] in
   let labels =
     Array.init n (fun i ->
@@ -487,7 +487,7 @@ let structured_mrf ~n ~add_edges ~specialize seed =
   done;
   add_edges rng (fun u v ->
       Mrf.Builder.add_edge b u v (structured_table rng labels.(u) labels.(v)));
-  Mrf.Builder.build ~specialize b
+  Mrf.Builder.build ?specialize b
 
 (* 10 nodes, each pair joined with probability 0.35 *)
 let random_structured_mrf =
@@ -949,6 +949,20 @@ let small_zoned =
          z_seed = 5;
        })
 
+(* the case study under the C1 host policy, and under C2 (C1 plus the
+   product-combination constraints): about a third of their edges carry
+   a table whose off-diagonal entries are all equal (a Potts table) *)
+let casestudy_constrained constraints =
+  lazy
+    (let net = Netdiv_casestudy.Products.network () in
+     Netdiv_core.Encode.mrf (Netdiv_core.Encode.encode net (constraints net)))
+
+let casestudy_c1 =
+  casestudy_constrained Netdiv_casestudy.Products.host_constraints
+
+let casestudy_c2 =
+  casestudy_constrained Netdiv_casestudy.Products.product_constraints
+
 let schedule_pins =
   let c0 jobs () = Trws.solve ~jobs (Lazy.force casestudy_c0) in
   let big jobs () = Trws.solve ~jobs (Lazy.force big_connected) in
@@ -991,6 +1005,38 @@ let schedule_pins =
       (fun () -> Bp.solve ~jobs:2 (Lazy.force pin_model)),
       "fe27af5a098ea0e7597e28249ed58939 0x1.5c7815b006919p+6 -infinity 100 \
        false" );
+    ( "trws, case study C1",
+      (fun () -> Trws.solve (Lazy.force casestudy_c1)),
+      "d7a0ab5fc98dcb25a3eef05ad4523013 0x1.641b16f896406p+5 \
+       0x1.53fcd6a137c9bp+5 17 true" );
+    ( "trws, case study C2",
+      (fun () -> Trws.solve (Lazy.force casestudy_c2)),
+      "6d34866032acc4bbc8040cd277461696 0x1.6904dd59b8003p+5 \
+       0x1.53f7a5cfe297ap+5 43 true" );
+    ( "bp, case study C1",
+      (fun () -> Bp.solve (Lazy.force casestudy_c1)),
+      "7bb9af7ad2d5fc5bb6241e270aebb283 0x1.74d3104be5421p+5 -infinity 100 \
+       false" );
+    ( "bp, case study C2",
+      (fun () -> Bp.solve (Lazy.force casestudy_c2)),
+      "aee4fab0726b7cb983bc58d28aedfb94 0x1.792dbf7150d53p+5 -infinity 100 \
+       false" );
+    ( "bp, chromatic, case study C1, jobs 2",
+      (fun () -> Bp.solve ~jobs:2 (Lazy.force casestudy_c1)),
+      "41e6b83d4a371dea1a13846b60577fb3 0x1.7443f9102f156p+5 -infinity 100 \
+       false" );
+    ( "bp, chromatic, case study C2, jobs 2",
+      (fun () -> Bp.solve ~jobs:2 (Lazy.force casestudy_c2)),
+      "7327b5a439c960d6b026c06cfdfb5f58 0x1.792dbf7150d53p+5 -infinity 100 \
+       false" );
+    (* Potts, constant-plus-sparse and dense tables on one component
+       large enough for the partitioned schedule *)
+    ( "trws, 4200 structured variables, jobs 2",
+      (fun () ->
+        let config = { Trws.default_config with max_iters = 10 } in
+        Trws.solve ~config ~jobs:2 (big_structured_mrf 0)),
+      "17a28f4f26005341cea76c03ff03aeb0 0x1.5a0cbf6c0229ap+11 \
+       0x1.58aebfbf6c6f3p+11 10 false" );
   ]
 
 let test_schedule_pins () =
