@@ -8,9 +8,9 @@
    whole run finishes in a few minutes; set NETDIV_BENCH_FULL=1 for the
    paper's full ranges (up to 6,000 hosts and 240,000 links).
    NETDIV_BENCH_RUNS overrides the 1,000 simulation runs per MTTC cell.
-   NETDIV_BENCH_SMOKE=1 runs only the fast parallel-speedup,
-   potential-interning and message-kernel sections (the CI smoke used by
-   tools/check.sh).
+   NETDIV_BENCH_SMOKE=1 runs only the fast sections: parallel speedup,
+   instrumentation overhead, potential interning, the zoned scale tier
+   and lint analysis (the CI smoke used by tools/check.sh).
 
    Every run also writes BENCH.json (override the path with
    NETDIV_BENCH_JSON): per-section wall time, peak heap words and named
@@ -1547,93 +1547,6 @@ let hierarchical_scale () =
   Report.metric "zoned_small_energy" zoned1.Solver.energy;
   Report.metric "flat_small_energy" flat.Solver.energy
 
-(* ------------------------------------- message-kernel specialization *)
-
-(* Same model built twice — once with the structure classifier on, once
-   forced all-generic — and solved with identical configs.  Messages are
-   bitwise identical either way (see test/test_mrf.ml "kernels"), so the
-   wall-clock ratio isolates the kernel specialization itself. *)
-let kernel_specialization () =
-  section "[Kernels] structure-specialized message updates vs generic";
-  let module Mrf = Netdiv_mrf.Mrf in
-  let module Trws = Netdiv_mrf.Trws in
-  let l = 32 and n = 200 in
-  let unary rng k = Array.init k (fun _ -> Random.State.float rng 1.0) in
-  (* ring + chords: connected, loopy, every edge shares one table *)
-  let build_with table specialize =
-    let rng = Random.State.make [| 17 |] in
-    let b = Mrf.Builder.create ~label_counts:(Array.make n l) in
-    for i = 0 to n - 1 do
-      Mrf.Builder.set_unary b ~node:i (unary rng l)
-    done;
-    for i = 0 to n - 1 do
-      Mrf.Builder.add_edge b i ((i + 1) mod n) table;
-      if i + 7 < n then Mrf.Builder.add_edge b i (i + 7) table
-    done;
-    Mrf.Builder.build ~specialize b
-  in
-  let potts_table =
-    Array.init (l * l) (fun idx ->
-        if idx / l = idx mod l then 0.02 *. float_of_int (idx mod l)
-        else 1.0)
-  in
-  let sparse_table =
-    let t = Array.make (l * l) 0.5 in
-    t.(3) <- 2.0;
-    t.((5 * l) + 9) <- 0.1;
-    t.((17 * l) + 2) <- 1.4;
-    t
-  in
-  (* bound/decode are O(L^2) per edge whatever the kernel; computing
-     them only at the end leaves the message updates as the measured
-     work *)
-  let config =
-    { Trws.default_config with
-      max_iters = 30;
-      patience = 30;
-      bound_every = 30;
-    }
-  in
-  let best_of k f =
-    let best = ref infinity in
-    let result = ref None in
-    for _ = 1 to k do
-      let t0 = Unix.gettimeofday () in
-      let r = f () in
-      best := Float.min !best (Unix.gettimeofday () -. t0);
-      result := Some r
-    done;
-    (Option.get !result, !best)
-  in
-  let run label table expected_kind =
-    let ms = build_with table true and mg = build_with table false in
-    (match Mrf.table_class ms (Mrf.edge_table_id ms 0) with
-    | c when Netdiv_mrf.Kernel.kind_name c = expected_kind -> ()
-    | c ->
-        Report.fail
-          (Printf.sprintf "kernel bench: %s table classified %s" label
-             (Netdiv_mrf.Kernel.kind_name c)));
-    let rs, ts = best_of 5 (fun () -> Trws.solve ~config ms) in
-    let rg, tg = best_of 5 (fun () -> Trws.solve ~config mg) in
-    if
-      not
-        (rs.Netdiv_mrf.Solver.energy = rg.Netdiv_mrf.Solver.energy
-        && rs.Netdiv_mrf.Solver.labeling = rg.Netdiv_mrf.Solver.labeling)
-    then
-      Report.fail
-        (Printf.sprintf "kernel bench: %s result differs from generic" label);
-    let speedup = tg /. ts in
-    Format.printf
-      "%-12s L=%d  generic %8.4fs  specialized %8.4fs  speedup %6.2fx@."
-      label l tg ts speedup;
-    Report.metric (Printf.sprintf "generic_%s_s" label) tg;
-    Report.metric (Printf.sprintf "specialized_%s_s" label) ts;
-    Report.metric (Printf.sprintf "%s_speedup" label) speedup
-  in
-  Report.metric "labels" (float_of_int l);
-  run "potts" potts_table "potts";
-  run "sparse" sparse_table "const-sparse"
-
 (* ------------------------------------------------- lint analysis *)
 
 (* Whole-repo static analysis cost: lexing, symbol tables, the call
@@ -1768,7 +1681,6 @@ let () =
   Report.timed "intra_component_speedup" intra_component_speedup;
   Report.timed "interning_memory" interning_memory;
   Report.timed "hierarchical_scale" hierarchical_scale;
-  Report.timed "kernel_specialization" kernel_specialization;
   Report.timed "lint_analysis" lint_analysis;
   if not smoke then Report.timed "micro_benchmarks" micro_benchmarks;
   let json_path =

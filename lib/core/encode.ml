@@ -16,7 +16,7 @@ let default_big_m = 1e6
    service and the two candidate lists (physically interned lists compare
    fast via their contents here). *)
 module Matrix_cache = struct
-  type key = int * int array * int array * float * float
+  type key = int * int array * int array * float
 
   (* Domain-safety audit (netdiv-lint): encoding currently runs before any
      parallel region starts, but nothing in the types enforces that, so
@@ -29,21 +29,17 @@ module Matrix_cache = struct
      [lock]; interned values are immutable once published. *)
   let table : (key, float array) Hashtbl.t = Hashtbl.create 64
 
-  let get net service cu cv weight threshold =
-    let key = (service, cu, cv, weight, threshold) in
+  let get net service cu cv weight =
+    let key = (service, cu, cv, weight) in
     match Mutex.protect lock (fun () -> Hashtbl.find_opt table key) with
     | Some m -> m
     | None ->
         let ku = Array.length cu and kv = Array.length cv in
         let m =
           Array.init (ku * kv) (fun idx ->
-              let s =
-                Network.similarity net ~service cu.(idx / kv) cv.(idx mod kv)
-              in
-              (* sub-threshold similarities snap to exactly 0, turning
-                 near-uniform rows into uniform ones the message-kernel
-                 classifier can exploit (Potts / constant-plus-sparse) *)
-              if s < threshold then 0.0 else weight *. s)
+              weight
+              *. Network.similarity net ~service cu.(idx / kv)
+                   cv.(idx mod kv))
         in
         Mutex.protect lock (fun () ->
             match Hashtbl.find_opt table key with
@@ -55,14 +51,8 @@ module Matrix_cache = struct
   let clear () = Mutex.protect lock (fun () -> Hashtbl.reset table)
 end
 
-let encode ?(prconst = default_prconst) ?(big_m = default_big_m)
-    ?(similarity_threshold = 0.0) ?preference ?edge_weight net constraints =
-  if
-    not
-      (similarity_threshold >= 0.0
-      && similarity_threshold <= 1.0
-      && Float.is_finite similarity_threshold)
-  then invalid_arg "Encode.encode: similarity_threshold outside [0,1]";
+let encode ?(prconst = default_prconst) ?(big_m = default_big_m) ?preference
+    ?edge_weight net constraints =
   (match Constr.validate_all net constraints with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Encode.encode: " ^ msg));
@@ -152,7 +142,7 @@ let encode ?(prconst = default_prconst) ?(big_m = default_big_m)
           | Some vu, Some vv ->
               let cu = labels.(vu) and cv = labels.(vv) in
               Mrf.Builder.add_edge builder vu vv
-                (Matrix_cache.get net s cu cv weight similarity_threshold)
+                (Matrix_cache.get net s cu cv weight)
           | _ -> ())
         su)
     (Network.graph net);

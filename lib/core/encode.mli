@@ -22,32 +22,19 @@ val default_prconst : float
 val encode :
   ?prconst:float ->
   ?big_m:float ->
-  ?similarity_threshold:float ->
   ?preference:(host:int -> service:int -> product:int -> float) ->
   ?edge_weight:(int -> int -> float) ->
   Network.t ->
   Constr.t list ->
   encoded
-(** Builds the MRF.  Defaults: [prconst = 0.01], [big_m = 1e6],
-    [similarity_threshold = 0.0].
+(** Builds the MRF.  Defaults: [prconst = 0.01], [big_m = 1e6].
 
     [edge_weight u v] scales the similarity cost of the network link
     (u,v) (default 1 everywhere); weighting the links around critical
     assets higher buys extra diversity exactly where a worm must pass to
     reach them (defense in depth).  Weights must be non-negative.
-
-    [similarity_threshold] snaps similarities strictly below it to
-    exactly [0.0] before weighting.  The default keeps the encoding
-    exact; a small threshold (e.g. the noise floor of the Jaccard
-    estimates) turns near-uniform similarity rows into uniform ones, so
-    the resulting pairwise tables classify as Potts or
-    constant-plus-sparse and the solvers' structure-specialized message
-    kernels apply (see {!Netdiv_mrf.Kernel}).  It changes the objective
-    only by the mass it snaps away — use it when the similarity data is
-    noisier than the threshold anyway.
     @raise Invalid_argument when a constraint fails {!Constr.validate},
-    two [Fix] constraints clash on a slot, a weight is negative, or the
-    threshold lies outside [0,1]. *)
+    two [Fix] constraints clash on a slot, or a weight is negative. *)
 
 val mrf : encoded -> Netdiv_mrf.Mrf.t
 

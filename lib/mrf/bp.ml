@@ -33,7 +33,6 @@ type state = {
   bw_off : int array;
   fw : floatarray;  (* message into v of each edge *)
   bw : floatarray;  (* message into u of each edge *)
-  classes : Kernel.t array;
   delta : floatarray;  (* per-node max message change, this sweep *)
 }
 
@@ -52,7 +51,6 @@ let make_state mrf =
     i_inc_off = inc_off;
     i_inc = inc;
     i_col = _;
-    i_classes = classes;
   } =
     Mrf.Compact.arrays mrf
   in
@@ -77,7 +75,6 @@ let make_state mrf =
     bw_off;
     fw = Float.Array.make fw_off.(m) 0.0;
     bw = Float.Array.make bw_off.(m) 0.0;
-    classes;
     delta = Float.Array.make (max 1 n) 0.0;
   }
 
@@ -139,7 +136,7 @@ let update_node st ws damping i =
     let in_msg = if i_is_u then st.bw else st.fw in
     let out_off = if i_is_u then st.fw_off.(e) else st.bw_off.(e) in
     let out_msg = if i_is_u then st.fw else st.bw in
-    (* reduction input, precomputed once per message; the kernel stages
+    (* reduction input, precomputed once per message; the update stages
        its raw output in the preallocated [scratch.fresh] buffer (no
        per-message allocation) so the damping blend below can mix it
        with the previous message value. *)
@@ -149,10 +146,8 @@ let update_node st ws damping i =
     done;
     let fresh = ws.ks.Kernel.fresh in
     let vmin =
-      Kernel.update
-        st.classes.(st.etab.(e))
-        ~pot:st.pot ~p0 ~src_is_u:i_is_u ~k_src:k ~k_out:kj ~scratch:ws.ks
-        ~out:fresh ~out_off:0
+      Kernel.update ~pot:st.pot ~p0 ~src_is_u:i_is_u ~k_src:k ~k_out:kj
+        ~scratch:ws.ks ~out:fresh ~out_off:0
     in
     for xj = 0 to kj - 1 do
       let updated =

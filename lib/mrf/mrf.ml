@@ -13,16 +13,15 @@ type t = {
   inc_off : int array;         (* n+1 CSR offsets into inc *)
   inc : int array;             (* encoded incidences: edge*2 + (1 if node=u) *)
   col : int array;             (* opposite endpoint per incidence slot *)
-  classes : Kernel.t array;    (* per-table message-kernel classification *)
 }
 
 (* Shape-and-content-based interning of pairwise tables.  Physical
    equality is a fast path; the structural fallback uses polymorphic
    [compare] so two nan entries at the same position still unify.  The
    key carries [kv] (the column count) because a table is only
-   meaningful together with its shape: the kernel classification of a
-   2x3 matrix differs from that of the same six floats read as 3x2, so
-   edges may share a table id only when both shape and content agree. *)
+   meaningful together with its shape: a 2x3 matrix is not the same
+   table as the same six floats read as 3x2, so edges may share a table
+   id only when both shape and content agree. *)
 module Table_key = struct
   type t = int * float array
 
@@ -53,8 +52,6 @@ module Builder = struct
        build-time pass produced, so frozen models are bit-identical. *)
     b_interned : int Table_tbl.t;
     mutable b_tables : float array array;
-    mutable b_sku : int array;   (* row count of table id *)
-    mutable b_skv : int array;   (* column count of table id *)
     mutable b_ntab : int;
     mutable built : bool;
   }
@@ -83,8 +80,6 @@ module Builder = struct
       b_m = 0;
       b_interned = Table_tbl.create 16;
       b_tables = [||];
-      b_sku = [||];
-      b_skv = [||];
       b_ntab = 0;
       built = false;
     }
@@ -124,28 +119,18 @@ module Builder = struct
   let reserve_edges b hint =
     if hint > Array.length b.b_eu then grow_edges_to b hint
 
-  let intern_table b ~ku ~kv cost =
+  let intern_table b ~kv cost =
     match Table_tbl.find_opt b.b_interned (kv, cost) with
     | Some id -> id
     | None ->
         let id = b.b_ntab in
         if id = Array.length b.b_tables then begin
-          let cap' = max 8 (2 * id) in
-          let gt = Array.make cap' [||] in
+          let gt = Array.make (max 8 (2 * id)) [||] in
           Array.blit b.b_tables 0 gt 0 id;
-          b.b_tables <- gt;
-          let gi a =
-            let a' = Array.make cap' 0 in
-            Array.blit a 0 a' 0 id;
-            a'
-          in
-          b.b_sku <- gi b.b_sku;
-          b.b_skv <- gi b.b_skv
+          b.b_tables <- gt
         end;
         Table_tbl.add b.b_interned (kv, cost) id;
         b.b_tables.(id) <- cost;
-        b.b_sku.(id) <- ku;
-        b.b_skv.(id) <- kv;
         b.b_ntab <- id + 1;
         id
 
@@ -156,13 +141,13 @@ module Builder = struct
     if Array.length cost <> b.b_labels.(u) * b.b_labels.(v) then
       invalid_arg "Mrf.Builder.add_edge: cost matrix size mismatch";
     if b.b_m = Array.length b.b_eu then grow_edges b;
-    let id = intern_table b ~ku:b.b_labels.(u) ~kv:b.b_labels.(v) cost in
+    let id = intern_table b ~kv:b.b_labels.(v) cost in
     b.b_eu.(b.b_m) <- u;
     b.b_ev.(b.b_m) <- v;
     b.b_etab.(b.b_m) <- id;
     b.b_m <- b.b_m + 1
 
-  let build ?(specialize = true) b =
+  let build b =
     if b.built then invalid_arg "Mrf.Builder.build: builder already used";
     b.built <- true;
     let n = Array.length b.b_labels in
@@ -176,17 +161,6 @@ module Builder = struct
     let eu = trim b.b_eu and ev = trim b.b_ev and etab = trim b.b_etab in
     let n_tables = b.b_ntab in
     let tables = Array.sub b.b_tables 0 n_tables in
-    (* Classify each distinct table once: the solvers dispatch every
-       message update on this tag, replacing the O(L^2) scan with an
-       O(L) Potts or O(L + nnz) sparse kernel where the structure
-       permits (see kernel.mli). *)
-    let classes =
-      if specialize then
-        Array.mapi
-          (fun id tab -> Kernel.classify ~ku:b.b_sku.(id) ~kv:b.b_skv.(id) tab)
-          tables
-      else Array.map (fun _ -> Kernel.Generic) tables
-    in
     let pot_off = Array.make (n_tables + 1) 0 in
     for id = 0 to n_tables - 1 do
       pot_off.(id + 1) <- pot_off.(id) + Array.length tables.(id)
@@ -250,7 +224,6 @@ module Builder = struct
       inc_off;
       inc;
       col;
-      classes;
     }
 end
 
@@ -268,52 +241,6 @@ let edge_table_id t e = t.etab.(e)
 
 let n_tables t = Array.length t.tables
 let pot_words t = Array.length t.pot
-
-let table_class t id = t.classes.(id)
-
-let specialized t =
-  Array.exists (function Kernel.Generic -> false | _ -> true) t.classes
-
-(* Degradation rung for the anytime harness: same model, every table
-   forced onto the generic O(L²) kernel.  Cheap (shares all potential
-   storage with [t]) and bitwise-equivalent by the kernel contract —
-   used when a specialized solve keeps failing and the harness wants to
-   rule the specialized paths out. *)
-let despecialize t =
-  { t with classes = Array.map (fun _ -> Kernel.Generic) t.classes }
-
-type kernel_counts = {
-  potts_tables : int;
-  sparse_tables : int;
-  generic_tables : int;
-  potts_edges : int;
-  sparse_edges : int;
-  generic_edges : int;
-}
-
-let kernel_counts t =
-  let pt = ref 0 and st = ref 0 and gt = ref 0 in
-  Array.iter
-    (function
-      | Kernel.Potts _ -> incr pt
-      | Kernel.Const_sparse _ -> incr st
-      | Kernel.Generic -> incr gt)
-    t.classes;
-  let pe = ref 0 and se = ref 0 and ge = ref 0 in
-  for e = 0 to t.m - 1 do
-    match t.classes.(t.etab.(e)) with
-    | Kernel.Potts _ -> incr pe
-    | Kernel.Const_sparse _ -> incr se
-    | Kernel.Generic -> incr ge
-  done;
-  {
-    potts_tables = !pt;
-    sparse_tables = !st;
-    generic_tables = !gt;
-    potts_edges = !pe;
-    sparse_edges = !se;
-    generic_edges = !ge;
-  }
 
 let pot_words_unshared t =
   let acc = ref 0 in
@@ -405,7 +332,6 @@ module Compact = struct
     i_inc_off : int array;
     i_inc : int array;
     i_col : int array;
-    i_classes : Kernel.t array;
   }
 
   let arrays t =
@@ -421,7 +347,6 @@ module Compact = struct
       i_inc_off = t.inc_off;
       i_inc = t.inc;
       i_col = t.col;
-      i_classes = t.classes;
     }
 
   let[@inline] degree t i = t.inc_off.(i + 1) - t.inc_off.(i)
@@ -448,15 +373,6 @@ type footprint = {
    unboxed inside float arrays) *)
 let words_of_len len = len + 1
 
-let kernel_payload_words = function
-  | Kernel.Generic -> 0
-  | Kernel.Potts { diag; _ } -> 3 + words_of_len (Array.length diag)
-  | Kernel.Const_sparse { col_idx; col_val; row_idx; row_val; _ } ->
-      let nested a =
-        Array.fold_left (fun acc x -> acc + words_of_len (Array.length x)) 1 a
-      in
-      8 + nested col_idx + nested col_val + nested row_idx + nested row_val
-
 let footprint t =
   let compact =
     words_of_len t.n (* labels *)
@@ -472,10 +388,6 @@ let footprint t =
         (fun acc tab -> acc + words_of_len (Array.length tab))
         (words_of_len (Array.length t.tables))
         t.tables
-    + Array.fold_left
-        (fun acc c -> acc + kernel_payload_words c)
-        (words_of_len (Array.length t.classes))
-        t.classes
   in
   (* What the same model costs in the pre-compact layout this module
      replaced: a boxed (u, v, cost) record per edge in a cons list, an

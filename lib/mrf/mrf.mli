@@ -7,7 +7,7 @@
 
     which is the optimization function (1) of the paper.  MAP inference
     minimizes [E].  Models are assembled with {!Builder} and frozen; solvers
-    ({!Trws}, {!Bp}, {!Icm}, {!Brute}) operate on the frozen form.
+    ({!Trws}, {!Bp}, {!Icm}, {!Sa}, {!Bnb}) operate on the frozen form.
 
     Pairwise cost arrays are row-major by the {e first} endpoint's label:
     entry [x_u * k_v + x_v].  The arrays are {e not} copied, and
@@ -49,14 +49,8 @@ module Builder : sig
       are allowed (their costs add).
       @raise Invalid_argument on self-edges or size mismatch. *)
 
-  val build : ?specialize:bool -> b -> t
-  (** Freezes the model.  The builder must not be reused afterwards.
-      Each distinct pairwise table is classified once for the
-      structure-specialized message kernels (see {!Kernel}); pass
-      [~specialize:false] to force every table onto the generic O(L²)
-      kernel — useful only for testing and benchmarking the kernels
-      against each other, since the specialized paths are bitwise
-      equivalent. *)
+  val build : b -> t
+  (** Freezes the model.  The builder must not be reused afterwards. *)
 end
 
 val n_nodes : t -> int
@@ -88,34 +82,6 @@ val pot_words_unshared : t -> int
 (** Total [float] entries the pairwise tables would occupy without
     interning (one copy per edge); [pot_words t <=
     pot_words_unshared t] always holds. *)
-
-val table_class : t -> int -> Kernel.t
-(** Message-kernel classification of an interned table (see
-    {!Kernel.classify}); indexed by table id in [0 .. n_tables - 1]. *)
-
-val specialized : t -> bool
-(** Whether any table runs a structure-specialized kernel. *)
-
-val despecialize : t -> t
-(** A copy of the model with every table classified {!Kernel.Generic}.
-    Potential storage is shared with the original; results are bitwise
-    identical by the kernel equivalence contract.  This is the
-    middle rung of the anytime harness's degradation ladder: when a
-    specialized solve keeps failing, retry on the generic kernels
-    before falling back to ICM. *)
-
-type kernel_counts = {
-  potts_tables : int;
-  sparse_tables : int;
-  generic_tables : int;
-  potts_edges : int;
-  sparse_edges : int;
-  generic_edges : int;
-}
-
-val kernel_counts : t -> kernel_counts
-(** Census of kernel classifications over distinct tables and over
-    edges (each edge counted under its interned table's class). *)
 
 val energy : t -> int array -> float
 (** [energy t x] evaluates E(x).
@@ -203,7 +169,6 @@ module Compact : sig
     i_inc_off : int array;     (** n+1 CSR row pointers into [i_inc] *)
     i_inc : int array;         (** incidences: edge*2 + (1 if node=u) *)
     i_col : int array;         (** opposite endpoint per incidence slot *)
-    i_classes : Kernel.t array;  (** per-table kernel classification *)
   }
 
   val arrays : t -> arrays

@@ -152,13 +152,6 @@ let bnb () =
       (fun ~interrupt ~init:_ mrf -> Bnb.solve ~interrupt mrf);
   }
 
-let brute () =
-  {
-    name = "brute";
-    solve =
-      (fun ~interrupt ~init:_ mrf -> Brute.solve ~interrupt mrf);
-  }
-
 type run_report = {
   result : Solver.result;
   outcome : outcome;
@@ -192,16 +185,12 @@ let recoverable = function
   | Fault.Injected _ | Out_of_memory | Sys_error _ -> true
   | _ -> false
 
-(* Degradation ladder rungs, climbed when retries on the current rung
-   keep failing: the model as given, then the same model forced onto
-   generic kernels (rules the specialized message paths out), then
-   plain ICM warm-started from the best labeling so far. *)
-let rung_name = function
-  | 1 -> "generic-kernel"
-  | 2 -> "icm-fallback"
-  | r -> "rung-" ^ string_of_int r
+(* The degradation ladder's one rung, entered when retries of a stage
+   keep failing: plain ICM warm-started from the best labeling so far. *)
+let fallback_rung = "icm-fallback"
 
-(* failed attempts retried on each rung before the ladder escalates *)
+(* failed attempts retried on the stage itself, and again on the
+   fallback rung *)
 let retries_per_rung = 2
 
 let run ?budget ?init ?on_best ~stages mrf =
@@ -241,17 +230,11 @@ let run ?budget ?init ?on_best ~stages mrf =
   let timings = ref [] in
   let fell = ref [] in
   let retries_used = ref 0 in
-  let rung = ref 0 in
-  let rungs_entered = ref [] in
-  let degraded_model = lazy (Mrf.despecialize mrf) in
+  let degraded = ref false in
   let icm_fallback = icm () in
   let escalate () =
-    (* skip the generic-kernel rung when there is nothing to
-       despecialize — it would re-run the identical computation *)
-    let next = if !rung = 0 && not (Mrf.specialized mrf) then 2 else !rung + 1 in
-    rung := next;
-    rungs_entered := rung_name next :: !rungs_entered;
-    Obs.instant ("degrade:" ^ rung_name next);
+    degraded := true;
+    Obs.instant ("degrade:" ^ fallback_rung);
     (* flush immediately: if the degraded rung dies too, the black box
        already tells the story up to this point *)
     dump_black_box "degraded"
@@ -268,11 +251,10 @@ let run ?budget ?init ?on_best ~stages mrf =
         let solve_once () =
           if Fault.enabled () then
             Fault.check ~key:(Atomic.fetch_and_add attempt_seq 1) p_stage;
-          let model = if !rung >= 1 then Lazy.force degraded_model else mrf in
-          let s = if !rung >= 2 then icm_fallback else stage in
+          let s = if !degraded then icm_fallback else stage in
           Obs.span
             ~name:("runner.stage:" ^ s.name)
-            (fun () -> s.solve ~interrupt ~init:warm model)
+            (fun () -> s.solve ~interrupt ~init:warm mrf)
         in
         (* Retry at once, escalating the ladder when a rung's retries
            are spent. *)
@@ -284,7 +266,7 @@ let run ?budget ?init ?on_best ~stages mrf =
               incr retries_used;
               Obs.instant ("retry:" ^ stage.name);
               if tries_left > 0 then attempt (tries_left - 1)
-              else if !rung < 2 then begin
+              else if not !degraded then begin
                 escalate ();
                 attempt retries_per_rung
               end
@@ -346,7 +328,7 @@ let run ?budget ?init ?on_best ~stages mrf =
     List.fold_left (fun o name -> Fell_back (name, o)) base !fell
   in
   let outcome =
-    List.fold_left (fun o name -> Degraded (name, o)) outcome !rungs_entered
+    if !degraded then Degraded (fallback_rung, outcome) else outcome
   in
   let result =
     match !best with Some r -> r | None -> assert false

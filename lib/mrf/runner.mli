@@ -3,7 +3,7 @@
     The paper's headline claim is scalability — diversification of
     10,000-host networks in bounded time — and online re-diversification
     needs solvers that can be stopped at a deadline and still return the
-    best feasible assignment found so far.  The runner wraps the six
+    best feasible assignment found so far.  The runner wraps the five
     solvers behind a uniform [stage] interface — an interrupt goes in, a
     {!Solver.result} comes out — enforces a wall-clock budget and
     degrades through a fallback cascade, merging the best-so-far
@@ -13,7 +13,7 @@
 
     Interrupt granularity: once per sweep for TRW-S, BP, ICM and SA
     (every restart, including spawned domains), per node expansion for
-    branch-and-bound, every 1024 labelings for brute force.  All stages
+    branch-and-bound.  All stages
     preserve the anytime property: they return a feasible labeling and
     its energy no matter when they are stopped. *)
 
@@ -28,11 +28,9 @@ type outcome =
           the next one.  The string names the abandoned stage; the
           payload is the eventual outcome of the rest of the cascade. *)
   | Degraded of string * outcome
-      (** stage failures forced the harness down its degradation ladder;
-          the string names the rung entered (["generic-kernel"]: same
-          model on generic message kernels; ["icm-fallback"]: plain ICM
-          warm-started from the best labeling).  Recorded outermost-last:
-          the deepest rung entered is the outermost wrapper. *)
+      (** stage failures forced the harness onto its degradation rung;
+          the string names it (["icm-fallback"]: plain ICM warm-started
+          from the best labeling).  Always the outermost wrapper. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
 (** ["converged"], ["budget exhausted"], ["stalled"], or
@@ -80,7 +78,6 @@ val sa : ?jobs:int -> unit -> stage
     job-count-invariant). *)
 
 val bnb : unit -> stage
-val brute : unit -> stage
 
 type run_report = {
   result : Solver.result;
@@ -114,18 +111,17 @@ val run :
 
     {b Recovery.}  A stage attempt that dies on a {e recoverable}
     failure — an injected fault ({!Netdiv_fault.Fault.Injected}),
-    [Out_of_memory], [Sys_error] — is retried twice at once.  When a
-    rung's retries are spent the harness climbs its degradation ladder:
-    the model forced onto generic kernels ({!Mrf.despecialize}; skipped
-    when nothing is specialized), then plain ICM warm-started from the
-    best labeling so far.  Rungs entered are recorded as [Degraded]
-    wrappers on the outcome; the event stream marks each retry with a
-    [retry:<stage>] instant and each rung with a [degrade:<rung>]
-    instant.  If every rung fails and a best-so-far
-    (or [init]) labeling exists, the stage is abandoned and the run
-    keeps its anytime result; with nothing to fall back on the failure
+    [Out_of_memory], [Sys_error] — is retried twice at once.  When those
+    retries are spent the harness degrades to its one rung, plain ICM
+    warm-started from the best labeling so far, which gets two retries
+    of its own.  Entering the rung is recorded as a [Degraded] wrapper
+    on the outcome; the event stream marks each retry with a
+    [retry:<stage>] instant and the rung with a [degrade:icm-fallback]
+    instant.  If the rung fails too and a best-so-far (or [init])
+    labeling exists, the stage is abandoned and the run keeps its
+    anytime result; with nothing to fall back on the failure
     propagates.  The ladder never climbs back down: stages after the
-    one that degraded run on the rung it reached.  Non-recoverable
+    one that degraded run on the rung.  Non-recoverable
     exceptions ([Pool.Race], programmer errors) always propagate
     unchanged.
 

@@ -24,15 +24,10 @@ let pp_result ppf r =
     pp_float r.lower_bound r.iterations
     (if r.converged then "converged" else "iteration cap")
 
-(* One census, computed once per solve: each sweep recomputes both
+(* One count, computed once per solve: each sweep recomputes both
    directed messages of every edge once, so the per-message hot path
-   carries no instrumentation at all.  The report's throughput table
-   sums these samples. *)
+   carries no instrumentation at all.  The report's throughput row sums
+   these samples. *)
 let sample_messages mrf ~sweeps =
-  let kc = Mrf.kernel_counts mrf in
-  let sample name edges =
-    Netdiv_obs.Obs.sample ~name (float_of_int (2 * edges * sweeps))
-  in
-  sample "mrf.messages.potts" kc.Mrf.potts_edges;
-  sample "mrf.messages.const_sparse" kc.Mrf.sparse_edges;
-  sample "mrf.messages.generic" kc.Mrf.generic_edges
+  Netdiv_obs.Obs.sample ~name:"mrf.messages"
+    (float_of_int (2 * Mrf.n_edges mrf * sweeps))

@@ -21,6 +21,4 @@ val pp_result : Format.formatter -> result -> unit
 
 val sample_messages : Mrf.t -> sweeps:int -> unit
 (** Sample the directed message updates [sweeps] TRW-S iterations or
-    BP sweeps perform, per kernel class ([mrf.messages.potts],
-    [mrf.messages.const_sparse], [mrf.messages.generic]): 2 × the
-    class's edge count ({!Mrf.kernel_counts}) × [sweeps]. *)
+    BP sweeps perform as [mrf.messages]: 2 × edges × [sweeps]. *)

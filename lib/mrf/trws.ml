@@ -15,8 +15,8 @@ let default_config =
 (* Message state: for edge e = (u,v), [fw] holds the message into v
    (length labels.(v)) and [bw] the message into u (length labels.(u)),
    stored flat with per-edge offsets.  Messages, unaries and the bound
-   aggregation scratch live on unboxed [floatarray] slabs so the kernels
-   stream over contiguous doubles; everything here is immutable topology
+   aggregation scratch live on unboxed [floatarray] slabs so the message
+   update streams over contiguous doubles; everything here is immutable topology
    or slab storage shared by all workers — per-worker mutable scratch
    lives in {!workspace}. *)
 type state = {
@@ -34,7 +34,6 @@ type state = {
   bw_off : int array;
   fw : floatarray;
   bw : floatarray;
-  classes : Kernel.t array;
   lb_agg : floatarray;  (* lower_bound slab: gamma-weighted unaries *)
   chain_best : floatarray;  (* lower_bound slab: per-chain DP minimum *)
   gamma : float array;
@@ -47,7 +46,7 @@ type state = {
 }
 
 (* Per-worker scratch: one per parallel chunk so partitioned sweeps never
-   share a theta buffer or kernel scratch across domains.  Allocated per
+   share a theta buffer or update scratch across domains.  Allocated per
    solve, reused across all messages, so the hot path never allocates
    (minor GCs are stop-the-world across ALL domains). *)
 type workspace = {
@@ -70,7 +69,6 @@ let make_state mrf =
     i_inc_off = inc_off;
     i_inc = inc;
     i_col = col;
-    i_classes = classes;
   } =
     Mrf.Compact.arrays mrf
   in
@@ -146,7 +144,6 @@ let make_state mrf =
     bw_off;
     fw = Float.Array.make fw_off.(m) 0.0;
     bw = Float.Array.make bw_off.(m) 0.0;
-    classes;
     (* per-iteration bound scratch lives in the state: allocating it in
        [lower_bound] made every iteration churn the minor heap, and
        minor collections are stop-the-world across ALL domains — the
@@ -220,18 +217,15 @@ let process_node st ws ~forward ~inside ~plo ~phi i =
       let out_off = if i_is_u then st.fw_off.(e) else st.bw_off.(e) in
       let out_msg = if i_is_u then st.fw else st.bw in
       (* reduction input: reparameterized node cost minus the reverse
-         message.  Precomputed once so every kernel — including the
-         generic scan — reads it O(L) times instead of recomputing it
-         O(L²) times. *)
+         message.  Precomputed once so the O(L²) scan reads it O(L)
+         times instead of recomputing it O(L²) times. *)
       let h = ws.ks.Kernel.h in
       for xi = 0 to k - 1 do
         h.%(xi) <- (g *. theta.%(xi)) -. in_msg.%(in_off + xi)
       done;
       let vmin =
-        Kernel.update
-          st.classes.(st.etab.(e))
-          ~pot:st.pot ~p0 ~src_is_u:i_is_u ~k_src:k ~k_out:kj ~scratch:ws.ks
-          ~out:out_msg ~out_off
+        Kernel.update ~pot:st.pot ~p0 ~src_is_u:i_is_u ~k_src:k ~k_out:kj
+          ~scratch:ws.ks ~out:out_msg ~out_off
       in
       (* normalize so the smallest entry is zero *)
       for xj = 0 to kj - 1 do
@@ -681,7 +675,6 @@ let zoned ~config ~interrupt ?jobs ~zone_of ~nz mrf () =
     i_etab = g_etab;
     i_pot_off = g_pot_off;
     i_pot = g_pot;
-    i_classes = g_classes;
     _;
   } =
     Mrf.Compact.arrays mrf
@@ -771,20 +764,14 @@ let zoned ~config ~interrupt ?jobs ~zone_of ~nz mrf () =
     lam_off.(bi + 1) <- lam_off.(bi) + g_labels.(u) + g_labels.(v)
   done;
   let lam = Array.make (max 1 lam_off.(nb)) 0.0 in
-  (* Granularity hint for the pool: estimated kernel work of one zone
-     solve, averaged over zones.  Each TRW-S iteration updates every
-     directed edge message once, and the per-message cost depends on the
-     table's kernel class — so the total tracks Kernel.message_cost, not
-     a blanket O(L²).  Small splits land below the pool's sequential
-     cutoff and run inline instead of paying domain spawns. *)
+  (* Granularity hint for the pool: estimated message work of one zone
+     solve, averaged over zones.  Each TRW-S iteration updates both
+     directed messages of every edge once, an O(ku·kv) scan each.  Small
+     splits land below the pool's sequential cutoff and run inline
+     instead of paying domain spawns. *)
   let sweep_cost = ref 0 in
   for e = 0 to m - 1 do
-    let ku = g_labels.(g_eu.(e)) and kv = g_labels.(g_ev.(e)) in
-    let cls = g_classes.(g_etab.(e)) in
-    sweep_cost :=
-      !sweep_cost
-      + Kernel.message_cost cls ~k_src:ku ~k_out:kv
-      + Kernel.message_cost cls ~k_src:kv ~k_out:ku
+    sweep_cost := !sweep_cost + (2 * g_labels.(g_eu.(e)) * g_labels.(g_ev.(e)))
   done;
   let cost = max 1 (min config.max_iters 24 * 2 * !sweep_cost / nz) in
   let dummy =

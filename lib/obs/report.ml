@@ -25,50 +25,33 @@ let pp_hot_spans ~k ppf events =
           Format.fprintf ppf "@,  %-34s %8d %12.6f %12.6f" name count total mx)
         rows
 
-(* --------------------------------------------- kernel-class throughput *)
-
-let msg_prefix = "mrf.messages."
+(* ------------------------------------------------- message throughput *)
 
 let pp_throughput ppf events =
-  (* message totals: solvers sample the per-solve per-class totals at
-     the end of every run_loop, so summing the samples recovers the
-     global count even across several solves in one stream *)
-  let totals : (string, float ref) Hashtbl.t = Hashtbl.create 4 in
-  List.iter
-    (fun (name, (e : Obs.event)) ->
-      if String.starts_with ~prefix:msg_prefix name then begin
-        let cls =
-          String.sub name (String.length msg_prefix)
-            (String.length name - String.length msg_prefix)
-        in
-        match Hashtbl.find_opt totals cls with
-        | Some r -> r := !r +. e.Obs.value
-        | None -> Hashtbl.add totals cls (ref e.Obs.value)
-      end)
-    (samples events);
-  (* messages are produced inside sweep spans; their total wall time is
-     the denominator *)
-  let sweep_s =
-    List.fold_left
-      (fun acc (name, _, total, _) ->
-        if name = "trws.sweep" || name = "bp.sweep" then acc +. total else acc)
-      0.0 (Export.span_rollup events)
+  (* solvers sample their per-solve message total at the end of every
+     run, so summing the samples recovers the global count even across
+     several solves in one stream *)
+  let msgs =
+    List.filter_map
+      (fun (name, (e : Obs.event)) ->
+        if name = "mrf.messages" then Some e.Obs.value else None)
+      (samples events)
   in
-  let rows =
-    Hashtbl.fold (fun cls r acc -> (cls, !r) :: acc) totals []
-    |> List.sort (fun (ca, ma) (cb, mb) ->
-           let c = Float.compare mb ma in
-           if c <> 0 then c else compare ca cb)
-  in
-  if rows <> [] then begin
+  if msgs <> [] then begin
+    let msgs = List.fold_left ( +. ) 0.0 msgs in
+    (* messages are produced inside sweep spans; their total wall time
+       is the denominator *)
+    let sweep_s =
+      List.fold_left
+        (fun acc (name, _, total, _) ->
+          if name = "trws.sweep" || name = "bp.sweep" then acc +. total
+          else acc)
+        0.0 (Export.span_rollup events)
+    in
     Format.fprintf ppf
-      "@,kernel-class message throughput:@,  %-16s %16s %12s %16s" "class"
-      "messages" "sweep_s" "msgs/s";
-    List.iter
-      (fun (cls, msgs) ->
-        Format.fprintf ppf "@,  %-16s %16.0f %12.6f %16.3e" cls msgs sweep_s
-          (if sweep_s > 0.0 then msgs /. sweep_s else 0.0))
-      rows
+      "@,message throughput:@,  %16s %12s %16s@,  %16.0f %12.6f %16.3e"
+      "messages" "sweep_s" "msgs/s" msgs sweep_s
+      (if sweep_s > 0.0 then msgs /. sweep_s else 0.0)
   end
 
 (* ------------------------------------------------------ the last solve *)

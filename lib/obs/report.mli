@@ -50,5 +50,5 @@ val pp_convergence : Format.formatter -> Obs.event list -> unit
 val pp : ?top:int -> format:string -> Format.formatter -> Obs.event list -> unit
 (** The whole report body: the [format] line and event/span/mark
     counts, {!pp_convergence}, the top-[top] (default 10) spans by total
-    time, and per-kernel-class message throughput when the stream
-    carries [mrf.messages.*] samples. *)
+    time, and the message throughput when the stream carries
+    [mrf.messages] samples. *)

@@ -121,8 +121,8 @@ val split_seed : int -> int -> int
 
     Every combinator takes an optional [?cost] hint: the estimated work
     of one loop item in abstract units (≈ nanoseconds of straight-line
-    compute; {!Netdiv_mrf.Kernel.message_cost} feeds it for the
-    solvers).  When the hint puts the region's total estimated work
+    compute; a zoned TRW-S solve counts [k_u·k_v] per directed message
+    update).  When the hint puts the region's total estimated work
     below a sequential cutoff (≈ 20M units, a few domain-spawn
     round-trips), the region runs inline in the caller — spawning
     domains for sub-millisecond work makes 2–4 jobs {e slower} than

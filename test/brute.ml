@@ -1,3 +1,5 @@
+open Netdiv_mrf
+
 let search_space mrf =
   let acc = ref 1.0 in
   for i = 0 to Mrf.n_nodes mrf - 1 do
@@ -5,7 +7,7 @@ let search_space mrf =
   done;
   !acc
 
-let solve ?(limit = 2_000_000) ?(interrupt = fun () -> false) mrf =
+let solve ?(limit = 2_000_000) mrf =
   if search_space mrf > float_of_int limit then
     invalid_arg "Brute.solve: search space too large";
   let n = Mrf.n_nodes mrf in
@@ -13,7 +15,6 @@ let solve ?(limit = 2_000_000) ?(interrupt = fun () -> false) mrf =
   let best = Array.make n 0 in
   let best_energy = ref (Mrf.energy mrf x) in
   let count = ref 1 in
-  let complete = ref true in
   (* odometer enumeration *)
   let rec next i =
     if i < 0 then false
@@ -26,24 +27,18 @@ let solve ?(limit = 2_000_000) ?(interrupt = fun () -> false) mrf =
       next (i - 1)
     end
   in
-  (try
-     while next (n - 1) do
-       if !count land 1023 = 0 && interrupt () then begin
-         complete := false;
-         raise Exit
-       end;
-       incr count;
-       let e = Mrf.energy mrf x in
-       if e < !best_energy then begin
-         best_energy := e;
-         Array.blit x 0 best 0 n
-       end
-     done
-   with Exit -> ());
+  while next (n - 1) do
+    incr count;
+    let e = Mrf.energy mrf x in
+    if e < !best_energy then begin
+      best_energy := e;
+      Array.blit x 0 best 0 n
+    end
+  done;
   {
     Solver.labeling = best;
     energy = !best_energy;
-    lower_bound = (if !complete then !best_energy else neg_infinity);
+    lower_bound = !best_energy;
     iterations = !count;
-    converged = !complete;
+    converged = true;
   }

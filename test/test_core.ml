@@ -339,7 +339,7 @@ let test_optimize_exact_on_small () =
   (* brute-force certificate on a tiny instance *)
   let net = mk_net ~graph:(Gen.line 4) () in
   let e = Encode.encode net [] in
-  let exact = Netdiv_mrf.Brute.solve (Encode.mrf e) in
+  let exact = Brute.solve (Encode.mrf e) in
   let r = Optimize.run net [] in
   Alcotest.(check (float 1e-6)) "optimal on trees"
     exact.Netdiv_mrf.Solver.energy r.Optimize.energy

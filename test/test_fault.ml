@@ -244,6 +244,43 @@ let test_runner_faults () =
           Alcotest.(check bool) "propagates as Injected" true
             (Fault.is_injected e))
 
+(* [runner.stage] keys on a process-wide attempt counter: read the next
+   key off a probe run whose every attempt fails *)
+let next_stage_key () =
+  with_spec "rate=1.0,only=runner.stage" (fun () ->
+      match Runner.run ~stages:[ Runner.icm () ] (random_mrf (rng 1) 2 2 1.0)
+      with
+      | _ -> Alcotest.fail "probe run must fail"
+      | exception Fault.Injected (_, key) -> key + 1)
+
+(* the case study under C2, where a third of the edges carry a table
+   whose off-diagonal entries are all equal: three failed attempts on
+   it, and the ladder goes straight to its one rung *)
+let test_one_rung_ladder () =
+  let net = Netdiv_casestudy.Products.network () in
+  let mrf =
+    Netdiv_core.Encode.mrf
+      (Netdiv_core.Encode.encode net
+         (Netdiv_casestudy.Products.product_constraints net))
+  in
+  let k = next_stage_key () in
+  let spec =
+    String.concat ","
+      (List.init 3 (fun i -> Printf.sprintf "runner.stage@%d" (k + i)))
+  in
+  let report =
+    with_spec spec (fun () -> Runner.run ~stages:[ Runner.trws_icm () ] mrf)
+  in
+  (match report.Runner.outcome with
+  | Runner.Degraded ("icm-fallback", _) -> ()
+  | o -> Alcotest.failf "expected icm-fallback, got %a" Runner.pp_outcome o);
+  Alcotest.(check (list string)) "one rung" [ "icm-fallback" ]
+    (rung_names report.Runner.outcome);
+  Alcotest.(check int) "three retries" 3 report.Runner.retries;
+  let r = report.Runner.result in
+  Alcotest.(check bool) "energy is the labeling's" true
+    (Mrf.energy mrf r.Solver.labeling = r.Solver.energy)
+
 (* --------------------------------------------------- atomic file writes *)
 
 let test_atomic_write () =
@@ -462,7 +499,11 @@ let () =
           Alcotest.test_case "replay" `Quick test_replay;
         ] );
       ( "runner",
-        [ Alcotest.test_case "retry and ladder" `Quick test_runner_faults ] );
+        [
+          Alcotest.test_case "retry and ladder" `Quick test_runner_faults;
+          Alcotest.test_case "one rung on Potts tables"
+            `Quick test_one_rung_ladder;
+        ] );
       ( "pool",
         [
           Alcotest.test_case "chunk recovery" `Quick test_pool_recovery;

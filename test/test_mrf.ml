@@ -1,5 +1,6 @@
 (* Tests for the MRF library: model construction, energy evaluation, and
-   the four solvers (TRW-S, BP, ICM, exhaustive).  The key invariants:
+   the solvers (TRW-S, BP, ICM, SA, branch-and-bound) against the
+   exhaustive oracle in brute.ml.  The key invariants:
    TRW-S's dual bound never exceeds any labeling's energy, is exact and
    tight on trees, and on tiny loopy models all solvers stay above the
    exhaustive optimum. *)
@@ -372,79 +373,11 @@ let test_parallel_edges () =
   let r = Trws.solve m in
   Alcotest.(check (float 1e-9)) "optimum avoids both" 0.0 r.Solver.energy
 
-(* -------------------------------------------------------------- kernels *)
+(* -------------------------------------------------- structured tables *)
 
-let test_kernel_classify () =
-  let k = 5 in
-  let potts =
-    Array.init (k * k) (fun idx ->
-        if idx / k = idx mod k then 0.1 *. float_of_int (idx / k) else 0.7)
-  in
-  (match Kernel.classify ~ku:k ~kv:k potts with
-  | Kernel.Potts { off; diag } ->
-      Alcotest.(check (float 0.0)) "off value" 0.7 off;
-      Alcotest.(check (float 0.0)) "diag value" 0.2 diag.(2)
-  | c -> Alcotest.failf "potts table classified %s" (Kernel.kind_name c));
-  (* base value with two deviations at k=8: the selection bound pays *)
-  let k8 = 8 in
-  let cs = Array.make (k8 * k8) 0.3 in
-  cs.(3) <- 0.9;
-  cs.(20) <- 0.05;
-  (match Kernel.classify ~ku:k8 ~kv:k8 cs with
-  | Kernel.Const_sparse { base; nnz; max_line_nnz; _ } ->
-      Alcotest.(check (float 0.0)) "base" 0.3 base;
-      Alcotest.(check int) "nnz" 2 nnz;
-      Alcotest.(check int) "max_line_nnz" 1 max_line_nnz
-  | c -> Alcotest.failf "sparse table classified %s" (Kernel.kind_name c));
-  (* almost-Potts at k=4: one off-diagonal outlier, and the table is too
-     small for the sparse kernel to pay — the classifier must reject *)
-  let k4 = 4 in
-  let almost =
-    Array.init (k4 * k4) (fun idx ->
-        if idx / k4 = idx mod k4 then 0.0 else 0.7)
-  in
-  almost.(1) <- 0.71;
-  (match Kernel.classify ~ku:k4 ~kv:k4 almost with
-  | Kernel.Generic -> ()
-  | c -> Alcotest.failf "almost-Potts classified %s" (Kernel.kind_name c));
-  (* non-finite entries stay on the generic path for NaN propagation *)
-  let nanny = Array.make (k8 * k8) 0.3 in
-  nanny.(5) <- Float.nan;
-  (match Kernel.classify ~ku:k8 ~kv:k8 nanny with
-  | Kernel.Generic -> ()
-  | c -> Alcotest.failf "NaN table classified %s" (Kernel.kind_name c));
-  (* shape mismatch is rejected outright *)
-  match Kernel.classify ~ku:3 ~kv:3 (Array.make 6 0.0) with
-  | Kernel.Generic -> ()
-  | c -> Alcotest.failf "misshaped table classified %s" (Kernel.kind_name c)
-
-let test_kernel_stats_exposed () =
-  let k = 6 in
-  let b = Mrf.Builder.create ~label_counts:(Array.make 3 k) in
-  let potts =
-    Array.init (k * k) (fun idx -> if idx / k = idx mod k then 0.0 else 1.0)
-  in
-  Mrf.Builder.add_edge b 0 1 potts;
-  Mrf.Builder.add_edge b 1 2 potts;
-  Mrf.Builder.add_edge b 0 2 (Array.init (k * k) float_of_int);
-  let m = Mrf.Builder.build b in
-  let kc = Mrf.kernel_counts m in
-  Alcotest.(check int) "potts tables" 1 kc.Mrf.potts_tables;
-  Alcotest.(check int) "generic tables" 1 kc.Mrf.generic_tables;
-  Alcotest.(check int) "potts edges" 2 kc.Mrf.potts_edges;
-  Alcotest.(check int) "generic edges" 1 kc.Mrf.generic_edges;
-  (match Mrf.table_class m (Mrf.edge_table_id m 0) with
-  | Kernel.Potts _ -> ()
-  | c -> Alcotest.failf "edge 0 carries %s" (Kernel.kind_name c));
-  (* the opt-out knob forces every table onto the generic kernel *)
-  let b = Mrf.Builder.create ~label_counts:(Array.make 2 k) in
-  Mrf.Builder.add_edge b 0 1 potts;
-  let mg = Mrf.Builder.build ~specialize:false b in
-  Alcotest.(check int) "specialize:false all generic" 1
-    (Mrf.kernel_counts mg).Mrf.generic_tables
-
-(* Random table over a mix of structures: Potts, constant-plus-sparse,
-   almost-qualifying (classifier rejection path) and dense generic. *)
+(* Random table over a mix of structures: Potts (uniform off-diagonal),
+   constant-plus-sparse, almost-Potts (one off-diagonal outlier) and
+   dense. *)
 let structured_table rng ku kv =
   match Random.State.int rng 4 with
   | 0 when ku = kv ->
@@ -474,7 +407,7 @@ let structured_table rng ku kv =
 (* Random MRF over structured tables with mixed label counts, so
    non-square tables exercise both message orientations; [add_edges]
    chooses the edges.  Deterministic in [seed]. *)
-let structured_mrf ~n ~add_edges ?specialize seed =
+let structured_mrf ~n ~add_edges seed =
   let rng = Random.State.make [| 0xface; seed |] in
   let labels =
     Array.init n (fun i ->
@@ -487,68 +420,13 @@ let structured_mrf ~n ~add_edges ?specialize seed =
   done;
   add_edges rng (fun u v ->
       Mrf.Builder.add_edge b u v (structured_table rng labels.(u) labels.(v)));
-  Mrf.Builder.build ?specialize b
-
-(* 10 nodes, each pair joined with probability 0.35 *)
-let random_structured_mrf =
-  structured_mrf ~n:10 ~add_edges:(fun rng add ->
-      for u = 0 to 9 do
-        for v = u + 1 to 9 do
-          if Random.State.float rng 1.0 < 0.35 then add u v
-        done
-      done)
+  Mrf.Builder.build b
 
 (* one component of 4200 nodes, large enough for the partitioned
    schedule *)
 let big_structured_mrf =
   structured_mrf ~n:4200 ~add_edges:(fun rng ->
       chain_with_chords rng 4200 ~chords:2100)
-
-let test_kernel_equivalence () =
-  let specialized_seen = ref 0 in
-  for seed = 0 to 19 do
-    let ms = random_structured_mrf ~specialize:true seed in
-    let mg = random_structured_mrf ~specialize:false seed in
-    let kc = Mrf.kernel_counts ms in
-    specialized_seen :=
-      !specialized_seen + kc.Mrf.potts_edges + kc.Mrf.sparse_edges;
-    Alcotest.(check int)
-      "opt-out model runs fully generic" 0
-      ((Mrf.kernel_counts mg).Mrf.potts_tables
-      + (Mrf.kernel_counts mg).Mrf.sparse_tables);
-    (* TRW-S: messages are bitwise identical, so energies, bounds,
-       labelings and even iteration counts must match exactly *)
-    let rs = Trws.solve ms and rg = Trws.solve mg in
-    Alcotest.(check (array int))
-      (Printf.sprintf "trws labeling seed=%d" seed)
-      rg.Solver.labeling rs.Solver.labeling;
-    Alcotest.(check bool)
-      (Printf.sprintf "trws energy bitwise seed=%d" seed)
-      true
-      (rs.Solver.energy = rg.Solver.energy);
-    Alcotest.(check bool)
-      (Printf.sprintf "trws bound bitwise seed=%d" seed)
-      true
-      (rs.Solver.lower_bound = rg.Solver.lower_bound);
-    Alcotest.(check int)
-      (Printf.sprintf "trws iterations seed=%d" seed)
-      rg.Solver.iterations rs.Solver.iterations;
-    (* BP: damped blends of bitwise-identical fresh messages *)
-    let bs = Bp.solve ms and bg = Bp.solve mg in
-    Alcotest.(check (array int))
-      (Printf.sprintf "bp labeling seed=%d" seed)
-      bg.Solver.labeling bs.Solver.labeling;
-    Alcotest.(check bool)
-      (Printf.sprintf "bp energy bitwise seed=%d" seed)
-      true
-      (bs.Solver.energy = bg.Solver.energy);
-    Alcotest.(check int)
-      (Printf.sprintf "bp iterations seed=%d" seed)
-      bg.Solver.iterations bs.Solver.iterations
-  done;
-  (* the property is vacuous if no structured table ever classified *)
-  Alcotest.(check bool) "specialized kernels exercised" true
-    (!specialized_seen > 20)
 
 (* -------------------------------------- intra-component parallelism *)
 
@@ -658,35 +536,6 @@ let test_bp_chromatic_jobs_invariant () =
         Alcotest.(check (float 1e-9)) "labeling consistent with energy"
           r1.Solver.energy
           (Mrf.energy m r1.Solver.labeling)
-      done)
-
-let test_parallel_schedules_on_structured_kernels () =
-  (* the slab-backed parallel schedules must hit the same specialized-
-     equals-generic bitwise property the sequential solvers guarantee,
-     across all three kernel classes (Potts, constant-plus-sparse,
-     generic) *)
-  with_hardware_jobs 4 (fun () ->
-      let config = { Trws.default_config with max_iters = 10 } in
-      let solve specialize =
-        Trws.solve ~config ~jobs:4 (big_structured_mrf ~specialize 0)
-      in
-      let ts = solve true and tg = solve false in
-      Alcotest.(check bool) "partitioned trws energy bitwise" true
-        (ts.Solver.energy = tg.Solver.energy);
-      Alcotest.(check (array int)) "partitioned trws labeling"
-        tg.Solver.labeling ts.Solver.labeling;
-      for seed = 0 to 4 do
-        let ms = random_structured_mrf ~specialize:true seed in
-        let mg = random_structured_mrf ~specialize:false seed in
-        let bs = Bp.solve ~jobs:4 ms in
-        let bg = Bp.solve ~jobs:4 mg in
-        Alcotest.(check bool)
-          (Printf.sprintf "chromatic bp energy bitwise seed=%d" seed)
-          true
-          (bs.Solver.energy = bg.Solver.energy);
-        Alcotest.(check (array int))
-          (Printf.sprintf "chromatic bp labeling seed=%d" seed)
-          bg.Solver.labeling bs.Solver.labeling
       done)
 
 (* ---------------------------------------------------- zoned decomposition *)
@@ -1295,15 +1144,6 @@ let () =
           Alcotest.test_case "interned pairwise tables" `Quick
             test_interned_tables;
         ] );
-      ( "kernels",
-        [
-          Alcotest.test_case "classifier on structured tables" `Quick
-            test_kernel_classify;
-          Alcotest.test_case "kernel census exposed in stats" `Quick
-            test_kernel_stats_exposed;
-          Alcotest.test_case "specialized = generic, bitwise" `Quick
-            test_kernel_equivalence;
-        ] );
       ( "solvers",
         [
           Alcotest.test_case "trws tiny exact" `Quick test_trws_tiny_exact;
@@ -1354,8 +1194,6 @@ let () =
             test_trws_partitioned_jobs_invariant;
           Alcotest.test_case "chromatic bp jobs-invariant" `Quick
             test_bp_chromatic_jobs_invariant;
-          Alcotest.test_case "parallel schedules on structured kernels"
-            `Quick test_parallel_schedules_on_structured_kernels;
         ] );
       ( "zoned",
         [

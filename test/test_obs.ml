@@ -351,55 +351,20 @@ let test_pool_region_events () =
     "none of the region's events reach the ring" []
     (List.map (fun (e : Obs.event) -> e.Obs.name) (Recorder.events r))
 
-(* Potts, constant-plus-sparse and generic tables on one connected
-   model, so the message census covers every kernel class. *)
-let mixed_kernel_mrf () =
-  let k = 8 in
-  let rng = Random.State.make [| 5 |] in
-  let b = Mrf.Builder.create ~label_counts:(Array.make 4 k) in
-  for i = 0 to 3 do
-    Mrf.Builder.set_unary b ~node:i
-      (Array.init k (fun _ -> Random.State.float rng 1.0))
-  done;
-  let potts =
-    Array.init (k * k) (fun idx -> if idx / k = idx mod k then 0.0 else 0.7)
-  in
-  let sparse = Array.make (k * k) 0.3 in
-  sparse.(3) <- 0.9;
-  sparse.(20) <- 0.05;
-  let generic = Array.init (k * k) (fun _ -> Random.State.float rng 1.0) in
-  List.iter
-    (fun (u, v, table) -> Mrf.Builder.add_edge b u v table)
-    [ (0, 1, potts); (1, 2, potts); (2, 3, sparse); (0, 2, sparse);
-      (0, 3, generic) ];
-  Mrf.Builder.build b
-
-(* TRW-S and BP sample their per-class message totals once per solve:
-   both directed messages of every edge, every sweep. *)
+(* TRW-S and BP sample their message total once per solve: both
+   directed messages of every edge, every sweep. *)
 let test_message_census () =
   Obs.set_enabled true;
-  let mrf = mixed_kernel_mrf () in
-  let kc = Mrf.kernel_counts mrf in
-  let classes =
-    [ ("potts", kc.Mrf.potts_edges); ("const_sparse", kc.Mrf.sparse_edges);
-      ("generic", kc.Mrf.generic_edges) ]
-  in
-  Alcotest.(check bool) "every kernel class present" true
-    (List.for_all (fun (_, edges) -> edges > 0) classes);
+  let mrf = tiny_mrf () in
   List.iter
     (fun (solver, solve) ->
       Obs.reset ();
       let r = solve mrf in
       Alcotest.(check bool) (solver ^ " swept") true (r.Solver.iterations > 0);
-      let events = Obs.events () in
-      List.iter
-        (fun (cls, edges) ->
-          let name = "mrf.messages." ^ cls in
-          Alcotest.(check (list (float 0.0)))
-            (Printf.sprintf "%s %s = 2 x edges x iterations" solver name)
-            [ float_of_int (2 * edges * r.Solver.iterations) ]
-            (sample_values name events))
-        classes)
+      Alcotest.(check (list (float 0.0)))
+        (solver ^ " mrf.messages = 2 x edges x iterations")
+        [ float_of_int (2 * Mrf.n_edges mrf * r.Solver.iterations) ]
+        (sample_values "mrf.messages" (Obs.events ())))
     [ ("trws", fun m -> Trws.solve m); ("bp", fun m -> Bp.solve m) ]
 
 (* SA samples its acceptance tallies once per restart. *)

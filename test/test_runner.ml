@@ -76,18 +76,6 @@ let test_zero_budget_stages () =
       Runner.sa (); Runner.bnb ();
     ]
 
-let test_zero_budget_brute () =
-  (* brute polls every 1024 labelings, so give it a space it can cover
-     between polls: 3^12 = 531,441 *)
-  let mrf = random_mrf (rng 7) 12 3 0.4 in
-  let report = Runner.run ~budget:0.0 ~stages:[ Runner.brute () ] mrf in
-  Alcotest.check outcome "brute: outcome" Runner.Budget_exhausted
-    report.Runner.outcome;
-  check_feasible "brute" mrf report.Runner.result;
-  if report.Runner.result.Solver.iterations > 1024 then
-    Alcotest.failf "brute: enumerated %d labelings under a zero budget"
-      report.Runner.result.Solver.iterations
-
 let test_optimize_zero_budget () =
   let net = instance ~hosts:200 () in
   List.iter
@@ -383,8 +371,6 @@ let () =
         [
           Alcotest.test_case "zero budget, every stage" `Quick
             test_zero_budget_stages;
-          Alcotest.test_case "zero budget, brute force" `Quick
-            test_zero_budget_brute;
           Alcotest.test_case "zero budget through Optimize.run" `Quick
             test_optimize_zero_budget;
           Alcotest.test_case "pinned solves" `Quick test_pinned_solves;

@@ -18,10 +18,6 @@
      gate on [recorder_overhead.overhead_on_pct]: a solve with the
      convergence flight recorder installed stays within 3% of the
      recorder-free time;
-   - every [kernel_specialization.*_s] timing (lower is better) and
-     [kernel_specialization.*_speedup] ratio (higher is better): the
-     structure-specialized message kernels must keep their edge over the
-     generic O(L^2) update;
    - [lint_analysis.lint_full_s]: the whole-repo interprocedural effect
      analysis (lower is better), fingerprinted by the number of
      analyzed bindings — the workload is the repository itself;
@@ -40,8 +36,8 @@
    Metrics missing from the baseline are reported informationally and
    never fail: that is how a new metric enters the history.  Each
    watched section also carries a workload fingerprint (the solver
-   energy for the scalability instance, the label count for the kernel
-   micro-benchmark): when the fingerprint differs between the two
+   energy for the scalability instance, the edge count for the
+   interning instance): when the fingerprint differs between the two
    reports the workload itself was redefined, timings are incomparable,
    and the section is skipped with a note instead of failing — the
    commit that redefines a benchmark is the new baseline.  tools/
@@ -65,32 +61,19 @@ let ends_with suffix s =
   let ls = String.length s and lf = String.length suffix in
   ls >= lf && String.sub s (ls - lf) lf = suffix
 
-(* (section, metric, lower_is_better) triples to guard; kernel metrics
-   are discovered from the fresh report so new kernels join the watch
-   list automatically.  [wall_s] is the section's own wall clock
-   (instance construction included) — never a watched timing. *)
-let watched fresh =
-  ( [ ("scalability_speedup", "solve_1j_s", true);
-      ("intra_component_speedup", "solve_1j_s", true);
-      ("observability_overhead", "solve_off_s", true);
-      ("recorder_overhead", "solve_off_s", true);
-      ("fault_overhead", "solve_off_s", true);
-      ("lint_analysis", "lint_full_s", true);
-      ("hierarchical_scale", "solve_s", true);
-      ("hierarchical_scale", "words_per_host", true);
-      ("interning_memory", "words_per_host", true) ]
-  @ List.concat_map
-      (fun s ->
-        if s.J.s_name <> "kernel_specialization" then []
-        else
-          List.filter_map
-            (fun (k, _) ->
-              if k = "wall_s" then None
-              else if ends_with "_s" k then Some (s.J.s_name, k, true)
-              else if ends_with "_speedup" k then Some (s.J.s_name, k, false)
-              else None)
-            s.J.metrics)
-      fresh )
+(* (section, metric) pairs to guard, each lower-is-better.  [wall_s] is
+   the section's own wall clock (instance construction included) —
+   never a watched timing. *)
+let watched =
+  [ ("scalability_speedup", "solve_1j_s");
+    ("intra_component_speedup", "solve_1j_s");
+    ("observability_overhead", "solve_off_s");
+    ("recorder_overhead", "solve_off_s");
+    ("fault_overhead", "solve_off_s");
+    ("lint_analysis", "lint_full_s");
+    ("hierarchical_scale", "solve_s");
+    ("hierarchical_scale", "words_per_host");
+    ("interning_memory", "words_per_host") ]
 
 (* Workload fingerprint per watched section: if this metric differs
    between baseline and fresh, the benchmark's instance was redefined
@@ -101,7 +84,6 @@ let fingerprint = function
   | "observability_overhead" -> Some "solver_energy"
   | "recorder_overhead" -> Some "solver_energy"
   | "fault_overhead" -> Some "solver_energy"
-  | "kernel_specialization" -> Some "labels"
   (* the smoke and full tiers run different zoned instances; the solver
      energy separates them *)
   | "hierarchical_scale" -> Some "solver_energy"
@@ -138,7 +120,7 @@ let () =
     (100.0 *. tolerance) baseline_path;
   let skipped = Hashtbl.create 4 in
   List.iter
-    (fun (sec, key, lower_better) ->
+    (fun (sec, key) ->
       match workload_changed baseline fresh sec with
       | Some (fp, b, f) ->
           if not (Hashtbl.mem skipped sec) then begin
@@ -169,16 +151,13 @@ let () =
           Printf.printf "  new     %s.%s = %g (no baseline)\n" sec key f
       | Some b, Some f ->
           let ratio = if b = 0.0 then 1.0 else f /. b in
-          let bad =
-            if lower_better then ratio > 1.0 +. tolerance
-            else ratio < 1.0 -. tolerance
-          in
+          let bad = ratio > 1.0 +. tolerance in
           Printf.printf "  %s %s.%s: %g -> %g (%+.1f%%)\n"
             (if bad then "REGRESS" else "ok     ")
             sec key b f
             (100.0 *. (ratio -. 1.0));
           if bad then incr regressions))
-    (watched fresh);
+    watched;
   (* absolute contract, independent of any baseline: a solve with the
      flight recorder installed stays within 3% of the recorder-free
      time (bench/main.ml enforces the same bound in-process) *)

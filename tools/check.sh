@@ -5,9 +5,8 @@
 # run the full test suite (alcotest, qcheck and the CLI cram test),
 # run the scored-deployment benchmark's smoke test (perfbench/),
 # re-run the pool suite with the NETDIV_SANITIZE race sanitizer enabled,
-# run the fast benchmark smoke (parallel determinism, interning,
-# message-kernel and observability-overhead sections, writes
-# BENCH.json), diff the fresh report against the committed baseline
+# run the fast benchmark smoke (parallel determinism, interning and
+# observability-overhead sections, writes BENCH.json), diff the fresh report against the committed baseline
 # with tools/bench_diff (>25% regression on watched metrics fails,
 # snapshots land in bench_history/), validate that a traced optimize
 # run emits a Chrome trace and a JSONL log that netdiv report accepts,
@@ -52,7 +51,7 @@ echo "== pool + mrf tests under NETDIV_SANITIZE=1"
 NETDIV_SANITIZE=1 dune exec test/test_par.exe -- --compact
 NETDIV_SANITIZE=1 dune exec test/test_mrf.exe -- --compact
 
-echo "== bench smoke (parallel determinism + interning + kernels)"
+echo "== bench smoke (parallel determinism + interning + overhead)"
 # keep the committed report as the regression baseline before the run
 # overwrites it
 baseline=""
