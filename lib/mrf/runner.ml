@@ -232,20 +232,13 @@ let run ?budget ?init ?on_best ~stages mrf =
   let retries_used = ref 0 in
   let degraded = ref false in
   let icm_fallback = icm () in
-  let escalate () =
-    degraded := true;
-    Obs.instant ("degrade:" ^ fallback_rung);
-    (* flush immediately: if the degraded rung dies too, the black box
-       already tells the story up to this point *)
-    dump_black_box "degraded"
-  in
   let rec go = function
     | [] -> assert false
     | stage :: rest ->
         Obs.instant ("stage:" ^ stage.name);
         let stage_start = Obs.Clock.now () in
         let warm = Option.map (fun r -> r.Solver.labeling) !best in
-        (* One attempt on the current degradation rung.  The injected
+        (* One attempt, on the fallback rung once degraded.  The injected
            [runner.stage] check sits before the solve so a scheduled
            fault kills the attempt, not the harness. *)
         let solve_once () =
@@ -256,8 +249,8 @@ let run ?budget ?init ?on_best ~stages mrf =
             ~name:("runner.stage:" ^ s.name)
             (fun () -> s.solve ~interrupt ~init:warm mrf)
         in
-        (* Retry at once, escalating the ladder when a rung's retries
-           are spent. *)
+        (* Retry at once, degrading when the stage's retries are
+           spent. *)
         let rec attempt tries_left =
           match solve_once () with
           | r -> Some r
@@ -267,7 +260,11 @@ let run ?budget ?init ?on_best ~stages mrf =
               Obs.instant ("retry:" ^ stage.name);
               if tries_left > 0 then attempt (tries_left - 1)
               else if not !degraded then begin
-                escalate ();
+                degraded := true;
+                Obs.instant ("degrade:" ^ fallback_rung);
+                (* flush immediately: if the fallback dies too, the black
+                   box already tells the story up to this point *)
+                dump_black_box "degraded";
                 attempt retries_per_rung
               end
               else if Option.is_some !best then begin
@@ -284,7 +281,7 @@ let run ?budget ?init ?on_best ~stages mrf =
         in
         let outcome_of = function
           | None ->
-              (* stage abandoned after exhausting every rung *)
+              (* stage abandoned after the fallback rung failed too *)
               fell := stage.name :: !fell;
               if rest <> [] then go rest else Stalled
           | Some r ->

@@ -16,9 +16,9 @@ let default_config =
    (length labels.(v)) and [bw] the message into u (length labels.(u)),
    stored flat with per-edge offsets.  Messages, unaries and the bound
    aggregation scratch live on unboxed [floatarray] slabs so the message
-   update streams over contiguous doubles; everything here is immutable topology
-   or slab storage shared by all workers — per-worker mutable scratch
-   lives in {!workspace}. *)
+   update streams over contiguous doubles; everything here is immutable
+   topology or slab storage shared by all workers — per-worker mutable
+   scratch lives in {!workspace}. *)
 type state = {
   labels : int array;
   unary_off : int array;

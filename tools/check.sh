@@ -6,9 +6,10 @@
 # run the scored-deployment benchmark's smoke test (perfbench/),
 # re-run the pool suite with the NETDIV_SANITIZE race sanitizer enabled,
 # run the fast benchmark smoke (parallel determinism, interning and
-# observability-overhead sections, writes BENCH.json), diff the fresh report against the committed baseline
-# with tools/bench_diff (>25% regression on watched metrics fails,
-# snapshots land in bench_history/), validate that a traced optimize
+# observability-overhead sections, writes BENCH.json), diff the fresh
+# report against the committed baseline with tools/bench_diff (>25%
+# regression on watched metrics fails, snapshots land in
+# bench_history/), validate that a traced optimize
 # run emits a Chrome trace and a JSONL log that netdiv report accepts,
 # and that the --metrics report of the JSONL run equals netdiv report of
 # its trace apart from the format line, run the chaos gate (a fixed NETDIV_FAULT schedule must recover to the
