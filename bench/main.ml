@@ -510,8 +510,7 @@ let ablation_solvers () =
         (Optimize.solver_name solver)
         r.Optimize.energy r.Optimize.lower_bound r.Optimize.runtime_s
         (100.0 *. r.Optimize.energy /. mono))
-    [ Optimize.Trws_icm; Optimize.Trws; Optimize.Icm; Optimize.Bp;
-      Optimize.Sa ];
+    [ Optimize.Trws_icm; Optimize.Trws; Optimize.Icm; Optimize.Sa ];
   Format.printf "%-10s %12.2f@." "mono" mono
 
 let ablation_topologies () =
@@ -1070,7 +1069,7 @@ let scalability_speedup () =
    zones are joined by gateway links, so the whole model is ONE
    connected MRF component — the paper's hard case, where
    across-component parallelism has nothing to split and the
-   partitioned TRW-S / chromatic BP schedules must carry the load.  At
+   partitioned TRW-S schedule must carry the load.  At
    the --full tier the instance holds 10,000 hosts (50,000 MRF nodes);
    the smoke tier shrinks it to 1,500 hosts while keeping the node
    count above the partitioning threshold so the parallel code paths

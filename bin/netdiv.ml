@@ -70,7 +70,6 @@ let solver_conv =
   let parse = function
     | "trws" -> Ok Optimize.Trws
     | "trws+icm" -> Ok Optimize.Trws_icm
-    | "bp" -> Ok Optimize.Bp
     | "icm" -> Ok Optimize.Icm
     | "sa" -> Ok Optimize.Sa
     | "bnb" | "exact" -> Ok Optimize.Exact
@@ -312,7 +311,7 @@ let optimize_cmd =
   let solver =
     Arg.(value & opt solver_conv Optimize.Trws_icm
          & info [ "solver" ] ~docv:"SOLVER"
-             ~doc:"Solver: trws+icm, trws, bp, icm, sa or bnb.")
+             ~doc:"Solver: trws+icm, trws, icm, sa or bnb.")
   in
   let checkpoint =
     Arg.(value & opt (some string) None

@@ -2,7 +2,7 @@ module S = Netdiv_mrf.Solver
 module Obs = Netdiv_obs.Obs
 module Runner = Netdiv_mrf.Runner
 
-type solver = Trws | Trws_icm | Bp | Icm | Sa | Exact
+type solver = Trws | Trws_icm | Icm | Sa | Exact
 
 type report = {
   assignment : Assignment.t;
@@ -73,7 +73,6 @@ let save_checkpoint path (r : S.result) =
 let solver_name = function
   | Trws -> "trws"
   | Trws_icm -> "trws+icm"
-  | Bp -> "bp"
   | Icm -> "icm"
   | Sa -> "sa"
   | Exact -> "bnb"
@@ -81,12 +80,11 @@ let solver_name = function
 (* Fallback cascade per solver choice: one stage, except that [Exact]
    falls back to the approximate pipeline when branch-and-bound stops
    at its node limit.  [jobs] parallelizes the stages that have a
-   job-count-invariant parallel form: TRW-S and BP schedules,
-   multi-restart ICM, SA restarts. *)
+   job-count-invariant parallel form: TRW-S schedules, multi-restart
+   ICM, SA restarts. *)
 let cascade ?jobs = function
   | Trws -> [ Runner.trws ?jobs () ]
   | Trws_icm -> [ Runner.trws_icm ?jobs () ]
-  | Bp -> [ Runner.bp ?jobs () ]
   | Icm when jobs = None -> [ Runner.icm () ]
   | Icm -> [ Runner.icm_restarts ?jobs () ]
   | Sa -> [ Runner.sa ?jobs () ]

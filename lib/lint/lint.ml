@@ -376,8 +376,8 @@ let scan_tokens ctx (toks : Lexer.token array) =
       add t "alloc-in-loop"
         (Printf.sprintf
            "Array.%s inside a loop body allocates per iteration; hoist a \
-            scratch buffer out of the loop (the exact class fixed in \
-            lib/mrf/bp.ml's message update)"
+            scratch buffer out of the loop, as the TRW-S workspace holds \
+            the message update's reduction input"
            (tok toks (i + 2)));
     if
       hot_path ctx && !loop_depth > 0

@@ -1,19 +1,12 @@
 (* The min-sum message update.  See kernel.mli for the contract and
-   DESIGN.md ("Message kernel") for how the solvers drive it. *)
+   DESIGN.md ("Message kernel") for how TRW-S drives it. *)
 
 external ( .%() ) : floatarray -> int -> float = "%floatarray_safe_get"
 
 external ( .%()<- ) : floatarray -> int -> float -> unit
   = "%floatarray_safe_set"
 
-type scratch = { h : floatarray; fresh : floatarray }
-
-let make_scratch ~max_labels =
-  let k = max 1 max_labels in
-  { h = Float.Array.make k 0.0; fresh = Float.Array.make k 0.0 }
-
-let update ~pot ~p0 ~src_is_u ~k_src ~k_out ~scratch ~out ~out_off =
-  let h = scratch.h in
+let update ~pot ~p0 ~src_is_u ~k_src ~k_out ~h ~out ~out_off =
   let vmin = ref infinity in
   for xo = 0 to k_out - 1 do
     let best = ref infinity in
@@ -32,4 +25,7 @@ let update ~pot ~p0 ~src_is_u ~k_src ~k_out ~scratch ~out ~out_off =
     out.%(out_off + xo) <- !best;
     if !best < !vmin then vmin := !best
   done;
-  !vmin
+  (* normalize so the smallest entry is zero *)
+  for xo = 0 to k_out - 1 do
+    out.%(out_off + xo) <- out.%(out_off + xo) -. !vmin
+  done

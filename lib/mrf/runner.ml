@@ -68,13 +68,6 @@ let trws_icm ?jobs () =
         });
   }
 
-let bp ?jobs () =
-  {
-    name = "bp";
-    solve =
-      (fun ~interrupt ~init:_ mrf -> Bp.solve ~interrupt ?jobs mrf);
-  }
-
 let icm () =
   {
     name = "icm";

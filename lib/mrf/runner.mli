@@ -3,7 +3,7 @@
     The paper's headline claim is scalability — diversification of
     10,000-host networks in bounded time — and online re-diversification
     needs solvers that can be stopped at a deadline and still return the
-    best feasible assignment found so far.  The runner wraps the five
+    best feasible assignment found so far.  The runner wraps the four
     solvers behind a uniform [stage] interface — an interrupt goes in, a
     {!Solver.result} comes out — enforces a wall-clock budget and
     degrades through a fallback cascade, merging the best-so-far
@@ -11,7 +11,7 @@
     runner's stage clock is the one source of solve time, and only the
     budget can make a result depend on the clock.
 
-    Interrupt granularity: once per sweep for TRW-S, BP, ICM and SA
+    Interrupt granularity: once per sweep for TRW-S, ICM and SA
     (every restart, including spawned domains), per node expansion for
     branch-and-bound.  All stages
     preserve the anytime property: they return a feasible labeling and
@@ -55,10 +55,6 @@ val trws_icm : ?jobs:int -> unit -> stage
 (** TRW-S followed by an ICM polish warm-started from its labeling; keeps
     the TRW-S dual bound.  [converged] requires both to converge.
     [jobs] parallelizes the TRW-S part as in {!trws}. *)
-
-val bp : ?jobs:int -> unit -> stage
-(** {!Bp.solve} with [jobs]: the sequential sweep without it, the
-    chromatic schedule with it.  The result is job-count-invariant. *)
 
 val icm : unit -> stage
 

@@ -23,11 +23,3 @@ let pp_result ppf r =
   Format.fprintf ppf "energy %a, bound %a, %d iters, %s" pp_float r.energy
     pp_float r.lower_bound r.iterations
     (if r.converged then "converged" else "iteration cap")
-
-(* One count, computed once per solve: each sweep recomputes both
-   directed messages of every edge once, so the per-message hot path
-   carries no instrumentation at all.  The report's throughput row sums
-   these samples. *)
-let sample_messages mrf ~sweeps =
-  Netdiv_obs.Obs.sample ~name:"mrf.messages"
-    (float_of_int (2 * Mrf.n_edges mrf * sweeps))

@@ -18,7 +18,3 @@ val pp_float : Format.formatter -> float -> unit
 
 val pp_result : Format.formatter -> result -> unit
 (** Renders non-finite energies and bounds via {!pp_float}. *)
-
-val sample_messages : Mrf.t -> sweeps:int -> unit
-(** Sample the directed message updates [sweeps] TRW-S iterations or
-    BP sweeps perform as [mrf.messages]: 2 × edges × [sweeps]. *)

@@ -2,15 +2,11 @@ module Obs = Netdiv_obs.Obs
 module Pool = Netdiv_par.Pool
 open Kernel
 
-type config = {
-  max_iters : int;
-  tolerance : float;
-  patience : int;
-  bound_every : int;
-}
-
-let default_config =
-  { max_iters = 100; tolerance = 1e-7; patience = 3; bound_every = 1 }
+(* Stopping rule: a solve converges once the gap between the best
+   energy and the best bound falls under [tolerance], or once neither
+   has improved by [tolerance] for [patience] consecutive iterations. *)
+let tolerance = 1e-7
+let patience = 3
 
 (* Message state: for edge e = (u,v), [fw] holds the message into v
    (length labels.(v)) and [bw] the message into u (length labels.(u)),
@@ -42,16 +38,16 @@ type state = {
          edge ids, traversed from lower to higher node order.  Every edge
          belongs to exactly one chain; node [i] lies on
          [max(#lower, #higher)] chains. *)
-  isolated : int list;  (* nodes with no incident edges *)
+  isolated : int array;  (* nodes with no incident edges, descending *)
 }
 
 (* Per-worker scratch: one per parallel chunk so partitioned sweeps never
-   share a theta buffer or update scratch across domains.  Allocated per
+   share a theta buffer or reduction input across domains.  Allocated per
    solve, reused across all messages, so the hot path never allocates
    (minor GCs are stop-the-world across ALL domains). *)
 type workspace = {
   theta : floatarray;
-  ks : Kernel.scratch;
+  h : floatarray;  (* the message update's reduction input *)
   dp : floatarray;  (* lower_bound chain DP, current *)
   dp' : floatarray;  (* lower_bound chain DP, next *)
 }
@@ -152,14 +148,14 @@ let make_state mrf =
     chain_best = Float.Array.make (Array.length chains) 0.0;
     gamma;
     chains;
-    isolated = !isolated;
+    isolated = Array.of_list !isolated;
   }
 
 let make_workspace st =
   let kmax = Array.fold_left max 1 st.labels in
   {
     theta = Float.Array.make kmax 0.0;
-    ks = Kernel.make_scratch ~max_labels:kmax;
+    h = Float.Array.make kmax 0.0;
     dp = Float.Array.make kmax 0.0;
     dp' = Float.Array.make kmax 0.0;
   }
@@ -219,18 +215,12 @@ let process_node st ws ~forward ~inside ~plo ~phi i =
       (* reduction input: reparameterized node cost minus the reverse
          message.  Precomputed once so the O(L²) scan reads it O(L)
          times instead of recomputing it O(L²) times. *)
-      let h = ws.ks.Kernel.h in
+      let h = ws.h in
       for xi = 0 to k - 1 do
         h.%(xi) <- (g *. theta.%(xi)) -. in_msg.%(in_off + xi)
       done;
-      let vmin =
-        Kernel.update ~pot:st.pot ~p0 ~src_is_u:i_is_u ~k_src:k ~k_out:kj
-          ~scratch:ws.ks ~out:out_msg ~out_off
-      in
-      (* normalize so the smallest entry is zero *)
-      for xj = 0 to kj - 1 do
-        out_msg.%(out_off + xj) <- out_msg.%(out_off + xj) -. vmin
-      done
+      Kernel.update ~pot:st.pot ~p0 ~src_is_u:i_is_u ~k_src:k ~k_out:kj ~h
+        ~out:out_msg ~out_off
     end
   done
 
@@ -279,75 +269,79 @@ let chain_dp st ws ci =
     dp.%(x) <- agg.%(st.unary_off.(first) + x)
   done;
   let prev_k = ref k0 in
-  (* The per-edge DP transition is written out inline with the running
-     minimum accumulated directly in the [dp'] slab: a local
-     float-returning closure (boxed return per call without flambda) or
-     a [float ref] minimum (boxed store per assignment) here made every
-     bound evaluation allocate ~10^5 minor words, and under multicore
-     the resulting minor collections are stop-the-world barriers that
-     serialize otherwise independent per-zone solves.  The
-     reparameterized cost, oriented low node -> high node, is
+  (* The per-edge DP transition is written out inline, in a plain loop
+     over the chain, with the running minimum accumulated directly in
+     the [dp'] slab: a closure over the chain (allocated per chain, with
+     [prev_k] boxed into it), a local float-returning closure (boxed
+     return per call without flambda) or a [float ref] minimum (boxed
+     store per assignment) here all make bound evaluations allocate,
+     and under multicore the resulting minor collections are
+     stop-the-world barriers that serialize otherwise independent
+     per-zone solves.  The reparameterized cost, oriented low node ->
+     high node, is
        pot[xu,xv] - fw[xv] - bw[xu]
      with (xu, xv) = (x, y) when u < v and (y, x) otherwise. *)
-  Array.iter
-    (fun e ->
-      let u = st.eu.(e) and v = st.ev.(e) in
-      let kv = st.labels.(v) in
-      let pbase = st.pot_off.(st.etab.(e)) in
-      let fw0 = st.fw_off.(e) and bw0 = st.bw_off.(e) in
-      let hi = if u < v then v else u in
-      let kh = st.labels.(hi) in
-      for y = 0 to kh - 1 do
-        dp'.%(y) <- infinity
-      done;
-      if u < v then
-        for x = 0 to !prev_k - 1 do
-          let base = dp.%(x) -. st.bw.%(bw0 + x) in
-          let prow = pbase + (x * kv) in
-          for y = 0 to kh - 1 do
-            let c = base +. st.pot.(prow + y) -. st.fw.%(fw0 + y) in
-            if c < dp'.%(y) then dp'.%(y) <- c
-          done
+  for pos = 0 to Array.length chain - 1 do
+    let e = chain.(pos) in
+    let u = st.eu.(e) and v = st.ev.(e) in
+    let kv = st.labels.(v) in
+    let pbase = st.pot_off.(st.etab.(e)) in
+    let fw0 = st.fw_off.(e) and bw0 = st.bw_off.(e) in
+    let hi = if u < v then v else u in
+    let kh = st.labels.(hi) in
+    for y = 0 to kh - 1 do
+      dp'.%(y) <- infinity
+    done;
+    if u < v then
+      for x = 0 to !prev_k - 1 do
+        let base = dp.%(x) -. st.bw.%(bw0 + x) in
+        let prow = pbase + (x * kv) in
+        for y = 0 to kh - 1 do
+          let c = base +. st.pot.(prow + y) -. st.fw.%(fw0 + y) in
+          if c < dp'.%(y) then dp'.%(y) <- c
         done
-      else
-        for x = 0 to !prev_k - 1 do
-          let base = dp.%(x) -. st.fw.%(fw0 + x) in
-          for y = 0 to kh - 1 do
-            let c =
-              base +. st.pot.(pbase + (y * kv) + x) -. st.bw.%(bw0 + y)
-            in
-            if c < dp'.%(y) then dp'.%(y) <- c
-          done
-        done;
-      let hoff = st.unary_off.(hi) in
-      for y = 0 to kh - 1 do
-        dp'.%(y) <- dp'.%(y) +. agg.%(hoff + y)
+      done
+    else
+      for x = 0 to !prev_k - 1 do
+        let base = dp.%(x) -. st.fw.%(fw0 + x) in
+        for y = 0 to kh - 1 do
+          let c = base +. st.pot.(pbase + (y * kv) + x) -. st.bw.%(bw0 + y) in
+          if c < dp'.%(y) then dp'.%(y) <- c
+        done
       done;
-      Float.Array.blit dp' 0 dp 0 kh;
-      prev_k := kh)
-    chain;
+    let hoff = st.unary_off.(hi) in
+    for y = 0 to kh - 1 do
+      dp'.%(y) <- dp'.%(y) +. agg.%(hoff + y)
+    done;
+    Float.Array.blit dp' 0 dp 0 kh;
+    prev_k := kh
+  done;
   let best = ref infinity in
   for x = 0 to !prev_k - 1 do
     if dp.%(x) < !best then best := dp.%(x)
   done;
-  (* routed through the pool so a sanitized region catches two chunks
-     claiming the same chain *)
-  Pool.write_slab st.chain_best ci !best
+  (* claimed through the pool so a sanitized region catches two chunks
+     writing the same chain; the claim takes no float, so the store
+     stays unboxed *)
+  Pool.claim_slab st.chain_best ci;
+  st.chain_best.%(ci) <- !best
 
+(* Plain loops with a local accumulator: a closure capturing [acc]
+   would box every partial sum. *)
 let lb_sum st =
   let acc = ref 0.0 in
   for ci = 0 to Array.length st.chains - 1 do
     acc := !acc +. st.chain_best.%(ci)
   done;
-  List.iter
-    (fun i ->
-      let best = ref infinity in
-      for x = 0 to st.labels.(i) - 1 do
-        let c = st.unary.%(st.unary_off.(i) + x) in
-        if c < !best then best := c
-      done;
-      acc := !acc +. !best)
-    st.isolated;
+  for k = 0 to Array.length st.isolated - 1 do
+    let i = st.isolated.(k) in
+    let best = ref infinity in
+    for x = 0 to st.labels.(i) - 1 do
+      let c = st.unary.%(st.unary_off.(i) + x) in
+      if c < !best then best := c
+    done;
+    acc := !acc +. !best
+  done;
   !acc
 
 let lower_bound st ws n =
@@ -406,7 +400,7 @@ let decode st ws n x =
    partitioned schedules differ only in these two callbacks, so the
    stopping logic — and therefore the iteration count for identical
    message trajectories — is shared by construction. *)
-let run_loop ~config ~interrupt mrf st ws n ~sweep_pair ~bound =
+let run_loop ~max_iters ~interrupt mrf st ws n ~sweep_pair ~bound =
   let x = Array.make n 0 in
   let best_x = Array.make n 0 in
   decode st ws n best_x;
@@ -417,47 +411,45 @@ let run_loop ~config ~interrupt mrf st ws n ~sweep_pair ~bound =
   let iters = ref 0 in
   let converged = ref false in
   (try
-     for it = 1 to config.max_iters do
+     for it = 1 to max_iters do
        if interrupt () then raise Exit;
        iters := it;
        Obs.begin_span "trws.sweep";
        sweep_pair ();
        Obs.end_span "trws.sweep";
-       if it mod config.bound_every = 0 || it = config.max_iters then begin
-         Obs.begin_span "trws.bound";
-         let lb = bound () in
-         decode st ws n x;
-         Obs.end_span "trws.bound";
-         let e = Mrf.energy mrf x in
-         if e < !best_energy then begin
-           best_energy := e;
-           Array.blit x 0 best_x 0 n
-         end;
-         let bound_progress = lb -. !best_bound in
-         if lb > !best_bound then best_bound := lb;
-         let energy_progress = !prev_energy -. !best_energy in
-         prev_energy := !best_energy;
-         Obs.sample ~name:"trws.iter" (float_of_int it);
-         Obs.sample ~name:"trws.energy" !best_energy;
-         Obs.sample ~name:"trws.lower_bound" !best_bound;
-         if
-           bound_progress < config.tolerance
-           && energy_progress < config.tolerance
-         then incr stall
-         else stall := 0;
-         if
-           !stall >= config.patience
-           || !best_energy -. !best_bound < config.tolerance
-         then begin
-           converged := true;
-           raise Exit
-         end
+       Obs.begin_span "trws.bound";
+       let lb = bound () in
+       decode st ws n x;
+       Obs.end_span "trws.bound";
+       let e = Mrf.energy mrf x in
+       if e < !best_energy then begin
+         best_energy := e;
+         Array.blit x 0 best_x 0 n
+       end;
+       let bound_progress = lb -. !best_bound in
+       if lb > !best_bound then best_bound := lb;
+       let energy_progress = !prev_energy -. !best_energy in
+       prev_energy := !best_energy;
+       Obs.sample ~name:"trws.iter" (float_of_int it);
+       Obs.sample ~name:"trws.energy" !best_energy;
+       Obs.sample ~name:"trws.lower_bound" !best_bound;
+       if bound_progress < tolerance && energy_progress < tolerance then
+         incr stall
+       else stall := 0;
+       if !stall >= patience || !best_energy -. !best_bound < tolerance
+       then begin
+         converged := true;
+         raise Exit
        end
      done
    with Exit -> ());
   (* each iteration (forward + backward sweep) recomputes both directed
-     messages of every edge once *)
-  if Obs.enabled () then Solver.sample_messages mrf ~sweeps:!iters;
+     messages of every edge once: one count per solve keeps the
+     per-message hot path free of instrumentation.  The report's
+     throughput row sums these samples. *)
+  if Obs.enabled () then
+    Obs.sample ~name:"mrf.messages"
+      (float_of_int (2 * Mrf.n_edges mrf * !iters));
   {
     Solver.labeling = best_x;
     energy = !best_energy;
@@ -466,17 +458,17 @@ let run_loop ~config ~interrupt mrf st ws n ~sweep_pair ~bound =
     converged = !converged;
   }
 
-let sequential_on ~config ~interrupt mrf st ws () =
+let sequential_on ~max_iters ~interrupt mrf st ws () =
   let n = Mrf.n_nodes mrf in
-  run_loop ~config ~interrupt mrf st ws n
+  run_loop ~max_iters ~interrupt mrf st ws n
     ~sweep_pair:(fun () ->
       sweep st ws n true;
       sweep st ws n false)
     ~bound:(fun () -> lower_bound st ws n)
 
-let sequential ~config ~interrupt mrf () =
+let sequential ~max_iters ~interrupt mrf () =
   let st = make_state mrf in
-  sequential_on ~config ~interrupt mrf st (make_workspace st) ()
+  sequential_on ~max_iters ~interrupt mrf st (make_workspace st) ()
 
 (* Return [st] to the state [make_state mrf] builds for a model of the
    same structure: unaries re-read from [mrf], messages zero.  The bound
@@ -499,7 +491,7 @@ let reset_state st mrf =
 let partition_min = 4096
 let parts = 16
 
-let partitioned ~config ~interrupt ?jobs mrf () =
+let partitioned ~max_iters ~interrupt ?jobs mrf () =
   let n = Mrf.n_nodes mrf in
   let st = make_state mrf in
   let team = Pool.Team.create ?jobs () in
@@ -600,7 +592,7 @@ let partitioned ~config ~interrupt ?jobs mrf () =
             done);
         lb_sum st
       in
-      run_loop ~config ~interrupt mrf st ws0 n
+      run_loop ~max_iters ~interrupt mrf st ws0 n
         ~sweep_pair:(fun () ->
           half true;
           half false)
@@ -680,7 +672,7 @@ let zone_map ?jobs ?zone_of mrf =
    stop early when every boundary edge agrees.  A map without boundary
    edges (the component split) is done after one round: nothing couples
    its zones. *)
-let zoned ~config ~interrupt ?jobs ~zone_of ~nz mrf () =
+let zoned ~max_iters ~interrupt ?jobs ~zone_of ~nz mrf () =
   let n = Mrf.n_nodes mrf and m = Mrf.n_edges mrf in
   let {
     Mrf.Compact.i_labels = g_labels;
@@ -787,7 +779,7 @@ let zoned ~config ~interrupt ?jobs ~zone_of ~nz mrf () =
   for e = 0 to m - 1 do
     sweep_cost := !sweep_cost + (2 * g_labels.(g_eu.(e)) * g_labels.(g_ev.(e)))
   done;
-  let cost = max 1 (min config.max_iters 24 * 2 * !sweep_cost / nz) in
+  let cost = max 1 (min max_iters 24 * 2 * !sweep_cost / nz) in
   let dummy =
     {
       Solver.labeling = [||];
@@ -812,7 +804,8 @@ let zoned ~config ~interrupt ?jobs ~zone_of ~nz mrf () =
     reset_state st wrapped.(z);
     Pool.write results z
       (Obs.span ~name:"trws.solve"
-         (sequential_on ~config ~interrupt wrapped.(z) st (make_workspace st)))
+         (sequential_on ~max_iters ~interrupt wrapped.(z) st
+            (make_workspace st)))
   in
   let xhat = Array.make n 0 in
   let best_x = Array.make n 0 in
@@ -956,7 +949,7 @@ let zoned ~config ~interrupt ?jobs ~zone_of ~nz mrf () =
        end;
        if
          (!disagree = 0 && zones_converged)
-         || !best_energy -. !best_bound < config.tolerance
+         || !best_energy -. !best_bound < tolerance
        then begin
          converged := true;
          raise Exit
@@ -971,14 +964,14 @@ let zoned ~config ~interrupt ?jobs ~zone_of ~nz mrf () =
     converged = !converged;
   }
 
-let solve ?(config = default_config) ?(interrupt = fun () -> false) ?jobs
-    ?zone_of mrf =
+let solve ?(max_iters = 100) ?(interrupt = fun () -> false) ?jobs ?zone_of
+    mrf =
   match zone_map ?jobs ?zone_of mrf with
   | Some (zone_of, nz) when nz > 1 ->
       Obs.span ~name:"trws.zoned"
-        (zoned ~config ~interrupt ?jobs ~zone_of ~nz mrf)
+        (zoned ~max_iters ~interrupt ?jobs ~zone_of ~nz mrf)
   | _ when Option.is_some jobs && Mrf.n_nodes mrf >= partition_min ->
-      Obs.span ~name:"trws.solve" (partitioned ~config ~interrupt ?jobs mrf)
-  | _ -> Obs.span ~name:"trws.solve" (sequential ~config ~interrupt mrf)
+      Obs.span ~name:"trws.solve" (partitioned ~max_iters ~interrupt ?jobs mrf)
+  | _ -> Obs.span ~name:"trws.solve" (sequential ~max_iters ~interrupt mrf)
 
 let solve_zoned = solve

@@ -12,18 +12,8 @@
     on trees.  Labelings are decoded greedily in node order, conditioning on
     already-decoded lower neighbours (Kolmogorov's scheme). *)
 
-type config = {
-  max_iters : int;       (** cap on forward+backward sweep pairs *)
-  tolerance : float;     (** stop when the bound improves less than this *)
-  patience : int;        (** ... for this many consecutive iterations *)
-  bound_every : int;     (** compute bound/decode every k iterations *)
-}
-
-val default_config : config
-(** 100 iterations, tolerance 1e-7, patience 3, bound every iteration. *)
-
 val solve :
-  ?config:config ->
+  ?max_iters:int ->
   ?interrupt:(unit -> bool) ->
   ?jobs:int ->
   ?zone_of:int array ->
@@ -31,6 +21,12 @@ val solve :
   Solver.result
 (** Runs TRW-S and returns the best decoded labeling encountered, its
     energy ([Mrf.energy] of that labeling), and the best dual bound.
+
+    {b Stopping.}  At most [max_iters] (default 100) forward+backward
+    sweep pairs; the bound is computed and a labeling decoded after
+    every pair.  The solve converges once the best energy minus the best
+    bound falls under 1e-7, or once neither has improved by 1e-7 for 3
+    consecutive pairs.
 
     {b Schedule.}  The inputs choose it.
     - The zone map is [zone_of] when given (any non-negative per-node
@@ -60,11 +56,11 @@ val solve :
       edge-slave minima], a valid lower bound on the optimum; the
       labeling is the best concatenation of zone labelings seen.  At
       most 8 rounds run, fewer when every boundary edge agrees and all
-      zones converged, or when the primal-dual gap falls under
-      [config.tolerance]; [iterations] counts rounds.  A map without
-      boundary edges (the component split) stops after round 1: the
-      result is the zones' merged solve, [iterations] is their largest
-      sweep count and [converged] requires every zone to converge.
+      zones converged, or when the primal-dual gap falls under 1e-7;
+      [iterations] counts rounds.  A map without boundary edges (the
+      component split) stops after round 1: the result is the zones'
+      merged solve, [iterations] is their largest sweep count and
+      [converged] requires every zone to converge.
 
     {b Determinism.}  The result is a function of the model and the zone
     map only, never of [jobs]: partition and zone boundaries depend on
@@ -85,7 +81,7 @@ val solve :
     count or it holds a negative id. *)
 
 val solve_zoned :
-  ?config:config ->
+  ?max_iters:int ->
   ?interrupt:(unit -> bool) ->
   ?jobs:int ->
   ?zone_of:int array ->

@@ -44,7 +44,7 @@ let pp_throughput ppf events =
     let sweep_s =
       List.fold_left
         (fun acc (name, _, total, _) ->
-          if name = "trws.sweep" || name = "bp.sweep" then acc +. total
+          if name = "trws.sweep" then acc +. total
           else acc)
         0.0 (Export.span_rollup events)
     in
@@ -70,7 +70,7 @@ let last_solve events =
     e.Obs.kind = Obs.Begin
     &&
     if zoned then e.Obs.name = "trws.zoned"
-    else List.mem e.Obs.name [ "trws.solve"; "bp.solve"; "sa.solve" ]
+    else List.mem e.Obs.name [ "trws.solve"; "sa.solve" ]
   in
   let rec after tail = function
     | [] -> tail
@@ -86,7 +86,6 @@ let trajectories =
   [
     ("trws.zoned.round", "trws.zoned.energy", Some "trws.zoned.lower_bound");
     ("trws.iter", "trws.energy", Some "trws.lower_bound");
-    ("bp.iter", "bp.energy", None);
     ("sa.iter", "sa.energy", None);
   ]
 
@@ -249,7 +248,7 @@ let diagnosis points boundaries =
         Printf.sprintf
           "boundary disagreement still shrinking (%d edge(s) at dump)" d
   | [], _ :: _ when not (Float.is_finite (last points).bound) ->
-      (* BP and SA carry no dual bound: judge the energy alone *)
+      (* SA carries no dual bound: judge the energy alone *)
       Printf.sprintf "no dual bound: best energy %.6f after %d evaluations"
         (List.fold_left (fun acc p -> Float.min acc p.energy) infinity points)
         (List.length points)

@@ -9,10 +9,10 @@
     The convergence analyses describe the {e last solve} in the stream:
     the events after the last [trws.zoned] begin when the stream holds
     [trws.zoned.*] samples, otherwise after the last
-    [trws.solve]/[bp.solve]/[sa.solve] begin (the whole stream when a
-    wrapped ring lost that begin).  Round and iteration numbers come
-    from the solvers' own counter samples ([trws.zoned.round],
-    [trws.iter], [bp.iter], [sa.iter]), never from positions. *)
+    [trws.solve]/[sa.solve] begin (the whole stream when a wrapped ring
+    lost that begin).  Round and iteration numbers come from the
+    solvers' own counter samples ([trws.zoned.round], [trws.iter],
+    [sa.iter]), never from positions. *)
 
 type milestone = { m_gap_pct : float; m_t : float; m_iter : int }
 
@@ -40,7 +40,7 @@ val diagnose : Obs.event list -> string
 (** One-line diagnosis of the last solve: the boundary-disagreement
     trend for zoned solves, best-energy/bound flatness for monolithic
     ones, and the best energy alone when the solver has no dual bound
-    (BP, SA). *)
+    (SA). *)
 
 val pp_convergence : Format.formatter -> Obs.event list -> unit
 (** The convergence sections: diagnosis, the marks timeline (every

@@ -137,7 +137,7 @@ let claim_dispatch ctx i =
             "sanitizer: loop index %d dispatched to chunks %d and %d" i
             (min clash ctx.chunk) (max clash ctx.chunk)))
 
-(* Shared shadow-tracking core of [write] / [write_slab]: record that
+(* Shared shadow-tracking core of [write] / [claim_slab]: record that
    [ctx.chunk] wrote slot [i] of the output identified by [o] and raise
    on a clash with another chunk. *)
 let check_overlap ctx o i =
@@ -183,15 +183,15 @@ let write (arr : 'a array) i v =
                 ctx.chunk ctx.clo ctx.chi i)));
   arr.(i) <- v
 
-let write_slab (slab : floatarray) i v =
-  (* Slab slots are indexed in their own offset space (directed-edge
-     offsets, per-node scratch offsets, ...) which in general is not the
-     loop-index space, so only the overlapping-write check applies — a
-     slot owned by two distinct chunks is a race whatever the spaces. *)
-  (match Domain.DLS.get ctx_key with
+let claim_slab (slab : floatarray) i =
+  (* Slab slots are indexed in their own offset space (per-chain or
+     per-node offsets, ...) which in general is not the loop-index
+     space, so only the overlapping-write check applies — a slot owned
+     by two distinct chunks is a race whatever the spaces.  No float
+     crosses the call, so the caller's store stays unboxed. *)
+  match Domain.DLS.get ctx_key with
   | None -> ()
-  | Some ctx -> check_overlap ctx (Obj.repr slab) i);
-  Float.Array.set slab i v
+  | Some ctx -> check_overlap ctx (Obj.repr slab) i
 
 let env_jobs () =
   match Sys.getenv_opt "NETDIV_JOBS" with
@@ -507,8 +507,8 @@ let map_reduce ?jobs ?chunks ?cost ~lo ~hi ~map ~reduce ~init =
    The per-call combinators above spawn domains per region, which is
    fine when a region carries tens of milliseconds of work (per-
    component solves, SA restarts) but hopeless for the intra-component
-   schedules: a TRW-S half-sweep or one chromatic-BP color phase is
-   10us-1ms of work and there are thousands of them per solve.  A
+   schedules: a TRW-S half-sweep or bound pass is 10us-1ms of work
+   and there are thousands of them per solve.  A
    [Team] amortizes the spawn: worker domains are created once per
    solve and parked on a condition variable; each [run] is one
    broadcast + chunk-claim + join-by-counter round trip (microseconds,
@@ -632,7 +632,7 @@ module Team = struct
           (* same shadow tracking as parallel_for: every loop index is
              claimed by its chunk before the body runs, so overlapping
              or escaping chunk spans raise [Race]; bodies may addition-
-             ally route stores through [write] / [write_slab]. *)
+             ally route stores through [write] / [claim_slab]. *)
           let region = make_region ~lo ~hi in
           fun c clo chi ->
             let ctx = { chunk = c; clo; chi; region } in

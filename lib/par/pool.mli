@@ -77,13 +77,16 @@ val write : 'a array -> int -> 'a -> unit
     Use it for [parallel_for] bodies that fill a caller-allocated array;
     [map_range]'s own stores are tracked automatically. *)
 
-val write_slab : floatarray -> int -> float -> unit
-(** {!write} for unboxed float slabs.  Slab slots live in their own
-    offset space (directed-edge offsets, per-node scratch offsets), which
-    in general is not the loop-index space, so only the overlapping-write
-    check applies: a slot written by two distinct chunks of the same
-    region raises {!Race}; the chunk-boundary check of {!write} is
-    skipped.  Outside a sanitized region this is [Float.Array.set]. *)
+val claim_slab : floatarray -> int -> unit
+(** [claim_slab slab i] is {!write}'s ownership check for an unboxed
+    float slab, without the store: the caller writes slot [i] itself
+    right after, with [Float.Array.set], so no float is boxed to cross
+    the call.  Slab slots live in their own offset space (per-chain or
+    per-node offsets), which in general is not the loop-index space, so
+    only the overlapping-write check applies: a slot claimed by two
+    distinct chunks of the same region raises {!Race}; the
+    chunk-boundary check of {!write} is skipped.  Outside a sanitized
+    region it does nothing. *)
 
 val set_hardware_jobs : int option -> unit
 (** Test-only override of the hardware parallelism clamp.
@@ -185,7 +188,7 @@ val map_reduce :
     carrying tens of milliseconds of work (a round of zone solves in
     {!Netdiv_mrf.Trws.solve}, one chunk per zone), hopeless for
     intra-component solver schedules where one region (a TRW-S
-    partition phase, one chromatic-BP color class) is 10µs–1ms of work
+    partition phase or bound pass) is 10µs–1ms of work
     repeated thousands of times per solve.  A {!Team.t} amortizes the
     spawn: its worker domains are created once (per solve) and parked
     on a condition variable; each {!Team.run} costs one broadcast plus
@@ -196,7 +199,7 @@ val map_reduce :
     dynamically; the lowest failing chunk's exception is re-raised in
     the caller.  Under the sanitizer every loop index is claim-checked
     exactly as in {!parallel_for}, and bodies may route stores through
-    {!write} / {!write_slab}.  There is {e no} fault-injection point
+    {!write} / {!claim_slab}.  There is {e no} fault-injection point
     inside a team: team bodies update shared slabs in place, so
     re-executing a crashed chunk would not be idempotent — teams are
     reserved for regions whose writes are disjoint by construction. *)

@@ -317,7 +317,6 @@ let test_optimize_solver_ablation () =
   let trws_icm = Optimize.run ~solver:Optimize.Trws_icm net [] in
   let trws = Optimize.run ~solver:Optimize.Trws net [] in
   let icm = Optimize.run ~solver:Optimize.Icm net [] in
-  let bp = Optimize.run ~solver:Optimize.Bp net [] in
   (* the ICM polish can only improve the raw TRW-S decode *)
   Alcotest.(check bool) "polish helps" true
     (trws_icm.Optimize.energy <= trws.Optimize.energy +. 1e-9);
@@ -326,14 +325,14 @@ let test_optimize_solver_ablation () =
     (fun (r : Optimize.report) ->
       Alcotest.(check bool) "bound below every primal" true
         (trws.Optimize.lower_bound <= r.Optimize.energy +. 1e-9))
-    [ trws_icm; trws; icm; bp ];
+    [ trws_icm; trws; icm ];
   (* and every solver beats the homogeneous deployment *)
   let e = Encode.encode net [] in
   let mono = Encode.assignment_energy e (Assignment.mono net) in
   List.iter
     (fun (r : Optimize.report) ->
       Alcotest.(check bool) "beats mono" true (r.Optimize.energy < mono))
-    [ trws_icm; trws; icm; bp ]
+    [ trws_icm; trws; icm ]
 
 let test_optimize_exact_on_small () =
   (* brute-force certificate on a tiny instance *)

@@ -1,5 +1,5 @@
 (* Tests for the MRF library: model construction, energy evaluation, and
-   the solvers (TRW-S, BP, ICM, SA, branch-and-bound) against the
+   the solvers (TRW-S, ICM, SA, branch-and-bound) against the
    exhaustive oracle in brute.ml.  The key invariants:
    TRW-S's dual bound never exceeds any labeling's energy, is exact and
    tight on trees, and on tiny loopy models all solvers stay above the
@@ -171,14 +171,11 @@ let test_solvers_vs_brute_loopy () =
     let m = random_mrf (rng (100 + seed)) 6 3 0.5 in
     let exact = Brute.solve m in
     let tr = Trws.solve m in
-    let bp = Bp.solve m in
     let icm = Icm.solve m in
     Alcotest.(check bool) "trws >= optimum" true
       (tr.Solver.energy >= exact.Solver.energy -. 1e-9);
     Alcotest.(check bool) "trws bound <= optimum" true
       (tr.Solver.lower_bound <= exact.Solver.energy +. 1e-9);
-    Alcotest.(check bool) "bp >= optimum" true
-      (bp.Solver.energy >= exact.Solver.energy -. 1e-9);
     Alcotest.(check bool) "icm >= optimum" true
       (icm.Solver.energy >= exact.Solver.energy -. 1e-9);
     if tr.Solver.energy -. exact.Solver.energy < 1e-6 then incr exact_hits
@@ -438,29 +435,6 @@ let with_hardware_jobs n f =
   Pool.set_hardware_jobs (Some n);
   Fun.protect ~finally:(fun () -> Pool.set_hardware_jobs None) f
 
-let test_greedy_coloring_proper () =
-  List.iter
-    (fun (seed, n, p) ->
-      let m = random_mrf (rng seed) n 3 p in
-      let color, ncolors = Mrf.greedy_coloring m in
-      Alcotest.(check int) "one color per node" n (Array.length color);
-      Alcotest.(check bool) "at least one color" true (ncolors >= 1);
-      Array.iteri
-        (fun i c ->
-          Alcotest.(check bool)
-            (Printf.sprintf "node %d color in range" i)
-            true
-            (c >= 0 && c < ncolors))
-        color;
-      for e = 0 to Mrf.n_edges m - 1 do
-        let u, v = Mrf.edge_endpoints m e in
-        Alcotest.(check bool)
-          (Printf.sprintf "edge %d endpoints differ" e)
-          true
-          (color.(u) <> color.(v))
-      done)
-    [ (31, 12, 0.4); (32, 30, 0.15); (33, 1, 0.0); (34, 25, 0.9) ]
-
 let test_trws_partitioned_matches_solve () =
   (* below 4096 nodes one component is one partition: the sequential
      solver, bit for bit, whatever the job count *)
@@ -485,13 +459,12 @@ let test_trws_partitioned_matches_solve () =
 
 let test_trws_partitioned_jobs_invariant () =
   with_hardware_jobs 4 (fun () ->
-      let config = { Trws.default_config with max_iters = 20 } in
       for seed = 45 to 46 do
         let m = connected_mrf (rng seed) 4500 3 ~chords:2000 in
-        let r1 = Trws.solve ~config ~jobs:1 m in
+        let r1 = Trws.solve ~max_iters:20 ~jobs:1 m in
         List.iter
           (fun jobs ->
-            let r = Trws.solve ~config ~jobs m in
+            let r = Trws.solve ~max_iters:20 ~jobs m in
             Alcotest.(check bool)
               (Printf.sprintf "energy bitwise seed=%d jobs=%d" seed jobs)
               true
@@ -512,30 +485,6 @@ let test_trws_partitioned_jobs_invariant () =
           (r1.Solver.energy = Mrf.energy m r1.Solver.labeling);
         Alcotest.(check bool) "bound below energy" true
           (r1.Solver.lower_bound <= r1.Solver.energy +. 1e-9)
-      done)
-
-let test_bp_chromatic_jobs_invariant () =
-  with_hardware_jobs 4 (fun () ->
-      for seed = 50 to 54 do
-        let m = random_mrf (rng seed) 40 3 0.12 in
-        let r1 = Bp.solve ~jobs:1 m in
-        List.iter
-          (fun jobs ->
-            let r = Bp.solve ~jobs m in
-            Alcotest.(check bool)
-              (Printf.sprintf "energy bitwise seed=%d jobs=%d" seed jobs)
-              true
-              (r1.Solver.energy = r.Solver.energy);
-            Alcotest.(check (array int))
-              (Printf.sprintf "labeling seed=%d jobs=%d" seed jobs)
-              r1.Solver.labeling r.Solver.labeling;
-            Alcotest.(check int)
-              (Printf.sprintf "iterations seed=%d jobs=%d" seed jobs)
-              r1.Solver.iterations r.Solver.iterations)
-          [ 2; 4 ];
-        Alcotest.(check (float 1e-9)) "labeling consistent with energy"
-          r1.Solver.energy
-          (Mrf.energy m r1.Solver.labeling)
       done)
 
 (* ---------------------------------------------------- zoned decomposition *)
@@ -765,9 +714,8 @@ let test_golden_pins () =
       Alcotest.(check string) name expected (fingerprint (run ())))
     pins
 
-(* Bit-exact results of every TRW-S schedule and of both BP schedules:
-   the local-search fingerprint with the bound in hex after the
-   energy. *)
+(* Bit-exact results of every TRW-S schedule: the local-search
+   fingerprint with the bound in hex after the energy. *)
 let schedule_fingerprint (r : Solver.result) =
   let labels =
     String.concat "," (Array.to_list (Array.map string_of_int r.labeling))
@@ -846,14 +794,6 @@ let schedule_pins =
     ("trws, 5000 connected variables, jobs 4", big 4, big_pin);
     ("trws, stream_zoned zone map, jobs 1", zoned 1, zoned_pin);
     ("trws, stream_zoned zone map, jobs 2", zoned 2, zoned_pin);
-    ( "bp, sequential",
-      (fun () -> Bp.solve (Lazy.force pin_model)),
-      "15b78ffe2a2c523b849825f1a9ab3935 0x1.5056dcd40f722p+6 -infinity 100 \
-       false" );
-    ( "bp, chromatic, jobs 2",
-      (fun () -> Bp.solve ~jobs:2 (Lazy.force pin_model)),
-      "fe27af5a098ea0e7597e28249ed58939 0x1.5c7815b006919p+6 -infinity 100 \
-       false" );
     ( "trws, case study C1",
       (fun () -> Trws.solve (Lazy.force casestudy_c1)),
       "d7a0ab5fc98dcb25a3eef05ad4523013 0x1.641b16f896406p+5 \
@@ -862,28 +802,10 @@ let schedule_pins =
       (fun () -> Trws.solve (Lazy.force casestudy_c2)),
       "6d34866032acc4bbc8040cd277461696 0x1.6904dd59b8003p+5 \
        0x1.53f7a5cfe297ap+5 43 true" );
-    ( "bp, case study C1",
-      (fun () -> Bp.solve (Lazy.force casestudy_c1)),
-      "7bb9af7ad2d5fc5bb6241e270aebb283 0x1.74d3104be5421p+5 -infinity 100 \
-       false" );
-    ( "bp, case study C2",
-      (fun () -> Bp.solve (Lazy.force casestudy_c2)),
-      "aee4fab0726b7cb983bc58d28aedfb94 0x1.792dbf7150d53p+5 -infinity 100 \
-       false" );
-    ( "bp, chromatic, case study C1, jobs 2",
-      (fun () -> Bp.solve ~jobs:2 (Lazy.force casestudy_c1)),
-      "41e6b83d4a371dea1a13846b60577fb3 0x1.7443f9102f156p+5 -infinity 100 \
-       false" );
-    ( "bp, chromatic, case study C2, jobs 2",
-      (fun () -> Bp.solve ~jobs:2 (Lazy.force casestudy_c2)),
-      "7327b5a439c960d6b026c06cfdfb5f58 0x1.792dbf7150d53p+5 -infinity 100 \
-       false" );
     (* Potts, constant-plus-sparse and dense tables on one component
        large enough for the partitioned schedule *)
     ( "trws, 4200 structured variables, jobs 2",
-      (fun () ->
-        let config = { Trws.default_config with max_iters = 10 } in
-        Trws.solve ~config ~jobs:2 (big_structured_mrf 0)),
+      (fun () -> Trws.solve ~max_iters:10 ~jobs:2 (big_structured_mrf 0)),
       "17a28f4f26005341cea76c03ff03aeb0 0x1.5a0cbf6c0229ap+11 \
        0x1.58aebfbf6c6f3p+11 10 false" );
   ]
@@ -1035,6 +957,27 @@ let test_icm_allocation_free () =
     Alcotest.failf "Icm.solve allocated %.0f minor words on %d variables"
       words n
 
+(* The minor words of 3 TRW-S iterations: a 4-iteration solve's words
+   minus a 1-iteration solve's, so the state, the workspace and the
+   result cancel out. *)
+let test_trws_allocation_free () =
+  let m =
+    workload_mrf { Netdiv_workload.Workload.default with hosts = 200 }
+  in
+  let n = Mrf.n_nodes m in
+  let words max_iters =
+    let before = Gc.minor_words () in
+    let r = Trws.solve ~max_iters m in
+    let words = Gc.minor_words () -. before in
+    Alcotest.(check int) "iterations run" max_iters r.Solver.iterations;
+    words
+  in
+  let extra = words 4 -. words 1 in
+  if extra >= float_of_int n then
+    Alcotest.failf
+      "3 TRW-S iterations allocated %.0f minor words on %d variables" extra
+      n
+
 (* ------------------------------------------------------------- property *)
 
 let mrf_gen =
@@ -1060,7 +1003,7 @@ let prop_decode_valid =
           match Mrf.validate_labeling m r.Solver.labeling with
           | () -> abs_float (Mrf.energy m r.labeling -. r.energy) < 1e-9
           | exception Invalid_argument _ -> false)
-        [ Trws.solve m; Bp.solve m; Icm.solve m ])
+        [ Trws.solve m; Icm.solve m ])
 
 (* Component id per node: the lowest node id of its component. *)
 let component_map m =
@@ -1183,17 +1126,15 @@ let () =
             test_schedule_pins;
           Alcotest.test_case "icm allocates fewer minor words than nodes"
             `Quick test_icm_allocation_free;
+          Alcotest.test_case "trws iterations allocate fewer minor words than nodes"
+            `Quick test_trws_allocation_free;
         ] );
       ( "intra-component",
         [
-          Alcotest.test_case "greedy coloring is proper" `Quick
-            test_greedy_coloring_proper;
           Alcotest.test_case "partitioned trws, parts=1 = solve" `Quick
             test_trws_partitioned_matches_solve;
           Alcotest.test_case "partitioned trws jobs-invariant" `Quick
             test_trws_partitioned_jobs_invariant;
-          Alcotest.test_case "chromatic bp jobs-invariant" `Quick
-            test_bp_chromatic_jobs_invariant;
         ] );
       ( "zoned",
         [

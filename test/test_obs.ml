@@ -351,7 +351,7 @@ let test_pool_region_events () =
     "none of the region's events reach the ring" []
     (List.map (fun (e : Obs.event) -> e.Obs.name) (Recorder.events r))
 
-(* TRW-S and BP sample their message total once per solve: both
+(* TRW-S samples its message total once per solve: both
    directed messages of every edge, every sweep. *)
 let test_message_census () =
   Obs.set_enabled true;
@@ -365,7 +365,7 @@ let test_message_census () =
         (solver ^ " mrf.messages = 2 x edges x iterations")
         [ float_of_int (2 * Mrf.n_edges mrf * r.Solver.iterations) ]
         (sample_values "mrf.messages" (Obs.events ())))
-    [ ("trws", fun m -> Trws.solve m); ("bp", fun m -> Bp.solve m) ]
+    [ ("trws", fun m -> Trws.solve m) ]
 
 (* SA samples its acceptance tallies once per restart. *)
 let test_sa_restart_samples () =
@@ -689,19 +689,18 @@ let test_recorder_report_analysis () =
   Alcotest.(check bool) "0.1% milestone not reached" true
     (not (List.exists (fun m -> m.Obs_report.m_gap_pct = 0.1) ms));
   (* a solver without a dual bound is judged by its energy alone *)
-  let bp =
+  let sa =
     recorded_events (fun () ->
-        Obs.span ~name:"bp.solve" (fun () ->
+        Obs.span ~name:"sa.solve" (fun () ->
             List.iteri
               (fun i e ->
-                Obs.sample ~name:"bp.iter" (float_of_int (i + 1));
-                Obs.sample ~name:"bp.energy" e;
-                Obs.sample ~name:"bp.delta" 0.0)
+                Obs.sample ~name:"sa.iter" (float_of_int (i + 1));
+                Obs.sample ~name:"sa.energy" e)
               [ 3.0; 2.5; 2.5 ]))
   in
   Alcotest.(check string) "bound-free diagnosis"
     "no dual bound: best energy 2.500000 after 3 evaluations"
-    (Obs_report.diagnose bp)
+    (Obs_report.diagnose sa)
 
 (* the report describes the last solve only, never a mix of several *)
 let test_recorder_report_last_solve () =

@@ -261,6 +261,26 @@ let test_sanitizer_boundary_escape () =
       | () -> Alcotest.fail "chunk-boundary escape not detected"
       | exception Pool.Race _ -> ())
 
+(* Slab slots live in their own offset space, so a claim is checked for
+   ownership only: two chunks claiming slot 0 race, while each chunk
+   claiming its own slot passes even where the slot is another chunk's
+   loop index. *)
+let test_sanitizer_slab_claims () =
+  with_sanitize true (fun () ->
+      let slab = Float.Array.make 4 (-1.0) in
+      let claim_run slot =
+        Pool.parallel_for ~jobs:2 ~chunks:4 ~lo:0 ~hi:4 (fun i ->
+            Pool.claim_slab slab (slot i);
+            Float.Array.set slab (slot i) (float_of_int i))
+      in
+      (match claim_run (fun _ -> 0) with
+      | () -> Alcotest.fail "two chunks claimed one slab slot undetected"
+      | exception Pool.Race _ -> ());
+      claim_run (fun i -> 3 - i);
+      Alcotest.(check (array (float 0.0)))
+        "own slots stored" [| 3.0; 2.0; 1.0; 0.0 |]
+        (Array.init 4 (Float.Array.get slab)))
+
 let test_sanitizer_enabled_toggle () =
   Pool.set_sanitize (Some true);
   Alcotest.(check bool) "forced on" true (Pool.sanitize_enabled ());
@@ -390,6 +410,8 @@ let () =
             test_sanitizer_accepts_disjoint_writes;
           Alcotest.test_case "detects boundary escape" `Quick
             test_sanitizer_boundary_escape;
+          Alcotest.test_case "detects shared slab claims" `Quick
+            test_sanitizer_slab_claims;
           Alcotest.test_case "set_sanitize toggle" `Quick
             test_sanitizer_enabled_toggle;
         ] );

@@ -72,8 +72,8 @@ let test_zero_budget_stages () =
         Alcotest.failf "%s: ran %d sweeps under a zero budget" name
           report.Runner.result.Solver.iterations)
     [
-      Runner.trws (); Runner.trws_icm (); Runner.bp (); Runner.icm ();
-      Runner.sa (); Runner.bnb ();
+      Runner.trws (); Runner.trws_icm (); Runner.icm (); Runner.sa ();
+      Runner.bnb ();
     ]
 
 let test_optimize_zero_budget () =
@@ -91,8 +91,8 @@ let test_optimize_zero_budget () =
       if not (Float.is_finite report.Optimize.energy) then
         Alcotest.failf "%s: non-finite energy" name)
     [
-      Optimize.Trws; Optimize.Trws_icm; Optimize.Bp; Optimize.Icm;
-      Optimize.Sa; Optimize.Exact;
+      Optimize.Trws; Optimize.Trws_icm; Optimize.Icm; Optimize.Sa;
+      Optimize.Exact;
     ]
 
 (* ------------------------------------------------- pinned solves *)
@@ -124,9 +124,6 @@ let test_pinned_solves () =
       ( Optimize.Trws_icm,
         "0x1.b08e59826e872p+7 0x1.8000000000003p+1 \
          0ade1c7231f3a6b80f86208435b28376 converged" );
-      ( Optimize.Bp,
-        "0x1.e11013fb6061fp+7 -infinity 8671a834c35a0af504899e152a4fee2d \
-         stalled" );
       ( Optimize.Icm,
         "0x1.c250665b829b5p+7 -infinity 60c35aa6f84f2b1520f5d60dd1ef04aa \
          converged" );
@@ -181,10 +178,7 @@ let test_options_compose () =
               ("checkpoint", Optimize.run ~solver ?jobs ~checkpoint:ck net []);
             ])
         [ None; Some 1; Some 2 ])
-    [
-      Optimize.Trws; Optimize.Trws_icm; Optimize.Bp; Optimize.Icm;
-      Optimize.Sa;
-    ]
+    [ Optimize.Trws; Optimize.Trws_icm; Optimize.Icm; Optimize.Sa ]
 
 (* Under this spec every clock read jumps 60 s.  Only a budget may make
    a result depend on the clock, so unbudgeted solves must not notice. *)
@@ -193,10 +187,7 @@ let test_unbudgeted_ignores_clock () =
   let solves =
     List.concat_map
       (fun solver -> [ (solver, None); (solver, Some 2) ])
-      [
-        Optimize.Trws; Optimize.Trws_icm; Optimize.Bp; Optimize.Icm;
-        Optimize.Sa;
-      ]
+      [ Optimize.Trws; Optimize.Trws_icm; Optimize.Icm; Optimize.Sa ]
   in
   let under spec =
     Fault.set_spec (Some spec);
@@ -243,21 +234,22 @@ let test_generous_budget_bnb () =
 
 (* ------------------------------------------------- fallback cascade *)
 
-(* BP stops at its 100-iteration cap without converging on this model,
-   so the cascade hands over to ICM *)
+(* TRW-S stops at its 100-iteration cap without converging on this
+   model (energy 58.0886, bound 57.1926), so the cascade hands over to
+   ICM *)
 let test_cascade_falls_back_on_stall () =
-  let mrf = random_mrf (rng 3) 50 3 0.1 in
-  let report = Runner.run ~stages:[ Runner.bp (); Runner.icm () ] mrf in
+  let mrf = random_mrf (rng 9) 50 3 0.1 in
+  let report = Runner.run ~stages:[ Runner.trws (); Runner.icm () ] mrf in
   (match report.Runner.outcome with
-  | Runner.Fell_back ("bp", _) -> ()
+  | Runner.Fell_back ("trws", _) -> ()
   | o ->
-      Alcotest.failf "expected a fallback from bp, got %a" Runner.pp_outcome
-        o);
+      Alcotest.failf "expected a fallback from trws, got %a"
+        Runner.pp_outcome o);
   check_feasible "cascade" mrf report.Runner.result;
   match report.Runner.stage_timings with
-  | [ ("bp", _); ("icm", _) ] -> ()
+  | [ ("trws", _); ("icm", _) ] -> ()
   | l ->
-      Alcotest.failf "expected bp and icm stage timings, got [%s]"
+      Alcotest.failf "expected trws and icm stage timings, got [%s]"
         (String.concat "; " (List.map fst l))
 
 (* The smallest instance on which branch-and-bound reaches its node
