@@ -63,10 +63,10 @@ val run :
 
     [jobs] parallelizes the stages that have a job-count-invariant
     parallel form over the {!Netdiv_par.Pool} domain pool: TRW-S solves
-    connected components on separate domains, or partitions one large
-    component ({!Netdiv_mrf.Trws.solve}); [Icm] becomes multi-restart
-    ICM; [Sa] fans its restarts out.  The assignment is identical for
-    every [jobs] value; omitting [jobs] runs the serial schedules.
+    connected components on separate domains ({!Netdiv_mrf.Trws.solve});
+    [Icm] becomes multi-restart ICM; [Sa] fans its restarts out.  The
+    assignment is identical for every [jobs] value; omitting [jobs] runs
+    the serial schedules.
 
     [checkpoint] names a file that receives an atomic best-labeling
     snapshot ({!Serial.checkpoint_to_string}) every time the harness's

@@ -34,7 +34,7 @@
     failed work, and the re-execution must not trip over the same
     injected fault — one spec entry models one transient failure.
     Points whose keys are stable program quantities (chunk index within
-    a region, write sequence number, stage attempt index) replay
+    a region, write sequence number, harness attempt count) replay
     bitwise: feeding {!fired_spec} of one run back through
     [NETDIV_FAULT] reproduces exactly the same failures.  The
     [clock.stall] point keys on the clock-read count, which is
@@ -45,10 +45,15 @@
 
     [pool.chunk] (key: region-sequence shifted left 12 bits, or'd with
     the chunk index), [pool.alloc] (key: region sequence),
-    [runner.stage] (key: stage attempt index), [io.read.truncate] /
-    [io.read.corrupt] (key: read sequence), [io.write.truncate] /
-    [io.fsync] (key: write sequence), [clock.stall] (key: enabled
-    clock-read count).  Consumers may register more with {!point}. *)
+    [runner.stage] (key: the process-wide count of harness attempts
+    made while injection is armed, from 0 and never reset — [attempt_seq]
+    in [runner.ml] — so [runner.stage@K] is the K-th attempt of the
+    process, not of one run: a command that solves several times, like
+    [casestudy], carries the count on from one solve to the next),
+    [io.read.truncate] / [io.read.corrupt] (key: read sequence),
+    [io.write.truncate] / [io.fsync] (key: write sequence),
+    [clock.stall] (key: enabled clock-read count).  Consumers may
+    register more with {!point}. *)
 
 exception Injected of string * int
 (** [Injected (point, key)] — the failure an armed injection point

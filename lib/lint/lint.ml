@@ -76,9 +76,9 @@ let rules =
        nondeterminism source (clock or global Random) through the call \
        graph; run with --explain SYMBOL for the chain" );
     ( "impure-in-parallel-region",
-      "a function passed into Pool.parallel_for/map_range/map_reduce or \
-       Team.run mutates module-toplevel state or spawns its own domain; \
-       chunk workers must only write their own slices" );
+      "a function passed into Pool.parallel_for/map_range/map_reduce \
+       mutates module-toplevel state or spawns its own domain; chunk \
+       workers must only write their own slices" );
     ( "unused-export",
       ".mli-declared value never referenced outside its module (including \
        test/, bench/, examples/ and tools/); drop it from the interface \
@@ -833,8 +833,8 @@ let taint_findings (eff : Effects.t) analyzed_paths =
   !out
 
 (* impure-in-parallel-region: inside the argument extent of a Pool
-   combinator or [Team.run], any resolved callee whose summary carries
-   Mutate or Spawn, plus direct mutations in inline closure bodies. *)
+   combinator, any resolved callee whose summary carries Mutate or
+   Spawn, plus direct mutations in inline closure bodies. *)
 let region_findings ~barrier (eff : Effects.t) analyzed_paths =
   let repo = eff.Effects.repo in
   let out = ref [] in
@@ -849,11 +849,10 @@ let region_findings ~barrier (eff : Effects.t) analyzed_paths =
             let hi = b.Symbols.b_hi in
             for i = b.Symbols.b_lo to hi - 1 do
               let is_comb =
-                (List.mem (tk i) par_combinators
+                List.mem (tk i) par_combinators
                 && (tk (i - 1) <> "."
                    || tk (i - 2) = "Pool"
-                   || tk (i - 2) = "Netdiv_par"))
-                || (tk i = "run" && tk (i - 1) = "." && tk (i - 2) = "Team")
+                   || tk (i - 2) = "Netdiv_par")
               in
               if is_comb then begin
                 (* argument extent: to the call's end at depth 0 *)

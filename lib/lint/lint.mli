@@ -54,9 +54,9 @@
       already a surface finding); each finding carries the witness call
       chain, printable with [--explain].
     - [impure-in-parallel-region]: a callee passed into
-      [Pool.parallel_for]/[map_range]/[map_reduce] or [Team.run] whose
-      summary mutates module-toplevel state or spawns a domain, or an
-      inline closure body doing so directly.
+      [Pool.parallel_for]/[map_range]/[map_reduce] whose summary mutates
+      module-toplevel state or spawns a domain, or an inline closure
+      body doing so directly.
     - [unused-export]: an [.mli]-declared value never referenced from
       outside its module, counting reference roots ([test/], [bench/],
       [examples/], [tools/], [perfbench/]) as consumers.

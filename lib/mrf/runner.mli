@@ -48,8 +48,8 @@ val stage_name : stage -> string
 
 val trws : ?jobs:int -> unit -> stage
 (** {!Trws.solve} with [jobs]: without it the sequential sweep; with it
-    the component split, or the partitioned schedule on one large
-    component.  The result is job-count-invariant. *)
+    the component split, whose components are solved in parallel.  The
+    result is job-count-invariant. *)
 
 val trws_icm : ?jobs:int -> unit -> stage
 (** TRW-S followed by an ICM polish warm-started from its labeling; keeps

@@ -12,9 +12,8 @@ let patience = 3
    (length labels.(v)) and [bw] the message into u (length labels.(u)),
    stored flat with per-edge offsets.  Messages, unaries and the bound
    aggregation scratch live on unboxed [floatarray] slabs so the message
-   update streams over contiguous doubles; everything here is immutable
-   topology or slab storage shared by all workers — per-worker mutable
-   scratch lives in {!workspace}. *)
+   update streams over contiguous doubles.  One solve owns a state at a
+   time; its small per-node buffers live in {!workspace}. *)
 type state = {
   labels : int array;
   unary_off : int array;
@@ -31,7 +30,6 @@ type state = {
   fw : floatarray;
   bw : floatarray;
   lb_agg : floatarray;  (* lower_bound slab: gamma-weighted unaries *)
-  chain_best : floatarray;  (* lower_bound slab: per-chain DP minimum *)
   gamma : float array;
   chains : int array array;
       (* monotonic chain decomposition: each chain is the sequence of its
@@ -41,10 +39,9 @@ type state = {
   isolated : int array;  (* nodes with no incident edges, descending *)
 }
 
-(* Per-worker scratch: one per parallel chunk so partitioned sweeps never
-   share a theta buffer or reduction input across domains.  Allocated per
-   solve, reused across all messages, so the hot path never allocates
-   (minor GCs are stop-the-world across ALL domains). *)
+(* Per-solve scratch, allocated by the domain that runs the solve and
+   reused across all messages, so the hot path never allocates (minor
+   GCs are stop-the-world across ALL domains). *)
 type workspace = {
   theta : floatarray;
   h : floatarray;  (* the message update's reduction input *)
@@ -145,7 +142,6 @@ let make_state mrf =
        minor collections are stop-the-world across ALL domains — the
        per-zone solves then serialized on the GC barrier *)
     lb_agg = Float.Array.make unary_off.(n) 0.0;
-    chain_best = Float.Array.make (Array.length chains) 0.0;
     gamma;
     chains;
     isolated = Array.of_list !isolated;
@@ -182,15 +178,9 @@ let aggregate st i (theta : floatarray) =
     done
   done
 
-(* Update node [i]'s outgoing messages in direction [forward] (toward
-   higher neighbours when [forward], lower otherwise), restricted to
-   neighbours [j] with [(plo <= j < phi) = inside].  The sequential
-   sweep passes the full range with [inside:true] (no restriction); the
-   partitioned schedule runs the [inside:true] case per partition in
-   parallel — all written messages then lie strictly inside the caller's
-   partition, so distinct chunks never touch the same slab slot — and
-   the [inside:false] case sequentially as the boundary-merge pass. *)
-let process_node st ws ~forward ~inside ~plo ~phi i =
+(* Update node [i]'s outgoing messages in direction [forward]: toward
+   higher neighbours when [forward], lower otherwise. *)
+let process_node st ws ~forward i =
   let theta = ws.theta in
   aggregate st i theta;
   let k = st.labels.(i) in
@@ -200,10 +190,7 @@ let process_node st ws ~forward ~inside ~plo ~phi i =
     let e = code / 2 in
     let i_is_u = code land 1 = 1 in
     let j = if i_is_u then st.ev.(e) else st.eu.(e) in
-    if
-      (if forward then j > i else j < i)
-      && (j >= plo && j < phi) = inside
-    then begin
+    if (if forward then j > i else j < i) then begin
       let kj = st.labels.(j) in
       let p0 = st.pot_off.(st.etab.(e)) in
       (* message into i along e (to be subtracted) and out of i (to
@@ -230,108 +217,99 @@ let process_node st ws ~forward ~inside ~plo ~phi i =
 let sweep st ws n forward =
   if forward then
     for i = 0 to n - 1 do
-      process_node st ws ~forward:true ~inside:true ~plo:0 ~phi:n i
+      process_node st ws ~forward:true i
     done
   else
     for i = n - 1 downto 0 do
-      process_node st ws ~forward:false ~inside:true ~plo:0 ~phi:n i
+      process_node st ws ~forward:false i
     done
 
 (* TRW dual bound for the monotonic-chain decomposition: the energy is
    split as E(x) = sum_C E_C(x_C) with per-chain node costs gamma_i *
    theta_hat_i and reparameterized edge costs; the bound is the sum of the
    chains' independent minima, computed by dynamic programming along each
-   chain.  Valid for any message state (each chain min <= the chain's value
-   at the true optimum), and tight at TRW-S fixed points on trees.
-
-   Split into three passes so the partitioned schedule can parallelize
-   the first two: [fill_agg] writes node [i]'s gamma-weighted aggregate
-   (slots disjoint per node), [chain_dp] writes chain [ci]'s minimum into
-   the [chain_best] slab (slots disjoint per chain), and [lb_sum] folds
-   the per-chain minima in chain order — so the bound is bitwise
-   identical whatever the chunking. *)
-let fill_agg st ws i =
-  aggregate st i ws.theta;
-  let off = st.unary_off.(i) in
-  for x = 0 to st.labels.(i) - 1 do
-    st.lb_agg.%(off + x) <- st.gamma.(i) *. ws.theta.%(x)
-  done
-
-let chain_dp st ws ci =
-  let chain = st.chains.(ci) in
+   chain and summed in chain order.  Valid for any message state (each
+   chain min <= the chain's value at the true optimum), and tight at
+   TRW-S fixed points on trees.  Each node's gamma-weighted aggregate is
+   written once into the [lb_agg] slab, since a node lies on several
+   chains. *)
+let lower_bound st ws n =
   let agg = st.lb_agg in
+  for i = 0 to n - 1 do
+    aggregate st i ws.theta;
+    let off = st.unary_off.(i) in
+    for x = 0 to st.labels.(i) - 1 do
+      agg.%(off + x) <- st.gamma.(i) *. ws.theta.%(x)
+    done
+  done;
   let dp = ws.dp in
   let dp' = ws.dp' in
-  let e0 = chain.(0) in
-  let first = if st.eu.(e0) < st.ev.(e0) then st.eu.(e0) else st.ev.(e0) in
-  let k0 = st.labels.(first) in
-  for x = 0 to k0 - 1 do
-    dp.%(x) <- agg.%(st.unary_off.(first) + x)
-  done;
-  let prev_k = ref k0 in
-  (* The per-edge DP transition is written out inline, in a plain loop
-     over the chain, with the running minimum accumulated directly in
-     the [dp'] slab: a closure over the chain (allocated per chain, with
-     [prev_k] boxed into it), a local float-returning closure (boxed
-     return per call without flambda) or a [float ref] minimum (boxed
-     store per assignment) here all make bound evaluations allocate,
-     and under multicore the resulting minor collections are
-     stop-the-world barriers that serialize otherwise independent
-     per-zone solves.  The reparameterized cost, oriented low node ->
-     high node, is
-       pot[xu,xv] - fw[xv] - bw[xu]
-     with (xu, xv) = (x, y) when u < v and (y, x) otherwise. *)
-  for pos = 0 to Array.length chain - 1 do
-    let e = chain.(pos) in
-    let u = st.eu.(e) and v = st.ev.(e) in
-    let kv = st.labels.(v) in
-    let pbase = st.pot_off.(st.etab.(e)) in
-    let fw0 = st.fw_off.(e) and bw0 = st.bw_off.(e) in
-    let hi = if u < v then v else u in
-    let kh = st.labels.(hi) in
-    for y = 0 to kh - 1 do
-      dp'.%(y) <- infinity
-    done;
-    if u < v then
-      for x = 0 to !prev_k - 1 do
-        let base = dp.%(x) -. st.bw.%(bw0 + x) in
-        let prow = pbase + (x * kv) in
-        for y = 0 to kh - 1 do
-          let c = base +. st.pot.(prow + y) -. st.fw.%(fw0 + y) in
-          if c < dp'.%(y) then dp'.%(y) <- c
-        done
-      done
-    else
-      for x = 0 to !prev_k - 1 do
-        let base = dp.%(x) -. st.fw.%(fw0 + x) in
-        for y = 0 to kh - 1 do
-          let c = base +. st.pot.(pbase + (y * kv) + x) -. st.bw.%(bw0 + y) in
-          if c < dp'.%(y) then dp'.%(y) <- c
-        done
-      done;
-    let hoff = st.unary_off.(hi) in
-    for y = 0 to kh - 1 do
-      dp'.%(y) <- dp'.%(y) +. agg.%(hoff + y)
-    done;
-    Float.Array.blit dp' 0 dp 0 kh;
-    prev_k := kh
-  done;
-  let best = ref infinity in
-  for x = 0 to !prev_k - 1 do
-    if dp.%(x) < !best then best := dp.%(x)
-  done;
-  (* claimed through the pool so a sanitized region catches two chunks
-     writing the same chain; the claim takes no float, so the store
-     stays unboxed *)
-  Pool.claim_slab st.chain_best ci;
-  st.chain_best.%(ci) <- !best
-
-(* Plain loops with a local accumulator: a closure capturing [acc]
-   would box every partial sum. *)
-let lb_sum st =
+  (* Plain loops with local accumulators: a closure capturing [acc]
+     would box every partial sum. *)
   let acc = ref 0.0 in
   for ci = 0 to Array.length st.chains - 1 do
-    acc := !acc +. st.chain_best.%(ci)
+    let chain = st.chains.(ci) in
+    let e0 = chain.(0) in
+    let first = if st.eu.(e0) < st.ev.(e0) then st.eu.(e0) else st.ev.(e0) in
+    let k0 = st.labels.(first) in
+    for x = 0 to k0 - 1 do
+      dp.%(x) <- agg.%(st.unary_off.(first) + x)
+    done;
+    let prev_k = ref k0 in
+    (* The per-edge DP transition is written out inline, in a plain loop
+       over the chain, with the running minimum accumulated directly in
+       the [dp'] slab: a closure over the chain (allocated per chain,
+       with [prev_k] boxed into it), a local float-returning closure
+       (boxed return per call without flambda) or a [float ref] minimum
+       (boxed store per assignment) here all make bound evaluations
+       allocate, and under multicore the resulting minor collections are
+       stop-the-world barriers that serialize otherwise independent
+       per-zone solves.  The reparameterized cost, oriented low node ->
+       high node, is
+         pot[xu,xv] - fw[xv] - bw[xu]
+       with (xu, xv) = (x, y) when u < v and (y, x) otherwise. *)
+    for pos = 0 to Array.length chain - 1 do
+      let e = chain.(pos) in
+      let u = st.eu.(e) and v = st.ev.(e) in
+      let kv = st.labels.(v) in
+      let pbase = st.pot_off.(st.etab.(e)) in
+      let fw0 = st.fw_off.(e) and bw0 = st.bw_off.(e) in
+      let hi = if u < v then v else u in
+      let kh = st.labels.(hi) in
+      for y = 0 to kh - 1 do
+        dp'.%(y) <- infinity
+      done;
+      if u < v then
+        for x = 0 to !prev_k - 1 do
+          let base = dp.%(x) -. st.bw.%(bw0 + x) in
+          let prow = pbase + (x * kv) in
+          for y = 0 to kh - 1 do
+            let c = base +. st.pot.(prow + y) -. st.fw.%(fw0 + y) in
+            if c < dp'.%(y) then dp'.%(y) <- c
+          done
+        done
+      else
+        for x = 0 to !prev_k - 1 do
+          let base = dp.%(x) -. st.fw.%(fw0 + x) in
+          for y = 0 to kh - 1 do
+            let c =
+              base +. st.pot.(pbase + (y * kv) + x) -. st.bw.%(bw0 + y)
+            in
+            if c < dp'.%(y) then dp'.%(y) <- c
+          done
+        done;
+      let hoff = st.unary_off.(hi) in
+      for y = 0 to kh - 1 do
+        dp'.%(y) <- dp'.%(y) +. agg.%(hoff + y)
+      done;
+      Float.Array.blit dp' 0 dp 0 kh;
+      prev_k := kh
+    done;
+    let best = ref infinity in
+    for x = 0 to !prev_k - 1 do
+      if dp.%(x) < !best then best := dp.%(x)
+    done;
+    acc := !acc +. !best
   done;
   for k = 0 to Array.length st.isolated - 1 do
     let i = st.isolated.(k) in
@@ -343,15 +321,6 @@ let lb_sum st =
     acc := !acc +. !best
   done;
   !acc
-
-let lower_bound st ws n =
-  for i = 0 to n - 1 do
-    fill_agg st ws i
-  done;
-  for ci = 0 to Array.length st.chains - 1 do
-    chain_dp st ws ci
-  done;
-  lb_sum st
 
 (* Greedy decoding in node order: condition on already decoded lower
    neighbours, use incoming messages from undecoded higher ones. *)
@@ -394,13 +363,10 @@ let decode st ws n x =
     x.(i) <- !best
   done
 
-(* Shared iteration loop: sweeps, convergence bookkeeping, telemetry.
-   [sweep_pair] performs one forward+backward iteration; [bound]
-   computes the dual bound for the current messages.  The sequential and
-   partitioned schedules differ only in these two callbacks, so the
-   stopping logic — and therefore the iteration count for identical
-   message trajectories — is shared by construction. *)
-let run_loop ~max_iters ~interrupt mrf st ws n ~sweep_pair ~bound =
+(* The iteration loop on a given state and workspace: sweeps,
+   convergence bookkeeping, telemetry. *)
+let sequential_on ~max_iters ~interrupt mrf st ws () =
+  let n = Mrf.n_nodes mrf in
   let x = Array.make n 0 in
   let best_x = Array.make n 0 in
   decode st ws n best_x;
@@ -415,10 +381,11 @@ let run_loop ~max_iters ~interrupt mrf st ws n ~sweep_pair ~bound =
        if interrupt () then raise Exit;
        iters := it;
        Obs.begin_span "trws.sweep";
-       sweep_pair ();
+       sweep st ws n true;
+       sweep st ws n false;
        Obs.end_span "trws.sweep";
        Obs.begin_span "trws.bound";
-       let lb = bound () in
+       let lb = lower_bound st ws n in
        decode st ws n x;
        Obs.end_span "trws.bound";
        let e = Mrf.energy mrf x in
@@ -458,21 +425,13 @@ let run_loop ~max_iters ~interrupt mrf st ws n ~sweep_pair ~bound =
     converged = !converged;
   }
 
-let sequential_on ~max_iters ~interrupt mrf st ws () =
-  let n = Mrf.n_nodes mrf in
-  run_loop ~max_iters ~interrupt mrf st ws n
-    ~sweep_pair:(fun () ->
-      sweep st ws n true;
-      sweep st ws n false)
-    ~bound:(fun () -> lower_bound st ws n)
-
 let sequential ~max_iters ~interrupt mrf () =
   let st = make_state mrf in
   sequential_on ~max_iters ~interrupt mrf st (make_workspace st) ()
 
 (* Return [st] to the state [make_state mrf] builds for a model of the
    same structure: unaries re-read from [mrf], messages zero.  The bound
-   slabs and the workspace are written before they are read, so a solve
+   slab and the workspace are written before they are read, so a solve
    from a reset state is bit for bit a solve from a fresh one. *)
 let reset_state st mrf =
   let unary = (Mrf.Compact.arrays mrf).Mrf.Compact.i_unary in
@@ -481,122 +440,6 @@ let reset_state st mrf =
   done;
   Float.Array.fill st.fw 0 (Float.Array.length st.fw) 0.0;
   Float.Array.fill st.bw 0 (Float.Array.length st.bw) 0.0
-
-(* The partitioned schedule runs on models of at least [partition_min]
-   nodes, split into [parts] contiguous partitions: a function of the
-   model size only — never of the job count — so results are job-count
-   invariant by construction (partition boundaries play the role the
-   pool's chunk boundaries play elsewhere).  Below the threshold the
-   boundary pass is pure overhead. *)
-let partition_min = 4096
-let parts = 16
-
-let partitioned ~max_iters ~interrupt ?jobs mrf () =
-  let n = Mrf.n_nodes mrf in
-  let st = make_state mrf in
-  let team = Pool.Team.create ?jobs () in
-  Fun.protect
-    ~finally:(fun () -> Pool.Team.stop team)
-    (fun () ->
-      let wss = Array.init parts (fun _ -> make_workspace st) in
-      let ws0 = wss.(0) in
-      (* partition bounds: mirror of the pool's chunk_span (even split,
-         remainder over the first partitions), so the bounds Team.run
-         hands each chunk are exactly these *)
-      let part_off = Array.make (parts + 1) 0 in
-      let q = n / parts and r = n mod parts in
-      for p = 0 to parts - 1 do
-        part_off.(p + 1) <- part_off.(p) + q + (if p < r then 1 else 0)
-      done;
-      let part_of = Array.make n 0 in
-      for p = 0 to parts - 1 do
-        for i = part_off.(p) to part_off.(p + 1) - 1 do
-          part_of.(i) <- p
-        done
-      done;
-      (* nodes with at least one cross-partition edge, ascending: the
-         boundary-merge pass walks exactly these *)
-      let is_cross i =
-        let plo = part_off.(part_of.(i))
-        and phi = part_off.(part_of.(i) + 1) in
-        let c = ref false in
-        for k = st.inc_off.(i) to st.inc_off.(i + 1) - 1 do
-          let code = st.inc.(k) in
-          let e = code / 2 in
-          let j = if code land 1 = 1 then st.ev.(e) else st.eu.(e) in
-          if j < plo || j >= phi then c := true
-        done;
-        !c
-      in
-      let ncross = ref 0 in
-      for i = 0 to n - 1 do
-        if is_cross i then incr ncross
-      done;
-      let cross = Array.make (max 1 !ncross) 0 in
-      let cur = ref 0 in
-      for i = 0 to n - 1 do
-        if is_cross i then begin
-          cross.(!cur) <- i;
-          incr cur
-        end
-      done;
-      let ncross = !ncross in
-      (* One half-sweep: all partitions run their intra-partition node
-         updates in parallel (each chunk's writes stay inside its own
-         slab stripe), then the sequential boundary pass recomputes every
-         cross-partition message in global node order.  Both phases
-         depend only on [parts], never on the job count. *)
-      let half forward =
-        Pool.Team.run team ~chunks:parts ~lo:0 ~hi:n (fun c clo chi ->
-            let ws = wss.(c) in
-            if forward then
-              for i = clo to chi - 1 do
-                process_node st ws ~forward:true ~inside:true ~plo:clo ~phi:chi
-                  i
-              done
-            else
-              for i = chi - 1 downto clo do
-                process_node st ws ~forward:false ~inside:true ~plo:clo
-                  ~phi:chi i
-              done);
-        Obs.begin_span "trws.boundary";
-        if forward then
-          for k = 0 to ncross - 1 do
-            let i = cross.(k) in
-            let p = part_of.(i) in
-            process_node st ws0 ~forward:true ~inside:false ~plo:part_off.(p)
-              ~phi:part_off.(p + 1)
-              i
-          done
-        else
-          for k = ncross - 1 downto 0 do
-            let i = cross.(k) in
-            let p = part_of.(i) in
-            process_node st ws0 ~forward:false ~inside:false ~plo:part_off.(p)
-              ~phi:part_off.(p + 1)
-              i
-          done;
-        Obs.end_span "trws.boundary"
-      in
-      let bound () =
-        Pool.Team.run team ~chunks:parts ~lo:0 ~hi:n (fun c clo chi ->
-            let ws = wss.(c) in
-            for i = clo to chi - 1 do
-              fill_agg st ws i
-            done);
-        let nch = Array.length st.chains in
-        Pool.Team.run team ~chunks:parts ~lo:0 ~hi:nch (fun c clo chi ->
-            let ws = wss.(c) in
-            for ci = clo to chi - 1 do
-              chain_dp st ws ci
-            done);
-        lb_sum st
-      in
-      run_loop ~max_iters ~interrupt mrf st ws0 n
-        ~sweep_pair:(fun () ->
-          half true;
-          half false)
-        ~bound)
 
 (* ---- block-coordinate zone decomposition ------------------------------- *)
 
@@ -970,8 +813,6 @@ let solve ?(max_iters = 100) ?(interrupt = fun () -> false) ?jobs ?zone_of
   | Some (zone_of, nz) when nz > 1 ->
       Obs.span ~name:"trws.zoned"
         (zoned ~max_iters ~interrupt ?jobs ~zone_of ~nz mrf)
-  | _ when Option.is_some jobs && Mrf.n_nodes mrf >= partition_min ->
-      Obs.span ~name:"trws.solve" (partitioned ~max_iters ~interrupt ?jobs mrf)
   | _ -> Obs.span ~name:"trws.solve" (sequential ~max_iters ~interrupt mrf)
 
 let solve_zoned = solve

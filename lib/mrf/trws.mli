@@ -28,21 +28,14 @@ val solve :
     bound falls under 1e-7, or once neither has improved by 1e-7 for 3
     consecutive pairs.
 
-    {b Schedule.}  The inputs choose it.
+    {b Schedule.}  The zone map chooses it.
     - The zone map is [zone_of] when given (any non-negative per-node
       ids, renumbered densely in order of first appearance); otherwise,
       with [jobs], the connected components, numbered the same way;
       otherwise a single zone.  Without [jobs] and [zone_of] no
       component scan runs and nothing extra is allocated.
-    - {e One zone, with [jobs], at least 4096 nodes}: partitioned
-      sweeps.  The node order splits into 16 contiguous partitions;
-      each half-sweep runs the intra-partition updates in parallel on a
-      {!Netdiv_par.Pool.Team} (a message between two nodes of one
-      partition is written by that partition only), then recomputes
-      every cross-partition message sequentially in global node order.
-      The bound parallelizes the same way (per-node aggregation, then
-      per-chain DP) and is summed in chain order.
-    - {e One zone otherwise}: the sequential sweep described above.
+    - {e One zone}: the sequential sweep described above, whatever
+      [jobs] is.
     - {e Several zones}: Lagrangian dual decomposition.  Each zone slave
       owns its interior edges, unaries and the running boundary
       penalties; every boundary edge (u, v) is a two-variable slave
@@ -63,11 +56,10 @@ val solve :
       [converged] requires every zone to converge.
 
     {b Determinism.}  The result is a function of the model and the zone
-    map only, never of [jobs]: partition and zone boundaries depend on
-    the model alone, parallel writes land in disjoint slots, and every
-    reduction runs in a fixed order.  A single-zone map runs the
-    one-zone schedule: bit for bit the sequential sweep when [jobs] is
-    absent or the model has fewer than 4096 nodes.
+    map only, never of [jobs]: each zone solve writes its own result
+    slot, and the reconciliation runs in global boundary-edge order.  A
+    single-zone map is bit for bit the sequential sweep, with or without
+    [jobs].
 
     [interrupt] is polled once per sweep pair (by every zone solve) and
     between zone rounds from round 2 on, so a zoned solve always

@@ -137,9 +137,8 @@ let claim_dispatch ctx i =
             "sanitizer: loop index %d dispatched to chunks %d and %d" i
             (min clash ctx.chunk) (max clash ctx.chunk)))
 
-(* Shared shadow-tracking core of [write] / [claim_slab]: record that
-   [ctx.chunk] wrote slot [i] of the output identified by [o] and raise
-   on a clash with another chunk. *)
+(* Record that [ctx.chunk] wrote slot [i] of the output identified by
+   [o] and raise on a clash with another chunk. *)
 let check_overlap ctx o i =
   let r = ctx.region in
   let clash =
@@ -182,16 +181,6 @@ let write (arr : 'a array) i v =
                  chunk boundary"
                 ctx.chunk ctx.clo ctx.chi i)));
   arr.(i) <- v
-
-let claim_slab (slab : floatarray) i =
-  (* Slab slots are indexed in their own offset space (per-chain or
-     per-node offsets, ...) which in general is not the loop-index
-     space, so only the overlapping-write check applies — a slot owned
-     by two distinct chunks is a race whatever the spaces.  No float
-     crosses the call, so the caller's store stays unboxed. *)
-  match Domain.DLS.get ctx_key with
-  | None -> ()
-  | Some ctx -> check_overlap ctx (Obj.repr slab) i
 
 let env_jobs () =
   match Sys.getenv_opt "NETDIV_JOBS" with
@@ -277,9 +266,9 @@ let hardware_default = lazy (max 1 (Domain.recommended_domain_count ()))
 
 (* netdiv-lint: allow toplevel-mutable-state — test-only override knob
    mirroring set_sanitize: lets the suite exercise the cross-domain
-   machinery (Team barriers, chunk claiming) on single-core CI boxes
-   where the recommended count would pin everything to the caller.
-   Written between regions only. *)
+   machinery (chunk claiming, failure propagation) on single-core CI
+   boxes where the recommended count would pin everything to the
+   caller.  Written between regions only. *)
 let hardware_override = ref None
 
 let set_hardware_jobs v = hardware_override := v
@@ -302,14 +291,6 @@ let record_failure slot chunk exn bt =
   in
   loop ()
 
-(* Even split of [lo, lo+n) into [chunks] sub-ranges with the remainder
-   spread over the first chunks; shared by [run_chunks] and [Team]. *)
-let chunk_span ~lo ~n ~chunks c =
-  let q = n / chunks and r = n mod chunks in
-  let clo = lo + (c * q) + min c r in
-  let chi = clo + q + (if c < r then 1 else 0) in
-  (clo, chi)
-
 (* Per-chunk span; it lands in the executing domain's buffer, so
    Perfetto shows which worker ran which chunk.  On failure the span is
    still closed before the exception propagates to [record_failure]. *)
@@ -329,7 +310,12 @@ let run_chunks ~jobs ~chunks ~lo ~hi body =
     let chunks = max 1 (min chunks n) in
     let jobs = max 1 (min jobs chunks) in
     let jobs = min jobs (hardware_jobs ()) in
-    let chunk_bounds c = chunk_span ~lo ~n ~chunks c in
+    (* even split, the remainder spread over the first chunks *)
+    let chunk_bounds c =
+      let q = n / chunks and r = n mod chunks in
+      let clo = lo + (c * q) + min c r in
+      (clo, clo + q + (if c < r then 1 else 0))
+    in
     (* Injected chunk crashes are recoverable: the guard swallows them,
        notes the chunk, and the region re-executes those chunks
        sequentially after the parallel phase.  Chunk boundaries alone
@@ -501,176 +487,3 @@ let map_reduce ?jobs ?chunks ?cost ~lo ~hi ~map ~reduce ~init =
         init partial
     end
   end
-
-(* ------------------------------------------------- persistent team --
-
-   The per-call combinators above spawn domains per region, which is
-   fine when a region carries tens of milliseconds of work (per-
-   component solves, SA restarts) but hopeless for the intra-component
-   schedules: a TRW-S half-sweep or bound pass is 10us-1ms of work
-   and there are thousands of them per solve.  A
-   [Team] amortizes the spawn: worker domains are created once per
-   solve and parked on a condition variable; each [run] is one
-   broadcast + chunk-claim + join-by-counter round trip (microseconds,
-   not the hundreds of microseconds of Domain.spawn).
-
-   Determinism contract is the same as [run_chunks]: chunk boundaries
-   are a function of [chunks], [lo], [hi] alone ([chunk_span]), chunks
-   are claimed dynamically, and the lowest failing chunk's exception
-   wins.  Unlike the mapping combinators there is NO fault-injection
-   point here: Team bodies update shared slabs in place (Gauss-Seidel
-   message sweeps), so re-executing a crashed chunk is not idempotent
-   and recovery would be unsound.  Teams are for regions whose results
-   are chunk-boundary-deterministic by construction. *)
-
-module Team = struct
-  type team = {
-    size : int;  (* participating domains, caller included *)
-    mu : Mutex.t;
-    work_ready : Condition.t;
-    work_done : Condition.t;
-    mutable epoch : int;
-    mutable stopping : bool;
-    (* current region, written under [mu] before the epoch bump *)
-    mutable lo : int;
-    mutable n : int;
-    mutable chunks : int;
-    mutable body : int -> int -> int -> unit;
-    next : int Atomic.t;
-    failed : failure option Atomic.t;
-    mutable active : int;  (* workers still executing this epoch *)
-    mutable domains : unit Domain.t array;
-  }
-
-  type t = team
-
-  let noop _ _ _ = ()
-
-  let claim_loop t =
-    let continue = ref true in
-    while !continue do
-      let c = Atomic.fetch_and_add t.next 1 in
-      if c >= t.chunks then continue := false
-      else if Option.is_none (Atomic.get t.failed) then begin
-        let clo, chi = chunk_span ~lo:t.lo ~n:t.n ~chunks:t.chunks c in
-        try t.body c clo chi
-        with exn ->
-          let bt = Printexc.get_raw_backtrace () in
-          record_failure t.failed c exn bt
-      end
-    done
-
-  let worker t =
-    let my_epoch = ref 0 in
-    let continue = ref true in
-    while !continue do
-      Mutex.lock t.mu;
-      while (not t.stopping) && t.epoch = !my_epoch do
-        Condition.wait t.work_ready t.mu
-      done;
-      if t.stopping then begin
-        Mutex.unlock t.mu;
-        continue := false
-      end
-      else begin
-        my_epoch := t.epoch;
-        Mutex.unlock t.mu;
-        claim_loop t;
-        Mutex.lock t.mu;
-        t.active <- t.active - 1;
-        if t.active = 0 then Condition.signal t.work_done;
-        Mutex.unlock t.mu
-      end
-    done
-
-  let create ?jobs () =
-    let size = min (resolve_jobs ?jobs ()) (hardware_jobs ()) in
-    let t =
-      {
-        size;
-        mu = Mutex.create ();
-        work_ready = Condition.create ();
-        work_done = Condition.create ();
-        epoch = 0;
-        stopping = false;
-        lo = 0;
-        n = 0;
-        chunks = 0;
-        body = noop;
-        next = Atomic.make 0;
-        failed = Atomic.make None;
-        active = 0;
-        domains = [||];
-      }
-    in
-    if size > 1 then
-      t.domains <-
-        Array.init (size - 1) (fun _ -> Domain.spawn (fun () -> worker t));
-    t
-
-  let size t = t.size
-
-  let stop t =
-    if Array.length t.domains > 0 then begin
-      Mutex.protect t.mu (fun () ->
-          t.stopping <- true;
-          Condition.broadcast t.work_ready);
-      Array.iter Domain.join t.domains;
-      t.domains <- [||]
-    end
-
-  let run t ~chunks ~lo ~hi body =
-    let n = hi - lo in
-    if n <= 0 then ()
-    else
-      observe_region @@ fun () ->
-      let chunks = max 1 (min chunks n) in
-      let body = instrument_chunk body in
-      let body =
-        if not (sanitize_enabled ()) then body
-        else begin
-          (* same shadow tracking as parallel_for: every loop index is
-             claimed by its chunk before the body runs, so overlapping
-             or escaping chunk spans raise [Race]; bodies may addition-
-             ally route stores through [write] / [claim_slab]. *)
-          let region = make_region ~lo ~hi in
-          fun c clo chi ->
-            let ctx = { chunk = c; clo; chi; region } in
-            with_ctx ctx (fun () ->
-                for i = clo to chi - 1 do
-                  claim_dispatch ctx i
-                done;
-                body c clo chi)
-        end
-      in
-      (* inline when there are no parked workers (size 1, or the team
-         was stopped) or only one chunk exists *)
-      if Array.length t.domains = 0 || chunks = 1 then
-        for c = 0 to chunks - 1 do
-          let clo, chi = chunk_span ~lo ~n ~chunks c in
-          body c clo chi
-        done
-      else begin
-        Mutex.lock t.mu;
-        t.lo <- lo;
-        t.n <- n;
-        t.chunks <- chunks;
-        t.body <- body;
-        Atomic.set t.next 0;
-        Atomic.set t.failed None;
-        t.active <- t.size - 1;
-        t.epoch <- t.epoch + 1;
-        Condition.broadcast t.work_ready;
-        Mutex.unlock t.mu;
-        claim_loop t;
-        Mutex.lock t.mu;
-        while t.active > 0 do
-          Condition.wait t.work_done t.mu
-        done;
-        Mutex.unlock t.mu;
-        t.body <- noop;
-        match Atomic.get t.failed with
-        | Some { exn; bt; _ } -> Printexc.raise_with_backtrace exn bt
-        | None -> ()
-      end
-end

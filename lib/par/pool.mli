@@ -2,8 +2,10 @@
 
     This is the only module in the code base that is allowed to call
     [Domain.spawn].  Every parallel consumer (simulated annealing restarts,
-    Monte-Carlo MTTC sweeps, zoned TRW-S rounds, the bench harness) goes
-    through the combinators below, which guarantee:
+    Monte-Carlo MTTC sweeps, TRW-S zone and component solves, the bench
+    harness) goes through the three combinators below.  They share one
+    chunk dispatcher, which spawns its domains per region and joins them
+    before returning, and they guarantee:
 
     - deterministic results: chunk outputs are combined in chunk-index
       order, so the result is independent of the number of domains;
@@ -12,14 +14,13 @@
     - a bit-for-bit serial fallback when the resolved job count is 1 —
       no domain is spawned and the body runs inline in the caller;
     - no event from inside a region reaches a flight recorder: every
-      region ([parallel_for], [map_range], [map_reduce], [Team.run]),
-      inline or dispatched, runs with {!Netdiv_obs.Recorder.suspended},
-      because the caller domain claims chunks too, in a
-      schedule-dependent order.  Tracing still sees the region: a
-      [pool.region] span, a [pool.chunk] span per chunk in the executing
-      domain, and at its end one sample each of the caller's GC deltas
-      ([pool.gc_minor], [pool.gc_major], [pool.gc_minor_words],
-      [pool.gc_major_words]).
+      region, inline or dispatched, runs with
+      {!Netdiv_obs.Recorder.suspended}, because the caller domain claims
+      chunks too, in a schedule-dependent order.  Tracing still sees
+      the region: a [pool.region] span, a [pool.chunk] span per chunk in
+      the executing domain, and at its end one sample each of the
+      caller's GC deltas ([pool.gc_minor], [pool.gc_major],
+      [pool.gc_minor_words], [pool.gc_major_words]).
 
     {2 Race sanitizer}
 
@@ -77,23 +78,12 @@ val write : 'a array -> int -> 'a -> unit
     Use it for [parallel_for] bodies that fill a caller-allocated array;
     [map_range]'s own stores are tracked automatically. *)
 
-val claim_slab : floatarray -> int -> unit
-(** [claim_slab slab i] is {!write}'s ownership check for an unboxed
-    float slab, without the store: the caller writes slot [i] itself
-    right after, with [Float.Array.set], so no float is boxed to cross
-    the call.  Slab slots live in their own offset space (per-chain or
-    per-node offsets), which in general is not the loop-index space, so
-    only the overlapping-write check applies: a slot claimed by two
-    distinct chunks of the same region raises {!Race}; the
-    chunk-boundary check of {!write} is skipped.  Outside a sanitized
-    region it does nothing. *)
-
 val set_hardware_jobs : int option -> unit
 (** Test-only override of the hardware parallelism clamp.
-    [set_hardware_jobs (Some n)] makes the pool and {!Team} behave as if
+    [set_hardware_jobs (Some n)] makes the pool behave as if
     [Domain.recommended_domain_count () = n] — on a single-core CI box
     this is the only way to actually exercise the cross-domain machinery
-    (worker parking, chunk claiming, failure propagation).
+    (chunk claiming, failure propagation).
     [set_hardware_jobs None] restores the runtime's own count.  Call it
     only between parallel regions, never from inside one; results are
     unaffected either way because chunk boundaries never depend on the
@@ -181,51 +171,3 @@ val map_reduce :
     results are combined left-to-right in chunk order starting from
     [init], so the result is job-count-invariant provided [reduce] is
     associative with [init] as identity. *)
-
-(** {2 Persistent worker team}
-
-    The combinators above spawn domains per region — fine for regions
-    carrying tens of milliseconds of work (a round of zone solves in
-    {!Netdiv_mrf.Trws.solve}, one chunk per zone), hopeless for
-    intra-component solver schedules where one region (a TRW-S
-    partition phase or bound pass) is 10µs–1ms of work
-    repeated thousands of times per solve.  A {!Team.t} amortizes the
-    spawn: its worker domains are created once (per solve) and parked
-    on a condition variable; each {!Team.run} costs one broadcast plus
-    a chunk-claim loop plus a counter join.
-
-    The determinism contract matches the combinators: chunk boundaries
-    are a function of [chunks], [lo], [hi] alone; chunks are claimed
-    dynamically; the lowest failing chunk's exception is re-raised in
-    the caller.  Under the sanitizer every loop index is claim-checked
-    exactly as in {!parallel_for}, and bodies may route stores through
-    {!write} / {!claim_slab}.  There is {e no} fault-injection point
-    inside a team: team bodies update shared slabs in place, so
-    re-executing a crashed chunk would not be idempotent — teams are
-    reserved for regions whose writes are disjoint by construction. *)
-
-module Team : sig
-  type t
-
-  val create : ?jobs:int -> unit -> t
-  (** Spawns [min (resolve_jobs ?jobs ()) hardware] minus one worker
-      domains (the caller is the remaining participant) and parks them.
-      With a resolved size of 1 no domain is spawned and every {!run}
-      executes inline in the caller. *)
-
-  val size : t -> int
-  (** Participating domains, caller included; always >= 1. *)
-
-  val run :
-    t -> chunks:int -> lo:int -> hi:int -> (int -> int -> int -> unit) -> unit
-  (** [run t ~chunks ~lo ~hi body] executes [body c clo chi] for every
-      chunk [c] covering [lo, hi), exactly like the chunk dispatch of
-      {!parallel_for} but on the parked workers.  [body] must confine
-      its writes so that distinct chunks never write the same slot.
-      Not reentrant: do not call [run] from inside a team body. *)
-
-  val stop : t -> unit
-  (** Wakes and joins the worker domains.  Idempotent.  A team must be
-      stopped before the program exits; {!run} after [stop] executes
-      inline in the caller. *)
-end

@@ -419,13 +419,10 @@ let structured_mrf ~n ~add_edges seed =
       Mrf.Builder.add_edge b u v (structured_table rng labels.(u) labels.(v)));
   Mrf.Builder.build b
 
-(* one component of 4200 nodes, large enough for the partitioned
-   schedule *)
+(* one component of 4200 nodes *)
 let big_structured_mrf =
   structured_mrf ~n:4200 ~add_edges:(fun rng ->
       chain_with_chords rng 4200 ~chords:2100)
-
-(* -------------------------------------- intra-component parallelism *)
 
 module Pool = Netdiv_par.Pool
 
@@ -435,57 +432,40 @@ let with_hardware_jobs n f =
   Pool.set_hardware_jobs (Some n);
   Fun.protect ~finally:(fun () -> Pool.set_hardware_jobs None) f
 
-let test_trws_partitioned_matches_solve () =
-  (* below 4096 nodes one component is one partition: the sequential
-     solver, bit for bit, whatever the job count *)
-  for seed = 40 to 44 do
-    let m = connected_mrf (rng seed) 30 3 ~chords:20 in
-    let base = Trws.solve m in
-    List.iter
-      (fun jobs ->
-        let p1 = Trws.solve ~jobs m in
-        Alcotest.(check bool)
-          (Printf.sprintf "parts=1 energy bitwise seed=%d jobs=%d" seed jobs)
-          true
-          (base.Solver.energy = p1.Solver.energy);
-        Alcotest.(check bool) "parts=1 bound bitwise" true
-          (base.Solver.lower_bound = p1.Solver.lower_bound);
-        Alcotest.(check (array int)) "parts=1 labeling" base.Solver.labeling
-          p1.Solver.labeling;
-        Alcotest.(check int) "parts=1 iterations" base.Solver.iterations
-          p1.Solver.iterations)
-      [ 1; 4 ]
-  done
+(* [r] is [base] bit for bit: labeling, energy and bound bits, sweep
+   count and [converged]. *)
+let check_same_result what (base : Solver.result) (r : Solver.result) =
+  Alcotest.(check bool) (what ^ ": energy bitwise") true
+    (base.energy = r.energy);
+  Alcotest.(check bool) (what ^ ": bound bitwise") true
+    (base.lower_bound = r.lower_bound);
+  Alcotest.(check (array int)) (what ^ ": labeling") base.labeling r.labeling;
+  Alcotest.(check int) (what ^ ": iterations") base.iterations r.iterations;
+  Alcotest.(check bool) (what ^ ": converged") base.converged r.converged
 
-let test_trws_partitioned_jobs_invariant () =
+(* One connected model is one zone: the sequential solver, bit for bit,
+   whatever the job count and the model size. *)
+let test_trws_one_zone_jobs_matches_solve () =
+  let models =
+    List.init 5 (fun k ->
+        (40 + k, None, connected_mrf (rng (40 + k)) 30 3 ~chords:20))
+    @ List.map
+        (fun seed ->
+          (seed, Some 20, connected_mrf (rng seed) 4500 3 ~chords:2000))
+        [ 45; 46 ]
+  in
   with_hardware_jobs 4 (fun () ->
-      for seed = 45 to 46 do
-        let m = connected_mrf (rng seed) 4500 3 ~chords:2000 in
-        let r1 = Trws.solve ~max_iters:20 ~jobs:1 m in
-        List.iter
-          (fun jobs ->
-            let r = Trws.solve ~max_iters:20 ~jobs m in
-            Alcotest.(check bool)
-              (Printf.sprintf "energy bitwise seed=%d jobs=%d" seed jobs)
-              true
-              (r1.Solver.energy = r.Solver.energy);
-            Alcotest.(check bool)
-              (Printf.sprintf "bound bitwise seed=%d jobs=%d" seed jobs)
-              true
-              (r1.Solver.lower_bound = r.Solver.lower_bound);
-            Alcotest.(check (array int))
-              (Printf.sprintf "labeling seed=%d jobs=%d" seed jobs)
-              r1.Solver.labeling r.Solver.labeling;
-            Alcotest.(check int)
-              (Printf.sprintf "iterations seed=%d jobs=%d" seed jobs)
-              r1.Solver.iterations r.Solver.iterations)
-          [ 2; 4 ];
-        (* the boundary merge must keep the anytime contract *)
-        Alcotest.(check bool) "labeling consistent with energy" true
-          (r1.Solver.energy = Mrf.energy m r1.Solver.labeling);
-        Alcotest.(check bool) "bound below energy" true
-          (r1.Solver.lower_bound <= r1.Solver.energy +. 1e-9)
-      done)
+      List.iter
+        (fun (seed, max_iters, m) ->
+          let base = Trws.solve ?max_iters m in
+          List.iter
+            (fun jobs ->
+              check_same_result
+                (Printf.sprintf "seed=%d jobs=%d" seed jobs)
+                base
+                (Trws.solve ?max_iters ~jobs m))
+            [ 1; 2; 4 ])
+        models)
 
 (* ---------------------------------------------------- zoned decomposition *)
 
@@ -555,32 +535,24 @@ let test_with_unaries () =
 
 let test_solve_zoned_single_zone_matches_solve () =
   (* one zone must be the sequential solver, bit for bit, with or
-     without a job count *)
-  for seed = 70 to 74 do
-    let m = random_mrf (rng seed) 30 3 0.15 in
-    let base = Trws.solve m in
-    List.iter
-      (fun (label, r) ->
-        Alcotest.(check bool)
-          (Printf.sprintf "%s energy bitwise seed=%d" label seed)
-          true
-          (base.Solver.energy = r.Solver.energy);
-        Alcotest.(check bool)
-          (Printf.sprintf "%s bound bitwise seed=%d" label seed)
-          true
-          (base.Solver.lower_bound = r.Solver.lower_bound);
-        Alcotest.(check (array int))
-          (Printf.sprintf "%s labeling seed=%d" label seed)
-          base.Solver.labeling r.Solver.labeling;
-        Alcotest.(check int)
-          (Printf.sprintf "%s iterations seed=%d" label seed)
-          base.Solver.iterations r.Solver.iterations)
-      [
-        ("constant zone map", Trws.solve ~zone_of:(Array.make 30 7) m);
-        ( "constant zone map, jobs 2",
-          Trws.solve ~zone_of:(Array.make 30 7) ~jobs:2 m );
-      ]
-  done
+     without a job count, on small models and large ones *)
+  let models =
+    List.init 5 (fun k -> (70 + k, None, random_mrf (rng (70 + k)) 30 3 0.15))
+    @ [ (79, Some 20, connected_mrf (rng 79) 4500 3 ~chords:2000) ]
+  in
+  List.iter
+    (fun (seed, max_iters, m) ->
+      let base = Trws.solve ?max_iters m in
+      let zone_of = Array.make (Mrf.n_nodes m) 7 in
+      check_same_result
+        (Printf.sprintf "constant zone map seed=%d" seed)
+        base
+        (Trws.solve ?max_iters ~zone_of m);
+      check_same_result
+        (Printf.sprintf "constant zone map, jobs 2 seed=%d" seed)
+        base
+        (Trws.solve ?max_iters ~zone_of ~jobs:2 m))
+    models
 
 let test_solve_zoned_jobs_invariant () =
   with_hardware_jobs 4 (fun () ->
@@ -590,21 +562,10 @@ let test_solve_zoned_jobs_invariant () =
         let r1 = Trws.solve ~zone_of ~jobs:1 m in
         List.iter
           (fun jobs ->
-            let r = Trws.solve ~zone_of ~jobs m in
-            Alcotest.(check bool)
-              (Printf.sprintf "energy bitwise seed=%d jobs=%d" seed jobs)
-              true
-              (r1.Solver.energy = r.Solver.energy);
-            Alcotest.(check bool)
-              (Printf.sprintf "bound bitwise seed=%d jobs=%d" seed jobs)
-              true
-              (r1.Solver.lower_bound = r.Solver.lower_bound);
-            Alcotest.(check (array int))
-              (Printf.sprintf "labeling seed=%d jobs=%d" seed jobs)
-              r1.Solver.labeling r.Solver.labeling;
-            Alcotest.(check int)
-              (Printf.sprintf "iterations seed=%d jobs=%d" seed jobs)
-              r1.Solver.iterations r.Solver.iterations)
+            check_same_result
+              (Printf.sprintf "seed=%d jobs=%d" seed jobs)
+              r1
+              (Trws.solve ~zone_of ~jobs m))
           [ 2; 4 ];
         (* dual decomposition must keep the sandwich *)
         Alcotest.(check (float 1e-9)) "labeling consistent with energy"
@@ -730,7 +691,8 @@ let casestudy_c0 =
     (Netdiv_core.Encode.mrf
        (Netdiv_core.Encode.encode (Netdiv_casestudy.Products.network ()) []))
 
-(* 5000 variables, one component: the partitioned schedule's size *)
+(* 5000 variables, one component: with [jobs], still the sequential
+   sweep *)
 let big_connected = lazy (connected_mrf (rng 90) 5000 3 ~chords:2500)
 
 let small_zoned =
@@ -775,7 +737,7 @@ let schedule_pins =
   in
   let big_pin =
     "8660075b3496a4b0335a76635a9732ed 0x1.ea900cd4175f5p+11 \
-     0x1.ea900cd4175fap+11 50 true"
+     0x1.ea900cd4175efp+11 45 true"
   in
   let zoned_pin =
     "0bfe1b2234c21ff6887fdb9216640d70 0x1.72c4f7430b7dcp+6 \
@@ -802,12 +764,12 @@ let schedule_pins =
       (fun () -> Trws.solve (Lazy.force casestudy_c2)),
       "6d34866032acc4bbc8040cd277461696 0x1.6904dd59b8003p+5 \
        0x1.53f7a5cfe297ap+5 43 true" );
-    (* Potts, constant-plus-sparse and dense tables on one component
-       large enough for the partitioned schedule *)
+    (* Potts, constant-plus-sparse and dense tables on one large
+       component: with [jobs], still the sequential sweep *)
     ( "trws, 4200 structured variables, jobs 2",
       (fun () -> Trws.solve ~max_iters:10 ~jobs:2 (big_structured_mrf 0)),
-      "17a28f4f26005341cea76c03ff03aeb0 0x1.5a0cbf6c0229ap+11 \
-       0x1.58aebfbf6c6f3p+11 10 false" );
+      "13c914855e0be7a0a571b846a7479a5a 0x1.5a0b37b30a02ap+11 \
+       0x1.58b802378e8aep+11 10 false" );
   ]
 
 let test_schedule_pins () =
@@ -1129,13 +1091,6 @@ let () =
           Alcotest.test_case "trws iterations allocate fewer minor words than nodes"
             `Quick test_trws_allocation_free;
         ] );
-      ( "intra-component",
-        [
-          Alcotest.test_case "partitioned trws, parts=1 = solve" `Quick
-            test_trws_partitioned_matches_solve;
-          Alcotest.test_case "partitioned trws jobs-invariant" `Quick
-            test_trws_partitioned_jobs_invariant;
-        ] );
       ( "zoned",
         [
           Alcotest.test_case "compact accessors agree with incident" `Quick
@@ -1145,6 +1100,8 @@ let () =
             test_with_unaries;
           Alcotest.test_case "zoned trws, zones=1 = solve" `Quick
             test_solve_zoned_single_zone_matches_solve;
+          Alcotest.test_case "one zone with jobs = solve" `Quick
+            test_trws_one_zone_jobs_matches_solve;
           Alcotest.test_case "zoned trws jobs-invariant" `Quick
             test_solve_zoned_jobs_invariant;
           Alcotest.test_case "zoned bound stays valid" `Quick

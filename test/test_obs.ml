@@ -604,11 +604,6 @@ let test_recorder_pool_regions () =
             (Pool.map_reduce ~jobs ?chunks:None ?cost:None ~lo:0 ~hi:4
                ~map:(fun i -> body i; i)
                ~reduce:( + ) ~init:0);
-          let team = Pool.Team.create ~jobs () in
-          Fun.protect
-            ~finally:(fun () -> Pool.Team.stop team)
-            (fun () ->
-              Pool.Team.run team ~chunks:4 ~lo:0 ~hi:8 (fun _ lo _ -> body lo));
           Obs.instant "after");
       Alcotest.(check (list string))
         (Printf.sprintf "only the caller's events at %d jobs" jobs)

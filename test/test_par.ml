@@ -261,117 +261,12 @@ let test_sanitizer_boundary_escape () =
       | () -> Alcotest.fail "chunk-boundary escape not detected"
       | exception Pool.Race _ -> ())
 
-(* Slab slots live in their own offset space, so a claim is checked for
-   ownership only: two chunks claiming slot 0 race, while each chunk
-   claiming its own slot passes even where the slot is another chunk's
-   loop index. *)
-let test_sanitizer_slab_claims () =
-  with_sanitize true (fun () ->
-      let slab = Float.Array.make 4 (-1.0) in
-      let claim_run slot =
-        Pool.parallel_for ~jobs:2 ~chunks:4 ~lo:0 ~hi:4 (fun i ->
-            Pool.claim_slab slab (slot i);
-            Float.Array.set slab (slot i) (float_of_int i))
-      in
-      (match claim_run (fun _ -> 0) with
-      | () -> Alcotest.fail "two chunks claimed one slab slot undetected"
-      | exception Pool.Race _ -> ());
-      claim_run (fun i -> 3 - i);
-      Alcotest.(check (array (float 0.0)))
-        "own slots stored" [| 3.0; 2.0; 1.0; 0.0 |]
-        (Array.init 4 (Float.Array.get slab)))
-
 let test_sanitizer_enabled_toggle () =
   Pool.set_sanitize (Some true);
   Alcotest.(check bool) "forced on" true (Pool.sanitize_enabled ());
   Pool.set_sanitize (Some false);
   Alcotest.(check bool) "forced off" false (Pool.sanitize_enabled ());
   Pool.set_sanitize None
-
-(* -------------------------------------------------------------- team *)
-
-(* Run [f] pretending the machine has [n] cores, so the team actually
-   spawns workers even on a single-core CI box. *)
-let with_hardware_jobs n f =
-  Pool.set_hardware_jobs (Some n);
-  Fun.protect ~finally:(fun () -> Pool.set_hardware_jobs None) f
-
-let team_sum t ~chunks ~lo ~hi hits =
-  Pool.Team.run t ~chunks ~lo ~hi (fun _c clo chi ->
-      for i = clo to chi - 1 do
-        Pool.write hits i (hits.(i) + 1)
-      done)
-
-let test_team_covers_and_reuses () =
-  with_hardware_jobs 2 (fun () ->
-      let t = Pool.Team.create ~jobs:2 () in
-      Fun.protect
-        ~finally:(fun () -> Pool.Team.stop t)
-        (fun () ->
-          Alcotest.(check int) "two participants" 2 (Pool.Team.size t);
-          let hits = Array.make 100 0 in
-          team_sum t ~chunks:7 ~lo:0 ~hi:100 hits;
-          Array.iteri
-            (fun i h ->
-              Alcotest.(check int) (Printf.sprintf "slot %d once" i) 1 h)
-            hits;
-          (* the same parked workers serve every subsequent epoch *)
-          team_sum t ~chunks:3 ~lo:10 ~hi:40 hits;
-          team_sum t ~chunks:5 ~lo:10 ~hi:40 hits;
-          Array.iteri
-            (fun i h ->
-              let expect = if i >= 10 && i < 40 then 3 else 1 in
-              Alcotest.(check int)
-                (Printf.sprintf "slot %d after reuse" i)
-                expect h)
-            hits))
-
-let test_team_exception_and_recovery () =
-  with_hardware_jobs 2 (fun () ->
-      let t = Pool.Team.create ~jobs:2 () in
-      Fun.protect
-        ~finally:(fun () -> Pool.Team.stop t)
-        (fun () ->
-          (match
-             Pool.Team.run t ~chunks:4 ~lo:0 ~hi:8 (fun c _ _ ->
-                 if c >= 1 then failwith "chunk failed")
-           with
-          | () -> Alcotest.fail "worker exception was swallowed"
-          | exception Failure _ -> ());
-          (* a failed epoch must not wedge the workers *)
-          let hits = Array.make 8 0 in
-          team_sum t ~chunks:4 ~lo:0 ~hi:8 hits;
-          Alcotest.(check int) "team survives a failure" 8
-            (Array.fold_left ( + ) 0 hits)))
-
-let test_team_run_after_stop_inline () =
-  with_hardware_jobs 2 (fun () ->
-      let t = Pool.Team.create ~jobs:2 () in
-      Pool.Team.stop t;
-      Pool.Team.stop t;
-      (* idempotent *)
-      let hits = Array.make 12 0 in
-      team_sum t ~chunks:4 ~lo:0 ~hi:12 hits;
-      Alcotest.(check int) "inline after stop" 12
-        (Array.fold_left ( + ) 0 hits))
-
-let test_team_sanitized_boundary_escape () =
-  with_hardware_jobs 2 (fun () ->
-      with_sanitize true (fun () ->
-          let t = Pool.Team.create ~jobs:2 () in
-          Fun.protect
-            ~finally:(fun () -> Pool.Team.stop t)
-            (fun () ->
-              let out = Array.make 10 0 in
-              match
-                Pool.Team.run t ~chunks:2 ~lo:0 ~hi:10 (fun _c clo chi ->
-                    for i = clo to chi - 1 do
-                      (* slot 7 escapes chunk 0's [0,5) span *)
-                      Pool.write out (if i = 2 then 7 else i) i
-                    done)
-              with
-              | () -> Alcotest.fail "team chunk-boundary escape not detected"
-              | exception Pool.Race _ -> ())))
 
 let () =
   Alcotest.run "netdiv_par"
@@ -410,20 +305,7 @@ let () =
             test_sanitizer_accepts_disjoint_writes;
           Alcotest.test_case "detects boundary escape" `Quick
             test_sanitizer_boundary_escape;
-          Alcotest.test_case "detects shared slab claims" `Quick
-            test_sanitizer_slab_claims;
           Alcotest.test_case "set_sanitize toggle" `Quick
             test_sanitizer_enabled_toggle;
-        ] );
-      ( "team",
-        [
-          Alcotest.test_case "covers range, reusable" `Quick
-            test_team_covers_and_reuses;
-          Alcotest.test_case "exception propagation and recovery" `Quick
-            test_team_exception_and_recovery;
-          Alcotest.test_case "run after stop is inline" `Quick
-            test_team_run_after_stop_inline;
-          Alcotest.test_case "sanitized boundary escape" `Quick
-            test_team_sanitized_boundary_escape;
         ] );
     ]

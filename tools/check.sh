@@ -47,8 +47,8 @@ dune build @perfbench/smoke
 echo "== pool + mrf tests under NETDIV_SANITIZE=1"
 # dune does not track env vars, so run the test binaries directly: the
 # sanitizer must stay silent on the whole (race-free) pool suite and on
-# the MRF suite, which exercises the partitioned and zoned TRW-S
-# schedules across job counts.
+# the MRF suite, which exercises the zoned TRW-S schedule across job
+# counts.
 NETDIV_SANITIZE=1 dune exec test/test_par.exe -- --compact
 NETDIV_SANITIZE=1 dune exec test/test_mrf.exe -- --compact
 
