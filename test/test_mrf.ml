@@ -1091,6 +1091,11 @@ let () =
           Alcotest.test_case "trws iterations allocate fewer minor words than nodes"
             `Quick test_trws_allocation_free;
         ] );
+      ( "intra-component",
+        [
+          Alcotest.test_case "one zone with jobs = solve" `Quick
+            test_trws_one_zone_jobs_matches_solve;
+        ] );
       ( "zoned",
         [
           Alcotest.test_case "compact accessors agree with incident" `Quick
@@ -1100,8 +1105,6 @@ let () =
             test_with_unaries;
           Alcotest.test_case "zoned trws, zones=1 = solve" `Quick
             test_solve_zoned_single_zone_matches_solve;
-          Alcotest.test_case "one zone with jobs = solve" `Quick
-            test_trws_one_zone_jobs_matches_solve;
           Alcotest.test_case "zoned trws jobs-invariant" `Quick
             test_solve_zoned_jobs_invariant;
           Alcotest.test_case "zoned bound stays valid" `Quick
