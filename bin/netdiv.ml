@@ -72,7 +72,7 @@ let solver_conv =
     | "trws+icm" -> Ok Optimize.Trws_icm
     | "icm" -> Ok Optimize.Icm
     | "sa" -> Ok Optimize.Sa
-    | "bnb" | "exact" -> Ok Optimize.Exact
+    | "exact" -> Ok Optimize.Exact
     | s -> Error (`Msg (Printf.sprintf "unknown solver %S" s))
   in
   let print ppf s = Format.pp_print_string ppf (Optimize.solver_name s) in
@@ -311,7 +311,8 @@ let optimize_cmd =
   let solver =
     Arg.(value & opt solver_conv Optimize.Trws_icm
          & info [ "solver" ] ~docv:"SOLVER"
-             ~doc:"Solver: trws+icm, trws, icm, sa or bnb.")
+             ~doc:"Solver: trws+icm, trws, icm, sa or exact (min-sum \
+                   elimination when its plan fits, else trws+icm).")
   in
   let checkpoint =
     Arg.(value & opt (some string) None
@@ -650,18 +651,6 @@ let lint_cmd =
     Arg.(value & opt string "text"
          & info [ "format" ] ~docv:"FMT" ~doc:"Output format: text or json.")
   in
-  let baseline =
-    Arg.(value & opt (some string) None
-         & info [ "baseline" ] ~docv:"FILE"
-             ~doc:"Accepted-findings file; only findings not listed there \
-                   fail the run, and stale entries are reported.")
-  in
-  let write_baseline =
-    Arg.(value & opt (some string) None
-         & info [ "write-baseline" ] ~docv:"FILE"
-             ~doc:"Write the current findings as a baseline skeleton \
-                   (reasons left as TODO) and exit 0.")
-  in
   let explain =
     Arg.(value & opt (some string) None
          & info [ "explain" ] ~docv:"SYMBOL"
@@ -676,8 +665,8 @@ let lint_cmd =
                    (default: test bench examples tools perfbench \
                    siblings of the first path).")
   in
-  (* exit codes are part of the contract (cram-tested): 0 clean, 1 new
-     findings, 2 usage or parse error — so errors print to stderr and
+  (* exit codes are part of the contract (cram-tested): 0 clean, 1
+     findings, 2 usage error — so errors print to stderr and
      exit directly instead of going through cmdliner's `Error (124). *)
   let usage_error fmt =
     Format.kasprintf
@@ -686,7 +675,7 @@ let lint_cmd =
         exit 2)
       fmt
   in
-  let run list_rules format baseline write_baseline explain refs paths =
+  let run list_rules format explain refs paths =
     let module Lint = Netdiv_lint.Lint in
     if list_rules then begin
       List.iter
@@ -719,53 +708,18 @@ let lint_cmd =
                     f.Lint.chain)
                 fs;
               `Ok ())
-      | None -> (
-          match write_baseline with
-          | Some file ->
-              let oc = open_out_bin file in
-              output_string oc (Lint.baseline_template report.Lint.r_findings);
-              close_out oc;
-              Format.printf
-                "wrote %d entr%s to %s; fill in the TODO reasons@."
-                (List.length report.Lint.r_findings)
-                (if List.length report.Lint.r_findings = 1 then "y" else "ies")
-                file;
-              `Ok ()
-          | None ->
-              let entries =
-                match baseline with
-                | None -> []
-                | Some file ->
-                    if not (Sys.file_exists file) then
-                      usage_error "baseline file not found: %s" file;
-                    match
-                      Result.bind (Netdiv_fault.Io.read_file file)
-                        Lint.baseline_of_string
-                    with
-                    | Ok e -> e
-                    | Error msg -> usage_error "%s: %s" file msg
-              in
-              let fresh, baselined, stale =
-                Lint.apply_baseline entries report.Lint.r_findings
-              in
-              (match format with
-              | "json" ->
-                  print_string
-                    (Lint.report_to_json ~fresh ~baselined ~stale report)
-              | _ ->
-                  List.iter
-                    (fun f -> Format.printf "%a@." Lint.pp_finding f)
-                    fresh;
-                  if fresh <> [] || baselined > 0 || stale <> [] then
-                    Format.printf "%d finding(s), %d baselined, %d stale \
-                                   baseline entr%s@."
-                      (List.length fresh) baselined (List.length stale)
-                      (if List.length stale = 1 then "y" else "ies");
-                  List.iter
-                    (fun s -> Format.printf "stale baseline entry: %s@." s)
-                    stale);
-              if fresh <> [] then exit 1;
-              `Ok ())
+      | None ->
+          let findings = report.Lint.r_findings in
+          (match format with
+          | "json" -> print_string (Lint.report_to_json report)
+          | _ ->
+              List.iter
+                (fun f -> Format.printf "%a@." Lint.pp_finding f)
+                findings;
+              if findings <> [] then
+                Format.printf "%d finding(s)@." (List.length findings));
+          if findings <> [] then exit 1;
+          `Ok ()
     end
   in
   let doc =
@@ -781,20 +735,18 @@ let lint_cmd =
          missing-mli, printf-in-lib, swallowed-exception, \
          float-equality-in-kernel) and the interprocedural rules \
          (nondet-taint, impure-in-parallel-region, unused-export) over \
-         the given paths.  Findings can be silenced by inline \
-         suppressions ($(b,(* netdiv-lint: allow <rule> — <reason> *))) \
-         or accepted in a $(b,--baseline) file; both require a written \
-         reason.";
+         the given paths.  A finding is accepted only by an inline \
+         suppression with a written reason \
+         ($(b,(* netdiv-lint: allow <rule> — <reason> *))).";
       `P
-        "Exit codes: 0 when clean (or all findings baselined), 1 when \
-         new findings remain, 2 on usage or parse errors.";
+        "Exit codes: 0 when clean, 1 when findings remain, 2 on usage \
+         errors.";
     ]
   in
   Cmd.v (Cmd.info "lint" ~doc ~man)
     Term.(
       ret
-        (const run $ list_rules $ format $ baseline $ write_baseline $ explain
-       $ refs $ paths))
+        (const run $ list_rules $ format $ explain $ refs $ paths))
 
 (* ------------------------------------------------------------------ rank *)
 

@@ -8,46 +8,6 @@ module type FACTOR = sig
   val total : t -> float
 end
 
-(* The greedy order over the free variables [vars] (ascending ids) but
-   [query], on the moral graph of [scopes] with fill-in.  Table sizes
-   saturate just above [max_entries]; eliminating a variable changes the
-   sizes of its neighbours only. *)
-let plan ~n ~card ~max_entries ~query vars scopes =
-  let m = Array.length vars in
-  let local = Array.make n (-1) in
-  Array.iteri (fun a v -> local.(v) <- a) vars;
-  let nbrs = Array.make m [] in
-  let link a b =
-    if a <> b && not (List.mem b nbrs.(a)) then nbrs.(a) <- b :: nbrs.(a)
-  in
-  let clique s = List.iter (fun a -> List.iter (link a) s) s in
-  List.iter (fun s -> clique (List.map (Array.get local) s)) scopes;
-  let alive = Array.make m true in
-  let size a =
-    List.fold_left
-      (fun s b ->
-        if alive.(b) then min (max_entries + 1) (s * card vars.(b)) else s)
-      (card vars.(a)) nbrs.(a)
-  in
-  let sizes = Array.init m size in
-  let order = ref [] in
-  for _ = 2 to m do
-    let v = ref (-1) in
-    for a = 0 to m - 1 do
-      if alive.(a) && vars.(a) <> query && (!v < 0 || sizes.(a) < sizes.(!v))
-      then v := a
-    done;
-    let v = !v in
-    if sizes.(v) > max_entries then
-      invalid_arg "Elim.marginal: a planned factor exceeds the table limit";
-    alive.(v) <- false;
-    let live = List.filter (Array.get alive) nbrs.(v) in
-    clique live;
-    List.iter (fun a -> sizes.(a) <- size a) live;
-    order := vars.(v) :: !order
-  done;
-  List.rev !order
-
 module Make (F : FACTOR) = struct
   (* the product of a non-empty list of scoped factors *)
   let join = function
@@ -74,9 +34,15 @@ module Make (F : FACTOR) = struct
     let scope i = List.filter free (i :: Array.to_list (parents i)) in
     let scopes = List.map scope nodes in
     let order =
-      plan ~n ~card ~max_entries:F.max_entries ~query
-        (Array.of_list (List.filter free nodes))
-        scopes
+      match
+        Netdiv_graph.Elim_order.plan ~keep:query ~n ~card
+          ~max_entries:F.max_entries ~max_total:max_int
+          (Array.of_list (List.filter free nodes))
+          scopes
+      with
+      | Some order -> order
+      | None ->
+          invalid_arg "Elim.marginal: a planned factor exceeds the table limit"
     in
     let restrict f =
       List.fold_left (fun f (v, x) -> F.restrict f v x) f observed

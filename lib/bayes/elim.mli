@@ -5,10 +5,11 @@
       the evidence is kept: every other node is barren and sums out to 1
       (Baker & Boult, UAI 1990).
     + {b Planning.}  The whole elimination order is fixed on the moral
-      graph of that subnetwork, with fill-in, by the greedy rule: next is
-      the variable whose table (itself and its neighbours) is smallest,
-      ties to the lowest id.  A planned table above the factor limit
-      raises before any table is allocated.
+      graph of that subnetwork by {!Netdiv_graph.Elim_order.plan}, with
+      fill-in, by the greedy rule: next is the variable whose table
+      (itself and its neighbours) is smallest, ties to the lowest id.  A
+      planned table above the factor limit raises before any table is
+      allocated.
     + {b Execution.}  Along the order, the factors touching each variable
       are multiplied and the variable summed out. *)
 

@@ -75,27 +75,25 @@ let solver_name = function
   | Trws_icm -> "trws+icm"
   | Icm -> "icm"
   | Sa -> "sa"
-  | Exact -> "bnb"
+  | Exact -> "exact"
 
-(* Fallback cascade per solver choice: one stage, except that [Exact]
-   falls back to the approximate pipeline when branch-and-bound stops
-   at its node limit.  [jobs] parallelizes the stages that have a
-   job-count-invariant parallel form: TRW-S schedules, multi-restart
-   ICM, SA restarts. *)
-let cascade ?jobs = function
-  | Trws -> [ Runner.trws ?jobs () ]
-  | Trws_icm -> [ Runner.trws_icm ?jobs () ]
-  | Icm when jobs = None -> [ Runner.icm () ]
-  | Icm -> [ Runner.icm_restarts ?jobs () ]
-  | Sa -> [ Runner.sa ?jobs () ]
-  | Exact -> [ Runner.bnb (); Runner.trws_icm ?jobs () ]
+(* The one stage per solver choice.  [jobs] parallelizes the stages that
+   have a job-count-invariant parallel form: TRW-S schedules,
+   multi-restart ICM, SA restarts. *)
+let stage ?jobs = function
+  | Trws -> Runner.trws ?jobs ()
+  | Trws_icm -> Runner.trws_icm ?jobs ()
+  | Icm when jobs = None -> Runner.icm ()
+  | Icm -> Runner.icm_restarts ?jobs ()
+  | Sa -> Runner.sa ?jobs ()
+  | Exact -> Runner.exact ?jobs ()
 
-(* The one solve path: every solve is the solver's cascade under the
+(* The one solve path: every solve is the solver's stage under the
    anytime harness, warm-started from [init] when given. *)
 let solve ?(solver = Trws_icm) ?budget ?jobs ?checkpoint ?init encoded =
   Runner.run ?budget ?init
     ?on_best:(Option.map save_checkpoint checkpoint)
-    ~stages:(cascade ?jobs solver) (Encode.mrf encoded)
+    ~stage:(stage ?jobs solver) (Encode.mrf encoded)
 
 let resume_init resume encoded =
   Option.bind resume (fun path -> load_resume path (Encode.mrf encoded))

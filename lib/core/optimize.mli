@@ -12,13 +12,15 @@ type solver =
   | Icm            (** greedy local search baseline *)
   | Sa             (** simulated annealing baseline *)
   | Exact
-      (** branch-and-bound ({!Netdiv_mrf.Bnb}), falling back to TRW-S +
-          ICM when it stops without a proof.  The result is a certified
-          optimum only when the outcome is [Converged] with no
-          [Fell_back].  Measured: degree-4, 3-service
-          [Workload.instance]s certify at 8 hosts and hit the
-          2,000,000-node limit at 9 to 12 hosts; the three case-study
-          encodings hit it in 5-9 s and fall back *)
+      (** min-sum variable elimination ({!Netdiv_mrf.Exact}) when its
+          plan fits, else TRW-S + ICM.  The result is a certified
+          optimum ([lower_bound = energy]) exactly when the outcome is
+          [Converged].  Measured on a 2-core host: the three case-study
+          encodings certify in about a millisecond and the 160-host
+          [Scaled.generate ~seed:1 ~scale:5] network in about 0.04 s,
+          while the plan of a 60-host degree-10 [Workload.instance]
+          does not fit and the solve ends [Stalled] with TRW-S + ICM's
+          result *)
 
 type report = {
   assignment : Assignment.t;
@@ -29,7 +31,7 @@ type report = {
   violated : Constr.t list;
   runtime_s : float;           (** encode + solve wall clock *)
   outcome : Netdiv_mrf.Runner.outcome;
-      (** how the solver cascade ended ({!Netdiv_mrf.Runner.run}) *)
+      (** how the solve ended ({!Netdiv_mrf.Runner.run}) *)
   retries : int;
       (** stage attempts retried after recoverable failures (see
           {!Netdiv_mrf.Runner.run}); 0 on a clean run *)
@@ -51,20 +53,21 @@ val run :
 (** Computes an (approximately) optimal constrained assignment; the
     optional arguments are forwarded to {!Encode.encode}.
 
-    Every solve runs the solver's cascade under the anytime harness
+    Every solve runs the solver as one stage under the anytime harness
     ({!Netdiv_mrf.Runner.run}); no option selects another code path.
     [budget] is a wall-clock allowance in seconds (default: none), the
-    only way wall-clock time can change the result.  Every solver but
-    [Exact] is one stage; [Exact] hands over to TRW-S + ICM, with the
-    remaining budget, when branch-and-bound stops at its node limit.
-    Failed stage attempts are retried and degraded.  The returned
+    only way wall-clock time can change the result.  [Exact] runs
+    TRW-S + ICM, with the same budget, when its plan does not fit or
+    the budget runs out while it plans or eliminates.  Failed stage
+    attempts are retried and degraded.  The returned
     assignment is the best found, when the budget expires the best so
     far, and always feasible with respect to the encoding.
 
-    [jobs] parallelizes the stages that have a job-count-invariant
+    [jobs] parallelizes the solvers that have a job-count-invariant
     parallel form over the {!Netdiv_par.Pool} domain pool: TRW-S solves
     connected components on separate domains ({!Netdiv_mrf.Trws.solve});
-    [Icm] becomes multi-restart ICM; [Sa] fans its restarts out.  The
+    [Icm] becomes multi-restart ICM; [Sa] fans its restarts out; [Exact]
+    passes it to its TRW-S + ICM fallback.  The
     assignment is identical for every [jobs] value; omitting [jobs] runs
     the serial schedules.
 
@@ -73,11 +76,11 @@ val run :
     best strictly improves; a failed snapshot write warns on stderr and
     marks the event stream with a [checkpoint-failed] instant, but never
     aborts the solve.
-    [resume] reads such a file and warm-starts the cascade from it — an
+    [resume] reads such a file and warm-starts the solve from it — an
     unreadable, corrupt or wrong-encoding checkpoint warns and starts
     fresh.  Resuming an interrupted run with the same parameters yields
-    the same assignment as the uninterrupted run: stages warm-start from
-    the checkpointed labeling, and the best-so-far merge prefers the
+    the same assignment as the uninterrupted run: the stage warm-starts
+    from the checkpointed labeling, and the best-so-far merge prefers the
     newest equal-energy labeling. *)
 
 val refine :
@@ -109,7 +112,7 @@ val solve_encoded_outcome :
   * int
 (** The solve step of {!run} on a pre-built encoding (used by the
     scalability benches, which time encode and solve separately): the
-    result, the outcome, per-stage timings and the retry count (the
+    result, the outcome, the stage timing and the retry count (the
     anytime-quality data the benches record).  The options are as in
     {!run}. *)
 

@@ -1167,7 +1167,7 @@ let explain report sym =
       | None -> false)
     report.r_findings
 
-(* ------------------------------------------------- JSON and baselines *)
+(* ------------------------------------------------------- JSON output *)
 
 module J = Netdiv_vuln.Json
 
@@ -1201,123 +1201,13 @@ let finding_to_json f =
   in
   J.Object (base @ sym @ chain)
 
-let report_to_json ?(fresh = []) ?(baselined = 0) ?(stale = []) report =
+let report_to_json report =
   J.to_string ~pretty:true
     (J.Object
        [
          ("version", J.Number 1.);
          ("files", J.Number (float_of_int report.r_files));
          ("bindings", J.Number (float_of_int report.r_bindings));
-         ("findings", J.List (List.map finding_to_json fresh));
-         ("baselined", J.Number (float_of_int baselined));
-         ("stale_baseline", J.List (List.map (fun s -> J.String s) stale));
-       ])
-  ^ "\n"
-
-type baseline_entry = {
-  e_file : string;
-  e_rule : string;
-  e_symbol : string option;
-  e_line : int option;
-  e_reason : string;
-}
-
-let baseline_of_string text =
-  match J.parse text with
-  | Error msg -> Error ("baseline is not valid JSON: " ^ msg)
-  | Ok j -> (
-      match Option.bind (J.member "findings" j) J.to_list with
-      | None -> Error "baseline must be an object with a \"findings\" list"
-      | Some entries ->
-          let parse_entry i e =
-            let str k = Option.bind (J.member k e) J.to_str in
-            let num k = Option.bind (J.member k e) J.to_float in
-            match (str "file", str "rule", str "reason") with
-            | Some e_file, Some e_rule, Some e_reason
-              when is_reason_text e_reason ->
-                Ok
-                  {
-                    e_file;
-                    e_rule;
-                    e_symbol = str "symbol";
-                    e_line = Option.map int_of_float (num "line");
-                    e_reason;
-                  }
-            | Some _, Some _, _ ->
-                Error
-                  (Printf.sprintf
-                     "baseline entry %d has no written reason; every \
-                      accepted finding must say why it is acceptable"
-                     i)
-            | _ ->
-                Error
-                  (Printf.sprintf
-                     "baseline entry %d needs string fields \"file\", \
-                      \"rule\" and \"reason\""
-                     i)
-          in
-          let rec go i acc = function
-            | [] -> Ok (List.rev acc)
-            | e :: rest -> (
-                match parse_entry i e with
-                | Ok entry -> go (i + 1) (entry :: acc) rest
-                | Error _ as err -> err)
-          in
-          go 0 [] entries)
-
-let baseline_matches entry f =
-  entry.e_file = f.file
-  && entry.e_rule = f.rule
-  && (match entry.e_symbol with
-     | Some s -> f.symbol = Some s
-     | None -> true)
-  && match entry.e_line with Some l -> l = f.line | None -> true
-
-(* Returns (fresh findings, baselined count, stale entries).  A stale
-   entry — one matching no current finding — is reported so the baseline
-   shrinks as violations are fixed instead of fossilizing. *)
-let apply_baseline entries findings =
-  let hit = Array.make (List.length entries) false in
-  let fresh =
-    List.filter
-      (fun f ->
-        let matched = ref false in
-        List.iteri
-          (fun i e ->
-            if baseline_matches e f then begin
-              hit.(i) <- true;
-              matched := true
-            end)
-          entries;
-        not !matched)
-      findings
-  in
-  let stale =
-    List.filteri (fun i _ -> not hit.(i)) entries
-    |> List.map (fun e ->
-           Printf.sprintf "%s [%s]%s" e.e_file e.e_rule
-             (match e.e_symbol with Some s -> " " ^ s | None -> ""))
-  in
-  (fresh, List.length findings - List.length fresh, stale)
-
-let baseline_template findings =
-  J.to_string ~pretty:true
-    (J.Object
-       [
-         ("version", J.Number 1.);
-         ( "findings",
-           J.List
-             (List.map
-                (fun f ->
-                  let sym =
-                    match f.symbol with
-                    | Some s -> [ ("symbol", J.String s) ]
-                    | None -> [ ("line", J.Number (float_of_int f.line)) ]
-                  in
-                  J.Object
-                    ([ ("file", J.String f.file); ("rule", J.String f.rule) ]
-                    @ sym
-                    @ [ ("reason", J.String "TODO: justify or fix") ]))
-                findings) );
+         ("findings", J.List (List.map finding_to_json report.r_findings));
        ])
   ^ "\n"

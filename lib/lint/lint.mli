@@ -141,34 +141,8 @@ val explain : report -> string -> finding list
     name exactly or by [.]-suffix ([explain r "solve"] matches
     ["Trws.solve"]). *)
 
-(** {2 JSON output and baselines} *)
+(** {2 JSON output} *)
 
-val report_to_json :
-  ?fresh:finding list -> ?baselined:int -> ?stale:string list ->
-  report -> string
+val report_to_json : report -> string
 (** Machine-readable report: [{"version", "files", "bindings",
-    "findings", "baselined", "stale_baseline"}].  [fresh] is the
-    post-baseline finding list to emit. *)
-
-type baseline_entry = {
-  e_file : string;
-  e_rule : string;
-  e_symbol : string option;
-  e_line : int option;
-  e_reason : string;  (** mandatory, like suppression reasons *)
-}
-
-val baseline_of_string : string -> (baseline_entry list, string) result
-(** Parses a baseline file ([{"findings": [{file, rule, symbol?, line?,
-    reason}]}]); an entry without a written reason is an error. *)
-
-val apply_baseline :
-  baseline_entry list -> finding list ->
-  finding list * int * string list
-(** [(fresh, baselined, stale)]: findings no entry matches, the count
-    absorbed by the baseline, and rendered entries that matched nothing
-    (fix them by deleting the entry). *)
-
-val baseline_template : finding list -> string
-(** Serializes findings as a baseline skeleton with TODO reasons, for
-    [--write-baseline]. *)
+    "findings"}]. *)

@@ -7,7 +7,7 @@
 
     which is the optimization function (1) of the paper.  MAP inference
     minimizes [E].  Models are assembled with {!Builder} and frozen; solvers
-    ({!Trws}, {!Icm}, {!Sa}, {!Bnb}) operate on the frozen form.
+    ({!Trws}, {!Icm}, {!Sa}, {!Exact}) operate on the frozen form.
 
     Pairwise cost arrays are row-major by the {e first} endpoint's label:
     entry [x_u * k_v + x_v].  The arrays are {e not} copied, and

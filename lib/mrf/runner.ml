@@ -14,22 +14,19 @@ type outcome =
   | Converged
   | Budget_exhausted
   | Stalled
-  | Fell_back of string * outcome
   | Degraded of string * outcome
 
 let rec pp_outcome ppf = function
   | Converged -> Format.pp_print_string ppf "converged"
   | Budget_exhausted -> Format.pp_print_string ppf "budget exhausted"
   | Stalled -> Format.pp_print_string ppf "stalled"
-  | Fell_back (stage, rest) ->
-      Format.fprintf ppf "fell back from %s; %a" stage pp_outcome rest
   | Degraded (rung, rest) ->
       Format.fprintf ppf "degraded to %s; %a" rung pp_outcome rest
 
 let rec outcome_converged = function
   | Converged -> true
   | Budget_exhausted | Stalled -> false
-  | Fell_back (_, rest) | Degraded (_, rest) -> outcome_converged rest
+  | Degraded (_, rest) -> outcome_converged rest
 
 type stage = {
   name : string;
@@ -138,11 +135,19 @@ let sa ?jobs () =
       (fun ~interrupt ~init mrf -> Sa.solve ?config ~interrupt ?init mrf);
   }
 
-let bnb () =
+let exact ?jobs () =
+  let fallback = trws_icm ?jobs () in
   {
-    name = "bnb";
+    name = "exact";
     solve =
-      (fun ~interrupt ~init:_ mrf -> Bnb.solve ~interrupt mrf);
+      (fun ~interrupt ~init mrf ->
+        match Exact.solve ~interrupt mrf with
+        | Some r -> r
+        | None ->
+            {
+              (fallback.solve ~interrupt ~init mrf) with
+              Solver.converged = false;
+            });
   }
 
 type run_report = {
@@ -186,8 +191,7 @@ let fallback_rung = "icm-fallback"
    fallback rung *)
 let retries_per_rung = 2
 
-let run ?budget ?init ?on_best ~stages mrf =
-  if stages = [] then invalid_arg "Runner.run: empty cascade";
+let run ?budget ?init ?on_best ~stage mrf =
   let exhausted = ref false in
   (* polled from solver inner loops, possibly from spawned domains:
      only reads wall clock and sets a monotone flag *)
@@ -203,132 +207,99 @@ let run ?budget ?init ?on_best ~stages mrf =
           end
           else false
   in
-  let done_sweeps = ref 0 in
-  let best : Solver.result option ref = ref None in
-  (match init with
-  | None -> ()
-  | Some lab ->
-      (* resume support: a checkpointed labeling seeds the cascade's
-         best-so-far, so stages warm-start from it and the watchdog can
-         always fall back to it *)
-      best :=
-        Some
-          {
-            Solver.labeling = Array.copy lab;
-            energy = Mrf.energy mrf lab;
-            lower_bound = neg_infinity;
-            iterations = 0;
-            converged = false;
-          });
-  let timings = ref [] in
-  let fell = ref [] in
+  (* resume support: a checkpointed labeling seeds the best-so-far, so
+     the stage warm-starts from it and the watchdog can always fall
+     back to it *)
+  let seed =
+    Option.map
+      (fun lab ->
+        {
+          Solver.labeling = Array.copy lab;
+          energy = Mrf.energy mrf lab;
+          lower_bound = neg_infinity;
+          iterations = 0;
+          converged = false;
+        })
+      init
+  in
+  let warm = Option.map (fun r -> r.Solver.labeling) seed in
   let retries_used = ref 0 in
   let degraded = ref false in
   let icm_fallback = icm () in
-  let rec go = function
-    | [] -> assert false
-    | stage :: rest ->
-        Obs.instant ("stage:" ^ stage.name);
-        let stage_start = Obs.Clock.now () in
-        let warm = Option.map (fun r -> r.Solver.labeling) !best in
-        (* One attempt, on the fallback rung once degraded.  The injected
-           [runner.stage] check sits before the solve so a scheduled
-           fault kills the attempt, not the harness. *)
-        let solve_once () =
-          if Fault.enabled () then
-            Fault.check ~key:(Atomic.fetch_and_add attempt_seq 1) p_stage;
-          let s = if !degraded then icm_fallback else stage in
-          Obs.span
-            ~name:("runner.stage:" ^ s.name)
-            (fun () -> s.solve ~interrupt ~init:warm mrf)
-        in
-        (* Retry at once, degrading when the stage's retries are
-           spent. *)
-        let rec attempt tries_left =
-          match solve_once () with
-          | r -> Some r
-          | exception exn when recoverable exn ->
-              let bt = Printexc.get_raw_backtrace () in
-              incr retries_used;
-              Obs.instant ("retry:" ^ stage.name);
-              if tries_left > 0 then attempt (tries_left - 1)
-              else if not !degraded then begin
-                degraded := true;
-                Obs.instant ("degrade:" ^ fallback_rung);
-                (* flush immediately: if the fallback dies too, the black
-                   box already tells the story up to this point *)
-                dump_black_box "degraded";
-                attempt retries_per_rung
-              end
-              else if Option.is_some !best then begin
-                (* watchdog: the whole ladder failed, but an anytime
-                   labeling exists — abandon the stage, keep the result *)
-                Obs.instant ("watchdog:" ^ stage.name);
-                dump_black_box "watchdog";
-                None
-              end
-              else begin
-                dump_black_box (Printexc.to_string exn);
-                Printexc.raise_with_backtrace exn bt
-              end
-        in
-        let outcome_of = function
-          | None ->
-              (* stage abandoned after the fallback rung failed too *)
-              fell := stage.name :: !fell;
-              if rest <> [] then go rest else Stalled
-          | Some r ->
-              done_sweeps := !done_sweeps + r.Solver.iterations;
-              let prev = !best in
-              let merged =
-                match prev with
-                | None -> r
-                | Some b ->
-                    let better =
-                      if r.Solver.energy <= b.Solver.energy then r else b
-                    in
-                    {
-                      better with
-                      Solver.lower_bound =
-                        max r.Solver.lower_bound b.Solver.lower_bound;
-                    }
-              in
-              best := Some merged;
-              (match on_best with
-              | Some f
-                when (match prev with
-                     | None -> true
-                     | Some b -> merged.Solver.energy < b.Solver.energy) ->
-                  f merged
-              | _ -> ());
-              if r.Solver.converged then Converged
-              else if !exhausted then Budget_exhausted
-              else if rest <> [] then begin
-                fell := stage.name :: !fell;
-                go rest
-              end
-              else Stalled
-        in
-        let r = attempt retries_per_rung in
-        timings := (stage.name, Obs.Clock.now () -. stage_start) :: !timings;
-        outcome_of r
+  Obs.instant ("stage:" ^ stage.name);
+  let stage_start = Obs.Clock.now () in
+  (* One attempt, on the fallback rung once degraded.  The injected
+     [runner.stage] check sits before the solve so a scheduled fault
+     kills the attempt, not the harness. *)
+  let solve_once () =
+    if Fault.enabled () then
+      Fault.check ~key:(Atomic.fetch_and_add attempt_seq 1) p_stage;
+    let s = if !degraded then icm_fallback else stage in
+    Obs.span
+      ~name:("runner.stage:" ^ s.name)
+      (fun () -> s.solve ~interrupt ~init:warm mrf)
   in
-  let base = go stages in
-  let outcome =
-    List.fold_left (fun o name -> Fell_back (name, o)) base !fell
+  (* Retry at once, degrading when the stage's retries are spent. *)
+  let rec attempt tries_left =
+    match solve_once () with
+    | r -> Ok r
+    | exception exn when recoverable exn ->
+        let bt = Printexc.get_raw_backtrace () in
+        incr retries_used;
+        Obs.instant ("retry:" ^ stage.name);
+        if tries_left > 0 then attempt (tries_left - 1)
+        else if not !degraded then begin
+          degraded := true;
+          Obs.instant ("degrade:" ^ fallback_rung);
+          (* flush immediately: if the fallback dies too, the black box
+             already tells the story up to this point *)
+          dump_black_box "degraded";
+          attempt retries_per_rung
+        end
+        else
+          match seed with
+          | Some b ->
+              (* watchdog: the whole ladder failed, but an anytime
+                 labeling exists — abandon the stage, keep the result *)
+              Obs.instant ("watchdog:" ^ stage.name);
+              dump_black_box "watchdog";
+              Error b
+          | None ->
+              dump_black_box (Printexc.to_string exn);
+              Printexc.raise_with_backtrace exn bt
+  in
+  let solved = attempt retries_per_rung in
+  let timing = (stage.name, Obs.Clock.now () -. stage_start) in
+  let result, outcome =
+    match solved with
+    | Error b -> (b, Stalled)
+    | Ok r ->
+        let merged =
+          match seed with
+          | None -> r
+          | Some b ->
+              let better =
+                if r.Solver.energy <= b.Solver.energy then r else b
+              in
+              {
+                better with
+                Solver.lower_bound =
+                  max r.Solver.lower_bound b.Solver.lower_bound;
+                iterations = r.Solver.iterations;
+              }
+        in
+        let improved =
+          match seed with None -> true | Some b -> r.energy < b.Solver.energy
+        in
+        if improved then Option.iter (fun f -> f merged) on_best;
+        ( merged,
+          if r.Solver.converged then Converged
+          else if !exhausted then Budget_exhausted
+          else Stalled )
   in
   let outcome =
     if !degraded then Degraded (fallback_rung, outcome) else outcome
   in
-  let result =
-    match !best with Some r -> r | None -> assert false
-  in
-  let result =
-    {
-      result with
-      Solver.iterations = !done_sweeps;
-      converged = outcome_converged outcome;
-    }
-  in
+  let result = { result with Solver.converged = outcome_converged outcome } in
   dump_black_box (Format.asprintf "%a" pp_outcome outcome);
-  { result; outcome; stage_timings = List.rev !timings; retries = !retries_used }
+  { result; outcome; stage_timings = [ timing ]; retries = !retries_used }

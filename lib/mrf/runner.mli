@@ -3,30 +3,25 @@
     The paper's headline claim is scalability — diversification of
     10,000-host networks in bounded time — and online re-diversification
     needs solvers that can be stopped at a deadline and still return the
-    best feasible assignment found so far.  The runner wraps the four
-    solvers behind a uniform [stage] interface — an interrupt goes in, a
-    {!Solver.result} comes out — enforces a wall-clock budget and
-    degrades through a fallback cascade, merging the best-so-far
-    labeling across stages.  Solvers do not time themselves: the
+    best feasible assignment found so far.  The runner wraps each solver
+    as a [stage] — an interrupt goes in, a {!Solver.result} comes out —
+    runs one stage per solve under a wall-clock budget, and retries and
+    degrades it when attempts fail.  Solvers do not time themselves: the
     runner's stage clock is the one source of solve time, and only the
     budget can make a result depend on the clock.
 
-    Interrupt granularity: once per sweep for TRW-S, ICM and SA
-    (every restart, including spawned domains), per node expansion for
-    branch-and-bound.  All stages
-    preserve the anytime property: they return a feasible labeling and
-    its energy no matter when they are stopped. *)
+    Interrupt granularity: once per sweep for TRW-S, ICM and SA (every
+    restart, including spawned domains), once per variable planned or
+    eliminated for exact elimination.  Every stage preserves the anytime
+    property: it returns a feasible labeling and its energy no matter
+    when it is stopped. *)
 
 type outcome =
-  | Converged  (** a stage met its own stopping criterion *)
+  | Converged  (** the stage met its own stopping criterion *)
   | Budget_exhausted  (** deadline hit *)
   | Stalled
-      (** the last stage stopped at its own iteration cap without
-          converging, or the watchdog abandoned it (see {!run}) *)
-  | Fell_back of string * outcome
-      (** a stage ended without converging and the cascade moved on to
-          the next one.  The string names the abandoned stage; the
-          payload is the eventual outcome of the rest of the cascade. *)
+      (** the stage stopped at its own iteration cap without converging,
+          or the watchdog abandoned it (see {!run}) *)
   | Degraded of string * outcome
       (** stage failures forced the harness onto its degradation rung;
           the string names it (["icm-fallback"]: plain ICM warm-started
@@ -34,15 +29,15 @@ type outcome =
 
 val pp_outcome : Format.formatter -> outcome -> unit
 (** ["converged"], ["budget exhausted"], ["stalled"], or
-    ["fell back from <stage>; <outcome>"]. *)
+    ["degraded to <rung>; <outcome>"]. *)
 
 val outcome_converged : outcome -> bool
 (** [true] iff the outcome terminates in [Converged] (looking through
-    [Fell_back]). *)
+    [Degraded]). *)
 
 type stage
-(** One solver in a cascade: a name plus a solve function taking the
-    harness interrupt and an optional warm-start labeling. *)
+(** One solver: a name plus a solve function taking the harness
+    interrupt and an optional warm-start labeling. *)
 
 val stage_name : stage -> string
 
@@ -73,16 +68,21 @@ val sa : ?jobs:int -> unit -> stage
     parallelizing the restarts over the domain pool (results are
     job-count-invariant). *)
 
-val bnb : unit -> stage
+val exact : ?jobs:int -> unit -> stage
+(** {!Exact.solve}'s certified optimum when the plan fits; otherwise
+    what the {!trws_icm} stage's solve returns under the same interrupt,
+    with [converged = false].  So the stage converges exactly when its
+    result is certified: an uncertified result ends [Stalled], or
+    [Budget_exhausted] when the budget ran out. *)
 
 type run_report = {
   result : Solver.result;
-      (** best labeling across all stages run; [lower_bound] is the max
-          bound any stage proved, [iterations] is summed *)
+      (** the stage's labeling, or the [init] labeling when that is no
+          worse; [lower_bound] is the stage's bound *)
   outcome : outcome;
   stage_timings : (string * float) list;
-      (** wall-clock seconds per stage, in execution order: the one
-          source of solve time *)
+      (** wall-clock seconds of the stage, one entry: the one source of
+          solve time *)
   retries : int;
       (** stage attempts that died on a recoverable failure and were
           retried (or escalated down the ladder); 0 on a clean run *)
@@ -92,18 +92,15 @@ val run :
   ?budget:float ->
   ?init:int array ->
   ?on_best:(Solver.result -> unit) ->
-  stages:stage list ->
+  stage:stage ->
   Mrf.t ->
   run_report
-(** Runs the cascade: each stage starts from the best labeling found so
-    far and inherits the remaining budget, [budget] wall-clock seconds
-    from the start of the run (default: none).  A stage that converges
-    ends the run with [Converged]; hitting the deadline ends it with
-    [Budget_exhausted].  A stage that stops at its own iteration cap
-    without converging falls through to the next stage, wrapping the
-    eventual outcome in [Fell_back]; when no stage remains the run ends
-    [Stalled].  Without [budget] the interrupt never fires and never
-    reads the clock, so no clock reading can change the result.
+(** Runs one stage, starting from [init] when given, within [budget]
+    wall-clock seconds from the start of the run (default: none).  The
+    run ends [Converged] when the stage converges, [Budget_exhausted]
+    when the deadline hit, and [Stalled] otherwise.  Without [budget]
+    the interrupt never fires and never reads the clock, so no clock
+    reading can change the result.
 
     {b Recovery.}  A stage attempt that dies on a {e recoverable}
     failure — an injected fault ({!Netdiv_fault.Fault.Injected}),
@@ -113,21 +110,19 @@ val run :
     of its own.  Entering the rung is recorded as a [Degraded] wrapper
     on the outcome; the event stream marks each retry with a
     [retry:<stage>] instant and the rung with a [degrade:icm-fallback]
-    instant.  If the rung fails too and a best-so-far (or [init])
-    labeling exists, the stage is abandoned and the run keeps its
-    anytime result; with nothing to fall back on the failure
-    propagates.  The ladder never climbs back down: stages after the
-    one that degraded run on the rung.  Non-recoverable
+    instant.  If the rung fails too and an [init] labeling exists, the
+    stage is abandoned and the run keeps that labeling, [Stalled]; with
+    nothing to fall back on the failure propagates.  Non-recoverable
     exceptions ([Pool.Race], programmer errors) always propagate
     unchanged.
 
-    [init] seeds the best-so-far labeling before any stage runs (the
-    resume path: stages warm-start from it and it is the watchdog's
-    fallback).  [on_best] fires in the harness domain each time the
-    merged best strictly improves — the checkpoint hook.
+    [init] seeds the best-so-far labeling before the stage runs (the
+    resume path: the stage warm-starts from it and it is the watchdog's
+    fallback); the stage's result replaces it unless its energy is
+    higher.  [on_best] fires in the harness domain when the stage's
+    result is kept and strictly improves on [init] (or there is no
+    [init]) — the checkpoint hook.
 
     The returned labeling is always feasible (every stage is anytime),
-    and with [~budget:0.0] each stage returns within its first interrupt
-    poll.
-
-    @raise Invalid_argument on an empty [stages] list. *)
+    and with [~budget:0.0] the stage returns within its first interrupt
+    poll. *)

@@ -7,10 +7,14 @@
     aggregated cost is weighted by [1 / max(#lower neighbours, #higher
     neighbours)], which makes the dual bound non-decreasing.
 
-    The reported lower bound is the reparameterization bound
-    [sum_i min θ̂_i + sum_e min θ̂_e], valid for any message state and tight
-    on trees.  Labelings are decoded greedily in node order, conditioning on
-    already-decoded lower neighbours (Kolmogorov's scheme). *)
+    The reported lower bound is the monotonic-chain bound: the energy is
+    split over chains of edges of increasing node index (node costs
+    weighted by γ, edge costs reparameterized), and the bound sums each
+    chain's minimum, found by dynamic programming, in chain order, plus
+    the unary minimum of every node without edges.  It is valid for any
+    message state and tight at TRW-S fixed points on trees.  Labelings
+    are decoded greedily in node order, conditioning on already-decoded
+    lower neighbours (Kolmogorov's scheme). *)
 
 val solve :
   ?max_iters:int ->

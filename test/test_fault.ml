@@ -200,18 +200,17 @@ let test_pool_alloc_fault () =
 
 let rec rung_names = function
   | Runner.Degraded (r, rest) -> r :: rung_names rest
-  | Runner.Fell_back (_, rest) -> rung_names rest
   | Runner.Converged | Runner.Budget_exhausted | Runner.Stalled -> []
 
 let test_runner_faults () =
   let mrf = random_mrf (rng 42) 80 4 0.05 in
-  let clean = Runner.run ~stages:[ Runner.icm () ] mrf in
+  let clean = Runner.run ~stage:(Runner.icm ()) mrf in
   Alcotest.(check int) "clean run retries nothing" 0 clean.Runner.retries;
   (* one transient failure on the first attempt: the retry must land on
      the identical trajectory (this binary's first enabled attempt) *)
   let retried =
     with_spec "runner.stage@0" (fun () ->
-        Runner.run ~stages:[ Runner.icm () ] mrf)
+        Runner.run ~stage:(Runner.icm ()) mrf)
   in
   Alcotest.(check int) "one retry recorded" 1 retried.Runner.retries;
   Alcotest.(check (array int)) "retried solve is bitwise-identical"
@@ -222,7 +221,7 @@ let test_runner_faults () =
   let init = Array.make (Mrf.n_nodes mrf) 0 in
   let degraded =
     with_spec "rate=1.0,only=runner.stage" (fun () ->
-        Runner.run ~init ~stages:[ Runner.icm () ] mrf)
+        Runner.run ~init ~stage:(Runner.icm ()) mrf)
   in
   Alcotest.(check (array int)) "watchdog returns the anytime labeling"
     init degraded.Runner.result.Solver.labeling;
@@ -238,7 +237,7 @@ let test_runner_faults () =
       degraded.Runner.retries;
   (* with no anytime labeling at all the failure must propagate *)
   with_spec "rate=1.0,only=runner.stage" (fun () ->
-      match Runner.run ~stages:[ Runner.icm () ] mrf with
+      match Runner.run ~stage:(Runner.icm ()) mrf with
       | _ -> Alcotest.fail "total failure with no best must raise"
       | exception e ->
           Alcotest.(check bool) "propagates as Injected" true
@@ -248,7 +247,7 @@ let test_runner_faults () =
    key off a probe run whose every attempt fails *)
 let next_stage_key () =
   with_spec "rate=1.0,only=runner.stage" (fun () ->
-      match Runner.run ~stages:[ Runner.icm () ] (random_mrf (rng 1) 2 2 1.0)
+      match Runner.run ~stage:(Runner.icm ()) (random_mrf (rng 1) 2 2 1.0)
       with
       | _ -> Alcotest.fail "probe run must fail"
       | exception Fault.Injected (_, key) -> key + 1)
@@ -269,7 +268,7 @@ let test_one_rung_ladder () =
       (List.init 3 (fun i -> Printf.sprintf "runner.stage@%d" (k + i)))
   in
   let report =
-    with_spec spec (fun () -> Runner.run ~stages:[ Runner.trws_icm () ] mrf)
+    with_spec spec (fun () -> Runner.run ~stage:(Runner.trws_icm ()) mrf)
   in
   (match report.Runner.outcome with
   | Runner.Degraded ("icm-fallback", _) -> ()

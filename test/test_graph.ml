@@ -322,6 +322,115 @@ let graph_gen =
     let* seed = 0 -- 10_000 in
     return (Gen.gnm ~rng:(Random.State.make [| seed |]) ~n ~m))
 
+(* ------------------------------------------------- elimination order *)
+
+(* The greedy order as a linear scan over the live variables, the way
+   the Bayesian-network inference planned it before the priority queue:
+   the oracle for [Elim_order.plan].  It orders all of [vars] but one,
+   the query when one is among them. *)
+let scan_order ~n ~card ~max_entries ~query vars scopes =
+  let m = Array.length vars in
+  let local = Array.make n (-1) in
+  Array.iteri (fun a v -> local.(v) <- a) vars;
+  let nbrs = Array.make m [] in
+  let link a b =
+    if a <> b && not (List.mem b nbrs.(a)) then nbrs.(a) <- b :: nbrs.(a)
+  in
+  let clique s = List.iter (fun a -> List.iter (link a) s) s in
+  List.iter (fun s -> clique (List.map (Array.get local) s)) scopes;
+  let alive = Array.make m true in
+  let size a =
+    List.fold_left
+      (fun s b ->
+        if alive.(b) then min (max_entries + 1) (s * card vars.(b)) else s)
+      (card vars.(a)) nbrs.(a)
+  in
+  let sizes = Array.init m size in
+  let order = ref [] in
+  for _ = 2 to m do
+    let v = ref (-1) in
+    for a = 0 to m - 1 do
+      if alive.(a) && vars.(a) <> query && (!v < 0 || sizes.(a) < sizes.(!v))
+      then v := a
+    done;
+    let v = !v in
+    if sizes.(v) > max_entries then
+      invalid_arg "scan_order: a planned factor exceeds the table limit";
+    alive.(v) <- false;
+    let live = List.filter (Array.get alive) nbrs.(v) in
+    clique live;
+    List.iter (fun a -> sizes.(a) <- size a) live;
+    order := vars.(v) :: !order
+  done;
+  List.rev !order
+
+(* variables drawn from [0, n), 1-4 states each, scopes of 1-3 of them,
+   a table limit of 4 to 2048 entries, and a kept query half the time
+   (query -1: none) *)
+let plan_case_gen =
+  QCheck2.Gen.(
+    let* seed = 0 -- 100_000 in
+    let* n = 1 -- 30 in
+    let* kept = bool in
+    return
+      (let rng = Random.State.make [| seed |] in
+       let vars =
+         Array.of_list
+           (List.filter
+              (fun _ -> Random.State.int rng 4 > 0)
+              (List.init n Fun.id))
+       in
+       let m = Array.length vars in
+       let cards = Array.init n (fun _ -> 1 + Random.State.int rng 4) in
+       let pick () = vars.(Random.State.int rng m) in
+       let scopes =
+         if m = 0 then []
+         else
+           List.init (Random.State.int rng (2 * m + 1)) (fun _ ->
+               List.init (1 + Random.State.int rng 3) (fun _ -> pick ()))
+       in
+       let query = if kept && m > 0 then pick () else -1 in
+       let max_entries = 1 lsl (2 + Random.State.int rng 10) in
+       (n, cards, max_entries, query, vars, scopes)))
+
+let prop_plan_matches_scan =
+  QCheck2.Test.make ~count:500 ~name:"elimination order = linear scan"
+    plan_case_gen (fun (n, cards, max_entries, query, vars, scopes) ->
+      let card v = cards.(v) in
+      let keep = if query >= 0 then Some query else None in
+      let planned =
+        Elim_order.plan ?keep ~n ~card ~max_entries ~max_total:max_int vars
+          scopes
+      in
+      match scan_order ~n ~card ~max_entries ~query vars scopes with
+      | exception Invalid_argument _ -> planned = None
+      | order -> (
+          match (planned, keep) with
+          | None, _ -> false
+          | Some p, Some _ -> p = order
+          | Some p, None ->
+              (* with nothing kept the last variable is ordered too: the
+                 scan's order plus the one it leaves *)
+              let m = Array.length vars in
+              List.length p = m
+              && List.filteri (fun i _ -> i < m - 1) p = order))
+
+(* a chain of 8 binary variables, eliminated from one end: each table
+   holds 4 entries but the last, which holds 2, so the plan sums to 30 *)
+let test_plan_limits () =
+  let vars = Array.init 8 Fun.id in
+  let scopes = List.init 7 (fun i -> [ i; i + 1 ]) in
+  let plan ?interrupt max_total =
+    Elim_order.plan ?interrupt ~n:8 ~card:(fun _ -> 2) ~max_entries:4
+      ~max_total vars scopes
+  in
+  Alcotest.(check (option (list int)))
+    "fits" (Some [ 0; 1; 2; 3; 4; 5; 6; 7 ]) (plan 30);
+  Alcotest.(check (option (list int))) "total over budget" None (plan 29);
+  Alcotest.(check (option (list int)))
+    "interrupted" None
+    (plan ~interrupt:(fun () -> true) 30)
+
 let prop_degree_sum =
   QCheck2.Test.make ~count:100 ~name:"sum of degrees = 2m" graph_gen
     (fun g ->
@@ -433,8 +542,12 @@ let () =
           Alcotest.test_case "min cut = max flow" `Quick test_min_cut_menger;
           Alcotest.test_case "random graphs" `Quick test_min_cut_random;
         ] );
+      ( "planner",
+        [ Alcotest.test_case "table and total limits" `Quick test_plan_limits ]
+      );
       ( "properties",
         [
+          QCheck_alcotest.to_alcotest prop_plan_matches_scan;
           QCheck_alcotest.to_alcotest prop_degree_sum;
           QCheck_alcotest.to_alcotest prop_neighbors_symmetric;
           QCheck_alcotest.to_alcotest prop_bfs_triangle;

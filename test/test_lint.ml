@@ -220,13 +220,13 @@ let test_alloc_in_loop () =
        \  done\n");
   check_rules "positive: Mrf.incident inside for"
     [ "alloc-in-loop" ]
-    (lint "lib/mrf/bnb.ml"
+    (lint "lib/mrf/exact.ml"
        "let f t n =\n\
        \  for i = 0 to n - 1 do\n\
        \    Array.iter visit (Mrf.incident t i)\n\
        \  done\n");
   check_rules "near-miss: Mrf.incident outside any loop" []
-    (lint "lib/mrf/bnb.ml"
+    (lint "lib/mrf/exact.ml"
        "let degree t i = Array.length (Mrf.incident t i)\n");
   check_rules "suppressed" []
     (lint "lib/mrf/kernel.ml"
@@ -713,48 +713,13 @@ let test_float_equality_in_kernel () =
         fixture *)\n\
         let check x = x = 0.0\n")
 
-(* ------------------------------------------------- baselines and JSON *)
-
-let test_baseline () =
-  (match Lint.baseline_of_string "{\"findings\": [{\"file\": \"a.ml\", \
-                                  \"rule\": \"nondet-taint\"}]}" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "entry without a reason must be rejected");
-  let entries =
-    match
-      Lint.baseline_of_string
-        "{\"findings\": [{\"file\": \"lib/core/api.mli\", \"rule\": \
-         \"unused-export\", \"symbol\": \"Api.unused\", \"reason\": \
-         \"public API, fixture\"}, {\"file\": \"gone.ml\", \"rule\": \
-         \"nondet-taint\", \"reason\": \"stale, fixture\"}]}"
-    with
-    | Ok e -> e
-    | Error msg -> Alcotest.failf "baseline parse: %s" msg
-  in
-  let report =
-    Lint.analyze_sources
-      [
-        ( "lib/core/api.ml",
-          "let used x = x + 1\n\nlet unused x = x - 1\n",
-          Some "val used : int -> int\n\nval unused : int -> int\n" );
-        ("lib/core/caller.ml", "let call x = Api.used x\n", Some "");
-      ]
-  in
-  let fresh, baselined, stale =
-    Lint.apply_baseline entries report.Lint.r_findings
-  in
-  Alcotest.(check int) "finding absorbed" 0 (List.length fresh);
-  Alcotest.(check int) "one baselined" 1 baselined;
-  Alcotest.(check int) "one stale entry" 1 (List.length stale)
+(* --------------------------------------------------------------- JSON *)
 
 let test_json_roundtrip () =
   let report =
     analyze [ ("lib/sim/e.ml", "let go f = Domain.spawn f\n") ]
   in
-  let text =
-    Lint.report_to_json ~fresh:report.Lint.r_findings ~baselined:0 ~stale:[]
-      report
-  in
+  let text = Lint.report_to_json report in
   let module J = Netdiv_vuln.Json in
   match J.parse text with
   | Error msg -> Alcotest.failf "report JSON does not parse: %s" msg
@@ -774,45 +739,19 @@ let test_json_roundtrip () =
 let test_repo_lints_clean () =
   (* under `dune runtest` the cwd is _build/default/test and the sources
      sit one level up (declared as deps); under `dune exec` from the repo
-     root they sit right here.  The interprocedural analysis runs with
-     the checked-in baseline; a fresh finding means a violation crept in
-     without a written suppression or baseline reason. *)
+     root they sit right here.  Any finding means a violation crept in
+     without a written suppression. *)
   let at_root = Sys.file_exists "lib" && Sys.is_directory "lib" in
   let prefix p = if at_root then p else "../" ^ p in
   let roots = [ prefix "lib"; prefix "bin" ] in
   let report =
     Lint.analyze_paths ~ref_paths:(Lint.default_ref_paths roots) roots
   in
-  let entries =
-    let file = prefix "lint_baseline.json" in
-    if not (Sys.file_exists file) then []
-    else
-      let ic = open_in_bin file in
-      let text = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      match Lint.baseline_of_string text with
-      | Ok e -> e
-      | Error msg -> Alcotest.failf "checked-in baseline invalid: %s" msg
-  in
-  let strip_prefix s =
-    if at_root then s
-    else if String.length s > 3 && String.sub s 0 3 = "../" then
-      String.sub s 3 (String.length s - 3)
-    else s
-  in
-  let findings =
-    List.map
-      (fun f -> { f with Lint.file = strip_prefix f.Lint.file })
-      report.Lint.r_findings
-  in
-  let fresh, _, stale = Lint.apply_baseline entries findings in
-  if fresh <> [] then
+  let findings = report.Lint.r_findings in
+  if findings <> [] then
     Alcotest.failf "repository must lint clean, got:@\n%s"
       (String.concat "\n"
-         (List.map (Format.asprintf "%a" Lint.pp_finding) fresh));
-  if stale <> [] then
-    Alcotest.failf "stale baseline entries (fixed findings):@\n%s"
-      (String.concat "\n" stale)
+         (List.map (Format.asprintf "%a" Lint.pp_finding) findings))
 
 let test_rule_list () =
   let ids = List.map fst Lint.rules in
@@ -878,7 +817,6 @@ let () =
           Alcotest.test_case "unused-export" `Quick test_unused_export;
           Alcotest.test_case "float-equality-in-kernel" `Quick
             test_float_equality_in_kernel;
-          Alcotest.test_case "baseline diffing" `Quick test_baseline;
           Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
         ] );
       ( "self-check",

@@ -1,5 +1,5 @@
 (* Tests for the MRF library: model construction, energy evaluation, and
-   the solvers (TRW-S, ICM, SA, branch-and-bound) against the
+   the solvers (TRW-S, ICM, SA, exact elimination) against the
    exhaustive oracle in brute.ml.  The key invariants:
    TRW-S's dual bound never exceeds any labeling's energy, is exact and
    tight on trees, and on tiny loopy models all solvers stay above the
@@ -325,40 +325,30 @@ let test_sa_config_validation () =
   | _ -> Alcotest.fail "accepted cooling > 1"
   | exception Invalid_argument _ -> ()
 
-let test_bnb_exact () =
-  for seed = 1 to 12 do
-    let m = random_mrf (rng (700 + seed)) 8 3 0.4 in
-    let exact = Brute.solve m in
-    let bb = Bnb.solve m in
-    Alcotest.(check bool)
-      (Printf.sprintf "certified on seed %d" seed)
-      true bb.Solver.converged;
-    Alcotest.(check (float 1e-9))
-      (Printf.sprintf "optimal on seed %d" seed)
-      exact.Solver.energy bb.Solver.energy;
-    Alcotest.(check (float 1e-9)) "bound equals energy when certified"
-      bb.Solver.energy bb.Solver.lower_bound
-  done
+let test_exact_trees () =
+  List.iter
+    (fun (seed, n) ->
+      let m = random_tree_mrf (rng seed) n 4 in
+      match Exact.solve m with
+      | None -> Alcotest.failf "a %d-node tree did not fit" n
+      | Some r ->
+          Alcotest.(check bool) "trees certify" true r.Solver.converged;
+          Alcotest.(check (float 0.0))
+            "bound is the energy" r.Solver.energy r.Solver.lower_bound;
+          (* TRW-S is exact on trees *)
+          Alcotest.(check (float 1e-6))
+            "agrees with trws on trees" (Trws.solve m).Solver.energy
+            r.Solver.energy)
+    [ (14, 30); (15, 2000) ]
 
-let test_bnb_node_limit () =
-  let m = random_mrf (rng 13) 25 4 0.4 in
-  let bb = Bnb.solve ~config:{ Bnb.node_limit = 10 } m in
-  Alcotest.(check bool) "gave up" false bb.Solver.converged;
-  (* the incumbent is still at least as good as the warm start *)
-  let warm = Trws.solve m in
-  let polished = Icm.solve ~init:warm.Solver.labeling m in
-  Alcotest.(check bool) "incumbent sane" true
-    (bb.Solver.energy <= polished.Solver.energy +. 1e-9);
-  Alcotest.(check bool) "bound still valid" true
-    (bb.Solver.lower_bound <= bb.Solver.energy +. 1e-9)
-
-let test_bnb_tree_fast () =
-  let m = random_tree_mrf (rng 14) 30 4 in
-  let bb = Bnb.solve ~config:{ Bnb.node_limit = 100_000 } m in
-  Alcotest.(check bool) "trees certify" true bb.Solver.converged;
-  let tr = Trws.solve m in
-  Alcotest.(check (float 1e-6)) "agrees with trws on trees"
-    tr.Solver.energy bb.Solver.energy
+let test_exact_rejects () =
+  (* 24 variables, all joined: the first table alone holds 3^24 entries *)
+  let dense = random_mrf (rng 16) 24 3 1.0 in
+  Alcotest.(check bool) "a model that does not fit" true
+    (Exact.solve dense = None);
+  let small = random_mrf (rng 17) 6 3 0.5 in
+  Alcotest.(check bool) "an interrupt that fires at once" true
+    (Exact.solve ~interrupt:(fun () -> true) small = None)
 
 let test_parallel_edges () =
   (* duplicate edges accumulate cost *)
@@ -639,9 +629,8 @@ let pin_model =
          hosts = 60; degree = 6; services = 4 })
 
 let pins =
-  let bnb ?node_limit seed n k p () =
-    let config = Option.map (fun l -> { Bnb.node_limit = l }) node_limit in
-    Bnb.solve ?config (random_mrf (rng seed) n k p)
+  let exact seed n k p () =
+    Option.get (Exact.solve (random_mrf (rng seed) n k p))
   in
   [
     ( "icm from the greedy start",
@@ -655,25 +644,29 @@ let pins =
     ( "sa, default seed",
       (fun () -> Sa.solve (Lazy.force pin_model)),
       "f1a486d530a1e4a3d3b09ca258a5a550 0x1.8adbe1890576ap+5 584 true" );
-    ( "bnb, 9 variables",
-      bnb 41 9 4 0.8,
-      "1a213a00fe72808cdf0b4f0dbdaaed7b 0x1.621175328a983p+3 218 true" );
-    ( "bnb, 9 variables, 20 nodes",
-      bnb ~node_limit:20 41 9 4 0.8,
-      "d8b6a9e936a92a09689b2c65c49cf386 0x1.7318a67c84f43p+3 20 false" );
-    ( "bnb, 10 variables",
-      bnb 58 10 4 0.6,
-      "56039c08ded39752496133642738d437 0x1.7479710a53afdp+3 303 true" );
-    ( "bnb, 10 variables, 20 nodes",
-      bnb ~node_limit:20 58 10 4 0.6,
-      "2264b7134b40419da5afda0106bc4b26 0x1.861f98f9f8d22p+3 20 false" );
+    ( "exact, 9 variables",
+      exact 41 9 4 0.8,
+      "1a213a00fe72808cdf0b4f0dbdaaed7b 0x1.621175328a983p+3 1 true" );
+    ( "exact, 10 variables",
+      exact 58 10 4 0.6,
+      "56039c08ded39752496133642738d437 0x1.7479710a53afdp+3 1 true" );
   ]
 
 let test_golden_pins () =
   List.iter
     (fun (name, run, expected) ->
       Alcotest.(check string) name expected (fingerprint (run ())))
-    pins
+    pins;
+  (* the exact pins are the optimum: enumeration finds the same
+     labelings *)
+  List.iter
+    (fun (seed, n, p) ->
+      let m = random_mrf (rng seed) n 4 p in
+      Alcotest.(check (array int))
+        (Printf.sprintf "exact, %d variables: brute-force optimum" n)
+        (Brute.solve m).Solver.labeling
+        (Option.get (Exact.solve m)).Solver.labeling)
+    [ (41, 9, 0.8); (58, 10, 0.6) ]
 
 (* Bit-exact results of every TRW-S schedule: the local-search
    fingerprint with the bound in hex after the energy. *)
@@ -967,6 +960,54 @@ let prop_decode_valid =
           | exception Invalid_argument _ -> false)
         [ Trws.solve m; Icm.solve m ])
 
+(* Up to 10 variables with 2-4 labels each (mixed within a model),
+   edges only inside 1-3 blocks, and each node isolated with probability
+   1/5: disconnected parts and isolated nodes in one generator. *)
+let elim_gen =
+  QCheck2.Gen.(
+    let* seed = 0 -- 100_000 in
+    let* n = 1 -- 10 in
+    let* blocks = 1 -- 3 in
+    return
+      (let rng = Random.State.make [| seed |] in
+       let labels = Array.init n (fun _ -> 2 + Random.State.int rng 3) in
+       let block =
+         Array.init n (fun _ ->
+             if Random.State.int rng 5 = 0 then -1
+             else Random.State.int rng blocks)
+       in
+       let b = Mrf.Builder.create ~label_counts:labels in
+       for i = 0 to n - 1 do
+         Mrf.Builder.set_unary b ~node:i
+           (Array.init labels.(i) (fun _ -> Random.State.float rng 1.0))
+       done;
+       for u = 0 to n - 1 do
+         for v = u + 1 to n - 1 do
+           if
+             block.(u) >= 0
+             && block.(u) = block.(v)
+             && Random.State.float rng 1.0 < 0.6
+           then
+             Mrf.Builder.add_edge b u v
+               (Array.init
+                  (labels.(u) * labels.(v))
+                  (fun _ -> Random.State.float rng 1.0))
+         done
+       done;
+       Mrf.Builder.build b))
+
+let prop_exact_matches_brute =
+  QCheck2.Test.make ~count:200 ~name:"elimination = brute force" elim_gen
+    (fun m ->
+      match Exact.solve m with
+      | None -> false
+      | Some r ->
+          r.Solver.converged
+          && Float.equal r.Solver.lower_bound r.Solver.energy
+          && Float.equal r.Solver.energy (Mrf.energy m r.Solver.labeling)
+          && abs_float (r.Solver.energy -. (Brute.solve m).Solver.energy)
+             <= 1e-9)
+
 (* Component id per node: the lowest node id of its component. *)
 let component_map m =
   let n = Mrf.n_nodes m in
@@ -1077,10 +1118,9 @@ let () =
             test_sa_oversubscribed;
           Alcotest.test_case "per-component trws" `Quick
             test_solve_components;
-          Alcotest.test_case "bnb certifies small instances" `Quick
-            test_bnb_exact;
-          Alcotest.test_case "bnb node limit" `Quick test_bnb_node_limit;
-          Alcotest.test_case "bnb certifies trees" `Quick test_bnb_tree_fast;
+          Alcotest.test_case "exact certifies trees" `Quick test_exact_trees;
+          Alcotest.test_case "exact rejects what does not fit" `Quick
+            test_exact_rejects;
           Alcotest.test_case "parallel edges" `Quick test_parallel_edges;
           Alcotest.test_case "golden local-search pins" `Quick
             test_golden_pins;
@@ -1118,5 +1158,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_trws_sandwich;
           QCheck_alcotest.to_alcotest prop_decode_valid;
           QCheck_alcotest.to_alcotest prop_icm_matches_reference;
+          QCheck_alcotest.to_alcotest prop_exact_matches_brute;
         ] );
     ]

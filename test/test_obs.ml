@@ -275,7 +275,7 @@ let test_runner_stage_spans () =
   let report =
     Runner.run
       ~budget:30.0
-      ~stages:[ Runner.trws () ]
+      ~stage:(Runner.trws ())
       mrf
   in
   Alcotest.(check int)
@@ -506,7 +506,7 @@ let test_recorder_dump_on_degradation () =
         Recorder.with_recorder r (fun () ->
             Runner.run
               ~budget:30.0
-              ~stages:[ Runner.trws () ]
+              ~stage:(Runner.trws ())
               (tiny_mrf ())))
   in
   (match report.Runner.outcome with

@@ -3,9 +3,8 @@
    next interrupt poll with a feasible labeling and [Budget_exhausted];
    pinned solves hold the results bit for bit, and a generous budget, a
    checkpoint file or a skewed clock leaves them unchanged at every job
-   count; a stage that stops at its iteration cap without converging
-   hands over to the next stage of the cascade, and the cascade still
-   yields constraint-satisfying assignments. *)
+   count; the exact stage certifies what its plan fits, constraints
+   included, and otherwise returns TRW-S + ICM's result uncertified. *)
 
 open Netdiv_mrf
 module Fault = Netdiv_fault.Fault
@@ -62,7 +61,7 @@ let test_zero_budget_stages () =
   List.iter
     (fun stage ->
       let name = Runner.stage_name stage in
-      let report = Runner.run ~budget:0.0 ~stages:[ stage ] mrf in
+      let report = Runner.run ~budget:0.0 ~stage mrf in
       Alcotest.check outcome
         (name ^ ": outcome")
         Runner.Budget_exhausted report.Runner.outcome;
@@ -73,7 +72,7 @@ let test_zero_budget_stages () =
           report.Runner.result.Solver.iterations)
     [
       Runner.trws (); Runner.trws_icm (); Runner.icm (); Runner.sa ();
-      Runner.bnb ();
+      Runner.exact ();
     ]
 
 let test_optimize_zero_budget () =
@@ -130,6 +129,10 @@ let test_pinned_solves () =
       ( Optimize.Sa,
         "0x1.883fd0a343465p+7 -infinity 82f4ece4b2db3ffa5bd1ee3edf92d107 \
          converged" );
+      (* the plan does not fit: trws+icm's result, uncertified *)
+      ( Optimize.Exact,
+        "0x1.b08e59826e872p+7 0x1.8000000000003p+1 \
+         0ade1c7231f3a6b80f86208435b28376 stalled" );
     ];
   (* refine warm-starts ICM from the previous assignment, projected into
      an encoding where host 0's first service is pinned *)
@@ -178,7 +181,10 @@ let test_options_compose () =
               ("checkpoint", Optimize.run ~solver ?jobs ~checkpoint:ck net []);
             ])
         [ None; Some 1; Some 2 ])
-    [ Optimize.Trws; Optimize.Trws_icm; Optimize.Icm; Optimize.Sa ]
+    [
+      Optimize.Trws; Optimize.Trws_icm; Optimize.Icm; Optimize.Sa;
+      Optimize.Exact;
+    ]
 
 (* Under this spec every clock read jumps 60 s.  Only a budget may make
    a result depend on the clock, so unbudgeted solves must not notice. *)
@@ -187,7 +193,10 @@ let test_unbudgeted_ignores_clock () =
   let solves =
     List.concat_map
       (fun solver -> [ (solver, None); (solver, Some 2) ])
-      [ Optimize.Trws; Optimize.Trws_icm; Optimize.Icm; Optimize.Sa ]
+      [
+        Optimize.Trws; Optimize.Trws_icm; Optimize.Icm; Optimize.Sa;
+        Optimize.Exact;
+      ]
   in
   let under spec =
     Fault.set_spec (Some spec);
@@ -217,43 +226,22 @@ let test_unbudgeted_ignores_clock () =
 
 (* ------------------------------------------------- generous budgets *)
 
-let test_generous_budget_bnb () =
+let test_generous_budget_exact () =
   let mrf = random_mrf (rng 5) 12 3 0.3 in
   let exact = Brute.solve mrf in
-  let report =
-    Runner.run
-      ~budget:300.0
-      ~stages:[ Runner.bnb () ]
-      mrf
-  in
-  Alcotest.check outcome "bnb: outcome" Runner.Converged
+  let report = Runner.run ~budget:300.0 ~stage:(Runner.exact ()) mrf in
+  Alcotest.check outcome "exact: outcome" Runner.Converged
     report.Runner.outcome;
+  let r = report.Runner.result in
   Alcotest.(check (float 1e-9))
-    "bnb: certified optimum" exact.Solver.energy
-    report.Runner.result.Solver.energy
+    "exact: certified optimum" exact.Solver.energy r.Solver.energy;
+  Alcotest.(check (float 0.0))
+    "exact: bound is the energy" r.Solver.energy r.Solver.lower_bound
 
-(* ------------------------------------------------- fallback cascade *)
+(* ------------------------------------------------- exact under constraints *)
 
-(* TRW-S stops at its 100-iteration cap without converging on this
-   model (energy 58.0886, bound 57.1926), so the cascade hands over to
-   ICM *)
-let test_cascade_falls_back_on_stall () =
-  let mrf = random_mrf (rng 9) 50 3 0.1 in
-  let report = Runner.run ~stages:[ Runner.trws (); Runner.icm () ] mrf in
-  (match report.Runner.outcome with
-  | Runner.Fell_back ("trws", _) -> ()
-  | o ->
-      Alcotest.failf "expected a fallback from trws, got %a"
-        Runner.pp_outcome o);
-  check_feasible "cascade" mrf report.Runner.result;
-  match report.Runner.stage_timings with
-  | [ ("trws", _); ("icm", _) ] -> ()
-  | l ->
-      Alcotest.failf "expected trws and icm stage timings, got [%s]"
-        (String.concat "; " (List.map fst l))
-
-(* The smallest instance on which branch-and-bound reaches its node
-   limit: the cascade falls back to TRW-S + ICM. *)
+(* A 9-host instance with a Fix constraint: elimination certifies it
+   with the constraint satisfied. *)
 let test_exact_cascade_constraints () =
   let net = instance ~hosts:9 ~degree:4 ~services:3 () in
   let service = (Network.host_services net 0).(0) in
@@ -268,21 +256,18 @@ let test_exact_cascade_constraints () =
     ]
   in
   let report = Optimize.run ~solver:Optimize.Exact net constraints in
-  (match report.Optimize.outcome with
-  | Runner.Fell_back ("bnb", _) -> ()
-  | o ->
-      Alcotest.failf "expected a fallback from bnb, got %a"
-        Runner.pp_outcome o);
+  Alcotest.check outcome "certified" Runner.Converged report.Optimize.outcome;
+  Alcotest.(check (float 0.0))
+    "bound is the energy" report.Optimize.energy report.Optimize.lower_bound;
   Alcotest.(check bool)
-    "cascade satisfies the Fix constraint" true
-    report.Optimize.constraints_ok
+    "satisfies the Fix constraint" true report.Optimize.constraints_ok
 
 (* ------------------------------------------------- budget mechanics *)
 
 let test_icm_restarts_jobs_invariant () =
   let mrf = random_mrf (rng 13) 40 3 0.2 in
   let solve jobs =
-    (Runner.run ~stages:[ Runner.icm_restarts ~jobs () ] mrf).Runner.result
+    (Runner.run ~stage:(Runner.icm_restarts ~jobs ()) mrf).Runner.result
   in
   let one = solve 1 in
   let four = solve 4 in
@@ -291,19 +276,13 @@ let test_icm_restarts_jobs_invariant () =
   Alcotest.(check bool) "same labeling" true
     (one.Solver.labeling = four.Solver.labeling);
   (* the restarts can only improve on a single warm-started ICM *)
-  let single = (Runner.run ~stages:[ Runner.icm () ] mrf).Runner.result in
+  let single = (Runner.run ~stage:(Runner.icm ()) mrf).Runner.result in
   Alcotest.(check bool) "no worse than single icm" true
     (one.Solver.energy <= single.Solver.energy +. 1e-9)
 
-let test_empty_stages () =
-  let mrf = random_mrf (rng 2) 4 2 0.5 in
-  match Runner.run ~stages:[] mrf with
-  | _ -> Alcotest.fail "accepted an empty cascade"
-  | exception Invalid_argument _ -> ()
-
 let test_unbudgeted_converges () =
   let mrf = random_mrf (rng 31) 40 3 0.2 in
-  let report = Runner.run ~stages:[ Runner.icm () ] mrf in
+  let report = Runner.run ~stage:(Runner.icm ()) mrf in
   Alcotest.check outcome "converges unbudgeted" Runner.Converged
     report.Runner.outcome
 
@@ -369,13 +348,11 @@ let () =
           Alcotest.test_case "options compose" `Quick test_options_compose;
           Alcotest.test_case "unbudgeted solves ignore the clock" `Quick
             test_unbudgeted_ignores_clock;
-          Alcotest.test_case "generous budget certifies (bnb)" `Quick
-            test_generous_budget_bnb;
+          Alcotest.test_case "generous budget certifies (exact)" `Quick
+            test_generous_budget_exact;
         ] );
       ( "cascade",
         [
-          Alcotest.test_case "stall falls back" `Quick
-            test_cascade_falls_back_on_stall;
           Alcotest.test_case "exact cascade keeps constraints" `Quick
             test_exact_cascade_constraints;
         ] );
@@ -386,8 +363,6 @@ let () =
         ] );
       ( "budget",
         [
-          Alcotest.test_case "empty cascade rejected" `Quick
-            test_empty_stages;
           Alcotest.test_case "unbudgeted run converges" `Quick
             test_unbudgeted_converges;
         ] );

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Repository gate: build everything, run the netdiv-lint static checker
-# (surface + interprocedural effect analysis, diffed against the
-# checked-in lint_baseline.json),
+# (surface + interprocedural effect analysis; every finding not
+# suppressed inline with a written reason fails),
 # run the full test suite (alcotest, qcheck and the CLI cram test),
 # run the scored-deployment benchmark's smoke test (perfbench/),
 # re-run the pool suite with the NETDIV_SANITIZE race sanitizer enabled,
@@ -27,12 +27,12 @@ cd "$(dirname "$0")/.."
 echo "== dune build"
 dune build
 
-echo "== netdiv lint (effect analysis gate, baseline-diffed)"
+echo "== netdiv lint (effect analysis gate)"
 # the @lint alias runs
-#   netdiv lint --format json --baseline lint_baseline.json lib bin
-# with test/bench/examples/tools/perfbench as reference roots; any finding that is
-# neither suppressed inline nor accepted (with a reason) in the
-# checked-in baseline fails the gate
+#   netdiv lint --format json lib bin
+# with test/bench/examples/tools/perfbench as reference roots; any
+# finding that is not suppressed inline with a written reason fails the
+# gate
 dune build @lint
 
 echo "== dune runtest"
