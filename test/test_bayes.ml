@@ -624,6 +624,47 @@ let test_scaled_exact () =
         (Float.is_finite (Attack_bn.diversity a ~entry ~target)))
     entries
 
+(* the exact bits of P(target compromised), as %h, under both exploit
+   models of d_bn: any change to the inference arithmetic shows here
+   before it shows in a rounded table *)
+let test_dbn_bit_pins () =
+  let pin label ~fixed ~uniform p =
+    Alcotest.(check string) (label ^ " fixed") fixed
+      (Printf.sprintf "%h" (p (Attack_bn.Fixed Attack_bn.default_p_avg)));
+    Alcotest.(check string) (label ^ " uniform") uniform
+      (Printf.sprintf "%h" (p Attack_bn.Uniform_choice))
+  in
+  let net = Netdiv_casestudy.Products.network () in
+  let entry = Netdiv_casestudy.Topology.host "c4" in
+  let target = Netdiv_casestudy.Topology.host "t5" in
+  let assignments =
+    Netdiv_casestudy.Experiments.(labelled (compute_assignments net))
+  in
+  List.iter2
+    (fun (label, a) (label', uniform) ->
+      Alcotest.(check string) "row order" label' label;
+      pin label ~fixed:"0x1.618466b5a33e5p-11" ~uniform (fun model ->
+          Attack_bn.p_compromise a ~entry ~target ~model))
+    assignments
+    [ ("optimal", "0x1.a812a1a9e7f88p-11");
+      ("host-constr", "0x1.25b42f34dd06p-10");
+      ("product-constr", "0x1.25b42f34dd06p-10");
+      ("random", "0x1.6866695411b51p-7");
+      ("mono", "0x1.0429b71745da5p-5") ];
+  let s = Scaled.generate ~seed:1 ~scale:5 () in
+  let a = (Netdiv_core.Optimize.run s.Scaled.network []).assignment in
+  List.iter2
+    (fun entry (entry', fixed, uniform) ->
+      Alcotest.(check int) "entry" entry' entry;
+      pin (Printf.sprintf "scale 5 entry %d" entry) ~fixed ~uniform
+        (fun model ->
+          Attack_bn.p_compromise a ~entry ~target:s.Scaled.target ~model))
+    s.Scaled.entries
+    [ (0, "0x1.268d66e225787p-23", "0x1.454e5bae34c37p-17");
+      (85, "0x1.2b7bd9c025488p-16", "0x1.1b1d92b7fe095p-18");
+      (105, "0x1.9775a75bc9fe2p-19", "0x1.5ede286f14b15p-20");
+      (130, "0x1.2812079ac962dp-11", "0x1.467e94357e77ap-7") ]
+
 let test_host_marginals () =
   let net = line_net () in
   let a = Assignment.make net (fun ~host ~service:_ -> host mod 2) in
@@ -776,6 +817,7 @@ let () =
             test_explicit_case_study;
           Alcotest.test_case "exact d_bn on the 256-host scaled ICS" `Quick
             test_scaled_exact;
+          Alcotest.test_case "d_bn bit pins" `Quick test_dbn_bit_pins;
           Alcotest.test_case "host marginals" `Quick test_host_marginals;
           Alcotest.test_case "host marginals unreachable" `Quick
             test_host_marginals_unreachable;
