@@ -202,6 +202,15 @@ let spread base ts =
     Report.metric (base ^ "_max_s") s.(n - 1)
   end
 
+(* A parallel speedup is a measurement only on a host with a core per
+   job or domain; below that it is recorded as NaN (null in BENCH.json)
+   and printed as "unmeasured", never as a ratio of time-sliced runs. *)
+let speedup ~cores ~jobs ratio = if cores < jobs then nan else ratio
+
+let pp_speedup ppf s =
+  if Float.is_nan s then Format.fprintf ppf "%10s" "unmeasured"
+  else Format.fprintf ppf "%9.2fx" s
+
 (* ------------------------------------------------- Tables II and III *)
 
 let similarity_tables () =
@@ -971,8 +980,8 @@ let segmented_instance () =
    reference.  The cross-section comparison uses the medians: the two
    sections measure the identical code path minutes apart, so their
    best-of figures differ by scheduler and frequency drift that the
-   median resists (the hard 3% overhead contracts are the
-   contemporaneous on-vs-off comparisons inside each section). *)
+   median resists (the one hard 3% bound is recorder_overhead's
+   contemporaneous on-vs-off comparison). *)
 let segmented_solve_1j_s = ref nan
 let segmented_solve_1j_med_s = ref nan
 
@@ -1012,14 +1021,17 @@ let scalability_speedup () =
   segmented_solve_1j_s := t_serial;
   (let s = sorted_copy (cycles 1) in
    segmented_solve_1j_med_s := s.(Array.length s / 2));
-  Format.printf "%-6s %10s %9s %14s@." "jobs" "time (s)" "speedup" "energy";
+  let cores = Domain.recommended_domain_count () in
+  Report.metric "cores" (float_of_int cores);
+  Format.printf "%-6s %10s %10s %14s@." "jobs" "time (s)" "speedup" "energy";
   List.iter
     (fun (jobs, (t, report)) ->
-      Format.printf "%-6d %10.3f %8.2fx %14.2f@." jobs t (t_serial /. t)
+      let s = speedup ~cores ~jobs (t_serial /. t) in
+      Format.printf "%-6d %10.3f %a %14.2f@." jobs t pp_speedup s
         report.Optimize.energy;
       Report.metric (Printf.sprintf "solve_%dj_s" jobs) t;
       spread (Printf.sprintf "solve_%dj" jobs) (cycles jobs);
-      Report.metric (Printf.sprintf "speedup_%dj" jobs) (t_serial /. t);
+      Report.metric (Printf.sprintf "speedup_%dj" jobs) s;
       if
         not
           (report.Optimize.energy = reference.Optimize.energy
@@ -1056,13 +1068,13 @@ let scalability_speedup () =
   in
   let t1, s1 = mttc 1 in
   let t4, s4 = mttc 4 in
+  let s = speedup ~cores ~jobs:4 (t1 /. t4) in
   Format.printf
-    "mttc %d runs: 1 domain %.3fs, 4 domains %.3fs (%.2fx); stats equal: \
-     %b@."
-    mttc_runs t1 t4 (t1 /. t4) (s1 = s4);
+    "mttc %d runs: 1 domain %.3fs, 4 domains %.3fs (%a); stats equal: %b@."
+    mttc_runs t1 t4 pp_speedup s (s1 = s4);
   Report.metric "mttc_1d_s" t1;
   Report.metric "mttc_4d_s" t4;
-  Report.metric "mttc_speedup_4d" (t1 /. t4);
+  Report.metric "mttc_speedup_4d" s;
   if s1 <> s4 then
     Report.fail "mttc_parallel statistics depend on the domain count"
 
@@ -1137,15 +1149,18 @@ let intra_component_speedup () =
   let best jobs = Array.fold_left Float.min infinity (cycles jobs) in
   let _, reference = List.hd reports in
   let t_serial = best 1 in
-  Format.printf "%-6s %10s %9s %14s@." "jobs" "time (s)" "speedup" "energy";
+  let cores = Domain.recommended_domain_count () in
+  Report.metric "cores" (float_of_int cores);
+  Format.printf "%-6s %10s %10s %14s@." "jobs" "time (s)" "speedup" "energy";
   List.iter
     (fun (jobs, report) ->
       let t = best jobs in
-      Format.printf "%-6d %10.3f %8.2fx %14.2f@." jobs t (t_serial /. t)
+      let s = speedup ~cores ~jobs (t_serial /. t) in
+      Format.printf "%-6d %10.3f %a %14.2f@." jobs t pp_speedup s
         report.Optimize.energy;
       Report.metric (Printf.sprintf "solve_%dj_s" jobs) t;
       spread (Printf.sprintf "solve_%dj" jobs) (cycles jobs);
-      Report.metric (Printf.sprintf "speedup_%dj" jobs) (t_serial /. t);
+      Report.metric (Printf.sprintf "speedup_%dj" jobs) s;
       (* the hard gate of the whole exercise: the component split must
          be bitwise job-count-invariant, not merely close *)
       if
@@ -1162,8 +1177,6 @@ let intra_component_speedup () =
   Report.metric "solver_energy" reference.Optimize.energy;
   (* the >= 2x target is only measurable where 4 cores exist; the
      determinism checks above run unconditionally *)
-  let cores = Domain.recommended_domain_count () in
-  Report.metric "cores" (float_of_int cores);
   let s4 = t_serial /. best 4 in
   if full_sweep && cores >= 4 && s4 < 2.0 then
     Report.fail
@@ -1238,9 +1251,9 @@ let observability_overhead () =
      here would mean the disabled instrumentation grew a per-call cost.
      Medians are compared because the sections run minutes apart and
      their best-of figures carry scheduler/frequency drift; the budget
-     matches bench_diff's 25% noise tolerance.  The hard 3% contract
-     is the contemporaneous tracing-on-vs-off gate above, plus
-     bench_diff's cross-commit gate on solve_off_s. *)
+     matches bench_diff's 25% noise tolerance.  The tracing-on
+     overhead above is recorded, not gated; bench_diff gates
+     solve_off_s across commits. *)
   let base = !segmented_solve_1j_med_s in
   if Float.is_nan base then
     Report.fail "scalability_speedup did not run before observability_overhead"
@@ -1268,9 +1281,9 @@ let observability_overhead () =
    meant to stay installed on production solves, so both its paths are
    gated — a sample with tracing off and no recorder installed (atomic
    loads and a branch) against the 200 ns microbench budget, and the
-   installed whole-solve overhead against the same 3% envelope as
-   tracing.  The solver result must be bitwise identical with the
-   recorder on and off. *)
+   installed whole-solve overhead against a 3% budget, the only 3%
+   bound in the bench.  The solver result must be bitwise identical
+   with the recorder on and off. *)
 let recorder_overhead () =
   section "[Obs] flight-recorder overhead on the 4-zone segmented instance";
   let module Recorder = Netdiv_obs.Recorder in
@@ -1675,7 +1688,7 @@ let () =
     Report.timed "extension_anytime" extension_anytime
   end;
   (* intra_component_speedup runs after the overhead sections: the
-     obs/fault 3%-drift gates compare against scalability's jobs=1 time
+     obs/fault 25%-drift gates compare against scalability's jobs=1 time
      and assume an undisturbed heap between the paired measurements *)
   Report.timed "scalability_speedup" scalability_speedup;
   Report.timed "observability_overhead" observability_overhead;

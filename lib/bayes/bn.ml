@@ -74,12 +74,6 @@ let prob_true t i parent_values =
       1.0 -. !escape
 
 let node_factor t i =
-  let node = t.nodes.(i) in
-  let sorted = Array.append [| i |] node.parents in
-  Array.sort compare sorted;
-  (* [of_fun] hands values in sorted order; find self and parents there *)
-  let pos v = Option.get (Array.find_index (( = ) v) sorted) in
-  let self = pos i and parent_pos = Array.map pos node.parents in
-  Factor.of_fun ~vars:sorted (fun values ->
-      let p = prob_true t i (Array.map (Array.get values) parent_pos) in
-      if values.(self) then p else 1.0 -. p)
+  Mfactor.of_cpd ~card:(fun _ -> 2) i ~parents:(parents t i) (fun pv k ->
+      let p = prob_true t i (Array.map (( = ) 1) pv) in
+      if k = 1 then p else 1.0 -. p)

@@ -80,21 +80,11 @@ let prob t i parent_values k =
   if k < 0 || k >= node.card then invalid_arg "Dbn.prob: value out of range";
   node.cpt.((config_of t node parent_values * node.card) + k)
 
-let node_factor t i =
-  let ids = Array.append [| i |] (parents t i) in
-  let sorted = Array.map (fun v -> (v, card t v)) ids in
-  Array.sort compare sorted;
-  (* [of_fun] hands values in sorted order; find self and parents there *)
-  let pos v = Option.get (Array.find_index (fun (u, _) -> u = v) sorted) in
-  let self = pos i and parent_pos = Array.map pos (parents t i) in
-  Mfactor.of_fun ~vars:sorted (fun values ->
-      prob t i (Array.map (Array.get values) parent_pos) values.(self))
-
-module Elim_multi = Elim.Make (Mfactor)
-
 let marginal ?(evidence = []) t query =
-  Elim_multi.marginal ~n:t.count ~parents:(parents t) ~card:(card t)
-    ~factor:(node_factor t) evidence query
+  Elim.marginal ~n:t.count ~parents:(parents t) ~card:(card t)
+    ~factor:(fun i ->
+      Mfactor.of_cpd ~card:(card t) i ~parents:(parents t i) (prob t i))
+    evidence query
 
 let brute_marginal ?(evidence = []) t query =
   let joint_size =

@@ -30,11 +30,12 @@ val prob : t -> int -> int array -> int -> float
 
 val marginal : ?evidence:(int * int) list -> t -> int -> float array
 (** Exact marginal distribution of a node by variable elimination over
-    its ancestors and those of the evidence only ({!Elim}).  Evidence on
-    the node itself yields the point mass on the observed state.
+    its ancestors and those of the evidence only ({!Elim}, the same core
+    and tables as {!Infer.exact_marginal}).  Evidence on the node itself
+    yields the point mass on the observed state.
     @raise Invalid_argument if the evidence has probability zero, or if
-    the planned elimination needs a table above 2^24 entries: checked
-    before any table is allocated. *)
+    the planned elimination needs a table above {!Mfactor.max_entries}
+    (2^25 entries): checked before any table is allocated. *)
 
 val brute_marginal : ?evidence:(int * int) list -> t -> int -> float array
 (** The same by full joint enumeration (testing only).

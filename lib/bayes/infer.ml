@@ -1,12 +1,5 @@
-module Elim_bool = Elim.Make (struct
-  include Factor
-
-  let max_entries = 1 lsl 25 (* Factor's 25-variable limit *)
-  let restrict f v k = Factor.restrict f v (k = 1)
-end)
-
 let exact_marginal ?(evidence = []) bn query =
-  (Elim_bool.marginal ~n:(Bn.n_nodes bn) ~parents:(Bn.parents bn)
+  (Elim.marginal ~n:(Bn.n_nodes bn) ~parents:(Bn.parents bn)
      ~card:(fun _ -> 2) ~factor:(Bn.node_factor bn)
      (List.map (fun (v, b) -> (v, Bool.to_int b)) evidence)
      query).(1)

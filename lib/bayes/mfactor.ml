@@ -3,7 +3,7 @@ type t = {
   data : float array;
 }
 
-let max_entries = 1 lsl 24
+let max_entries = 1 lsl 25
 
 let vars t = t.vars
 
@@ -26,22 +26,46 @@ let check_sorted_unique vars =
   done;
   sorted
 
+(* One odometer step over a mixed-radix counter whose digit [i] runs
+   from 0 to [last.(i)], the first digit fastest: the faster digits that
+   were at their last state wrap to 0 and the next one is incremented.
+   Returns that digit, or [Array.length count] once the counter wraps. *)
+let[@inline] advance count last =
+  let n = Array.length count in
+  let i = ref 0 in
+  while !i < n && count.(!i) = last.(!i) do
+    count.(!i) <- 0;
+    incr i
+  done;
+  if !i < n then count.(!i) <- count.(!i) + 1;
+  !i
+
+let last_states vars = Array.map (fun (_, card) -> card - 1) vars
+
 let of_fun ~vars f =
   let vars = check_sorted_unique vars in
   let size = table_size vars in
-  let n = Array.length vars in
-  let values = Array.make n 0 in
-  let data =
-    Array.init size (fun idx ->
-        let rest = ref idx in
-        for i = 0 to n - 1 do
-          let card = snd vars.(i) in
-          values.(i) <- !rest mod card;
-          rest := !rest / card
-        done;
-        f values)
-  in
+  let values = Array.make (Array.length vars) 0 in
+  let last = last_states vars in
+  let data = Array.create_float size in
+  for idx = 0 to size - 1 do
+    data.(idx) <- f values;
+    ignore (advance values last)
+  done;
   { vars; data }
+
+let of_cpd ~card node ~parents p =
+  let vars =
+    check_sorted_unique
+      (Array.map (fun v -> (v, card v)) (Array.append [| node |] parents))
+  in
+  (* [of_fun] hands values in sorted order; find self and parents there *)
+  let pos v = Option.get (Array.find_index (fun (u, _) -> u = v) vars) in
+  let self = pos node and parent_pos = Array.map pos parents in
+  let parent_values = Array.make (Array.length parents) 0 in
+  of_fun ~vars (fun values ->
+      Array.iteri (fun j q -> parent_values.(j) <- values.(q)) parent_pos;
+      p parent_values values.(self))
 
 let constant c = { vars = [||]; data = [| c |] }
 
@@ -56,14 +80,13 @@ let position t v =
   in
   search 0 (Array.length t.vars)
 
-(* strides of each variable position in the mixed-radix index *)
-let strides vars =
-  let n = Array.length vars in
-  let s = Array.make n 1 in
-  for i = 1 to n - 1 do
-    s.(i) <- s.(i - 1) * snd vars.(i - 1)
+(* stride of position [p] in the mixed-radix index *)
+let stride vars p =
+  let s = ref 1 in
+  for i = 0 to p - 1 do
+    s := !s * snd vars.(i)
   done;
-  s
+  !s
 
 let product a b =
   let union =
@@ -76,57 +99,63 @@ let product a b =
       invalid_arg "Mfactor.product: cardinality mismatch"
   done;
   let size = table_size union in
-  let n = Array.length union in
-  let stride_for f =
-    let s = strides f.vars in
-    Array.map
-      (fun (id, _) ->
+  let last = last_states union in
+  (* [step.(i)]: how far [f]'s index moves when union digit [i] is
+     incremented and every faster digit wraps from its last state to 0 *)
+  let step_for f =
+    let back = ref 0 in
+    Array.mapi
+      (fun i (id, _) ->
         let p = position f id in
-        if p < 0 then 0 else s.(p))
+        let s = if p < 0 then 0 else stride f.vars p in
+        let step = s - !back in
+        back := !back + (s * last.(i));
+        step)
       union
   in
-  let sa = stride_for a and sb = stride_for b in
-  let values = Array.make n 0 in
-  let data =
-    Array.init size (fun idx ->
-        let rest = ref idx in
-        let ia = ref 0 and ib = ref 0 in
-        for i = 0 to n - 1 do
-          let card = snd union.(i) in
-          values.(i) <- !rest mod card;
-          rest := !rest / card;
-          ia := !ia + (values.(i) * sa.(i));
-          ib := !ib + (values.(i) * sb.(i))
-        done;
-        a.data.(!ia) *. b.data.(!ib))
-  in
+  let step_a = step_for a and step_b = step_for b in
+  let n = Array.length union in
+  let count = Array.make n 0 in
+  let data = Array.create_float size in
+  let ia = ref 0 and ib = ref 0 in
+  for idx = 0 to size - 1 do
+    data.(idx) <- a.data.(!ia) *. b.data.(!ib);
+    let i = advance count last in
+    if i < n then begin
+      ia := !ia + step_a.(i);
+      ib := !ib + step_b.(i)
+    end
+  done;
   { vars = union; data }
 
 let drop_var t p =
   let n = Array.length t.vars in
   Array.init (n - 1) (fun i -> if i < p then t.vars.(i) else t.vars.(i + 1))
 
+(* Removing position [p] views the table as blocks: [high] runs over the
+   states of the slower variables, each block holding [card] runs of
+   [low] entries, one per state of [p].  The reduced table keeps the
+   (high, low) order. *)
 let sum_out t v =
   let p = position t v in
   if p < 0 then t
   else begin
-    let card = snd t.vars.(p) in
-    let s = strides t.vars in
-    let stride = s.(p) in
+    let card = snd t.vars.(p) and low = stride t.vars p in
     let vars' = drop_var t p in
-    let size' = table_size vars' in
-    let data' =
-      Array.init size' (fun idx ->
-          (* expand idx into the original index with var p set to 0 *)
-          let low = idx mod stride in
-          let high = idx / stride in
-          let base = low + (high * stride * card) in
-          let acc = ref 0.0 in
-          for k = 0 to card - 1 do
-            acc := !acc +. t.data.(base + (k * stride))
-          done;
-          !acc)
-    in
+    let data' = Array.create_float (table_size vars') in
+    let dst = ref 0 in
+    for high = 0 to (Array.length t.data / (low * card)) - 1 do
+      let block = high * low * card in
+      for l = 0 to low - 1 do
+        let src = block + l in
+        let acc = ref t.data.(src) in
+        for k = 1 to card - 1 do
+          acc := !acc +. t.data.(src + (k * low))
+        done;
+        data'.(!dst) <- !acc;
+        incr dst
+      done
+    done;
     { vars = vars'; data = data' }
   end
 
@@ -134,33 +163,33 @@ let restrict t v value =
   let p = position t v in
   if p < 0 then t
   else begin
-    let card = snd t.vars.(p) in
+    let card = snd t.vars.(p) and low = stride t.vars p in
     if value < 0 || value >= card then
       invalid_arg "Mfactor.restrict: value out of range";
-    let s = strides t.vars in
-    let stride = s.(p) in
     let vars' = drop_var t p in
-    let size' = table_size vars' in
-    let data' =
-      Array.init size' (fun idx ->
-          let low = idx mod stride in
-          let high = idx / stride in
-          t.data.(low + (high * stride * card) + (value * stride)))
-    in
+    let data' = Array.create_float (table_size vars') in
+    let dst = ref 0 in
+    for high = 0 to (Array.length t.data / (low * card)) - 1 do
+      let src = (high * low * card) + (value * low) in
+      for l = 0 to low - 1 do
+        data'.(!dst) <- t.data.(src + l);
+        incr dst
+      done
+    done;
     { vars = vars'; data = data' }
   end
 
 let value t assignment =
-  let s = strides t.vars in
-  let idx = ref 0 in
-  Array.iteri
-    (fun i (id, card) ->
-      match List.assoc_opt id assignment with
-      | Some v when v >= 0 && v < card -> idx := !idx + (v * s.(i))
+  let idx = ref 0 and s = ref 1 in
+  Array.iter
+    (fun (id, card) ->
+      (match List.assoc_opt id assignment with
+      | Some v when v >= 0 && v < card -> idx := !idx + (v * !s)
       | Some _ -> invalid_arg "Mfactor.value: value out of range"
       | None ->
           invalid_arg
-            (Printf.sprintf "Mfactor.value: variable %d unassigned" id))
+            (Printf.sprintf "Mfactor.value: variable %d unassigned" id));
+      s := !s * card)
     t.vars;
   t.data.(!idx)
 

@@ -12,51 +12,11 @@ type encoded = {
 let default_prconst = 0.01
 let default_big_m = 1e6
 
-(* Intern pairwise similarity sub-matrices so edges share arrays.  Keyed by
-   service and the two candidate lists (physically interned lists compare
-   fast via their contents here). *)
-module Matrix_cache = struct
-  type key = int * int array * int array * float
-
-  (* Domain-safety audit (netdiv-lint): encoding currently runs before any
-     parallel region starts, but nothing in the types enforces that, so
-     lookups/inserts are serialized under [lock].  The interned arrays
-     themselves are written once at creation and read-only afterwards,
-     which makes sharing them across solver domains safe. *)
-  let lock = Mutex.create ()
-
-  (* netdiv-lint: allow toplevel-mutable-state — intern table guarded by
-     [lock]; interned values are immutable once published. *)
-  let table : (key, float array) Hashtbl.t = Hashtbl.create 64
-
-  let get net service cu cv weight =
-    let key = (service, cu, cv, weight) in
-    match Mutex.protect lock (fun () -> Hashtbl.find_opt table key) with
-    | Some m -> m
-    | None ->
-        let ku = Array.length cu and kv = Array.length cv in
-        let m =
-          Array.init (ku * kv) (fun idx ->
-              weight
-              *. Network.similarity net ~service cu.(idx / kv)
-                   cv.(idx mod kv))
-        in
-        Mutex.protect lock (fun () ->
-            match Hashtbl.find_opt table key with
-            | Some m' -> m' (* another domain interned it first *)
-            | None ->
-                Hashtbl.add table key m;
-                m)
-
-  let clear () = Mutex.protect lock (fun () -> Hashtbl.reset table)
-end
-
 let encode ?(prconst = default_prconst) ?(big_m = default_big_m) ?preference
     ?edge_weight net constraints =
   (match Constr.validate_all net constraints with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Encode.encode: " ^ msg));
-  Matrix_cache.clear ();
   let n_hosts = Network.n_hosts net in
   (* collect Fix constraints; they restrict label sets *)
   let fixes = Hashtbl.create 8 in
@@ -124,6 +84,24 @@ let encode ?(prconst = default_prconst) ?(big_m = default_big_m) ?preference
     in
     search 0 (Array.length services)
   in
+  (* Intern the similarity sub-matrices so edges share arrays, keyed by
+     service, the two candidate lists and the weight. *)
+  let matrices = Hashtbl.create 64 in
+  let matrix service cu cv weight =
+    let key = (service, cu, cv, weight) in
+    match Hashtbl.find_opt matrices key with
+    | Some m -> m
+    | None ->
+        let ku = Array.length cu and kv = Array.length cv in
+        let m =
+          Array.init (ku * kv) (fun idx ->
+              weight
+              *. Network.similarity net ~service cu.(idx / kv)
+                   cv.(idx mod kv))
+        in
+        Hashtbl.add matrices key m;
+        m
+  in
   Graph.iter_edges
     (fun u v ->
       let weight =
@@ -141,8 +119,7 @@ let encode ?(prconst = default_prconst) ?(big_m = default_big_m) ?preference
           match (slot_var u s, slot_var v s) with
           | Some vu, Some vv ->
               let cu = labels.(vu) and cv = labels.(vv) in
-              Mrf.Builder.add_edge builder vu vv
-                (Matrix_cache.get net s cu cv weight)
+              Mrf.Builder.add_edge builder vu vv (matrix s cu cv weight)
           | _ -> ())
         su)
     (Network.graph net);

@@ -322,13 +322,6 @@ module Compact = struct
       i_inc = t.inc;
       i_col = t.col;
     }
-
-  let[@inline] degree t i = t.inc_off.(i + 1) - t.inc_off.(i)
-  let[@inline] row_start t i = t.inc_off.(i)
-  let[@inline] row_stop t i = t.inc_off.(i + 1)
-  let[@inline] neighbor t k = t.col.(k)
-  let[@inline] edge t k = t.inc.(k) lsr 1
-  let[@inline] node_is_u t k = t.inc.(k) land 1 = 1
 end
 
 (* ---- memory accounting ------------------------------------------------- *)

@@ -139,12 +139,11 @@ val estimate_words : nodes:int -> edges:int -> max_labels:int -> tables:int -> i
 (**/**)
 
 (** Flat CSR views for the solvers in this library: zero-allocation
-    access to the frozen storage.  [row_ptr] is [i_inc_off], and for an
-    incidence slot [k] in [row_start t i .. row_stop t i - 1],
-    {!Compact.neighbor} is the opposite endpoint (one load from the
-    neighbor column), {!Compact.edge} the edge id and
-    {!Compact.node_is_u} the orientation.  All arrays are owned by the
-    model — read-only, safe to share across domains. *)
+    access to the frozen storage.  Node [i]'s incidence slots are
+    [i_inc_off.(i) .. i_inc_off.(i + 1) - 1]; slot [k] holds the edge id
+    [i_inc.(k) lsr 1], the orientation [i_inc.(k) land 1 = 1] (node is
+    the [u] side) and the opposite endpoint [i_col.(k)].  All arrays are
+    owned by the model — read-only, safe to share across domains. *)
 module Compact : sig
   type arrays = {
     i_labels : int array;      (** label count per node *)
@@ -165,18 +164,6 @@ module Compact : sig
       arrays in their hot loops.  The pairwise entry of edge [e] for
       labels [(xu, xv)] is
       [i_pot.(i_pot_off.(i_etab.(e)) + xu * k_v + xv)]. *)
-
-  val degree : t -> int -> int
-  val row_start : t -> int -> int
-  val row_stop : t -> int -> int
-
-  val neighbor : t -> int -> int
-  (** Opposite endpoint at incidence slot [k] — keep the result scalar
-      in sweep bodies; packing it into a tuple or record re-boxes what
-      this accessor exists to keep flat (netdiv-lint flags it). *)
-
-  val edge : t -> int -> int
-  val node_is_u : t -> int -> bool
 end
 
 (**/**)

@@ -10,59 +10,6 @@ module Scaled = Netdiv_casestudy.Scaled
 let check_float = Alcotest.(check (float 1e-9))
 let rng seed = Random.State.make [| seed |]
 
-(* --------------------------------------------------------------- factor *)
-
-let test_factor_of_fun () =
-  let f = Factor.of_fun ~vars:[| 3; 1 |] (fun v ->
-      (if v.(0) then 1.0 else 0.0) +. if v.(1) then 2.0 else 0.0) in
-  (* vars sorted to [1;3]; v.(0) is var 1 *)
-  Alcotest.(check (array int)) "sorted" [| 1; 3 |] (Factor.vars f);
-  check_float "11" 3.0 (Factor.value f [ (1, true); (3, true) ]);
-  check_float "10" 1.0 (Factor.value f [ (1, true); (3, false) ]);
-  check_float "01" 2.0 (Factor.value f [ (1, false); (3, true) ])
-
-let test_factor_product () =
-  let a = Factor.of_fun ~vars:[| 0 |] (fun v -> if v.(0) then 0.7 else 0.3) in
-  let b = Factor.of_fun ~vars:[| 0; 1 |] (fun v ->
-      if v.(0) = v.(1) then 0.9 else 0.1) in
-  let p = Factor.product a b in
-  Alcotest.(check (array int)) "union vars" [| 0; 1 |] (Factor.vars p);
-  check_float "joint" (0.7 *. 0.9)
-    (Factor.value p [ (0, true); (1, true) ]);
-  check_float "joint2" (0.3 *. 0.1)
-    (Factor.value p [ (0, false); (1, true) ])
-
-let test_factor_sum_out () =
-  let f = Factor.of_fun ~vars:[| 0; 1 |] (fun v ->
-      match (v.(0), v.(1)) with
-      | false, false -> 1.0
-      | false, true -> 2.0
-      | true, false -> 3.0
-      | true, true -> 4.0) in
-  let g = Factor.sum_out f 0 in
-  Alcotest.(check (array int)) "remaining" [| 1 |] (Factor.vars g);
-  check_float "marginal false" 4.0 (Factor.value g [ (1, false) ]);
-  check_float "marginal true" 6.0 (Factor.value g [ (1, true) ]);
-  check_float "total preserved" (Factor.total f) (Factor.total g)
-
-let test_factor_restrict () =
-  let f = Factor.of_fun ~vars:[| 0; 1 |] (fun v ->
-      (if v.(0) then 2.0 else 1.0) *. if v.(1) then 5.0 else 1.0) in
-  let g = Factor.restrict f 0 true in
-  check_float "restricted" 10.0 (Factor.value g [ (1, true) ]);
-  check_float "restricted2" 2.0 (Factor.value g [ (1, false) ]);
-  (* restricting an absent variable is a no-op *)
-  let h = Factor.restrict f 9 true in
-  Alcotest.(check bool) "noop" true (Factor.equal f h)
-
-let test_factor_validation () =
-  (match Factor.of_fun ~vars:[| 1; 1 |] (fun _ -> 0.0) with
-  | _ -> Alcotest.fail "accepted duplicate var"
-  | exception Invalid_argument _ -> ());
-  match Factor.of_fun ~vars:(Array.init 26 Fun.id) (fun _ -> 0.0) with
-  | _ -> Alcotest.fail "accepted 26 vars"
-  | exception Invalid_argument _ -> ()
-
 (* ------------------------------------------------------------------- bn *)
 
 let test_bn_build () =
@@ -274,7 +221,12 @@ let test_mfactor_product_sum () =
   check_float "total preserved" (Mfactor.total p) (Mfactor.total m);
   (* restrict *)
   let r = Mfactor.restrict p 1 2 in
-  check_float "restricted" (0.25 *. 2.0) (Mfactor.value r [ (0, 0) ])
+  check_float "restricted" (0.25 *. 2.0) (Mfactor.value r [ (0, 0) ]);
+  (* summing out or restricting an absent variable is a no-op *)
+  Alcotest.(check bool) "sum_out noop" true
+    (Mfactor.equal p (Mfactor.sum_out p 9));
+  Alcotest.(check bool) "restrict noop" true
+    (Mfactor.equal p (Mfactor.restrict p 9 1))
 
 let test_mfactor_validation () =
   (match Mfactor.of_fun ~vars:[| (0, 2); (0, 3) |] (fun _ -> 0.0) with
@@ -283,25 +235,17 @@ let test_mfactor_validation () =
   (match Mfactor.of_fun ~vars:[| (0, 0) |] (fun _ -> 0.0) with
   | _ -> Alcotest.fail "accepted card 0"
   | exception Invalid_argument _ -> ());
+  (* 2^26 entries are over the limit, checked before tabulating *)
+  (match
+     Mfactor.of_fun ~vars:(Array.init 26 (fun v -> (v, 2))) (fun _ -> 0.0)
+   with
+  | _ -> Alcotest.fail "accepted 26 binary vars"
+  | exception Invalid_argument _ -> ());
   let a = Mfactor.of_fun ~vars:[| (0, 2) |] (fun _ -> 1.0) in
   let b = Mfactor.of_fun ~vars:[| (0, 3) |] (fun _ -> 1.0) in
   match Mfactor.product a b with
   | _ -> Alcotest.fail "accepted cardinality mismatch"
   | exception Invalid_argument _ -> ()
-
-let test_mfactor_boolean_agrees () =
-  (* the multi-valued machinery restricted to card 2 must agree with the
-     boolean Factor module *)
-  let f_bool = Factor.of_fun ~vars:[| 0; 1 |] (fun v ->
-      (if v.(0) then 2.0 else 1.0) *. if v.(1) then 5.0 else 3.0) in
-  let f_multi = Mfactor.of_fun ~vars:[| (0, 2); (1, 2) |] (fun v ->
-      (if v.(0) = 1 then 2.0 else 1.0) *. if v.(1) = 1 then 5.0 else 3.0) in
-  List.iter
-    (fun (x, y) ->
-      check_float "agree"
-        (Factor.value f_bool [ (0, x = 1); (1, y = 1) ])
-        (Mfactor.value f_multi [ (0, x); (1, y) ]))
-    [ (0, 0); (0, 1); (1, 0); (1, 1) ]
 
 let test_mfactor_algebra () =
   (* summing out every variable yields the grand total; multiplying by
@@ -352,7 +296,28 @@ let test_mfactor_algebra () =
       |> Option.get
     in
     Alcotest.(check bool) "restrictions stitch to sum_out" true
-      (Mfactor.equal ~eps:1e-9 summed stitched)
+      (Mfactor.equal ~eps:1e-9 summed stitched);
+    (* the product is pointwise over the union scope, here with g's
+       variables 3 and 5 interleaved with f's 0, 3 and 7 *)
+    let g_vars = [| (3, snd vars.(1)); (5, 1 + Random.State.int rng 3) |] in
+    let g = Mfactor.of_fun ~vars:g_vars (fun _ -> Random.State.float rng 5.0) in
+    let fg = Mfactor.product f g in
+    let on scope assignment =
+      List.filter
+        (fun (id, _) -> Array.exists (fun (v, _) -> v = id) scope)
+        assignment
+    in
+    ignore
+      (Mfactor.of_fun ~vars:(Mfactor.vars fg) (fun values ->
+           let assignment =
+             Array.to_list
+               (Array.mapi (fun i (id, _) -> (id, values.(i))) (Mfactor.vars fg))
+           in
+           check_float "pointwise product"
+             (Mfactor.value f (on vars assignment)
+             *. Mfactor.value g (on g_vars assignment))
+             (Mfactor.value fg assignment);
+           0.0))
   done
 
 (* ------------------------------------------------------------------ dbn *)
@@ -752,14 +717,6 @@ let prop_marginals_are_probabilities =
 let () =
   Alcotest.run "bayes"
     [
-      ( "factor",
-        [
-          Alcotest.test_case "of_fun ordering" `Quick test_factor_of_fun;
-          Alcotest.test_case "product" `Quick test_factor_product;
-          Alcotest.test_case "sum_out" `Quick test_factor_sum_out;
-          Alcotest.test_case "restrict" `Quick test_factor_restrict;
-          Alcotest.test_case "validation" `Quick test_factor_validation;
-        ] );
       ( "bn",
         [
           Alcotest.test_case "build" `Quick test_bn_build;
@@ -788,8 +745,6 @@ let () =
           Alcotest.test_case "product and sum_out" `Quick
             test_mfactor_product_sum;
           Alcotest.test_case "validation" `Quick test_mfactor_validation;
-          Alcotest.test_case "boolean special case" `Quick
-            test_mfactor_boolean_agrees;
           Alcotest.test_case "algebraic laws" `Quick test_mfactor_algebra;
         ] );
       ( "dbn",

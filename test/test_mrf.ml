@@ -459,24 +459,31 @@ let test_trws_one_zone_jobs_matches_solve () =
 
 (* ---------------------------------------------------- zoned decomposition *)
 
+(* the CSR slabs the solvers read: each node's slot range in [i_inc_off],
+   and per slot the edge id and orientation packed in [i_inc] and the
+   opposite endpoint in [i_col] *)
 let test_compact_accessors () =
   let m = random_mrf (rng 60) 15 3 0.3 in
-  for i = 0 to Mrf.n_nodes m - 1 do
+  let c = Mrf.Compact.arrays m in
+  let n = Mrf.n_nodes m in
+  Alcotest.(check int) "row pointers" (n + 1) (Array.length c.i_inc_off);
+  Alcotest.(check int) "first row" 0 c.i_inc_off.(0);
+  Alcotest.(check int) "two slots per edge" (2 * Mrf.n_edges m)
+    c.i_inc_off.(n);
+  for i = 0 to n - 1 do
     let inc = Mrf.incident m i in
     Alcotest.(check int)
       (Printf.sprintf "degree of %d" i)
-      (Array.length inc) (Mrf.Compact.degree m i);
+      (Array.length inc)
+      (c.i_inc_off.(i + 1) - c.i_inc_off.(i));
     Array.iteri
       (fun s (e, is_u) ->
-        let k = Mrf.Compact.row_start m i + s in
-        Alcotest.(check int) "edge id" e (Mrf.Compact.edge m k);
-        Alcotest.(check bool) "orientation" is_u (Mrf.Compact.node_is_u m k);
+        let k = c.i_inc_off.(i) + s in
+        Alcotest.(check int) "edge id" e (c.i_inc.(k) lsr 1);
+        Alcotest.(check bool) "orientation" is_u (c.i_inc.(k) land 1 = 1);
         Alcotest.(check int) "neighbor column" (Mrf.opposite m ~edge:e i)
-          (Mrf.Compact.neighbor m k))
-      inc;
-    Alcotest.(check int) "row extent"
-      (Mrf.Compact.row_stop m i - Mrf.Compact.row_start m i)
-      (Mrf.Compact.degree m i)
+          c.i_col.(k))
+      inc
   done
 
 let test_footprint () =

@@ -11,9 +11,10 @@
    - [scalability_speedup.solve_1j_s]: the serial solve of the smoke
      instance — the paper's headline scalability cost (lower is better);
    - [observability_overhead.solve_off_s]: the same solve with the
-     Netdiv_obs instrumentation compiled in but disabled — this is the
-     cross-commit form of the "tracing off costs <= 3%" contract (the
-     in-process form lives in bench/main.ml itself);
+     Netdiv_obs instrumentation compiled in but disabled — the
+     cross-commit check that disabled tracing stays cheap (in process,
+     bench/main.ml fails when its median drifts more than 25% above
+     scalability_speedup's jobs=1 median);
    - [recorder_overhead.solve_off_s], plus an absolute (baseline-free)
      gate on [recorder_overhead.overhead_on_pct]: a solve with the
      convergence flight recorder installed stays within 3% of the
