@@ -42,8 +42,8 @@ let[@inline] advance count last =
 
 let last_states vars = Array.map (fun (_, card) -> card - 1) vars
 
-let of_fun ~vars f =
-  let vars = check_sorted_unique vars in
+(* [f] of every state tuple of the sorted [vars], in index order *)
+let tabulate vars f =
   let size = table_size vars in
   let values = Array.make (Array.length vars) 0 in
   let last = last_states vars in
@@ -54,16 +54,18 @@ let of_fun ~vars f =
   done;
   { vars; data }
 
+let of_fun ~vars f = tabulate (check_sorted_unique vars) f
+
 let of_cpd ~card node ~parents p =
   let vars =
     check_sorted_unique
       (Array.map (fun v -> (v, card v)) (Array.append [| node |] parents))
   in
-  (* [of_fun] hands values in sorted order; find self and parents there *)
+  (* [tabulate] hands values in sorted order; find self and parents there *)
   let pos v = Option.get (Array.find_index (fun (u, _) -> u = v) vars) in
   let self = pos node and parent_pos = Array.map pos parents in
   let parent_values = Array.make (Array.length parents) 0 in
-  of_fun ~vars (fun values ->
+  tabulate vars (fun values ->
       Array.iteri (fun j q -> parent_values.(j) <- values.(q)) parent_pos;
       p parent_values values.(self))
 
