@@ -10,6 +10,65 @@ module Scaled = Netdiv_casestudy.Scaled
 let check_float = Alcotest.(check (float 1e-9))
 let rng seed = Random.State.make [| seed |]
 
+(* --------------------------------------------------------------- factor *)
+
+(* Bn's tables: Mfactor over binary variables, value 1 for true. *)
+
+let binary ids = Array.map (fun v -> (v, 2)) ids
+
+let test_factor_of_fun () =
+  let f = Mfactor.of_fun ~vars:(binary [| 3; 1 |]) (fun v ->
+      float_of_int (v.(0) + (2 * v.(1)))) in
+  (* vars sorted to [1;3]; v.(0) is var 1 *)
+  Alcotest.(check bool) "sorted" true (Mfactor.vars f = binary [| 1; 3 |]);
+  check_float "11" 3.0 (Mfactor.value f [ (1, 1); (3, 1) ]);
+  check_float "10" 1.0 (Mfactor.value f [ (1, 1); (3, 0) ]);
+  check_float "01" 2.0 (Mfactor.value f [ (1, 0); (3, 1) ])
+
+let test_factor_product () =
+  let a = Mfactor.of_fun ~vars:(binary [| 0 |]) (fun v ->
+      if v.(0) = 1 then 0.7 else 0.3) in
+  let b = Mfactor.of_fun ~vars:(binary [| 0; 1 |]) (fun v ->
+      if v.(0) = v.(1) then 0.9 else 0.1) in
+  let p = Mfactor.product a b in
+  Alcotest.(check bool) "union vars" true (Mfactor.vars p = binary [| 0; 1 |]);
+  check_float "joint" (0.7 *. 0.9) (Mfactor.value p [ (0, 1); (1, 1) ]);
+  check_float "joint2" (0.3 *. 0.1) (Mfactor.value p [ (0, 0); (1, 1) ])
+
+let test_factor_sum_out () =
+  let f = Mfactor.of_fun ~vars:(binary [| 0; 1 |]) (fun v ->
+      match (v.(0), v.(1)) with
+      | 0, 0 -> 1.0
+      | 0, _ -> 2.0
+      | _, 0 -> 3.0
+      | _ -> 4.0) in
+  let g = Mfactor.sum_out f 0 in
+  Alcotest.(check bool) "remaining" true (Mfactor.vars g = binary [| 1 |]);
+  check_float "marginal false" 4.0 (Mfactor.value g [ (1, 0) ]);
+  check_float "marginal true" 6.0 (Mfactor.value g [ (1, 1) ]);
+  check_float "total preserved" (Mfactor.total f) (Mfactor.total g);
+  (* summing out an absent variable is a no-op *)
+  Alcotest.(check bool) "noop" true (Mfactor.equal f (Mfactor.sum_out f 9))
+
+let test_factor_restrict () =
+  let f = Mfactor.of_fun ~vars:(binary [| 0; 1 |]) (fun v ->
+      (if v.(0) = 1 then 2.0 else 1.0) *. if v.(1) = 1 then 5.0 else 1.0) in
+  let g = Mfactor.restrict f 0 1 in
+  check_float "restricted" 10.0 (Mfactor.value g [ (1, 1) ]);
+  check_float "restricted2" 2.0 (Mfactor.value g [ (1, 0) ]);
+  (* restricting an absent variable is a no-op *)
+  let h = Mfactor.restrict f 9 1 in
+  Alcotest.(check bool) "noop" true (Mfactor.equal f h)
+
+let test_factor_validation () =
+  (match Mfactor.of_fun ~vars:(binary [| 1; 1 |]) (fun _ -> 0.0) with
+  | _ -> Alcotest.fail "accepted duplicate var"
+  | exception Invalid_argument _ -> ());
+  (* 2^26 entries are over the limit, checked before tabulating *)
+  match Mfactor.of_fun ~vars:(binary (Array.init 26 Fun.id)) (fun _ -> 0.0) with
+  | _ -> Alcotest.fail "accepted 26 vars"
+  | exception Invalid_argument _ -> ()
+
 (* ------------------------------------------------------------------- bn *)
 
 let test_bn_build () =
@@ -221,12 +280,7 @@ let test_mfactor_product_sum () =
   check_float "total preserved" (Mfactor.total p) (Mfactor.total m);
   (* restrict *)
   let r = Mfactor.restrict p 1 2 in
-  check_float "restricted" (0.25 *. 2.0) (Mfactor.value r [ (0, 0) ]);
-  (* summing out or restricting an absent variable is a no-op *)
-  Alcotest.(check bool) "sum_out noop" true
-    (Mfactor.equal p (Mfactor.sum_out p 9));
-  Alcotest.(check bool) "restrict noop" true
-    (Mfactor.equal p (Mfactor.restrict p 9 1))
+  check_float "restricted" (0.25 *. 2.0) (Mfactor.value r [ (0, 0) ])
 
 let test_mfactor_validation () =
   (match Mfactor.of_fun ~vars:[| (0, 2); (0, 3) |] (fun _ -> 0.0) with
@@ -234,12 +288,6 @@ let test_mfactor_validation () =
   | exception Invalid_argument _ -> ());
   (match Mfactor.of_fun ~vars:[| (0, 0) |] (fun _ -> 0.0) with
   | _ -> Alcotest.fail "accepted card 0"
-  | exception Invalid_argument _ -> ());
-  (* 2^26 entries are over the limit, checked before tabulating *)
-  (match
-     Mfactor.of_fun ~vars:(Array.init 26 (fun v -> (v, 2))) (fun _ -> 0.0)
-   with
-  | _ -> Alcotest.fail "accepted 26 binary vars"
   | exception Invalid_argument _ -> ());
   let a = Mfactor.of_fun ~vars:[| (0, 2) |] (fun _ -> 1.0) in
   let b = Mfactor.of_fun ~vars:[| (0, 3) |] (fun _ -> 1.0) in
@@ -717,6 +765,14 @@ let prop_marginals_are_probabilities =
 let () =
   Alcotest.run "bayes"
     [
+      ( "factor",
+        [
+          Alcotest.test_case "of_fun ordering" `Quick test_factor_of_fun;
+          Alcotest.test_case "product" `Quick test_factor_product;
+          Alcotest.test_case "sum_out" `Quick test_factor_sum_out;
+          Alcotest.test_case "restrict" `Quick test_factor_restrict;
+          Alcotest.test_case "validation" `Quick test_factor_validation;
+        ] );
       ( "bn",
         [
           Alcotest.test_case "build" `Quick test_bn_build;
