@@ -411,7 +411,7 @@ let test_dbn_validation () =
 let random_dbn rng n =
   let bn = Dbn.create () in
   for i = 0 to n - 1 do
-    let card = 2 + Random.State.int rng 2 in
+    let card = 2 + Random.State.int rng 3 in
     let parents =
       List.init i Fun.id
       |> List.filter (fun _ -> Random.State.float rng 1.0 < 0.4)
@@ -448,18 +448,27 @@ let test_dbn_ve_vs_brute () =
       (Dbn.brute_marginal bn q) (Dbn.marginal bn q)
   done
 
+(* [evidence_sets]' nodes, each observed in a state drawn over its whole
+   range, plus every state of the query alone *)
+let dbn_evidence_sets rng bn q =
+  let observe evidence =
+    List.map (fun (v, _) -> (v, Random.State.int rng (Dbn.card bn v))) evidence
+  in
+  List.map observe (evidence_sets ~n:(Dbn.n_nodes bn) q)
+  @ List.init (Dbn.card bn q) (fun k -> [ (q, k) ])
+
 let test_dbn_ve_vs_brute_evidence () =
   for seed = 1 to 10 do
-    let bn = random_dbn (rng (500 + seed)) 6 in
+    let r = rng (500 + seed) in
+    let bn = random_dbn r 6 in
     for q = 0 to 5 do
       List.iter
         (fun evidence ->
-          let evidence = List.map (fun (v, b) -> (v, Bool.to_int b)) evidence in
           Alcotest.(check (option (array (float 1e-9))))
             (Printf.sprintf "seed %d query %d" seed q)
             (outcome (fun () -> Dbn.brute_marginal ~evidence bn q))
             (outcome (fun () -> Dbn.marginal ~evidence bn q)))
-        (evidence_sets ~n:6 q)
+        (dbn_evidence_sets r bn q)
     done
   done
 
@@ -678,6 +687,52 @@ let test_dbn_bit_pins () =
       (105, "0x1.9775a75bc9fe2p-19", "0x1.5ede286f14b15p-20");
       (130, "0x1.2812079ac962dp-11", "0x1.467e94357e77ap-7") ]
 
+(* the same bits for the explicit construction, which reaches d_bn
+   through [Dbn.marginal]: its sums run in another order than the
+   marginalized model's, so the last bits differ from the pins above
+   (host-constr under Uniform_choice reads ...dd05b here, ...dd06 there) *)
+let test_explicit_bit_pins () =
+  let net = Netdiv_casestudy.Products.network () in
+  let entry = Netdiv_casestudy.Topology.host "c4" in
+  let target = Netdiv_casestudy.Topology.host "t5" in
+  let assignments =
+    Netdiv_casestudy.Experiments.(labelled (compute_assignments net))
+  in
+  let models =
+    [ ("uniform", Attack_bn.Uniform_choice); ("best", Attack_bn.Best_choice);
+      ("fixed", Attack_bn.Fixed Attack_bn.default_p_avg) ]
+  in
+  let fixed = "0x1.618466b5a33e5p-11" in
+  List.iter2
+    (fun (label, a) (label', uniform, best) ->
+      Alcotest.(check string) "row order" label' label;
+      List.iter2
+        (fun (name, model) expected ->
+          Alcotest.(check string) (label ^ " " ^ name) expected
+            (Printf.sprintf "%h"
+               (Attack_bn.p_compromise_explicit a ~entry ~target ~model)))
+        models [ uniform; best; fixed ])
+    assignments
+    [ ("optimal", "0x1.a812a1a9e7f88p-11", "0x1.4dd0c12497c3bp-9");
+      ("host-constr", "0x1.25b42f34dd05bp-10", "0x1.cdd429e95eeb2p-10");
+      ("product-constr", "0x1.25b42f34dd05bp-10", "0x1.cdd429e95eeb2p-10");
+      ("random", "0x1.6866695411b5p-7", "0x1.00848b12979efp-5");
+      ("mono", "0x1.0429b71745da7p-5", "0x1.61161c99b7877p-4") ];
+  let s = Scaled.generate ~seed:1 ~scale:5 () in
+  let a = (Netdiv_core.Optimize.run s.Scaled.network []).assignment in
+  List.iter2
+    (fun entry (entry', uniform) ->
+      Alcotest.(check int) "entry" entry' entry;
+      Alcotest.(check string)
+        (Printf.sprintf "scale 5 entry %d uniform" entry)
+        uniform
+        (Printf.sprintf "%h"
+           (Attack_bn.p_compromise_explicit a ~entry ~target:s.Scaled.target
+              ~model:Attack_bn.Uniform_choice)))
+    s.Scaled.entries
+    [ (0, "0x1.454e5bae34c32p-17"); (85, "0x1.1b1d92b7fe095p-18");
+      (105, "0x1.5ede286f14b14p-20"); (130, "0x1.467e94357e778p-7") ]
+
 let test_host_marginals () =
   let net = line_net () in
   let a = Assignment.make net (fun ~host ~service:_ -> host mod 2) in
@@ -829,6 +884,8 @@ let () =
           Alcotest.test_case "exact d_bn on the 256-host scaled ICS" `Quick
             test_scaled_exact;
           Alcotest.test_case "d_bn bit pins" `Quick test_dbn_bit_pins;
+          Alcotest.test_case "explicit BN bit pins" `Quick
+            test_explicit_bit_pins;
           Alcotest.test_case "host marginals" `Quick test_host_marginals;
           Alcotest.test_case "host marginals unreachable" `Quick
             test_host_marginals_unreachable;

@@ -675,6 +675,26 @@ let test_golden_pins () =
         (Option.get (Exact.solve m)).Solver.labeling)
     [ (41, 9, 0.8); (58, 10, 0.6) ]
 
+(* The labelings elimination certifies on the case study's three
+   encodings, through the CLI's path: EXPERIMENTS Figure 4 rests on how
+   C1's tie at 44.513227 is broken. *)
+let test_exact_case_study_pins () =
+  let case = Netdiv_casestudy.Products.network () in
+  List.iter
+    (fun (name, constraints, expected) ->
+      let r =
+        Netdiv_core.Optimize.run ~solver:Netdiv_core.Optimize.Exact case
+          constraints
+      in
+      Alcotest.(check string) name expected
+        (fingerprint r.Netdiv_core.Optimize.solver_result))
+    [ ( "none", [],
+        "b48945cf8b925088c1f693c9223fe97a 0x1.4745c9cfe808fp+5 1 true" );
+      ( "C1", Netdiv_casestudy.Products.host_constraints case,
+        "62ff021e4fdd2e3914c8893d7d4bfb5f 0x1.641b16f896406p+5 1 true" );
+      ( "C2", Netdiv_casestudy.Products.product_constraints case,
+        "a6a562aec8a66f0f53d6176703219f30 0x1.64aa2e344c6d1p+5 1 true" ) ]
+
 (* Bit-exact results of every TRW-S schedule: the local-search
    fingerprint with the bound in hex after the energy. *)
 let schedule_fingerprint (r : Solver.result) =
@@ -1131,6 +1151,8 @@ let () =
           Alcotest.test_case "parallel edges" `Quick test_parallel_edges;
           Alcotest.test_case "golden local-search pins" `Quick
             test_golden_pins;
+          Alcotest.test_case "exact case-study pins" `Quick
+            test_exact_case_study_pins;
           Alcotest.test_case "golden schedule pins" `Quick
             test_schedule_pins;
           Alcotest.test_case "icm allocates fewer minor words than nodes"
