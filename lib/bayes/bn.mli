@@ -34,6 +34,6 @@ val prob_true : t -> int -> bool array -> float
 (** [prob_true bn node parent_values]: CPD evaluation; [parent_values]
     aligns with [parents bn node]. *)
 
-val node_factor : t -> int -> Mfactor.t
+val node_factor : t -> int -> Netdiv_graph.Bucket.factor
 (** The CPT of a node as a factor over the node and its parents, every
     variable binary (state 1 = true). *)

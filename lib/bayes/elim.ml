@@ -1,12 +1,10 @@
-(* the product of a non-empty list of scoped factors *)
-let join = function
-  | (_, f) :: more ->
-      List.fold_left (fun acc (_, g) -> Mfactor.product acc g) f more
-  | [] -> invalid_arg "Elim.join: no factor"
+module Bucket = Netdiv_graph.Bucket
 
 let marginal ~n ~parents ~card ~factor evidence query =
   if List.exists (fun (v, x) -> List.assoc v evidence <> x) evidence then
     invalid_arg "Elim.marginal: evidence has probability zero";
+  if List.exists (fun (v, x) -> x < 0 || x >= card v) evidence then
+    invalid_arg "Elim.marginal: evidence state out of range";
   let on_query, observed =
     List.partition (fun (v, _) -> v = query) evidence
   in
@@ -21,38 +19,48 @@ let marginal ~n ~parents ~card ~factor evidence query =
   let nodes = List.filter (Array.get relevant) (List.init n Fun.id) in
   let free v = not (List.mem_assoc v observed) in
   let scope i = List.filter free (i :: Array.to_list (parents i)) in
-  let scopes = List.map scope nodes in
   let order =
     match
       Netdiv_graph.Elim_order.plan ~keep:query ~n ~card
         ~max_entries:Mfactor.max_entries ~max_total:max_int
         (Array.of_list (List.filter free nodes))
-        scopes
+        (List.map scope nodes)
     with
     | Some order -> order
     | None ->
         invalid_arg "Elim.marginal: a planned factor exceeds the table limit"
   in
-  let restrict f =
-    List.fold_left (fun f (v, x) -> Mfactor.restrict f v x) f observed
+  (* evidence fixes an observed variable by an offset into the CPT *)
+  let x = Array.make n 0 in
+  List.iter (fun (v, s) -> x.(v) <- s) observed;
+  let condition (f : Bucket.factor) =
+    let cols =
+      List.filter
+        (fun j -> free f.vars.(j))
+        (List.init (Array.length f.vars) Fun.id)
+    in
+    let pick a = Array.of_list (List.map (Array.get a) cols) in
+    { f with vars = pick f.vars; strides = pick f.strides;
+      off = Bucket.index f x }
   in
-  let factors =
-    ref (List.map2 (fun i s -> (s, restrict (factor i))) nodes scopes)
+  (* filed last node first, so each bucket holds its messages, latest
+     first, ahead of the CPTs in node order *)
+  let _, rest =
+    Option.get
+      (Bucket.eliminate Bucket.Sum_product ~card ~n order
+         (List.rev_map (fun i -> condition (factor i)) nodes))
   in
-  List.iter
-    (fun v ->
-      let touching, rest =
-        List.partition (fun (s, _) -> List.mem v s) !factors
-      in
-      let s = List.sort_uniq compare (List.concat_map fst touching) in
-      factors :=
-        (List.filter (( <> ) v) s, Mfactor.sum_out (join touching) v) :: rest)
-    order;
-  let joined = join !factors in
   let dist =
     Array.init (card query) (fun k ->
-        if List.for_all (fun (_, x) -> x = k) on_query then
-          Mfactor.total (Mfactor.restrict joined query k)
+        if List.for_all (fun (_, s) -> s = k) on_query then begin
+          x.(query) <- k;
+          (* what is left lies over the query or over nothing: one entry
+             per state, a product in filing order, summed from 0.0 *)
+          0.0
+          +. List.fold_left
+               (fun p (f : Bucket.factor) -> p *. f.table.(Bucket.index f x))
+               1.0 rest
+        end
         else 0.0)
   in
   let z = Array.fold_left ( +. ) 0.0 dist in

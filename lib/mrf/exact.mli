@@ -1,12 +1,14 @@
 (** Exact MAP by min-sum variable elimination.
 
-    One factor per unary and per edge table, eliminated along the greedy
-    smallest-table order of {!Netdiv_graph.Elim_order.plan}, each
-    variable keeping its argmin table; a traceback in reverse order reads
-    the labeling off those tables, breaking ties to the lowest label.
-    Cost follows the planned tables, not the model size: the case-study
-    encodings solve in about a millisecond, while the dense synthetic
-    workloads are rejected after planning a few dozen variables. *)
+    One factor per unary and per edge table, each a view into the
+    model's {!Mrf.Compact} slabs, eliminated by {!Netdiv_graph.Bucket} in
+    min-sum along the greedy smallest-table order of
+    {!Netdiv_graph.Elim_order.plan}, each variable keeping its argmin
+    table; a traceback in reverse order reads the labeling off those
+    tables, breaking ties to the lowest label.  Cost follows the planned
+    tables, not the model size: the case-study encodings solve in about a
+    millisecond, while the dense synthetic workloads are rejected after
+    planning a few dozen variables. *)
 
 val solve : ?interrupt:(unit -> bool) -> Mrf.t -> Solver.result option
 (** [solve mrf] is a global minimizer of [mrf] with [energy] its

@@ -12,61 +12,60 @@ let rng seed = Random.State.make [| seed |]
 
 (* --------------------------------------------------------------- factor *)
 
-(* Bn's tables: Mfactor over binary variables, value 1 for true. *)
+(* Bn's tables: CPTs over binary variables, state 1 for true. *)
 
-let binary ids = Array.map (fun v -> (v, 2)) ids
+module Bucket = Netdiv_graph.Bucket
 
-let test_factor_of_fun () =
-  let f = Mfactor.of_fun ~vars:(binary [| 3; 1 |]) (fun v ->
-      float_of_int (v.(0) + (2 * v.(1)))) in
-  (* vars sorted to [1;3]; v.(0) is var 1 *)
-  Alcotest.(check bool) "sorted" true (Mfactor.vars f = binary [| 1; 3 |]);
-  check_float "11" 3.0 (Mfactor.value f [ (1, 1); (3, 1) ]);
-  check_float "10" 1.0 (Mfactor.value f [ (1, 1); (3, 0) ]);
-  check_float "01" 2.0 (Mfactor.value f [ (1, 0); (3, 1) ])
+(* every entry of a CPT factor over [node] and [parents], read through
+   its strides, is [p parent_values k] for the labeling it stands for *)
+let check_cpd ~card (f : Bucket.factor) node parents p =
+  Alcotest.(check (array int)) "scope" (Array.append [| node |] parents)
+    f.vars;
+  let x = Array.make (1 + Array.fold_left max node parents) 0 in
+  let rec each j =
+    if j = Array.length parents then
+      for k = 0 to card node - 1 do
+        x.(node) <- k;
+        let pv = Array.map (Array.get x) parents in
+        check_float "entry" (p pv k) f.table.(Bucket.index f x)
+      done
+    else
+      for v = 0 to card parents.(j) - 1 do
+        x.(parents.(j)) <- v;
+        each (j + 1)
+      done
+  in
+  each 0
 
-let test_factor_product () =
-  let a = Mfactor.of_fun ~vars:(binary [| 0 |]) (fun v ->
-      if v.(0) = 1 then 0.7 else 0.3) in
-  let b = Mfactor.of_fun ~vars:(binary [| 0; 1 |]) (fun v ->
-      if v.(0) = v.(1) then 0.9 else 0.1) in
-  let p = Mfactor.product a b in
-  Alcotest.(check bool) "union vars" true (Mfactor.vars p = binary [| 0; 1 |]);
-  check_float "joint" (0.7 *. 0.9) (Mfactor.value p [ (0, 1); (1, 1) ]);
-  check_float "joint2" (0.3 *. 0.1) (Mfactor.value p [ (0, 0); (1, 1) ])
-
-let test_factor_sum_out () =
-  let f = Mfactor.of_fun ~vars:(binary [| 0; 1 |]) (fun v ->
-      match (v.(0), v.(1)) with
-      | 0, 0 -> 1.0
-      | 0, _ -> 2.0
-      | _, 0 -> 3.0
-      | _ -> 4.0) in
-  let g = Mfactor.sum_out f 0 in
-  Alcotest.(check bool) "remaining" true (Mfactor.vars g = binary [| 1 |]);
-  check_float "marginal false" 4.0 (Mfactor.value g [ (1, 0) ]);
-  check_float "marginal true" 6.0 (Mfactor.value g [ (1, 1) ]);
-  check_float "total preserved" (Mfactor.total f) (Mfactor.total g);
-  (* summing out an absent variable is a no-op *)
-  Alcotest.(check bool) "noop" true (Mfactor.equal f (Mfactor.sum_out f 9))
-
-let test_factor_restrict () =
-  let f = Mfactor.of_fun ~vars:(binary [| 0; 1 |]) (fun v ->
-      (if v.(0) = 1 then 2.0 else 1.0) *. if v.(1) = 1 then 5.0 else 1.0) in
-  let g = Mfactor.restrict f 0 1 in
-  check_float "restricted" 10.0 (Mfactor.value g [ (1, 1) ]);
-  check_float "restricted2" 2.0 (Mfactor.value g [ (1, 0) ]);
-  (* restricting an absent variable is a no-op *)
-  let h = Mfactor.restrict f 9 1 in
-  Alcotest.(check bool) "noop" true (Mfactor.equal f h)
+let test_factor_of_cpd () =
+  (* the node's state fastest, then the parents in the order given *)
+  let f =
+    Mfactor.of_cpd ~card:(fun _ -> 2) 5 ~parents:[| 3; 1 |] (fun pv k ->
+        float_of_int (k + (2 * pv.(0)) + (4 * pv.(1))))
+  in
+  Alcotest.(check (array int)) "strides" [| 1; 2; 4 |] f.strides;
+  Alcotest.(check (array (float 0.0))) "table"
+    (Array.init 8 float_of_int) f.table;
+  (* Bn's noisy-OR, its parents out of id order *)
+  let bn = Bn.create () in
+  let a = Bn.add bn ~name:"a" ~parents:[||] (Bn.Table [| 0.4 |]) in
+  let b = Bn.add bn ~name:"b" ~parents:[||] (Bn.Table [| 0.7 |]) in
+  let c =
+    Bn.add bn ~name:"c" ~parents:[| b; a |]
+      (Bn.Noisy_or { rates = [| 0.5; 0.25 |]; leak = 0.1 })
+  in
+  check_cpd ~card:(fun _ -> 2) (Bn.node_factor bn c) c [| b; a |]
+    (fun pv k ->
+      let p = Bn.prob_true bn c (Array.map (( = ) 1) pv) in
+      if k = 1 then p else 1.0 -. p)
 
 let test_factor_validation () =
-  (match Mfactor.of_fun ~vars:(binary [| 1; 1 |]) (fun _ -> 0.0) with
-  | _ -> Alcotest.fail "accepted duplicate var"
-  | exception Invalid_argument _ -> ());
   (* 2^26 entries are over the limit, checked before tabulating *)
-  match Mfactor.of_fun ~vars:(binary (Array.init 26 Fun.id)) (fun _ -> 0.0) with
-  | _ -> Alcotest.fail "accepted 26 vars"
+  match
+    Mfactor.of_cpd ~card:(fun _ -> 2) 25 ~parents:(Array.init 25 Fun.id)
+      (fun _ _ -> 0.0)
+  with
+  | _ -> Alcotest.fail "accepted 26 binary variables"
   | exception Invalid_argument _ -> ()
 
 (* ------------------------------------------------------------------- bn *)
@@ -254,119 +253,25 @@ let test_forward_sample_root () =
 
 (* -------------------------------------------------------------- mfactor *)
 
-let test_mfactor_of_fun () =
-  let f =
-    Mfactor.of_fun ~vars:[| (2, 3); (0, 2) |] (fun v ->
-        float_of_int ((10 * v.(0)) + v.(1)))
-  in
-  (* sorted: var 0 (card 2) first, then var 2 (card 3); the tabulated
-     function receives values in sorted order *)
-  Alcotest.(check bool) "sorted" true (Mfactor.vars f = [| (0, 2); (2, 3) |]);
-  check_float "lookup" 12.0 (Mfactor.value f [ (0, 1); (2, 2) ]);
-  check_float "lookup2" 10.0 (Mfactor.value f [ (0, 1); (2, 0) ])
-
-let test_mfactor_product_sum () =
-  let a = Mfactor.of_fun ~vars:[| (0, 2) |] (fun v -> if v.(0) = 0 then 0.25 else 0.75) in
-  let b =
-    Mfactor.of_fun ~vars:[| (0, 2); (1, 3) |] (fun v ->
-        float_of_int (v.(0) + v.(1)))
-  in
-  let p = Mfactor.product a b in
-  check_float "product entry" (0.75 *. 3.0)
-    (Mfactor.value p [ (0, 1); (1, 2) ]);
-  let m = Mfactor.sum_out p 1 in
-  (* sum over v1 of (v0 + v1) weighted: v0=1: 0.75*(1+2+3)=4.5 *)
-  check_float "sum_out" 4.5 (Mfactor.value m [ (0, 1) ]);
-  check_float "total preserved" (Mfactor.total p) (Mfactor.total m);
-  (* restrict *)
-  let r = Mfactor.restrict p 1 2 in
-  check_float "restricted" (0.25 *. 2.0) (Mfactor.value r [ (0, 0) ])
+let test_mfactor_of_cpd () =
+  let card v = 2 + (v mod 3) in
+  let p pv k = float_of_int ((1000 * k) + (100 * pv.(0)) + (10 * pv.(1)) + pv.(2)) in
+  check_cpd ~card (Mfactor.of_cpd ~card 4 ~parents:[| 2; 0; 3 |] p) 4
+    [| 2; 0; 3 |] p;
+  let root _ k = float_of_int k in
+  check_cpd ~card (Mfactor.of_cpd ~card 1 ~parents:[||] root) 1 [||] root
 
 let test_mfactor_validation () =
-  (match Mfactor.of_fun ~vars:[| (0, 2); (0, 3) |] (fun _ -> 0.0) with
-  | _ -> Alcotest.fail "accepted duplicate"
-  | exception Invalid_argument _ -> ());
-  (match Mfactor.of_fun ~vars:[| (0, 0) |] (fun _ -> 0.0) with
+  (match Mfactor.of_cpd ~card:(fun v -> v) 0 ~parents:[||] (fun _ _ -> 1.0) with
   | _ -> Alcotest.fail "accepted card 0"
   | exception Invalid_argument _ -> ());
-  let a = Mfactor.of_fun ~vars:[| (0, 2) |] (fun _ -> 1.0) in
-  let b = Mfactor.of_fun ~vars:[| (0, 3) |] (fun _ -> 1.0) in
-  match Mfactor.product a b with
-  | _ -> Alcotest.fail "accepted cardinality mismatch"
+  (* 3^16 entries are over the limit *)
+  match
+    Mfactor.of_cpd ~card:(fun _ -> 3) 15 ~parents:(Array.init 15 Fun.id)
+      (fun _ _ -> 0.0)
+  with
+  | _ -> Alcotest.fail "accepted 3^16 entries"
   | exception Invalid_argument _ -> ()
-
-let test_mfactor_algebra () =
-  (* summing out every variable yields the grand total; multiplying by
-     the unit constant changes nothing *)
-  let rng = rng 900 in
-  for _ = 1 to 20 do
-    let vars =
-      [| (0, 1 + Random.State.int rng 3); (3, 1 + Random.State.int rng 3);
-         (7, 1 + Random.State.int rng 2) |]
-    in
-    let f = Mfactor.of_fun ~vars (fun _ -> Random.State.float rng 5.0) in
-    let collapsed =
-      Array.fold_left (fun acc (v, _) -> Mfactor.sum_out acc v) f vars
-    in
-    check_float "collapse = total" (Mfactor.total f)
-      (Mfactor.value collapsed []);
-    let unit = Mfactor.product f (Mfactor.constant 1.0) in
-    Alcotest.(check bool) "unit identity" true
-      (Mfactor.equal ~eps:1e-12 f unit);
-    (* sum_out in either order agrees *)
-    let ab = Mfactor.sum_out (Mfactor.sum_out f 0) 3 in
-    let ba = Mfactor.sum_out (Mfactor.sum_out f 3) 0 in
-    Alcotest.(check bool) "sum_out commutes" true
-      (Mfactor.equal ~eps:1e-9 ab ba);
-    (* restriction picks the right slice: summing restrictions over every
-       value of a variable equals summing the variable out *)
-    let card0 = snd vars.(0) in
-    let summed = Mfactor.sum_out f 0 in
-    let stitched =
-      List.init card0 (fun v -> Mfactor.restrict f 0 v)
-      |> List.fold_left
-           (fun acc slice ->
-             match acc with
-             | None -> Some slice
-             | Some acc ->
-                 Some
-                   (Mfactor.of_fun ~vars:(Mfactor.vars acc) (fun values ->
-                        let assignment =
-                          Array.to_list
-                            (Array.mapi
-                               (fun i (id, _) ->
-                                 (id, values.(i)))
-                               (Mfactor.vars acc))
-                        in
-                        Mfactor.value acc assignment
-                        +. Mfactor.value slice assignment)))
-           None
-      |> Option.get
-    in
-    Alcotest.(check bool) "restrictions stitch to sum_out" true
-      (Mfactor.equal ~eps:1e-9 summed stitched);
-    (* the product is pointwise over the union scope, here with g's
-       variables 3 and 5 interleaved with f's 0, 3 and 7 *)
-    let g_vars = [| (3, snd vars.(1)); (5, 1 + Random.State.int rng 3) |] in
-    let g = Mfactor.of_fun ~vars:g_vars (fun _ -> Random.State.float rng 5.0) in
-    let fg = Mfactor.product f g in
-    let on scope assignment =
-      List.filter
-        (fun (id, _) -> Array.exists (fun (v, _) -> v = id) scope)
-        assignment
-    in
-    ignore
-      (Mfactor.of_fun ~vars:(Mfactor.vars fg) (fun values ->
-           let assignment =
-             Array.to_list
-               (Array.mapi (fun i (id, _) -> (id, values.(i))) (Mfactor.vars fg))
-           in
-           check_float "pointwise product"
-             (Mfactor.value f (on vars assignment)
-             *. Mfactor.value g (on g_vars assignment))
-             (Mfactor.value fg assignment);
-           0.0))
-  done
 
 (* ------------------------------------------------------------------ dbn *)
 
@@ -822,10 +727,7 @@ let () =
     [
       ( "factor",
         [
-          Alcotest.test_case "of_fun ordering" `Quick test_factor_of_fun;
-          Alcotest.test_case "product" `Quick test_factor_product;
-          Alcotest.test_case "sum_out" `Quick test_factor_sum_out;
-          Alcotest.test_case "restrict" `Quick test_factor_restrict;
+          Alcotest.test_case "of_cpd layout" `Quick test_factor_of_cpd;
           Alcotest.test_case "validation" `Quick test_factor_validation;
         ] );
       ( "bn",
@@ -852,11 +754,8 @@ let () =
         ] );
       ( "mfactor",
         [
-          Alcotest.test_case "of_fun ordering" `Quick test_mfactor_of_fun;
-          Alcotest.test_case "product and sum_out" `Quick
-            test_mfactor_product_sum;
+          Alcotest.test_case "of_cpd layout" `Quick test_mfactor_of_cpd;
           Alcotest.test_case "validation" `Quick test_mfactor_validation;
-          Alcotest.test_case "algebraic laws" `Quick test_mfactor_algebra;
         ] );
       ( "dbn",
         [

@@ -431,6 +431,40 @@ let test_plan_limits () =
     "interrupted" None
     (plan ~interrupt:(fun () -> true) 30)
 
+(* two binary variables, unaries f0 = (0, 1) and f1 = (2, 0) and an edge
+   cost that is 1 where they agree, eliminated by hand *)
+let test_bucket_by_hand () =
+  let view vars strides table = { Bucket.vars; strides; table; off = 0 } in
+  let f0 = view [| 0 |] [| 1 |] [| 0.0; 1.0 |]
+  and f1 = view [| 1 |] [| 1 |] [| 2.0; 0.0 |]
+  and f01 = view [| 0; 1 |] [| 2; 1 |] [| 1.0; 0.0; 0.0; 1.0 |] in
+  let entries (f : Bucket.factor) = Array.to_list f.table in
+  (match
+     Bucket.eliminate Bucket.Min_sum ~card:(fun _ -> 2) ~n:2 [ 0; 1 ]
+       [ f0; f1; f01 ]
+   with
+  | Some ([ last; first ], [ constant ]) ->
+      (* m(x1) = min over x0 of f0 + f01: 1 (a tie, to label 0) and 0 *)
+      Alcotest.(check int) "first step" 0 first.var;
+      Alcotest.(check (list (float 0.0))) "message" [ 1.0; 0.0 ]
+        (entries first.message);
+      Alcotest.(check (array int)) "argmin, ties low" [| 0; 0 |] first.argmin;
+      Alcotest.(check int) "last step" 1 last.var;
+      Alcotest.(check (array int)) "argmin of x1" [| 1 |] last.argmin;
+      Alcotest.(check (list (float 0.0))) "the minimum, left over"
+        [ 0.0 ] (entries constant)
+  | _ -> Alcotest.fail "min-sum: two steps and one constant expected");
+  match
+    Bucket.eliminate Bucket.Sum_product ~card:(fun _ -> 2) ~n:2 [ 0 ]
+      [ f0; f1; f01 ]
+  with
+  | Some ([], [ message; unary ]) ->
+      (* sum over x0 of f0 * f01: 0 and 1; then f1, outside the order *)
+      Alcotest.(check (list (float 0.0))) "message" [ 0.0; 1.0 ]
+        (entries message);
+      Alcotest.(check bool) "f1 left over, filed first" true (unary == f1)
+  | _ -> Alcotest.fail "sum-product: no steps and two factors expected"
+
 let prop_degree_sum =
   QCheck2.Test.make ~count:100 ~name:"sum of degrees = 2m" graph_gen
     (fun g ->
@@ -544,6 +578,9 @@ let () =
         ] );
       ( "planner",
         [ Alcotest.test_case "table and total limits" `Quick test_plan_limits ]
+      );
+      ( "bucket",
+        [ Alcotest.test_case "elimination by hand" `Quick test_bucket_by_hand ]
       );
       ( "properties",
         [
