@@ -729,15 +729,10 @@ let lint_cmd =
     [
       `S Manpage.s_description;
       `P
-        "Runs the netdiv-lint surface rules (spawn-outside-pool, \
-         toplevel-mutable-state, nondeterminism-source, \
-         direct-clock-in-instrumented-code, list-nth-in-loop, \
-         missing-mli, printf-in-lib, swallowed-exception, \
-         float-equality-in-kernel) and the interprocedural rules \
-         (nondet-taint, impure-in-parallel-region, unused-export) over \
-         the given paths.  A finding is accepted only by an inline \
-         suppression with a written reason \
-         ($(b,(* netdiv-lint: allow <rule> — <reason> *))).";
+        "Runs the netdiv-lint surface rules and the interprocedural \
+         rules over the given paths; $(b,--list-rules) prints them all.  \
+         A finding is accepted only by an inline suppression with a \
+         written reason ($(b,(* netdiv-lint: allow <rule> — <reason> *))).";
       `P
         "Exit codes: 0 when clean, 1 when findings remain, 2 on usage \
          errors.";

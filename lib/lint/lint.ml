@@ -48,12 +48,12 @@ let rules =
        quadratic (the exact class fixed in lib/sim/engine.ml)" );
     ( "alloc-in-loop",
       "Array.make/Array.init/Array.copy, Float.Array.create/make or \
-       Mrf.incident inside a for/while body in hot solver and simulator \
-       code (lib/mrf, lib/bayes, lib/sim), or a tuple/record built from \
-       Mrf.Compact accessor results there; allocate scratch (including \
-       message slabs) once outside the loop, walk the Mrf.Compact CSR \
-       slice instead of incidence lists, and keep accessor reads in \
-       scalar lets instead of re-boxing them" );
+       Mrf.incident inside a for/while body in hot solver, inference and \
+       simulator code (lib/mrf, lib/bayes, lib/graph, lib/sim), or a \
+       tuple/record built from Mrf.Compact accessor results there; \
+       allocate scratch (including message slabs) once outside the loop, \
+       walk the Mrf.Compact CSR slice instead of incidence lists, and \
+       keep accessor reads in scalar lets instead of re-boxing them" );
     ( "missing-mli",
       "library module without an interface file; every lib/ module must \
        state its exported surface" );
@@ -141,7 +141,9 @@ let instrumented_non_solver ctx =
 (* Directories whose inner loops are the measured hot path: a
    per-iteration allocation there shows up directly in BENCH.json. *)
 let hot_path ctx =
-  match ctx.lib_dir with Some ("mrf" | "bayes" | "sim") -> true | _ -> false
+  match ctx.lib_dir with
+  | Some ("mrf" | "bayes" | "graph" | "sim") -> true
+  | _ -> false
 
 (* -------------------------------------------------------- suppressions *)
 

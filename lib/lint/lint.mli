@@ -27,20 +27,22 @@
       reported timings share one monotone time base.
     - [list-nth-in-loop]: [List.nth]/[List.nth_opt] inside a [for]/[while]
       loop.
-    - [alloc-in-loop]: [Array.make]/[Array.init]/[Array.copy] inside a
-      [for]/[while] body in the measured hot directories ([lib/mrf],
-      [lib/bayes], [lib/sim]); per-iteration allocation there is GC
-      pressure the bench pays for directly — hoist a scratch buffer.
+    - [alloc-in-loop]: [Array.make]/[Array.init]/[Array.copy] or
+      [Float.Array.create]/[make] inside a [for]/[while] body in the
+      measured hot directories ([lib/mrf], [lib/bayes], [lib/graph],
+      [lib/sim]); per-iteration allocation there is GC pressure the
+      bench pays for directly — hoist a scratch buffer.
       [Mrf.incident] in such a body is flagged too: every call builds a
       fresh array of boxed [(edge, i_is_u)] pairs, where the node's
-      [Mrf.Compact] slice is already flat.  Also flags a
-      tuple or record literal built around [Mrf.Compact] accessor calls
-      inside such a loop: packing [Compact.neighbor]/[Compact.edge]
-      reads into a boxed value re-creates, per iteration, exactly the
-      per-edge records the CSR layout removed — keep the fields in
-      scalar [let]s.
+      [Mrf.Compact] slice is already flat.  Also flags a tuple or record
+      literal built around [Mrf.Compact] calls inside such a loop:
+      packing what they return into a boxed value re-creates, per
+      iteration, exactly the per-edge records the CSR layout removed —
+      keep the fields in scalar [let]s.
     - [missing-mli]: a [lib/] module with no interface file.
     - [printf-in-lib]: stdout printing from library code.
+    - [swallowed-exception]: [try ... with _ -> ()], which discards a
+      failure without logging, counting or re-raising it.
     - [bad-suppression]: a malformed suppression comment.
     - [float-equality-in-kernel]: [=]/[<>] with a float literal (or
       [infinity]/[nan]/...) operand in [lib/mrf]; computed energies must

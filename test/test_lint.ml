@@ -206,8 +206,15 @@ let test_alloc_in_loop () =
        \  for _ = 0 to n - 1 do\n\
        \    ignore (Array.make 4 0)\n\
        \  done\n");
-  check_rules "near-miss: hot dirs only (lib/graph is exempt)" []
-    (lint "lib/graph/gen.ml"
+  check_rules "positive: Array.make inside for in graph"
+    [ "alloc-in-loop" ]
+    (lint "lib/graph/bucket.ml"
+       "let f n =\n\
+       \  for _ = 0 to n - 1 do\n\
+       \    ignore (Array.make 4 0.0)\n\
+       \  done\n");
+  check_rules "near-miss: hot dirs only (lib/workload is exempt)" []
+    (lint "lib/workload/workload.ml"
        "let f n =\n\
        \  for _ = 0 to n - 1 do\n\
        \    ignore (Array.make 4 0.0)\n\
@@ -278,8 +285,8 @@ let test_compact_boxing_in_loop () =
   check_rules "near-miss: tuple of accessors outside any loop" []
     (lint "lib/mrf/trws.ml"
        "let f t k = (Mrf.Compact.neighbor t k, Mrf.Compact.edge t k)\n");
-  check_rules "near-miss: hot dirs only (lib/graph is exempt)" []
-    (lint "lib/graph/cut.ml"
+  check_rules "near-miss: hot dirs only (lib/workload is exempt)" []
+    (lint "lib/workload/workload.ml"
        "let f t k n =\n\
        \  for _ = 0 to n - 1 do\n\
        \    ignore (Mrf.Compact.neighbor t k, Mrf.Compact.edge t k)\n\
