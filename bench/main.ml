@@ -203,9 +203,13 @@ let spread base ts =
   end
 
 (* A parallel speedup is a measurement only on a host with a core per
-   job or domain; below that it is recorded as NaN (null in BENCH.json)
-   and printed as "unmeasured", never as a ratio of time-sliced runs. *)
-let speedup ~cores ~jobs ratio = if cores < jobs then nan else ratio
+   job or domain, and only of work that [Pool] dispatches: a region
+   estimated under [Pool.sequential_cutoff] runs [inline] at every job
+   count.  Otherwise it is recorded as NaN (null in BENCH.json) and
+   printed as "unmeasured", never as a ratio of time-sliced or inline
+   runs. *)
+let speedup ?(inline = false) ~cores ~jobs ratio =
+  if cores < jobs || (inline && jobs > 1) then nan else ratio
 
 let pp_speedup ppf s =
   if Float.is_nan s then Format.fprintf ppf "%10s" "unmeasured"
@@ -1150,12 +1154,16 @@ let intra_component_speedup () =
   let _, reference = List.hd reports in
   let t_serial = best 1 in
   let cores = Domain.recommended_domain_count () in
+  (* at the smoke tier the zone round's estimated work (about 13.9M
+     units) is under Pool.sequential_cutoff (20M), so every job count
+     solves the components one after another *)
+  let inline = not full_sweep in
   Report.metric "cores" (float_of_int cores);
   Format.printf "%-6s %10s %10s %14s@." "jobs" "time (s)" "speedup" "energy";
   List.iter
     (fun (jobs, report) ->
       let t = best jobs in
-      let s = speedup ~cores ~jobs (t_serial /. t) in
+      let s = speedup ~inline ~cores ~jobs (t_serial /. t) in
       Format.printf "%-6d %10.3f %a %14.2f@." jobs t pp_speedup s
         report.Optimize.energy;
       Report.metric (Printf.sprintf "solve_%dj_s" jobs) t;
