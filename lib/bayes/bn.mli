@@ -36,4 +36,4 @@ val prob_true : t -> int -> bool array -> float
 
 val node_factor : t -> int -> Netdiv_graph.Bucket.factor
 (** The CPT of a node as a factor over the node and its parents, every
-    variable binary (state 1 = true). *)
+    variable binary (state 1 = true), tabulated by {!Mfactor.of_cpd}. *)

@@ -33,9 +33,10 @@ val marginal : ?evidence:(int * int) list -> t -> int -> float array
     its ancestors and those of the evidence only ({!Elim}, the same core
     and tables as {!Infer.exact_marginal}).  Evidence on the node itself
     yields the point mass on the observed state.
-    @raise Invalid_argument if the evidence has probability zero, or if
-    the planned elimination needs a table above {!Mfactor.max_entries}
-    (2^25 entries): checked before any table is allocated. *)
+    @raise Invalid_argument if the evidence has probability zero or a
+    state out of range, or if the planned elimination needs a table above
+    {!Mfactor.max_entries} (2^25 entries): checked before any table is
+    allocated. *)
 
 val brute_marginal : ?evidence:(int * int) list -> t -> int -> float array
 (** The same by full joint enumeration (testing only).

@@ -54,8 +54,8 @@ let marginal ~n ~parents ~card ~factor evidence query =
     Array.init (card query) (fun k ->
         if List.for_all (fun (_, s) -> s = k) on_query then begin
           x.(query) <- k;
-          (* what is left lies over the query or over nothing: one entry
-             per state, a product in filing order, summed from 0.0 *)
+          (* what is left lies over the query or over nothing: its
+             product in filing order, plus 0.0 so that -0.0 reads 0.0 *)
           0.0
           +. List.fold_left
                (fun p (f : Bucket.factor) -> p *. f.table.(Bucket.index f x))

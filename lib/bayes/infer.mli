@@ -1,7 +1,7 @@
 (** Inference over boolean Bayesian networks.
 
-    Exact marginals via variable elimination ({!Elim}, on {!Mfactor}
-    tables over binary variables), plus Monte-Carlo estimators (forward
+    Exact marginals via variable elimination ({!Elim}, on binary CPTs
+    from {!Mfactor.of_cpd}), plus Monte-Carlo estimators (forward
     sampling, likelihood weighting) for networks whose treewidth defeats
     exact elimination. *)
 

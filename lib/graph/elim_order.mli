@@ -1,8 +1,10 @@
-(** Greedy elimination orders: the planner behind both exact engines,
-    sum-product marginals ([Netdiv_bayes.Elim]) and min-sum MAP
+(** Greedy elimination orders for {!Bucket.eliminate}, in both its
+    uses: sum-product marginals ([Netdiv_bayes.Elim]) and min-sum MAP
     ([Netdiv_mrf.Exact]).  It fixes the whole order on the interaction
     graph of the factor scopes before any table is allocated, so a model
-    that does not fit costs only its planning. *)
+    that does not fit costs only its planning.  A step's planned table is
+    the variable with its live neighbours; the message {!Bucket}
+    allocates for that step is at most a [card]-th of it. *)
 
 val plan :
   ?keep:int ->

@@ -299,6 +299,14 @@ let test_dbn_basic () =
   (* evidence on the query is a point mass on the observed state *)
   Alcotest.(check (array (float 1e-12))) "P(die|die=2)" [| 0.0; 0.0; 1.0 |]
     (Dbn.marginal ~evidence:[ (die, 2) ] bn die);
+  (* a parent listed twice reads the CPT's diagonal, as brute force does *)
+  let twice =
+    Dbn.add bn ~name:"twice" ~card:2 ~parents:[| die; die |] (fun pv k ->
+        let p_true = float_of_int (pv.(0) + (3 * pv.(1))) /. 8.0 in
+        if k = 1 then p_true else 1.0 -. p_true)
+  in
+  Alcotest.(check (array (float 1e-12))) "repeated parent"
+    (Dbn.brute_marginal bn twice) (Dbn.marginal bn twice);
   (* P(die=0, flag=1) = 0 *)
   match Dbn.marginal ~evidence:[ (die, 0); (flag, 1) ] bn flag with
   | _ -> Alcotest.fail "accepted zero-probability evidence"
