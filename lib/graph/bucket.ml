@@ -35,19 +35,19 @@ let reduce semiring ~card ~col v bucket =
     strides.(j) <- strides.(j + 1) * dims.(j + 1)
   done;
   let entries = if r = 0 then 1 else strides.(0) * dims.(0) in
-  (* st.(f * w + j): factor f's stride for scope column j, or for [v]
-     at j = r; 0 where the factor lacks the variable, and the sum of its
-     strides where it lists the variable twice *)
-  let w = r + 1 in
+  (* st.(f * r + j): factor f's stride for scope column j, and vst.(f)
+     its stride for [v]; 0 where the factor lacks the variable, and the
+     sum of its strides where it lists the variable twice *)
   Array.iteri (fun j u -> col.(u) <- j) scope;
-  col.(v) <- r;
-  let st = Array.make (nf * w) 0 in
+  let st = Array.make (nf * r) 0 and vst = Array.make nf 0 in
   Array.iteri
     (fun f fac ->
       Array.iteri
         (fun j u ->
-          let c = (f * w) + col.(u) in
-          st.(c) <- st.(c) + fac.strides.(j))
+          if u = v then vst.(f) <- vst.(f) + fac.strides.(j)
+          else
+            let c = (f * r) + col.(u) in
+            st.(c) <- st.(c) + fac.strides.(j))
         fac.vars)
     fs;
   let kv = card v in
@@ -69,7 +69,7 @@ let reduce semiring ~card ~col v bucket =
         for l = 0 to kv - 1 do
           let s = ref 0.0 in
           for f = 0 to nf - 1 do
-            s := !s +. tables.(f).(base.(f) + (l * st.((f * w) + r)))
+            s := !s +. tables.(f).(base.(f) + (l * vst.(f)))
           done;
           if !s < !best then begin
             best := !s;
@@ -85,7 +85,7 @@ let reduce semiring ~card ~col v bucket =
         for l = 0 to kv - 1 do
           let p = ref 1.0 in
           for f = 0 to nf - 1 do
-            p := !p *. tables.(f).(base.(f) + (l * st.((f * w) + r)))
+            p := !p *. tables.(f).(base.(f) + (l * vst.(f)))
           done;
           sum := !sum +. !p
         done;
@@ -94,14 +94,14 @@ let reduce semiring ~card ~col v bucket =
     while !j >= 0 && digit.(!j) = dims.(!j) - 1 do
       digit.(!j) <- 0;
       for f = 0 to nf - 1 do
-        base.(f) <- base.(f) - ((dims.(!j) - 1) * st.((f * w) + !j))
+        base.(f) <- base.(f) - ((dims.(!j) - 1) * st.((f * r) + !j))
       done;
       decr j
     done;
     if !j >= 0 then begin
       digit.(!j) <- digit.(!j) + 1;
       for f = 0 to nf - 1 do
-        base.(f) <- base.(f) + st.((f * w) + !j)
+        base.(f) <- base.(f) + st.((f * r) + !j)
       done
     end
   done;
