@@ -742,12 +742,66 @@ let casestudy_c1 =
 let casestudy_c2 =
   casestudy_constrained Netdiv_casestudy.Products.product_constraints
 
+(* Three parallel edges between nodes 0 and 2 and two between 1 and 3,
+   each with its own table and either orientation, label counts 2 to 5,
+   and node 4 without edges: TRW-S pairs every incidence slot with the
+   slot of the same edge at the other end, and parallel edges are where
+   that pairing can go wrong. *)
+let parallel_mrf =
+  lazy
+    (let rng = rng 2024 in
+     let labels = [| 3; 2; 5; 4; 3; 2; 4 |] in
+     let b = Mrf.Builder.create ~label_counts:labels in
+     Array.iteri
+       (fun i k ->
+         Mrf.Builder.set_unary b ~node:i
+           (Array.init k (fun _ -> Random.State.float rng 1.0)))
+       labels;
+     List.iter
+       (fun (u, v) ->
+         Mrf.Builder.add_edge b u v
+           (Array.init (labels.(u) * labels.(v)) (fun _ ->
+                Random.State.float rng 1.0)))
+       [ (0, 2); (2, 0); (0, 1); (0, 2); (1, 3); (3, 1); (2, 3); (5, 6);
+         (6, 2); (1, 5); (3, 6); (0, 3); (5, 2); (6, 1) ];
+     Mrf.Builder.build b)
+
+(* the encoding the ics-scaled-160 workload solves: Table IV catalogs,
+   mixed label counts, and TRW-S runs to its iteration cap *)
+let scaled_160 =
+  lazy
+    (let s = Netdiv_casestudy.Scaled.generate ~seed:1 ~scale:5 () in
+     Netdiv_core.Encode.mrf
+       (Netdiv_core.Encode.encode s.Netdiv_casestudy.Scaled.network []))
+
+(* 200 hosts in 3 zones: zones of 67, 67 and 66 hosts *)
+let uneven_zoned =
+  lazy
+    (Netdiv_workload.Workload.stream_zoned
+       {
+         Netdiv_workload.Workload.z_hosts = 200;
+         z_zones = 3;
+         z_degree = 5;
+         z_gateway_links = 3;
+         z_services = 2;
+         z_products = 4;
+         z_seed = 11;
+       })
+
 let schedule_pins =
   let c0 jobs () = Trws.solve ~jobs (Lazy.force casestudy_c0) in
   let big jobs () = Trws.solve ~jobs (Lazy.force big_connected) in
   let zoned jobs () =
     let m, zone_of = Lazy.force small_zoned in
     Trws.solve ~zone_of ~jobs m
+  in
+  let uneven jobs () =
+    let m, zone_of = Lazy.force uneven_zoned in
+    Trws.solve ~zone_of ~jobs m
+  in
+  let uneven_pin =
+    "1aa5a6b7f8ca6f32567e123d60688196 0x1.2ce2b25c2f4b7p+6 \
+     0x1.ffffffffffffep+1 8 false"
   in
   (* the energy is Mrf.energy of the merged labeling; the sum of the
      per-component energies would read 0x1.4745c9cfe808cp+5 *)
@@ -790,6 +844,16 @@ let schedule_pins =
       (fun () -> Trws.solve ~max_iters:10 ~jobs:2 (big_structured_mrf 0)),
       "13c914855e0be7a0a571b846a7479a5a 0x1.5a0b37b30a02ap+11 \
        0x1.58b802378e8aep+11 10 false" );
+    ( "trws, parallel edges and an isolated node",
+      (fun () -> Trws.solve (Lazy.force parallel_mrf)),
+      "1b55e005b6323e7097f37eb45f060f8d 0x1.adda78bc3b534p+2 \
+       0x1.9344fd3a45b9p+2 100 false" );
+    ( "trws, Scaled scale 5 encoding",
+      (fun () -> Trws.solve (Lazy.force scaled_160)),
+      "f7a506973a4374c5b1c53e7df2bb0d7c 0x1.a5cb0f6c33c7ep+7 \
+       0x1.871d4062de754p+7 100 false" );
+    ("trws, uneven stream_zoned zones, jobs 1", uneven 1, uneven_pin);
+    ("trws, uneven stream_zoned zones, jobs 2", uneven 2, uneven_pin);
   ]
 
 let test_schedule_pins () =
