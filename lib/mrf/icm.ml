@@ -1,4 +1,3 @@
-open Kernel
 
 type config = { max_sweeps : int }
 
@@ -38,7 +37,7 @@ let solve ?(config = { max_sweeps = 100 }) ?(interrupt = fun () -> false)
   } =
     Mrf.Compact.arrays mrf
   in
-  (* [cost.%(l)] is node i's local energy at label l given its
+  (* Entry l of [cost] is node i's local energy at label l given its
      neighbours' labels: the unary first, then each incidence's
      pairwise term in slice order, so every label's sum adds the same
      terms in the same order whichever label is current. *)
@@ -54,7 +53,7 @@ let solve ?(config = { max_sweeps = 100 }) ?(interrupt = fun () -> false)
          let k = labels.(i) in
          let u0 = unary_off.(i) in
          for l = 0 to k - 1 do
-           cost.%(l) <- unary.(u0 + l)
+           Float.Array.set cost l unary.(u0 + l)
          done;
          for slot = inc_off.(i) to inc_off.(i + 1) - 1 do
            let code = inc.(slot) in
@@ -66,14 +65,16 @@ let solve ?(config = { max_sweeps = 100 }) ?(interrupt = fun () -> false)
            let off = if i_is_u then base + x.(j) else base + (x.(j) * k) in
            let stride = if i_is_u then labels.(j) else 1 in
            for l = 0 to k - 1 do
-             cost.%(l) <- cost.%(l) +. pot.(off + (l * stride))
+             Float.Array.set cost l
+               (Float.Array.get cost l +. pot.(off + (l * stride)))
            done
          done;
          (* ascending scan; only a strictly cheaper label moves i *)
          let cur = x.(i) in
          let best = ref cur in
          for l = 0 to k - 1 do
-           if l <> cur && cost.%(l) < cost.%(!best) then best := l
+           if l <> cur && Float.Array.get cost l < Float.Array.get cost !best
+           then best := l
          done;
          if !best <> cur then begin
            x.(i) <- !best;

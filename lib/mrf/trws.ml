@@ -1,6 +1,11 @@
 module Obs = Netdiv_obs.Obs
 module Pool = Netdiv_par.Pool
-open Kernel
+
+(* Bounds-checked unboxed access to the [floatarray] slabs below. *)
+external ( .%() ) : floatarray -> int -> float = "%floatarray_safe_get"
+
+external ( .%()<- ) : floatarray -> int -> float -> unit
+  = "%floatarray_safe_set"
 
 (* Stopping rule: a solve converges once the gap between the best
    energy and the best bound falls under [tolerance], or once neither
@@ -8,12 +13,15 @@ open Kernel
 let tolerance = 1e-7
 let patience = 3
 
-(* Message state: for edge e = (u,v), [fw] holds the message into v
-   (length labels.(v)) and [bw] the message into u (length labels.(u)),
-   stored flat with per-edge offsets.  Messages, unaries and the bound
-   aggregation scratch live on unboxed [floatarray] slabs so the message
-   update streams over contiguous doubles.  One solve owns a state at a
-   time; its small per-node buffers live in {!workspace}. *)
+(* Message state on one slab.  Node i's incoming messages form one
+   block of [msg], k_i floats per incidence slot in slice order, from
+   [msg_off.(i)]; since the slice is sorted by neighbour, the slots
+   [inc_off.(i) .. split.(i) - 1] come from lower neighbours and the
+   rest from higher ones.  [out_off.(p)] is where the message out of
+   slot p's node along p's edge lives, in the neighbour's block.
+   Messages, unaries and the bound's aggregates are unboxed [floatarray]
+   slabs so the updates stream over contiguous doubles.  One solve owns
+   a state at a time; its small per-node buffers live in {!workspace}. *)
 type state = {
   labels : int array;
   unary_off : int array;
@@ -25,35 +33,49 @@ type state = {
   pot : float array;
   inc_off : int array;
   inc : int array;
-  fw_off : int array;
-  bw_off : int array;
-  fw : floatarray;
-  bw : floatarray;
-  lb_agg : floatarray;  (* lower_bound slab: gamma-weighted unaries *)
+  col : int array;
+  split : int array;  (* per node: its first slot to a higher neighbour *)
+  msg_off : int array;  (* n+1 prefix sums: each node's incoming block *)
+  out_off : int array;  (* per slot: the outgoing message's offset *)
+  msg : floatarray;
+  agg : floatarray;
+      (* gamma-weighted aggregates, written by the backward sweep and
+         read by the bound *)
   gamma : float array;
-  chains : int array array;
-      (* monotonic chain decomposition: each chain is the sequence of its
-         edge ids, traversed from lower to higher node order.  Every edge
-         belongs to exactly one chain; node [i] lies on
-         [max(#lower, #higher)] chains. *)
-  isolated : int array;  (* nodes with no incident edges, descending *)
+  chain_off : int array;
+  chain : int array;
+      (* monotonic chain decomposition, flat: chain c is the slots
+         [chain.(chain_off.(c)) .. chain.(chain_off.(c + 1) - 1)], each
+         its edge's slot at the lower endpoint, traversed from lower to
+         higher node order.  Every edge belongs to exactly one chain;
+         node [i] lies on [max(#lower, #higher)] chains.  Chains run in
+         descending order of their first edge's id. *)
 }
 
 (* Per-solve scratch, allocated by the domain that runs the solve and
    reused across all messages, so the hot path never allocates (minor
-   GCs are stop-the-world across ALL domains). *)
+   GCs are stop-the-world across ALL domains).  The bound's chain DP
+   reuses both buffers. *)
 type workspace = {
-  theta : floatarray;
+  theta : floatarray;  (* a node's cost: forward sweep, decode *)
   h : floatarray;  (* the message update's reduction input *)
-  dp : floatarray;  (* lower_bound chain DP, current *)
-  dp' : floatarray;  (* lower_bound chain DP, next *)
 }
+
+(* Load [mrf]'s unaries into [st] and zero its messages: the state
+   [make_state mrf] returns, for any model of [st]'s structure.  The
+   aggregates and the workspace are written before they are read, so a
+   solve from a reset state is bit for bit a solve from a fresh one. *)
+let reset_state st mrf =
+  let unary = (Mrf.Compact.arrays mrf).Mrf.Compact.i_unary in
+  for k = 0 to Array.length unary - 1 do
+    st.unary.%(k) <- unary.(k)
+  done;
+  Float.Array.fill st.msg 0 (Float.Array.length st.msg) 0.0
 
 let make_state mrf =
   let {
     Mrf.Compact.i_labels = labels;
     i_unary_off = unary_off;
-    i_unary = unary;
     i_eu = eu;
     i_ev = ev;
     i_etab = etab;
@@ -62,268 +84,274 @@ let make_state mrf =
     i_inc_off = inc_off;
     i_inc = inc;
     i_col = col;
+    _;
   } =
     Mrf.Compact.arrays mrf
   in
   let n = Array.length labels and m = Array.length eu in
-  let fw_off = Array.make (m + 1) 0 and bw_off = Array.make (m + 1) 0 in
-  for e = 0 to m - 1 do
-    fw_off.(e + 1) <- fw_off.(e) + labels.(ev.(e));
-    bw_off.(e + 1) <- bw_off.(e) + labels.(eu.(e))
-  done;
+  let split = Array.make n 0 in
+  let msg_off = Array.make (n + 1) 0 in
   let gamma = Array.make n 1.0 in
-  let backward = Array.make n [] and forward = Array.make n [] in
+  let n_chains = ref 0 in
   for i = 0 to n - 1 do
-    let lower = ref 0 and higher = ref 0 in
-    (* walk the incidence slice backwards so the per-node edge lists come
-       out sorted by opposite endpoint *)
-    for k = inc_off.(i + 1) - 1 downto inc_off.(i) do
-      let e = inc.(k) lsr 1 in
-      let j = col.(k) in
-      if j < i then begin
-        incr lower;
-        backward.(i) <- e :: backward.(i)
-      end
-      else begin
-        incr higher;
-        forward.(i) <- e :: forward.(i)
-      end
+    let lo = inc_off.(i) and hi = inc_off.(i + 1) in
+    let s = ref lo in
+    while !s < hi && col.(!s) < i do
+      incr s
     done;
-    gamma.(i) <- 1.0 /. float_of_int (max 1 (max !lower !higher))
+    split.(i) <- !s;
+    let lower = !s - lo and higher = hi - !s in
+    gamma.(i) <- 1.0 /. float_of_int (max 1 (max lower higher));
+    msg_off.(i + 1) <- msg_off.(i) + ((hi - lo) * labels.(i));
+    (* each unpaired higher slot starts a chain *)
+    n_chains := !n_chains + max 0 (higher - lower)
   done;
-  (* Monotonic chain decomposition (Kolmogorov): at each node, pair its k-th
-     lower edge with its k-th higher edge; unpaired higher edges start
-     chains, unpaired lower edges end them. *)
-  let succ = Array.make m (-1) in
-  let has_pred = Array.make m false in
+  (* Slot p of node i sends along its edge to j = col.(p), into j's
+     block at j's slot of the same edge.  Slices are sorted by
+     neighbour, then edge, and this loop visits the slots in node
+     order, then slice order, so the slots that point at j arrive in
+     j's slice order: one cursor per node finds every reverse slot. *)
+  let out_off = Array.make inc_off.(n) 0 in
+  let cursor = Array.sub inc_off 0 n in
+  for p = 0 to inc_off.(n) - 1 do
+    let j = col.(p) in
+    out_off.(p) <- msg_off.(j) + ((cursor.(j) - inc_off.(j)) * labels.(j));
+    cursor.(j) <- cursor.(j) + 1
+  done;
+  (* Monotonic chain decomposition (Kolmogorov): at each node, pair its
+     k-th lower slot with its k-th higher slot; unpaired higher slots
+     start chains, unpaired lower slots end them.  [start.(e)] is the
+     first slot of the chain edge e starts, or -1. *)
+  let start = Array.make m (-1) in
   for i = 0 to n - 1 do
-    let rec pair lows highs =
-      match (lows, highs) with
-      | e :: lows', e' :: highs' ->
-          succ.(e) <- e';
-          has_pred.(e') <- true;
-          pair lows' highs'
-      | _ -> ()
-    in
-    pair backward.(i) forward.(i)
+    for p = split.(i) + (split.(i) - inc_off.(i)) to inc_off.(i + 1) - 1 do
+      start.(inc.(p) lsr 1) <- p
+    done
   done;
-  let chains = ref [] in
-  for e = 0 to m - 1 do
-    if not has_pred.(e) then begin
-      let rec walk e acc =
-        let acc = e :: acc in
-        if succ.(e) >= 0 then walk succ.(e) acc else acc
-      in
-      chains := Array.of_list (List.rev (walk e [])) :: !chains
+  let chain = Array.make m 0 in
+  let chain_off = Array.make (!n_chains + 1) 0 in
+  let c = ref 0 and len = ref 0 in
+  for e = m - 1 downto 0 do
+    if start.(e) >= 0 then begin
+      let p = ref start.(e) in
+      while !p >= 0 do
+        chain.(!len) <- !p;
+        incr len;
+        (* the edge's slot at its higher end j is a lower slot of j,
+           whose rank among j's slots (read off the message offset) is
+           the rank of the higher slot it pairs with *)
+        let j = col.(!p) in
+        let next = split.(j) + ((out_off.(!p) - msg_off.(j)) / labels.(j)) in
+        p := if next < inc_off.(j + 1) then next else -1
+      done;
+      incr c;
+      chain_off.(!c) <- !len
     end
   done;
-  let chains = Array.of_list !chains in
-  let isolated = ref [] in
-  for i = 0 to n - 1 do
-    if inc_off.(i + 1) = inc_off.(i) then isolated := i :: !isolated
-  done;
-  {
-    labels;
-    unary_off;
-    unary = Float.Array.init unary_off.(n) (fun k -> unary.(k));
-    eu;
-    ev;
-    etab;
-    pot_off;
-    pot;
-    inc_off;
-    inc;
-    fw_off;
-    bw_off;
-    fw = Float.Array.make fw_off.(m) 0.0;
-    bw = Float.Array.make bw_off.(m) 0.0;
-    (* per-iteration bound scratch lives in the state: allocating it in
-       [lower_bound] made every iteration churn the minor heap, and
-       minor collections are stop-the-world across ALL domains — the
-       per-zone solves then serialized on the GC barrier *)
-    lb_agg = Float.Array.make unary_off.(n) 0.0;
-    gamma;
-    chains;
-    isolated = Array.of_list !isolated;
-  }
+  let st =
+    {
+      labels;
+      unary_off;
+      unary = Float.Array.create unary_off.(n);
+      eu;
+      ev;
+      etab;
+      pot_off;
+      pot;
+      inc_off;
+      inc;
+      col;
+      split;
+      msg_off;
+      out_off;
+      msg = Float.Array.create msg_off.(n);
+      (* in the state, not per iteration: per-iteration slabs churned
+         the minor heap, and minor collections are stop-the-world across
+         ALL domains — the per-zone solves then serialized on the GC
+         barrier *)
+      agg = Float.Array.create unary_off.(n);
+      gamma;
+      chain_off;
+      chain;
+    }
+  in
+  reset_state st mrf;
+  st
 
 let make_workspace st =
   let kmax = Array.fold_left max 1 st.labels in
-  {
-    theta = Float.Array.make kmax 0.0;
-    h = Float.Array.make kmax 0.0;
-    dp = Float.Array.make kmax 0.0;
-    dp' = Float.Array.make kmax 0.0;
-  }
+  { theta = Float.Array.make kmax 0.0; h = Float.Array.make kmax 0.0 }
 
-(* Aggregate node i's unary plus all incoming messages into [theta]. *)
-let aggregate st i (theta : floatarray) =
+(* The min-sum reduction over edge table V, stored flat at [pot.(p0 ..)]
+   and row-major by the u endpoint's label ([src_is_u] gives the
+   orientation): [out.(out_off + x_o) <- min_{x_s} h.(x_s) + V(x_s, x_o)]
+   for every output label.  O(L²) per call; it reads the caller's
+   precomputed [h] instead of recomputing it per inner iteration, and
+   allocates nothing. *)
+let reduce ~pot ~p0 ~src_is_u ~k_src ~k_out ~h ~out ~out_off =
+  for xo = 0 to k_out - 1 do
+    let best = ref infinity in
+    if src_is_u then
+      for xs = 0 to k_src - 1 do
+        let c = h.%(xs) +. pot.(p0 + (xs * k_out) + xo) in
+        if c < !best then best := c
+      done
+    else begin
+      let r0 = p0 + (xo * k_src) in
+      for xs = 0 to k_src - 1 do
+        let c = h.%(xs) +. pot.(r0 + xs) in
+        if c < !best then best := c
+      done
+    end;
+    out.%(out_off + xo) <- !best
+  done
+
+(* The message update: the reduction, normalized so the message's
+   smallest entry is zero. *)
+let update ~pot ~p0 ~src_is_u ~k_src ~k_out ~h ~out ~out_off =
+  reduce ~pot ~p0 ~src_is_u ~k_src ~k_out ~h ~out ~out_off;
+  let vmin = ref infinity in
+  for xo = 0 to k_out - 1 do
+    if out.%(out_off + xo) < !vmin then vmin := out.%(out_off + xo)
+  done;
+  for xo = 0 to k_out - 1 do
+    out.%(out_off + xo) <- out.%(out_off + xo) -. !vmin
+  done
+
+(* Node i's weighted cost into [dst.(d0 ..)]: gamma_i times its unary
+   plus every incoming message, added in slice order. *)
+let gather st i (dst : floatarray) d0 =
   let k = st.labels.(i) in
   let u0 = st.unary_off.(i) in
   for x = 0 to k - 1 do
-    theta.%(x) <- st.unary.%(u0 + x)
+    dst.%(d0 + x) <- st.unary.%(u0 + x)
   done;
-  for p = st.inc_off.(i) to st.inc_off.(i + 1) - 1 do
-    let code = st.inc.(p) in
-    let e = code / 2 in
-    (* two scalar ifs, not a destructured tuple: this runs per incident
-       edge per node per sweep, and the tuple would be a fresh minor
-       allocation each time (minor GCs are global barriers under
-       domains) *)
-    let bwd = code land 1 = 1 in
-    let off = if bwd then st.bw_off.(e) else st.fw_off.(e) in
-    let msg = if bwd then st.bw else st.fw in
+  let m0 = st.msg_off.(i) in
+  for s = 0 to st.inc_off.(i + 1) - st.inc_off.(i) - 1 do
+    let b = m0 + (s * k) in
     for x = 0 to k - 1 do
-      theta.%(x) <- theta.%(x) +. msg.%(off + x)
+      dst.%(d0 + x) <- dst.%(d0 + x) +. st.msg.%(b + x)
     done
+  done;
+  let g = st.gamma.(i) in
+  for x = 0 to k - 1 do
+    dst.%(d0 + x) <- g *. dst.%(d0 + x)
   done
 
-(* Update node [i]'s outgoing messages in direction [forward]: toward
-   higher neighbours when [forward], lower otherwise. *)
-let process_node st ws ~forward i =
-  let theta = ws.theta in
-  aggregate st i theta;
+(* Update node i's outgoing messages along slots [lo .. hi - 1] from its
+   weighted cost at [dst.(d0 ..)]. *)
+let send st ws i (dst : floatarray) d0 lo hi =
   let k = st.labels.(i) in
-  let g = st.gamma.(i) in
-  for p = st.inc_off.(i) to st.inc_off.(i + 1) - 1 do
+  let h = ws.h in
+  for p = lo to hi - 1 do
+    (* reduction input: the weighted cost minus the message coming back
+       along the same edge *)
+    let b = st.msg_off.(i) + ((p - st.inc_off.(i)) * k) in
+    for x = 0 to k - 1 do
+      h.%(x) <- dst.%(d0 + x) -. st.msg.%(b + x)
+    done;
     let code = st.inc.(p) in
-    let e = code / 2 in
-    let i_is_u = code land 1 = 1 in
-    let j = if i_is_u then st.ev.(e) else st.eu.(e) in
-    if (if forward then j > i else j < i) then begin
-      let kj = st.labels.(j) in
-      let p0 = st.pot_off.(st.etab.(e)) in
-      (* message into i along e (to be subtracted) and out of i (to
-         be written); scalar ifs keep this allocation-free *)
-      let in_off = if i_is_u then st.bw_off.(e) else st.fw_off.(e) in
-      let in_msg = if i_is_u then st.bw else st.fw in
-      let out_off = if i_is_u then st.fw_off.(e) else st.bw_off.(e) in
-      let out_msg = if i_is_u then st.fw else st.bw in
-      (* reduction input: reparameterized node cost minus the reverse
-         message.  Precomputed once so the O(L²) scan reads it O(L)
-         times instead of recomputing it O(L²) times. *)
-      let h = ws.h in
-      for xi = 0 to k - 1 do
-        h.%(xi) <- (g *. theta.%(xi)) -. in_msg.%(in_off + xi)
-      done;
-      Kernel.update ~pot:st.pot ~p0 ~src_is_u:i_is_u ~k_src:k ~k_out:kj ~h
-        ~out:out_msg ~out_off
+    update ~pot:st.pot
+      ~p0:st.pot_off.(st.etab.(code lsr 1))
+      ~src_is_u:(code land 1 = 1) ~k_src:k
+      ~k_out:st.labels.(st.col.(p))
+      ~h ~out:st.msg ~out_off:st.out_off.(p)
+  done
+
+(* One forward and one backward sweep.  Forward, nodes in increasing
+   order update their messages to higher neighbours; backward mirrors
+   it, and writes each node's weighted cost to [agg] on the way: no
+   message into node i changes after i's turn in the backward sweep, so
+   that is the aggregate the bound reads. *)
+let sweep_pair st ws n =
+  for i = 0 to n - 1 do
+    let hi = st.inc_off.(i + 1) in
+    if st.split.(i) < hi then begin
+      gather st i ws.theta 0;
+      send st ws i ws.theta 0 st.split.(i) hi
+    end
+  done;
+  for i = n - 1 downto 0 do
+    let lo = st.inc_off.(i) in
+    if lo < st.inc_off.(i + 1) then begin
+      let d0 = st.unary_off.(i) in
+      gather st i st.agg d0;
+      send st ws i st.agg d0 lo st.split.(i)
     end
   done
 
-(* One sequential sweep.  [forward] selects direction: process nodes in
-   increasing order updating messages to higher neighbours, or the
-   mirror image. *)
-let sweep st ws n forward =
-  if forward then
-    for i = 0 to n - 1 do
-      process_node st ws ~forward:true i
-    done
-  else
-    for i = n - 1 downto 0 do
-      process_node st ws ~forward:false i
-    done
-
 (* TRW dual bound for the monotonic-chain decomposition: the energy is
    split as E(x) = sum_C E_C(x_C) with per-chain node costs gamma_i *
-   theta_hat_i and reparameterized edge costs; the bound is the sum of the
-   chains' independent minima, computed by dynamic programming along each
-   chain and summed in chain order.  Valid for any message state (each
-   chain min <= the chain's value at the true optimum), and tight at
-   TRW-S fixed points on trees.  Each node's gamma-weighted aggregate is
-   written once into the [lb_agg] slab, since a node lies on several
-   chains. *)
+   theta_hat_i (the backward sweep's [agg]) and reparameterized edge
+   costs; the bound is the sum of the chains' independent minima,
+   computed by dynamic programming along each chain and summed in chain
+   order, plus each node without edges' unary minimum, in descending
+   node order.  Valid for any message state (each chain min <= the
+   chain's value at the true optimum), and tight at TRW-S fixed points
+   on trees.
+
+   A DP step along edge (lo, hi) is the message update's reduction over
+   [dp - m_lo], the low end's cost minus the message into it, followed
+   by [- m_hi + agg_hi].  Subtracting the message into the high end
+   after the minimum gives the same bits as inside it, because rounding
+   is monotone.  Plain loops with local accumulators: a closure over
+   the chain or a float-returning helper would box, and under
+   multicore the resulting minor collections are stop-the-world
+   barriers that serialize otherwise independent per-zone solves. *)
 let lower_bound st ws n =
-  let agg = st.lb_agg in
-  for i = 0 to n - 1 do
-    aggregate st i ws.theta;
-    let off = st.unary_off.(i) in
-    for x = 0 to st.labels.(i) - 1 do
-      agg.%(off + x) <- st.gamma.(i) *. ws.theta.%(x)
-    done
-  done;
-  let dp = ws.dp in
-  let dp' = ws.dp' in
-  (* Plain loops with local accumulators: a closure capturing [acc]
-     would box every partial sum. *)
+  let dp = ws.theta and out = ws.h in
   let acc = ref 0.0 in
-  for ci = 0 to Array.length st.chains - 1 do
-    let chain = st.chains.(ci) in
-    let e0 = chain.(0) in
-    let first = if st.eu.(e0) < st.ev.(e0) then st.eu.(e0) else st.ev.(e0) in
-    let k0 = st.labels.(first) in
-    for x = 0 to k0 - 1 do
-      dp.%(x) <- agg.%(st.unary_off.(first) + x)
+  for c = 0 to Array.length st.chain_off - 2 do
+    (* the chain's first node: the low end of its first edge *)
+    let code0 = st.inc.(st.chain.(st.chain_off.(c))) in
+    let e0 = code0 lsr 1 in
+    let first = if code0 land 1 = 1 then st.eu.(e0) else st.ev.(e0) in
+    let a0 = st.unary_off.(first) in
+    for x = 0 to st.labels.(first) - 1 do
+      dp.%(x) <- st.agg.%(a0 + x)
     done;
-    let prev_k = ref k0 in
-    (* The per-edge DP transition is written out inline, in a plain loop
-       over the chain, with the running minimum accumulated directly in
-       the [dp'] slab: a closure over the chain (allocated per chain,
-       with [prev_k] boxed into it), a local float-returning closure
-       (boxed return per call without flambda) or a [float ref] minimum
-       (boxed store per assignment) here all make bound evaluations
-       allocate, and under multicore the resulting minor collections are
-       stop-the-world barriers that serialize otherwise independent
-       per-zone solves.  The reparameterized cost, oriented low node ->
-       high node, is
-         pot[xu,xv] - fw[xv] - bw[xu]
-       with (xu, xv) = (x, y) when u < v and (y, x) otherwise. *)
-    for pos = 0 to Array.length chain - 1 do
-      let e = chain.(pos) in
-      let u = st.eu.(e) and v = st.ev.(e) in
-      let kv = st.labels.(v) in
-      let pbase = st.pot_off.(st.etab.(e)) in
-      let fw0 = st.fw_off.(e) and bw0 = st.bw_off.(e) in
-      let hi = if u < v then v else u in
-      let kh = st.labels.(hi) in
-      for y = 0 to kh - 1 do
-        dp'.%(y) <- infinity
+    let lo = ref first in
+    for q = st.chain_off.(c) to st.chain_off.(c + 1) - 1 do
+      let p = st.chain.(q) in
+      let code = st.inc.(p) in
+      let hi = st.col.(p) in
+      let k_lo = st.labels.(!lo) and k_hi = st.labels.(hi) in
+      let b = st.msg_off.(!lo) + ((p - st.inc_off.(!lo)) * k_lo) in
+      for x = 0 to k_lo - 1 do
+        dp.%(x) <- dp.%(x) -. st.msg.%(b + x)
       done;
-      if u < v then
-        for x = 0 to !prev_k - 1 do
-          let base = dp.%(x) -. st.bw.%(bw0 + x) in
-          let prow = pbase + (x * kv) in
-          for y = 0 to kh - 1 do
-            let c = base +. st.pot.(prow + y) -. st.fw.%(fw0 + y) in
-            if c < dp'.%(y) then dp'.%(y) <- c
-          done
-        done
-      else
-        for x = 0 to !prev_k - 1 do
-          let base = dp.%(x) -. st.fw.%(fw0 + x) in
-          for y = 0 to kh - 1 do
-            let c =
-              base +. st.pot.(pbase + (y * kv) + x) -. st.bw.%(bw0 + y)
-            in
-            if c < dp'.%(y) then dp'.%(y) <- c
-          done
-        done;
-      let hoff = st.unary_off.(hi) in
-      for y = 0 to kh - 1 do
-        dp'.%(y) <- dp'.%(y) +. agg.%(hoff + y)
+      reduce ~pot:st.pot
+        ~p0:st.pot_off.(st.etab.(code lsr 1))
+        ~src_is_u:(code land 1 = 1) ~k_src:k_lo ~k_out:k_hi ~h:dp ~out
+        ~out_off:0;
+      let m_hi = st.out_off.(p) and a = st.unary_off.(hi) in
+      for y = 0 to k_hi - 1 do
+        dp.%(y) <- (out.%(y) -. st.msg.%(m_hi + y)) +. st.agg.%(a + y)
       done;
-      Float.Array.blit dp' 0 dp 0 kh;
-      prev_k := kh
+      lo := hi
     done;
     let best = ref infinity in
-    for x = 0 to !prev_k - 1 do
+    for x = 0 to st.labels.(!lo) - 1 do
       if dp.%(x) < !best then best := dp.%(x)
     done;
     acc := !acc +. !best
   done;
-  for k = 0 to Array.length st.isolated - 1 do
-    let i = st.isolated.(k) in
-    let best = ref infinity in
-    for x = 0 to st.labels.(i) - 1 do
-      let c = st.unary.%(st.unary_off.(i) + x) in
-      if c < !best then best := c
-    done;
-    acc := !acc +. !best
+  for i = n - 1 downto 0 do
+    if st.inc_off.(i) = st.inc_off.(i + 1) then begin
+      let best = ref infinity in
+      for x = 0 to st.labels.(i) - 1 do
+        let c = st.unary.%(st.unary_off.(i) + x) in
+        if c < !best then best := c
+      done;
+      acc := !acc +. !best
+    end
   done;
   !acc
 
 (* Greedy decoding in node order: condition on already decoded lower
-   neighbours, use incoming messages from undecoded higher ones. *)
+   neighbours, use incoming messages from undecoded higher ones.  The
+   lower slots come first in the slice, so theta adds the unary and
+   then every slot's term in slice order. *)
 let decode st ws n x =
   let theta = ws.theta in
   for i = 0 to n - 1 do
@@ -332,29 +360,24 @@ let decode st ws n x =
     for xi = 0 to k - 1 do
       theta.%(xi) <- st.unary.%(u0 + xi)
     done;
-    for p = st.inc_off.(i) to st.inc_off.(i + 1) - 1 do
+    for p = st.inc_off.(i) to st.split.(i) - 1 do
       let code = st.inc.(p) in
-      let e = code / 2 in
+      let j = st.col.(p) in
+      let p0 = st.pot_off.(st.etab.(code lsr 1)) in
+      (* as the row endpoint i reads column x_j (stride k_j), as the
+         column endpoint it reads row x_j (stride 1) *)
       let i_is_u = code land 1 = 1 in
-      let j = if i_is_u then st.ev.(e) else st.eu.(e) in
-      if j < i then begin
-        let p0 = st.pot_off.(st.etab.(e)) in
-        let kj = st.labels.(j) in
-        for xi = 0 to k - 1 do
-          let pair =
-            if i_is_u then st.pot.(p0 + (xi * kj) + x.(j))
-            else st.pot.(p0 + (x.(j) * k) + xi)
-          in
-          theta.%(xi) <- theta.%(xi) +. pair
-        done
-      end
-      else begin
-        let off = if i_is_u then st.bw_off.(e) else st.fw_off.(e) in
-        let msg = if i_is_u then st.bw else st.fw in
-        for xi = 0 to k - 1 do
-          theta.%(xi) <- theta.%(xi) +. msg.%(off + xi)
-        done
-      end
+      let off = if i_is_u then p0 + x.(j) else p0 + (x.(j) * k) in
+      let stride = if i_is_u then st.labels.(j) else 1 in
+      for xi = 0 to k - 1 do
+        theta.%(xi) <- theta.%(xi) +. st.pot.(off + (xi * stride))
+      done
+    done;
+    let b = st.msg_off.(i) + ((st.split.(i) - st.inc_off.(i)) * k) in
+    for s = 0 to st.inc_off.(i + 1) - st.split.(i) - 1 do
+      for xi = 0 to k - 1 do
+        theta.%(xi) <- theta.%(xi) +. st.msg.%(b + (s * k) + xi)
+      done
     done;
     let best = ref 0 in
     for xi = 1 to k - 1 do
@@ -381,8 +404,7 @@ let sequential_on ~max_iters ~interrupt mrf st ws () =
        if interrupt () then raise Exit;
        iters := it;
        Obs.begin_span "trws.sweep";
-       sweep st ws n true;
-       sweep st ws n false;
+       sweep_pair st ws n;
        Obs.end_span "trws.sweep";
        Obs.begin_span "trws.bound";
        let lb = lower_bound st ws n in
@@ -428,18 +450,6 @@ let sequential_on ~max_iters ~interrupt mrf st ws () =
 let sequential ~max_iters ~interrupt mrf () =
   let st = make_state mrf in
   sequential_on ~max_iters ~interrupt mrf st (make_workspace st) ()
-
-(* Return [st] to the state [make_state mrf] builds for a model of the
-   same structure: unaries re-read from [mrf], messages zero.  The bound
-   slab and the workspace are written before they are read, so a solve
-   from a reset state is bit for bit a solve from a fresh one. *)
-let reset_state st mrf =
-  let unary = (Mrf.Compact.arrays mrf).Mrf.Compact.i_unary in
-  for k = 0 to Array.length unary - 1 do
-    st.unary.%(k) <- unary.(k)
-  done;
-  Float.Array.fill st.fw 0 (Float.Array.length st.fw) 0.0;
-  Float.Array.fill st.bw 0 (Float.Array.length st.bw) 0.0
 
 (* ---- block-coordinate zone decomposition ------------------------------- *)
 
@@ -519,6 +529,8 @@ let zoned ~max_iters ~interrupt ?jobs ~zone_of ~nz mrf () =
   let n = Mrf.n_nodes mrf and m = Mrf.n_edges mrf in
   let {
     Mrf.Compact.i_labels = g_labels;
+    i_unary_off = g_unary_off;
+    i_unary = g_unary;
     i_eu = g_eu;
     i_ev = g_ev;
     i_etab = g_etab;
@@ -552,9 +564,8 @@ let zoned ~max_iters ~interrupt ?jobs ~zone_of ~nz mrf () =
       if sizes.(z) > 0 then
         Array.iteri
           (fun li gi ->
-            let k = g_labels.(gi) in
             Mrf.Builder.set_unary builders.(z) ~node:li
-              (Array.init k (fun label -> Mrf.unary mrf ~node:gi ~label)))
+              (Array.sub g_unary g_unary_off.(gi) g_labels.(gi)))
           ns)
     nodes;
   (* first pass: count interior edges per zone and boundary edges *)

@@ -152,7 +152,7 @@ let test_list_nth_in_loop () =
 let test_alloc_in_loop () =
   check_rules "positive: Array.make inside for in mrf"
     [ "alloc-in-loop" ]
-    (lint "lib/mrf/kernel.ml"
+    (lint "lib/mrf/trws.ml"
        "let f n =\n\
        \  for _ = 0 to n - 1 do\n\
        \    ignore (Array.make 4 0.0)\n\
@@ -180,13 +180,13 @@ let test_alloc_in_loop () =
        \  done\n");
   check_rules "positive: Float.Array.make inside while"
     [ "alloc-in-loop" ]
-    (lint "lib/mrf/kernel.ml"
+    (lint "lib/mrf/trws.ml"
        "let f n =\n\
        \  while !going do\n\
        \    ignore (Float.Array.make n 0.0)\n\
        \  done\n");
   check_rules "near-miss: allocation before the loop" []
-    (lint "lib/mrf/kernel.ml"
+    (lint "lib/mrf/trws.ml"
        "let f n =\n\
        \  let scratch = Array.make 4 0.0 in\n\
        \  for i = 0 to n - 1 do\n\
@@ -220,7 +220,7 @@ let test_alloc_in_loop () =
        \    ignore (Array.make 4 0.0)\n\
        \  done\n");
   check_rules "near-miss: Array.length allocates nothing" []
-    (lint "lib/mrf/kernel.ml"
+    (lint "lib/mrf/trws.ml"
        "let f xs n =\n\
        \  for _ = 0 to n - 1 do\n\
        \    ignore (Array.length xs)\n\
@@ -236,7 +236,7 @@ let test_alloc_in_loop () =
     (lint "lib/mrf/exact.ml"
        "let degree t i = Array.length (Mrf.incident t i)\n");
   check_rules "suppressed" []
-    (lint "lib/mrf/kernel.ml"
+    (lint "lib/mrf/trws.ml"
        "let f n =\n\
        \  for _ = 0 to n - 1 do\n\
        \    (* netdiv-lint: allow alloc-in-loop — fixture, cold setup loop *)\n\
@@ -256,7 +256,7 @@ let test_compact_boxing_in_loop () =
        \  done\n");
   check_rules "positive: record built from accessors inside while"
     [ "alloc-in-loop" ]
-    (lint "lib/mrf/kernel.ml"
+    (lint "lib/mrf/trws.ml"
        "let f t k =\n\
        \  while !going do\n\
        \    ignore { nb = Compact.neighbor t k; e = Compact.edge t k }\n\
