@@ -57,23 +57,38 @@ let find t n =
 
 let prob_true t i parent_values =
   let node = t.nodes.(i) in
-  if Array.length parent_values <> Array.length node.parents then
+  let k = Array.length parent_values in
+  if k <> Array.length node.parents then
     invalid_arg "Bn.prob_true: parent value count mismatch";
+  (* plain loops over local accumulators: a closure over them would box
+     every partial product *)
   match node.cpd with
   | Table probs ->
       let idx = ref 0 in
-      Array.iteri
-        (fun k v -> if v then idx := !idx lor (1 lsl k))
-        parent_values;
+      for j = 0 to k - 1 do
+        if parent_values.(j) then idx := !idx lor (1 lsl j)
+      done;
       probs.(!idx)
   | Noisy_or { rates; leak } ->
       let escape = ref (1.0 -. leak) in
-      Array.iteri
-        (fun k v -> if v then escape := !escape *. (1.0 -. rates.(k)))
-        parent_values;
+      for j = 0 to k - 1 do
+        if parent_values.(j) then escape := !escape *. (1.0 -. rates.(j))
+      done;
       1.0 -. !escape
 
+(* [Mfactor.of_cpd] asks for a row's states in order, state 0 first, so
+   state 0 evaluates the row's CPD once, from a reused buffer, and state
+   1 reads it back. *)
 let node_factor t i =
-  Mfactor.of_cpd ~card:(fun _ -> 2) i ~parents:(parents t i) (fun pv k ->
-      let p = prob_true t i (Array.map (( = ) 1) pv) in
+  let parents = parents t i in
+  let values = Array.make (Array.length parents) false in
+  let p_true = Float.Array.make 1 0.0 in
+  Mfactor.of_cpd ~card:(fun _ -> 2) i ~parents (fun pv k ->
+      if k = 0 then begin
+        for j = 0 to Array.length pv - 1 do
+          values.(j) <- pv.(j) = 1
+        done;
+        Float.Array.set p_true 0 (prob_true t i values)
+      end;
+      let p = Float.Array.get p_true 0 in
       if k = 1 then p else 1.0 -. p)

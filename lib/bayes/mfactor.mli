@@ -19,5 +19,6 @@ val of_cpd :
     [p parent_values k] = P(node = k | parents), [parent_values] aligned
     with [parents] (a buffer reused between calls).  The table holds one
     row of [card node] entries per parent configuration, the first parent
-    fastest, as {!Dbn} stores its CPTs.
+    fastest, as {!Dbn} stores its CPTs; [p] is called row by row, and
+    within a row for [k = 0, 1, ...] in order.
     @raise Invalid_argument when the table would exceed {!max_entries}. *)
