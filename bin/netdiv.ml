@@ -954,10 +954,10 @@ let scalability_cmd =
                 ( false,
                   Format.asprintf
                     "netdiv scalability: predicted footprint %.1f MiB (%d \
-                     words: compact model + message slabs for %d \
-                     variables across %d zones) exceeds --mem-budget \
-                     %.1f MiB; nothing was allocated.  Raise the budget \
-                     or lower --hosts."
+                     words: compact model, TRW-S state and zone \
+                     sub-models for %d variables across %d zones) exceeds \
+                     --mem-budget %.1f MiB; nothing was allocated.  Raise \
+                     the budget or lower --hosts."
                     (mib words) words
                     (n * p.Workload.z_services)
                     p.Workload.z_zones cap )

@@ -249,3 +249,4 @@ let estimate_words net constraints =
     ~edges:(!edges + combos)
     ~max_labels:!max_labels
     ~tables:(Network.n_services net + combos)
+    ~zones:1

@@ -388,24 +388,43 @@ let pp_footprint ppf f =
     f.f_words_per_edge f.f_flat_words
     (if f.f_words = 0 then 1.0 else float f.f_flat_words /. float f.f_words)
 
-(* Pre-build sizing for fail-fast memory budgeting: the words a compact
-   model of the given shape will occupy, plus the TRW-S solve-time slabs
-   (messages, reparameterized unaries, bound aggregation) — the peak a
-   [solve] on that model commits to. *)
-let estimate_words ~nodes ~edges ~max_labels ~tables =
+(* Pre-build sizing for fail-fast memory budgeting: the words building
+   a compact model of the given shape and solving it with TRW-S
+   allocate, garbage included, so the figure bounds the peak.  The
+   terms follow the arrays [Builder.build], [Trws]'s state and its zoned
+   solve allocate; headers and small records are folded into the
+   constants. *)
+let estimate_words ~nodes ~edges ~max_labels ~tables ~zones =
   let n = nodes and m = edges and l = max_labels in
   let model =
-    (3 * (n + 1)) (* labels, unary_off, inc_off *)
+    (3 * n) (* labels, unary_off, inc_off *)
     + (n * l) (* unary *)
-    + (3 * m) (* eu, ev, etab *)
-    + (tables + 1)
+    + (7 * m) (* eu, ev, etab; inc and col, two slots per edge *)
     + (2 * tables * l * l) (* flat pot + retained caller tables *)
-    + (4 * m) (* inc + col *)
+    + (3 * tables) (* pot_off, the table array, table headers *)
+    + 16
   in
   let solve =
-    (2 * m * l) (* fw/bw message slabs *)
-    + (2 * (m + 1)) (* per-direction offsets *)
-    + (2 * n * l) (* reparameterized unary + bound aggregation slabs *)
-    + (4 * n) (* chain weights, labelings, isolated nodes *)
+    (2 * m * l) (* message slab: k_u + k_v floats per edge *)
+    + (2 * n * l) (* unary copy, gamma-weighted aggregates *)
+    + (5 * m) (* out-offsets, chains, chain offsets, chain starts *)
+    + (6 * n) (* split, msg_off, gamma, slot cursor, two labelings *)
+    + (2 * l) + 256
   in
-  model + solve
+  (* Several zones: Trws copies every node and every interior edge into
+     per-zone sub-models through [Builder].  Per edge, the copy keeps 7
+     words and its building drops at most 18 more (interning keys,
+     per-node slice copies and the sort's exceptions); a boundary edge
+     needs at most 9 + 2l words instead, within the 25 + 2l + 5 an
+     interior edge is counted at here and in [solve].  Per node: the
+     sub-model's arrays and unaries, the effective-unary copy, the zone
+     bookkeeping, the slice sort's closures, and the labelings of up to
+     8 rounds.  Per zone: its tables and fixed-size records. *)
+  let zoned =
+    if zones <= 1 then 0
+    else
+      (25 * m)
+      + ((63 + (3 * l)) * n)
+      + (zones * ((tables * ((l * l) + 3)) + 400 + (8 * ((2 * l) + 40))))
+  in
+  model + solve + zoned

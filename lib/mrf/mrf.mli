@@ -129,12 +129,18 @@ val footprint : t -> footprint
 
 val pp_footprint : Format.formatter -> footprint -> unit
 
-val estimate_words : nodes:int -> edges:int -> max_labels:int -> tables:int -> int
-(** Pre-build sizing for fail-fast memory budgeting: words a compact
-    model of the given shape will occupy {e plus} the TRW-S solve-time
-    slabs (messages, reparameterized unaries, bound aggregation) — the
-    peak commitment of building and solving the instance.  Multiply by
-    8 for bytes. *)
+val estimate_words :
+  nodes:int -> edges:int -> max_labels:int -> tables:int -> zones:int -> int
+(** Pre-build sizing for fail-fast memory budgeting: the words building
+    a compact model of the given shape and solving it with
+    {!Trws.solve} on [zones] zones allocate, garbage included, so it
+    bounds the peak commitment of building and solving the instance.
+    It counts the model, the solve's state (the message slab, the unary
+    copy and the bound's aggregates, the per-slot and per-node offsets,
+    the chains, the labelings) and, for [zones > 1], the per-zone
+    sub-models the zoned solve copies every node and interior edge into,
+    what building them drops, and the labelings of every zone round.
+    Multiply by 8 for bytes. *)
 
 (**/**)
 

@@ -101,7 +101,7 @@ let estimate_zoned_words p =
   Mrf.estimate_words
     ~nodes:(p.z_hosts * p.z_services)
     ~edges:(zoned_links p * p.z_services)
-    ~max_labels:p.z_products ~tables:p.z_services
+    ~max_labels:p.z_products ~tables:p.z_services ~zones:p.z_zones
 
 let stream_zoned ?(prconst = 0.01) p =
   check_zoned p;

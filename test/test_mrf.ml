@@ -511,7 +511,7 @@ let test_footprint () =
   Alcotest.(check bool) "interned compact under half of flat" true
     (2 * fi.Mrf.f_words < fi.Mrf.f_flat_words);
   let est =
-    Mrf.estimate_words ~nodes:40 ~edges:39 ~max_labels:3 ~tables:1
+    Mrf.estimate_words ~nodes:40 ~edges:39 ~max_labels:3 ~tables:1 ~zones:1
   in
   Alcotest.(check bool) "estimate covers the model" true
     (est >= fi.Mrf.f_words)
@@ -715,18 +715,19 @@ let casestudy_c0 =
    sweep *)
 let big_connected = lazy (connected_mrf (rng 90) 5000 3 ~chords:2500)
 
+let small_zoned_params =
+  {
+    Netdiv_workload.Workload.z_hosts = 300;
+    z_zones = 3;
+    z_degree = 4;
+    z_gateway_links = 2;
+    z_services = 2;
+    z_products = 3;
+    z_seed = 5;
+  }
+
 let small_zoned =
-  lazy
-    (Netdiv_workload.Workload.stream_zoned
-       {
-         Netdiv_workload.Workload.z_hosts = 300;
-         z_zones = 3;
-         z_degree = 4;
-         z_gateway_links = 2;
-         z_services = 2;
-         z_products = 3;
-         z_seed = 5;
-       })
+  lazy (Netdiv_workload.Workload.stream_zoned small_zoned_params)
 
 (* the case study under the C1 host policy, and under C2 (C1 plus the
    product-combination constraints): about a third of their edges carry
@@ -1024,6 +1025,36 @@ let test_trws_allocation_free () =
       "3 TRW-S iterations allocated %.0f minor words on %d variables" extra
       n
 
+(* --mem-budget's predictor covers the solve: the model plus every word
+   [Trws.solve] allocates stays within the estimate, with the zone map
+   (which copies every node and interior edge into zone sub-models) and
+   without.  Counted on one domain; the full majors bring the major
+   heap's word count up to date. *)
+let test_estimate_covers_solve () =
+  let m, zone_of = Lazy.force small_zoned in
+  let allocated solve =
+    Gc.full_major ();
+    let minor, promoted, major = Gc.counters () in
+    ignore (solve () : Solver.result);
+    Gc.full_major ();
+    let minor', promoted', major' = Gc.counters () in
+    minor' -. minor +. (major' -. major) -. (promoted' -. promoted)
+  in
+  let model = float_of_int (Mrf.footprint m).Mrf.f_words in
+  let check what est words =
+    if float_of_int est < model +. words then
+      Alcotest.failf "%s: estimate %d words < model %.0f + solve %.0f" what
+        est model words
+  in
+  check "one zone"
+    (Mrf.estimate_words ~nodes:(Mrf.n_nodes m) ~edges:(Mrf.n_edges m)
+       ~max_labels:(Mrf.max_label_count m) ~tables:(Mrf.n_tables m)
+       ~zones:1)
+    (allocated (fun () -> Trws.solve ~max_iters:0 m));
+  check "zone map"
+    (Netdiv_workload.Workload.estimate_zoned_words small_zoned_params)
+    (allocated (fun () -> Trws.solve ~max_iters:0 ~jobs:1 ~zone_of m))
+
 (* ------------------------------------------------------------- property *)
 
 let mrf_gen =
@@ -1244,6 +1275,8 @@ let () =
             test_solve_zoned_bound_valid;
           Alcotest.test_case "interrupted zoned solve keeps its energy"
             `Quick test_solve_zoned_interrupted;
+          Alcotest.test_case "estimate covers building and solving" `Quick
+            test_estimate_covers_solve;
         ] );
       ( "properties",
         [
