@@ -164,8 +164,10 @@ let refine ?prconst ?big_m ?preference ?edge_weight ~previous net constraints
     net constraints
 
 let pp_report ppf r =
-  Format.fprintf ppf "@[<v>energy %a (bound %a), constraints %s, %.3fs@]"
-    S.pp_float r.energy S.pp_float r.lower_bound
+  Format.fprintf ppf
+    "@[<v>energy %a (bound %a, gap %a), constraints %s, %.3fs@]" S.pp_float
+    r.energy S.pp_float r.lower_bound S.pp_float
+    (S.optimality_gap r.solver_result)
     (if r.constraints_ok then "satisfied"
      else Printf.sprintf "VIOLATED (%d)" (List.length r.violated))
     r.runtime_s

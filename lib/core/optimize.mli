@@ -119,3 +119,7 @@ val solve_encoded_outcome :
 val solver_name : solver -> string
 
 val pp_report : Format.formatter -> report -> unit
+(** [energy E (bound B, gap G), constraints satisfied, Ts]: the gap is
+    {!Netdiv_mrf.Solver.optimality_gap} of the solve, ["unbounded"]
+    without a bound.  It makes no optimality claim;
+    {!Netdiv_mrf.Solver.certified} decides that. *)

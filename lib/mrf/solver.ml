@@ -12,6 +12,9 @@ let optimality_gap r =
   else if not (Float.is_finite r.energy) then infinity
   else r.energy -. r.lower_bound
 
+let tolerance = 1e-7
+let certified r = optimality_gap r < tolerance
+
 (* render non-finite floats as words so nan/-inf never leak into reports *)
 let pp_float ppf v =
   if Float.is_nan v then Format.pp_print_string ppf "undefined"

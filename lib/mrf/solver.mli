@@ -12,6 +12,15 @@ val optimality_gap : result -> float
 (** [energy - lower_bound]; [infinity] when no bound is available or
     either quantity is non-finite (no [nan]/[-inf] arithmetic). *)
 
+val tolerance : float
+(** 1e-7: a gap under it closes, in TRW-S's stopping rule and in
+    {!certified}. *)
+
+val certified : result -> bool
+(** [optimality_gap r < tolerance]: the bound proves the energy optimal.
+    A TRW-S stall, a solver without a bound and a non-finite result are
+    not certified. *)
+
 val pp_float : Format.formatter -> float -> unit
 (** [%.6f] for finite values; ["none"] for [neg_infinity], ["unbounded"]
     for [infinity], ["undefined"] for NaN. *)

@@ -10,7 +10,7 @@ external ( .%()<- ) : floatarray -> int -> float -> unit
 (* Stopping rule: a solve converges once the gap between the best
    energy and the best bound falls under [tolerance], or once neither
    has improved by [tolerance] for [patience] consecutive iterations. *)
-let tolerance = 1e-7
+let tolerance = Solver.tolerance
 let patience = 3
 
 (* Message state on one slab.  Node i's incoming messages form one

@@ -137,8 +137,8 @@ case "$schedule" in
   *pool.chunk@*) ;;
   *) echo "chaos run did not crash a pool chunk"; exit 1;;
 esac
-grep '^optimal' "$chaosdir/clean.out" >"$chaosdir/clean.energy"
-grep '^optimal' "$chaosdir/chaos.out" >"$chaosdir/chaos.energy"
+grep -E '^(optimal|result) ' "$chaosdir/clean.out" >"$chaosdir/clean.energy"
+grep -E '^(optimal|result) ' "$chaosdir/chaos.out" >"$chaosdir/chaos.energy"
 cmp -s "$chaosdir/clean.energy" "$chaosdir/chaos.energy" || {
   echo "chaos run diverged from the fault-free solve"; exit 1; }
 chaos_run "$schedule" >"$chaosdir/replay1.out"
@@ -155,14 +155,14 @@ plain_run "" >"$chaosdir/plain_clean.out"
 plain_run "runner.stage@0" >"$chaosdir/plain_chaos.out"
 grep -q '^retries 1$' "$chaosdir/plain_chaos.out" || {
   echo "unbudgeted chaos run did not retry its stage"; exit 1; }
-grep '^optimal' "$chaosdir/plain_clean.out" >"$chaosdir/plain_clean.energy"
-grep '^optimal' "$chaosdir/plain_chaos.out" >"$chaosdir/plain_chaos.energy"
+grep -E '^(optimal|result) ' "$chaosdir/plain_clean.out" >"$chaosdir/plain_clean.energy"
+grep -E '^(optimal|result) ' "$chaosdir/plain_chaos.out" >"$chaosdir/plain_chaos.energy"
 cmp -s "$chaosdir/plain_clean.energy" "$chaosdir/plain_chaos.energy" || {
   echo "unbudgeted chaos run diverged from the fault-free solve"; exit 1; }
 # Only a budget may make a result depend on the clock: with every clock
 # read jumping 60 s, an unbudgeted solve lands on the same assignment.
 plain_run "rate=1.0,only=clock." >"$chaosdir/plain_clock.out"
-grep '^optimal' "$chaosdir/plain_clock.out" >"$chaosdir/plain_clock.energy"
+grep -E '^(optimal|result) ' "$chaosdir/plain_clock.out" >"$chaosdir/plain_clock.energy"
 cmp -s "$chaosdir/plain_clean.energy" "$chaosdir/plain_clock.energy" || {
   echo "unbudgeted run under a skewed clock diverged from the clean solve"
   exit 1; }
