@@ -62,8 +62,8 @@ val assignment_energy : encoded -> Assignment.t -> float
 
 val estimate_words : Network.t -> Constr.t list -> int
 (** Predicted peak words ({!Netdiv_mrf.Mrf.estimate_words}) for encoding
-    and solving this network, computed without building anything — the
-    fail-fast check behind [--mem-budget].  Counts the exact slot and
-    (link, shared service) edge totals; the table count is an upper
-    bound (one matrix per service plus one per applicable combination
-    constraint), so the estimate errs high when constraints repeat. *)
+    this network and solving it in one zone, computed without building
+    anything.  Counts the exact slot and (link, shared service) edge
+    totals; the table count is an upper bound (one matrix per service
+    plus one per applicable combination constraint), so the estimate
+    errs high when constraints repeat. *)
