@@ -96,15 +96,15 @@ let section title =
 (* A solve's energy and bound, called optimal only where the bound
    certifies it, and otherwise given with its gap. *)
 let pp_energy ppf (r : Optimize.report) =
+  let module S = Netdiv_mrf.Solver in
   let result = r.Optimize.solver_result in
-  if Netdiv_mrf.Solver.certified result then
-    Format.fprintf ppf "optimal energy %.4f (bound %.4f)" r.Optimize.energy
-      r.Optimize.lower_bound
+  if S.certified result then
+    Format.fprintf ppf "optimal energy %a (bound %a)" S.pp_float
+      r.Optimize.energy S.pp_float r.Optimize.lower_bound
   else
-    Format.fprintf ppf "energy %.4f (bound %a, gap %a)" r.Optimize.energy
-      Netdiv_mrf.Solver.pp_float r.Optimize.lower_bound
-      Netdiv_mrf.Solver.pp_float
-      (Netdiv_mrf.Solver.optimality_gap result)
+    Format.fprintf ppf "energy %a (bound %a, gap %a)" S.pp_float
+      r.Optimize.energy S.pp_float r.Optimize.lower_bound S.pp_float
+      (S.optimality_gap result)
 
 (* ---------------------------------------- machine-readable report *)
 
