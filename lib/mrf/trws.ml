@@ -165,10 +165,10 @@ let make_state mrf =
       msg_off;
       out_off;
       msg = Float.Array.create msg_off.(n);
-      (* in the state, not per iteration: per-iteration slabs churned
-         the minor heap, and minor collections are stop-the-world across
-         ALL domains — the per-zone solves then serialized on the GC
-         barrier *)
+      (* in the state, not per iteration: per-iteration slabs would
+         churn the minor heap, and minor collections are stop-the-world
+         across ALL domains, so the per-zone solves would serialize on
+         the GC barrier *)
       agg = Float.Array.create unary_off.(n);
       gamma;
       chain_off;
