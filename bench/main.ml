@@ -1584,12 +1584,12 @@ let hierarchical_scale () =
 
 (* ------------------------------------------------- lint analysis *)
 
-(* Whole-repo static analysis cost: lexing, symbol tables, the call
-   graph and the effect fixpoint over lib/ and bin/ with the usual
-   reference roots.  The wall budget is deliberately generous — the
-   analysis runs in well under a second today — so the gate only trips
-   on a super-linear regression in the resolver or the fixpoint, not on
-   machine noise. *)
+(* Whole-repo static analysis cost: parsing with the compiler's parser,
+   the surface rules, symbol tables, the call graph and the effect
+   fixpoint over lib/ and bin/ with the usual reference roots.  The wall
+   budget is deliberately generous — the analysis runs in well under a
+   second today — so the gate only trips on a super-linear regression in
+   the resolver or the fixpoint, not on machine noise. *)
 let lint_analysis () =
   section "[Lint] whole-repo interprocedural effect analysis";
   if Sys.file_exists "lib" && Sys.file_exists "bin" then begin

@@ -331,42 +331,47 @@ let optimize_cmd =
       time_budget jobs checkpoint resume flight trace metrics =
     with_obs ~trace ~metrics @@ fun () ->
     with_flight_record ~flight @@ fun () ->
-    let net =
+    match
       Workload.instance { hosts; degree; services; products_per_service; seed }
-    in
-    Format.printf "%a@." Network.pp net;
-    let report =
-      Optimize.run ~solver ?budget:time_budget
-        ?jobs:(jobs_of jobs) ?checkpoint ?resume net []
-    in
-    let encoded = Encode.encode net [] in
-    let mono = Encode.assignment_energy encoded (Assignment.mono net) in
-    let random =
-      Encode.assignment_energy encoded
-        (Assignment.random ~rng:(Random.State.make [| seed |]) net)
-    in
-    Format.printf "solver  %s@." (Optimize.solver_name solver);
-    Format.printf "outcome %a@." Runner.pp_outcome report.Optimize.outcome;
-    if report.Optimize.retries > 0 then
-      Format.printf "retries %d@." report.Optimize.retries;
-    (* surface the replay spec whenever injection actually fired, so a
-       chaos run can be reproduced bit for bit from its own output *)
-    if Netdiv_fault.Fault.fired_count () > 0 then
-      Format.printf "faults  %s@." (Netdiv_fault.Fault.fired_spec ());
-    (* "optimal" only where the bound certifies it *)
-    Format.printf "%s %a@."
-      (if Solver.certified report.Optimize.solver_result then "optimal"
-       else "result ")
-      Optimize.pp_report report;
-    Format.printf "mono    energy %.3f@.random  energy %.3f@." mono random
+    with
+    | exception Invalid_argument msg ->
+        `Error (false, "netdiv optimize: " ^ msg)
+    | net ->
+        Format.printf "%a@." Network.pp net;
+        let report =
+          Optimize.run ~solver ?budget:time_budget
+            ?jobs:(jobs_of jobs) ?checkpoint ?resume net []
+        in
+        let encoded = Encode.encode net [] in
+        let mono = Encode.assignment_energy encoded (Assignment.mono net) in
+        let random =
+          Encode.assignment_energy encoded
+            (Assignment.random ~rng:(Random.State.make [| seed |]) net)
+        in
+        Format.printf "solver  %s@." (Optimize.solver_name solver);
+        Format.printf "outcome %a@." Runner.pp_outcome report.Optimize.outcome;
+        if report.Optimize.retries > 0 then
+          Format.printf "retries %d@." report.Optimize.retries;
+        (* surface the replay spec whenever injection actually fired, so a
+           chaos run can be reproduced bit for bit from its own output *)
+        if Netdiv_fault.Fault.fired_count () > 0 then
+          Format.printf "faults  %s@." (Netdiv_fault.Fault.fired_spec ());
+        (* "optimal" only where the bound certifies it *)
+        Format.printf "%s %a@."
+          (if Solver.certified report.Optimize.solver_result then "optimal"
+           else "result ")
+          Optimize.pp_report report;
+        Format.printf "mono    energy %.3f@.random  energy %.3f@." mono random;
+        `Ok ()
   in
   let doc = "diversify a random network and compare against baselines" in
   Cmd.v
     (Cmd.info "optimize" ~doc)
     Term.(
-      const run $ hosts $ degree $ services $ products $ seed $ solver
-      $ time_budget_arg $ jobs_arg $ checkpoint $ resume $ flight_record_arg
-      $ trace_arg $ metrics_arg)
+      ret
+        (const run $ hosts $ degree $ services $ products $ seed $ solver
+       $ time_budget_arg $ jobs_arg $ checkpoint $ resume $ flight_record_arg
+       $ trace_arg $ metrics_arg))
 
 (* ------------------------------------------------------------- casestudy *)
 
@@ -670,7 +675,7 @@ let lint_cmd =
                    siblings of the first path).")
   in
   (* exit codes are part of the contract (cram-tested): 0 clean, 1
-     findings, 2 usage error — so errors print to stderr and
+     findings, 2 usage or parse error — so errors print to stderr and
      exit directly instead of going through cmdliner's `Error (124). *)
   let usage_error fmt =
     Format.kasprintf
@@ -696,7 +701,12 @@ let lint_cmd =
       let ref_paths =
         match refs with [] -> Lint.default_ref_paths paths | l -> l
       in
-      let report = Lint.analyze_paths ~ref_paths paths in
+      let report =
+        match Lint.analyze_paths ~ref_paths paths with
+        | report -> report
+        | exception Lint.Parse_error (file, line, msg) ->
+            usage_error "%s:%d: %s" file line msg
+      in
       match explain with
       | Some sym -> (
           match Lint.explain report sym with
@@ -739,7 +749,7 @@ let lint_cmd =
          written reason ($(b,(* netdiv-lint: allow <rule> — <reason> *))).";
       `P
         "Exit codes: 0 when clean, 1 when findings remain, 2 on usage \
-         errors.";
+         errors and on a file that does not parse.";
     ]
   in
   Cmd.v (Cmd.info "lint" ~doc ~man)
@@ -950,10 +960,11 @@ let scalability_cmd =
             { Workload.default_zoned with z_hosts = n; z_zones = min z n }
           in
           Format.printf "# %a@." Workload.pp_zoned_params p;
-          let words = Workload.estimate_zoned_words p in
           let mib w = float_of_int (w * 8) /. (1024. *. 1024.) in
-          match mem_budget with
-          | Some cap when mib words > cap ->
+          match (Workload.estimate_zoned_words p, mem_budget) with
+          | exception Invalid_argument msg ->
+              `Error (false, "netdiv scalability: " ^ msg)
+          | words, Some cap when mib words > cap ->
               `Error
                 ( false,
                   Format.asprintf

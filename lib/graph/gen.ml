@@ -55,6 +55,12 @@ let iter_connected_avg_degree ~rng ~n ~degree f =
   let m = n * degree / 2 in
   if n > 0 && m < n - 1 then
     invalid_arg "Gen.connected_avg_degree: degree too small for connectivity";
+  if m > max_edges n then
+    invalid_arg
+      (Printf.sprintf
+         "Gen.connected_avg_degree: %d links at degree %d exceed the %d \
+          pairs of %d nodes"
+         m degree (max_edges n) n);
   (* random spanning tree: attach each node to a uniformly chosen earlier
      node after a random permutation (uniform random recursive tree) *)
   let perm = Array.init n Fun.id in

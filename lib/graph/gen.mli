@@ -17,7 +17,8 @@ val avg_degree : rng:Random.State.t -> n:int -> degree:int -> Graph.t
 val connected_avg_degree : rng:Random.State.t -> n:int -> degree:int -> Graph.t
 (** Like {!avg_degree} but guaranteed connected: a uniform random spanning
     tree is laid down first and the remaining edges are sampled uniformly.
-    Requires [degree >= 2] so that [m >= n-1]. *)
+    @raise Invalid_argument unless its link target [n * degree / 2]
+    lies between [n - 1] and the [n * (n - 1) / 2] node pairs. *)
 
 val iter_connected_avg_degree :
   rng:Random.State.t -> n:int -> degree:int -> (int -> int -> unit) -> unit
@@ -26,7 +27,7 @@ val iter_connected_avg_degree :
     {!Graph.t}, so large instances can be emitted straight into a
     compact encoder without a resident edge list.  Draws the same RNG
     sequence as {!connected_avg_degree} — the same seed produces the
-    same edge set either way. *)
+    same edge set either way — and raises as it does. *)
 
 val line : int -> Graph.t
 (** Path graph [0 - 1 - ... - (n-1)]. *)

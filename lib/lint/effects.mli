@@ -1,23 +1,25 @@
 (** Transitive effect summaries over the {!Symbols} call graph.
 
-    Each top-level binding gets a summary in the six-point powerset
+    Each top-level binding gets a summary in the four-point powerset
     lattice {nondet-clock, nondet-random, spawns-domain,
-    mutates-toplevel, allocates, prints}.  Base effects come from token
-    patterns inside the binding's own body; the fixpoint then closes
-    them over the over-approximate call graph, so a solver entry point
-    three calls away from [Unix.gettimeofday] carries [Clock] even
-    though no forbidden token appears in its body.
+    mutates-toplevel}.  Base effects come from the expressions of the
+    binding's own body; the fixpoint then closes them over the
+    over-approximate call graph, so a solver entry point three calls
+    away from [Unix.gettimeofday] carries [Clock] even though no
+    forbidden identifier appears in its body.  [Clock] and [Random] feed
+    the nondet-taint rule; [Spawn] and [Mutate] feed
+    impure-in-parallel-region.
 
-    Suppressions act as trust boundaries: a source token whose line
-    carries a reasoned [netdiv-lint] suppression for the matching
-    surface rule does {e not} contribute its base effect, so e.g. the
-    sanctioned clock shim in [lib/obs] (suppressed at the
-    [Unix.gettimeofday] read) stops clock taint from flooding every
-    instrumented caller.  The [barrier] callback supplies that
-    judgement, keeping this module free of suppression-parsing logic.
+    Suppressions act as trust boundaries: a source whose line carries a
+    reasoned [netdiv-lint] suppression for the matching surface rule
+    does {e not} contribute its base effect, so e.g. the sanctioned
+    clock shim in [lib/obs] (suppressed at the [Unix.gettimeofday] read)
+    stops clock taint from flooding every instrumented caller.  The
+    [barrier] callback supplies that judgement, keeping this module free
+    of suppression-parsing logic.
 
     Every effect an analysis reports is backed by a witness — either
-    the source token itself or the call edge it arrived through — so a
+    the source itself or the call edge it arrived through — so a
     finding can be explained as a concrete call chain.  Witness chains
     are acyclic by construction: an edge witness is only recorded the
     first time an effect reaches a binding, and at that moment the
@@ -27,13 +29,13 @@ type eff =
   | Clock  (** [Unix.gettimeofday] / [Sys.time] *)
   | Random  (** global-state [Random.*] (anything but [Random.State]) *)
   | Spawn  (** [Domain.spawn] *)
-  | Mutate  (** assignment to a module-toplevel binding *)
-  | Alloc  (** heap allocation helpers ([Array.make], slabs, tables) *)
-  | Print  (** stdout printing *)
+  | Mutate
+      (** [:=], [<-], or an imperative [Hashtbl]/[Atomic] update of a
+          module-toplevel binding *)
 
 val eff_name : eff -> string
 (** ["nondet-clock"], ["nondet-random"], ["spawns-domain"],
-    ["mutates-toplevel"], ["allocates"], ["prints"]. *)
+    ["mutates-toplevel"]. *)
 
 type source = { s_eff : eff; s_line : int; s_descr : string }
 (** A base-effect occurrence, e.g.
@@ -69,21 +71,20 @@ val summary : t -> int -> summary
 
 val direct_sources :
   barrier:(path:string -> line:int -> rule:string -> bool) ->
-  Symbols.file_syms ->
-  Symbols.binding ->
-  lo:int ->
-  hi:int ->
+  ?scope:Symbols.scope ->
   Symbols.repo ->
+  Symbols.file_syms ->
+  Parsetree.expression ->
   source list
-(** The base-effect occurrences inside the token range [\[lo, hi)] of
-    one binding's body, barrier-filtered; used by the
-    parallel-region rule to check inline closure bodies without
-    re-running the whole analysis. *)
+(** The base-effect occurrences of one expression of the file,
+    barrier-filtered, with [scope] the locals in scope at it; used by the
+    parallel-region rule to check inline closures without re-running the
+    whole analysis. *)
 
 type chain_step = { c_name : string; c_file : string; c_line : int }
 
 val chain : t -> int -> eff -> chain_step list
 (** The witness chain for an effect of a binding: the binding itself
     (at its definition line), each intermediate callee, and finally the
-    source token spelled as its description ([Unix.gettimeofday], ...)
-    at the line it occurs.  Empty when the binding lacks the effect. *)
+    source spelled as its description ([Unix.gettimeofday], ...) at the
+    line it occurs.  Empty when the binding lacks the effect. *)

@@ -1,7 +1,11 @@
 (* netdiv-lint rule engine.  See lint.mli for the contract and DESIGN.md
    ("Concurrency discipline") for the rationale behind each rule. *)
 
-type chain_step = { c_name : string; c_file : string; c_line : int }
+type chain_step = Effects.chain_step = {
+  c_name : string;
+  c_file : string;
+  c_line : int;
+}
 
 type finding = {
   file : string;
@@ -203,38 +207,27 @@ let parse_directive ~path ~line body =
           else Ok (rule, s_file_wide))
 
 (* A directive must open the comment ("(* netdiv-lint: ..."); mentioning
-   the marker mid-prose, as this very comment does, is not a directive. *)
-let parse_suppressions ~path (comments : Lexer.comment array) =
+   the marker mid-prose, as this very comment does, is not a directive.
+   The comments come from the compiler's lexer, without their
+   delimiters. *)
+let parse_suppressions ~path comments =
   let sups = ref [] and bad = ref [] in
-  Array.iter
-    (fun (c : Lexer.comment) ->
-      (* strip the comment opener and leading whitespace *)
-      let text = c.ctext in
-      let i = ref 0 in
-      let len = String.length text in
-      if len >= 2 && String.sub text 0 2 = "(*" then i := 2;
-      while !i < len && (text.[!i] = ' ' || text.[!i] = '\t' || text.[!i] = '\n')
-      do
-        incr i
-      done;
+  List.iter
+    (fun (text, (loc : Location.t)) ->
+      let body = String.trim text in
       let plen = String.length directive_prefix in
-      if !i + plen <= len && String.sub text !i plen = directive_prefix then begin
-        let start = !i + plen in
-        let body = String.sub text start (len - start) in
-        (* drop the comment closer before parsing *)
-        let body =
-          if String.length body >= 2
-             && String.sub body (String.length body - 2) 2 = "*)"
-          then String.sub body 0 (String.length body - 2)
-          else body
-        in
-        match parse_directive ~path ~line:c.cline body with
+      if String.starts_with ~prefix:directive_prefix body then
+        let line = loc.loc_start.pos_lnum in
+        match
+          parse_directive ~path ~line
+            (String.sub body plen (String.length body - plen))
+        with
         | Ok (s_rule, s_file_wide) ->
             sups :=
-              { s_rule; s_lo = c.cline; s_hi = c.cline_end + 1; s_file_wide }
+              { s_rule; s_lo = line; s_hi = loc.loc_end.pos_lnum + 1;
+                s_file_wide }
               :: !sups
-        | Error f -> bad := f :: !bad
-      end)
+        | Error f -> bad := f :: !bad)
     comments;
   (!sups, !bad)
 
@@ -244,498 +237,283 @@ let suppressed sups (f : finding) =
       s.s_rule = f.rule && (s.s_file_wide || (f.line >= s.s_lo && f.line <= s.s_hi)))
     sups
 
-(* ------------------------------------------------------- token helpers *)
+(* ------------------------------------------------------- surface rules *)
 
-let tok (toks : Lexer.token array) i =
-  if i >= 0 && i < Array.length toks then toks.(i).Lexer.text else ""
+open Parsetree
 
-let seq2 toks i a b = tok toks i = a && tok toks (i + 1) = b
+let line_of (loc : Location.t) = loc.loc_start.pos_lnum
 
-let seq3 toks i a b c = seq2 toks i a b && tok toks (i + 2) = c
-
-(* --------------------------------------------------------- token rules *)
-
-let finding ctx (t : Lexer.token) rule message =
-  mk ~file:ctx.path ~line:t.Lexer.line ~rule ~message
-
-(* Paren/brace frame for the boxed-construction extension of
-   alloc-in-loop: each open [(] or [{] remembers whether it opened
-   inside a loop, whether a [Compact] accessor is called inside it, and
-   (for parens) whether it holds a top-level tuple comma.  A paren frame
-   closing with both marks is a boxed tuple of accessor results; a brace
-   frame closing with the Compact mark is a boxed record of them.  The
-   Compact mark propagates outward on pop, so the accessor may sit
-   inside a nested call's own parentheses. *)
-type frame = {
-  fr_tok : Lexer.token;
-  fr_brace : bool;
-  fr_in_loop : bool;
-  mutable fr_compact : bool;
-  mutable fr_comma : bool;
-}
-
-(* Single forward pass for the sequence-matching rules; [loop_depth]
-   tracks for/while nesting for list-nth-in-loop. *)
-let scan_tokens ctx (toks : Lexer.token array) =
-  let out = ref [] in
-  let add t rule msg = out := finding ctx t rule msg :: !out in
-  let loop_depth = ref 0 in
-  let frames = ref [] in
-  let push t ~brace =
-    frames :=
-      { fr_tok = t; fr_brace = brace; fr_in_loop = !loop_depth > 0;
-        fr_compact = false; fr_comma = false }
-      :: !frames
-  in
-  let pop ~brace =
-    match !frames with
-    | f :: rest when f.fr_brace = brace ->
-        frames := rest;
-        if f.fr_compact then
-          (match rest with parent :: _ -> parent.fr_compact <- true | [] -> ());
-        Some f
-    | _ -> None
-  in
-  let n = Array.length toks in
-  for i = 0 to n - 1 do
-    let t = toks.(i) in
-    (match t.Lexer.text with
-    | "for" | "while" -> incr loop_depth
-    | "done" -> if !loop_depth > 0 then decr loop_depth
-    | "(" -> push t ~brace:false
-    | "{" -> push t ~brace:true
-    | "," -> (
-        match !frames with
-        | f :: _ when not f.fr_brace -> f.fr_comma <- true
-        | _ -> ())
-    | "Compact" -> (
-        if tok toks (i + 1) = "." then
-          match !frames with f :: _ -> f.fr_compact <- true | [] -> ())
-    | ")" -> (
-        match pop ~brace:false with
-        | Some f when hot_path ctx && f.fr_in_loop && f.fr_compact && f.fr_comma
-          ->
-            add f.fr_tok "alloc-in-loop"
-              "tuple of Compact accessor results inside a loop body boxes \
-               what the CSR layout keeps flat; keep the fields in scalar \
-               lets"
-        | _ -> ())
-    | "}" -> (
-        match pop ~brace:true with
-        | Some f when hot_path ctx && f.fr_in_loop && f.fr_compact ->
-            add f.fr_tok "alloc-in-loop"
-              "record built from Compact accessor results inside a loop \
-               body re-boxes the compact representation; keep the fields \
-               in scalar lets"
-        | _ -> ())
+(* Does an expression call into [Mrf.Compact] (an accessor, or a field
+   read through a [Compact]-qualified label)? *)
+let mentions_compact e =
+  let found = ref false in
+  let expr self e =
+    (match e.pexp_desc with
+    | Pexp_ident { txt; _ } | Pexp_field (_, { txt; _ }) ->
+        if List.mem "Compact" (Longident.flatten txt) then found := true
     | _ -> ());
-    if (not ctx.is_pool) && seq3 toks i "Domain" "." "spawn" then
-      add t "spawn-outside-pool"
-        "Domain.spawn outside lib/par/pool.ml; use Netdiv_par.Pool \
-         combinators instead";
+    Ast_iterator.default_iterator.expr self e
+  in
+  let it = { Ast_iterator.default_iterator with expr } in
+  it.expr it e;
+  !found
+
+let float_constants =
+  [ "infinity"; "neg_infinity"; "nan"; "epsilon_float"; "max_float";
+    "min_float" ]
+
+(* A float literal, possibly negated, or one of the well-known float
+   constants bare or through [Float]/[Stdlib].  An unannotated [a = b]
+   stays silent, which keeps the rule precise at the cost of recall: in
+   this codebase energies are compared against literals or
+   [infinity]. *)
+let rec float_operand e =
+  match e.pexp_desc with
+  | Pexp_constant (Pconst_float _) -> true
+  | Pexp_ident { txt; _ } -> (
+      match Longident.flatten txt with
+      | [ n ] | [ ("Float" | "Stdlib"); n ] -> List.mem n float_constants
+      | _ -> false)
+  | Pexp_apply
+      ( { pexp_desc = Pexp_ident { txt = Longident.Lident ("~-" | "~-."); _ };
+          _ },
+        [ (_, e) ] )
+  | Pexp_constraint (e, _) ->
+      float_operand e
+  | _ -> false
+
+(* One pass over the parse tree for the expression rules.  [loops]
+   counts the enclosing [for] bodies and [while] loops (condition and
+   body, both evaluated per iteration). *)
+let scan_exprs ctx str =
+  let out = ref [] in
+  let add line rule message =
+    out := mk ~file:ctx.path ~line ~rule ~message :: !out
+  in
+  let loops = ref 0 in
+  let in_loop k =
+    incr loops;
+    k ();
+    decr loops
+  in
+  let ident line path =
+    let rpath = List.rev path in
+    (match rpath with
+    | "spawn" :: "Domain" :: _ when not ctx.is_pool ->
+        add line "spawn-outside-pool"
+          "Domain.spawn outside lib/par/pool.ml; use Netdiv_par.Pool \
+           combinators instead"
+    | _ -> ());
     if solver_sim ctx then begin
-      if seq3 toks i "Random" "." "self_init" then
-        add t "nondeterminism-source"
-          "Random.self_init makes results irreproducible; derive seeds \
-           with Pool.split_seed";
-      if seq3 toks i "Sys" "." "time" then
-        add t "nondeterminism-source"
-          "Sys.time in solver/sim code; wall-clock reads belong in the \
-           anytime harness only";
-      if seq3 toks i "Unix" "." "gettimeofday" then
-        add t "nondeterminism-source"
-          "Unix.gettimeofday in solver/sim code; wall-clock reads belong \
-           in the anytime harness only"
+      match rpath with
+      | "self_init" :: "Random" :: _ ->
+          add line "nondeterminism-source"
+            "Random.self_init makes results irreproducible; derive seeds \
+             with Pool.split_seed"
+      | "time" :: "Sys" :: _ ->
+          add line "nondeterminism-source"
+            "Sys.time in solver/sim code; wall-clock reads belong in the \
+             anytime harness only"
+      | "gettimeofday" :: "Unix" :: _ ->
+          add line "nondeterminism-source"
+            "Unix.gettimeofday in solver/sim code; wall-clock reads belong \
+             in the anytime harness only"
+      | _ -> ()
     end;
     if instrumented_non_solver ctx then begin
-      if seq3 toks i "Unix" "." "gettimeofday" then
-        add t "direct-clock-in-instrumented-code"
-          "direct Unix.gettimeofday in instrumented code; read the clock \
-           through Netdiv_obs.Obs.Clock.now so spans and timings share \
-           one time base";
-      if seq3 toks i "Sys" "." "time" then
-        add t "direct-clock-in-instrumented-code"
-          "direct Sys.time in instrumented code; read the clock through \
-           Netdiv_obs.Obs.Clock.now so spans and timings share one time \
-           base"
+      match rpath with
+      | "gettimeofday" :: "Unix" :: _ ->
+          add line "direct-clock-in-instrumented-code"
+            "direct Unix.gettimeofday in instrumented code; read the clock \
+             through Netdiv_obs.Obs.Clock.now so spans and timings share \
+             one time base"
+      | "time" :: "Sys" :: _ ->
+          add line "direct-clock-in-instrumented-code"
+            "direct Sys.time in instrumented code; read the clock through \
+             Netdiv_obs.Obs.Clock.now so spans and timings share one time \
+             base"
+      | _ -> ()
     end;
-    if
-      !loop_depth > 0
-      && seq2 toks i "List" "."
-      && (tok toks (i + 2) = "nth" || tok toks (i + 2) = "nth_opt")
-    then
-      add t "list-nth-in-loop"
-        "List.nth inside a loop is O(n) per access; index an array or \
-         restructure the traversal";
-    if
-      hot_path ctx && !loop_depth > 0
-      && seq2 toks i "Array" "."
-      && not (seq2 toks (i - 2) "Float" ".")
-      &&
-      let f = tok toks (i + 2) in
-      f = "make" || f = "init" || f = "copy"
-    then
-      add t "alloc-in-loop"
-        (Printf.sprintf
-           "Array.%s inside a loop body allocates per iteration; hoist a \
-            scratch buffer out of the loop, as the TRW-S workspace holds \
-            the message update's reduction input"
-           (tok toks (i + 2)));
-    if
-      hot_path ctx && !loop_depth > 0
-      && seq3 toks i "Float" "." "Array"
-      && tok toks (i + 3) = "."
-      &&
-      let f = tok toks (i + 4) in
-      f = "create" || f = "make" || f = "init" || f = "copy"
-    then
-      add t "alloc-in-loop"
-        (Printf.sprintf
-           "Float.Array.%s inside a loop body allocates an unboxed slab \
-            per iteration; hoist it out of the sweep and reuse it"
-           (tok toks (i + 4)));
-    if hot_path ctx && !loop_depth > 0 && seq3 toks i "Mrf" "." "incident"
-    then
-      add t "alloc-in-loop"
-        "Mrf.incident inside a loop body builds a fresh array of (edge, \
-         i_is_u) tuples per call; walk the node's Mrf.Compact CSR slice \
-         (i_inc_off, i_inc, i_col) instead";
-    if ctx.in_lib then begin
-      if seq3 toks i "Printf" "." "printf" || seq3 toks i "Format" "." "printf"
-      then
-        add t "printf-in-lib"
-          "library code must not print to stdout; take a Format formatter \
-           from the caller";
-      (match t.Lexer.text with
-      | "print_endline" | "print_string" | "print_newline" | "print_int"
-      | "print_float" | "print_char" ->
-          (* bare stdout printers; allow qualified uses of same-named
-             functions from other modules, but not Stdlib's *)
-          let prev = tok toks (i - 1) in
-          if prev <> "." || tok toks (i - 2) = "Stdlib" then
-            add t "printf-in-lib"
-              "library code must not print to stdout; take a Format \
-               formatter from the caller"
-      | _ -> ())
-    end
-  done;
-  !out
-
-(* -------------------------------------------- swallowed exception rule *)
-
-(* Exception handlers whose catch-all arm is exactly [_ -> ()]: the
-   failure vanishes with no log line, no counter and no re-raise, which
-   is how a fault-injection run silently passes.  Detection is
-   token-shaped: a stack distinguishes the [with] of [try] from the
-   [with] of [match] and of record updates [{ r with ... }]; once inside
-   a try handler, the arm introduced by [with] itself or by a leading
-   [|] is checked for the pattern [_] with body exactly [()].  A guarded
-   arm ([_ when ...]) or a body that continues past [()] is deliberate
-   handling and is not flagged. *)
-let scan_swallowed ctx (toks : Lexer.token array) =
-  let out = ref [] in
-  let n = Array.length toks in
-  let stack = ref [] in
-  let in_handler = ref false in
-  (* paren/bracket depth, and the depth at which the active handler's
-     arms live: a closer that drops below it ends the handler, and a [|]
-     at a deeper depth belongs to some nested construct *)
-  let depth = ref 0 in
-  let handler_depth = ref 0 in
-  let swallow_arm i =
-    (* [i] points at the candidate arm's pattern *)
-    tok toks i = "_"
-    && seq2 toks (i + 1) "-" ">"
-    && seq2 toks (i + 3) "(" ")"
-    && tok toks (i + 5) <> ";"
-  in
-  let flag t =
-    out :=
-      finding ctx t "swallowed-exception"
-        "catch-all handler [_ -> ()] discards the exception and does \
-         nothing; match the specific exception, record the failure, or \
-         re-raise"
-      :: !out
-  in
-  for i = 0 to n - 1 do
-    let t = toks.(i) in
-    match t.Lexer.text with
-    | "try" ->
-        stack := `Try :: !stack;
-        in_handler := false
-    | "match" ->
-        stack := `Match :: !stack;
-        in_handler := false
-    | "{" -> stack := `Brace :: !stack
-    | "}" -> ( match !stack with `Brace :: rest -> stack := rest | _ -> ())
-    | "with" -> (
-        match !stack with
-        | `Try :: rest ->
-            stack := rest;
-            in_handler := true;
-            handler_depth := !depth;
-            if swallow_arm (i + 1) then flag t
-        | `Match :: rest ->
-            stack := rest;
-            in_handler := false
-        | `Brace :: _ | [] -> ())
-    | "|" when !in_handler && !depth = !handler_depth ->
-        if swallow_arm (i + 1) then flag t
-    | "(" | "[" -> incr depth
-    | ")" | "]" ->
-        decr depth;
-        if !depth < !handler_depth then in_handler := false
-    | "fun" | "function" | "in" | "done" | "end" ->
-        (* a nested binder or scope closer ends the run of arms we can
-           safely attribute to the try handler *)
-        in_handler := false
-    | _ -> ()
-  done;
-  !out
-
-(* ----------------------------------------- toplevel mutable state rule *)
-
-let item_keywords =
-  [ "let"; "and"; "module"; "type"; "open"; "include"; "exception";
-    "external"; "val"; "class" ]
-
-let lower_ident s =
-  s <> ""
-  && (match s.[0] with 'a' .. 'z' | '_' -> true | _ -> false)
-  && not (List.mem s item_keywords)
-
-(* Detect module-toplevel [let name = <expr constructing mutable state>].
-   Toplevel-ness is tracked with an indentation stack: items live at
-   column 0, or at [col + 2] inside each enclosing [struct]/[sig] (the
-   repository is ocamlformat-shaped, and the fixtures in test_lint pin
-   this).  A mutable constructor occurring after the first [fun] or
-   [function] token builds per-call state and is not flagged. *)
-let scan_toplevel_mutable ctx (toks : Lexer.token array) =
-  if not (parallel_reachable ctx) then []
-  else begin
-    let out = ref [] in
-    let n = Array.length toks in
-    (* stack of (item_col, close_col, open_line) for struct/sig scopes *)
-    let stack = ref [ (0, -1, -1) ] in
-    let item_col () = match !stack with (c, _, _) :: _ -> c | [] -> 0 in
-    let last_item = ref "" in
-    let i = ref 0 in
-    while !i < n do
-      let t = toks.(!i) in
-      (match t.Lexer.text with
-      | "struct" | "sig" ->
-          stack := (item_col () + 2, item_col (), t.Lexer.line) :: !stack
-      | "end" -> (
-          match !stack with
-          | (_, close_col, open_line) :: rest
-            when rest <> []
-                 && (t.Lexer.col = close_col || t.Lexer.line = open_line) ->
-              stack := rest
-          | _ -> ())
+    if !loops > 0 then begin
+      (match rpath with
+      | ("nth" | "nth_opt") :: "List" :: _ ->
+          add line "list-nth-in-loop"
+            "List.nth inside a loop is O(n) per access; index an array or \
+             restructure the traversal"
       | _ -> ());
-      if t.Lexer.col = item_col () && List.mem t.Lexer.text item_keywords then begin
-        if t.Lexer.text <> "and" then last_item := t.Lexer.text
-      end;
-      if
-        t.Lexer.col = item_col ()
-        && (t.Lexer.text = "let"
-           || (t.Lexer.text = "and" && !last_item = "let"))
-      then begin
-        let j = ref (!i + 1) in
-        if tok toks !j = "rec" then incr j;
-        let name = tok toks !j in
-        if lower_ident name then begin
-          (* skip an optional [: type] annotation to reach [=] *)
-          let k = ref (!j + 1) in
-          if tok toks !k = ":" then begin
-            while !k < n && tok toks !k <> "=" do incr k done
-          end;
-          if tok toks !k = "=" then begin
-            (* simple value binding: scan the right-hand side *)
-            let r = ref (!k + 1) in
-            let fin = ref false and behind_fun = ref false in
-            while (not !fin) && !r < n do
-              let u = toks.(!r) in
-              if
-                u.Lexer.col <= item_col ()
-                && (List.mem u.Lexer.text item_keywords
-                   || u.Lexer.text = "end")
-              then fin := true
-              else begin
-                (match u.Lexer.text with
-                | "fun" | "function" -> behind_fun := true
-                | _ -> ());
-                if not !behind_fun then begin
-                  if u.Lexer.text = "ref" then
-                    out :=
-                      finding ctx t "toplevel-mutable-state"
-                        (Printf.sprintf
-                           "toplevel binding %S holds a ref shared by every \
-                            domain; make it per-call or suppress with a \
-                            documented guard"
-                           name)
-                      :: !out
-                  else if
-                    seq3 toks !r "Hashtbl" "." "create"
-                    || seq3 toks !r "Array" "." "make"
-                  then
-                    out :=
-                      finding ctx t "toplevel-mutable-state"
-                        (Printf.sprintf
-                           "toplevel binding %S allocates shared mutable \
-                            state (%s); make it per-call or suppress with \
-                            a documented guard"
-                           name
-                           (tok toks !r ^ "." ^ tok toks (!r + 2)))
-                      :: !out
-                end;
-                incr r
-              end
-            done;
-            i := !r - 1
-          end
-        end
-      end;
-      incr i
-    done;
-    !out
-  end
-
-(* ------------------------------------------- float equality in kernels *)
-
-(* Structural [=] (binders: [let x =], [type t =], record fields, optional
-   argument defaults) must not be confused with the comparison operator.
-   A small stack arms one binder [=] per [let]/[and]/[type]/... and per
-   record field (re-armed at each [;] inside the brace), at the
-   paren/brace depth where the keyword appeared; any other [=], and every
-   [<>], is a comparison whose operands we test for float-ness.  Only
-   literal or well-known float operands are flagged — an unannotated
-   [a = b] stays silent, which keeps the rule precise at the cost of
-   recall (ISSUE 8 asks for float {e expressions}, and in this codebase
-   energies are compared against literals or [infinity]). *)
-let scan_float_eq ctx (toks : Lexer.token array) =
-  if ctx.lib_dir <> Some "mrf" then []
-  else begin
-    let out = ref [] in
-    let n = Array.length toks in
-    let depth = ref 0 in
-    (* depths at which the next [=] is structural, not a comparison *)
-    let binders = ref [] in
-    (* depths of open record braces, for field re-arming at [;] *)
-    let braces = ref [] in
-    let arm () =
-      match !binders with
-      | d :: _ when d = !depth -> ()
-      | _ -> binders := !depth :: !binders
-    in
-    let glued i = tok toks (i + 1) <> "" && toks.(i).Lexer.line = toks.(i + 1).Lexer.line
-                  && toks.(i).Lexer.col + String.length toks.(i).Lexer.text
-                     = toks.(i + 1).Lexer.col in
-    let float_lit s =
-      String.length s > 0
-      && s.[0] >= '0' && s.[0] <= '9'
-      && (String.contains s '.'
-          || ((String.contains s 'e' || String.contains s 'E')
-             && not (String.length s > 1 && (s.[1] = 'x' || s.[1] = 'X'))))
-    in
-    let float_operand i =
-      let s = tok toks i in
-      float_lit s
-      || (List.mem s
-            [ "infinity"; "neg_infinity"; "nan"; "epsilon_float";
-              "max_float"; "min_float" ]
-         && (tok toks (i - 1) <> "."
-            || tok toks (i - 2) = "Float"
-            || tok toks (i - 2) = "Stdlib"))
-    in
-    (* skip a unary minus in operand position: [x = -1.0] *)
-    let operand_after i = if tok toks i = "-" then i + 1 else i in
-    let flag t op =
-      out :=
-        finding ctx t "float-equality-in-kernel"
+      if hot_path ctx then
+        match rpath with
+        | (("create" | "make" | "init" | "copy") as f)
+          :: "Array" :: "Float" :: _ ->
+            add line "alloc-in-loop"
+              (Printf.sprintf
+                 "Float.Array.%s inside a loop body allocates an unboxed slab \
+                  per iteration; hoist it out of the sweep and reuse it"
+                 f)
+        | (("make" | "init" | "copy") as f) :: "Array" :: _ ->
+            add line "alloc-in-loop"
+              (Printf.sprintf
+                 "Array.%s inside a loop body allocates per iteration; hoist a \
+                  scratch buffer out of the loop, as the TRW-S workspace holds \
+                  the message update's reduction input"
+                 f)
+        | "incident" :: "Mrf" :: _ ->
+            add line "alloc-in-loop"
+              "Mrf.incident inside a loop body builds a fresh array of (edge, \
+               i_is_u) tuples per call; walk the node's Mrf.Compact CSR slice \
+               (i_inc_off, i_inc, i_col) instead"
+        | _ -> ()
+    end;
+    if ctx.in_lib then
+      match rpath with
+      | "printf" :: ("Printf" | "Format") :: _
+      | [ ( "print_endline" | "print_string" | "print_newline" | "print_int"
+          | "print_float" | "print_char" ) ]
+      | [ ( "print_endline" | "print_string" | "print_newline" | "print_int"
+          | "print_float" | "print_char" );
+          "Stdlib" ] ->
+          add line "printf-in-lib"
+            "library code must not print to stdout; take a Format formatter \
+             from the caller"
+      | _ -> ()
+  in
+  let check e =
+    match e.pexp_desc with
+    | Pexp_ident { txt; loc } -> ident (line_of loc) (Longident.flatten txt)
+    | Pexp_tuple _ when hot_path ctx && !loops > 0 && mentions_compact e ->
+        add (line_of e.pexp_loc) "alloc-in-loop"
+          "tuple of Compact accessor results inside a loop body boxes \
+           what the CSR layout keeps flat; keep the fields in scalar \
+           lets"
+    | Pexp_record _ when hot_path ctx && !loops > 0 && mentions_compact e ->
+        add (line_of e.pexp_loc) "alloc-in-loop"
+          "record built from Compact accessor results inside a loop \
+           body re-boxes the compact representation; keep the fields \
+           in scalar lets"
+    | Pexp_try (_, cases) ->
+        (* a catch-all arm whose whole body is [()]: the failure
+           vanishes with no log line, no counter and no re-raise, which
+           is how a fault-injection run silently passes *)
+        List.iter
+          (fun c ->
+            match (c.pc_lhs.ppat_desc, c.pc_guard, c.pc_rhs.pexp_desc) with
+            | ( Ppat_any, None,
+                Pexp_construct ({ txt = Longident.Lident "()"; _ }, None) ) ->
+                add (line_of c.pc_lhs.ppat_loc) "swallowed-exception"
+                  "catch-all handler [_ -> ()] discards the exception and \
+                   does nothing; match the specific exception, record the \
+                   failure, or re-raise"
+            | _ -> ())
+          cases
+    | Pexp_apply
+        ( { pexp_desc =
+              Pexp_ident { txt = Longident.Lident (("=" | "<>") as op); loc };
+            _ },
+          [ (Asttypes.Nolabel, a); (Asttypes.Nolabel, b) ] )
+      when ctx.lib_dir = Some "mrf" && (float_operand a || float_operand b) ->
+        add (line_of loc) "float-equality-in-kernel"
           (Printf.sprintf
              "float %s comparison in kernel code; exact equality on \
               computed energies is representation-dependent — use \
               Float.equal for intentional bitwise tests or an explicit \
               epsilon"
              op)
-        :: !out
-    in
-    for i = 0 to n - 1 do
-      let t = toks.(i) in
-      match t.Lexer.text with
-      | "let" | "and" | "type" | "external" | "module" | "method" | "for" ->
-          arm ()
-      | "(" | "[" ->
-          incr depth;
-          (* [?(arg = default)] arms a binder for the default's [=] *)
-          if tok toks (i - 1) = "?" then arm ()
-      | "{" ->
-          incr depth;
-          braces := !depth :: !braces;
-          arm ()
-      | ")" | "]" | "}" ->
-          decr depth;
-          binders := List.filter (fun d -> d <= !depth) !binders;
-          braces := List.filter (fun d -> d <= !depth) !braces
-      | ";" -> (
-          (* a new record field re-arms the field [=] *)
-          match !braces with
-          | d :: _ when d = !depth -> arm ()
-          | _ -> ())
-      | "=" ->
-          let operator_adjacent =
-            (List.mem (tok toks (i - 1)) [ "<"; ">"; "!"; "="; ":" ]
-            && glued (i - 1))
-            || (tok toks (i + 1) = "=" && glued i)
-          in
-          if not operator_adjacent then begin
-            let structural =
-              match !binders with
-              | d :: rest when d = !depth ->
-                  binders := rest;
-                  true
-              | _ -> false
-            in
-            if (not structural)
-               && (float_operand (i - 1) || float_operand (operand_after (i + 1)))
-            then flag t "="
-          end
-      | "<" when tok toks (i + 1) = ">" && glued i ->
-          if float_operand (i - 1) || float_operand (operand_after (i + 2))
-          then flag t "<>"
-      | _ -> ()
-    done;
+    | _ -> ()
+  in
+  let expr self e =
+    check e;
+    let sub = self.Ast_iterator.expr self in
+    match e.pexp_desc with
+    | Pexp_for (_, lo, hi, _, body) ->
+        sub lo;
+        sub hi;
+        in_loop (fun () -> sub body)
+    | Pexp_while (cond, body) ->
+        in_loop (fun () ->
+            sub cond;
+            sub body)
+    | _ -> Ast_iterator.default_iterator.expr self e
+  in
+  let it = { Ast_iterator.default_iterator with expr } in
+  it.structure it str;
+  !out
+
+(* Module-toplevel bindings (at any [struct] depth) whose right-hand
+   side constructs mutable state.  A constructor under a [fun] or
+   [function] builds per-call state and is not flagged. *)
+let scan_toplevel_mutable ctx (fs : Symbols.file_syms) =
+  if not (parallel_reachable ctx) then []
+  else begin
+    let out = ref [] in
+    Array.iter
+      (fun (b : Symbols.binding) ->
+        let flag message =
+          out :=
+            mk ~file:ctx.path ~line:b.b_line ~rule:"toplevel-mutable-state"
+              ~message
+            :: !out
+        in
+        let expr self e =
+          match e.pexp_desc with
+          | Pexp_fun _ | Pexp_function _ -> ()
+          | _ ->
+              (match e.pexp_desc with
+              | Pexp_ident { txt; _ } -> (
+                  match List.rev (Longident.flatten txt) with
+                  | [ "ref" ] | [ "ref"; "Stdlib" ] ->
+                      flag
+                        (Printf.sprintf
+                           "toplevel binding %S holds a ref shared by every \
+                            domain; make it per-call or suppress with a \
+                            documented guard"
+                           b.b_name)
+                  | (("create" as f) :: ("Hashtbl" as m) :: _)
+                  | (("make" as f) :: ("Array" as m) :: _) ->
+                      flag
+                        (Printf.sprintf
+                           "toplevel binding %S allocates shared mutable \
+                            state (%s.%s); make it per-call or suppress with \
+                            a documented guard"
+                           b.b_name m f)
+                  | _ -> ())
+              | _ -> ());
+              Ast_iterator.default_iterator.expr self e
+        in
+        let it = { Ast_iterator.default_iterator with expr } in
+        match b.b_body with
+        | Some e when b.b_name <> "(init)" -> it.expr it e
+        | _ -> ())
+      fs.Symbols.f_bindings;
     !out
   end
 
 (* -------------------------------------------------------------- driver *)
 
+let surface ctx fs str = scan_exprs ctx str @ scan_toplevel_mutable ctx fs
+
+let missing_mli ctx =
+  if
+    ctx.in_lib
+    && Filename.check_suffix ctx.path ".ml"
+    && not (Filename.check_suffix ctx.path ".pp.ml")
+  then
+    [ mk ~file:ctx.path ~line:1 ~rule:"missing-mli"
+        ~message:
+          "library module has no .mli; state the exported surface (add an \
+           interface file)" ]
+  else []
+
+exception Parse_error = Symbols.Parse_error
+
 let lint_source ~path ?has_mli src =
   let ctx = classify path in
-  let lx = Lexer.tokenize src in
-  let sups, bad = parse_suppressions ~path lx.Lexer.comments in
-  let token_findings =
-    scan_tokens ctx lx.Lexer.tokens
-    @ scan_swallowed ctx lx.Lexer.tokens
-    @ scan_toplevel_mutable ctx lx.Lexer.tokens
-    @ scan_float_eq ctx lx.Lexer.tokens
+  let str, comments = Symbols.parse Parse.implementation ~path src in
+  let sups, bad = parse_suppressions ~path comments in
+  let findings =
+    surface ctx (Symbols.of_structure ~path str) str
+    @ if has_mli = Some false then missing_mli ctx else []
   in
-  let mli_findings =
-    match has_mli with
-    | Some false
-      when ctx.in_lib
-           && Filename.check_suffix path ".ml"
-           && not (Filename.check_suffix path ".pp.ml") ->
-        [ mk ~file:path ~line:1 ~rule:"missing-mli"
-            ~message:
-              "library module has no .mli; state the exported surface \
-               (add an interface file)" ]
-    | _ -> []
-  in
-  let kept =
-    List.filter (fun f -> not (suppressed sups f)) (token_findings @ mli_findings)
-  in
+  let kept = List.filter (fun f -> not (suppressed sups f)) findings in
   List.sort
     (fun a b -> if a.line = b.line then compare a.rule b.rule else compare a.line b.line)
     (kept @ bad)
@@ -776,13 +554,6 @@ let par_combinators = [ "parallel_for"; "map_range"; "map_reduce" ]
 
 let qname (b : Symbols.binding) = Symbols.qualified_name b
 
-let import_chain steps =
-  List.map
-    (fun (s : Effects.chain_step) ->
-      { c_name = s.Effects.c_name; c_file = s.Effects.c_file;
-        c_line = s.Effects.c_line })
-    steps
-
 (* nondet-taint: only [Via] witnesses are reported — a direct source in
    the binding's own body is already a call-site finding of the surface
    rules, and reporting it twice would force double suppressions. *)
@@ -804,7 +575,7 @@ let taint_findings (eff : Effects.t) analyzed_paths =
             let s = Effects.summary eff b.Symbols.b_id in
             match List.assoc_opt e s.Effects.wit with
             | Some (Effects.Via _) ->
-                let steps = import_chain (Effects.chain eff b.Symbols.b_id e) in
+                let steps = Effects.chain eff b.Symbols.b_id e in
                 let source_descr =
                   match List.rev steps with
                   | last :: _ -> last.c_name
@@ -834,111 +605,95 @@ let taint_findings (eff : Effects.t) analyzed_paths =
     repo.Symbols.bindings;
   !out
 
-(* impure-in-parallel-region: inside the argument extent of a Pool
-   combinator, any resolved callee whose summary carries Mutate or
-   Spawn, plus direct mutations in inline closure bodies. *)
+(* impure-in-parallel-region: in the arguments of a Pool combinator
+   call, any resolved callee whose summary carries Mutate or Spawn, plus
+   direct mutations in inline closure bodies. *)
 let region_findings ~barrier (eff : Effects.t) analyzed_paths =
   let repo = eff.Effects.repo in
   let out = ref [] in
+  let is_combinator e =
+    match e.pexp_desc with
+    | Pexp_ident { txt; _ } -> (
+        match List.rev (Longident.flatten txt) with
+        | [ f ] | f :: ("Pool" | "Netdiv_par") :: _ ->
+            List.mem f par_combinators
+        | _ -> false)
+    | _ -> false
+  in
+  let region (fs : Symbols.file_syms) (b : Symbols.binding) scope args =
+    let seen = Hashtbl.create 8 in
+    let callee (r : Symbols.reference) id =
+      let cb = repo.Symbols.bindings.(id) in
+      (* a non-function binding referenced in the region is a read of
+         an already-evaluated value, not a call *)
+      if (not (classify cb.Symbols.b_file).is_pool) && cb.Symbols.b_func then
+        List.iter
+          (fun (e, verb) ->
+            if Effects.has eff id e && not (Hashtbl.mem seen (id, verb))
+            then begin
+              Hashtbl.replace seen (id, verb) ();
+              out :=
+                {
+                  file = fs.Symbols.f_path;
+                  line = r.Symbols.r_line;
+                  rule = "impure-in-parallel-region";
+                  message =
+                    Printf.sprintf
+                      "%s, passed into a parallel region, %s; chunk workers \
+                       must only write their own slices (netdiv lint \
+                       --explain %s)"
+                      (qname cb) verb (qname cb);
+                  symbol = Some (qname cb);
+                  chain = Effects.chain eff id e;
+                }
+                :: !out
+            end)
+          [
+            (Effects.Mutate, "mutates module-toplevel state");
+            (Effects.Spawn, "spawns its own domain");
+          ]
+    in
+    List.iter
+      (fun (_, arg) ->
+        List.iter
+          (fun r -> List.iter (callee r) (Symbols.resolve repo fs r))
+          (Symbols.references ~scope arg);
+        List.iter
+          (fun (s : Effects.source) ->
+            if s.Effects.s_eff = Effects.Mutate then
+              out :=
+                {
+                  file = fs.Symbols.f_path;
+                  line = s.Effects.s_line;
+                  rule = "impure-in-parallel-region";
+                  message =
+                    Printf.sprintf
+                      "parallel-region closure %s; chunk workers must only \
+                       write their own slices"
+                      s.Effects.s_descr;
+                  symbol = Some (qname b);
+                  chain = [];
+                }
+                :: !out)
+          (Effects.direct_sources ~barrier ~scope repo fs arg))
+      args
+  in
   Array.iter
     (fun (fs : Symbols.file_syms) ->
-      let ctx = classify fs.Symbols.f_path in
-      if Hashtbl.mem analyzed_paths fs.Symbols.f_path && not ctx.is_pool then begin
-        let toks = fs.Symbols.f_lex.Lexer.tokens in
-        let tk i = tok toks i in
-        Array.iteri
-          (fun bi (b : Symbols.binding) ->
-            let hi = b.Symbols.b_hi in
-            for i = b.Symbols.b_lo to hi - 1 do
-              let is_comb =
-                List.mem (tk i) par_combinators
-                && (tk (i - 1) <> "."
-                   || tk (i - 2) = "Pool"
-                   || tk (i - 2) = "Netdiv_par")
-              in
-              if is_comb then begin
-                (* argument extent: to the call's end at depth 0 *)
-                let d = ref 0 and j = ref (i + 1) and stop = ref false in
-                while (not !stop) && !j < hi do
-                  (match tk !j with
-                  | "(" | "[" -> incr d
-                  | ")" | "]" ->
-                      decr d;
-                      if !d < 0 then stop := true
-                  | ";" | "in" when !d = 0 -> stop := true
-                  | _ -> ());
-                  if not !stop then incr j
-                done;
-                let rhi = !j in
-                let seen = Hashtbl.create 8 in
-                Array.iter
-                  (fun (r : Symbols.reference) ->
-                    if r.Symbols.r_tok > i && r.Symbols.r_tok < rhi then
-                      List.iter
-                        (fun id ->
-                          let cb = repo.Symbols.bindings.(id) in
-                          let cctx = classify cb.Symbols.b_file in
-                          (* a non-function binding referenced in the
-                             region is a read of an already-evaluated
-                             value, not a call *)
-                          if (not cctx.is_pool) && cb.Symbols.b_func then
-                            List.iter
-                              (fun (e, verb) ->
-                                if
-                                  Effects.has eff id e
-                                  && not (Hashtbl.mem seen (id, verb))
-                                then begin
-                                  Hashtbl.replace seen (id, verb) ();
-                                  let steps =
-                                    import_chain (Effects.chain eff id e)
-                                  in
-                                  out :=
-                                    {
-                                      file = fs.Symbols.f_path;
-                                      line = r.Symbols.r_line;
-                                      rule = "impure-in-parallel-region";
-                                      message =
-                                        Printf.sprintf
-                                          "%s, passed into a parallel \
-                                           region, %s; chunk workers must \
-                                           only write their own slices \
-                                           (netdiv lint --explain %s)"
-                                          (qname cb) verb (qname cb);
-                                      symbol = Some (qname cb);
-                                      chain = steps;
-                                    }
-                                    :: !out
-                                end)
-                              [
-                                (Effects.Mutate,
-                                 "mutates module-toplevel state");
-                                (Effects.Spawn, "spawns its own domain");
-                              ])
-                        (Symbols.resolve repo fs r))
-                  fs.Symbols.f_refs.(bi);
-                List.iter
-                  (fun (s : Effects.source) ->
-                    if s.Effects.s_eff = Effects.Mutate then
-                      out :=
-                        {
-                          file = fs.Symbols.f_path;
-                          line = s.Effects.s_line;
-                          rule = "impure-in-parallel-region";
-                          message =
-                            Printf.sprintf
-                              "parallel-region closure %s; chunk workers \
-                               must only write their own slices"
-                              s.Effects.s_descr;
-                          symbol = Some (qname b);
-                          chain = [];
-                        }
-                        :: !out)
-                  (Effects.direct_sources ~barrier fs b ~lo:(i + 1) ~hi:rhi
-                     repo)
-              end
-            done)
-          fs.Symbols.f_bindings
-      end)
+      if
+        Hashtbl.mem analyzed_paths fs.Symbols.f_path
+        && not (classify fs.Symbols.f_path).is_pool
+      then
+        Array.iter
+          (fun (b : Symbols.binding) ->
+            Option.iter
+              (Symbols.walk (fun scope e ->
+                   match e.pexp_desc with
+                   | Pexp_apply (f, args) when is_combinator f ->
+                       region fs b scope args
+                   | _ -> ()))
+              b.Symbols.b_body)
+          fs.Symbols.f_bindings)
     repo.Symbols.files;
   !out
 
@@ -947,8 +702,8 @@ let region_findings ~barrier (eff : Effects.t) analyzed_paths =
    file resolving to the backing binding); the fallback matches
    (last-module, name) pairs for references that resolve to nothing,
    which keeps misses of the resolver from producing false findings.
-   Operator exports are skipped — their use sites are bare symbols the
-   reference scanner cannot attribute. *)
+   Operator exports are skipped — a binding operator's use site
+   ([let* x = ...]) is not an identifier the references record. *)
 let unused_export_findings (repo : Symbols.repo) analyzed =
   let used_ids = Hashtbl.create 256 in
   let used_pairs = Hashtbl.create 256 in
@@ -1035,34 +790,26 @@ let compare_findings a b =
 let analyze_sources ?(refs = []) files =
   let sup_tbl = Hashtbl.create 32 in
   let bad = ref [] in
-  let note_sups path (lx : Lexer.t) =
-    let sups, b = parse_suppressions ~path lx.Lexer.comments in
+  let parse parser ~path src =
+    let tree, comments = Symbols.parse parser ~path src in
+    let sups, b = parse_suppressions ~path comments in
     let prev = Option.value (Hashtbl.find_opt sup_tbl path) ~default:[] in
     Hashtbl.replace sup_tbl path (sups @ prev);
-    bad := b @ !bad
+    bad := b @ !bad;
+    tree
   in
-  let lexed =
+  let parsed =
     List.map
       (fun (path, src, mli) ->
-        let lx = Lexer.tokenize src in
-        note_sups path lx;
-        let mli_lex =
-          Option.map
-            (fun m ->
-              let mlx = Lexer.tokenize m in
-              note_sups (path ^ "i") mlx;
-              mlx)
-            mli
-        in
-        (path, lx, mli_lex, mli <> None))
+        let str = parse Parse.implementation ~path src in
+        let mli = Option.map (parse Parse.interface ~path:(path ^ "i")) mli in
+        (str, Symbols.of_structure ~path ?mli str, mli <> None))
       files
   in
-  let analyzed =
-    List.map
-      (fun (path, lx, mli_lex, _) -> Symbols.parse_lexed ~path lx ?mli:mli_lex ())
-      lexed
+  let analyzed = List.map (fun (_, fs, _) -> fs) parsed in
+  let ref_syms =
+    List.map (fun (path, src) -> Symbols.parse_file ~path src) refs
   in
-  let ref_syms = List.map (fun (path, src) -> Symbols.parse_file ~path src) refs in
   (* reference roots join the symbol graph (their uses resolve, keeping
      unused-export honest about test/bench consumers) but no rule scans
      them: [analyzed_paths] gates every reporting pass *)
@@ -1075,38 +822,15 @@ let analyze_sources ?(refs = []) files =
   let barrier ~path ~line ~rule =
     match Hashtbl.find_opt sup_tbl path with
     | None -> false
-    | Some sups ->
-        List.exists
-          (fun s ->
-            s.s_rule = rule
-            && (s.s_file_wide || (line >= s.s_lo && line <= s.s_hi)))
-          sups
+    | Some sups -> suppressed sups (mk ~file:path ~line ~rule ~message:"")
   in
   let eff = Effects.analyze ~barrier repo in
   let surface =
     List.concat_map
-      (fun (path, lx, _, has_mli) ->
-        let ctx = classify path in
-        let token_findings =
-          scan_tokens ctx lx.Lexer.tokens
-          @ scan_swallowed ctx lx.Lexer.tokens
-          @ scan_toplevel_mutable ctx lx.Lexer.tokens
-          @ scan_float_eq ctx lx.Lexer.tokens
-        in
-        let mli_findings =
-          if
-            (not has_mli) && ctx.in_lib
-            && Filename.check_suffix path ".ml"
-            && not (Filename.check_suffix path ".pp.ml")
-          then
-            [ mk ~file:path ~line:1 ~rule:"missing-mli"
-                ~message:
-                  "library module has no .mli; state the exported surface \
-                   (add an interface file)" ]
-          else []
-        in
-        token_findings @ mli_findings)
-      lexed
+      (fun (str, (fs : Symbols.file_syms), has_mli) ->
+        let ctx = classify fs.Symbols.f_path in
+        surface ctx fs str @ if has_mli then [] else missing_mli ctx)
+      parsed
   in
   let inter =
     taint_findings eff analyzed_paths

@@ -1,23 +1,24 @@
 (** netdiv-lint: a concurrency/determinism checker for this repository's
-    own OCaml sources, with no dependencies outside the repository
-    (no ppx, no compiler-libs; JSON goes through {!Netdiv_vuln.Json}).
+    own OCaml sources, built on the OCaml compiler's own parser
+    ([compiler-libs.common], no ppx; JSON goes through
+    {!Netdiv_vuln.Json}).
 
     The paper's reported numbers (optimal assignments, d_bn, MTTC) are
     reproducible only while every solver path stays deterministic under
     any domain count.  The type system cannot express that contract, so
-    this module enforces the mechanically checkable part of it: a
-    comment/string-aware surface lexer ({!Lexer}) feeds a small rule
-    engine, and each rule reports findings as [file:line] pairs.  On top
-    of the per-line rules, {!analyze_paths} runs the interprocedural
-    passes ({!Symbols} call graph, {!Effects} fixpoint) whose rules see
-    through call chains.
+    this module enforces the mechanically checkable part of it: each
+    surface rule is a pass over the parse tree, suppressions come from
+    the lexer's comments, and each rule reports findings as
+    [file:line] pairs.  On top of the surface rules, {!analyze_paths}
+    runs the interprocedural passes ({!Symbols} call graph, {!Effects}
+    fixpoint) whose rules see through call chains.
 
     {2 Surface rules}
 
     - [spawn-outside-pool]: [Domain.spawn] anywhere but [lib/par/pool.ml].
     - [toplevel-mutable-state]: module-toplevel [ref] / [Hashtbl.create] /
-      [Array.make] bindings in parallel-reachable libraries ([lib/mrf],
-      [lib/sim], [lib/par], [lib/core]).
+      [Array.make] bindings, at any [struct] depth, in parallel-reachable
+      libraries ([lib/mrf], [lib/sim], [lib/par], [lib/core]).
     - [nondeterminism-source]: [Random.self_init], [Sys.time] or
       [Unix.gettimeofday] in solver/sim code.
     - [direct-clock-in-instrumented-code]: [Unix.gettimeofday] or
@@ -25,8 +26,8 @@
       outside the solver/sim scope ([lib/obs], [lib/core], [bin/]);
       timestamps must go through [Netdiv_obs.Obs.Clock] so spans and
       reported timings share one monotone time base.
-    - [list-nth-in-loop]: [List.nth]/[List.nth_opt] inside a [for]/[while]
-      loop.
+    - [list-nth-in-loop]: [List.nth]/[List.nth_opt] inside a [for] body or
+      a [while] loop.
     - [alloc-in-loop]: [Array.make]/[Array.init]/[Array.copy] or
       [Float.Array.create]/[make] inside a [for]/[while] body in the
       measured hot directories ([lib/mrf], [lib/bayes], [lib/graph],
@@ -35,7 +36,7 @@
       [Mrf.incident] in such a body is flagged too: every call builds a
       fresh array of boxed [(edge, i_is_u)] pairs, where the node's
       [Mrf.Compact] slice is already flat.  Also flags a tuple or record
-      literal built around [Mrf.Compact] calls inside such a loop:
+      expression over [Mrf.Compact] accessors inside such a loop:
       packing what they return into a boxed value re-creates, per
       iteration, exactly the per-edge records the CSR layout removed —
       keep the fields in scalar [let]s.
@@ -100,6 +101,10 @@ val pp_chain : Format.formatter -> chain_step list -> unit
 
 val rules : (string * string) list
 (** Shipped rule ids with a one-line description each. *)
+
+exception Parse_error of string * int * string
+(** [(file, line, message)]: a source (or interface) the OCaml parser
+    rejects; raised by every entry point below. *)
 
 val lint_source : path:string -> ?has_mli:bool -> string -> finding list
 (** [lint_source ~path src] lints the source text [src] as though it

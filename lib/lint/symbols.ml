@@ -1,13 +1,9 @@
-(* Structural symbol tables for netdiv-lint.  See symbols.mli for the
-   contract and DESIGN.md ("Static analysis") for the rationale.
+(* Symbol tables for netdiv-lint.  See symbols.mli for the contract and
+   DESIGN.md ("Static analysis") for the rationale. *)
 
-   The parser is a single forward pass over the Lexer token stream.  It
-   tracks module nesting with the same column discipline the
-   toplevel-mutable-state rule uses (items at column 0, +2 per
-   enclosing struct/sig), extended with a resync rule: an item keyword
-   appearing at the column of an *outer* scope pops back to that scope,
-   so a construct the tracker cannot model (a multi-line [let module],
-   a functor body) loses at most the bindings inside it. *)
+open Parsetree
+
+exception Parse_error of string * int * string
 
 type binding = {
   b_id : int;
@@ -15,17 +11,11 @@ type binding = {
   b_module : string list;
   b_name : string;
   b_line : int;
-  b_lo : int;
-  b_hi : int;
+  b_body : expression option;
   b_func : bool;
 }
 
-type reference = {
-  r_path : string list;
-  r_name : string;
-  r_line : int;
-  r_tok : int;
-}
+type reference = { r_path : string list; r_name : string; r_line : int }
 
 type mli_val = {
   v_name : string;
@@ -37,7 +27,6 @@ type mli_val = {
 type file_syms = {
   f_path : string;
   f_modname : string;
-  f_lex : Lexer.t;
   f_bindings : binding array;
   f_refs : reference array array;
   f_opens : string list list;
@@ -52,38 +41,7 @@ type repo = {
   by_suffix : (string, int list) Hashtbl.t;
 }
 
-(* ------------------------------------------------------------ helpers *)
-
-let keywords =
-  [ "let"; "rec"; "and"; "in"; "fun"; "function"; "match"; "with"; "if";
-    "then"; "else"; "for"; "while"; "do"; "done"; "to"; "downto"; "begin";
-    "end"; "struct"; "sig"; "module"; "open"; "include"; "type"; "val";
-    "exception"; "external"; "mutable"; "of"; "as"; "when"; "try"; "new";
-    "object"; "method"; "lazy"; "assert"; "true"; "false"; "land"; "lor";
-    "lxor"; "lsl"; "lsr"; "asr"; "mod"; "or"; "inherit"; "initializer";
-    "constraint"; "virtual"; "private"; "nonrec" ]
-
-let is_keyword s = List.mem s keywords
-
-let is_uident s = s <> "" && s.[0] >= 'A' && s.[0] <= 'Z'
-
-let is_lident s =
-  s <> ""
-  && (match s.[0] with 'a' .. 'z' | '_' -> true | _ -> false)
-  && not (is_keyword s)
-
-let is_opchar_tok s =
-  String.length s = 1
-  &&
-  match s.[0] with
-  | '!' | '$' | '%' | '&' | '*' | '+' | '-' | '.' | '/' | ':' | '<' | '='
-  | '>' | '?' | '@' | '^' | '|' | '~' ->
-      true
-  | _ -> false
-
-let item_keywords =
-  [ "let"; "and"; "module"; "type"; "open"; "include"; "exception";
-    "external"; "val"; "class" ]
+let line_of (loc : Location.t) = loc.loc_start.pos_lnum
 
 let module_name_of_path path =
   let base = Filename.remove_extension (Filename.basename path) in
@@ -93,364 +51,255 @@ let module_name_of_path path =
 
 let qualified_name b = String.concat "." (b.b_module @ [ b.b_name ])
 
-(* ------------------------------------------------------- .mli exports *)
+(* ------------------------------------------------------------ parsing *)
 
-(* Exported values of an interface: [val]/[external] items at the
-   current signature item column.  Values declared inside a
-   [module type ... = sig] are specifications, not exports, and are
-   skipped via the [mt] flag carried down the scope stack. *)
-let parse_mli ~modname (lx : Lexer.t) =
-  let toks = lx.Lexer.tokens in
-  let n = Array.length toks in
-  let tok i = if i >= 0 && i < n then toks.(i).Lexer.text else "" in
+let parse parser ~path src =
+  Lexer.print_warnings := false;
+  match parser (Lexing.from_string src) with
+  | tree -> (tree, Lexer.comments ())
+  | exception exn -> (
+      match Location.error_of_exn exn with
+      | Some (`Ok { Location.main; _ }) ->
+          raise
+            (Parse_error
+               (path, line_of main.loc, Format.asprintf "%t" main.txt))
+      | _ -> raise exn)
+
+(* ------------------------------------------------------------- scopes *)
+
+type scope = string list
+
+(* the names a pattern binds, pushed onto [acc] *)
+let rec pattern_vars acc p =
+  match p.ppat_desc with
+  | Ppat_var v -> v.txt :: acc
+  | Ppat_alias (p, v) -> pattern_vars (v.txt :: acc) p
+  | Ppat_tuple ps | Ppat_array ps -> List.fold_left pattern_vars acc ps
+  | Ppat_record (fields, _) ->
+      List.fold_left (fun acc (_, p) -> pattern_vars acc p) acc fields
+  | Ppat_or (p, q) -> pattern_vars (pattern_vars acc p) q
+  | Ppat_construct (_, Some (_, p))
+  | Ppat_variant (_, Some p)
+  | Ppat_constraint (p, _)
+  | Ppat_lazy p
+  | Ppat_exception p
+  | Ppat_open (_, p) ->
+      pattern_vars acc p
+  | _ -> acc
+
+let walk ?(scope = []) f e =
+  let scope = ref scope in
+  let under pats k =
+    let saved = !scope in
+    scope := List.fold_left pattern_vars saved pats;
+    k ();
+    scope := saved
+  in
+  let expr self e =
+    f !scope e;
+    let sub = self.Ast_iterator.expr self in
+    let case c =
+      under [ c.pc_lhs ] (fun () ->
+          Option.iter sub c.pc_guard;
+          sub c.pc_rhs)
+    in
+    match e.pexp_desc with
+    | Pexp_let (flag, vbs, body) ->
+        let pats = List.map (fun vb -> vb.pvb_pat) vbs in
+        let rhs () = List.iter (fun vb -> sub vb.pvb_expr) vbs in
+        if flag = Asttypes.Recursive then
+          under pats (fun () ->
+              rhs ();
+              sub body)
+        else begin
+          rhs ();
+          under pats (fun () -> sub body)
+        end
+    | Pexp_fun (_, default, p, body) ->
+        Option.iter sub default;
+        under [ p ] (fun () -> sub body)
+    | Pexp_function cases -> List.iter case cases
+    | Pexp_match (e, cases) | Pexp_try (e, cases) ->
+        sub e;
+        List.iter case cases
+    | Pexp_for (p, lo, hi, _, body) ->
+        sub lo;
+        sub hi;
+        under [ p ] (fun () -> sub body)
+    | Pexp_letop { let_; ands; body } ->
+        let ops = let_ :: ands in
+        List.iter (fun op -> sub op.pbop_exp) ops;
+        under (List.map (fun op -> op.pbop_pat) ops) (fun () -> sub body)
+    | _ -> Ast_iterator.default_iterator.expr self e
+  in
+  let it = { Ast_iterator.default_iterator with expr } in
+  it.expr it e
+
+let references ?scope e =
+  let out = ref [] in
+  walk ?scope
+    (fun scope e ->
+      match e.pexp_desc with
+      | Pexp_ident { txt = Longident.Lident name; _ } when List.mem name scope
+        ->
+          ()
+      | Pexp_ident { txt; loc } -> (
+          match List.rev (Longident.flatten txt) with
+          | r_name :: rev ->
+              out :=
+                { r_path = List.rev rev; r_name; r_line = line_of loc } :: !out
+          | [] -> ())
+      | _ -> ())
+    e;
+  List.rev !out
+
+(* ---------------------------------------------------------- structure *)
+
+let rec is_func e =
+  match e.pexp_desc with
+  | Pexp_fun _ | Pexp_function _ | Pexp_lazy _ -> true
+  | Pexp_constraint (e, _) | Pexp_coerce (e, _, _) | Pexp_newtype (_, e) ->
+      is_func e
+  | _ -> false
+
+(* the module path a [module X = ...] right-hand side aliases: the head
+   of an identifier or of a functor application *)
+let rec alias_head me =
+  match me.pmod_desc with
+  | Pmod_ident lid -> Some (Longident.flatten lid.txt)
+  | Pmod_apply (me, _) | Pmod_apply_unit me | Pmod_constraint (me, _) ->
+      alias_head me
+  | _ -> None
+
+(* Exported values of an interface, at any [sig] depth; values declared
+   inside a [module type] are specifications, not exports. *)
+let mli_vals ~modname sg =
   let vals = ref [] in
-  (* (item_col, close_col, open_line, module_path, in_module_type) *)
-  let stack = ref [ (0, -1, -1, [ modname ], false) ] in
-  let item_col () = match !stack with (c, _, _, _, _) :: _ -> c | [] -> 0 in
-  let cur_path () = match !stack with (_, _, _, p, _) :: _ -> p | [] -> [] in
-  let cur_mt () = match !stack with (_, _, _, _, m) :: _ -> m | [] -> false in
-  let pending = ref None and pending_mt = ref false in
-  for i = 0 to n - 1 do
-    let t = toks.(i) in
-    (match t.Lexer.text with
-    | "struct" | "sig" ->
-        let name = Option.value !pending ~default:"_" in
-        stack :=
-          ( item_col () + 2, item_col (), t.Lexer.line, cur_path () @ [ name ],
-            cur_mt () || !pending_mt )
-          :: !stack;
-        pending := None;
-        pending_mt := false
-    | "end" -> (
-        match !stack with
-        | (_, close_col, open_line, _, _) :: rest
-          when rest <> []
-               && (t.Lexer.col = close_col || t.Lexer.line = open_line) ->
-            stack := rest
+  let rec items mpath sg =
+    List.iter
+      (fun si ->
+        match si.psig_desc with
+        | Psig_value vd ->
+            let name = vd.pval_name.txt in
+            vals :=
+              { v_name = name; v_module = mpath; v_line = line_of vd.pval_loc;
+                v_operator =
+                  not
+                    (String.for_all
+                       (function
+                         | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' ->
+                             true
+                         | _ -> false)
+                       name) }
+              :: !vals
+        | Psig_module md -> modtype mpath md
+        | Psig_recmodule mds -> List.iter (modtype mpath) mds
         | _ -> ())
-    | _ -> ());
-    if List.mem t.Lexer.text item_keywords then begin
-      (* resync: an item at an outer scope's column pops back to it *)
-      while
-        (match !stack with _ :: _ :: _ -> true | _ -> false)
-        && t.Lexer.col < item_col ()
-      do
-        stack := List.tl !stack
-      done
-    end;
-    if t.Lexer.col = item_col () then begin
-      (match t.Lexer.text with
-      | "module" ->
-          if tok (i + 1) = "type" then begin
-            pending_mt := true;
-            pending := (if is_uident (tok (i + 2)) then Some (tok (i + 2)) else None)
-          end
-          else if is_uident (tok (i + 1)) then begin
-            pending := Some (tok (i + 1));
-            pending_mt := false
-          end
-      | _ -> ());
-      if (t.Lexer.text = "val" || t.Lexer.text = "external") && not (cur_mt ())
-      then begin
-        let name, operator =
-          if is_lident (tok (i + 1)) then (tok (i + 1), false)
-          else if tok (i + 1) = "(" then begin
-            let b = Buffer.create 8 in
-            let depth = ref 1 and j = ref (i + 2) in
-            while !depth > 0 && !j < n do
-              (match tok !j with
-              | "(" -> incr depth
-              | ")" -> decr depth
-              | _ -> ());
-              if !depth > 0 then Buffer.add_string b (tok !j);
-              incr j
-            done;
-            (Buffer.contents b, true)
-          end
-          else ("", false)
-        in
-        if name <> "" then
-          vals :=
-            { v_name = name; v_module = cur_path (); v_line = t.Lexer.line;
-              v_operator = operator }
-            :: !vals
-      end
-    end
-  done;
+      sg
+  and modtype mpath md =
+    let rec go mt =
+      match mt.pmty_desc with
+      | Pmty_signature sg ->
+          items (mpath @ [ Option.value md.pmd_name.txt ~default:"_" ]) sg
+      | Pmty_functor (_, mt) | Pmty_with (mt, _) -> go mt
+      | _ -> ()
+    in
+    go md.pmd_type
+  in
+  items [ modname ] sg;
   List.rev !vals
 
-(* ------------------------------------------------------- .ml structure *)
-
-let parse_lexed ~path (lx : Lexer.t) ?mli () =
+let of_structure ~path ?mli str =
   let modname = module_name_of_path path in
-  let toks = lx.Lexer.tokens in
-  let n = Array.length toks in
-  let tok i = if i >= 0 && i < n then toks.(i).Lexer.text else "" in
-  (* scope stack: (item_col, close_col, open_line, module_path) *)
-  let stack = ref [ (0, -1, -1, [ modname ]) ] in
-  let item_col () = match !stack with (c, _, _, _) :: _ -> c | [] -> 0 in
-  let cur_path () = match !stack with (_, _, _, p) :: _ -> p | [] -> [] in
-  let pending = ref None in
-  let last_item = ref "" in
-  let opens = ref [] and aliases = ref [] in
-  let bindings = ref [] and refs = ref [] in
-  (* current binding under construction *)
-  let cur = ref None in
-  (* locals of the current binding: name -> () (position-sensitive: a
-     name is local from the token that binds it onward) *)
-  let locals = Hashtbl.create 32 in
-  (* token indices that are binder occurrences, not references *)
-  let binder_toks = Hashtbl.create 32 in
-  let cur_refs = ref [] in
-  let close_binding upto =
-    match !cur with
-    | None -> ()
-    | Some (name, line, path_, lo, func) ->
-        bindings :=
-          { b_id = -1; b_file = path; b_module = path_; b_name = name;
-            b_line = line; b_lo = lo; b_hi = upto; b_func = func }
-          :: !bindings;
-        refs := Array.of_list (List.rev !cur_refs) :: !refs;
-        cur := None;
-        cur_refs := [];
-        Hashtbl.reset locals
+  let bindings = ref [] and opens = ref [] and aliases = ref [] in
+  let add mpath name line body func =
+    bindings :=
+      { b_id = -1; b_file = path; b_module = mpath; b_name = name;
+        b_line = line; b_body = body; b_func = func }
+      :: !bindings
   in
-  (* reads a dotted module path of uidents starting at [i]; returns the
-     components and the index just past them *)
-  let read_upath i =
-    let comps = ref [ tok i ] and j = ref i in
-    while tok (!j + 1) = "." && is_uident (tok (!j + 2)) do
-      comps := tok (!j + 2) :: !comps;
-      j := !j + 2
-    done;
-    (List.rev !comps, !j + 1)
-  in
-  (* operator name between parens: [i] points at '('; returns
-     (concatenated-name, index past the closing paren) *)
-  let read_opname i =
-    let b = Buffer.create 8 in
-    let depth = ref 1 and j = ref (i + 1) in
-    while !depth > 0 && !j < n do
-      (match tok !j with "(" -> incr depth | ")" -> decr depth | _ -> ());
-      if !depth > 0 then Buffer.add_string b (tok !j);
-      incr j
-    done;
-    (Buffer.contents b, !j)
-  in
-  (* the bound name of a let: after optional [rec] and binder operator
-     chars ([let*]); returns (name, name_tok_index or -1, idx past) *)
-  let read_let_name i =
-    let j = ref i in
-    if tok !j = "rec" then incr j;
-    while is_opchar_tok (tok !j) do incr j done;
-    if is_lident (tok !j) then (tok !j, !j, !j + 1)
-    else if tok !j = "(" then begin
-      let name, past = read_opname !j in
-      ((if name = "" then "(init)" else name), !j, past)
-    end
-    else (("(init)"), -1, !j + 1)
-  in
-  let start_binding i =
-    close_binding i;
-    let name, name_tok, past = read_let_name (i + 1) in
-    if name_tok >= 0 then Hashtbl.replace binder_toks name_tok ();
-    (* header: parameters and type annotation up to the first [=] at
-       paren depth 0; every lident there is a local.  After a depth-0
-       [:] the rest of the header is the return type — its lidents are
-       type names, not parameters. *)
-    let k = ref past and depth = ref 0 and fin = ref false in
-    let has_param = ref false and ann = ref false in
-    while (not !fin) && !k < n do
-      (match tok !k with
-      | "(" | "[" | "{" ->
-          incr depth;
-          if tok !k = "(" && tok (!k + 1) = ")" then has_param := true
-      | ")" | "]" | "}" -> decr depth
-      | "=" when !depth = 0 -> fin := true
-      | ":" when !depth = 0 -> ann := true
-      | s when !depth >= 0 && is_lident s && not !ann ->
-          has_param := true;
-          Hashtbl.replace locals s ();
-          Hashtbl.replace binder_toks !k ()
-      | _ -> ());
-      (* a new item starting before we saw [=] means a malformed or
-         bodyless binding (external-style); stop scanning *)
-      if
-        (not !fin)
-        && toks.(!k).Lexer.col <= item_col ()
-        && List.mem (tok !k) item_keywords
-        && !k > past
-      then begin
-        fin := true;
-        decr k
-      end;
-      incr k
-    done;
-    let func =
-      !has_param || tok !k = "fun" || tok !k = "function" || tok !k = "lazy"
-    in
-    cur := Some (name, toks.(i).Lexer.line, cur_path (), !k, func)
-  in
-  let i = ref 0 in
-  while !i < n do
-    let t = toks.(!i) in
-    let text = t.Lexer.text in
-    (match text with
-    | "struct" | "sig" ->
-        let name = Option.value !pending ~default:"_" in
-        stack :=
-          (item_col () + 2, item_col (), t.Lexer.line, cur_path () @ [ name ])
-          :: !stack;
-        pending := None
-    | "end" -> (
-        match !stack with
-        | (_, close_col, open_line, _) :: rest
-          when rest <> []
-               && (t.Lexer.col = close_col || t.Lexer.line = open_line) ->
-            stack := rest
+  let rec items mpath str =
+    List.iter
+      (fun si ->
+        match si.pstr_desc with
+        | Pstr_value (_, vbs) ->
+            List.iter
+              (fun vb ->
+                let names =
+                  match List.rev (pattern_vars [] vb.pvb_pat) with
+                  | [] -> [ "(init)" ]
+                  | l -> l
+                in
+                List.iter
+                  (fun name ->
+                    add mpath name (line_of vb.pvb_loc) (Some vb.pvb_expr)
+                      (is_func vb.pvb_expr))
+                  names)
+              vbs
+        | Pstr_eval (e, _) ->
+            add mpath "(init)" (line_of si.pstr_loc) (Some e) false
+        | Pstr_primitive vd ->
+            add mpath vd.pval_name.txt (line_of vd.pval_loc) None true
+        | Pstr_module mb -> module_binding mpath mb
+        | Pstr_recmodule mbs -> List.iter (module_binding mpath) mbs
+        | Pstr_open { popen_expr = me; _ } | Pstr_include { pincl_mod = me; _ }
+          -> (
+            match me.pmod_desc with
+            | Pmod_ident lid -> opens := Longident.flatten lid.txt :: !opens
+            | _ -> modexpr mpath me)
         | _ -> ())
-    | _ -> ());
-    if List.mem text item_keywords then begin
-      while
-        (match !stack with _ :: _ :: _ -> true | _ -> false)
-        && t.Lexer.col < item_col ()
-      do
-        stack := List.tl !stack
-      done
-    end;
-    if t.Lexer.col = item_col () && List.mem text item_keywords then begin
-      if text <> "and" then last_item := text;
-      match text with
-      | "let" -> start_binding !i
-      | "and" when !last_item = "let" -> start_binding !i
-      | "external" ->
-          close_binding !i;
-          let name, name_tok, past = read_let_name (!i + 1) in
-          if name_tok >= 0 then Hashtbl.replace binder_toks name_tok ();
-          cur := Some (name, t.Lexer.line, cur_path (), past, true)
-      | "open" | "include" when is_uident (tok (!i + 1)) ->
-          close_binding !i;
-          let comps, _ = read_upath (!i + 1) in
-          opens := comps :: !opens
-      | "module" ->
-          close_binding !i;
-          let j = if tok (!i + 1) = "type" then !i + 2 else !i + 1 in
-          if is_uident (tok j) then begin
-            pending := Some (tok j);
-            (* skip functor parameters and a signature annotation to
-               find what follows [=] *)
-            let k = ref (j + 1) in
-            let continue = ref true in
-            while !continue do
-              if tok !k = "(" then begin
-                let depth = ref 1 in
-                incr k;
-                while !depth > 0 && !k < n do
-                  (match tok !k with
-                  | "(" -> incr depth
-                  | ")" -> decr depth
-                  | _ -> ());
-                  incr k
-                done
-              end
-              else if tok !k = ":" then begin
-                (* signature constraint: skip to [=] or [struct]/[sig] *)
-                while
-                  !k < n
-                  && tok !k <> "="
-                  && tok !k <> "struct"
-                  && tok !k <> "sig"
-                do
-                  incr k
-                done
-              end
-              else continue := false
-            done;
-            if tok !k = "=" && is_uident (tok (!k + 1)) then begin
-              (* alias or functor application: record head path *)
-              let comps, _ = read_upath (!k + 1) in
-              aliases := (tok j, comps) :: !aliases;
-              pending := None
-            end
-          end
-      | _ -> close_binding !i
-    end
-    else begin
-      (* inside a binding body (or stray module-level tokens) *)
-      match !cur with
-      | None -> ()
-      | Some _ ->
-          (match text with
-          | "let" | "and" ->
-              (* local binder: record the bound name as a local *)
-              let _, name_tok, _ = read_let_name (!i + 1) in
-              if name_tok >= 0 && is_lident (tok name_tok) then begin
-                Hashtbl.replace locals (tok name_tok) ();
-                Hashtbl.replace binder_toks name_tok ()
-              end
-          | "fun" ->
-              (* parameters up to the arrow bind locally *)
-              let j = ref (!i + 1) and fin = ref false in
-              while (not !fin) && !j < min n (!i + 16) do
-                (if tok !j = "-" && tok (!j + 1) = ">" then fin := true
-                 else if is_lident (tok !j) then begin
-                   Hashtbl.replace locals (tok !j) ();
-                   Hashtbl.replace binder_toks !j ()
-                 end);
-                incr j
-              done
-          | _ -> ());
-          if is_uident text && tok (!i - 1) <> "." then begin
-            let comps, past = read_upath !i in
-            if tok past = "." && is_lident (tok (past + 1)) then
-              cur_refs :=
-                { r_path = comps; r_name = tok (past + 1); r_line = t.Lexer.line;
-                  r_tok = !i }
-                :: !cur_refs
-          end
-          else if
-            is_lident text
-            && tok (!i - 1) <> "."
-            && (not (Hashtbl.mem locals text))
-            && (not (Hashtbl.mem binder_toks !i))
-            && not
-                 ((tok (!i - 1) = "~" || tok (!i - 1) = "?")
-                 && tok (!i + 1) = ":")
-          then
-            cur_refs :=
-              { r_path = []; r_name = text; r_line = t.Lexer.line; r_tok = !i }
-              :: !cur_refs
-    end;
-    incr i
-  done;
-  close_binding n;
+      str
+  and module_binding mpath mb =
+    let name = Option.value mb.pmb_name.txt ~default:"_" in
+    Option.iter
+      (fun head -> aliases := (name, head) :: !aliases)
+      (alias_head mb.pmb_expr);
+    modexpr (mpath @ [ name ]) mb.pmb_expr
+  and modexpr mpath me =
+    match me.pmod_desc with
+    | Pmod_structure str -> items mpath str
+    | Pmod_functor (_, me) | Pmod_constraint (me, _) | Pmod_apply_unit me ->
+        modexpr mpath me
+    | Pmod_apply (f, arg) ->
+        modexpr mpath f;
+        modexpr mpath arg
+    | _ -> ()
+  in
+  items [ modname ] str;
+  let bindings = Array.of_list (List.rev !bindings) in
   {
     f_path = path;
     f_modname = modname;
-    f_lex = lx;
-    f_bindings = Array.of_list (List.rev !bindings);
-    f_refs = Array.of_list (List.rev !refs);
+    f_bindings = bindings;
+    f_refs =
+      Array.map
+        (fun b ->
+          match b.b_body with
+          | Some e -> Array.of_list (references e)
+          | None -> [||])
+        bindings;
     f_opens = List.rev !opens;
     f_aliases = !aliases;
     f_mli =
-      (match mli with
-      | Some mlx -> parse_mli ~modname mlx
-      | None -> []);
+      (match mli with Some sg -> mli_vals ~modname sg | None -> []);
   }
 
 let parse_file ~path ?mli src =
-  let mli = Option.map Lexer.tokenize mli in
-  parse_lexed ~path (Lexer.tokenize src) ?mli ()
+  let mli =
+    Option.map
+      (fun m -> fst (parse Parse.interface ~path:(path ^ "i") m))
+      mli
+  in
+  of_structure ~path ?mli (fst (parse Parse.implementation ~path src))
 
 (* ----------------------------------------------------------- resolution *)
 
 (* Suffix index: a binding with module path [M0; S1; S2] and name n is
    registered under "M0.S1.S2.n", "S1.S2.n" and "S2.n" — never under
    the bare name, which only resolves within the defining file or
-   through an [open].  The anonymous names "(init)" and "_" are not
-   registered. *)
+   through an [open].  The anonymous name "(init)" is not registered. *)
 let suffix_keys b =
-  if b.b_name = "(init)" || b.b_name = "" then []
+  if b.b_name = "(init)" then []
   else
     let rec suffixes = function
       | [] -> []
@@ -550,16 +399,3 @@ let rec resolve repo fs r =
         resolve repo fs { r with r_path = [] }
     | ids -> ids
   end
-
-let ref_at fs b tok_idx =
-  let bi =
-    let found = ref None in
-    Array.iteri (fun i b' -> if b'.b_id = b.b_id then found := Some i) fs.f_bindings;
-    !found
-  in
-  match bi with
-  | None -> None
-  | Some bi ->
-      Array.fold_left
-        (fun acc r -> if r.r_tok = tok_idx then Some r else acc)
-        None fs.f_refs.(bi)

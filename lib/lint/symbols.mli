@@ -1,25 +1,32 @@
-(** Structural symbol tables and an over-approximate call graph for
-    netdiv-lint's interprocedural passes.
+(** Symbol tables and an over-approximate call graph for netdiv-lint's
+    interprocedural passes, read off the OCaml compiler's own parse tree
+    ([compiler-libs.common]; the Parsetree is the 5.1 compiler's).
 
-    Built on the {!Lexer} token stream, this module recognizes just
-    enough OCaml structure to answer two questions per repository:
+    Per repository this module answers two questions:
 
     - which top-level [let]-bindings (and [external]s) does each file
-      define, under which module path, and which token span is each
-      binding's body;
+      define, at any [struct] depth, under which module path, and with
+      which body;
     - which other bindings may each body reference (an over-approximate
-      call graph: every identifier that resolves is an edge; unresolved
-      identifiers — locals, stdlib, pattern variables — are dropped).
+      call graph: every identifier that resolves is an edge).  Names
+      bound by a pattern inside the body ([let], [fun], [function],
+      [match], [try], [for], [let*]) are locals, not references, within
+      their scope; stdlib names resolve to nothing.
 
-    It is deliberately not a parser: structure is recovered from the
-    ocamlformat-shaped column discipline the repository follows (items
-    at column 0, plus two per enclosing [struct]/[sig]), with a resync
-    rule so that syntax it cannot model (nested [let module], functor
-    bodies, objects) derails at most the enclosing binding and never the
-    rest of the file.  Everything downstream treats the result as an
-    over-approximation: missing edges are possible only for constructs
-    the repository's own style forbids, spurious edges are harmless
-    (they widen effect summaries, never shrink them). *)
+    Everything downstream treats the result as an over-approximation:
+    spurious edges are harmless (they widen effect summaries, never
+    shrink them). *)
+
+exception Parse_error of string * int * string
+(** [(file, line, message)]: the OCaml parser rejected a source. *)
+
+val parse :
+  (Lexing.lexbuf -> 'a) -> path:string -> string ->
+  'a * (string * Location.t) list
+(** [parse Parse.implementation ~path src] parses [src] (as the file
+    [path]) and returns the tree with the source's comments, each
+    comment's text without its delimiters.  Compiler warnings are not
+    printed.  @raise Parse_error when the source does not parse. *)
 
 type binding = {
   b_id : int;  (** global index once {!build} has run; -1 before *)
@@ -28,14 +35,13 @@ type binding = {
       (** module path inside the file, starting with the file's own
           module name, e.g. [["Obs"; "Clock"]] for [Obs.Clock.now] *)
   b_name : string;
-      (** value name; operator definitions are spelled as their
-          concatenated symbol, e.g. [".%()"] or ["let*"]; anonymous
-          toplevel bindings ([let () = ...]) are ["(init)"] *)
-  b_line : int;
-  b_lo : int;  (** first token index of the binding body *)
-  b_hi : int;  (** one past the last token index of the body *)
+      (** value name; operator definitions are spelled as their symbol,
+          e.g. [".%()"] or ["let*"]; a binding that names nothing
+          ([let () = ...], a toplevel expression) is ["(init)"] *)
+  b_line : int;  (** line of its [let]/[and]/[external] *)
+  b_body : Parsetree.expression option;  (** [None] for an [external] *)
   b_func : bool;
-      (** has parameters or a [fun]/[function] body — a call-time
+      (** has parameters or a [fun]/[function]/[lazy] body — a call-time
           binding; [false] means a value evaluated once at module
           init, through which per-call effects must not propagate *)
 }
@@ -44,7 +50,6 @@ type reference = {
   r_path : string list;  (** module qualifiers, [[]] for a bare name *)
   r_name : string;
   r_line : int;
-  r_tok : int;  (** token index of the first path component *)
 }
 
 type mli_val = {
@@ -57,10 +62,9 @@ type mli_val = {
 type file_syms = {
   f_path : string;
   f_modname : string;  (** capitalized basename, ["Pool"] for pool.ml *)
-  f_lex : Lexer.t;
   f_bindings : binding array;
   f_refs : reference array array;  (** per binding, same indexing *)
-  f_opens : string list list;
+  f_opens : string list list;  (** [open M] and [include M] items *)
   f_aliases : (string * string list) list;
       (** [module X = P.Q] and functor applications [module X = F (A)],
           recorded as X -> head path *)
@@ -78,20 +82,38 @@ type repo = {
 val module_name_of_path : string -> string
 (** ["lib/par/pool.ml"] -> ["Pool"]. *)
 
-val parse_lexed : path:string -> Lexer.t -> ?mli:Lexer.t -> unit -> file_syms
-(** Builds the symbol table for one already-lexed file; [mli] supplies
-    the sibling interface's exports. *)
+val of_structure :
+  path:string -> ?mli:Parsetree.signature -> Parsetree.structure -> file_syms
+(** The symbol table of one parsed file; [mli] is its parsed interface. *)
 
 val parse_file : path:string -> ?mli:string -> string -> file_syms
-(** [parse_file ~path src] lexes and parses; [mli] is the interface
-    source text if one exists. *)
+(** [parse_file ~path src] parses and builds; [mli] is the interface
+    source text if one exists.  @raise Parse_error *)
+
+(** {2 Scopes} *)
+
+type scope
+(** The pattern-bound names visible at a point of an expression. *)
+
+val walk :
+  ?scope:scope -> (scope -> Parsetree.expression -> unit) ->
+  Parsetree.expression -> unit
+(** [walk f e] calls [f] on [e] and on each of its subexpressions, with
+    the locals in scope there; [scope] (default: none) is what is in
+    scope at [e]. *)
+
+val references : ?scope:scope -> Parsetree.expression -> reference list
+(** The value identifiers of an expression that are not locals, in
+    source order. *)
+
+(** {2 Resolution} *)
 
 val build : file_syms list -> repo
 (** Assigns global binding ids and freezes the resolution index. *)
 
 val resolve : repo -> file_syms -> reference -> int list
 (** All binding ids the reference may denote, [[]] when it resolves to
-    nothing the repository defines (stdlib, locals the parser missed).
+    nothing the repository defines (stdlib, unknown modules).
     Qualified paths are matched by module-path suffix after expanding
     file-local aliases and dropping [Netdiv_*]/[Stdlib] wrapper
     components; bare names resolve within the defining file (latest
@@ -106,8 +128,3 @@ val normalize_path : file_syms -> string list -> string list
     [Netdiv_*]/[Stdlib] library-wrapper components, so
     [["Obs"; "Clock"]] comes back for a use spelled through
     [module Obs = Netdiv_obs.Obs]. *)
-
-val ref_at : file_syms -> binding -> int -> reference option
-(** The recorded reference whose first token is exactly the given token
-    index, if any; used to ask "is this token a real reference or a
-    local the parser already discharged?". *)

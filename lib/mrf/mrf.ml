@@ -169,45 +169,46 @@ module Builder = struct
     Array.iteri
       (fun id tab -> Array.blit tab 0 pot pot_off.(id) (Array.length tab))
       tables;
-    (* incidence CSR, sorted per node by opposite endpoint id *)
-    let deg = Array.make n 0 in
-    for e = 0 to m - 1 do
-      deg.(eu.(e)) <- deg.(eu.(e)) + 1;
-      deg.(ev.(e)) <- deg.(ev.(e)) + 1
-    done;
+    (* incidence CSR, each node's slice ordered by opposite endpoint id,
+       then edge id *)
     let inc_off = Array.make (n + 1) 0 in
-    for i = 0 to n - 1 do
-      inc_off.(i + 1) <- inc_off.(i) + deg.(i)
-    done;
-    let inc = Array.make inc_off.(n) 0 in
-    let cursor = Array.copy inc_off in
     for e = 0 to m - 1 do
-      inc.(cursor.(eu.(e))) <- (e * 2) + 1;
+      inc_off.(eu.(e) + 1) <- inc_off.(eu.(e) + 1) + 1;
+      inc_off.(ev.(e) + 1) <- inc_off.(ev.(e) + 1) + 1
+    done;
+    for i = 0 to n - 1 do
+      inc_off.(i + 1) <- inc_off.(i) + inc_off.(i + 1)
+    done;
+    (* A transpose instead of a per-node sort.  First [col] holds the
+       slices in edge order, each slot carrying the opposite slot's
+       code; then walking the nodes in order, and each slice in order,
+       appends every code to its owner's slice, so node j receives its
+       slots ordered by neighbour, then edge. *)
+    let col = Array.make inc_off.(n) 0 in
+    let cursor = Array.sub inc_off 0 n in
+    for e = 0 to m - 1 do
+      col.(cursor.(eu.(e))) <- e * 2;
       cursor.(eu.(e)) <- cursor.(eu.(e)) + 1;
-      inc.(cursor.(ev.(e))) <- e * 2;
+      col.(cursor.(ev.(e))) <- (e * 2) + 1;
       cursor.(ev.(e)) <- cursor.(ev.(e)) + 1
     done;
-    (* sort each node's slice by opposite endpoint, then edge id *)
-    let opposite_of code =
+    Array.blit inc_off 0 cursor 0 n;
+    let owner_of code =
       let e = code / 2 in
-      if code land 1 = 1 then ev.(e) else eu.(e)
+      if code land 1 = 1 then eu.(e) else ev.(e)
     in
-    for i = 0 to n - 1 do
-      let lo = inc_off.(i) and hi = inc_off.(i + 1) in
-      let slice = Array.sub inc lo (hi - lo) in
-      Array.sort
-        (fun a b ->
-          let c = compare (opposite_of a) (opposite_of b) in
-          if c <> 0 then c else compare a b)
-        slice;
-      Array.blit slice 0 inc lo (hi - lo)
+    let inc = Array.make inc_off.(n) 0 in
+    for k = 0 to inc_off.(n) - 1 do
+      let code = col.(k) in
+      let j = owner_of code in
+      inc.(cursor.(j)) <- code;
+      cursor.(j) <- cursor.(j) + 1
     done;
     (* CSR neighbor column: the opposite endpoint of each incidence
        slot, so hot loops reach a neighbor id in one load instead of a
        code decode plus a dependent eu/ev load. *)
-    let col = Array.make inc_off.(n) 0 in
     for k = 0 to inc_off.(n) - 1 do
-      col.(k) <- opposite_of inc.(k)
+      col.(k) <- owner_of (inc.(k) lxor 1) (* the paired slot's node *)
     done;
     {
       n;
@@ -413,13 +414,14 @@ let estimate_words ~nodes ~edges ~max_labels ~tables ~zones =
   in
   (* Several zones: Trws copies every node and every interior edge into
      per-zone sub-models through [Builder].  Per edge, the copy keeps 7
-     words and its building drops at most 18 more (interning keys,
-     per-node slice copies and the sort's exceptions); a boundary edge
+     words and its building drops at most 18 more (the interning keys;
+     the build itself drops only its cursor array); a boundary edge
      needs at most 9 + 2l words instead, within the 25 + 2l + 5 an
      interior edge is counted at here and in [solve].  Per node: the
      sub-model's arrays and unaries, the effective-unary copy, the zone
-     bookkeeping, the slice sort's closures, and the labelings of up to
-     8 rounds.  Per zone: its tables and fixed-size records. *)
+     bookkeeping and the labelings of up to 8 rounds.  The constants
+     leave headroom over these terms, so the figure stays an upper
+     bound.  Per zone: its tables and fixed-size records. *)
   let zoned =
     if zones <= 1 then 0
     else

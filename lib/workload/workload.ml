@@ -78,7 +78,17 @@ let check_zoned p =
   if p.z_hosts < 1 || p.z_zones < 1 || p.z_zones > p.z_hosts
      || p.z_degree < 0 || p.z_gateway_links < 0 || p.z_services < 1
      || p.z_products < 1
-  then invalid_arg "Workload: bad zoned parameter"
+  then invalid_arg "Workload: bad zoned parameter";
+  (* a zone of [size >= 2] hosts holds [size * degree / 2] links only
+     when [degree < size]; the smallest such zone decides *)
+  let base = p.z_hosts / p.z_zones in
+  let size = if base < 2 && p.z_hosts mod p.z_zones > 0 then 2 else base in
+  if size >= 2 && p.z_degree >= size then
+    invalid_arg
+      (Printf.sprintf
+         "Workload: a zone of %d hosts cannot hold degree %d; use fewer \
+          zones or a lower degree"
+         size p.z_degree)
 
 (* Exact link count the generator will emit: per zone the connected-
    average-degree target [size * degree / 2] (zero for degree < 2 or a

@@ -67,12 +67,13 @@ val stream_zoned : ?prconst:float -> zoned_params -> Netdiv_mrf.Mrf.t * int arra
     (ready for {!Netdiv_mrf.Trws.solve}'s [zone_of]).  Each service
     shares one similarity matrix across all its edges, so the model
     interns exactly [z_services] tables.  Deterministic in [z_seed].
-    @raise Invalid_argument for non-positive sizes or
-    [z_zones > z_hosts]. *)
+    @raise Invalid_argument for non-positive sizes, [z_zones > z_hosts],
+    or a zone of two or more hosts too small for [z_degree] (it must
+    exceed the degree). *)
 
 val estimate_zoned_words : zoned_params -> int
 (** Predicted peak words ({!Netdiv_mrf.Mrf.estimate_words}) for building
     and solving [stream_zoned p] — what [--mem-budget] checks before any
-    allocation happens. *)
+    allocation happens.  Raises as {!stream_zoned} does. *)
 
 val pp_zoned_params : Format.formatter -> zoned_params -> unit

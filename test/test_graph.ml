@@ -61,6 +61,23 @@ let test_connected_gen () =
   Alcotest.(check bool) "connected" true (Traversal.is_connected g);
   Alcotest.(check int) "edge count" 600 (Graph.n_edges g)
 
+(* a node set of n holds n(n-1)/2 links, fewer than the n*degree/2 a
+   degree >= n asks for; the streaming generator must refuse instead of
+   drawing pairs forever *)
+let test_connected_gen_too_dense () =
+  for n = 2 to 8 do
+    List.iter
+      (fun degree ->
+        match
+          Gen.iter_connected_avg_degree ~rng:(rng ()) ~n ~degree (fun _ _ -> ())
+        with
+        | () -> Alcotest.failf "accepted degree %d on %d nodes" degree n
+        | exception Invalid_argument _ -> ())
+      [ n; n + 1; 20 ]
+  done;
+  let g = Gen.connected_avg_degree ~rng:(rng ()) ~n:6 ~degree:5 in
+  Alcotest.(check int) "degree n-1 is the complete graph" 15 (Graph.n_edges g)
+
 let test_deterministic () =
   let a = Gen.gnm ~rng:(Random.State.make [| 7 |]) ~n:50 ~m:100 in
   let b = Gen.gnm ~rng:(Random.State.make [| 7 |]) ~n:50 ~m:100 in
@@ -537,6 +554,8 @@ let () =
             test_gnm_invalid;
           Alcotest.test_case "avg_degree" `Quick test_avg_degree;
           Alcotest.test_case "connected generator" `Quick test_connected_gen;
+          Alcotest.test_case "connected generator rejects degree >= n" `Quick
+            test_connected_gen_too_dense;
           Alcotest.test_case "deterministic under seed" `Quick
             test_deterministic;
           Alcotest.test_case "named shapes" `Quick test_named_shapes;

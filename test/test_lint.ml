@@ -49,6 +49,13 @@ let test_toplevel_mutable_state () =
     [ "toplevel-mutable-state" ]
     (lint "lib/core/m.ml"
        "module Cache = struct\n  let t = Hashtbl.create 8\nend\n");
+  check_rules "positive: a one-line module struct"
+    [ "toplevel-mutable-state" ]
+    (lint "lib/core/m.ml" "module Cache = struct let t = Hashtbl.create 8 end\n");
+  check_rules "positive: a struct item indented four spaces"
+    [ "toplevel-mutable-state" ]
+    (lint "lib/core/m.ml"
+       "module Cache = struct\n    let t = Hashtbl.create 8\nend\n");
   check_rules "near-miss: function-local state" []
     (lint "lib/mrf/f.ml"
        "let solve n =\n  let tbl = Hashtbl.create n in\n  Hashtbl.length tbl\n");

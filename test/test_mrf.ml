@@ -1196,6 +1196,55 @@ let prop_component_split_is_zone_map =
       && Int64.equal (bits split.Solver.energy)
            (bits (Mrf.energy m split.Solver.labeling)))
 
+(* Random models with isolated nodes, 1-5 labels per node and parallel
+   edges in both orientations: every node's CSR slice must equal the
+   reference order kept here, its incidence codes sorted by opposite
+   endpoint, then code (= edge id, since a node sits on one side of an
+   edge). *)
+let csr_gen =
+  QCheck2.Gen.(
+    let* seed = 0 -- 100_000 in
+    let* n = 1 -- 12 in
+    let* m = 0 -- 30 in
+    return
+      (let rng = Random.State.make [| seed |] in
+       let k = Array.init n (fun _ -> 1 + Random.State.int rng 5) in
+       let b = Mrf.Builder.create ~label_counts:k in
+       if n > 1 then
+         for _ = 1 to m do
+           let u = Random.State.int rng n in
+           let v = (u + 1 + Random.State.int rng (n - 1)) mod n in
+           Mrf.Builder.add_edge b u v (Array.make (k.(u) * k.(v)) 0.5)
+         done;
+       Mrf.Builder.build b))
+
+let prop_csr_matches_sorted_reference =
+  QCheck2.Test.make ~count:300 ~name:"CSR slices = sorted reference" csr_gen
+    (fun m ->
+      let c = Mrf.Compact.arrays m in
+      let n = Mrf.n_nodes m in
+      let opposite code =
+        let u, v = Mrf.edge_endpoints m (code lsr 1) in
+        if code land 1 = 1 then v else u
+      in
+      let reference i =
+        List.init (Mrf.n_edges m) Fun.id
+        |> List.concat_map (fun e ->
+               let u, v = Mrf.edge_endpoints m e in
+               if u = i then [ (2 * e) + 1 ] else if v = i then [ 2 * e ] else [])
+        |> List.sort (fun a b -> compare (opposite a, a) (opposite b, b))
+      in
+      List.for_all
+        (fun i ->
+          let lo = c.i_inc_off.(i) and hi = c.i_inc_off.(i + 1) in
+          let slice = List.init (hi - lo) (fun s -> c.i_inc.(lo + s)) in
+          slice = reference i
+          && List.for_all
+               (fun s -> c.i_col.(lo + s) = opposite c.i_inc.(lo + s))
+               (List.init (hi - lo) Fun.id))
+        (List.init n Fun.id)
+      && c.i_inc_off.(n) = 2 * Mrf.n_edges m)
+
 let () =
   Alcotest.run "mrf"
     [
@@ -1280,6 +1329,7 @@ let () =
         ] );
       ( "properties",
         [
+          QCheck_alcotest.to_alcotest prop_csr_matches_sorted_reference;
           QCheck_alcotest.to_alcotest prop_component_split_is_zone_map;
           QCheck_alcotest.to_alcotest prop_trws_sandwich;
           QCheck_alcotest.to_alcotest prop_decode_valid;

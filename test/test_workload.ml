@@ -129,6 +129,21 @@ let test_stream_zoned_invalid () =
     [ { zp with z_zones = 0 }; { zp with z_hosts = 0 };
       { zp with z_zones = zp.z_hosts + 1 }; { zp with z_services = 0 } ]
 
+(* 100 hosts in 50 zones are two-host zones, which cannot hold the
+   default degree 8: both the stream and the --mem-budget estimate
+   refuse instead of generating forever *)
+let test_zones_too_small () =
+  let p = { default_zoned with z_hosts = 100; z_zones = 50 } in
+  (match stream_zoned p with
+  | _ -> Alcotest.fail "stream_zoned accepted two-host zones at degree 8"
+  | exception Invalid_argument _ -> ());
+  (match estimate_zoned_words p with
+  | _ -> Alcotest.fail "estimate accepted two-host zones at degree 8"
+  | exception Invalid_argument _ -> ());
+  let model, _ = stream_zoned { p with z_degree = 1 } in
+  Alcotest.(check int) "edgeless zones: 4 gateway links x 49 pairs x 5 services"
+    (4 * 49 * 5) (Mrf.n_edges model)
+
 let test_encode_estimate_bounds () =
   (* same contract on the constraint-encoding path: the estimate behind
      netdiv's --mem-budget must dominate the encoded model's footprint *)
@@ -167,5 +182,7 @@ let () =
             test_stream_zoned_invalid;
           Alcotest.test_case "encode estimate bounds" `Quick
             test_encode_estimate_bounds;
+          Alcotest.test_case "zones too small for the degree" `Quick
+            test_zones_too_small;
         ] );
     ]

@@ -19,9 +19,11 @@
      gate on [recorder_overhead.overhead_on_pct]: a solve with the
      convergence flight recorder installed stays within 3% of the
      recorder-free time;
-   - [lint_analysis.lint_full_s]: the whole-repo interprocedural effect
-     analysis (lower is better), fingerprinted by the number of
-     analyzed bindings — the workload is the repository itself;
+   - [lint_analysis.lint_full_s]: the whole-repo lint — the compiler's
+     parser over every analyzed and reference file, the surface rules,
+     the symbol tables and the effect fixpoint (lower is better),
+     fingerprinted by the number of analyzed bindings — the workload is
+     the repository itself;
    - [hierarchical_scale.solve_s] and [hierarchical_scale.words_per_host]:
      the zoned 100k-tier solve time and the compact model's memory
      density (both lower is better) — the storage contract of the CSR
