@@ -42,6 +42,11 @@ let solve ?(config = { max_sweeps = 100 }) ?(interrupt = fun () -> false)
      pairwise term in slice order, so every label's sum adds the same
      terms in the same order whichever label is current. *)
   let cost = Float.Array.make (Mrf.max_label_count mrf) 0.0 in
+  (* A node is stale until it is evaluated, and again once a neighbour
+     moves.  A node that is not stale keeps its label in a full sweep:
+     its costs are those of its last evaluation, which left it at a
+     label no other label strictly beats. *)
+  let stale = Bytes.make n '\001' in
   let sweeps = ref 0 in
   let converged = ref false in
   (try
@@ -50,35 +55,41 @@ let solve ?(config = { max_sweeps = 100 }) ?(interrupt = fun () -> false)
        sweeps := s;
        let changed = ref false in
        for i = 0 to n - 1 do
-         let k = labels.(i) in
-         let u0 = unary_off.(i) in
-         for l = 0 to k - 1 do
-           Float.Array.set cost l unary.(u0 + l)
-         done;
-         for slot = inc_off.(i) to inc_off.(i + 1) - 1 do
-           let code = inc.(slot) in
-           let j = col.(slot) in
-           let base = pot_off.(etab.(code lsr 1)) in
-           (* as the row endpoint i reads column x_j (stride k_j), as
-              the column endpoint it reads row x_j (stride 1) *)
-           let i_is_u = code land 1 = 1 in
-           let off = if i_is_u then base + x.(j) else base + (x.(j) * k) in
-           let stride = if i_is_u then labels.(j) else 1 in
+         if Bytes.get stale i <> '\000' then begin
+           Bytes.set stale i '\000';
+           let k = labels.(i) in
+           let u0 = unary_off.(i) in
            for l = 0 to k - 1 do
-             Float.Array.set cost l
-               (Float.Array.get cost l +. pot.(off + (l * stride)))
-           done
-         done;
-         (* ascending scan; only a strictly cheaper label moves i *)
-         let cur = x.(i) in
-         let best = ref cur in
-         for l = 0 to k - 1 do
-           if l <> cur && Float.Array.get cost l < Float.Array.get cost !best
-           then best := l
-         done;
-         if !best <> cur then begin
-           x.(i) <- !best;
-           changed := true
+             Float.Array.set cost l unary.(u0 + l)
+           done;
+           for slot = inc_off.(i) to inc_off.(i + 1) - 1 do
+             let code = inc.(slot) in
+             let j = col.(slot) in
+             let base = pot_off.(etab.(code lsr 1)) in
+             (* as the row endpoint i reads column x_j (stride k_j), as
+                the column endpoint it reads row x_j (stride 1) *)
+             let i_is_u = code land 1 = 1 in
+             let off = if i_is_u then base + x.(j) else base + (x.(j) * k) in
+             let stride = if i_is_u then labels.(j) else 1 in
+             for l = 0 to k - 1 do
+               Float.Array.set cost l
+                 (Float.Array.get cost l +. pot.(off + (l * stride)))
+             done
+           done;
+           (* ascending scan; only a strictly cheaper label moves i *)
+           let cur = x.(i) in
+           let best = ref cur in
+           for l = 0 to k - 1 do
+             if l <> cur && Float.Array.get cost l < Float.Array.get cost !best
+             then best := l
+           done;
+           if !best <> cur then begin
+             x.(i) <- !best;
+             changed := true;
+             for slot = inc_off.(i) to inc_off.(i + 1) - 1 do
+               Bytes.set stale col.(slot) '\001'
+             done
+           end
          end
        done;
        if not !changed then begin

@@ -15,25 +15,6 @@ type t = {
   col : int array;             (* opposite endpoint per incidence slot *)
 }
 
-(* Shape-and-content-based interning of pairwise tables.  Physical
-   equality is a fast path; the structural fallback uses polymorphic
-   [compare] so two nan entries at the same position still unify.  The
-   key carries [kv] (the column count) because a table is only
-   meaningful together with its shape: a 2x3 matrix is not the same
-   table as the same six floats read as 3x2, so edges may share a table
-   id only when both shape and content agree. *)
-module Table_key = struct
-  type t = int * float array
-
-  let equal (kva, a) (kvb, b) =
-    kva = kvb
-    && (a == b || (Array.length a = Array.length b && compare a b = 0))
-
-  let hash ((kv, a) : t) = Hashtbl.hash (kv, Hashtbl.hash a)
-end
-
-module Table_tbl = Hashtbl.Make (Table_key)
-
 module Builder = struct
   type b = {
     b_labels : int array;
@@ -49,9 +30,13 @@ module Builder = struct
     mutable b_m : int;
     (* Pairwise tables are interned as edges arrive.  Ids are assigned in
        first-use add_edge order — the same order the historical
-       build-time pass produced, so frozen models are bit-identical. *)
-    b_interned : int Table_tbl.t;
+       build-time pass produced, so frozen models are bit-identical.
+       Table [id] is [b_tables.(id)] read with [b_kv.(id)] columns;
+       [b_slots] is an open-addressing index over the ids (see
+       [find_slot]). *)
+    mutable b_slots : int array;
     mutable b_tables : float array array;
+    mutable b_kv : int array;
     mutable b_ntab : int;
     mutable built : bool;
   }
@@ -78,8 +63,9 @@ module Builder = struct
       b_ev = Array.make cap 0;
       b_etab = Array.make cap 0;
       b_m = 0;
-      b_interned = Table_tbl.create 16;
+      b_slots = Array.make 16 (-1);
       b_tables = [||];
+      b_kv = [||];
       b_ntab = 0;
       built = false;
     }
@@ -119,20 +105,56 @@ module Builder = struct
   let reserve_edges b hint =
     if hint > Array.length b.b_eu then grow_edges_to b hint
 
+  (* Shape-and-content-based interning of pairwise tables.  Physical
+     equality is a fast path; the structural fallback uses polymorphic
+     [compare] so two nan entries at the same position still unify.  A
+     table is only meaningful together with its column count [kv]: a 2x3
+     matrix is not the same table as the same six floats read as 3x2, so
+     edges may share a table id only when both shape and content
+     agree. *)
+  let same_table b id ~kv cost =
+    b.b_kv.(id) = kv
+    &&
+    let t = b.b_tables.(id) in
+    t == cost || (Array.length t = Array.length cost && compare t cost = 0)
+
+  (* [b_slots] has a power-of-two length and is at most half full; a
+     free slot holds -1.  Linear probing from the hash of [(kv, cost)]
+     stops at the slot holding an equal table or at a free one, so a
+     lookup allocates nothing. *)
+  let find_slot b ~kv cost =
+    let mask = Array.length b.b_slots - 1 in
+    let s = ref (Hashtbl.seeded_hash kv cost land mask) in
+    while b.b_slots.(!s) >= 0 && not (same_table b b.b_slots.(!s) ~kv cost) do
+      s := (!s + 1) land mask
+    done;
+    !s
+
   let intern_table b ~kv cost =
-    match Table_tbl.find_opt b.b_interned (kv, cost) with
-    | Some id -> id
-    | None ->
-        let id = b.b_ntab in
-        if id = Array.length b.b_tables then begin
-          let gt = Array.make (max 8 (2 * id)) [||] in
-          Array.blit b.b_tables 0 gt 0 id;
-          b.b_tables <- gt
-        end;
-        Table_tbl.add b.b_interned (kv, cost) id;
-        b.b_tables.(id) <- cost;
-        b.b_ntab <- id + 1;
-        id
+    let s = find_slot b ~kv cost in
+    if b.b_slots.(s) >= 0 then b.b_slots.(s)
+    else begin
+      let id = b.b_ntab in
+      if id = Array.length b.b_tables then begin
+        let cap = max 8 (2 * id) in
+        let gt = Array.make cap [||] and gk = Array.make cap 0 in
+        Array.blit b.b_tables 0 gt 0 id;
+        Array.blit b.b_kv 0 gk 0 id;
+        b.b_tables <- gt;
+        b.b_kv <- gk
+      end;
+      b.b_tables.(id) <- cost;
+      b.b_kv.(id) <- kv;
+      b.b_ntab <- id + 1;
+      b.b_slots.(s) <- id;
+      if 2 * b.b_ntab > Array.length b.b_slots then begin
+        b.b_slots <- Array.make (2 * Array.length b.b_slots) (-1);
+        for t = 0 to b.b_ntab - 1 do
+          b.b_slots.(find_slot b ~kv:b.b_kv.(t) b.b_tables.(t)) <- t
+        done
+      end;
+      id
+    end
 
   let add_edge b u v cost =
     check_node b u;
@@ -414,8 +436,9 @@ let estimate_words ~nodes ~edges ~max_labels ~tables ~zones =
   in
   (* Several zones: Trws copies every node and every interior edge into
      per-zone sub-models through [Builder].  Per edge, the copy keeps 7
-     words and its building drops at most 18 more (the interning keys;
-     the build itself drops only its cursor array); a boundary edge
+     words, and 18 more are counted for what building it drops, which
+     is less: the slots are reserved, interning allocates nothing and
+     the build itself drops only its cursor array.  A boundary edge
      needs at most 9 + 2l words instead, within the 25 + 2l + 5 an
      interior edge is counted at here and in [solve].  Per node: the
      sub-model's arrays and unaries, the effective-unary copy, the zone

@@ -79,6 +79,19 @@ let solve ?(config = default_config) ?(interrupt = fun () -> false) ?init mrf
       let energy = ref (Mrf.energy mrf x) in
       let local_best = Array.copy start in
       let local_best_energy = ref !energy in
+      (* The best labeling is x with the moves accepted since the last
+         new best undone: [log_node]/[log_prev] hold each move's node
+         and previous label, oldest first.  A log of n entries is
+         written out to [local_best] instead ([saved]), which then holds
+         the best until the next new best, so memory stays O(n). *)
+      let log_node = Array.make n 0 and log_prev = Array.make n 0 in
+      let log_len = ref 0 and saved = ref false in
+      let rebuild () =
+        Array.blit x 0 local_best 0 n;
+        for j = !log_len - 1 downto 0 do
+          local_best.(log_node.(j)) <- log_prev.(j)
+        done
+      in
       let sweeps = ref 0 in
       let stopped = ref false in
       let temp = ref config.initial_temp in
@@ -103,11 +116,23 @@ let solve ?(config = default_config) ?(interrupt = fun () -> false) ?init mrf
                    || Random.State.float rng 1.0 < exp (-.delta /. !temp)
                  then begin
                    incr accepts;
+                   if not !saved then begin
+                     if !log_len = n then begin
+                       rebuild ();
+                       saved := true
+                     end
+                     else begin
+                       log_node.(!log_len) <- i;
+                       log_prev.(!log_len) <- x.(i);
+                       incr log_len
+                     end
+                   end;
                    x.(i) <- fresh;
                    energy := !energy +. delta;
                    if !energy < !local_best_energy then begin
                      local_best_energy := !energy;
-                     Array.blit x 0 local_best 0 n
+                     log_len := 0;
+                     saved := false
                    end
                  end
                end
@@ -118,6 +143,7 @@ let solve ?(config = default_config) ?(interrupt = fun () -> false) ?init mrf
            temp := !temp *. config.cooling
          done
        with Exit -> ());
+      if not !saved then rebuild ();
       (* acceptance telemetry: tallied in plain local ints, so the flip
          loop carries no instrumentation, and sampled once per restart *)
       Obs.sample ~name:"sa.proposals" (float_of_int !proposals);

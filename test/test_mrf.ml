@@ -139,6 +139,36 @@ let test_interned_tables () =
   Alcotest.(check int) "interned words" 8 (Mrf.pot_words m);
   Alcotest.(check int) "unshared words" 12 (Mrf.pot_words_unshared m)
 
+(* Interning looks a table up without allocating: once each of 40
+   tables (enough to grow the index twice) has been added, 1,000 more
+   edges carrying them, by the same arrays or by equal copies, allocate
+   no minor words.  The edge slots are reserved, so nothing grows.  The
+   hashtable this replaced allocated a key tuple, a hash tuple and a
+   [Some] per edge. *)
+let test_interning_allocation_free () =
+  let n = 50 in
+  let tables =
+    Array.init 40 (fun t -> Array.init 9 (fun c -> float_of_int ((9 * t) + c)))
+  in
+  let copies = Array.map Array.copy tables in
+  let b = Mrf.Builder.create ~label_counts:(Array.make n 3) in
+  Mrf.Builder.reserve_edges b 1040;
+  Array.iteri (fun t tab -> Mrf.Builder.add_edge b t (t + 1) tab) tables;
+  let before = Gc.minor_words () in
+  for e = 0 to 999 do
+    let t = e mod 40 in
+    Mrf.Builder.add_edge b (e mod n) ((e + 1) mod n)
+      (if e land 1 = 0 then tables.(t) else copies.(t))
+  done;
+  let words = Gc.minor_words () -. before in
+  let m = Mrf.Builder.build b in
+  Alcotest.(check int) "tables" 40 (Mrf.n_tables m);
+  Alcotest.(check int) "edge 1040 reuses table 39" 39
+    (Mrf.edge_table_id m 1039);
+  if words > 0.0 then
+    Alcotest.failf "1,000 Mrf.Builder.add_edge calls allocated %.0f minor words"
+      words
+
 (* -------------------------------------------------------------- solvers *)
 
 let test_trws_tiny_exact () =
@@ -987,6 +1017,136 @@ let prop_icm_matches_reference =
           (1, Some x0); (2, Some x0); (100, Some x0);
         ])
 
+(* ------------------------------------------------------- sa reference *)
+
+(* The annealing loop that copied the whole labeling on every new best,
+   kept as the reference the undo log must reproduce bit for bit: same
+   labeling, same energy bits, same sweep count, same [converged].
+   Restarts run in sequence ([Sa.solve] returns the same for any domain
+   count); the telemetry samples are left out. *)
+module Reference_sa = struct
+  let move_delta (a : Mrf.Compact.arrays) x i fresh =
+    let current = x.(i) in
+    if fresh = current then 0.0
+    else begin
+      let k = a.i_labels.(i) and u0 = a.i_unary_off.(i) in
+      let delta = ref (a.i_unary.(u0 + fresh) -. a.i_unary.(u0 + current)) in
+      for slot = a.i_inc_off.(i) to a.i_inc_off.(i + 1) - 1 do
+        let code = a.i_inc.(slot) in
+        let j = a.i_col.(slot) in
+        let base = a.i_pot_off.(a.i_etab.(code lsr 1)) in
+        let i_is_u = code land 1 = 1 in
+        let off = if i_is_u then base + x.(j) else base + (x.(j) * k) in
+        let stride = if i_is_u then a.i_labels.(j) else 1 in
+        delta :=
+          !delta +. a.i_pot.(off + (fresh * stride))
+          -. a.i_pot.(off + (current * stride))
+      done;
+      !delta
+    end
+
+  let solve ~(config : Sa.config) ~interrupt ?init mrf =
+    let n = Mrf.n_nodes mrf in
+    let arrays = Mrf.Compact.arrays mrf in
+    let start =
+      match init with
+      | Some x0 -> Array.copy x0
+      | None -> Reference_icm.greedy_unary_init mrf
+    in
+    let one_restart restart =
+      let rng = Random.State.make [| config.seed; restart |] in
+      let x = Array.copy start in
+      let energy = ref (Mrf.energy mrf x) in
+      let local_best = Array.copy start in
+      let local_best_energy = ref !energy in
+      let sweeps = ref 0 in
+      let stopped = ref false in
+      let temp = ref config.initial_temp in
+      (try
+         while !temp > config.min_temp do
+           for _ = 1 to config.sweeps_per_temp do
+             if interrupt () then begin
+               stopped := true;
+               raise Exit
+             end;
+             incr sweeps;
+             for i = 0 to n - 1 do
+               let k = Mrf.label_count mrf i in
+               if k > 1 then begin
+                 let fresh = Random.State.int rng k in
+                 let delta = move_delta arrays x i fresh in
+                 if
+                   delta <= 0.0
+                   || Random.State.float rng 1.0 < exp (-.delta /. !temp)
+                 then begin
+                   x.(i) <- fresh;
+                   energy := !energy +. delta;
+                   if !energy < !local_best_energy then begin
+                     local_best_energy := !energy;
+                     Array.blit x 0 local_best 0 n
+                   end
+                 end
+               end
+             done
+           done;
+           temp := !temp *. config.cooling
+         done
+       with Exit -> ());
+      (local_best, !local_best_energy, !sweeps, !stopped)
+    in
+    let best = Array.copy start in
+    let best_energy = ref (Mrf.energy mrf start) in
+    let sweeps = ref 0 in
+    let stopped = ref false in
+    List.iter
+      (fun (x, e, s, st) ->
+        sweeps := !sweeps + s;
+        if st then stopped := true;
+        if e < !best_energy then begin
+          best_energy := e;
+          Array.blit x 0 best 0 n
+        end)
+      (List.init config.restarts one_restart);
+    (best, Mrf.energy mrf best, !sweeps, not !stopped)
+end
+
+(* The hot schedule accepts most moves at 4,000-odd sweeps over at most
+   9 variables, so the log outgrows n entries and is written out; the
+   interrupt stops the first restart after 7 sweeps and the later ones
+   before their first. *)
+let prop_sa_matches_reference =
+  QCheck2.Test.make ~count:100
+    ~name:"SA = the copy-on-improve reference, bit for bit" tie_mrf_gen
+    (fun (m, x0) ->
+      let hot =
+        { Sa.default_config with initial_temp = 50.0; cooling = 0.99 }
+      in
+      List.for_all
+        (fun (config, init, stop_after) ->
+          let interrupt () =
+            let polls = ref 0 in
+            fun () ->
+              incr polls;
+              !polls > stop_after
+          in
+          let r = Sa.solve ~config ~interrupt:(interrupt ()) ?init m in
+          let x, energy, sweeps, converged =
+            Reference_sa.solve ~config ~interrupt:(interrupt ()) ?init m
+          in
+          r.Solver.labeling = x
+          && Int64.equal
+               (Int64.bits_of_float r.Solver.energy)
+               (Int64.bits_of_float energy)
+          && r.Solver.iterations = sweeps
+          && r.Solver.converged = converged)
+        [
+          (Sa.default_config, None, max_int);
+          (Sa.default_config, Some x0, max_int);
+          (hot, None, max_int);
+          ({ hot with restarts = 4 }, Some x0, max_int);
+          ({ hot with restarts = 3 }, None, 7);
+        ])
+
 (* The polish runs after TRW-S on every default solve; its sweeps
    must not feed the minor heap.  The incident walk allocated about 20M
    words here. *)
@@ -1260,6 +1420,8 @@ let () =
             test_shared_matrix;
           Alcotest.test_case "interned pairwise tables" `Quick
             test_interned_tables;
+          Alcotest.test_case "interning allocates nothing" `Quick
+            test_interning_allocation_free;
         ] );
       ( "solvers",
         [
@@ -1334,6 +1496,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_trws_sandwich;
           QCheck_alcotest.to_alcotest prop_decode_valid;
           QCheck_alcotest.to_alcotest prop_icm_matches_reference;
+          QCheck_alcotest.to_alcotest prop_sa_matches_reference;
           QCheck_alcotest.to_alcotest prop_exact_matches_brute;
         ] );
     ]
