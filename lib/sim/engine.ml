@@ -14,42 +14,47 @@ type mttc_stats = {
   max_ticks : int;
 }
 
+(* -------------------------------------------------------------- draws *)
+
+(* In the stdlib, [Random.State.float rng 1.0] is n * 2^-53 for n the
+   top 53 bits of one 64-bit output, drawn again while zero, so
+   [Random.State.float rng 1.0 < r] is [n < threshold r] on the same
+   outputs, without boxing a float.  The threshold is ceil (r * 2^53),
+   capped at 2^53 (every n is below it), and 0 when r <= 0 or r is nan,
+   so it is positive exactly when r is. *)
+let threshold r =
+  if r > 0.0 then int_of_float (Float.ceil (Float.min r 1.0 *. 0x1p53))
+  else 0
+
+let rec attempt rng t =
+  let n =
+    Int64.to_int (Int64.shift_right_logical (Random.State.bits64 rng) 11)
+  in
+  if n <> 0 then n < t else attempt rng t
+
 (* ------------------------------------------------------- attack table *)
 
 (* Every directed edge that can ever draw, in CSR form, built once per
    batch and only read afterwards, so parallel runs share it.  Host
    [u]'s edges are [off.(u) .. off.(u + 1) - 1] in adjacency order,
-   [dst.(e)] is the victim and [rate.(e)] the attempt rate.  Under
-   [Uniform_exploit] [rate.(e)] is instead the edge's best-case rate,
-   which only decides worm liveness, and every attempt picks one of
-   [pool.(pool_off.(e) .. pool_off.(e + 1) - 1)] uniformly.  Edges that
-   never draw are dropped: those without a positive rate under the
-   fixed-rate strategies, without a shared service under
-   [Uniform_exploit]. *)
+   [dst.(e)] is the victim and [rate.(e)] the {!threshold} of the
+   attempt rate.  Under [Uniform_exploit] [rate.(e)] is instead that of
+   the edge's best-case rate, which only decides worm liveness, and
+   every attempt picks one of [pool.(pool_off.(e) .. pool_off.(e + 1) -
+   1)] uniformly.  Edges that never draw are dropped: those without a
+   positive rate under the fixed-rate strategies, without a shared
+   service under [Uniform_exploit]. *)
 type table = {
   off : int array;
   dst : int array;
-  rate : float array;
+  rate : int array;
   uniform : bool;
   pool_off : int array;
-  pool : float array;
+  pool : int array;
 }
 
-(* [f s] for every service [s] hosts [u] and [v] share, in descending
-   service id.  [Uniform_exploit] indexes its pool in this order. *)
-let iter_shared net u v f =
-  let su = Network.host_services net u in
-  let sv = Network.host_services net v in
-  let i = ref (Array.length su - 1) and j = ref (Array.length sv - 1) in
-  while !i >= 0 && !j >= 0 do
-    if su.(!i) = sv.(!j) then begin
-      f su.(!i);
-      decr i;
-      decr j
-    end
-    else if su.(!i) > sv.(!j) then decr i
-    else decr j
-  done
+(* [Stdlib.max] on floats, without the polymorphic compare *)
+let[@inline] fmax (x : float) y = if x >= y then x else y
 
 let prepare ~attempt_scale ~sim_floor ~entry a strategy =
   let net = Assignment.network a in
@@ -57,67 +62,93 @@ let prepare ~attempt_scale ~sim_floor ~entry a strategy =
   let n = Graph.n_nodes g in
   let uniform = strategy = Uniform_exploit in
   let slots = 2 * Graph.n_edges g in
-  let n_services h = Array.length (Network.host_services net h) in
+  let services = Array.init n (Network.host_services net) in
+  (* [chosen.(h).(k)] is host [h]'s product for its [k]-th service *)
+  let chosen =
+    Array.init n (fun h ->
+        Array.map (fun s -> Assignment.get a ~host:h ~service:s) services.(h))
+  in
   let pool_cap = ref 0 in
   if uniform then
     for u = 0 to n - 1 do
       Array.iter
-        (fun v -> pool_cap := !pool_cap + min (n_services u) (n_services v))
+        (fun v ->
+          pool_cap :=
+            !pool_cap
+            + min (Array.length services.(u)) (Array.length services.(v)))
         (Graph.neighbors g u)
     done;
   let off = Array.make (n + 1) 0 in
-  let dst = Array.make slots 0 and rate = Array.make slots 0.0 in
+  let dst = Array.make slots 0 and rate = Array.make slots 0 in
   let pool_off = Array.make (if uniform then slots + 1 else 0) 0 in
-  let pool = Array.make !pool_cap 0.0 in
-  let product h s = Assignment.get a ~host:h ~service:s in
+  let pool = Array.make !pool_cap 0 in
   (* the worm carries one zero-day per service, forged for the entry
      host's products (the paper's "three unique zero-day exploits"), and
      cannot adapt: a hop succeeds with the similarity between the
-     arsenal's product and the victim's *)
-  let arsenal = Network.host_services net entry in
-  let e = ref 0 and p = ref 0 in
-  let rate_of u v =
-    match strategy with
-    | Best_exploit | Uniform_exploit ->
-        let shared = ref false and best = ref 0.0 in
-        iter_shared net u v (fun s ->
-            let sim =
-              Network.similarity net ~service:s (product u s) (product v s)
-            in
-            shared := true;
-            best := max !best (max sim_floor sim);
-            if uniform then begin
-              pool.(!p) <- attempt_scale *. max sim_floor sim;
-              incr p
-            end);
-        if !shared then attempt_scale *. !best else 0.0
-    | Arsenal_exploit ->
-        let best = ref 0.0 in
-        iter_shared net u v (fun s ->
-            if Array.mem s arsenal then begin
-              let r =
-                attempt_scale
-                *. max sim_floor
-                     (Network.similarity net ~service:s (product entry s)
-                        (product v s))
-              in
-              if r > !best then best := r
-            end);
-        !best
+     arsenal's product and the victim's.  [forged.(s)] is the entry's
+     product for service [s], -1 where the entry runs none. *)
+  let forged = Array.make (Network.n_services net) (-1) in
+  Array.iteri (fun k s -> forged.(s) <- chosen.(entry).(k)) services.(entry);
+  (* [Network.similarity] read from the row-major matrices directly, so
+     the float is not returned boxed *)
+  let matrix =
+    Array.init (Network.n_services net) (fun s ->
+        Network.similarity_matrix net ~service:s)
   in
+  let width = Array.init (Network.n_services net) (Network.n_products net) in
+  let[@inline] similarity s p q = matrix.(s).((p * width.(s)) + q) in
+  let e = ref 0 and p = ref 0 in
   for u = 0 to n - 1 do
     off.(u) <- !e;
-    Array.iter
-      (fun v ->
-        let r = rate_of u v in
-        let draws = if uniform then !p > pool_off.(!e) else r > 0.0 in
-        if draws then begin
-          dst.(!e) <- v;
-          rate.(!e) <- r;
-          incr e;
-          if uniform then pool_off.(!e) <- !p
-        end)
-      (Graph.neighbors g u)
+    let su = services.(u) and pu = chosen.(u) in
+    let nb = Graph.neighbors g u in
+    for k = 0 to Array.length nb - 1 do
+      let v = nb.(k) in
+      let sv = services.(v) and pv = chosen.(v) in
+      (* the services u and v share, in descending id: [Uniform_exploit]
+         indexes its pool in this order *)
+      let shared = ref false and best = ref 0.0 in
+      let i = ref (Array.length su - 1) and j = ref (Array.length sv - 1) in
+      while !i >= 0 && !j >= 0 do
+        let s = su.(!i) in
+        if s = sv.(!j) then begin
+          (match strategy with
+          | Best_exploit | Uniform_exploit ->
+              let sim = fmax sim_floor (similarity s pu.(!i) pv.(!j)) in
+              shared := true;
+              best := fmax !best sim;
+              if uniform then begin
+                pool.(!p) <- threshold (attempt_scale *. sim);
+                incr p
+              end
+          | Arsenal_exploit ->
+              if forged.(s) >= 0 then begin
+                let r =
+                  attempt_scale
+                  *. fmax sim_floor (similarity s forged.(s) pv.(!j))
+                in
+                if r > !best then best := r
+              end);
+          decr i;
+          decr j
+        end
+        else if s > sv.(!j) then decr i
+        else decr j
+      done;
+      let r =
+        match strategy with
+        | Best_exploit | Uniform_exploit ->
+            if !shared then attempt_scale *. !best else 0.0
+        | Arsenal_exploit -> !best
+      in
+      let draws = if uniform then !p > pool_off.(!e) else r > 0.0 in
+      if draws then begin
+        dst.(!e) <- v;
+        rate.(!e) <- threshold r;
+        incr e;
+        if uniform then pool_off.(!e) <- !p
+      end
+    done
   done;
   off.(n) <- !e;
   {
@@ -129,7 +160,7 @@ let prepare ~attempt_scale ~sim_floor ~entry a strategy =
     pool = Array.sub pool 0 !p;
   }
 
-(* One [Uniform_exploit] attempt's rate: a uniform pick from [e]'s
+(* One [Uniform_exploit] attempt's threshold: a uniform pick from [e]'s
    pool, one int draw. *)
 let[@inline] pool_pick t rng e =
   let lo = t.pool_off.(e) in
@@ -218,9 +249,9 @@ let tick s ~rng ~target =
         live.(!k) <- e;
         incr k;
         let best = rate.(e) in
-        let r = if uniform then pool_pick s.table rng e else best in
-        if best > 0.0 then progress := true;
-        if r > 0.0 && Random.State.float rng 1.0 < r then begin
+        let t = if uniform then pool_pick s.table rng e else best in
+        if best > 0 then progress := true;
+        if t > 0 && attempt rng t then begin
           hits.(!n_hits) <- v;
           incr n_hits
         end
@@ -401,6 +432,7 @@ let simulate_defended s ~rng ~max_ticks ~defense ~entry ~target =
   let { off; dst; rate; uniform; _ } = s.table in
   let status = s.status and hits = s.hits in
   let n = Bytes.length status in
+  let detect = threshold defense.detect_rate in
   Bytes.fill status 0 n susceptible;
   Bytes.set status entry infected;
   if entry = target then Some 0
@@ -416,8 +448,8 @@ let simulate_defended s ~rng ~max_ticks ~defense ~entry ~target =
           for e = off.(u) to off.(u + 1) - 1 do
             let v = dst.(e) in
             if Bytes.get status v = susceptible then begin
-              let r = if uniform then pool_pick s.table rng e else rate.(e) in
-              if r > 0.0 && Random.State.float rng 1.0 < r then begin
+              let t = if uniform then pool_pick s.table rng e else rate.(e) in
+              if t > 0 && attempt rng t then begin
                 hits.(!n_hits) <- v;
                 incr n_hits
               end
@@ -434,12 +466,9 @@ let simulate_defended s ~rng ~max_ticks ~defense ~entry ~target =
         end
       done;
       (* detection & response *)
-      if (not !fallen) && defense.detect_rate > 0.0 then
+      if (not !fallen) && detect > 0 then
         for h = 0 to n - 1 do
-          if
-            Bytes.get status h = infected
-            && Random.State.float rng 1.0 < defense.detect_rate
-          then
+          if Bytes.get status h = infected && attempt rng detect then
             Bytes.set status h
               (if defense.immunize then immune else susceptible)
         done

@@ -16,13 +16,15 @@
       in the same tick attack in the order of their last hit;
     - a host attacks its neighbours still susceptible at the start of
       the tick, in adjacency order;
-    - each attempt costs one [Random.State.float], preceded under
-      [Uniform_exploit] by one [Random.State.int] that picks the exploit;
+    - each attempt is one {!attempt}: one 64-bit output (two when its
+      top 53 bits are zero), exactly the outputs a [Random.State.float]
+      consumes, preceded under [Uniform_exploit] by one
+      [Random.State.int] that picks the exploit;
     - an edge with a zero rate (no shared service under
       [Uniform_exploit]) never draws.
 
-    The defended runs attack in host-id order instead, then draw one
-    float per infected host for detection.
+    The defended runs attack in host-id order instead, then make one
+    {!attempt} per infected host for detection.
 
     Every entry point raises [Invalid_argument] on an [entry] or
     [target] outside the network, and the MTTC batches on [runs < 1]. *)
@@ -36,6 +38,19 @@ type strategy =
           zero-day exploits"), and cannot adapt en route — each hop
           succeeds with the similarity between the arsenal's product and
           the victim's.  The weakest of the attacker-capability levels. *)
+
+val threshold : float -> int
+(** [threshold r] is the integer form of an attempt rate:
+    [ceil (r * 2^53)], capped at [2^53], and 0 when [r <= 0] or [r] is
+    nan.  It is positive exactly when [r > 0]. *)
+
+val attempt : Random.State.t -> int -> bool
+(** [attempt rng t] takes n, the top 53 bits of one
+    [Random.State.bits64] output, drawn again while zero, and returns
+    [n < t].  With [t = threshold r] that is the decision
+    [Random.State.float rng 1.0 < r] makes, from the same generator
+    outputs, since the stdlib's float is [n * 2^-53]; it allocates
+    nothing. *)
 
 type mttc_stats = {
   runs : int;            (** simulations performed *)

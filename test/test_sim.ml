@@ -442,6 +442,79 @@ let test_stream_pins () =
         (hex p.Engine.mean_ticks))
     goldens
 
+(* ------------------------------------------------------------- attempts *)
+
+(* The integer attempt makes the decision [Random.State.float g 1.0 < r]
+   makes, from the same generator outputs: twin generators, one per
+   form, agree draw for draw and end in the same state.  Random draws
+   almost never land next to the threshold, so the two values of n
+   around it, n * 2^-53 being the float, are checked directly. *)
+let test_attempt_matches_float () =
+  List.iter
+    (fun r ->
+      let t = Engine.threshold r in
+      Alcotest.(check bool)
+        (Printf.sprintf "threshold of %h positive exactly when r > 0" r)
+        (r > 0.0) (t > 0);
+      List.iter
+        (fun n ->
+          if n >= 1 && n < 1 lsl 53 then
+            Alcotest.(check bool)
+              (Printf.sprintf "r = %h, n = %d" r n)
+              (float_of_int n *. 0x1p-53 < r)
+              (n < t))
+        [ t - 1; t ];
+      let g = rng 71 in
+      let g' = Random.State.copy g in
+      for k = 1 to 10_000 do
+        let by_int = Engine.attempt g t in
+        let by_float = Random.State.float g' 1.0 < r in
+        if by_int <> by_float then
+          Alcotest.failf "r = %h, draw %d: integer %b, float %b" r k by_int
+            by_float
+      done;
+      Alcotest.(check string)
+        (Printf.sprintf "generator state after r = %h" r)
+        (Random.State.to_binary_string g')
+        (Random.State.to_binary_string g))
+    [ 0.0; 0x1p-60; 0x1p-53; 0.0075; 0.15; 0.5; 1.0 -. 0x1p-53; 1.0; 1.5;
+      nan ];
+  (* and [attempt] compares strictly: read the next n off a copy, then
+     an attempt against t = n fails and one against n + 1 succeeds *)
+  let g = rng 73 in
+  for _ = 1 to 100 do
+    let n =
+      Int64.to_int
+        (Int64.shift_right_logical
+           (Random.State.bits64 (Random.State.copy g))
+           11)
+    in
+    if n > 0 then begin
+      Alcotest.(check bool) "t = n" false
+        (Engine.attempt (Random.State.copy g) n);
+      Alcotest.(check bool) "t = n + 1" true (Engine.attempt g (n + 1))
+    end
+  done
+
+(* A batch allocates its attack table and scratch, and a [Some] per run
+   that reaches the target, but nothing per attempt: on the case study,
+   999 more runs (tens of attempts each) cost under 4 words a run.  A
+   boxed float per attempt cost about 780 words a run here. *)
+let test_mttc_allocation () =
+  let a, entry, target = case_study () in
+  let words runs =
+    let before = Gc.minor_words () in
+    let s = Engine.mttc ~rng:(rng 72) ~runs a ~entry ~target in
+    let words = Gc.minor_words () -. before in
+    Alcotest.(check int) "every run reached the target" runs
+      s.Engine.successes;
+    words
+  in
+  let extra = words 1000 -. words 1 in
+  if extra >= 4.0 *. 999.0 then
+    Alcotest.failf "999 more Engine.mttc runs allocated %.0f minor words"
+      extra
+
 (* -------------------------------------------------------------- defense *)
 
 let no_defense = { Engine.detect_rate = 0.0; immunize = false }
@@ -543,6 +616,10 @@ let () =
           Alcotest.test_case "mttc parallel uniform exploit" `Quick
             test_mttc_parallel_uniform_exploit;
           Alcotest.test_case "random stream pins" `Quick test_stream_pins;
+          Alcotest.test_case "integer attempt = float draw" `Quick
+            test_attempt_matches_float;
+          Alcotest.test_case "mttc allocates nothing per attempt" `Quick
+            test_mttc_allocation;
         ] );
       ( "defense",
         [

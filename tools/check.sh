@@ -4,7 +4,8 @@
 # suppressed inline with a written reason fails),
 # run the full test suite (alcotest, qcheck and the CLI cram test),
 # run the scored-deployment benchmark's smoke test (perfbench/),
-# re-run the pool suite with the NETDIV_SANITIZE race sanitizer enabled,
+# re-run the pool, MRF and simulator suites with the NETDIV_SANITIZE race
+# sanitizer enabled,
 # run the fast benchmark smoke (parallel determinism, interning and
 # observability-overhead sections, writes BENCH.json), diff the fresh
 # report against the committed baseline with tools/bench_diff (>25%
@@ -44,13 +45,15 @@ echo "== scored-deployment benchmark smoke (perfbench)"
 # finite d_bn and MTTC (about 8 s)
 dune build @perfbench/smoke
 
-echo "== pool + mrf tests under NETDIV_SANITIZE=1"
+echo "== pool + mrf + sim tests under NETDIV_SANITIZE=1"
 # dune does not track env vars, so run the test binaries directly: the
-# sanitizer must stay silent on the whole (race-free) pool suite and on
+# sanitizer must stay silent on the whole (race-free) pool suite, on
 # the MRF suite, which exercises the zoned TRW-S schedule across job
-# counts.
+# counts, and on the simulator suite, whose mttc_parallel cases share
+# one attack table across domains.
 NETDIV_SANITIZE=1 dune exec test/test_par.exe -- --compact
 NETDIV_SANITIZE=1 dune exec test/test_mrf.exe -- --compact
+NETDIV_SANITIZE=1 dune exec test/test_sim.exe -- --compact
 
 echo "== bench smoke (parallel determinism + interning + overhead)"
 # keep the committed report as the regression baseline before the run
