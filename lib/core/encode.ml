@@ -12,6 +12,39 @@ type encoded = {
 let default_prconst = 0.01
 let default_big_m = 1e6
 
+(* The edges [encode] adds: one per link and service both ends run, and
+   one per combination constraint and host in its scope that runs both
+   of the constraint's services. *)
+let edge_counts net constraints =
+  let links = ref 0 in
+  Graph.iter_edges
+    (fun u v ->
+      Array.iter
+        (fun s -> if Network.runs_service net ~host:v ~service:s then incr links)
+        (Network.host_services net u))
+    (Network.graph net);
+  let combos = ref 0 in
+  let count scope service_m service_n =
+    let both h =
+      Network.runs_service net ~host:h ~service:service_m
+      && Network.runs_service net ~host:h ~service:service_n
+    in
+    match scope with
+    | Constr.Host h -> if both h then incr combos
+    | Constr.All ->
+        for h = 0 to Network.n_hosts net - 1 do
+          if both h then incr combos
+        done
+  in
+  List.iter
+    (function
+      | Constr.Fix _ -> ()
+      | Constr.Requires { scope; service_m; service_n; _ }
+      | Constr.Forbids { scope; service_m; service_n; _ } ->
+          count scope service_m service_n)
+    constraints;
+  (!links, !combos)
+
 let encode ?(prconst = default_prconst) ?(big_m = default_big_m) ?preference
     ?edge_weight net constraints =
   (match Constr.validate_all net constraints with
@@ -59,6 +92,8 @@ let encode ?(prconst = default_prconst) ?(big_m = default_big_m) ?preference
   let builder =
     Mrf.Builder.create ~label_counts:(Array.map Array.length labels)
   in
+  let links, combos = edge_counts net constraints in
+  Mrf.Builder.reserve_edges builder (links + combos);
   (* unary costs *)
   Array.iteri
     (fun v (h, s) ->
@@ -212,10 +247,8 @@ let labeling_of e a =
 let assignment_energy e a = Mrf.energy e.model (labeling_of e a)
 
 (* Size the encoding without building it: counts the slots and the
-   (link, shared service) pairs the edge loop of [encode] would emit,
-   plus one big-M edge per applicable combination constraint.  Tables
-   are bounded by one similarity matrix per service plus one per
-   constraint edge. *)
+   edges [encode] adds.  Tables are bounded by one similarity matrix per
+   service plus one per combination edge. *)
 let estimate_words net constraints =
   let n_hosts = Network.n_hosts net in
   let nodes = ref 0 and max_labels = ref 1 in
@@ -229,24 +262,8 @@ let estimate_words net constraints =
             (Array.length (Network.candidates net ~host:h ~service:s)))
       services
   done;
-  let edges = ref 0 in
-  Graph.iter_edges
-    (fun u v ->
-      Array.iter
-        (fun s -> if Network.runs_service net ~host:v ~service:s then incr edges)
-        (Network.host_services net u))
-    (Network.graph net);
-  let scope_hosts = function Constr.Host _ -> 1 | Constr.All -> n_hosts in
-  let combos =
-    List.fold_left
-      (fun acc -> function
-        | Constr.Fix _ -> acc
-        | Constr.Requires { scope; _ } | Constr.Forbids { scope; _ } ->
-            acc + scope_hosts scope)
-      0 constraints
-  in
-  Mrf.estimate_words ~nodes:!nodes
-    ~edges:(!edges + combos)
+  let links, combos = edge_counts net constraints in
+  Mrf.estimate_words ~nodes:!nodes ~edges:(links + combos)
     ~max_labels:!max_labels
     ~tables:(Network.n_services net + combos)
     ~zones:1

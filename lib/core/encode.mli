@@ -60,10 +60,17 @@ val labeling_of : encoded -> Assignment.t -> int array
 val assignment_energy : encoded -> Assignment.t -> float
 (** MRF energy of an assignment under this encoding. *)
 
+val edge_counts : Network.t -> Constr.t list -> int * int
+(** [(links, combos)]: the edges {!encode} adds, one per (network link,
+    shared service) and one per combination constraint and host in its
+    scope that runs both of the constraint's services.  Their sum is the
+    encoded model's {!Netdiv_mrf.Mrf.n_edges}; {!encode} reserves that
+    many builder slots up front. *)
+
 val estimate_words : Network.t -> Constr.t list -> int
 (** Predicted peak words ({!Netdiv_mrf.Mrf.estimate_words}) for encoding
     this network and solving it in one zone, computed without building
-    anything.  Counts the exact slot and (link, shared service) edge
-    totals; the table count is an upper bound (one matrix per service
-    plus one per applicable combination constraint), so the estimate
-    errs high when constraints repeat. *)
+    anything.  Counts the exact slot and edge totals ({!edge_counts});
+    the table count is an upper bound (one matrix per service plus one
+    per combination edge), so the estimate errs high when constraints
+    repeat. *)

@@ -220,6 +220,34 @@ let test_encode_shape () =
   Alcotest.(check (pair int int)) "slot round-trip" (2, 1)
     (Encode.slot_of e v)
 
+(* [edge_counts] is what [encode] adds, on a workload instance and on
+   the case study with each constraint set.  C1 only fixes products; C2
+   adds four [Forbids] over all hosts, one edge per host that runs both
+   the OS and the browser, fewer than the hosts in scope. *)
+let test_encode_edge_counts () =
+  let check name net constraints =
+    let links, combos = Encode.edge_counts net constraints in
+    Alcotest.(check int) name
+      (Netdiv_mrf.Mrf.n_edges (Encode.mrf (Encode.encode net constraints)))
+      (links + combos);
+    combos
+  in
+  let workload =
+    Netdiv_workload.Workload.instance
+      { Netdiv_workload.Workload.default with hosts = 60 }
+  in
+  Alcotest.(check int) "workload: no combination edges" 0
+    (check "workload, 60 hosts" workload []);
+  let case = Netdiv_casestudy.Products.network () in
+  ignore (check "case study" case [] : int);
+  Alcotest.(check int) "C1: no combination edges" 0
+    (check "C1" case (Netdiv_casestudy.Products.host_constraints case));
+  let combos =
+    check "C2" case (Netdiv_casestudy.Products.product_constraints case)
+  in
+  Alcotest.(check bool) "C2: some hosts in scope, not all" true
+    (combos > 0 && combos < 4 * Network.n_hosts case)
+
 let test_encode_fix_restricts () =
   let net = mk_net () in
   let e =
@@ -678,6 +706,7 @@ let () =
       ( "encode",
         [
           Alcotest.test_case "shape" `Quick test_encode_shape;
+          Alcotest.test_case "edge counts" `Quick test_encode_edge_counts;
           Alcotest.test_case "fix restricts labels" `Quick
             test_encode_fix_restricts;
           Alcotest.test_case "decode round-trip" `Quick
