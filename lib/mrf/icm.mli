@@ -17,7 +17,10 @@ val solve :
     order.  A node's local energy at every label is its unary plus the
     pairwise terms of its [Mrf.Compact] incidence slice, added in slice
     order.  The node keeps its label unless another is strictly cheaper;
-    among the cheapest others it takes the lowest.  The node loop
+    among the cheapest others it takes the lowest.  A sweep evaluates
+    only the nodes not evaluated since one of their neighbours moved
+    (every node in the first sweep): any other node would keep its
+    label, so the result is that of full sweeps.  The node loop
     allocates nothing.
 
     [interrupt] is polled once per sweep; on [true] the current labeling
