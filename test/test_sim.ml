@@ -498,8 +498,8 @@ let test_attempt_matches_float () =
 
 (* A batch allocates its attack table and scratch, and a [Some] per run
    that reaches the target, but nothing per attempt: on the case study,
-   999 more runs (tens of attempts each) cost under 4 words a run.  A
-   boxed float per attempt cost about 780 words a run here. *)
+   999 more runs cost under 4 words a run.  A boxed float per attempt
+   cost about 780 words a run here. *)
 let test_mttc_allocation () =
   let a, entry, target = case_study () in
   let words runs =
