@@ -23,8 +23,9 @@ let default_config =
 
 (* energy delta of moving node i to label [fresh], given labeling x:
    the unary difference, then each incidence's (fresh - current)
-   pairwise difference in slice order *)
-let move_delta (a : Mrf.Compact.arrays) x i fresh =
+   pairwise difference in slice order.  Inlined at its one call, so the
+   delta is never returned boxed. *)
+let[@inline] move_delta (a : Mrf.Compact.arrays) x i fresh =
   let current = x.(i) in
   if fresh = current then 0.0
   else begin
@@ -46,6 +47,23 @@ let move_delta (a : Mrf.Compact.arrays) x i fresh =
     !delta
   end
 
+(* The uphill test [Random.State.float rng 1.0 < r] without boxing the
+   draw: the stdlib's float is n * 2^-53 for n the top 53 bits of one
+   [bits64] output, drawn again while zero, and [draw] returns that n
+   from the same outputs (as Netdiv_sim.Engine's attempts do).  Only the
+   redraw is recursive, so the first draw inlines at the test. *)
+let rec redraw rng =
+  let n =
+    Int64.to_int (Int64.shift_right_logical (Random.State.bits64 rng) 11)
+  in
+  if n <> 0 then n else redraw rng
+
+let[@inline] draw rng =
+  let n =
+    Int64.to_int (Int64.shift_right_logical (Random.State.bits64 rng) 11)
+  in
+  if n <> 0 then n else redraw rng
+
 let greedy_unary_init mrf =
   Array.init (Mrf.n_nodes mrf) (fun i ->
       let k = Mrf.label_count mrf i in
@@ -65,6 +83,7 @@ let solve ?(config = default_config) ?(interrupt = fun () -> false) ?init mrf
   let run () =
     let n = Mrf.n_nodes mrf in
     let arrays = Mrf.Compact.arrays mrf in
+    let labels = arrays.Mrf.Compact.i_labels in
     let start =
       match init with
       | Some x0 ->
@@ -106,14 +125,15 @@ let solve ?(config = default_config) ?(interrupt = fun () -> false) ?init mrf
              end;
              incr sweeps;
              for i = 0 to n - 1 do
-               let k = Mrf.label_count mrf i in
+               let k = labels.(i) in
                if k > 1 then begin
                  let fresh = Random.State.int rng k in
                  let delta = move_delta arrays x i fresh in
                  incr proposals;
                  if
                    delta <= 0.0
-                   || Random.State.float rng 1.0 < exp (-.delta /. !temp)
+                   || float_of_int (draw rng) *. 0x1p-53
+                      < exp (-.delta /. !temp)
                  then begin
                    incr accepts;
                    if not !saved then begin

@@ -21,7 +21,15 @@ let patience = 3
    slot p's node along p's edge lives, in the neighbour's block.
    Messages, unaries and the bound's aggregates are unboxed [floatarray]
    slabs so the updates stream over contiguous doubles.  One solve owns
-   a state at a time; its small per-node buffers live in {!workspace}. *)
+   a state at a time; its small per-node buffers live in {!workspace}.
+
+   [due] holds two bits per node, [fwd_due] and [bwd_due]: both are set
+   when a message into the node changes, and each is cleared at the
+   node's turn in that direction.  A turn reads only the node's unary
+   and incoming messages and writes only its outgoing messages (and,
+   backward, its aggregate), which no other turn writes, so a turn
+   whose bit is clear would store the bits already stored: the sweeps
+   skip it. *)
 type state = {
   labels : int array;
   unary_off : int array;
@@ -50,27 +58,41 @@ type state = {
          higher node order.  Every edge belongs to exactly one chain;
          node [i] lies on [max(#lower, #higher)] chains.  Chains run in
          descending order of their first edge's id. *)
+  due : Bytes.t;  (* per node: [fwd_due] lor [bwd_due] bits *)
 }
+
+let fwd_due = 1
+let bwd_due = 2
 
 (* Per-solve scratch, allocated by the domain that runs the solve and
    reused across all messages, so the hot path never allocates (minor
    GCs are stop-the-world across ALL domains).  The bound's chain DP
-   reuses both buffers. *)
+   reuses [theta] and [h].  [changed] is the iteration's "a message
+   moved" flag and [updates] the solve's count of computed message
+   updates; they live here rather than in the state because the zone
+   states are allocated back to back by the calling domain, and a flag
+   written on every change beside another zone's would share its cache
+   line. *)
 type workspace = {
   theta : floatarray;  (* a node's cost: forward sweep, decode *)
   h : floatarray;  (* the message update's reduction input *)
+  fresh : floatarray;  (* the update's result, before it is stored *)
+  mutable changed : bool;
+  mutable updates : int;
 }
 
-(* Load [mrf]'s unaries into [st] and zero its messages: the state
-   [make_state mrf] returns, for any model of [st]'s structure.  The
-   aggregates and the workspace are written before they are read, so a
-   solve from a reset state is bit for bit a solve from a fresh one. *)
+(* Load [mrf]'s unaries into [st], zero its messages and mark every node
+   due in both directions: the state [make_state mrf] returns, for any
+   model of [st]'s structure.  The aggregates and the workspace are
+   written before they are read, so a solve from a reset state is bit
+   for bit a solve from a fresh one. *)
 let reset_state st mrf =
   let unary = (Mrf.Compact.arrays mrf).Mrf.Compact.i_unary in
   for k = 0 to Array.length unary - 1 do
     st.unary.%(k) <- unary.(k)
   done;
-  Float.Array.fill st.msg 0 (Float.Array.length st.msg) 0.0
+  Float.Array.fill st.msg 0 (Float.Array.length st.msg) 0.0;
+  Bytes.fill st.due 0 (Bytes.length st.due) (Char.chr (fwd_due lor bwd_due))
 
 let make_state mrf =
   let {
@@ -173,6 +195,7 @@ let make_state mrf =
       gamma;
       chain_off;
       chain;
+      due = Bytes.create n;
     }
   in
   reset_state st mrf;
@@ -180,15 +203,23 @@ let make_state mrf =
 
 let make_workspace st =
   let kmax = Array.fold_left max 1 st.labels in
-  { theta = Float.Array.make kmax 0.0; h = Float.Array.make kmax 0.0 }
+  {
+    theta = Float.Array.make kmax 0.0;
+    h = Float.Array.make kmax 0.0;
+    fresh = Float.Array.make kmax 0.0;
+    changed = false;
+    updates = 0;
+  }
 
 (* The min-sum reduction over edge table V, stored flat at [pot.(p0 ..)]
    and row-major by the u endpoint's label ([src_is_u] gives the
    orientation): [out.(out_off + x_o) <- min_{x_s} h.(x_s) + V(x_s, x_o)]
-   for every output label.  O(L²) per call; it reads the caller's
-   precomputed [h] instead of recomputing it per inner iteration, and
-   allocates nothing. *)
-let reduce ~pot ~p0 ~src_is_u ~k_src ~k_out ~h ~out ~out_off =
+   for every output label, and the smallest of these, taken in output
+   order.  O(L²) per call; it reads the caller's precomputed [h] instead
+   of recomputing it per inner iteration.  Both calls force it inline,
+   so the returned minimum is never boxed and nothing is allocated. *)
+let[@inline] reduce ~pot ~p0 ~src_is_u ~k_src ~k_out ~h ~out ~out_off =
+  let vmin = ref infinity in
   for xo = 0 to k_out - 1 do
     let best = ref infinity in
     if src_is_u then
@@ -203,20 +234,41 @@ let reduce ~pot ~p0 ~src_is_u ~k_src ~k_out ~h ~out ~out_off =
         if c < !best then best := c
       done
     end;
-    out.%(out_off + xo) <- !best
-  done
-
-(* The message update: the reduction, normalized so the message's
-   smallest entry is zero. *)
-let update ~pot ~p0 ~src_is_u ~k_src ~k_out ~h ~out ~out_off =
-  reduce ~pot ~p0 ~src_is_u ~k_src ~k_out ~h ~out ~out_off;
-  let vmin = ref infinity in
-  for xo = 0 to k_out - 1 do
-    if out.%(out_off + xo) < !vmin then vmin := out.%(out_off + xo)
+    out.%(out_off + xo) <- !best;
+    if !best < !vmin then vmin := !best
   done;
+  !vmin
+
+(* The message update along slot p into node j: the reduction into
+   [ws.fresh], less its minimum so the message's smallest entry is zero,
+   stored over the old message where the bits differ (so -0.0 against
+   0.0 and nan count as changes).  The test is on floats:
+   [Int64.bits_of_float] is a C call, two per entry.  A changed message
+   marks j due in both directions and the iteration as changed. *)
+let update st ws ~p ~k_src ~j =
+  let code = st.inc.(p) in
+  let k_out = st.labels.(j) in
+  let fresh = ws.fresh in
+  let vmin =
+    (reduce [@inlined]) ~pot:st.pot
+      ~p0:st.pot_off.(st.etab.(code lsr 1))
+      ~src_is_u:(code land 1 = 1) ~k_src ~k_out ~h:ws.h ~out:fresh ~out_off:0
+  in
+  let o = st.out_off.(p) in
+  let moved = ref false in
   for xo = 0 to k_out - 1 do
-    out.%(out_off + xo) <- out.%(out_off + xo) -. !vmin
-  done
+    let v = fresh.%(xo) -. vmin and old = st.msg.%(o + xo) in
+    (* the same bits: equal, and of one sign when zero (1/±0 is ±inf);
+       nan equals nothing, so it always counts as a change *)
+    if not (v = old && 1.0 /. v = 1.0 /. old) then begin
+      st.msg.%(o + xo) <- v;
+      moved := true
+    end
+  done;
+  if !moved then begin
+    Bytes.set_uint8 st.due j (fwd_due lor bwd_due);
+    ws.changed <- true
+  end
 
 (* Node i's weighted cost into [dst.(d0 ..)]: gamma_i times its unary
    plus every incoming message, added in slice order. *)
@@ -243,6 +295,7 @@ let gather st i (dst : floatarray) d0 =
 let send st ws i (dst : floatarray) d0 lo hi =
   let k = st.labels.(i) in
   let h = ws.h in
+  ws.updates <- ws.updates + (hi - lo);
   for p = lo to hi - 1 do
     (* reduction input: the weighted cost minus the message coming back
        along the same edge *)
@@ -250,33 +303,38 @@ let send st ws i (dst : floatarray) d0 lo hi =
     for x = 0 to k - 1 do
       h.%(x) <- dst.%(d0 + x) -. st.msg.%(b + x)
     done;
-    let code = st.inc.(p) in
-    update ~pot:st.pot
-      ~p0:st.pot_off.(st.etab.(code lsr 1))
-      ~src_is_u:(code land 1 = 1) ~k_src:k
-      ~k_out:st.labels.(st.col.(p))
-      ~h ~out:st.msg ~out_off:st.out_off.(p)
+    update st ws ~p ~k_src:k ~j:st.col.(p)
   done
 
-(* One forward and one backward sweep.  Forward, nodes in increasing
-   order update their messages to higher neighbours; backward mirrors
-   it, and writes each node's weighted cost to [agg] on the way: no
-   message into node i changes after i's turn in the backward sweep, so
-   that is the aggregate the bound reads. *)
+(* One forward and one backward sweep over the due nodes.  Forward,
+   nodes in increasing order update their messages to higher
+   neighbours; backward mirrors it, and writes each node's weighted cost
+   to [agg] on the way: no message into node i changes after i's turn in
+   the backward sweep, so that is the aggregate the bound reads.  A
+   message that changes reaches a node whose turn in the same direction
+   is still to come, so every change is answered within the sweep. *)
 let sweep_pair st ws n =
   for i = 0 to n - 1 do
-    let hi = st.inc_off.(i + 1) in
-    if st.split.(i) < hi then begin
-      gather st i ws.theta 0;
-      send st ws i ws.theta 0 st.split.(i) hi
+    let d = Bytes.get_uint8 st.due i in
+    if d land fwd_due <> 0 then begin
+      Bytes.set_uint8 st.due i (d land bwd_due);
+      let hi = st.inc_off.(i + 1) in
+      if st.split.(i) < hi then begin
+        gather st i ws.theta 0;
+        send st ws i ws.theta 0 st.split.(i) hi
+      end
     end
   done;
   for i = n - 1 downto 0 do
-    let lo = st.inc_off.(i) in
-    if lo < st.inc_off.(i + 1) then begin
-      let d0 = st.unary_off.(i) in
-      gather st i st.agg d0;
-      send st ws i st.agg d0 lo st.split.(i)
+    let d = Bytes.get_uint8 st.due i in
+    if d land bwd_due <> 0 then begin
+      Bytes.set_uint8 st.due i (d land fwd_due);
+      let lo = st.inc_off.(i) in
+      if lo < st.inc_off.(i + 1) then begin
+        let d0 = st.unary_off.(i) in
+        gather st i st.agg d0;
+        send st ws i st.agg d0 lo st.split.(i)
+      end
     end
   done
 
@@ -320,10 +378,12 @@ let lower_bound st ws n =
       for x = 0 to k_lo - 1 do
         dp.%(x) <- dp.%(x) -. st.msg.%(b + x)
       done;
-      reduce ~pot:st.pot
-        ~p0:st.pot_off.(st.etab.(code lsr 1))
-        ~src_is_u:(code land 1 = 1) ~k_src:k_lo ~k_out:k_hi ~h:dp ~out
-        ~out_off:0;
+      ignore
+        ((reduce [@inlined]) ~pot:st.pot
+           ~p0:st.pot_off.(st.etab.(code lsr 1))
+           ~src_is_u:(code land 1 = 1) ~k_src:k_lo ~k_out:k_hi ~h:dp ~out
+           ~out_off:0
+          : float);
       let m_hi = st.out_off.(p) and a = st.unary_off.(hi) in
       for y = 0 to k_hi - 1 do
         dp.%(y) <- (out.%(y) -. st.msg.%(m_hi + y)) +. st.agg.%(a + y)
@@ -387,7 +447,12 @@ let decode st ws n x =
   done
 
 (* The iteration loop on a given state and workspace: sweeps,
-   convergence bookkeeping, telemetry. *)
+   convergence bookkeeping, telemetry.  An iteration whose sweeps change
+   no message leaves every aggregate as it was too (a backward turn runs
+   only after a message into its node changed), so its bound, decode
+   and energy would repeat the last ones bit for bit: they are reused.
+   The decode before the loop counts as the last decode for iteration
+   1; iteration 1 always computes the bound. *)
 let sequential_on ~max_iters ~interrupt mrf st ws () =
   let n = Mrf.n_nodes mrf in
   let x = Array.make n 0 in
@@ -396,6 +461,8 @@ let sequential_on ~max_iters ~interrupt mrf st ws () =
   let best_energy = ref (Mrf.energy mrf best_x) in
   let prev_energy = ref !best_energy in
   let best_bound = ref neg_infinity in
+  (* the last bound, and the energy of the last decode *)
+  let lb = ref neg_infinity and e = ref !best_energy in
   let stall = ref 0 in
   let iters = ref 0 in
   let converged = ref false in
@@ -403,20 +470,21 @@ let sequential_on ~max_iters ~interrupt mrf st ws () =
      for it = 1 to max_iters do
        if interrupt () then raise Exit;
        iters := it;
+       ws.changed <- false;
        Obs.begin_span "trws.sweep";
        sweep_pair st ws n;
        Obs.end_span "trws.sweep";
        Obs.begin_span "trws.bound";
-       let lb = lower_bound st ws n in
-       decode st ws n x;
+       if ws.changed || it = 1 then lb := lower_bound st ws n;
+       if ws.changed then decode st ws n x;
        Obs.end_span "trws.bound";
-       let e = Mrf.energy mrf x in
-       if e < !best_energy then begin
-         best_energy := e;
+       if ws.changed then e := Mrf.energy mrf x;
+       if !e < !best_energy then begin
+         best_energy := !e;
          Array.blit x 0 best_x 0 n
        end;
-       let bound_progress = lb -. !best_bound in
-       if lb > !best_bound then best_bound := lb;
+       let bound_progress = !lb -. !best_bound in
+       if !lb > !best_bound then best_bound := !lb;
        let energy_progress = !prev_energy -. !best_energy in
        prev_energy := !best_energy;
        Obs.sample ~name:"trws.iter" (float_of_int it);
@@ -432,13 +500,11 @@ let sequential_on ~max_iters ~interrupt mrf st ws () =
        end
      done
    with Exit -> ());
-  (* each iteration (forward + backward sweep) recomputes both directed
-     messages of every edge once: one count per solve keeps the
-     per-message hot path free of instrumentation.  The report's
-     throughput row sums these samples. *)
+  (* the message updates the sweeps computed, skipped turns excluded:
+     one count per solve keeps the per-message hot path free of
+     instrumentation.  The report's throughput row sums these samples. *)
   if Obs.enabled () then
-    Obs.sample ~name:"mrf.messages"
-      (float_of_int (2 * Mrf.n_edges mrf * !iters));
+    Obs.sample ~name:"mrf.messages" (float_of_int ws.updates);
   {
     Solver.labeling = best_x;
     energy = !best_energy;

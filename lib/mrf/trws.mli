@@ -27,10 +27,23 @@ val solve :
     energy ([Mrf.energy] of that labeling), and the best dual bound.
 
     {b Stopping.}  At most [max_iters] (default 100) forward+backward
-    sweep pairs; the bound is computed and a labeling decoded after
-    every pair.  The solve converges once the best energy minus the best
+    sweep pairs, each followed by the bound and a decoded labeling
+    (reused when nothing changed, see below).  The solve converges once the best energy minus the best
     bound falls under 1e-7, or once neither has improved by 1e-7 for 3
     consecutive pairs.
+
+    {b Change-driven sweeps.}  Each node keeps a forward-due and a
+    backward-due bit.  Both are set when a message into the node
+    changes, compared bit for bit (so -0.0 against 0.0 and nan count as
+    changes), and each is cleared at the node's turn in that direction.
+    A sweep skips the turn of a node whose bit is clear: it would only
+    store the messages and the aggregate already stored.  After a sweep
+    pair that changed no message, the last bound, decoded labeling and
+    energy are reused (the decode before the first sweep counts as the
+    last decode for pair 1, which always computes the bound).  Results,
+    iteration counts and the [trws.*] samples are those of a sweep over
+    every node; the per-solve [mrf.messages] sample counts the message
+    updates actually computed.
 
     {b Schedule.}  The zone map chooses it.
     - The zone map is [zone_of] when given (any non-negative per-node

@@ -28,9 +28,9 @@ let pp_hot_spans ~k ppf events =
 (* ------------------------------------------------- message throughput *)
 
 let pp_throughput ppf events =
-  (* solvers sample their per-solve message total at the end of every
-     run, so summing the samples recovers the global count even across
-     several solves in one stream *)
+  (* solvers sample their per-solve count of computed message updates
+     at the end of every run, so summing the samples recovers the
+     global count even across several solves in one stream *)
   let msgs =
     List.filter_map
       (fun (name, (e : Obs.event)) ->

@@ -51,4 +51,6 @@ val pp : ?top:int -> format:string -> Format.formatter -> Obs.event list -> unit
 (** The whole report body: the [format] line and event/span/mark
     counts, {!pp_convergence}, the top-[top] (default 10) spans by total
     time, and the message throughput when the stream carries
-    [mrf.messages] samples. *)
+    [mrf.messages] samples: the message updates TRW-S's sweeps computed
+    (a skipped node turn computes none) over the [trws.sweep] spans'
+    total time. *)

@@ -21,16 +21,23 @@ type mttc_stats = {
    [Random.State.float rng 1.0 < r] is [n < threshold r] on the same
    outputs, without boxing a float.  The threshold is ceil (r * 2^53),
    capped at 2^53 (every n is below it), and 0 when r <= 0 or r is nan,
-   so it is positive exactly when r is. *)
+   so it is positive exactly when r is.  Only the redraw after an
+   all-zero n is recursive, so the first draw inlines at each attempt. *)
 let threshold r =
   if r > 0.0 then int_of_float (Float.ceil (Float.min r 1.0 *. 0x1p53))
   else 0
 
-let rec attempt rng t =
+let rec redraw rng t =
   let n =
     Int64.to_int (Int64.shift_right_logical (Random.State.bits64 rng) 11)
   in
-  if n <> 0 then n < t else attempt rng t
+  if n <> 0 then n < t else redraw rng t
+
+let[@inline] attempt rng t =
+  let n =
+    Int64.to_int (Int64.shift_right_logical (Random.State.bits64 rng) 11)
+  in
+  if n <> 0 then n < t else redraw rng t
 
 (* ------------------------------------------------------- attack table *)
 

@@ -1147,6 +1147,578 @@ let prop_sa_matches_reference =
           ({ hot with restarts = 3 }, None, 7);
         ])
 
+(* ----------------------------------------------------- trws reference *)
+
+(* The TRW-S loop that ran every node's turn in every sweep and computed
+   the bound and a decode after every sweep pair, kept as the reference
+   the change-driven sweep must reproduce bit for bit: same state
+   layout, same float operations in the same order, and the same zoned
+   decomposition with its zones solved in index order.  The telemetry
+   is left out. *)
+module Reference_trws = struct
+  external ( .%() ) : floatarray -> int -> float = "%floatarray_safe_get"
+
+  external ( .%()<- ) : floatarray -> int -> float -> unit
+    = "%floatarray_safe_set"
+
+  type state = {
+    labels : int array;
+    unary_off : int array;
+    unary : floatarray;
+    eu : int array;
+    ev : int array;
+    etab : int array;
+    pot_off : int array;
+    pot : float array;
+    inc_off : int array;
+    inc : int array;
+    col : int array;
+    split : int array;
+    msg_off : int array;
+    out_off : int array;
+    msg : floatarray;
+    agg : floatarray;
+    gamma : float array;
+    chain_off : int array;
+    chain : int array;
+    theta : floatarray;
+    h : floatarray;
+  }
+
+  let make_state mrf =
+    let a = Mrf.Compact.arrays mrf in
+    let labels = a.i_labels and inc_off = a.i_inc_off and col = a.i_col in
+    let n = Array.length labels and m = Array.length a.i_eu in
+    let split = Array.make n 0 in
+    let msg_off = Array.make (n + 1) 0 in
+    let gamma = Array.make n 1.0 in
+    let n_chains = ref 0 in
+    for i = 0 to n - 1 do
+      let lo = inc_off.(i) and hi = inc_off.(i + 1) in
+      let s = ref lo in
+      while !s < hi && col.(!s) < i do
+        incr s
+      done;
+      split.(i) <- !s;
+      let lower = !s - lo and higher = hi - !s in
+      gamma.(i) <- 1.0 /. float_of_int (max 1 (max lower higher));
+      msg_off.(i + 1) <- msg_off.(i) + ((hi - lo) * labels.(i));
+      n_chains := !n_chains + max 0 (higher - lower)
+    done;
+    let out_off = Array.make inc_off.(n) 0 in
+    let cursor = Array.sub inc_off 0 n in
+    for p = 0 to inc_off.(n) - 1 do
+      let j = col.(p) in
+      out_off.(p) <- msg_off.(j) + ((cursor.(j) - inc_off.(j)) * labels.(j));
+      cursor.(j) <- cursor.(j) + 1
+    done;
+    let start = Array.make m (-1) in
+    for i = 0 to n - 1 do
+      for p = split.(i) + (split.(i) - inc_off.(i)) to inc_off.(i + 1) - 1 do
+        start.(a.i_inc.(p) lsr 1) <- p
+      done
+    done;
+    let chain = Array.make m 0 in
+    let chain_off = Array.make (!n_chains + 1) 0 in
+    let c = ref 0 and len = ref 0 in
+    for e = m - 1 downto 0 do
+      if start.(e) >= 0 then begin
+        let p = ref start.(e) in
+        while !p >= 0 do
+          chain.(!len) <- !p;
+          incr len;
+          let j = col.(!p) in
+          let next = split.(j) + ((out_off.(!p) - msg_off.(j)) / labels.(j)) in
+          p := if next < inc_off.(j + 1) then next else -1
+        done;
+        incr c;
+        chain_off.(!c) <- !len
+      end
+    done;
+    let kmax = Array.fold_left max 1 labels in
+    {
+      labels;
+      unary_off = a.i_unary_off;
+      unary = Float.Array.of_list (Array.to_list a.i_unary);
+      eu = a.i_eu;
+      ev = a.i_ev;
+      etab = a.i_etab;
+      pot_off = a.i_pot_off;
+      pot = a.i_pot;
+      inc_off;
+      inc = a.i_inc;
+      col;
+      split;
+      msg_off;
+      out_off;
+      msg = Float.Array.make msg_off.(n) 0.0;
+      agg = Float.Array.create a.i_unary_off.(n);
+      gamma;
+      chain_off;
+      chain;
+      theta = Float.Array.make kmax 0.0;
+      h = Float.Array.make kmax 0.0;
+    }
+
+  let reduce ~pot ~p0 ~src_is_u ~k_src ~k_out ~h ~out ~out_off =
+    for xo = 0 to k_out - 1 do
+      let best = ref infinity in
+      if src_is_u then
+        for xs = 0 to k_src - 1 do
+          let c = h.%(xs) +. pot.(p0 + (xs * k_out) + xo) in
+          if c < !best then best := c
+        done
+      else begin
+        let r0 = p0 + (xo * k_src) in
+        for xs = 0 to k_src - 1 do
+          let c = h.%(xs) +. pot.(r0 + xs) in
+          if c < !best then best := c
+        done
+      end;
+      out.%(out_off + xo) <- !best
+    done
+
+  let update ~pot ~p0 ~src_is_u ~k_src ~k_out ~h ~out ~out_off =
+    reduce ~pot ~p0 ~src_is_u ~k_src ~k_out ~h ~out ~out_off;
+    let vmin = ref infinity in
+    for xo = 0 to k_out - 1 do
+      if out.%(out_off + xo) < !vmin then vmin := out.%(out_off + xo)
+    done;
+    for xo = 0 to k_out - 1 do
+      out.%(out_off + xo) <- out.%(out_off + xo) -. !vmin
+    done
+
+  let gather st i (dst : floatarray) d0 =
+    let k = st.labels.(i) in
+    let u0 = st.unary_off.(i) in
+    for x = 0 to k - 1 do
+      dst.%(d0 + x) <- st.unary.%(u0 + x)
+    done;
+    let m0 = st.msg_off.(i) in
+    for s = 0 to st.inc_off.(i + 1) - st.inc_off.(i) - 1 do
+      let b = m0 + (s * k) in
+      for x = 0 to k - 1 do
+        dst.%(d0 + x) <- dst.%(d0 + x) +. st.msg.%(b + x)
+      done
+    done;
+    let g = st.gamma.(i) in
+    for x = 0 to k - 1 do
+      dst.%(d0 + x) <- g *. dst.%(d0 + x)
+    done
+
+  let send st i (dst : floatarray) d0 lo hi =
+    let k = st.labels.(i) in
+    for p = lo to hi - 1 do
+      let b = st.msg_off.(i) + ((p - st.inc_off.(i)) * k) in
+      for x = 0 to k - 1 do
+        st.h.%(x) <- dst.%(d0 + x) -. st.msg.%(b + x)
+      done;
+      let code = st.inc.(p) in
+      update ~pot:st.pot
+        ~p0:st.pot_off.(st.etab.(code lsr 1))
+        ~src_is_u:(code land 1 = 1) ~k_src:k
+        ~k_out:st.labels.(st.col.(p))
+        ~h:st.h ~out:st.msg ~out_off:st.out_off.(p)
+    done
+
+  (* every node's turn, in both directions *)
+  let sweep_pair st n =
+    for i = 0 to n - 1 do
+      let hi = st.inc_off.(i + 1) in
+      if st.split.(i) < hi then begin
+        gather st i st.theta 0;
+        send st i st.theta 0 st.split.(i) hi
+      end
+    done;
+    for i = n - 1 downto 0 do
+      let lo = st.inc_off.(i) in
+      if lo < st.inc_off.(i + 1) then begin
+        let d0 = st.unary_off.(i) in
+        gather st i st.agg d0;
+        send st i st.agg d0 lo st.split.(i)
+      end
+    done
+
+  let lower_bound st n =
+    let dp = st.theta and out = st.h in
+    let acc = ref 0.0 in
+    for c = 0 to Array.length st.chain_off - 2 do
+      let code0 = st.inc.(st.chain.(st.chain_off.(c))) in
+      let e0 = code0 lsr 1 in
+      let first = if code0 land 1 = 1 then st.eu.(e0) else st.ev.(e0) in
+      let a0 = st.unary_off.(first) in
+      for x = 0 to st.labels.(first) - 1 do
+        dp.%(x) <- st.agg.%(a0 + x)
+      done;
+      let lo = ref first in
+      for q = st.chain_off.(c) to st.chain_off.(c + 1) - 1 do
+        let p = st.chain.(q) in
+        let code = st.inc.(p) in
+        let hi = st.col.(p) in
+        let k_lo = st.labels.(!lo) and k_hi = st.labels.(hi) in
+        let b = st.msg_off.(!lo) + ((p - st.inc_off.(!lo)) * k_lo) in
+        for x = 0 to k_lo - 1 do
+          dp.%(x) <- dp.%(x) -. st.msg.%(b + x)
+        done;
+        reduce ~pot:st.pot
+          ~p0:st.pot_off.(st.etab.(code lsr 1))
+          ~src_is_u:(code land 1 = 1) ~k_src:k_lo ~k_out:k_hi ~h:dp ~out
+          ~out_off:0;
+        let m_hi = st.out_off.(p) and a = st.unary_off.(hi) in
+        for y = 0 to k_hi - 1 do
+          dp.%(y) <- (out.%(y) -. st.msg.%(m_hi + y)) +. st.agg.%(a + y)
+        done;
+        lo := hi
+      done;
+      let best = ref infinity in
+      for x = 0 to st.labels.(!lo) - 1 do
+        if dp.%(x) < !best then best := dp.%(x)
+      done;
+      acc := !acc +. !best
+    done;
+    for i = n - 1 downto 0 do
+      if st.inc_off.(i) = st.inc_off.(i + 1) then begin
+        let best = ref infinity in
+        for x = 0 to st.labels.(i) - 1 do
+          let c = st.unary.%(st.unary_off.(i) + x) in
+          if c < !best then best := c
+        done;
+        acc := !acc +. !best
+      end
+    done;
+    !acc
+
+  let decode st n x =
+    let theta = st.theta in
+    for i = 0 to n - 1 do
+      let k = st.labels.(i) in
+      let u0 = st.unary_off.(i) in
+      for xi = 0 to k - 1 do
+        theta.%(xi) <- st.unary.%(u0 + xi)
+      done;
+      for p = st.inc_off.(i) to st.split.(i) - 1 do
+        let code = st.inc.(p) in
+        let j = st.col.(p) in
+        let p0 = st.pot_off.(st.etab.(code lsr 1)) in
+        let i_is_u = code land 1 = 1 in
+        let off = if i_is_u then p0 + x.(j) else p0 + (x.(j) * k) in
+        let stride = if i_is_u then st.labels.(j) else 1 in
+        for xi = 0 to k - 1 do
+          theta.%(xi) <- theta.%(xi) +. st.pot.(off + (xi * stride))
+        done
+      done;
+      let b = st.msg_off.(i) + ((st.split.(i) - st.inc_off.(i)) * k) in
+      for s = 0 to st.inc_off.(i + 1) - st.split.(i) - 1 do
+        for xi = 0 to k - 1 do
+          theta.%(xi) <- theta.%(xi) +. st.msg.%(b + (s * k) + xi)
+        done
+      done;
+      let best = ref 0 in
+      for xi = 1 to k - 1 do
+        if theta.%(xi) < theta.%(!best) then best := xi
+      done;
+      x.(i) <- !best
+    done
+
+  (* the bound, a decode and its energy after every sweep pair *)
+  let sequential ~max_iters ~interrupt mrf =
+    let st = make_state mrf in
+    let n = Mrf.n_nodes mrf in
+    let x = Array.make n 0 in
+    let best_x = Array.make n 0 in
+    decode st n best_x;
+    let best_energy = ref (Mrf.energy mrf best_x) in
+    let prev_energy = ref !best_energy in
+    let best_bound = ref neg_infinity in
+    let stall = ref 0 and iters = ref 0 and converged = ref false in
+    (try
+       for it = 1 to max_iters do
+         if interrupt () then raise Exit;
+         iters := it;
+         sweep_pair st n;
+         let lb = lower_bound st n in
+         decode st n x;
+         let e = Mrf.energy mrf x in
+         if e < !best_energy then begin
+           best_energy := e;
+           Array.blit x 0 best_x 0 n
+         end;
+         let bound_progress = lb -. !best_bound in
+         if lb > !best_bound then best_bound := lb;
+         let energy_progress = !prev_energy -. !best_energy in
+         prev_energy := !best_energy;
+         if bound_progress < Solver.tolerance && energy_progress < Solver.tolerance
+         then incr stall
+         else stall := 0;
+         if !stall >= 3 || !best_energy -. !best_bound < Solver.tolerance then
+         begin
+           converged := true;
+           raise Exit
+         end
+       done
+     with Exit -> ());
+    {
+      Solver.labeling = best_x;
+      energy = !best_energy;
+      lower_bound = !best_bound;
+      iterations = !iters;
+      converged = !converged;
+    }
+
+  (* the dual decomposition over a dense zone map of [nz] zones *)
+  let zoned ~max_iters ~interrupt ~zone_of ~nz mrf =
+    let n = Mrf.n_nodes mrf and m = Mrf.n_edges mrf in
+    let g = Mrf.Compact.arrays mrf in
+    let sizes = Array.make nz 0 and local = Array.make n 0 in
+    for i = 0 to n - 1 do
+      local.(i) <- sizes.(zone_of.(i));
+      sizes.(zone_of.(i)) <- sizes.(zone_of.(i)) + 1
+    done;
+    let nodes = Array.init nz (fun z -> Array.make (max 1 sizes.(z)) 0) in
+    for i = 0 to n - 1 do
+      nodes.(zone_of.(i)).(local.(i)) <- i
+    done;
+    let builders =
+      Array.init nz (fun z ->
+          Mrf.Builder.create
+            ~label_counts:
+              (Array.init sizes.(z) (fun li -> g.i_labels.(nodes.(z).(li)))))
+    in
+    for z = 0 to nz - 1 do
+      for li = 0 to sizes.(z) - 1 do
+        let gi = nodes.(z).(li) in
+        Mrf.Builder.set_unary builders.(z) ~node:li
+          (Array.sub g.i_unary g.i_unary_off.(gi) g.i_labels.(gi))
+      done
+    done;
+    let boundary = ref [] in
+    for e = 0 to m - 1 do
+      let u = g.i_eu.(e) and v = g.i_ev.(e) in
+      if zone_of.(u) = zone_of.(v) then
+        Mrf.Builder.add_edge builders.(zone_of.(u)) local.(u) local.(v)
+          (Mrf.edge_cost mrf e)
+      else boundary := e :: !boundary
+    done;
+    let be = Array.of_list (List.rev !boundary) in
+    let nb = Array.length be in
+    let subs = Array.map Mrf.Builder.build builders in
+    let base = Array.map (fun s -> (Mrf.Compact.arrays s).i_unary) subs in
+    let eff = Array.map Array.copy base in
+    let wrapped = Array.init nz (fun z -> Mrf.with_unaries subs.(z) eff.(z)) in
+    let sub_uoff = Array.map (fun s -> (Mrf.Compact.arrays s).i_unary_off) subs in
+    let lam_off = Array.make (nb + 1) 0 in
+    Array.iteri
+      (fun bi e ->
+        lam_off.(bi + 1) <-
+          lam_off.(bi) + g.i_labels.(g.i_eu.(e)) + g.i_labels.(g.i_ev.(e)))
+      be;
+    let lam = Array.make (max 1 lam_off.(nb)) 0.0 in
+    let xhat = Array.make n 0 and best_x = Array.make n 0 in
+    let best_energy = ref infinity and best_bound = ref neg_infinity in
+    let iters = ref 0 and converged = ref false in
+    (try
+       for r = 0 to 7 do
+         if r > 0 && interrupt () then raise Exit;
+         Array.iteri (fun z b -> Array.blit b 0 eff.(z) 0 (Array.length b)) base;
+         Array.iteri
+           (fun bi e ->
+             let u = g.i_eu.(e) and v = g.i_ev.(e) in
+             let ku = g.i_labels.(u) and lo = lam_off.(bi) in
+             let zu = zone_of.(u) and zv = zone_of.(v) in
+             let uo = sub_uoff.(zu).(local.(u)) in
+             let vo = sub_uoff.(zv).(local.(v)) in
+             for l = 0 to ku - 1 do
+               eff.(zu).(uo + l) <- eff.(zu).(uo + l) +. lam.(lo + l)
+             done;
+             for l = 0 to g.i_labels.(v) - 1 do
+               eff.(zv).(vo + l) <- eff.(zv).(vo + l) +. lam.(lo + ku + l)
+             done)
+           be;
+         let results =
+           Array.init nz (fun z -> sequential ~max_iters ~interrupt wrapped.(z))
+         in
+         for z = 0 to nz - 1 do
+           for li = 0 to sizes.(z) - 1 do
+             xhat.(nodes.(z).(li)) <- results.(z).Solver.labeling.(li)
+           done
+         done;
+         let zb = ref 0.0 in
+         for z = 0 to nz - 1 do
+           zb := !zb +. results.(z).Solver.lower_bound
+         done;
+         let eb = ref 0.0 and disagree = ref 0 in
+         let step_r = 0.25 /. float_of_int (r + 1) in
+         Array.iteri
+           (fun bi e ->
+             let u = g.i_eu.(e) and v = g.i_ev.(e) in
+             let ku = g.i_labels.(u) and kv = g.i_labels.(v) in
+             let lo = lam_off.(bi) and p0 = g.i_pot_off.(g.i_etab.(e)) in
+             let best = ref infinity and bu = ref 0 and bv = ref 0 in
+             for xu = 0 to ku - 1 do
+               for xv = 0 to kv - 1 do
+                 let c =
+                   g.i_pot.(p0 + (xu * kv) + xv)
+                   -. lam.(lo + xu)
+                   -. lam.(lo + ku + xv)
+                 in
+                 if c < !best then begin
+                   best := c;
+                   bu := xu;
+                   bv := xv
+                 end
+               done
+             done;
+             eb := !eb +. !best;
+             let xu = xhat.(u) and xv = xhat.(v) in
+             if xu <> !bu then begin
+               incr disagree;
+               lam.(lo + xu) <- lam.(lo + xu) +. step_r;
+               lam.(lo + !bu) <- lam.(lo + !bu) -. step_r
+             end;
+             if xv <> !bv then begin
+               incr disagree;
+               lam.(lo + ku + xv) <- lam.(lo + ku + xv) +. step_r;
+               lam.(lo + ku + !bv) <- lam.(lo + ku + !bv) -. step_r
+             end)
+           be;
+         let lb = !zb +. !eb in
+         if lb > !best_bound then best_bound := lb;
+         let e = Mrf.energy mrf xhat in
+         if e < !best_energy then begin
+           best_energy := e;
+           Array.blit xhat 0 best_x 0 n
+         end;
+         let zones_converged =
+           Array.for_all (fun r -> r.Solver.converged) results
+         in
+         iters :=
+           if nb = 0 then
+             Array.fold_left (fun acc r -> max acc r.Solver.iterations) 0 results
+           else r + 1;
+         if nb = 0 then begin
+           converged := zones_converged;
+           raise Exit
+         end;
+         if
+           (!disagree = 0 && zones_converged)
+           || !best_energy -. !best_bound < Solver.tolerance
+         then begin
+           converged := true;
+           raise Exit
+         end
+       done
+     with Exit -> ());
+    {
+      Solver.labeling = best_x;
+      energy = !best_energy;
+      lower_bound = !best_bound;
+      iterations = !iters;
+      converged = !converged;
+    }
+
+  (* zone ids renumbered densely in order of first appearance *)
+  let solve ?(max_iters = 100) ?(interrupt = fun () -> false) ?zone_of mrf =
+    let n = Mrf.n_nodes mrf in
+    match zone_of with
+    | Some ids ->
+        let dense = Array.make n 0 and id_of = Hashtbl.create 16 in
+        Array.iteri
+          (fun i id ->
+            dense.(i) <-
+              (match Hashtbl.find_opt id_of id with
+              | Some d -> d
+              | None ->
+                  let d = Hashtbl.length id_of in
+                  Hashtbl.add id_of id d;
+                  d))
+          ids;
+        let nz = max 1 (Hashtbl.length id_of) in
+        if nz > 1 then zoned ~max_iters ~interrupt ~zone_of:dense ~nz mrf
+        else sequential ~max_iters ~interrupt mrf
+    | None -> sequential ~max_iters ~interrupt mrf
+end
+
+(* Models whose messages may never leave zero, like the synthetic
+   Table VII-IX instances: labels fall into two families, and a table
+   costs nothing across families (and nothing at all on a fifth of the
+   edges), so many updates write back the message they read.  Label
+   counts 1..5 and parallel edges as in [tie_mrf]. *)
+let family_mrf rng =
+  let n = 1 + Random.State.int rng 9 in
+  let labels = Array.init n (fun _ -> 1 + Random.State.int rng 5) in
+  let family = Array.init 5 (fun _ -> Random.State.bool rng) in
+  let b = Mrf.Builder.create ~label_counts:labels in
+  for i = 0 to n - 1 do
+    Mrf.Builder.set_unary b ~node:i
+      (Array.init labels.(i) (fun _ -> float_of_int (Random.State.int rng 3)))
+  done;
+  if n >= 2 then
+    for _ = 1 to Random.State.int rng (3 * n) do
+      let u = Random.State.int rng n in
+      let v = (u + 1 + Random.State.int rng (n - 1)) mod n in
+      let zero = Random.State.int rng 5 = 0 in
+      Mrf.Builder.add_edge b u v
+        (Array.init (labels.(u) * labels.(v)) (fun c ->
+             let a = c / labels.(v) and l = c mod labels.(v) in
+             if zero || family.(a) <> family.(l) then 0.0
+             else Random.State.float rng 1.0))
+    done;
+  Mrf.Builder.build b
+
+(* A tie-heavy or a family model, with a zone map of up to three zones
+   that leaves boundary edges on most models. *)
+let trws_case_gen =
+  QCheck2.Gen.(
+    map
+      (fun (seed, family) ->
+        let rng = Random.State.make [| seed |] in
+        let m = if family then family_mrf rng else fst (tie_mrf rng) in
+        (m, Array.init (Mrf.n_nodes m) (fun _ -> Random.State.int rng 3)))
+      (pair int bool))
+
+(* Each run as (max_iters, polls before the interrupt fires, zone map,
+   jobs); the interrupted zoned runs stay at jobs 1, where the zones
+   poll in index order. *)
+let prop_trws_matches_reference =
+  QCheck2.Test.make ~count:300
+    ~name:"change-driven TRW-S = the full-sweep reference, bit for bit"
+    trws_case_gen (fun (m, zones) ->
+      let bits = Int64.bits_of_float in
+      List.for_all
+        (fun (max_iters, stop_after, zone_of, jobs) ->
+          let interrupt () =
+            let polls = ref 0 in
+            fun () ->
+              incr polls;
+              !polls > stop_after
+          in
+          let r =
+            Trws.solve ~max_iters ~interrupt:(interrupt ()) ?jobs ?zone_of m
+          in
+          let r' =
+            Reference_trws.solve ~max_iters ~interrupt:(interrupt ()) ?zone_of
+              m
+          in
+          r.Solver.labeling = r'.Solver.labeling
+          && Int64.equal (bits r.Solver.energy) (bits r'.Solver.energy)
+          && Int64.equal (bits r.Solver.lower_bound)
+               (bits r'.Solver.lower_bound)
+          && r.Solver.iterations = r'.Solver.iterations
+          && r.Solver.converged = r'.Solver.converged)
+        [
+          (100, max_int, None, None);
+          (1, max_int, None, None);
+          (2, max_int, None, None);
+          (100, 0, None, None);
+          (100, 1, None, None);
+          (100, 3, None, None);
+          (100, max_int, Some zones, Some 1);
+          (100, max_int, Some zones, Some 2);
+          (3, max_int, Some zones, Some 2);
+          (100, 2, Some zones, Some 1);
+          (100, 9, Some zones, Some 1);
+        ])
+
 (* The polish runs after TRW-S on every default solve; its sweeps
    must not feed the minor heap.  The incident walk allocated about 20M
    words here. *)
@@ -1163,6 +1735,29 @@ let test_icm_allocation_free () =
   if words >= float_of_int n then
     Alcotest.failf "Icm.solve allocated %.0f minor words on %d variables"
       words n
+
+(* SA's uphill test draws its uniform as an integer and compares it
+   unboxed, and the move delta is never returned boxed, so a solve's
+   minor words do not grow with its proposals: over the default 73
+   stages, 16 sweeps per stage make 804,658 uphill proposals of
+   1,168,000 and 1 sweep makes 49,669 of 73,000, for the same stages,
+   samples and result record.  With the boxed float draw and delta the
+   two solves allocated 3,374,271 and 221,493 words. *)
+let test_sa_allocation_flat () =
+  let m = random_mrf (rng 61) 1000 4 0.004 in
+  let words sweeps_per_temp =
+    let config = { Sa.default_config with sweeps_per_temp; restarts = 1 } in
+    let before = Gc.minor_words () in
+    let r = Sa.solve ~config m in
+    let words = Gc.minor_words () -. before in
+    Alcotest.(check int) "sweeps run" (73 * sweeps_per_temp)
+      r.Solver.iterations;
+    words
+  in
+  let extra = words 16 -. words 1 in
+  if extra >= 64.0 then
+    Alcotest.failf "15 more sweeps per stage allocated %.0f more minor words"
+      extra
 
 (* The minor words of 3 TRW-S iterations: a 4-iteration solve's words
    minus a 1-iteration solve's, so the state, the workspace and the
@@ -1463,6 +2058,8 @@ let () =
             test_schedule_pins;
           Alcotest.test_case "icm allocates fewer minor words than nodes"
             `Quick test_icm_allocation_free;
+          Alcotest.test_case "sa minor words flat in its proposals" `Quick
+            test_sa_allocation_flat;
           Alcotest.test_case "trws iterations allocate fewer minor words than nodes"
             `Quick test_trws_allocation_free;
         ] );
@@ -1497,6 +2094,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_decode_valid;
           QCheck_alcotest.to_alcotest prop_icm_matches_reference;
           QCheck_alcotest.to_alcotest prop_sa_matches_reference;
+          QCheck_alcotest.to_alcotest prop_trws_matches_reference;
           QCheck_alcotest.to_alcotest prop_exact_matches_brute;
         ] );
     ]
